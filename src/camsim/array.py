@@ -16,7 +16,6 @@ counting, so concurrent searches are deterministic under any scheduling.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
@@ -29,6 +28,7 @@ from .errors import (
     SearchInWriteMode,
     WidthMismatch,
 )
+from .mle import mle_eval
 
 
 class Variant(Enum):
@@ -62,6 +62,17 @@ class EventTotals:
             self.sl_toggles + other.sl_toggles,
             self.mle_evaluations + other.mle_evaluations,
         )
+
+    def to_dict(self) -> dict[str, int]:
+        # A literal, not dataclasses.asdict: this runs once per query row and
+        # asdict's recursive copy is about 30x slower.
+        return {
+            "ml_en_transitions": self.ml_en_transitions,
+            "ml_precharges": self.ml_precharges,
+            "ml_discharges": self.ml_discharges,
+            "sl_toggles": self.sl_toggles,
+            "mle_evaluations": self.mle_evaluations,
+        }
 
 
 @dataclass(frozen=True)
@@ -151,14 +162,13 @@ def oracle_search(words: Sequence[BitWord], query: BitWord) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _mnode_table(k: int) -> tuple[tuple[Level, ...], ...]:
     # Index is the XOR of stored and search prefixes (bit 0 most significant).
-    # M0 is high on bit-0 match; M1..M_{k-1} are high on mismatch.
-    table = []
-    for x in range(1 << k):
-        bits = [(x >> (k - 1 - i)) & 1 for i in range(k)]
-        nodes = [Level.from_bit(1 - bits[0])]
-        nodes.extend(Level.from_bit(b) for b in bits[1:])
-        table.append(tuple(nodes))
-    return tuple(table)
+    # Each node compares one stored bit with one search bit, so storing the
+    # XOR against an all-zero search prefix gives the same levels.
+    zeros = (0,) * k
+    return tuple(
+        mle_eval([(x >> (k - 1 - i)) & 1 for i in range(k)], zeros).m_nodes
+        for x in range(1 << k)
+    )
 
 
 @dataclass(frozen=True)
@@ -355,44 +365,14 @@ def sum_event_totals(reports: Iterable[SearchReport]) -> EventTotals:
 
 def run_search_stream(
     array: CamArray,
-    queries: Sequence[BitWord],
-    workers: int = 1,
+    queries: Iterable[BitWord],
     prev_query: Optional[BitWord] = None,
 ) -> list[SearchReport]:
     """Search a query stream in order, threading each query as the next
-    one's toggle baseline.
-
-    With ``workers`` > 1 the stream is split into contiguous shards; a shard
-    starting at index i derives its baseline from queries[i-1] directly, so
-    the result is identical to the serial run for any worker count.
-    """
-    queries = list(queries)
-    if not queries:
-        return []
-    if workers <= 1 or len(queries) == 1:
-        out = []
-        prev = prev_query
-        for q in queries:
-            out.append(search(array, q, prev))
-            prev = q
-        return out
-
-    workers = min(workers, len(queries))
-    chunk = (len(queries) + workers - 1) // workers
-    spans = [
-        (start, min(start + chunk, len(queries)))
-        for start in range(0, len(queries), chunk)
-    ]
-
-    def run_span(span: tuple[int, int]) -> list[SearchReport]:
-        start, stop = span
-        prev = prev_query if start == 0 else queries[start - 1]
-        part = []
-        for q in queries[start:stop]:
-            part.append(search(array, q, prev))
-            prev = q
-        return part
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run_span, spans))
-    return [r for part in parts for r in part]
+    one's toggle baseline."""
+    out = []
+    prev = prev_query
+    for q in queries:
+        out.append(search(array, q, prev))
+        prev = q
+    return out

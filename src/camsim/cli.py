@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 for I/O or check failures, 2 for bad flags or
 configuration. Reports go to the file named by --out ('-' for stdout);
 diagnostics go to stderr. Identical flags and seed produce byte-identical
-report files for any --workers value.
+report files. Evaluation is single-threaded; --workers is still accepted so
+existing command lines keep working, and its value has no effect.
 """
 
 from __future__ import annotations
@@ -33,16 +34,7 @@ from .energy import (
     sweep_mle_bits,
     totals_energy,
 )
-from .errors import (
-    BadDigit,
-    CamError,
-    EmptyStore,
-    InvalidConfig,
-    PrefixTooShort,
-    UnknownEventClass,
-    WidthMismatch,
-    ZeroSearches,
-)
+from .errors import BadDigit, CamError, InvalidConfig, WidthMismatch
 from .mle import expected_energized_fraction
 from .verify import verify_exhaustive, verify_randomized
 from .workload import (
@@ -56,6 +48,15 @@ from .workload import (
 )
 
 DELAY_UNITS_NOTE = "delay is in abstract series-device units"
+
+# Exit code per error class, first match wins: I/O failures and malformed
+# word files are 1, any other simulator error is a bad flag or config, 2.
+_EXIT_CODES: dict[type[Exception], int] = {
+    OSError: 1,
+    WidthMismatch: 1,
+    BadDigit: 1,
+    CamError: 2,
+}
 
 
 def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
@@ -98,7 +99,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="-",
                    help="report destination file, '-' for stdout (default)")
     p.add_argument("--workers", type=int, default=1,
-                   help="shard query evaluation; output is identical for any count")
+                   help="accepted for compatibility; evaluation is "
+                        "single-threaded and the value has no effect")
 
 
 def _add_check_flags(p: argparse.ArgumentParser) -> None:
@@ -197,6 +199,9 @@ def _load_word_file(path: str, width: int, fmt: str):
 
 def _materialize(args: argparse.Namespace):
     """Validate flags, then build (config, model, words, queries, workload_meta)."""
+    tolerance = getattr(args, "tolerance", 0.0)
+    if not tolerance >= 0:  # NaN fails every comparison
+        raise InvalidConfig(f"--tolerance must be >= 0, got {tolerance:g}")
     config = _make_config(args)
     model = _make_model(args)
     spec = None if args.queries_file else _make_workload(args)
@@ -233,13 +238,16 @@ def _config_dict(config: CamConfig) -> dict:
     }
 
 
-def _totals_dict(totals) -> dict:
+def _report_header(args, config, model, workload_meta) -> dict:
+    """The inputs block shared by the search and compare reports."""
     return {
-        "ml_en_transitions": totals.ml_en_transitions,
-        "ml_precharges": totals.ml_precharges,
-        "ml_discharges": totals.ml_discharges,
-        "sl_toggles": totals.sl_toggles,
-        "mle_evaluations": totals.mle_evaluations,
+        "config": _config_dict(config),
+        "workload": workload_meta,
+        "words_file": args.words,
+        "word_format": args.format,
+        "model": model.to_dict(),
+        "units": {"energy": ENERGY_UNITS_NOTE, "delay": DELAY_UNITS_NOTE},
+        "notes": [UPSIZE_NOTE],
     }
 
 
@@ -259,7 +267,7 @@ def _aggregate_dict(config, model, variant, reports) -> dict:
         "total_matches": sum(len(r.matches) for r in reports),
         "mean_energized_fraction": fraction,
         "expected_energized_fraction": expected,
-        "event_totals": _totals_dict(totals),
+        "event_totals": totals.to_dict(),
         "energy_total": energy,
         "energy_metric": energy_metric(energy, config, searches),
         "delay_per_search": search_delay(model, config, variant),
@@ -267,11 +275,8 @@ def _aggregate_dict(config, model, variant, reports) -> dict:
     }
 
 
-def _emit(document: dict, out: str) -> None:
-    if out == "-":
-        write_report(document, sys.stdout, "json")
-    else:
-        write_report(document, out, "json")
+def _emit(report, out: str, fmt: str = "json") -> None:
+    write_report(report, sys.stdout if out == "-" else out, fmt)
 
 
 def _check_fraction(args, measured: float) -> int:
@@ -291,19 +296,13 @@ def cmd_search(args: argparse.Namespace) -> int:
     config, model, words, queries, workload_meta = _materialize(args)
     variant = Variant(args.variant)
     arr = new_array(config, variant, words)
-    reports = run_search_stream(arr, queries, workers=args.workers)
+    reports = run_search_stream(arr, queries)
     reports = [aggregate(r, model, config) for r in reports]
     agg = _aggregate_dict(config, model, variant, reports)
     document = {
         "report": "search",
         "variant": variant.value,
-        "config": _config_dict(config),
-        "workload": workload_meta,
-        "words_file": args.words,
-        "word_format": args.format,
-        "model": model.to_dict(),
-        "units": {"energy": ENERGY_UNITS_NOTE, "delay": DELAY_UNITS_NOTE},
-        "notes": [UPSIZE_NOTE],
+        **_report_header(args, config, model, workload_meta),
         "aggregate": agg,
         "queries": [query_summary(i, r) for i, r in enumerate(reports)],
     }
@@ -317,7 +316,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     per_query_matches = {}
     for variant in (Variant.SELECTIVE, Variant.BASELINE_NOR):
         arr = new_array(config, variant, words)
-        reports = run_search_stream(arr, queries, workers=args.workers)
+        reports = run_search_stream(arr, queries)
         sides[variant] = _aggregate_dict(config, model, variant, reports)
         per_query_matches[variant] = [r.matches for r in reports]
 
@@ -334,13 +333,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     document = {
         "report": "compare",
-        "config": _config_dict(config),
-        "workload": workload_meta,
-        "words_file": args.words,
-        "word_format": args.format,
-        "model": model.to_dict(),
-        "units": {"energy": ENERGY_UNITS_NOTE, "delay": DELAY_UNITS_NOTE},
-        "notes": [UPSIZE_NOTE],
+        **_report_header(args, config, model, workload_meta),
         "selective": sel,
         "baseline_nor": base,
         "ml_precharge_event_ratio": event_ratio,
@@ -357,34 +350,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _make_config(args)
-    model = _make_model(args)
-    spec = None if args.queries_file else _make_workload(args)
     if args.k_min > args.k_max:
         raise InvalidConfig(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
-
-    words = (
-        _load_word_file(args.words, config.word_bits, args.format)
-        if args.words
-        else None
-    )
-    if words is not None and len(words) != config.num_words:
-        config = replace(config, num_words=len(words))
-    queries = (
-        _load_word_file(args.queries_file, config.word_bits, args.format)
-        if args.queries_file
-        else None
-    )
-
+    config, model, words, queries, _ = _materialize(args)
     rows = sweep_mle_bits(
-        config, model, spec,
+        config, model, None,
         range(args.k_min, args.k_max + 1),
-        words=words, queries=queries, workers=args.workers,
+        words=words, queries=queries,
     )
-    if args.out == "-":
-        write_report(rows, sys.stdout, "csv")
-    else:
-        write_report(rows, args.out, "csv")
+    _emit(rows, args.out, "csv")
     # the pinned CSV schema has no room for metadata, so echo the effective
     # configuration here
     workload_desc = (
@@ -393,7 +367,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(
         f"config: num_words={config.num_words} word_bits={config.word_bits} "
         f"seed={config.seed} k={args.k_min}..{args.k_max} "
-        f"workload={workload_desc} queries={len(queries) if queries else args.queries}"
+        f"workload={workload_desc} queries={len(queries)}"
     )
     print("model: " + " ".join(f"{k}={v:g}" for k, v in model.to_dict().items()))
     print(f"argmin k = {sweep_argmin(rows)}")
@@ -427,15 +401,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidConfig, PrefixTooShort, ZeroSearches, UnknownEventClass, EmptyStore) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, WidthMismatch, BadDigit) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

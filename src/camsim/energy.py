@@ -15,6 +15,7 @@ The baseline precharges straight from the supply through a single device.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -76,6 +77,9 @@ class EnergyModel:
     delay_nor_discharge: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in self.field_names():
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite")
         for name in (
             "c_ml_per_cell", "c_sl_per_cell", "c_mle_node",
             "v_dd", "v_swing_ml", "v_swing_sl", "f",
@@ -220,7 +224,6 @@ def sweep_mle_bits(
     k_values: Iterable[int],
     words: Optional[Sequence[BitWord]] = None,
     queries: Optional[Sequence[BitWord]] = None,
-    workers: int = 1,
 ) -> list[SweepRow]:
     """Replay one stored dataset and query stream at each prefix width.
 
@@ -248,7 +251,7 @@ def sweep_mle_bits(
     for k in ks:
         cfg = replace(config, mle_bits=k)
         arr = new_array(cfg, Variant.SELECTIVE, words)
-        reports = run_search_stream(arr, queries, workers=workers)
+        reports = run_search_stream(arr, queries)
         totals = sum_event_totals(reports)
         fraction = totals.ml_precharges / (cfg.num_words * len(queries))
         metric = energy_metric(

@@ -1,8 +1,8 @@
 """Workload generation, dataset/query file ingestion, report serialization.
 
 All randomness is counter-based: every drawn value is a hash of
-(stream tag, seed, index), so sharded and sequential runs, in any order,
-produce identical workloads on any platform.
+(stream tag, seed, index), so a workload is identical whatever order its
+values are drawn in, on any platform.
 
 Word files are line-oriented text: one fixed-width binary or hex word per
 line, '#'-prefixed lines and blank lines ignored.
@@ -19,13 +19,11 @@ from hashlib import blake2b
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-from .core import BitWord, parse_word
-from .errors import EmptyStore, InvalidConfig
+from .core import _SEED_LIMIT, BitWord, parse_word
+from .errors import BadDigit, EmptyStore, InvalidConfig, WidthMismatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from .array import SearchReport
-
-_SEED_LIMIT = 2 ** 64
 
 # Stream tags keep the word, query, and decision draws independent.
 _TAG_WORDS = b"words"
@@ -168,8 +166,8 @@ def load_words(
             continue
         try:
             out.append(parse_word(line, width, fmt))
-        except Exception as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
+        except (WidthMismatch, BadDigit) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from exc
     return out
 
 
@@ -205,7 +203,12 @@ def sweep_csv_text(rows: Sequence) -> str:
 
 
 def report_json_text(document: dict) -> str:
-    return json.dumps(document, indent=2) + "\n"
+    """Pretty-printed JSON; NaN and infinities are rejected because they are
+    not valid JSON."""
+    try:
+        return json.dumps(document, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InvalidConfig(f"report holds a non-finite number: {exc}") from exc
 
 
 def write_report(
@@ -231,17 +234,10 @@ def write_report(
 
 def query_summary(index: int, report: "SearchReport") -> dict:
     """Per-query summary entry embedded in JSON reports."""
-    t = report.event_totals
     return {
         "index": index,
         "matches": list(report.matches),
         "energized_count": report.energized_count,
-        "events": {
-            "ml_en_transitions": t.ml_en_transitions,
-            "ml_precharges": t.ml_precharges,
-            "ml_discharges": t.ml_discharges,
-            "sl_toggles": t.sl_toggles,
-            "mle_evaluations": t.mle_evaluations,
-        },
+        "events": report.event_totals.to_dict(),
         "energy": report.energy_total,
     }

@@ -21,9 +21,7 @@ from camsim import (
     new_array,
     nor_cell_pulls_down,
     oracle_search,
-    run_search_stream,
     search,
-    sum_event_totals,
     write_word,
 )
 
@@ -281,6 +279,16 @@ def test_trace_m_nodes_match_energizer():
     report = search(new_array(cfg, words=words), query)
     for t, word in zip(report.traces, words):
         assert t.m_nodes == mle_eval(word.prefix_bits(3), query.prefix_bits(3)).m_nodes
+    # every stored/search prefix pair at every supported width
+    for k in range(2, 7):
+        words = [BitWord(k + 2, p << 2 | 1) for p in range(1 << k)]
+        arr = new_array(CamConfig(len(words), k + 2, k), words=words)
+        for qp in range(1 << k):
+            query = BitWord(k + 2, qp << 2)
+            for t, word in zip(search(arr, query).traces, words):
+                want = mle_eval(word.prefix_bits(k), query.prefix_bits(k))
+                assert t.m_nodes == want.m_nodes
+                assert t.ml_en is want.ml_en
 
 
 def test_baseline_traces_have_no_energizer_nodes():
@@ -395,18 +403,6 @@ def test_write_search_interleaving_matches_oracle(ops):
             q = BitWord(8, qv)
             assert search(arr, q, prev).matches == oracle_search(arr.words, q)
             prev = q
-
-
-def test_run_search_stream_identical_for_any_worker_count():
-    cfg = CamConfig(32, 16, 3, seed=9)
-    words = [BitWord(16, (v * 2654435761) % 65536) for v in range(32)]
-    arr = new_array(cfg, words=words)
-    queries = [BitWord(16, (v * 40503) % 65536) for v in range(50)]
-    serial = run_search_stream(arr, queries, workers=1)
-    for workers in (2, 3, 5, 8):
-        sharded = run_search_stream(arr, queries, workers=workers)
-        assert sharded == serial
-    assert sum_event_totals(serial) == sum_event_totals(run_search_stream(arr, queries, workers=4))
 
 
 def test_fault_injection_breaks_oracle_agreement():

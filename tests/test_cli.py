@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -88,6 +89,42 @@ def test_search_bad_param_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("param", ["v_dd=nan", "upsize_base=inf", "c_ml_per_cell=1e308"])
+def test_search_non_finite_model_exits_2_without_report(tmp_path, capsys, param):
+    # 1e308 is finite itself but overflows the energy totals to infinity
+    out = tmp_path / "r.json"
+    rc = main(["search", "--num-words", "16", "--width", "16", "--queries", "20",
+               "--param", param, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
+def test_compare_non_finite_model_file_exits_2_without_report(tmp_path):
+    model = tmp_path / "model.cfg"
+    model.write_text("v_swing_sl = nan\n")
+    out = tmp_path / "r.json"
+    rc = main(["compare", "--num-words", "16", "--width", "16", "--queries", "20",
+               "--model-file", str(model), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["search", "compare"])
+@pytest.mark.parametrize("tolerance", ["-0.01", "nan"])
+def test_bad_tolerance_exits_2_before_any_work(tmp_path, monkeypatch, capsys, verb, tolerance):
+    def no_work(*args, **kwargs):
+        raise AssertionError("workload generated despite a bad --tolerance")
+
+    monkeypatch.setattr("camsim.cli.gen_words", no_work)
+    out = tmp_path / "r.json"
+    rc = main([verb, "--queries", "20", "--expect-fraction", "0.125",
+               "--tolerance", tolerance, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "--tolerance" in capsys.readouterr().err
+
+
 def test_search_expect_fraction_gate(tmp_path):
     common = [
         "search", "--num-words", "64", "--width", "32", "--queries", "600",
@@ -126,6 +163,18 @@ def test_queries_file(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["workload"]["kind"] == "file"
     assert [e["matches"] for e in doc["queries"]] == [[0], [], [1]]
+
+
+def test_workers_flag_starts_no_threads(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("evaluation must not start threads")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    out = tmp_path / "r.json"
+    rc = main(["search", "--num-words", "32", "--width", "24", "--workers", "8",
+               "--queries", "50", "--out", str(out)])
+    assert rc == 0
+    assert len(json.loads(out.read_text())["queries"]) == 50
 
 
 def test_determinism_across_worker_counts(tmp_path):
@@ -188,6 +237,16 @@ def test_sweep_echoes_effective_configuration(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "num_words=16" in printed and "seed=6" in printed
     assert "c_mle_node=4" in printed
+
+
+def test_sweep_empty_queries_file_exits_2(tmp_path, capsys):
+    queries = tmp_path / "empty.txt"
+    queries.write_text("# no words here\n")
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--queries-file", str(queries), "--out", str(out)])
+    assert rc == 2
+    assert "holds no words" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_with_queries_file(tmp_path):

@@ -84,6 +84,10 @@ def test_model_validation():
         EnergyModel(v_swing_ml=1.5, v_dd=1.0)
     with pytest.raises(InvalidConfig):
         EnergyModel(upsize_base=0.5)
+    for name in EnergyModel.field_names():
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidConfig, match=f"{name} must be finite"):
+                EnergyModel(**{name: bad})
 
 
 def test_model_from_file(tmp_path):

@@ -142,10 +142,19 @@ def test_load_words_error_cites_line_number():
     with pytest.raises(BadDigit) as err:
         load_words(stream, 4, "bin")
     assert "line 3" in str(err.value)
+    assert isinstance(err.value.__cause__, BadDigit)
     stream = io.StringIO("0000\n111\n")
     with pytest.raises(WidthMismatch) as err:
         load_words(stream, 4, "bin")
-    assert "line 2" in str(err.value)
+    assert str(err.value).startswith("line 2: ")
+    assert isinstance(err.value.__cause__, WidthMismatch)
+
+
+def test_load_words_passes_other_errors_through_unchanged():
+    with pytest.raises(ValueError) as err:
+        load_words(io.StringIO("0000\n"), 4, "oct")
+    assert type(err.value) is ValueError
+    assert str(err.value) == "unknown word format 'oct'"
 
 
 @pytest.mark.parametrize("fmt", ["bin", "hex"])
@@ -187,6 +196,15 @@ def test_write_report_byte_identical(tmp_path):
     write_report(rows, a, "csv")
     write_report(rows, b, "csv")
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_write_report_rejects_non_finite_numbers(tmp_path):
+    path = tmp_path / "report.json"
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidConfig) as err:
+            write_report({"energy_total": bad}, path, "json")
+        assert isinstance(err.value.__cause__, ValueError)
+    assert not path.exists()
 
 
 def test_write_report_json_round_trip(tmp_path):
