@@ -8,6 +8,10 @@ Evaluation phase: any mismatching NOR cell on a precharged line pulls it low
 (one discharge event, however many cells conduct); a line that was never
 precharged stays low for free.
 
+The gate has one home: ``_energized`` says which lines have ML_EN high, from
+facts each array sets once (the baseline is the same array with no
+energizer), and both ``search`` and the per-word trace path read it.
+
 Arrays are immutable values; ``write_word`` returns a new array. ``search``
 is a pure function of (array, query, previous query), the previous query
 being the explicit context for searchline-toggle and ML_EN-transition
@@ -75,12 +79,22 @@ class EventTotals:
         }
 
 
+def _derived(default):
+    return field(init=False, repr=False, compare=False, default=default)
+
+
 @dataclass(frozen=True)
 class CamArray:
-    """Stored words plus the derived packed views the search path works on.
+    """Stored words plus the gate facts the search path works on, set once.
 
     ``fault_flip_ml_en`` inverts every energizer decision; it exists so the
-    verification harness can prove it detects a corrupted build.
+    verification harness can prove it detects a corrupted build. The baseline
+    has no energizer (``_energizers`` is 0), so the flag does not affect it.
+    A line with ML_EN high matches when its ``_compared`` value equals the
+    query masked by ``_key_mask``: the stored value against the whole query,
+    except under the flip, whose enabled lines carry a prefix other than the
+    query's and so compare suffix-only copies. ``_mnodes`` maps the stored
+    XOR search prefix to energizer node levels, all empty in the baseline.
     """
 
     config: CamConfig
@@ -88,12 +102,11 @@ class CamArray:
     variant: Variant = Variant.SELECTIVE
     mode: DriverMode = DriverMode.SEARCH
     fault_flip_ml_en: bool = False
-    _values: tuple[int, ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
-    _prefixes: tuple[int, ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
+    _prefixes: tuple[int, ...] = _derived(())
+    _energizers: int = _derived(0)
+    _compared: tuple[int, ...] = _derived(())
+    _key_mask: int = _derived(0)
+    _mnodes: tuple[tuple[Level, ...], ...] = _derived(())
 
     def __post_init__(self) -> None:
         cfg = self.config
@@ -106,10 +119,18 @@ class CamArray:
                 raise WidthMismatch(
                     f"stored word width {w.width} != word_bits {cfg.word_bits}"
                 )
-        shift = cfg.word_bits - cfg.mle_bits
+        n, k = cfg.word_bits, cfg.mle_bits
+        gated = self.variant is Variant.SELECTIVE
+        flipped = gated and self.fault_flip_ml_en
+        key_mask = (1 << (n - k if flipped else n)) - 1
         values = tuple(w.value for w in self.words)
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_prefixes", tuple(v >> shift for v in values))
+        set_fact = object.__setattr__
+        set_fact(self, "_prefixes", tuple(v >> (n - k) for v in values))
+        set_fact(self, "_energizers", cfg.num_words if gated else 0)
+        set_fact(self, "_compared",
+                 tuple(v & key_mask for v in values) if flipped else values)
+        set_fact(self, "_key_mask", key_mask)
+        set_fact(self, "_mnodes", _mnode_table(k) if gated else ((),) * (1 << k))
 
     def with_mode(self, mode: DriverMode) -> "CamArray":
         return replace(self, mode=mode)
@@ -214,6 +235,47 @@ def _check_query(array: CamArray, query: BitWord, prev_query: Optional[BitWord])
         )
 
 
+def _drive(
+    array: CamArray, query: BitWord, prev_query: Optional[BitWord]
+) -> tuple[int, Optional[int], int]:
+    """The search prefix, the previous one (None before the first search) and
+    the number of searchline columns this search toggles."""
+    cfg = array.config
+    shift = cfg.word_bits - cfg.mle_bits
+    if prev_query is None:
+        return query.value >> shift, None, cfg.word_bits
+    pv = prev_query.value
+    return query.value >> shift, pv >> shift, (query.value ^ pv).bit_count()
+
+
+def _energized(array: CamArray, prefix: Optional[int]) -> Sequence[int]:
+    """Addresses whose ML_EN is high for search prefix ``prefix``, or before
+    the first search when it is None. Without an energizer every line is
+    always enabled; a gated line is enabled when its stored prefix equals
+    the search prefix, and when it differs under the flip fault."""
+    if not array._energizers:
+        return range(array.config.num_words)
+    if prefix is None:
+        return ()
+    if array.fault_flip_ml_en:
+        return [a for a, p in enumerate(array._prefixes) if p != prefix]
+    return [a for a, p in enumerate(array._prefixes) if p == prefix]
+
+
+def _ml_en_transitions(
+    array: CamArray, energized: Sequence[int], qp: int, pp: Optional[int]
+) -> int:
+    """Lines whose ML_EN level changes from previous prefix ``pp`` to ``qp``.
+    Two different prefixes select disjoint buckets, so exactly the words of
+    both buckets change; their complements under the flip fault differ in
+    the same words."""
+    if not array._energizers or pp == qp:
+        return 0
+    if pp is None:
+        return len(energized)
+    return array._prefixes.count(qp) + array._prefixes.count(pp)
+
+
 def search(
     array: CamArray, query: BitWord, prev_query: Optional[BitWord] = None
 ) -> SearchReport:
@@ -226,129 +288,46 @@ def search(
     from low.
     """
     _check_query(array, query, prev_query)
-    cfg = array.config
-    n, k, num = cfg.word_bits, cfg.mle_bits, cfg.num_words
-    qv = query.value
-    sl_toggles = n if prev_query is None else (qv ^ prev_query.value).bit_count()
-
-    if array.variant is Variant.BASELINE_NOR:
-        matches = [a for a, v in enumerate(array._values) if v == qv]
-        totals = EventTotals(
-            ml_en_transitions=0,
-            ml_precharges=num,
-            ml_discharges=num - len(matches),
-            sl_toggles=sl_toggles,
-            mle_evaluations=0,
-        )
-        return SearchReport(
-            array, query, prev_query, tuple(matches), num, totals
-        )
-
-    qp = qv >> (n - k)
-    prefixes = array._prefixes
-    flip = array.fault_flip_ml_en
-    if flip:
-        energized = [a for a, p in enumerate(prefixes) if p != qp]
-    else:
-        energized = [a for a, p in enumerate(prefixes) if p == qp]
-
-    suffix_mask = (1 << (n - k)) - 1
-    values = array._values
-    matches = []
-    discharges = 0
-    for a in energized:
-        if (values[a] ^ qv) & suffix_mask:
-            discharges += 1
-        else:
-            matches.append(a)
-
-    if prev_query is None:
-        prev_set = frozenset()
-    else:
-        pp = prev_query.value >> (n - k)
-        if flip:
-            prev_set = {a for a, p in enumerate(prefixes) if p != pp}
-        else:
-            prev_set = {a for a, p in enumerate(prefixes) if p == pp}
-    overlap = sum(1 for a in energized if a in prev_set)
-    en_charges = len(energized) - overlap
-    en_discharges = len(prev_set) - overlap
-
+    qp, pp, sl_toggles = _drive(array, query, prev_query)
+    energized = _energized(array, qp)
+    key = query.value & array._key_mask
+    compared = array._compared
+    matches = tuple([a for a in energized if compared[a] == key])
     totals = EventTotals(
-        ml_en_transitions=en_charges + en_discharges,
+        ml_en_transitions=_ml_en_transitions(array, energized, qp, pp),
         ml_precharges=len(energized),
-        ml_discharges=discharges,
+        ml_discharges=len(energized) - len(matches),
         sl_toggles=sl_toggles,
-        mle_evaluations=num,
+        mle_evaluations=array._energizers,
     )
-    return SearchReport(
-        array, query, prev_query, tuple(matches), len(energized), totals
-    )
+    return SearchReport(array, query, prev_query, matches, len(energized), totals)
 
 
 def _build_traces(
     array: CamArray, query: BitWord, prev_query: Optional[BitWord]
 ) -> tuple[WordTrace, ...]:
-    cfg = array.config
-    n, k = cfg.word_bits, cfg.mle_bits
-    qv = query.value
-    sl = n if prev_query is None else (qv ^ prev_query.value).bit_count()
+    n = array.config.word_bits
+    qp, pp, sl = _drive(array, query, prev_query)
+    now = set(_energized(array, qp))
+    before = set(_energized(array, pp))
+    key = query.value & array._key_mask
     out = []
-
-    if array.variant is Variant.BASELINE_NOR:
-        for addr, wv in enumerate(array._values):
-            diff = wv ^ qv
-            if diff:
-                out.append(
-                    WordTrace(
-                        addr, (), Level.HIGH, True, Level.LOW,
-                        n - diff.bit_length(),
-                        WordTransitions(0, 0, 1, 1, sl),
-                    )
-                )
-            else:
-                out.append(
-                    WordTrace(
-                        addr, (), Level.HIGH, True, Level.HIGH, None,
-                        WordTransitions(0, 0, 1, 0, sl),
-                    )
-                )
-        return tuple(out)
-
-    qp = qv >> (n - k)
-    pp = None if prev_query is None else prev_query.value >> (n - k)
-    table = _mnode_table(k)
-    flip = array.fault_flip_ml_en
-    suffix_mask = (1 << (n - k)) - 1
-    for addr, (wv, wp) in enumerate(zip(array._values, array._prefixes)):
-        m_nodes = table[wp ^ qp]
-        en_now = (wp == qp) != flip
-        en_prev = False if pp is None else ((wp == pp) != flip)
-        discharging_bit = None
-        discharged = False
-        if en_now:
-            diff = (wv ^ qv) & suffix_mask
-            if diff:
-                ml_final = Level.LOW
-                discharging_bit = n - diff.bit_length()
-                discharged = True
-            else:
-                ml_final = Level.HIGH
-        else:
-            ml_final = Level.LOW
+    for addr, (cv, wp) in enumerate(zip(array._compared, array._prefixes)):
+        en_now, en_prev = addr in now, addr in before
+        diff = cv ^ key if en_now else 0
         out.append(
             WordTrace(
                 addr,
-                m_nodes,
+                array._mnodes[wp ^ qp],
                 Level.from_bit(en_now),
                 en_now,
-                ml_final,
-                discharging_bit,
+                Level.from_bit(en_now and not diff),
+                n - diff.bit_length() if diff else None,
                 WordTransitions(
                     ml_en_charges=int(en_now and not en_prev),
                     ml_en_discharges=int(en_prev and not en_now),
                     ml_charges=int(en_now),
-                    ml_discharges=int(discharged),
+                    ml_discharges=int(diff != 0),
                     sl_toggles=sl,
                 ),
             )

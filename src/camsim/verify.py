@@ -11,7 +11,7 @@ suffix scan actually shows up.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .array import Variant, new_array, oracle_search, search
 from .core import BitWord, CamConfig
@@ -52,13 +52,13 @@ class VerifyOutcome:
 def _check_store(
     config: CamConfig,
     words: Sequence[BitWord],
-    queries: Sequence[BitWord],
+    queries: Iterable[BitWord],
     variant: Variant,
     fault: bool,
     context: str,
 ) -> VerifyOutcome:
     arr = new_array(config, variant, words)
-    if fault and variant is Variant.SELECTIVE:
+    if fault:
         arr = dc_replace(arr, fault_flip_ml_en=True)
     cases = 0
     prev = None
@@ -138,27 +138,17 @@ def verify_randomized(
     from .workload import gen_words
 
     words = gen_words(config.num_words, config.word_bits, config.seed)
-    arr = new_array(config, variant, words)
-    if fault and variant is Variant.SELECTIVE:
-        arr = dc_replace(arr, fault_flip_ml_en=True)
     n = config.word_bits
-    prev = None
-    for i in range(trials):
+
+    def trial(i: int) -> BitWord:
         style = _draw_unit(_TAG_STYLE, seed, i)
         if style < 0.6:
-            q = BitWord(n, _draw_bits(_TAG_TRIAL, seed, i, n))
-        else:
-            base = words[_draw_pick(_TAG_TRIAL, seed, i, len(words))]
-            if style < 0.9:
-                q = base
-            else:
-                pos = _draw_pick(_TAG_FLIP, seed, i, n)
-                q = BitWord(n, base.value ^ (1 << (n - 1 - pos)))
-        got = search(arr, q, prev).matches
-        prev = q
-        expected = oracle_search(words, q)
-        if got != expected:
-            return VerifyOutcome(
-                i + 1, Counterexample(tuple(words), q, expected, got, "randomized")
-            )
-    return VerifyOutcome(trials, None)
+            return BitWord(n, _draw_bits(_TAG_TRIAL, seed, i, n))
+        base = words[_draw_pick(_TAG_TRIAL, seed, i, len(words))]
+        if style < 0.9:
+            return base
+        pos = _draw_pick(_TAG_FLIP, seed, i, n)
+        return BitWord(n, base.value ^ (1 << (n - 1 - pos)))
+
+    queries = (trial(i) for i in range(trials))
+    return _check_store(config, words, queries, variant, fault, "randomized")

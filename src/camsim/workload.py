@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from hashlib import blake2b
@@ -186,19 +187,16 @@ def _sig6(x: float) -> str:
 
 def sweep_csv_text(rows: Sequence) -> str:
     """CSV for sweep rows, numbers at 6 significant digits so golden files
-    stay stable across platforms."""
+    stay stable across platforms. NaN and infinities are rejected, as in
+    ``report_json_text``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_CSV_HEADER.split(","))
     for row in rows:
-        writer.writerow(
-            [
-                str(row.k),
-                _sig6(row.mean_energized_fraction),
-                _sig6(row.energy_metric),
-                _sig6(row.mean_delay),
-            ]
-        )
+        numbers = (row.mean_energized_fraction, row.energy_metric, row.mean_delay)
+        if not all(map(math.isfinite, numbers)):
+            raise InvalidConfig(f"sweep row k={row.k} holds a non-finite number")
+        writer.writerow([str(row.k), *map(_sig6, numbers)])
     return buf.getvalue()
 
 

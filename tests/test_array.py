@@ -34,11 +34,13 @@ def all_words(n):
     return [BitWord(n, v) for v in range(1 << n)]
 
 
-def cell_level_word_outcome(word, query, k, variant):
+def cell_level_word_outcome(word, query, k, variant, flip=False):
     """Independent route: evaluate one word with the cell/energizer models,
-    bit by bit, and return (precharged, matched, discharging_bit)."""
+    bit by bit, and return (precharged, matched, discharging_bit). ``flip``
+    inverts the energizer output, as the injected fault does."""
     if variant is Variant.SELECTIVE:
         en = mle_eval(word.prefix_bits(k), query.prefix_bits(k)).ml_en is Level.HIGH
+        en = en != flip
         suffix = range(k, word.width)
     else:
         en = True
@@ -302,23 +304,54 @@ def test_baseline_traces_have_no_energizer_nodes():
 
 
 def test_trace_totals_are_consistent():
-    cfg = CamConfig(12, 8, 3)
-    words = [BitWord(8, 17 * i % 256) for i in range(12)]
-    arr = new_array(cfg, words=words)
-    q1, q2 = w("00010001"), w("00110001")
-    r1 = search(arr, q1)
-    r2 = search(arr, q2, prev_query=q1)
-    for r in (r1, r2):
-        traces = r.traces
-        t = r.event_totals
-        assert t.ml_precharges == sum(x.transitions.ml_charges for x in traces)
-        assert t.ml_discharges == sum(x.transitions.ml_discharges for x in traces)
-        assert t.ml_en_transitions == sum(
-            x.transitions.ml_en_charges + x.transitions.ml_en_discharges
-            for x in traces
-        )
-        assert all(x.transitions.sl_toggles == t.sl_toggles for x in traces)
-        assert t.mle_evaluations == cfg.num_words
+    # every variant and fault setting, every query, after no previous query,
+    # one with the same prefix and one with a different prefix
+    n = 5
+    words = [BitWord(n, 7 * i % 32) for i in range(12)] + [BitWord(n, 7)]
+    for k, variant, flip in product((2, 3), Variant, (False, True)):
+        cfg = CamConfig(len(words), n, k)
+        unflipped = new_array(cfg, variant, words)
+        arr = replace(unflipped, fault_flip_ml_en=flip)
+        for query in all_words(n):
+            same_prefix = BitWord(n, query.value ^ 1)
+            other_prefix = BitWord(n, query.value ^ (1 << (n - 1)))
+            for prev in (None, same_prefix, other_prefix):
+                r = search(arr, query, prev)
+                traces = r.traces
+                t = r.event_totals
+                assert t.ml_precharges == sum(x.transitions.ml_charges for x in traces)
+                assert t.ml_discharges == sum(
+                    x.transitions.ml_discharges for x in traces
+                )
+                assert t.ml_en_transitions == sum(
+                    x.transitions.ml_en_charges + x.transitions.ml_en_discharges
+                    for x in traces
+                )
+                assert all(x.transitions.sl_toggles == t.sl_toggles for x in traces)
+                gated = variant is Variant.SELECTIVE
+                assert t.mle_evaluations == (cfg.num_words if gated else 0)
+                assert r.matches == tuple(
+                    x.addr for x in traces if x.ml_final is Level.HIGH
+                )
+                assert r.energized_count == sum(x.ml_precharged for x in traces)
+                for x, word in zip(traces, words):
+                    en, matched, bit = cell_level_word_outcome(
+                        word, query, k, variant, flip
+                    )
+                    assert (x.ml_precharged, x.ml_final is Level.HIGH) == (en, matched)
+                    assert x.discharging_bit == bit
+                    if prev is None:  # ML_EN starts low behind an energizer
+                        en_prev = not gated
+                    else:
+                        en_prev = cell_level_word_outcome(word, prev, k, variant, flip)[0]
+                    assert x.transitions.ml_en_charges == int(en and not en_prev)
+                    assert x.transitions.ml_en_discharges == int(en_prev and not en)
+                if not gated:
+                    base = search(unflipped, query, prev)
+                    assert (r.matches, r.energized_count, r.event_totals) == (
+                        base.matches, base.energized_count, base.event_totals
+                    )
+                    assert traces == base.traces
 
 
 def test_searchline_toggle_counting():
@@ -411,3 +444,7 @@ def test_fault_injection_breaks_oracle_agreement():
     arr = replace(new_array(cfg, words=words), fault_flip_ml_en=True)
     report = search(arr, w("10110011"))
     assert report.matches != oracle_search(words, w("10110011"))
+    # the flipped gate energizes addresses 1, 2 and 3, and only address 1's
+    # suffix matches on its NOR chain
+    assert report.energized_count == 3
+    assert report.matches == (1,)

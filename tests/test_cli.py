@@ -249,6 +249,18 @@ def test_sweep_empty_queries_file_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_non_finite_metric_exits_2_without_csv(tmp_path, capsys):
+    # 1e308 is finite itself but overflows the energy metric to infinity
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--queries", "50", "--param", "c_ml_per_cell=1e308",
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
 def test_sweep_with_queries_file(tmp_path):
     queries = tmp_path / "queries.txt"
     queries.write_text("".join(f"{i:012b}\n" for i in range(40)))
