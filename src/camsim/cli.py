@@ -376,6 +376,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 0:
+        raise InvalidConfig(f"--trials must be >= 0, got {args.trials}")
     config = _make_config(args)
     fault = args.inject_fault
     out = verify_exhaustive(seed=args.seed, fault=fault)

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from .array import Variant, new_array, oracle_search, search
 from .core import BitWord, CamConfig
-from .workload import _draw_bits, _draw_pick, _draw_unit
+from .draws import draw_bits, draw_pick, draw_unit
 
 _TAG_STORE = b"verify-store"
 _TAG_TRIAL = b"verify-trial"
@@ -108,7 +108,7 @@ def verify_exhaustive(seed: int = 0, fault: bool = False) -> VerifyOutcome:
                 for j, size in enumerate((5, 17, 32)):
                     stores.append(
                         [
-                            BitWord(n, _draw_bits(_TAG_STORE, seed, n * 1000 + k * 100 + j * 10 + i, n))
+                            BitWord(n, draw_bits(_TAG_STORE, seed, n * 1000 + k * 100 + j * 10 + i, n))
                             for i in range(size)
                         ]
                     )
@@ -141,13 +141,13 @@ def verify_randomized(
     n = config.word_bits
 
     def trial(i: int) -> BitWord:
-        style = _draw_unit(_TAG_STYLE, seed, i)
+        style = draw_unit(_TAG_STYLE, seed, i)
         if style < 0.6:
-            return BitWord(n, _draw_bits(_TAG_TRIAL, seed, i, n))
-        base = words[_draw_pick(_TAG_TRIAL, seed, i, len(words))]
+            return BitWord(n, draw_bits(_TAG_TRIAL, seed, i, n))
+        base = words[draw_pick(_TAG_TRIAL, seed, i, len(words))]
         if style < 0.9:
             return base
-        pos = _draw_pick(_TAG_FLIP, seed, i, n)
+        pos = draw_pick(_TAG_FLIP, seed, i, n)
         return BitWord(n, base.value ^ (1 << (n - 1 - pos)))
 
     queries = (trial(i) for i in range(trials))

@@ -1,8 +1,8 @@
 """Workload generation, dataset/query file ingestion, report serialization.
 
-All randomness is counter-based: every drawn value is a hash of
-(stream tag, seed, index), so a workload is identical whatever order its
-values are drawn in, on any platform.
+All randomness comes from the counter-based draws in ``camsim.draws``, so a
+workload is identical whatever order its values are drawn in, on any
+platform.
 
 Word files are line-oriented text: one fixed-width binary or hex word per
 line, '#'-prefixed lines and blank lines ignored.
@@ -14,13 +14,14 @@ import csv
 import io
 import json
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
-from hashlib import blake2b
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .core import _SEED_LIMIT, BitWord, parse_word
+from .draws import blocks, draw_bits, draw_pick, draw_unit, unit_threshold
 from .errors import BadDigit, EmptyStore, InvalidConfig, WidthMismatch
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,41 +79,12 @@ class WorkloadSpec:
         }
 
 
-def _blocks(tag: bytes, seed: int, index: int, nbytes: int) -> bytes:
-    """Concatenated 32-byte digest blocks for one (tag, seed, index) draw."""
-    out = bytearray()
-    for block in range((nbytes + 31) // 32):
-        h = blake2b(digest_size=32)
-        h.update(tag)
-        h.update(seed.to_bytes(8, "big"))
-        h.update(index.to_bytes(8, "big"))
-        h.update(block.to_bytes(4, "big"))
-        out.extend(h.digest())
-    return bytes(out[:nbytes])
-
-
-def _draw_bits(tag: bytes, seed: int, index: int, width: int) -> int:
-    nbytes = (width + 7) // 8
-    raw = int.from_bytes(_blocks(tag, seed, index, nbytes), "big")
-    return raw >> (8 * nbytes - width)
-
-
-def _draw_unit(tag: bytes, seed: int, index: int) -> float:
-    raw = int.from_bytes(_blocks(tag, seed, index, 8), "big")
-    return raw / 2.0 ** 64
-
-
-def _draw_pick(tag: bytes, seed: int, index: int, count: int) -> int:
-    raw = int.from_bytes(_blocks(tag, seed, index, 8), "big")
-    return raw % count
-
-
 def gen_words(count: int, width: int, seed: int) -> list[BitWord]:
     """Uniform independent bits, deterministic for a fixed seed."""
     if count < 1 or width < 1:
         raise InvalidConfig("count and width must be >= 1")
     return [
-        BitWord(width, _draw_bits(_TAG_WORDS, seed, i, width)) for i in range(count)
+        BitWord(width, draw_bits(_TAG_WORDS, seed, i, width)) for i in range(count)
     ]
 
 
@@ -129,23 +101,23 @@ def gen_queries(workload: WorkloadSpec, words: Sequence[BitWord]) -> list[BitWor
     out = []
     if workload.kind is WorkloadKind.UNIFORM:
         for i in range(workload.num_queries):
-            out.append(BitWord(width, _draw_bits(_TAG_QUERY, seed, i, width)))
+            out.append(BitWord(width, draw_bits(_TAG_QUERY, seed, i, width)))
     elif workload.kind is WorkloadKind.PLANTED:
         for i in range(workload.num_queries):
-            if _draw_unit(_TAG_DECISION, seed, i) < workload.match_rate:
-                out.append(words[_draw_pick(_TAG_PICK, seed, i, len(words))])
+            if draw_unit(_TAG_DECISION, seed, i) < workload.match_rate:
+                out.append(words[draw_pick(_TAG_PICK, seed, i, len(words))])
             else:
-                out.append(BitWord(width, _draw_bits(_TAG_QUERY, seed, i, width)))
+                out.append(BitWord(width, draw_bits(_TAG_QUERY, seed, i, width)))
     else:
-        anchor = words[0]
+        # Bit pos keeps the anchor's bit when its 32-bit word x has
+        # x / 2**32 < bias, so the flip mask has a 1 wherever x >= threshold.
+        anchor = words[0].value
+        threshold = unit_threshold(workload.bias)
+        unpack = struct.Struct(f">{width}I").unpack
         for i in range(workload.num_queries):
-            raw = _blocks(_TAG_SKEW, seed, i, 4 * width)
-            value = 0
-            for pos in range(width):
-                u = int.from_bytes(raw[4 * pos : 4 * pos + 4], "big") / 2.0 ** 32
-                bit = anchor.bit(pos) if u < workload.bias else 1 - anchor.bit(pos)
-                value = (value << 1) | bit
-            out.append(BitWord(width, value))
+            xs = unpack(blocks(_TAG_SKEW, seed, i, 4 * width))
+            flips = "".join(["0" if x < threshold else "1" for x in xs])
+            out.append(BitWord(width, anchor ^ int(flips, 2)))
     return out
 
 

@@ -315,3 +315,15 @@ def test_verify_inject_fault_exits_1(capsys):
                "--inject-fault"])
     assert rc == 1
     assert "counterexample" in capsys.readouterr().err
+
+
+def test_verify_negative_trials_exits_2_before_any_work(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("verification ran despite a negative --trials")
+
+    monkeypatch.setattr("camsim.cli.verify_exhaustive", no_work)
+    rc = main(["verify", "--trials", "-5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--trials" in captured.err
+    assert "matched" not in captured.out

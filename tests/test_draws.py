@@ -1,0 +1,200 @@
+"""Pins for the counter-based draws and the workloads built from them.
+
+The digests were recorded before the draw layer was last rewritten, so a
+change to any drawn bit fails here and not only in a golden report. Each
+digest covers seeds 0, 1 and 97.
+"""
+
+import math
+from hashlib import blake2b
+
+import pytest
+
+from camsim.core import BitWord
+from camsim.draws import blocks, draw_bits, draw_pick, draw_unit, unit_threshold
+from camsim.workload import WorkloadKind, WorkloadSpec, gen_queries, gen_words
+
+WIDTHS = (3, 8, 13, 144)
+SEEDS = (0, 1, 97)
+# 0.75 puts bias * 2**32 on an exact integer; the ends sit half a step
+# inside (0, 1).
+BIASES = {"2^-33": 2**-33, "0.5": 0.5, "0.75": 0.75, "0.9": 0.9, "1-2^-33": 1 - 2**-33}
+NUM_WORDS = 16
+NUM_QUERIES = 40
+NUM_DRAWS = 200
+
+# verify.py's stream tags
+_TAG_STORE = b"verify-store"
+_TAG_TRIAL = b"verify-trial"
+_TAG_STYLE = b"verify-style"
+_TAG_FLIP = b"verify-flip"
+
+PINS = {
+    "words-3": "4c25617c82219814ea21c08c60d5e370",
+    "words-8": "e79e5ae3be46f15eea100c6bdef6ce26",
+    "words-13": "f3185393a907eabaf55fd79245752d3c",
+    "words-144": "c2adc2f5acb9517e843b4039b8fb9e41",
+    "uniform-3": "55e47bcd44b8a48e8e38c5014a9324b1",
+    "uniform-8": "9a3a34feca83e00753ca055ddf11f222",
+    "uniform-13": "55e10c667b610b05febac83fd9720261",
+    "uniform-144": "724df8e4fef5fb2db075de2341dbba4f",
+    "planted-3": "ab4202c5fe415869ed7f40ef3c8ccd3d",
+    "planted-8": "b1e708f3ea94c478c4c9702794a02b58",
+    "planted-13": "64c0a0d947ed08f589b3ac64f19fdc49",
+    "planted-144": "62427ccd8a9ebe81a6426d0db4b5313c",
+    "skewed-3-2^-33": "d6e27dfec30dd5805cb8d29bd1341c02",
+    "skewed-3-0.5": "3af7d3f91db40b0300603fd3fc9698d8",
+    "skewed-3-0.75": "896b89e8307d64c6fb8c8bcea0caa716",
+    "skewed-3-0.9": "2823344e8fc4bbe4fedef954bd68236c",
+    "skewed-3-1-2^-33": "0c8eb9953d24e16ee914e4f22b29c3db",
+    "skewed-8-2^-33": "06a32fe75b30ef15e6e95850d8563bb2",
+    "skewed-8-0.5": "4c77a88c8d298f76ec44738e78735950",
+    "skewed-8-0.75": "ddc86720bce7617dc34717ec993c6dcf",
+    "skewed-8-0.9": "eb45f6d9b05a0427dbfe57b1cc984643",
+    "skewed-8-1-2^-33": "aed7973a68cbc1c7fcb36de93a355340",
+    "skewed-13-2^-33": "b7922993a8ffd4bbb5710a356aba1e81",
+    "skewed-13-0.5": "990ad122fded96ca5d66a772c77e0125",
+    "skewed-13-0.75": "f614f3bab7cbfd31705eab9aea65b460",
+    "skewed-13-0.9": "14a9604d1444c2f12a316172d010c400",
+    "skewed-13-1-2^-33": "25391b11dcf84c44e0aa6ff38a20a3fa",
+    "skewed-144-2^-33": "720e3fef4f3037b311d5775483607b76",
+    "skewed-144-0.5": "c4c6cda86a479ddea1059da0d27bb2e9",
+    "skewed-144-0.75": "8c5ed892c2c10cca85ea34b48df2f2ae",
+    "skewed-144-0.9": "b0d195d41c0ffcd2d70f0d9fd736c8f6",
+    "skewed-144-1-2^-33": "ba8128886ab61b0b3bd2598d3a71a29b",
+    "unit": "4ec9cd99ed55b197de9adcd2633f5b93",
+    "pick": "c6553fa5cccbbd1871bd43e344c6dacf",
+    "bits": "f7458199d9f05eeec920cbbcfaf048e6",
+}
+
+
+def _digest(lines) -> str:
+    h = blake2b(digest_size=16)
+    for line in lines:
+        h.update(line.encode("ascii") + b"\n")
+    return h.hexdigest()
+
+
+def _texts(words):
+    return [w.to_text() for w in words]
+
+
+def _queries(kind, width, seed, **params):
+    words = gen_words(NUM_WORDS, width, seed)
+    return gen_queries(WorkloadSpec(kind, NUM_QUERIES, seed, **params), words)
+
+
+def _outputs(case: str) -> list[str]:
+    """Text lines of the outputs one pin covers, over every seed."""
+    name, *rest = case.split("-", 1)
+    lines = []
+    for seed in SEEDS:
+        lines.append(f"seed {seed}")
+        if name == "words":
+            lines += _texts(gen_words(NUM_WORDS, int(rest[0]), seed))
+        elif name == "uniform":
+            lines += _texts(_queries(WorkloadKind.UNIFORM, int(rest[0]), seed))
+        elif name == "planted":
+            lines += _texts(
+                _queries(WorkloadKind.PLANTED, int(rest[0]), seed, match_rate=0.5)
+            )
+        elif name == "skewed":
+            width, bias = rest[0].split("-", 1)
+            lines += _texts(
+                _queries(
+                    WorkloadKind.PREFIX_SKEWED, int(width), seed, bias=BIASES[bias]
+                )
+            )
+        elif name == "unit":
+            lines += [draw_unit(_TAG_STYLE, seed, i).hex() for i in range(NUM_DRAWS)]
+        elif name == "pick":
+            for tag, count in ((_TAG_TRIAL, 256), (_TAG_TRIAL, 3), (_TAG_FLIP, 144)):
+                lines += [str(draw_pick(tag, seed, i, count)) for i in range(NUM_DRAWS)]
+        elif name == "bits":
+            for tag in (_TAG_TRIAL, _TAG_STORE):
+                for width in WIDTHS:
+                    lines += [
+                        format(draw_bits(tag, seed, i, width), "x")
+                        for i in range(NUM_DRAWS)
+                    ]
+        else:
+            raise KeyError(case)
+    return lines
+
+
+CASES = [
+    *(f"{name}-{w}" for name in ("words", "uniform", "planted") for w in WIDTHS),
+    *(f"skewed-{w}-{b}" for w in WIDTHS for b in BIASES),
+    "unit",
+    "pick",
+    "bits",
+]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_draw_outputs_match_pins(case):
+    assert _digest(_outputs(case)) == PINS[case]
+
+
+def _reference_blocks(tag: bytes, seed: int, index: int, nbytes: int) -> bytes:
+    """One fresh hasher and four updates per 32-byte block."""
+    out = bytearray()
+    for block in range((nbytes + 31) // 32):
+        h = blake2b(digest_size=32)
+        h.update(tag)
+        h.update(seed.to_bytes(8, "big"))
+        h.update(index.to_bytes(8, "big"))
+        h.update(block.to_bytes(4, "big"))
+        out.extend(h.digest())
+    return bytes(out[:nbytes])
+
+
+@pytest.mark.parametrize(
+    "tag, seed, index",
+    [(b"words", 0, 0), (b"skew", 97, 12345), (b"", 2**64 - 1, 2**64 - 1)],
+)
+def test_blocks_equal_the_four_update_reference(tag, seed, index):
+    for nbytes in range(1, 101):
+        assert blocks(tag, seed, index, nbytes) == _reference_blocks(
+            tag, seed, index, nbytes
+        )
+
+
+def _reference_skewed(workload: WorkloadSpec, words) -> list[BitWord]:
+    """The per-bit form: a float unit draw per bit against the bias."""
+    anchor, width = words[0], words[0].width
+    out = []
+    for i in range(workload.num_queries):
+        raw = _reference_blocks(b"skew", workload.seed, i, 4 * width)
+        value = 0
+        for pos in range(width):
+            u = int.from_bytes(raw[4 * pos : 4 * pos + 4], "big") / 2.0**32
+            bit = anchor.bit(pos) if u < workload.bias else 1 - anchor.bit(pos)
+            value = (value << 1) | bit
+        out.append(BitWord(width, value))
+    return out
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_skewed_queries_equal_the_per_bit_reference(width):
+    words = gen_words(NUM_WORDS, width, 5)
+    for i in range(20):
+        bias = min(max(draw_unit(b"test-bias", width, i), 2**-33), 1 - 2**-33)
+        spec = WorkloadSpec(WorkloadKind.PREFIX_SKEWED, 10, i, bias=bias)
+        assert gen_queries(spec, words) == _reference_skewed(spec, words)
+
+
+def test_integer_threshold_matches_the_float_test_at_the_boundary():
+    biases = [
+        *BIASES.values(),
+        math.nextafter(0.5, 0),
+        math.nextafter(0.5, 1),
+        1 / 3,
+        0.1,
+        *(draw_unit(b"test-bias", 0, i) for i in range(500)),
+    ]
+    for bias in biases:
+        t = unit_threshold(bias)
+        for x in (t - 1, t, t + 1):
+            if 0 <= x < 2**32:
+                assert (x < t) == (x / 2.0**32 < bias), (bias, x)
