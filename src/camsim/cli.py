@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Optional, Sequence
 
 from .array import (
@@ -44,6 +44,7 @@ from .workload import (
     gen_words,
     load_words,
     query_summary,
+    read_text_lines,
     write_report,
 )
 
@@ -169,16 +170,7 @@ def _make_config(args: argparse.Namespace) -> CamConfig:
 
 def _make_model(args: argparse.Namespace) -> EnergyModel:
     model = EnergyModel.from_file(args.model_file) if args.model_file else EnergyModel()
-    overrides = {}
-    for item in args.param:
-        key, sep, val = item.partition("=")
-        if not sep or key.strip() not in EnergyModel.field_names():
-            raise InvalidConfig(f"--param expects KEY=VALUE with a known key, got {item!r}")
-        try:
-            overrides[key.strip()] = float(val.strip())
-        except ValueError:
-            raise InvalidConfig(f"--param {item!r}: value is not a decimal") from None
-    return replace(model, **overrides) if overrides else model
+    return model.with_assignments(("--param", item) for item in args.param)
 
 
 def _make_workload(args: argparse.Namespace) -> WorkloadSpec:
@@ -192,11 +184,6 @@ def _make_workload(args: argparse.Namespace) -> WorkloadSpec:
     )
 
 
-def _load_word_file(path: str, width: int, fmt: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_words(fh, width, fmt)
-
-
 def _materialize(args: argparse.Namespace):
     """Validate flags, then build (config, model, words, queries, workload_meta)."""
     tolerance = getattr(args, "tolerance", 0.0)
@@ -207,14 +194,15 @@ def _materialize(args: argparse.Namespace):
     spec = None if args.queries_file else _make_workload(args)
 
     if args.words:
-        words = _load_word_file(args.words, config.word_bits, args.format)
+        words = load_words(read_text_lines(args.words), config.word_bits, args.format)
         if len(words) != config.num_words:
             config = replace(config, num_words=len(words))
     else:
         words = gen_words(config.num_words, config.word_bits, config.seed)
 
     if args.queries_file:
-        queries = _load_word_file(args.queries_file, config.word_bits, args.format)
+        lines = read_text_lines(args.queries_file)
+        queries = load_words(lines, config.word_bits, args.format)
         if not queries:
             raise InvalidConfig(f"query file {args.queries_file} holds no words")
         workload_meta = {
@@ -229,19 +217,10 @@ def _materialize(args: argparse.Namespace):
     return config, model, words, queries, workload_meta
 
 
-def _config_dict(config: CamConfig) -> dict:
-    return {
-        "num_words": config.num_words,
-        "word_bits": config.word_bits,
-        "mle_bits": config.mle_bits,
-        "seed": config.seed,
-    }
-
-
 def _report_header(args, config, model, workload_meta) -> dict:
     """The inputs block shared by the search and compare reports."""
     return {
-        "config": _config_dict(config),
+        "config": asdict(config),
         "workload": workload_meta,
         "words_file": args.words,
         "word_format": args.format,

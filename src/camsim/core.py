@@ -20,8 +20,19 @@ MAX_MLE_BITS = 6
 
 _SEED_LIMIT = 2 ** 64
 
-_BIN_DIGITS = frozenset("01")
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+# Word text formats: bits per digit, format() code, digit alphabet and the
+# digit name used in error messages.
+_WORD_FORMATS = {
+    "bin": (1, "b", frozenset("01"), "binary"),
+    "hex": (4, "X", frozenset("0123456789abcdefABCDEF"), "hex"),
+}
+
+
+def _word_format(fmt: str) -> tuple[int, str, frozenset, str]:
+    try:
+        return _WORD_FORMATS[fmt]
+    except KeyError:
+        raise ValueError(f"unknown word format {fmt!r}") from None
 
 
 class Level(Enum):
@@ -122,15 +133,12 @@ class BitWord:
         return tuple(self.bit(i) for i in range(k))
 
     def to_text(self, fmt: str = "bin") -> str:
-        if fmt == "bin":
-            return format(self.value, f"0{self.width}b")
-        if fmt == "hex":
-            if self.width % 4:
-                raise WidthMismatch(
-                    f"width {self.width} is not a whole number of hex digits"
-                )
-            return format(self.value, f"0{self.width // 4}X")
-        raise ValueError(f"unknown word format {fmt!r}")
+        bits, code, _, name = _word_format(fmt)
+        if self.width % bits:
+            raise WidthMismatch(
+                f"width {self.width} is not a whole number of {name} digits"
+            )
+        return format(self.value, f"0{self.width // bits}{code}")
 
     def __len__(self) -> int:
         return self.width
@@ -146,27 +154,17 @@ def parse_word(text: str, width: int, fmt: str = "bin") -> BitWord:
     Raises WidthMismatch when the decoded length differs from ``width`` and
     BadDigit for characters outside the alphabet.
     """
-    if fmt not in ("bin", "hex"):
-        raise ValueError(f"unknown word format {fmt!r}")
+    bits, _, alphabet, name = _word_format(fmt)
     text = text.strip()
-    if fmt == "bin":
-        if len(text) != width:
-            raise WidthMismatch(
-                f"expected {width} binary digits, got {len(text)} in {text!r}"
-            )
-        for ch in text:
-            if ch not in _BIN_DIGITS:
-                raise BadDigit(f"character {ch!r} is not a binary digit")
-        return BitWord(width, int(text, 2))
-    if 4 * len(text) != width:
+    if bits * len(text) != width:
         raise WidthMismatch(
-            f"expected {width} bits ({width / 4:g} hex digits), "
+            f"expected {width} bits ({width / bits:g} {name} digits), "
             f"got {len(text)} digits in {text!r}"
         )
     for ch in text:
-        if ch not in _HEX_DIGITS:
-            raise BadDigit(f"character {ch!r} is not a hex digit")
-    return BitWord(width, int(text, 16))
+        if ch not in alphabet:
+            raise BadDigit(f"character {ch!r} is not a {name} digit")
+    return BitWord(width, int(text, 1 << bits))
 
 
 def hamming_prefix_match(a: BitWord, b: BitWord, k: int) -> bool:

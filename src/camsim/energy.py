@@ -36,7 +36,13 @@ from .errors import (
     UnknownEventClass,
     ZeroSearches,
 )
-from .workload import WorkloadSpec, gen_queries, gen_words
+from .workload import (
+    WorkloadSpec,
+    content_lines,
+    gen_queries,
+    gen_words,
+    read_text_lines,
+)
 
 ENERGY_UNITS_NOTE = (
     "energy values are in model-calibrated arbitrary units; absolute "
@@ -98,33 +104,28 @@ class EnergyModel:
     def field_names(cls) -> tuple[str, ...]:
         return tuple(f.name for f in fields(cls))
 
+    def with_assignments(self, items: Iterable[tuple[str, str]]) -> "EnergyModel":
+        """Apply ``key = value`` texts in order; each item is ``(where, text)``
+        and errors name ``where``. Keys must be field names, values decimal."""
+        values = {}
+        for where, text in items:
+            key, sep, val = (part.strip() for part in text.partition("="))
+            if not sep:
+                raise InvalidConfig(f"{where}: expected 'key = value', got {text!r}")
+            if key not in self.field_names():
+                raise InvalidConfig(f"{where}: unknown model parameter {key!r}")
+            try:
+                values[key] = float(val)
+            except ValueError as exc:
+                raise InvalidConfig(f"{where}: bad decimal value {val!r}") from exc
+        return replace(self, **values)
+
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "EnergyModel":
-        """Read `key = value` lines; '#' lines and blanks are comments.
-        Keys must match field names, values are decimal."""
-        values = {}
-        known = set(cls.field_names())
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidConfig(
-                    f"{path}: line {lineno}: expected 'key = value', got {raw!r}"
-                )
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise InvalidConfig(
-                    f"{path}: line {lineno}: unknown model parameter {key!r}"
-                )
-            try:
-                values[key] = float(val.strip())
-            except ValueError as exc:
-                raise InvalidConfig(
-                    f"{path}: line {lineno}: bad decimal value {val.strip()!r}"
-                ) from exc
-        return cls(**values)
+        """Read a UTF-8 file of ``key = value`` lines; '#' lines and blanks
+        are comments."""
+        lines = content_lines(read_text_lines(path))
+        return cls().with_assignments((f"{path}: line {n}", t) for n, t in lines)
 
     def to_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in self.field_names()}

@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 from .array import Variant, new_array, oracle_search, search
 from .core import BitWord, CamConfig
 from .draws import draw_bits, draw_pick, draw_unit
+from .errors import InvalidConfig
 
 _TAG_STORE = b"verify-store"
 _TAG_TRIAL = b"verify-trial"
@@ -130,13 +131,14 @@ def verify_randomized(
     trials: int,
     seed: int = 0,
     fault: bool = False,
-    variant: Variant = Variant.SELECTIVE,
 ) -> VerifyOutcome:
-    """Randomized trials at full geometry. Each trial draws its query from
-    (seed, trial index): 60% uniform, 30% an exact copy of a stored word,
-    10% a stored word with one flipped bit."""
+    """Randomized trials at full geometry against the selective array. Each
+    trial draws its query from (seed, trial index): 60% uniform, 30% an
+    exact copy of a stored word, 10% a stored word with one flipped bit."""
     from .workload import gen_words
 
+    if trials < 0:
+        raise InvalidConfig(f"trials must be >= 0, got {trials}")
     words = gen_words(config.num_words, config.word_bits, config.seed)
     n = config.word_bits
 
@@ -151,4 +153,4 @@ def verify_randomized(
         return BitWord(n, base.value ^ (1 << (n - 1 - pos)))
 
     queries = (trial(i) for i in range(trials))
-    return _check_store(config, words, queries, variant, fault, "randomized")
+    return _check_store(config, words, queries, Variant.SELECTIVE, fault, "randomized")

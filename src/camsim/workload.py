@@ -4,8 +4,10 @@ All randomness comes from the counter-based draws in ``camsim.draws``, so a
 workload is identical whatever order its values are drawn in, on any
 platform.
 
-Word files are line-oriented text: one fixed-width binary or hex word per
-line, '#'-prefixed lines and blank lines ignored.
+Word files and model files are line-oriented UTF-8 text, read through
+``read_text_lines`` and ``content_lines``: '#'-prefixed lines and blank
+lines are ignored. A word file holds one fixed-width binary or hex word per
+line.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import _SEED_LIMIT, BitWord, parse_word
 from .draws import blocks, draw_bits, draw_pick, draw_unit, unit_threshold
@@ -91,10 +93,8 @@ def gen_words(count: int, width: int, seed: int) -> list[BitWord]:
 def gen_queries(workload: WorkloadSpec, words: Sequence[BitWord]) -> list[BitWord]:
     """Query stream for the given recipe; query i depends only on (seed, i)
     and the stored words, never on evaluation order."""
-    if workload.kind is WorkloadKind.PLANTED and not words:
-        raise EmptyStore("planted workload needs at least one stored word")
     if not words:
-        raise EmptyStore("query generation needs the stored words for their width")
+        raise EmptyStore("query generation needs at least one stored word")
     width = words[0].width
     seed = workload.seed
 
@@ -121,22 +121,33 @@ def gen_queries(workload: WorkloadSpec, words: Sequence[BitWord]) -> list[BitWor
     return out
 
 
-def _lines(source: Union[IO[str], Iterable[str]]) -> Iterable[str]:
-    if hasattr(source, "read"):
-        return source  # type: ignore[return-value]
-    return iter(source)
+def read_text_lines(path: Union[str, Path]) -> list[str]:
+    """The lines of a UTF-8 text file, whatever the locale. A file that does
+    not decode is an OSError naming it, like any other unreadable input."""
+    try:
+        return Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise OSError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
+
+
+def content_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped text) of each line that is neither
+    blank nor a '#' comment."""
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def load_words(
     source: Union[IO[str], Iterable[str]], width: int, fmt: str = "bin"
 ) -> list[BitWord]:
-    """Parse one word per non-comment line; parse errors cite the 1-based
-    line number."""
+    """Parse one word per content line; parse errors cite the 1-based line
+    number."""
     out = []
-    for lineno, raw in enumerate(_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(source):
         try:
             out.append(parse_word(line, width, fmt))
         except (WidthMismatch, BadDigit) as exc:

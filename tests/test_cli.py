@@ -110,6 +110,40 @@ def test_compare_non_finite_model_file_exits_2_without_report(tmp_path):
     assert not out.exists()
 
 
+def test_param_bad_decimal_exits_2_without_report(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    rc = main(["search", "--num-words", "16", "--width", "16", "--queries", "20",
+               "--param", "v_dd=fast", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: --param: ")
+
+
+def test_model_file_line_without_equals_exits_2_naming_file_and_line(tmp_path, capsys):
+    model = tmp_path / "model.cfg"
+    model.write_text("# calibration\nv_dd = 1\nc_ml_per_cell 2\n")
+    out = tmp_path / "r.json"
+    rc = main(["search", "--num-words", "16", "--width", "16", "--queries", "20",
+               "--model-file", str(model), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert f"{model}: line 3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--words", "--queries-file", "--model-file"])
+def test_undecodable_input_file_exits_1_naming_it(tmp_path, capsys, flag):
+    bad = tmp_path / "input.txt"
+    bad.write_bytes(b"\xff\xfe0\x001\x00\n")
+    out = tmp_path / "r.json"
+    rc = main(["search", "--width", "4", "--mle-bits", "2", "--queries", "5",
+               flag, str(bad), "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err and "UTF-8" in err
+
+
 @pytest.mark.parametrize("verb", ["search", "compare"])
 @pytest.mark.parametrize("tolerance", ["-0.01", "nan"])
 def test_bad_tolerance_exits_2_before_any_work(tmp_path, monkeypatch, capsys, verb, tolerance):

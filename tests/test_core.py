@@ -53,6 +53,8 @@ def test_parse_strips_whitespace():
 def test_parse_unknown_format():
     with pytest.raises(ValueError):
         parse_word("12", 2, "oct")
+    with pytest.raises(ValueError, match="unknown word format 'oct'"):
+        BitWord(4, 0).to_text("oct")
 
 
 def test_bit_zero_is_leftmost_and_most_significant():
@@ -79,6 +81,15 @@ def test_hex_round_trip(bits):
 def test_hex_render_needs_nibble_width():
     with pytest.raises(WidthMismatch):
         BitWord(7, 0).to_text("hex")
+
+
+@pytest.mark.parametrize("width", [1, 6, 7, 10])
+def test_hex_needs_whole_digits_both_ways(width):
+    with pytest.raises(WidthMismatch):
+        BitWord(width, 0).to_text("hex")
+    for digits in (width // 4, width // 4 + 1):
+        with pytest.raises(WidthMismatch):
+            parse_word("F" * digits, width, "hex")
 
 
 def test_bitword_rejects_out_of_range_value():

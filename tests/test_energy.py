@@ -120,6 +120,17 @@ def test_model_from_file_rejects_bad_value(tmp_path):
         EnergyModel.from_file(path)
 
 
+def test_with_assignments_applies_in_order_and_names_where():
+    model = EnergyModel().with_assignments(
+        [("a", "v_dd = 2"), ("b", " v_swing_ml=1.5 "), ("c", "v_dd=3")]
+    )
+    assert (model.v_dd, model.v_swing_ml) == (3.0, 1.5)
+    assert EnergyModel().with_assignments([]) == EnergyModel()
+    for text in ("v_dd", "bogus = 1", "v_dd = fast"):
+        with pytest.raises(InvalidConfig, match="^--param: "):
+            EnergyModel().with_assignments([("--param", text)])
+
+
 # ------------------------------------------------------------------ delay
 
 

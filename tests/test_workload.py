@@ -26,7 +26,13 @@ from camsim import (
     sweep_mle_bits,
     write_report,
 )
-from camsim.workload import SWEEP_CSV_HEADER, query_summary, sweep_csv_text
+from camsim.workload import (
+    SWEEP_CSV_HEADER,
+    content_lines,
+    query_summary,
+    read_text_lines,
+    sweep_csv_text,
+)
 
 
 def test_gen_words_deterministic():
@@ -93,6 +99,15 @@ def test_planted_needs_words():
         gen_queries(spec, [])
 
 
+@pytest.mark.parametrize("spec", [
+    WorkloadSpec(WorkloadKind.UNIFORM, 5, 0),
+    WorkloadSpec(WorkloadKind.PREFIX_SKEWED, 5, 0, bias=0.9),
+])
+def test_unplanted_needs_words(spec):
+    with pytest.raises(EmptyStore):
+        gen_queries(spec, [])
+
+
 def test_prefix_skewed_exceeds_uniform_fraction():
     # bias -> 1 drives the energized fraction toward the anchor-prefix share
     cfg = CamConfig(64, 24, 3, seed=19)
@@ -148,6 +163,22 @@ def test_load_words_error_cites_line_number():
         load_words(stream, 4, "bin")
     assert str(err.value).startswith("line 2: ")
     assert isinstance(err.value.__cause__, WidthMismatch)
+
+
+def test_content_lines_numbers_every_line():
+    lines = ["# head", "", "  0101  ", "\t# indented comment", "1 = 2", "   "]
+    assert list(content_lines(lines)) == [(3, "0101"), (5, "1 = 2")]
+
+
+def test_read_text_lines_is_utf8_and_names_undecodable_file(tmp_path):
+    good = tmp_path / "good.txt"
+    good.write_bytes("# caf\u00e9\r\n0101\n".encode("utf-8"))
+    assert read_text_lines(good) == ["# caf\u00e9", "0101", ""]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes("# caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(OSError, match="bad.txt: not UTF-8 text") as err:
+        read_text_lines(bad)
+    assert isinstance(err.value.__cause__, UnicodeDecodeError)
 
 
 def test_load_words_passes_other_errors_through_unchanged():
