@@ -12,6 +12,13 @@ The gate has one home: ``_energized`` says which lines have ML_EN high, from
 facts each array sets once (the baseline is the same array with no
 energizer), and both ``search`` and the per-word trace path read it.
 
+The gate is indexed, as selective precharge is in hardware: a gated array
+keeps its addresses stably sorted by stored prefix (``_order``) and the
+2^k + 1 offsets where each prefix's bucket starts in that order
+(``_starts``). A search slices its bucket out of ``_order``, ascending
+because the sort is stable, so its cost is O(bucket), not O(N); the
+ML_EN-transition count reads two bucket sizes off ``_starts``.
+
 Arrays are immutable values; ``write_word`` returns a new array. ``search``
 is a pure function of (array, query, previous query), the previous query
 being the explicit context for searchline-toggle and ML_EN-transition
@@ -23,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .core import BitWord, CamConfig, DriverMode, Level, WordTrace, WordTransitions
@@ -95,6 +103,10 @@ class CamArray:
     except under the flip, whose enabled lines carry a prefix other than the
     query's and so compare suffix-only copies. ``_mnodes`` maps the stored
     XOR search prefix to energizer node levels, all empty in the baseline.
+
+    A gated array also carries the gate index: ``_order`` lists the addresses
+    stably sorted by stored prefix, and prefix p's bucket is
+    ``_order[_starts[p]:_starts[p + 1]]``. The baseline needs neither.
     """
 
     config: CamConfig
@@ -107,6 +119,8 @@ class CamArray:
     _compared: tuple[int, ...] = _derived(())
     _key_mask: int = _derived(0)
     _mnodes: tuple[tuple[Level, ...], ...] = _derived(())
+    _order: tuple[int, ...] = _derived(())
+    _starts: tuple[int, ...] = _derived(())
 
     def __post_init__(self) -> None:
         cfg = self.config
@@ -123,14 +137,23 @@ class CamArray:
         gated = self.variant is Variant.SELECTIVE
         flipped = gated and self.fault_flip_ml_en
         key_mask = (1 << (n - k if flipped else n)) - 1
-        values = tuple(w.value for w in self.words)
+        # Every fact is a tuple copied from a list, never from an iterator:
+        # CPython resizes a tuple it sizes from an iterator, and the resized
+        # blocks pile up on its small-tuple free lists, which peak memory
+        # counts (about 50 KB of the ``camsim verify`` peak).
+        values = tuple([w.value for w in self.words])
+        prefixes = tuple([v >> (n - k) for v in values])
         set_fact = object.__setattr__
-        set_fact(self, "_prefixes", tuple(v >> (n - k) for v in values))
+        set_fact(self, "_prefixes", prefixes)
         set_fact(self, "_energizers", cfg.num_words if gated else 0)
         set_fact(self, "_compared",
-                 tuple(v & key_mask for v in values) if flipped else values)
+                 tuple([v & key_mask for v in values]) if flipped else values)
         set_fact(self, "_key_mask", key_mask)
         set_fact(self, "_mnodes", _mnode_table(k) if gated else ((),) * (1 << k))
+        if gated:
+            order, starts = _gate_index(prefixes, k)
+            set_fact(self, "_order", order)
+            set_fact(self, "_starts", starts)
 
     def with_mode(self, mode: DriverMode) -> "CamArray":
         return replace(self, mode=mode)
@@ -178,6 +201,21 @@ def oracle_search(words: Sequence[BitWord], query: BitWord) -> tuple[int, ...]:
                 f"stored word width {w.width} != query width {query.width}"
             )
     return tuple(addr for addr, w in enumerate(words) if w.value == query.value)
+
+
+def _gate_index(
+    prefixes: Sequence[int], k: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``_order`` and ``_starts`` for the stored prefixes: a counting sort,
+    stable, and cheaper here than sorted() with a key. The buckets go before
+    the tuple copy of the order is made, so they do not add to peak memory."""
+    buckets: list[list[int]] = [[] for _ in range(1 << k)]
+    for addr, p in enumerate(prefixes):
+        buckets[p].append(addr)
+    starts = tuple([*accumulate(map(len, buckets), initial=0)])
+    order = [a for b in buckets for a in b]
+    del buckets
+    return tuple(order), starts
 
 
 @lru_cache(maxsize=None)
@@ -259,7 +297,8 @@ def _energized(array: CamArray, prefix: Optional[int]) -> Sequence[int]:
         return ()
     if array.fault_flip_ml_en:
         return [a for a, p in enumerate(array._prefixes) if p != prefix]
-    return [a for a, p in enumerate(array._prefixes) if p == prefix]
+    starts = array._starts
+    return array._order[starts[prefix]:starts[prefix + 1]]
 
 
 def _ml_en_transitions(
@@ -273,7 +312,8 @@ def _ml_en_transitions(
         return 0
     if pp is None:
         return len(energized)
-    return array._prefixes.count(qp) + array._prefixes.count(pp)
+    starts = array._starts
+    return starts[qp + 1] - starts[qp] + starts[pp + 1] - starts[pp]
 
 
 def search(

@@ -194,7 +194,8 @@ def _materialize(args: argparse.Namespace):
     spec = None if args.queries_file else _make_workload(args)
 
     if args.words:
-        words = load_words(read_text_lines(args.words), config.word_bits, args.format)
+        lines = read_text_lines(args.words)
+        words = load_words(lines, config.word_bits, args.format, args.words)
         if len(words) != config.num_words:
             config = replace(config, num_words=len(words))
     else:
@@ -202,7 +203,7 @@ def _materialize(args: argparse.Namespace):
 
     if args.queries_file:
         lines = read_text_lines(args.queries_file)
-        queries = load_words(lines, config.word_bits, args.format)
+        queries = load_words(lines, config.word_bits, args.format, args.queries_file)
         if not queries:
             raise InvalidConfig(f"query file {args.queries_file} holds no words")
         workload_meta = {

@@ -4,10 +4,10 @@ All randomness comes from the counter-based draws in ``camsim.draws``, so a
 workload is identical whatever order its values are drawn in, on any
 platform.
 
-Word files and model files are line-oriented UTF-8 text, read through
-``read_text_lines`` and ``content_lines``: '#'-prefixed lines and blank
-lines are ignored. A word file holds one fixed-width binary or hex word per
-line.
+Word files and model files are line-oriented UTF-8 text (a leading
+byte-order mark is allowed), read through ``read_text_lines`` and
+``content_lines``: '#'-prefixed lines and blank lines are ignored. A word
+file holds one fixed-width binary or hex word per line.
 """
 
 from __future__ import annotations
@@ -122,10 +122,11 @@ def gen_queries(workload: WorkloadSpec, words: Sequence[BitWord]) -> list[BitWor
 
 
 def read_text_lines(path: Union[str, Path]) -> list[str]:
-    """The lines of a UTF-8 text file, whatever the locale. A file that does
-    not decode is an OSError naming it, like any other unreadable input."""
+    """The lines of a UTF-8 text file, whatever the locale, without a leading
+    byte-order mark. A file that does not decode is an OSError naming it,
+    like any other unreadable input."""
     try:
-        return Path(path).read_text(encoding="utf-8").split("\n")
+        return Path(path).read_text(encoding="utf-8-sig").split("\n")
     except UnicodeDecodeError as exc:
         raise OSError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
@@ -142,16 +143,20 @@ def content_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
 
 
 def load_words(
-    source: Union[IO[str], Iterable[str]], width: int, fmt: str = "bin"
+    source: Union[IO[str], Iterable[str]],
+    width: int,
+    fmt: str = "bin",
+    name: Optional[str] = None,
 ) -> list[BitWord]:
     """Parse one word per content line; parse errors cite the 1-based line
-    number."""
+    number, after ``name`` (the source file's path) when it is given."""
+    where = "" if name is None else f"{name}: "
     out = []
     for lineno, line in content_lines(source):
         try:
             out.append(parse_word(line, width, fmt))
         except (WidthMismatch, BadDigit) as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from exc
+            raise type(exc)(f"{where}line {lineno}: {exc}") from exc
     return out
 
 

@@ -24,6 +24,8 @@ from camsim import (
     search,
     write_word,
 )
+from camsim.array import _energized, _ml_en_transitions
+from camsim.draws import draw_bits
 
 
 def w(text):
@@ -352,6 +354,60 @@ def test_trace_totals_are_consistent():
                         base.matches, base.energized_count, base.event_totals
                     )
                     assert traces == base.traces
+
+
+def _index_stores(n, k, size):
+    """Stores of ``size`` n-bit words with a 2-bit suffix, so duplicates are
+    common: seeded random words (empty buckets while size < 2^k), one shared
+    prefix, and two words repeated."""
+    seed = n * 100 + size
+    shared = 1 << (n - k)
+    return (
+        [BitWord(n, draw_bits(b"index", seed, i, n)) for i in range(size)],
+        [BitWord(n, shared | draw_bits(b"index", seed, i, 2)) for i in range(size)],
+        [BitWord(n, (5, 2 ** n - 3)[i % 2]) for i in range(size)],
+    )
+
+
+def _assert_index_equals_scan(arr):
+    k = arr.config.mle_bits
+    prefixes = arr._prefixes
+    assert _energized(arr, None) == ()
+    buckets = {}
+    for qp in range(1 << k):
+        energized = _energized(arr, qp)
+        assert list(energized) == [a for a, p in enumerate(prefixes) if p == qp]
+        buckets[qp] = energized
+    count = [prefixes.count(p) for p in range(1 << k)]
+    for qp, pp in product(range(1 << k), [None, *range(1 << k)]):
+        if pp == qp:
+            want = 0
+        elif pp is None:
+            want = count[qp]
+        else:
+            want = count[qp] + count[pp]
+        assert _ml_en_transitions(arr, buckets[qp], qp, pp) == want
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_gate_index_equals_prefix_scan(k):
+    # sizes 1..40 cross 2^k for every k up to 5
+    n = k + 2
+    for size in range(1, 41):
+        cfg = CamConfig(size, n, k)
+        for words in _index_stores(n, k, size):
+            arr = new_array(cfg, words=words)
+            _assert_index_equals_scan(arr)
+            # flip word 0's last prefix bit, moving it to another bucket
+            moved = BitWord(n, words[0].value ^ (1 << (n - k)))
+            arr = write_word(arr, 0, moved)
+            _assert_index_equals_scan(arr)
+            if size % 8 == 1:  # every query against a sample of the stores
+                stored = arr.words
+                prev = None
+                for query in all_words(n):
+                    assert search(arr, query, prev).matches == oracle_search(stored, query)
+                    prev = query
 
 
 def test_searchline_toggle_counting():

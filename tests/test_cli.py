@@ -168,6 +168,45 @@ def test_search_expect_fraction_gate(tmp_path):
     assert main(common + ["--expect-fraction", "0.5", "--tolerance", "0.02"]) == 1
 
 
+BOM = "\ufeff"
+
+
+def test_words_file_with_byte_order_mark(tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text(BOM + "1011\n0011\n", encoding="utf-8")
+    out = tmp_path / "r.json"
+    rc = main(["search", "--width", "4", "--mle-bits", "2", "--words", str(words),
+               "--queries", "5", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["config"]["num_words"] == 2
+
+
+def test_model_file_with_byte_order_mark(tmp_path):
+    model = tmp_path / "model.cfg"
+    model.write_text(BOM + "v_dd = 2\n", encoding="utf-8")
+    out = tmp_path / "r.json"
+    rc = main(["search", "--num-words", "16", "--width", "16", "--queries", "20",
+               "--model-file", str(model), "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["model"]["v_dd"] == 2.0
+
+
+@pytest.mark.parametrize("bad_flag", ["--words", "--queries-file"])
+def test_malformed_word_error_names_its_file(tmp_path, capsys, bad_flag):
+    files = {}
+    for flag in ("--words", "--queries-file"):
+        path = tmp_path / (flag.strip("-") + ".txt")
+        path.write_text("1011\n10x1\n" if flag == bad_flag else "1011\n0011\n")
+        files[flag] = path
+    out = tmp_path / "r.json"
+    rc = main(["search", "--width", "4", "--mle-bits", "2",
+               "--words", str(files["--words"]),
+               "--queries-file", str(files["--queries-file"]), "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"error: {files[bad_flag]}: line 2: ")
+
+
 def test_search_words_file_and_variant(tmp_path):
     words = tmp_path / "words.txt"
     words.write_text("# store\n10110011\n10111100\n00110011\n")

@@ -163,6 +163,9 @@ def test_load_words_error_cites_line_number():
         load_words(stream, 4, "bin")
     assert str(err.value).startswith("line 2: ")
     assert isinstance(err.value.__cause__, WidthMismatch)
+    with pytest.raises(WidthMismatch) as err:
+        load_words(["0000", "111"], 4, "bin", name="words.txt")
+    assert str(err.value).startswith("words.txt: line 2: ")
 
 
 def test_content_lines_numbers_every_line():
@@ -174,6 +177,9 @@ def test_read_text_lines_is_utf8_and_names_undecodable_file(tmp_path):
     good = tmp_path / "good.txt"
     good.write_bytes("# caf\u00e9\r\n0101\n".encode("utf-8"))
     assert read_text_lines(good) == ["# caf\u00e9", "0101", ""]
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes("\ufeff0101\n".encode("utf-8"))
+    assert read_text_lines(marked) == ["0101", ""]
     bad = tmp_path / "bad.txt"
     bad.write_bytes("# caf\u00e9\n".encode("latin-1"))
     with pytest.raises(OSError, match="bad.txt: not UTF-8 text") as err:
