@@ -27,10 +27,11 @@ counting, so concurrent searches are deterministic under any scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import BitWord, CamConfig, DriverMode, Level, WordTrace, WordTransitions
@@ -200,7 +201,7 @@ def oracle_search(words: Sequence[BitWord], query: BitWord) -> tuple[int, ...]:
             raise WidthMismatch(
                 f"stored word width {w.width} != query width {query.width}"
             )
-    return tuple(addr for addr, w in enumerate(words) if w.value == query.value)
+    return tuple([addr for addr, w in enumerate(words) if w.value == query.value])
 
 
 def _gate_index(
@@ -375,11 +376,14 @@ def _build_traces(
     return tuple(out)
 
 
+_EVENT_FIELDS = tuple(f.name for f in fields(EventTotals))
+
+
 def sum_event_totals(reports: Iterable[SearchReport]) -> EventTotals:
-    total = EventTotals()
-    for r in reports:
-        total = total + r.event_totals
-    return total
+    """The reports' event counts summed field by field, with no
+    intermediate ``EventTotals``."""
+    events = [r.event_totals for r in reports]
+    return EventTotals(*[sum(map(attrgetter(f), events)) for f in _EVENT_FIELDS])
 
 
 def run_search_stream(

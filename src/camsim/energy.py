@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -164,13 +165,36 @@ def event_energy(
     return cap * model.v_dd * swing * multiplicity
 
 
+# The classes totals_energy prices, in its summation order.
+_PRICED_CLASSES = (
+    EventClass.ML_PRECHARGE,
+    EventClass.ML_DISCHARGE,
+    EventClass.SL_TOGGLE,
+    EventClass.MLE_EVAL,
+)
+
+
+@lru_cache(maxsize=16)
+def _unit_energies(model: EnergyModel, config: CamConfig) -> tuple[float, ...]:
+    """``event_energy`` of one event of each priced class. Multiplying by an
+    exact 1 rounds nothing, so unit * m is the float ``event_energy`` gives
+    for m events."""
+    return tuple([event_energy(model, cls, 1, config) for cls in _PRICED_CLASSES])
+
+
 def totals_energy(totals: EventTotals, model: EnergyModel, config: CamConfig) -> float:
-    return (
-        event_energy(model, EventClass.ML_PRECHARGE, totals.ml_precharges, config)
-        + event_energy(model, EventClass.ML_DISCHARGE, totals.ml_discharges, config)
-        + event_energy(model, EventClass.SL_TOGGLE, totals.sl_toggles, config)
-        + event_energy(model, EventClass.MLE_EVAL, totals.mle_evaluations, config)
+    """The sum of ``event_energy`` over the priced classes, bit for bit, from
+    unit energies computed once per (model, config)."""
+    counts = (
+        totals.ml_precharges,
+        totals.ml_discharges,
+        totals.sl_toggles,
+        totals.mle_evaluations,
     )
+    if min(counts) < 0:
+        raise ValueError(f"event counts must be >= 0, got {counts}")
+    pre, dis, sl, mle = _unit_energies(model, config)
+    return pre * counts[0] + dis * counts[1] + sl * counts[2] + mle * counts[3]
 
 
 def series_depth(config: CamConfig, variant: Variant = Variant.SELECTIVE) -> int:
@@ -195,11 +219,17 @@ def search_delay(
 def aggregate(
     report: SearchReport, model: EnergyModel, config: CamConfig
 ) -> SearchReport:
-    """Fill energy_total and delay on a report from its event tallies."""
-    return replace(
-        report,
-        energy_total=totals_energy(report.event_totals, model, config),
-        delay=search_delay(model, config, report.variant),
+    """A copy of the report with energy_total and delay filled from its
+    event tallies."""
+    return SearchReport(
+        report.array,
+        report.query,
+        report.prev_query,
+        report.matches,
+        report.energized_count,
+        report.event_totals,
+        totals_energy(report.event_totals, model, config),
+        search_delay(model, config, report.variant),
     )
 
 

@@ -20,14 +20,12 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
+from .array import EventTotals, SearchReport
 from .core import _SEED_LIMIT, BitWord, parse_word
 from .draws import blocks, draw_bits, draw_pick, draw_unit, unit_threshold
 from .errors import BadDigit, EmptyStore, InvalidConfig, WidthMismatch
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .array import SearchReport
 
 # Stream tags keep the word, query, and decision draws independent.
 _TAG_WORDS = b"words"
@@ -189,12 +187,24 @@ def sweep_csv_text(rows: Sequence) -> str:
 
 
 def report_json_text(document: dict) -> str:
-    """Pretty-printed JSON; NaN and infinities are rejected because they are
-    not valid JSON."""
+    """Pretty-printed JSON (``json.dumps`` with indent 2); NaN and infinities
+    are rejected because they are not valid JSON.
+
+    A top-level ``"queries"`` list of ``query_summary`` rows is rendered by
+    ``_query_rows_parts``'s template, whose bytes equal ``json.dumps``'s, and
+    spliced into the rest of the document at its key; any other list goes
+    through ``json.dumps`` whole."""
     try:
-        return json.dumps(document, indent=2, allow_nan=False) + "\n"
+        body = _query_rows_parts(document.get("queries"))
+        if body is None:
+            return json.dumps(document, indent=2, allow_nan=False) + "\n"
+        header = json.dumps({**document, "queries": []}, indent=2, allow_nan=False)
     except ValueError as exc:
         raise InvalidConfig(f"report holds a non-finite number: {exc}") from exc
+    # A top-level key is the only place this text can occur: deeper keys are
+    # indented further, and string values escape their quotes and newlines.
+    head, _, tail = header.partition(_EMPTY_QUERIES)
+    return "".join([head, '\n  "queries": [\n', *body, "\n  ]", tail, "\n"])
 
 
 def write_report(
@@ -218,12 +228,72 @@ def write_report(
         Path(destination).write_text(text, encoding="utf-8", newline="")
 
 
-def query_summary(index: int, report: "SearchReport") -> dict:
+QUERY_ROW_KEYS = ("index", "matches", "energized_count", "events", "energy")
+_EVENT_KEYS = tuple(EventTotals().to_dict())
+_EMPTY_QUERIES = '\n  "queries": []'
+
+
+def query_summary(index: int, report: SearchReport) -> dict:
     """Per-query summary entry embedded in JSON reports."""
-    return {
-        "index": index,
-        "matches": list(report.matches),
-        "energized_count": report.energized_count,
-        "events": report.event_totals.to_dict(),
-        "energy": report.energy_total,
-    }
+    values = (index, list(report.matches), report.energized_count,
+              report.event_totals.to_dict(), report.energy_total)
+    return dict(zip(QUERY_ROW_KEYS, values))
+
+
+def _json_object_format(keys: Sequence[str], values: dict, indent: int) -> str:
+    """A ``str.format`` template for a JSON object with these keys, laid out
+    as ``json.dumps(indent=2)`` lays it out at this nesting depth: a ``{}``
+    slot per key unless ``values`` holds the key's own template."""
+    pad = " " * indent
+    members = ",\n".join(
+        f"{pad}  {json.dumps(k)}: {values.get(k, '{}')}" for k in keys
+    )
+    return f"{{{{\n{members}\n{pad}}}}}"
+
+
+# One query row inside the top-level "queries" list. The slots are the
+# index, the rendered match list, energized_count, the event counts in
+# ``EventTotals.to_dict`` order and the rendered energy.
+_ROW_FORMAT = "    " + _json_object_format(
+    QUERY_ROW_KEYS, {"events": _json_object_format(_EVENT_KEYS, {}, 6)}, 4
+)
+_INT_ONLY = {int}
+
+
+def _query_rows_parts(rows: object) -> Optional[list[str]]:
+    """The rows of a "queries" list, as ``json.dumps(indent=2)`` writes them
+    under a top-level key, with the ",\\n" between them as parts of their own
+    (one join then copies each row once). None unless ``rows`` is a
+    non-empty list and every row has ``query_summary``'s shape: its keys in
+    order, int counts and matches, and a finite float or None energy. A bool
+    is not an int here, since JSON spells it differently."""
+    if type(rows) is not list or not rows:
+        return None
+    out = []
+    for row in rows:
+        if type(row) is not dict or tuple(row) != QUERY_ROW_KEYS:
+            return None
+        index, matches, count, events, energy = row.values()
+        if (
+            type(matches) is not list
+            or type(events) is not dict
+            or tuple(events) != _EVENT_KEYS
+            or {*map(type, (index, count, *matches, *events.values()))} != _INT_ONLY
+        ):
+            return None
+        if energy is None:
+            energy_text = "null"
+        elif type(energy) is float and math.isfinite(energy):
+            energy_text = repr(energy)
+        else:
+            return None
+        matches_text = (
+            "[\n        " + ",\n        ".join(map(str, matches)) + "\n      ]"
+            if matches else "[]"
+        )
+        out.append(_ROW_FORMAT.format(
+            index, matches_text, count, *events.values(), energy_text
+        ))
+        out.append(",\n")
+    out.pop()
+    return out

@@ -1,12 +1,17 @@
 import math
+import operator
 from dataclasses import replace
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camsim import (
     CamConfig,
     EnergyModel,
     EventClass,
+    EventTotals,
     InvalidConfig,
     PrefixTooShort,
     UnknownEventClass,
@@ -322,3 +327,59 @@ def test_power_is_energy_times_frequency_only():
     slow = aggregate(reports[0], EnergyModel(f=1.0), cfg)
     fast = aggregate(reports[0], EnergyModel(f=4.0), cfg)
     assert slow.energy_total == fast.energy_total
+
+
+# totals_energy as it was before unit energies: one event_energy call per
+# class. The unit-energy form must give the same float, bit for bit.
+def _four_call_energy(totals, model, config):
+    return (
+        event_energy(model, EventClass.ML_PRECHARGE, totals.ml_precharges, config)
+        + event_energy(model, EventClass.ML_DISCHARGE, totals.ml_discharges, config)
+        + event_energy(model, EventClass.SL_TOGGLE, totals.sl_toggles, config)
+        + event_energy(model, EventClass.MLE_EVAL, totals.mle_evaluations, config)
+    )
+
+
+_SCALE = st.floats(1e-3, 1e3)
+_FRACTION = st.floats(0.01, 1.0)
+_MODELS = st.builds(
+    lambda c_ml, c_sl, c_mle, v_dd, s_ml, s_sl, up: EnergyModel(
+        c_ml, c_sl, c_mle, v_dd, v_dd * s_ml, v_dd * s_sl, upsize_base=up
+    ),
+    _SCALE, _SCALE, _SCALE, st.floats(0.1, 10.0), _FRACTION, _FRACTION,
+    st.floats(1.0, 4.0),
+)
+_CONFIGS = st.integers(2, 6).flatmap(
+    lambda k: st.builds(
+        CamConfig, st.integers(1, 4096), st.integers(k + 1, 512), st.just(k)
+    )
+)
+_COUNT = st.one_of(st.just(0), st.integers(0, 10**6), st.integers(0, 2**62))
+_TOTALS = st.builds(EventTotals, _COUNT, _COUNT, _COUNT, _COUNT, _COUNT)
+_BASE_REPORT = _run(CamConfig(16, 12, 3, seed=5), Variant.SELECTIVE, 1)[0][0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TOTALS, _MODELS, _CONFIGS)
+def test_unit_energies_are_bit_equal_to_four_event_energy_calls(totals, model, cfg):
+    want = _four_call_energy(totals, model, cfg).hex()
+    assert totals_energy(totals, model, cfg).hex() == want
+    report = replace(_BASE_REPORT, event_totals=totals)
+    filled = aggregate(report, model, cfg)
+    assert filled.energy_total.hex() == want
+    assert filled.delay == search_delay(model, cfg, report.variant)
+    assert replace(filled, energy_total=None, delay=None) == report
+
+
+def test_totals_energy_rejects_negative_counts():
+    with pytest.raises(ValueError):
+        totals_energy(EventTotals(0, 0, 0, -1, 0), EnergyModel(), CFG)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_TOTALS, max_size=40))
+def test_sum_event_totals_equals_chained_add(stream):
+    reports = [replace(_BASE_REPORT, event_totals=t) for t in stream]
+    want = reduce(operator.add, (r.event_totals for r in reports), EventTotals())
+    assert sum_event_totals(reports) == want
+    assert sum_event_totals(r for r in reports) == want

@@ -11,6 +11,7 @@ contract change, and record the reason and the diff in CHANGES.md:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import sys
@@ -80,6 +81,26 @@ def run_case(name: str, tmp: Path) -> dict[str, bytes]:
 def test_outputs_match_golden_files(name, tmp_path):
     for pinned, data in run_case(name, tmp_path).items():
         assert data == (GOLDEN / pinned).read_bytes(), f"{name}: {pinned} differs"
+
+
+# The search report at the reference geometry (2500 rows, 0.7 MB) is pinned
+# by its sha256 instead of a file. The hash was recorded from the json.dumps
+# writer, before the query rows were rendered by a template.
+REFERENCE_SEARCH_ARGV = [
+    "search", "--num-words", "256", "--width", "144", "--mle-bits", "3",
+    "--queries", "2500", "--seed", "1", "--workload", "uniform",
+]
+REFERENCE_SEARCH_SHA256 = (
+    "e00d4ad4b7130d3ae54c2ebe6cb895d6c2949079656da2fe7dfb0cda306859b2"
+)
+
+
+def test_reference_search_report_hash(tmp_path):
+    out = tmp_path / "search.json"
+    assert main([*REFERENCE_SEARCH_ARGV, "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data) == 707522
+    assert hashlib.sha256(data).hexdigest() == REFERENCE_SEARCH_SHA256
 
 
 if __name__ == "__main__":

@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camsim import (
     BadDigit,
@@ -27,10 +29,13 @@ from camsim import (
     write_report,
 )
 from camsim.workload import (
+    QUERY_ROW_KEYS,
     SWEEP_CSV_HEADER,
+    _query_rows_parts,
     content_lines,
     query_summary,
     read_text_lines,
+    report_json_text,
     sweep_csv_text,
 )
 
@@ -264,3 +269,116 @@ def test_write_report_json_round_trip(tmp_path):
 def test_write_report_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         write_report({}, tmp_path / "x", "yaml")
+
+
+# The row template must write what json.dumps writes; this is the reference.
+def _dumps_reference(document: dict) -> str:
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+
+
+ROW_ENERGIES = (0.0, 1.0, 0.1 + 0.2, 1e22, 1e-300, 5e-324, None)
+_EVENT_NAMES = ("ml_en_transitions", "ml_precharges", "ml_discharges",
+                "sl_toggles", "mle_evaluations")
+
+
+def _row(index, matches, count, events, energy) -> dict:
+    return dict(zip(QUERY_ROW_KEYS, (index, matches, count, events, energy)))
+
+
+def _planted_rows() -> list[dict]:
+    cfg = CamConfig(16, 12, 3, seed=4)
+    words = gen_words(16, 12, 4)
+    words[5] = words[9] = words[2]  # one query can then match three lines
+    spec = WorkloadSpec(WorkloadKind.PLANTED, 30, 4, match_rate=0.6)
+    queries = gen_queries(spec, words)
+    reports = run_search_stream(new_array(cfg, Variant.SELECTIVE, words), queries)
+    return [
+        query_summary(i, aggregate(r, EnergyModel(), cfg))
+        for i, r in enumerate(reports)
+    ]
+
+
+def _document(rows: list) -> dict:
+    return {"report": "search", "aggregate": {"energy_total": 2.5},
+            "queries": rows, "notes": ["after the rows"]}
+
+
+def test_row_template_equals_json_dumps_on_planted_rows():
+    rows = _planted_rows()
+    assert {len(r["matches"]) for r in rows} >= {0, 1, 3}
+    assert _query_rows_parts(rows) is not None  # the template renders them
+    doc = _document(rows)
+    assert report_json_text(doc) == _dumps_reference(doc)
+    only = {"queries": rows}
+    assert report_json_text(only) == _dumps_reference(only)
+
+
+def test_row_template_energies():
+    events = dict.fromkeys(_EVENT_NAMES, 3)
+    rows = [_row(i, [i] * (i % 3), i, events, e) for i, e in enumerate(ROW_ENERGIES)]
+    assert _query_rows_parts(rows) is not None
+    for doc in (_document(rows), {"queries": rows}):
+        assert report_json_text(doc) == _dumps_reference(doc)
+
+
+_UINT64 = st.integers(0, 2**64)
+_ROWS = st.lists(
+    st.builds(
+        _row,
+        _UINT64,
+        st.lists(_UINT64, max_size=5),
+        _UINT64,
+        st.tuples(*[_UINT64] * 5).map(lambda counts: dict(zip(_EVENT_NAMES, counts))),
+        st.one_of(
+            st.sampled_from(ROW_ENERGIES),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ROWS)
+def test_row_template_equals_json_dumps_on_random_rows(rows):
+    assert _query_rows_parts(rows) is not None
+    for doc in (_document(rows), {"queries": rows}):
+        assert report_json_text(doc) == _dumps_reference(doc)
+
+
+def test_foreign_queries_lists_keep_json_dumps_bytes():
+    good = _planted_rows()[:3]
+    events = good[0]["events"]
+    foreign = [
+        [],
+        [*good, {"index": 3}],
+        [*good, dict(reversed(list(good[0].items())))],
+        [{**good[0], "extra": 1}],
+        [_row(True, [], 0, events, 1.0)],
+        [_row(0, [False], 0, events, 1.0)],
+        [_row(0, (1, 2), 0, events, 1.0)],
+        [_row(0, [], 0, events, 1)],
+        [_row(0, [], 0, {**events, "sl_toggles": 1.5}, 1.0)],
+        [_row(0, [], 0, dict(reversed(list(events.items()))), 1.0)],
+        [_row(0, [], "0", events, 1.0)],
+        ["not a row", 1, None],
+        tuple(good),
+    ]
+    for rows in foreign:
+        assert _query_rows_parts(rows) is None
+        for doc in (_document(rows), {"queries": rows}):
+            assert report_json_text(doc) == _dumps_reference(doc)
+    nested = {"inner": {"queries": []}, "queries": good, "tail": "\n  \"queries\": []"}
+    assert report_json_text(nested) == _dumps_reference(nested)
+
+
+def test_non_finite_row_energy_is_rejected(tmp_path):
+    rows = _planted_rows()
+    path = tmp_path / "report.json"
+    for bad in (math.nan, math.inf, -math.inf):
+        doc = _document([*rows, {**rows[0], "energy": bad}])
+        with pytest.raises(InvalidConfig) as err:
+            write_report(doc, path, "json")
+        assert isinstance(err.value.__cause__, ValueError)
+    assert not path.exists()
