@@ -96,14 +96,8 @@ def _derived(default):
 class CamArray:
     """Stored words plus the gate facts the search path works on, set once.
 
-    ``fault_flip_ml_en`` inverts every energizer decision; it exists so the
-    verification harness can prove it detects a corrupted build. The baseline
-    has no energizer (``_energizers`` is 0), so the flag does not affect it.
-    A line with ML_EN high matches when its ``_compared`` value equals the
-    query masked by ``_key_mask``: the stored value against the whole query,
-    except under the flip, whose enabled lines carry a prefix other than the
-    query's and so compare suffix-only copies. ``_mnodes`` maps the stored
-    XOR search prefix to energizer node levels, all empty in the baseline.
+    The baseline has no energizer (``_energizers`` is 0). A line with ML_EN
+    high matches when its stored value ``_values[a]`` equals the query's.
 
     A gated array also carries the gate index: ``_order`` lists the addresses
     stably sorted by stored prefix, and prefix p's bucket is
@@ -114,12 +108,8 @@ class CamArray:
     words: tuple[BitWord, ...]
     variant: Variant = Variant.SELECTIVE
     mode: DriverMode = DriverMode.SEARCH
-    fault_flip_ml_en: bool = False
-    _prefixes: tuple[int, ...] = _derived(())
+    _values: tuple[int, ...] = _derived(())
     _energizers: int = _derived(0)
-    _compared: tuple[int, ...] = _derived(())
-    _key_mask: int = _derived(0)
-    _mnodes: tuple[tuple[Level, ...], ...] = _derived(())
     _order: tuple[int, ...] = _derived(())
     _starts: tuple[int, ...] = _derived(())
 
@@ -136,23 +126,16 @@ class CamArray:
                 )
         n, k = cfg.word_bits, cfg.mle_bits
         gated = self.variant is Variant.SELECTIVE
-        flipped = gated and self.fault_flip_ml_en
-        key_mask = (1 << (n - k if flipped else n)) - 1
         # Every fact is a tuple copied from a list, never from an iterator:
         # CPython resizes a tuple it sizes from an iterator, and the resized
         # blocks pile up on its small-tuple free lists, which peak memory
         # counts (about 50 KB of the ``camsim verify`` peak).
         values = tuple([w.value for w in self.words])
-        prefixes = tuple([v >> (n - k) for v in values])
         set_fact = object.__setattr__
-        set_fact(self, "_prefixes", prefixes)
+        set_fact(self, "_values", values)
         set_fact(self, "_energizers", cfg.num_words if gated else 0)
-        set_fact(self, "_compared",
-                 tuple([v & key_mask for v in values]) if flipped else values)
-        set_fact(self, "_key_mask", key_mask)
-        set_fact(self, "_mnodes", _mnode_table(k) if gated else ((),) * (1 << k))
         if gated:
-            order, starts = _gate_index(prefixes, k)
+            order, starts = _gate_index([v >> (n - k) for v in values], k)
             set_fact(self, "_order", order)
             set_fact(self, "_starts", starts)
 
@@ -291,30 +274,25 @@ def _energized(array: CamArray, prefix: Optional[int]) -> Sequence[int]:
     """Addresses whose ML_EN is high for search prefix ``prefix``, or before
     the first search when it is None. Without an energizer every line is
     always enabled; a gated line is enabled when its stored prefix equals
-    the search prefix, and when it differs under the flip fault."""
+    the search prefix."""
     if not array._energizers:
         return range(array.config.num_words)
     if prefix is None:
         return ()
-    if array.fault_flip_ml_en:
-        return [a for a, p in enumerate(array._prefixes) if p != prefix]
     starts = array._starts
     return array._order[starts[prefix]:starts[prefix + 1]]
 
 
-def _ml_en_transitions(
-    array: CamArray, energized: Sequence[int], qp: int, pp: Optional[int]
-) -> int:
+def _ml_en_transitions(array: CamArray, qp: int, pp: Optional[int]) -> int:
     """Lines whose ML_EN level changes from previous prefix ``pp`` to ``qp``.
-    Two different prefixes select disjoint buckets, so exactly the words of
-    both buckets change; their complements under the flip fault differ in
-    the same words."""
+    Before the first search every ML_EN is low, so ``qp``'s bucket charges;
+    two different prefixes select disjoint buckets, so exactly the words of
+    both buckets change."""
     if not array._energizers or pp == qp:
         return 0
-    if pp is None:
-        return len(energized)
     starts = array._starts
-    return starts[qp + 1] - starts[qp] + starts[pp + 1] - starts[pp]
+    charged = starts[qp + 1] - starts[qp]
+    return charged if pp is None else charged + starts[pp + 1] - starts[pp]
 
 
 def search(
@@ -331,11 +309,11 @@ def search(
     _check_query(array, query, prev_query)
     qp, pp, sl_toggles = _drive(array, query, prev_query)
     energized = _energized(array, qp)
-    key = query.value & array._key_mask
-    compared = array._compared
-    matches = tuple([a for a in energized if compared[a] == key])
+    key = query.value
+    values = array._values
+    matches = tuple([a for a in energized if values[a] == key])
     totals = EventTotals(
-        ml_en_transitions=_ml_en_transitions(array, energized, qp, pp),
+        ml_en_transitions=_ml_en_transitions(array, qp, pp),
         ml_precharges=len(energized),
         ml_discharges=len(energized) - len(matches),
         sl_toggles=sl_toggles,
@@ -347,19 +325,19 @@ def search(
 def _build_traces(
     array: CamArray, query: BitWord, prev_query: Optional[BitWord]
 ) -> tuple[WordTrace, ...]:
-    n = array.config.word_bits
+    n, k = array.config.word_bits, array.config.mle_bits
     qp, pp, sl = _drive(array, query, prev_query)
     now = set(_energized(array, qp))
     before = set(_energized(array, pp))
-    key = query.value & array._key_mask
+    mnodes = _mnode_table(k) if array._energizers else ((),) * (1 << k)
     out = []
-    for addr, (cv, wp) in enumerate(zip(array._compared, array._prefixes)):
+    for addr, v in enumerate(array._values):
         en_now, en_prev = addr in now, addr in before
-        diff = cv ^ key if en_now else 0
+        diff = v ^ query.value if en_now else 0
         out.append(
             WordTrace(
                 addr,
-                array._mnodes[wp ^ qp],
+                mnodes[(v >> (n - k)) ^ qp],
                 Level.from_bit(en_now),
                 en_now,
                 Level.from_bit(en_now and not diff),

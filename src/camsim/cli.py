@@ -10,6 +10,7 @@ existing command lines keep working, and its value has no effect.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, replace
 from typing import Optional, Sequence
@@ -189,6 +190,9 @@ def _materialize(args: argparse.Namespace):
     tolerance = getattr(args, "tolerance", 0.0)
     if not tolerance >= 0:  # NaN fails every comparison
         raise InvalidConfig(f"--tolerance must be >= 0, got {tolerance:g}")
+    expected = getattr(args, "expect_fraction", None)
+    if expected is not None and not math.isfinite(expected):
+        raise InvalidConfig(f"--expect-fraction must be finite, got {expected:g}")
     config = _make_config(args)
     model = _make_model(args)
     spec = None if args.queries_file else _make_workload(args)

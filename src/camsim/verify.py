@@ -6,14 +6,18 @@ shared-prefix stores, duplicates). The randomized tier hammers the full
 256 x 144 geometry with a mix of uniform queries, planted copies, and
 near-miss single-bit corruptions, which is where a wrong prefix gate or
 suffix scan actually shows up.
+
+With ``fault`` set, the harness checks a mutant instead of the sound build:
+one whose energizer inverts every decision, so it must report a
+counterexample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .array import Variant, new_array, oracle_search, search
+from .array import CamArray, Variant, new_array, oracle_search, search
 from .core import BitWord, CamConfig
 from .draws import draw_bits, draw_pick, draw_unit
 from .errors import InvalidConfig
@@ -50,6 +54,22 @@ class VerifyOutcome:
         return self.counterexample is None
 
 
+def _flipped_gate_matches(arr: CamArray, query: BitWord) -> tuple[int, ...]:
+    """The matches of ``arr`` built with every energizer decision inverted:
+    the words whose stored prefix differs from the query's and whose suffix
+    equals the query's. The baseline has no energizer to invert."""
+    if arr.variant is Variant.BASELINE_NOR:
+        return search(arr, query).matches
+    n, k = arr.config.word_bits, arr.config.mle_bits
+    shift = n - k
+    suffix = query.value & ((1 << shift) - 1)
+    matches: list[int] = []
+    for p in range(1 << k):
+        if p != query.value >> shift:
+            matches += search(arr, BitWord(n, p << shift | suffix)).matches
+    return tuple(sorted(matches))
+
+
 def _check_store(
     config: CamConfig,
     words: Sequence[BitWord],
@@ -59,12 +79,10 @@ def _check_store(
     context: str,
 ) -> VerifyOutcome:
     arr = new_array(config, variant, words)
-    if fault:
-        arr = dc_replace(arr, fault_flip_ml_en=True)
     cases = 0
     prev = None
     for q in queries:
-        got = search(arr, q, prev).matches
+        got = _flipped_gate_matches(arr, q) if fault else search(arr, q, prev).matches
         prev = q
         expected = oracle_search(words, q)
         cases += 1

@@ -159,6 +159,23 @@ def test_bad_tolerance_exits_2_before_any_work(tmp_path, monkeypatch, capsys, ve
     assert "--tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["search", "compare"])
+@pytest.mark.parametrize("expected", ["nan", "inf", "-inf"])
+def test_non_finite_expect_fraction_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys, verb, expected
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("workload generated despite a bad --expect-fraction")
+
+    monkeypatch.setattr("camsim.cli.gen_words", no_work)
+    out = tmp_path / "r.json"
+    rc = main([verb, "--queries", "20", f"--expect-fraction={expected}",
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "--expect-fraction" in capsys.readouterr().err
+
+
 def test_search_expect_fraction_gate(tmp_path):
     common = [
         "search", "--num-words", "64", "--width", "32", "--queries", "600",

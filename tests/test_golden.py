@@ -1,9 +1,12 @@
-"""Byte-level contract for report files and verb stdout.
+"""Byte-level contract: report files, verb stdout and stderr, exit codes.
 
 Each case runs one CLI command from inside ``tests/golden`` (so the input
-files are named by relative path and echoed paths stay stable) and compares
-every output it produces with a pinned file. Re-pin only for a deliberate
-contract change, and record the reason and the diff in CHANGES.md:
+files are named by relative path and echoed paths stay stable), checks its
+exit code and compares every output it produces with a pinned file; stderr
+must be empty unless the case pins it. The counterexamples that the
+verifier reports for an injected fault are pinned too. Re-pin only for a
+deliberate contract change, and record the reason and the diff in
+CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,37 +22,50 @@ from pathlib import Path
 
 import pytest
 
+from camsim import CamConfig, verify_exhaustive, verify_randomized
 from camsim.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# name -> (argv, pinned files produced). "stdout" names the captured stdout;
-# any other pinned file is the report written through --out.
-CASES: dict[str, tuple[list[str], dict[str, str]]] = {
+# name -> (argv, pinned files produced, exit code). "stdout" and "stderr" name
+# the captured streams; any other pinned file is the report written through
+# --out.
+CASES: dict[str, tuple[list[str], dict[str, str], int]] = {
     "search-planted": (
         ["search", "--num-words", "32", "--width", "24", "--queries", "40",
          "--seed", "5", "--workload", "planted", "--match-rate", "0.5"],
         {"stdout": "search-planted.json"},
+        0,
     ),
     "compare-skewed": (
         ["compare", "--num-words", "32", "--width", "24", "--queries", "60",
          "--seed", "5", "--workload", "prefix-skewed", "--bias", "0.8"],
         {"stdout": "compare-skewed.json"},
+        0,
     ),
     "sweep": (
         ["sweep", "--num-words", "32", "--width", "24", "--queries", "60",
          "--seed", "5", "--out", "{tmp}/sweep.csv"],
         {"sweep.csv": "sweep.csv", "stdout": "sweep.stdout"},
+        0,
     ),
     "sweep-files": (
         ["sweep", "--width", "12", "--words", "words.txt",
          "--queries-file", "queries.txt", "--k-min", "2", "--k-max", "4",
          "--out", "{tmp}/sweep.csv"],
         {"sweep.csv": "sweep-files.csv", "stdout": "sweep-files.stdout"},
+        0,
     ),
     "verify": (
         ["verify", "--num-words", "16", "--width", "12", "--trials", "50"],
         {"stdout": "verify.stdout"},
+        0,
+    ),
+    "verify-fault": (
+        ["verify", "--num-words", "16", "--width", "12", "--trials", "50",
+         "--inject-fault"],
+        {"stdout": "verify-fault.stdout", "stderr": "verify-fault.stderr"},
+        1,
     ),
 }
 
@@ -57,21 +73,24 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
 def run_case(name: str, tmp: Path) -> dict[str, bytes]:
     """Run one case with cwd at the golden directory; return the bytes of
     each output keyed by its pinned file name."""
-    argv, produced = CASES[name]
+    argv, produced, code = CASES[name]
     argv = [a.replace("{tmp}", str(tmp)) for a in argv]
-    stdout = io.StringIO()
+    streams = {"stdout": io.StringIO(), "stderr": io.StringIO()}
     cwd = os.getcwd()
     os.chdir(GOLDEN)
     try:
-        with contextlib.redirect_stdout(stdout):
+        with contextlib.redirect_stdout(streams["stdout"]), \
+                contextlib.redirect_stderr(streams["stderr"]):
             rc = main(argv)
     finally:
         os.chdir(cwd)
-    assert rc == 0, f"{name}: exit {rc}"
+    assert rc == code, f"{name}: exit {rc}, expected {code}"
+    if "stderr" not in produced:
+        assert streams["stderr"].getvalue() == "", f"{name}: unexpected stderr"
     out = {}
     for source, pinned in produced.items():
-        if source == "stdout":
-            out[pinned] = stdout.getvalue().encode("utf-8")
+        if source in streams:
+            out[pinned] = streams[source].getvalue().encode("utf-8")
         else:
             out[pinned] = (tmp / source).read_bytes()
     return out
@@ -81,6 +100,43 @@ def run_case(name: str, tmp: Path) -> dict[str, bytes]:
 def test_outputs_match_golden_files(name, tmp_path):
     for pinned, data in run_case(name, tmp_path).items():
         assert data == (GOLDEN / pinned).read_bytes(), f"{name}: {pinned} differs"
+
+
+# The CLI stops at the first exhaustive counterexample, so the verifier's
+# fault outcomes are pinned through the library too: one line per run with
+# its case count, the counterexample's expected and got addresses, and the
+# sha256 of its describe() text (a 256 x 144 store describes in 37 KB).
+FAULT_SEEDS = (0, 1, 5, 97)
+FAULT_GEOMETRIES = ((8, 8, 3), (64, 20, 2), (256, 144, 3), (32, 16, 4))
+FAULT_TRIALS = 400
+FAULT_PINS = "fault-counterexamples.txt"
+
+
+def fault_outcomes() -> bytes:
+    runs = [
+        (f"exhaustive seed={s}", verify_exhaustive(s, fault=True))
+        for s in FAULT_SEEDS
+    ]
+    for num_words, width, k in FAULT_GEOMETRIES:
+        for s in FAULT_SEEDS:
+            cfg = CamConfig(num_words, width, k, seed=s)
+            runs.append((
+                f"randomized {num_words}x{width} k={k} seed={s}",
+                verify_randomized(cfg, FAULT_TRIALS, s, fault=True),
+            ))
+    lines = []
+    for label, out in runs:
+        ce = out.counterexample
+        digest = hashlib.sha256(ce.describe().encode("utf-8")).hexdigest()
+        lines.append(
+            f"{label}: cases={out.cases} expected={list(ce.expected)} "
+            f"got={list(ce.got)} sha256={digest}\n"
+        )
+    return "".join(lines).encode("utf-8")
+
+
+def test_fault_counterexamples_match_golden_file():
+    assert fault_outcomes() == (GOLDEN / FAULT_PINS).read_bytes()
 
 
 # The search report at the reference geometry (2500 rows, 0.7 MB) is pinned
@@ -111,3 +167,6 @@ if __name__ == "__main__":
             for pinned, data in run_case(case, Path(scratch)).items():
                 (GOLDEN / pinned).write_bytes(data)
                 print(f"pinned {pinned} ({len(data)} bytes)", file=sys.stderr)
+    data = fault_outcomes()
+    (GOLDEN / FAULT_PINS).write_bytes(data)
+    print(f"pinned {FAULT_PINS} ({len(data)} bytes)", file=sys.stderr)
