@@ -27,12 +27,11 @@ counting, so concurrent searches are deterministic under any scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import BitWord, CamConfig, DriverMode, Level, WordTrace, WordTransitions
 from .errors import (
@@ -51,14 +50,17 @@ class Variant(Enum):
     BASELINE_NOR = "baseline-nor"
 
 
-@dataclass(frozen=True)
-class EventTotals:
+class EventTotals(NamedTuple):
     """Per-search (or per-run, when summed) switching-event counts.
 
     ``sl_toggles`` counts toggled searchline columns once each; the energy
     model scales by the number of words sharing the column. ML_EN transition
     energy is carried by the evaluation class, so ``ml_en_transitions`` is
     reported for activity analysis only.
+
+    A tuple, so one is built per search at tuple cost: ``+`` adds field by
+    field, ``*`` repeats as it does for any tuple, and a record equals the
+    plain tuple of its counts.
     """
 
     ml_en_transitions: int = 0
@@ -67,7 +69,7 @@ class EventTotals:
     sl_toggles: int = 0
     mle_evaluations: int = 0
 
-    def __add__(self, other: "EventTotals") -> "EventTotals":
+    def __add__(self, other: "EventTotals") -> "EventTotals":  # type: ignore[override]
         return EventTotals(
             self.ml_en_transitions + other.ml_en_transitions,
             self.ml_precharges + other.ml_precharges,
@@ -77,8 +79,8 @@ class EventTotals:
         )
 
     def to_dict(self) -> dict[str, int]:
-        # A literal, not dataclasses.asdict: this runs once per query row and
-        # asdict's recursive copy is about 30x slower.
+        # A literal, not _asdict: this runs once per query row and _asdict's
+        # zip over _fields takes about twice as long.
         return {
             "ml_en_transitions": self.ml_en_transitions,
             "ml_precharges": self.ml_precharges,
@@ -214,16 +216,16 @@ def _mnode_table(k: int) -> tuple[tuple[Level, ...], ...]:
     )
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     """Outcome of one search: matches, energization, and event tallies.
 
     ``energy_total`` and ``delay`` stay None until the energy model fills
     them. ``traces`` is rebuilt on demand from the immutable inputs, so bulk
-    runs that only read matches and totals skip the per-word objects.
+    runs that only read matches and totals skip the per-word objects. A
+    tuple, like ``EventTotals``; the repr leaves out ``array``.
     """
 
-    array: CamArray = field(repr=False)
+    array: CamArray
     query: BitWord
     prev_query: Optional[BitWord]
     matches: tuple[int, ...]
@@ -231,6 +233,11 @@ class SearchReport:
     event_totals: EventTotals
     energy_total: Optional[float] = None
     delay: Optional[float] = None
+
+    def __repr__(self) -> str:
+        # A tuple repr would print all N stored words of ``array``.
+        shown = zip(self._fields[1:], self[1:])
+        return f"SearchReport({', '.join(f'{k}={v!r}' for k, v in shown)})"
 
     @property
     def config(self) -> CamConfig:
@@ -312,14 +319,15 @@ def search(
     key = query.value
     values = array._values
     matches = tuple([a for a in energized if values[a] == key])
+    precharged = len(energized)
     totals = EventTotals(
-        ml_en_transitions=_ml_en_transitions(array, qp, pp),
-        ml_precharges=len(energized),
-        ml_discharges=len(energized) - len(matches),
-        sl_toggles=sl_toggles,
-        mle_evaluations=array._energizers,
+        _ml_en_transitions(array, qp, pp),
+        precharged,
+        precharged - len(matches),
+        sl_toggles,
+        array._energizers,
     )
-    return SearchReport(array, query, prev_query, matches, len(energized), totals)
+    return SearchReport(array, query, prev_query, matches, precharged, totals)
 
 
 def _build_traces(
@@ -354,14 +362,10 @@ def _build_traces(
     return tuple(out)
 
 
-_EVENT_FIELDS = tuple(f.name for f in fields(EventTotals))
-
-
 def sum_event_totals(reports: Iterable[SearchReport]) -> EventTotals:
     """The reports' event counts summed field by field, with no
-    intermediate ``EventTotals``."""
-    events = [r.event_totals for r in reports]
-    return EventTotals(*[sum(map(attrgetter(f), events)) for f in _EVENT_FIELDS])
+    intermediate ``EventTotals``; no reports sum to ``EventTotals()``."""
+    return EventTotals(*map(sum, zip(*[r.event_totals for r in reports])))
 
 
 def run_search_stream(

@@ -9,6 +9,7 @@ from camsim import (
     BitWord,
     CamConfig,
     DriverMode,
+    EventTotals,
     InvalidConfig,
     Level,
     SearchInWriteMode,
@@ -450,3 +451,32 @@ def test_write_search_interleaving_matches_oracle(ops):
             q = BitWord(8, qv)
             assert search(arr, q, prev).matches == oracle_search(arr.words, q)
             prev = q
+
+
+# ---------------------------------------------------------------- records
+
+
+def test_record_reprs_are_pinned():
+    # Recorded when both records were frozen dataclasses whose report repr
+    # left out ``array``.
+    cfg = CamConfig(4, 6, 2)
+    words = [BitWord(6, v) for v in (0b000011, 0b010101, 0b000011, 0b111000)]
+    sel = search(new_array(cfg, Variant.SELECTIVE, words), BitWord(6, 3), BitWord(6, 56))
+    base = search(new_array(cfg, Variant.BASELINE_NOR, words), BitWord(6, 21))
+    assert repr(sel) == (
+        "SearchReport(query=BitWord(width=6, value=3), prev_query=BitWord(width=6,"
+        " value=56), matches=(0, 2), energized_count=2, event_totals=EventTotals("
+        "ml_en_transitions=3, ml_precharges=2, ml_discharges=0, sl_toggles=5,"
+        " mle_evaluations=4), energy_total=None, delay=None)"
+    )
+    assert repr(base) == (
+        "SearchReport(query=BitWord(width=6, value=21), prev_query=None,"
+        " matches=(1,), energized_count=4, event_totals=EventTotals("
+        "ml_en_transitions=0, ml_precharges=4, ml_discharges=3, sl_toggles=6,"
+        " mle_evaluations=0), energy_total=None, delay=None)"
+    )
+    assert repr(EventTotals(1, 2, 3, 4, 5)) == (
+        "EventTotals(ml_en_transitions=1, ml_precharges=2, ml_discharges=3,"
+        " sl_toggles=4, mle_evaluations=5)"
+    )
+

@@ -364,11 +364,14 @@ _BASE_REPORT = _run(CamConfig(16, 12, 3, seed=5), Variant.SELECTIVE, 1)[0][0]
 def test_unit_energies_are_bit_equal_to_four_event_energy_calls(totals, model, cfg):
     want = _four_call_energy(totals, model, cfg).hex()
     assert totals_energy(totals, model, cfg).hex() == want
-    report = replace(_BASE_REPORT, event_totals=totals)
+    report = _BASE_REPORT._replace(event_totals=totals)
     filled = aggregate(report, model, cfg)
     assert filled.energy_total.hex() == want
-    assert filled.delay == search_delay(model, cfg, report.variant)
-    assert replace(filled, energy_total=None, delay=None) == report
+    assert type(filled) is type(report)
+    assert filled == report._replace(
+        energy_total=totals_energy(totals, model, cfg),
+        delay=search_delay(model, cfg, report.variant),
+    )
 
 
 def test_totals_energy_rejects_negative_counts():
@@ -379,7 +382,33 @@ def test_totals_energy_rejects_negative_counts():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_TOTALS, max_size=40))
 def test_sum_event_totals_equals_chained_add(stream):
-    reports = [replace(_BASE_REPORT, event_totals=t) for t in stream]
+    reports = [_BASE_REPORT._replace(event_totals=t) for t in stream]
     want = reduce(operator.add, (r.event_totals for r in reports), EventTotals())
     assert sum_event_totals(reports) == want
     assert sum_event_totals(r for r in reports) == want
+    assert type(sum_event_totals(reports)) is EventTotals
+
+
+def test_sum_event_totals_of_no_reports_is_zero():
+    assert sum_event_totals([]) == EventTotals()
+    assert type(sum_event_totals([])) is EventTotals
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TOTALS, _TOTALS)
+def test_event_totals_add_field_by_field(a, b):
+    total = a + b
+    assert type(total) is EventTotals and len(total) == 5
+    assert total == tuple(x + y for x, y in zip(a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_TOTALS)
+def test_records_are_immutable_hashable_values(totals):
+    report = _BASE_REPORT._replace(event_totals=totals)
+    for record in (totals, report):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+        copy = type(record)(*record)
+        assert copy == record and hash(copy) == hash(record)
