@@ -8,16 +8,20 @@ Evaluation phase: any mismatching NOR cell on a precharged line pulls it low
 (one discharge event, however many cells conduct); a line that was never
 precharged stays low for free.
 
-The gate has one home: ``_energized`` says which lines have ML_EN high, from
-facts each array sets once (the baseline is the same array with no
-energizer), and both ``search`` and the per-word trace path read it.
+The gate has one home: ``_bounds`` says which run of ``_order`` has ML_EN
+high, from facts each array sets once (the baseline is the same array with
+no energizer). ``search`` and the ML_EN-transition count read it, and so
+does the per-word trace path, through ``_energized``.
 
 The gate is indexed, as selective precharge is in hardware: a gated array
 keeps its addresses stably sorted by stored prefix (``_order``) and the
 2^k + 1 offsets where each prefix's bucket starts in that order
-(``_starts``). A search slices its bucket out of ``_order``, ascending
-because the sort is stable, so its cost is O(bucket), not O(N); the
-ML_EN-transition count reads two bucket sizes off ``_starts``.
+(``_starts``); the baseline's order is plain address order. ``_ordered``
+holds the stored values in ``_order``'s order, so a search slices its
+bucket's values and tests the key against them at C speed, and lists the
+matching addresses (ascending, because the sort is stable) only on a hit.
+Its cost is O(bucket), not O(N); the ML_EN-transition count is two bucket
+sizes.
 
 Arrays are immutable values; ``write_word`` returns a new array. ``search``
 is a pure function of (array, query, previous query), the previous query
@@ -98,21 +102,23 @@ def _derived(default):
 class CamArray:
     """Stored words plus the gate facts the search path works on, set once.
 
-    The baseline has no energizer (``_energizers`` is 0). A line with ML_EN
-    high matches when its stored value ``_values[a]`` equals the query's.
-
-    A gated array also carries the gate index: ``_order`` lists the addresses
-    stably sorted by stored prefix, and prefix p's bucket is
-    ``_order[_starts[p]:_starts[p + 1]]``. The baseline needs neither.
+    The baseline has no energizer (``_energizers`` is 0). ``_order`` lists
+    the addresses, stably sorted by stored prefix in a gated array and in
+    address order in the baseline, and ``_ordered[i]`` is the value stored
+    at ``_order[i]``. The lines with ML_EN high are the run
+    ``_order[lo:hi]`` that ``_bounds`` gives: prefix p's bucket
+    ``_order[_starts[p]:_starts[p + 1]]`` in a gated array, every line in
+    the baseline, which needs no ``_starts``. A line with ML_EN high matches
+    when its stored value equals the query's.
     """
 
     config: CamConfig
     words: tuple[BitWord, ...]
     variant: Variant = Variant.SELECTIVE
     mode: DriverMode = DriverMode.SEARCH
-    _values: tuple[int, ...] = _derived(())
+    _ordered: tuple[int, ...] = _derived(())
     _energizers: int = _derived(0)
-    _order: tuple[int, ...] = _derived(())
+    _order: Sequence[int] = _derived(())
     _starts: tuple[int, ...] = _derived(())
 
     def __post_init__(self) -> None:
@@ -128,18 +134,21 @@ class CamArray:
                 )
         n, k = cfg.word_bits, cfg.mle_bits
         gated = self.variant is Variant.SELECTIVE
-        # Every fact is a tuple copied from a list, never from an iterator:
+        # Every tuple fact is copied from a list, never from an iterator:
         # CPython resizes a tuple it sizes from an iterator, and the resized
         # blocks pile up on its small-tuple free lists, which peak memory
         # counts (about 50 KB of the ``camsim verify`` peak).
-        values = tuple([w.value for w in self.words])
+        values = [w.value for w in self.words]
         set_fact = object.__setattr__
-        set_fact(self, "_values", values)
         set_fact(self, "_energizers", cfg.num_words if gated else 0)
         if gated:
-            order, starts = _gate_index([v >> (n - k) for v in values], k)
+            order, starts = _gate_index(values, n - k, k)
+            set_fact(self, "_ordered", tuple([values[a] for a in order]))
             set_fact(self, "_order", order)
             set_fact(self, "_starts", starts)
+        else:
+            set_fact(self, "_ordered", tuple(values))
+            set_fact(self, "_order", range(cfg.num_words))
 
     def with_mode(self, mode: DriverMode) -> "CamArray":
         return replace(self, mode=mode)
@@ -190,14 +199,15 @@ def oracle_search(words: Sequence[BitWord], query: BitWord) -> tuple[int, ...]:
 
 
 def _gate_index(
-    prefixes: Sequence[int], k: int
+    values: Sequence[int], shift: int, k: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``_order`` and ``_starts`` for the stored prefixes: a counting sort,
-    stable, and cheaper here than sorted() with a key. The buckets go before
-    the tuple copy of the order is made, so they do not add to peak memory."""
+    """``_order`` and ``_starts`` for the stored values, whose prefixes are
+    their top k bits (``value >> shift``): a counting sort, stable, and
+    cheaper here than sorted() with a key. The buckets go before the tuple
+    copy of the order is made, so they do not add to peak memory."""
     buckets: list[list[int]] = [[] for _ in range(1 << k)]
-    for addr, p in enumerate(prefixes):
-        buckets[p].append(addr)
+    for addr, v in enumerate(values):
+        buckets[v >> shift].append(addr)
     starts = tuple([*accumulate(map(len, buckets), initial=0)])
     order = [a for b in buckets for a in b]
     del buckets
@@ -277,17 +287,23 @@ def _drive(
     return query.value >> shift, pv >> shift, (query.value ^ pv).bit_count()
 
 
-def _energized(array: CamArray, prefix: Optional[int]) -> Sequence[int]:
-    """Addresses whose ML_EN is high for search prefix ``prefix``, or before
-    the first search when it is None. Without an energizer every line is
-    always enabled; a gated line is enabled when its stored prefix equals
-    the search prefix."""
+def _bounds(array: CamArray, prefix: Optional[int]) -> tuple[int, int]:
+    """The run ``_order[lo:hi]`` of lines whose ML_EN is high for search
+    prefix ``prefix``, or before the first search when it is None. Without
+    an energizer every line is always enabled; a gated line is enabled when
+    its stored prefix equals the search prefix."""
     if not array._energizers:
-        return range(array.config.num_words)
+        return 0, array.config.num_words
     if prefix is None:
-        return ()
+        return 0, 0
     starts = array._starts
-    return array._order[starts[prefix]:starts[prefix + 1]]
+    return starts[prefix], starts[prefix + 1]
+
+
+def _energized(array: CamArray, prefix: Optional[int]) -> Sequence[int]:
+    """Addresses whose ML_EN is high for ``prefix``, in ascending order."""
+    lo, hi = _bounds(array, prefix)
+    return array._order[lo:hi]
 
 
 def _ml_en_transitions(array: CamArray, qp: int, pp: Optional[int]) -> int:
@@ -297,9 +313,9 @@ def _ml_en_transitions(array: CamArray, qp: int, pp: Optional[int]) -> int:
     both buckets change."""
     if not array._energizers or pp == qp:
         return 0
-    starts = array._starts
-    charged = starts[qp + 1] - starts[qp]
-    return charged if pp is None else charged + starts[pp + 1] - starts[pp]
+    lo, hi = _bounds(array, qp)
+    plo, phi = _bounds(array, pp)
+    return hi - lo + phi - plo
 
 
 def search(
@@ -315,11 +331,15 @@ def search(
     """
     _check_query(array, query, prev_query)
     qp, pp, sl_toggles = _drive(array, query, prev_query)
-    energized = _energized(array, qp)
+    lo, hi = _bounds(array, qp)
     key = query.value
-    values = array._values
-    matches = tuple([a for a in energized if values[a] == key])
-    precharged = len(energized)
+    bucket = array._ordered[lo:hi]
+    if key in bucket:
+        order = array._order
+        matches = tuple([order[lo + i] for i, v in enumerate(bucket) if v == key])
+    else:
+        matches = ()
+    precharged = hi - lo
     totals = EventTotals(
         _ml_en_transitions(array, qp, pp),
         precharged,
@@ -339,7 +359,8 @@ def _build_traces(
     before = set(_energized(array, pp))
     mnodes = _mnode_table(k) if array._energizers else ((),) * (1 << k)
     out = []
-    for addr, v in enumerate(array._values):
+    for addr, word in enumerate(array.words):
+        v = word.value
         en_now, en_prev = addr in now, addr in before
         diff = v ^ query.value if en_now else 0
         out.append(

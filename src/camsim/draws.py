@@ -9,7 +9,14 @@ is the 32-byte blake2b digest of the tag, the seed (8 bytes), the index
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from hashlib import blake2b
+
+
+@lru_cache(maxsize=64)
+def _block_suffixes(count: int) -> tuple[bytes, ...]:
+    """The 4-byte big-endian numbers of blocks 0 .. count - 1."""
+    return tuple([block.to_bytes(4, "big") for block in range(count)])
 
 
 def blocks(tag: bytes, seed: int, index: int, nbytes: int) -> bytes:
@@ -17,9 +24,9 @@ def blocks(tag: bytes, seed: int, index: int, nbytes: int) -> bytes:
     head = blake2b(tag, digest_size=32)
     head.update(seed.to_bytes(8, "big") + index.to_bytes(8, "big"))
     parts = []
-    for block in range((nbytes + 31) // 32):
+    for suffix in _block_suffixes((nbytes + 31) // 32):
         h = head.copy()
-        h.update(block.to_bytes(4, "big"))
+        h.update(suffix)
         parts.append(h.digest())
     return b"".join(parts)[:nbytes]
 
@@ -48,3 +55,35 @@ def unit_threshold(p: float) -> int:
     x / 2**32 < p. Both sides scale by a power of two without rounding, so
     the test is exact."""
     return math.ceil(p * 2 ** 32)
+
+
+# The byte values of b"0", b"1" and the mark ``threshold_bits`` gives a word
+# whose top byte equals the threshold's.
+_ZERO, _ONE, _TIE = b"01="
+
+
+@lru_cache(maxsize=16)
+def _top_byte_table(top: int) -> bytes:
+    """A ``bytes.translate`` table from a word's top byte to b"0" below
+    ``top``, b"1" above it and the tie mark at it (no byte is a tie when
+    ``top`` is 256)."""
+    return bytes([_ZERO if b < top else _ONE if b > top else _TIE for b in range(256)])
+
+
+def threshold_bits(raw: bytes, threshold: int) -> bytes:
+    """ASCII b"0" or b"1" per big-endian 32-bit word x of ``raw``, b"1" when
+    x >= ``threshold`` (an int in [0, 2**32]).
+
+    The top bytes decide every word but those whose top byte equals the
+    threshold's; only those ties compare their low 24 bits."""
+    flips = raw[0::4].translate(_top_byte_table(threshold >> 24))
+    tie = flips.find(_TIE)
+    if tie < 0:
+        return flips
+    low = threshold & 0xFFFFFF
+    out = bytearray(flips)
+    while tie >= 0:
+        word_low = int.from_bytes(raw[4 * tie + 1 : 4 * tie + 4], "big")
+        out[tie] = _ONE if word_low >= low else _ZERO
+        tie = flips.find(_TIE, tie + 1)
+    return bytes(out)

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -24,7 +23,14 @@ from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .array import EventTotals, SearchReport
 from .core import _SEED_LIMIT, BitWord, parse_word
-from .draws import blocks, draw_bits, draw_pick, draw_unit, unit_threshold
+from .draws import (
+    blocks,
+    draw_bits,
+    draw_pick,
+    draw_unit,
+    threshold_bits,
+    unit_threshold,
+)
 from .errors import BadDigit, EmptyStore, InvalidConfig, WidthMismatch
 
 # Stream tags keep the word, query, and decision draws independent.
@@ -111,10 +117,8 @@ def gen_queries(workload: WorkloadSpec, words: Sequence[BitWord]) -> list[BitWor
         # x / 2**32 < bias, so the flip mask has a 1 wherever x >= threshold.
         anchor = words[0].value
         threshold = unit_threshold(workload.bias)
-        unpack = struct.Struct(f">{width}I").unpack
         for i in range(workload.num_queries):
-            xs = unpack(blocks(_TAG_SKEW, seed, i, 4 * width))
-            flips = "".join(["0" if x < threshold else "1" for x in xs])
+            flips = threshold_bits(blocks(_TAG_SKEW, seed, i, 4 * width), threshold)
             out.append(BitWord(width, anchor ^ int(flips, 2)))
     return out
 

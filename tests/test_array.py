@@ -453,6 +453,70 @@ def test_write_search_interleaving_matches_oracle(ops):
             prev = q
 
 
+@st.composite
+def _repeat_scans(draw):
+    """An 8-bit, k = 3 store with one value at two or more scattered
+    addresses (so repeats share one gated bucket), other words drawn from
+    that bucket or anywhere, a query, a previous query that is None or has
+    the same or another prefix, and one later write."""
+    n, k = 8, 3
+    shift = n - k
+    size = draw(st.integers(1, 24))
+    repeated = draw(st.integers(0, 2**n - 1))
+    same_bucket = st.integers(0, 2**shift - 1).map(
+        lambda suffix: repeated >> shift << shift | suffix
+    )
+    values = draw(
+        st.lists(
+            st.one_of(st.just(repeated), same_bucket, st.integers(0, 2**n - 1)),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    for addr in draw(st.sets(st.integers(0, size - 1), min_size=min(2, size))):
+        values[addr] = repeated
+    query = draw(st.one_of(st.just(repeated), st.sampled_from(values), same_bucket))
+    qp = query >> shift
+    prev = draw(
+        st.one_of(
+            st.none(),
+            st.integers(0, 2**shift - 1).map(lambda suffix: qp << shift | suffix),
+            st.tuples(st.integers(1, 2**k - 1), st.integers(0, 2**shift - 1)).map(
+                lambda t: (qp + t[0]) % 2**k << shift | t[1]
+            ),
+        )
+    )
+    write = (
+        draw(st.integers(0, size - 1)),
+        draw(st.one_of(st.just(repeated), st.integers(0, 2**n - 1))),
+    )
+    return n, k, values, query, prev, write
+
+
+def _assert_scan(arr, query, prev):
+    assert len(arr._ordered) == len(arr.words)
+    for i, value in enumerate(arr._ordered):
+        assert value == arr.words[arr._order[i]].value
+    r = search(arr, query, prev)
+    assert r.matches == oracle_search(arr.words, query)
+    assert list(r.matches) == sorted(set(r.matches))
+    qp = query.prefix_int(arr.config.mle_bits)
+    assert r.energized_count == len(_energized(arr, qp))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_repeat_scans())
+def test_gate_ordered_scan_with_repeated_values(case):
+    n, k, values, qv, pv, (addr, wv) = case
+    words = [BitWord(n, v) for v in values]
+    query = BitWord(n, qv)
+    prev = None if pv is None else BitWord(n, pv)
+    for variant in (Variant.SELECTIVE, Variant.BASELINE_NOR):
+        arr = new_array(CamConfig(len(words), n, k), variant, words)
+        _assert_scan(arr, query, prev)
+        _assert_scan(write_word(arr, addr, BitWord(n, wv)), query, prev)
+
+
 # ---------------------------------------------------------------- records
 
 

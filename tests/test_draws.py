@@ -9,9 +9,18 @@ import math
 from hashlib import blake2b
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camsim.core import BitWord
-from camsim.draws import blocks, draw_bits, draw_pick, draw_unit, unit_threshold
+from camsim.draws import (
+    blocks,
+    draw_bits,
+    draw_pick,
+    draw_unit,
+    threshold_bits,
+    unit_threshold,
+)
 from camsim.workload import WorkloadKind, WorkloadSpec, gen_queries, gen_words
 
 WIDTHS = (3, 8, 13, 144)
@@ -198,3 +207,85 @@ def test_integer_threshold_matches_the_float_test_at_the_boundary():
         for x in (t - 1, t, t + 1):
             if 0 <= x < 2**32:
                 assert (x < t) == (x / 2.0**32 < bias), (bias, x)
+
+
+def _reference_threshold_bits(raw: bytes, threshold: int) -> bytes:
+    """The per-word integer test: b"1" where the 32-bit word x >= threshold."""
+    return b"".join(
+        b"1" if int.from_bytes(raw[i : i + 4], "big") >= threshold else b"0"
+        for i in range(0, len(raw), 4)
+    )
+
+
+def _pack(xs) -> bytes:
+    return b"".join(x.to_bytes(4, "big") for x in xs)
+
+
+KERNEL_THRESHOLDS = {
+    "1": 1,
+    "2^24-1": 2**24 - 1,
+    "2^24": 2**24,
+    "2^24+1": 2**24 + 1,
+    "0.9": unit_threshold(0.9),
+    "2^32-1": 2**32 - 1,
+    "2^32": 2**32,
+}
+
+
+def _crafted_words(threshold: int) -> list[int]:
+    """Both ends of the word range, the threshold's neighbours, the words
+    one top byte either side of it, and the ties: words with the threshold's
+    top byte whose low 24 bits are low - 1, low and low + 1."""
+    top, low = divmod(threshold, 2**24)
+    xs = {0, 2**32 - 1, threshold - 1, threshold, threshold + 1}
+    xs |= {(top + d) << 24 | low for d in (-1, 1)}
+    xs |= {top << 24 | (low + d) for d in (-1, 0, 1) if 0 <= low + d < 2**24}
+    return sorted(x for x in xs if 0 <= x < 2**32)
+
+
+def _windows(xs: list[int], width: int) -> list[bytes]:
+    """Every cyclic run of ``width`` words of ``xs``, packed."""
+    return [_pack((xs * width)[i : i + width]) for i in range(len(xs))]
+
+
+@pytest.mark.parametrize("name", KERNEL_THRESHOLDS)
+def test_threshold_bits_equal_the_integer_test_at_the_edges(name):
+    threshold = KERNEL_THRESHOLDS[name]
+    top = threshold >> 24
+    xs = _crafted_words(threshold)
+    ties = 0
+    for width in (1, 3, 144):
+        for raw in _windows(xs, width):
+            assert threshold_bits(raw, threshold) == _reference_threshold_bits(
+                raw, threshold
+            ), (name, width, raw.hex())
+            ties += raw[0::4].count(top) if top < 256 else 0
+    # Every threshold below 2**32 has tie words, so the low-bit path runs.
+    assert (ties > 0) == (threshold < 2**32)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """Random words and a threshold, with some words moved onto the
+    threshold's top byte (ties), a few of them with low bits next to its."""
+    threshold = draw(st.integers(0, 2**32))
+    top, low = divmod(threshold, 2**24)
+    width = draw(st.integers(1, 160))
+    raw = bytearray(draw(st.binary(min_size=4 * width, max_size=4 * width)))
+    if top < 256:
+        spots = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=8))
+        for pos in spots:
+            raw[4 * pos] = top
+            d = draw(st.one_of(st.none(), st.integers(-1, 1)))
+            if d is not None and 0 <= low + d < 2**24:
+                raw[4 * pos + 1 : 4 * pos + 4] = (low + d).to_bytes(3, "big")
+    return bytes(raw), threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_cases())
+def test_threshold_bits_equal_the_integer_test_on_random_words(case):
+    raw, threshold = case
+    assert threshold_bits(raw, threshold) == _reference_threshold_bits(raw, threshold)
+    if threshold < 2**32:
+        assert threshold >> 24 in raw[0::4]  # the tie path runs

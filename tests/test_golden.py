@@ -24,6 +24,7 @@ import pytest
 
 from camsim import CamConfig, verify_exhaustive, verify_randomized
 from camsim.cli import main
+from camsim.workload import WorkloadKind, WorkloadSpec, gen_queries, gen_words
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -157,6 +158,42 @@ def test_reference_search_report_hash(tmp_path):
     data = out.read_bytes()
     assert len(data) == 707522
     assert hashlib.sha256(data).hexdigest() == REFERENCE_SEARCH_SHA256
+
+
+# The prefix-skewed query streams and the compare report at the reference
+# geometry, bias 0.9, 1000 queries (the only other skewed pin is 32 x 24 at
+# bias 0.8). Recorded from the generator that tested each 32-bit draw word
+# against the threshold as an unpacked integer, before the flips were cut
+# from the words' top bytes.
+REFERENCE_SKEWED_QUERIES_SHA256 = {
+    1: "1fadfe56b7d5617138a32044af749fc14076578c7c0fa4d9c40a1651c47daffc",
+    97: "bba6c52b75823ae5173fe345c1d275aa3bbe6eb06f63586b2cd678d393fbe7e0",
+}
+REFERENCE_COMPARE_ARGV = [
+    "compare", "--num-words", "256", "--width", "144", "--mle-bits", "3",
+    "--queries", "1000", "--seed", "1", "--workload", "prefix-skewed",
+    "--bias", "0.9",
+]
+REFERENCE_COMPARE_SHA256 = (
+    "21a251c757f023756d1d9201698df92e5c7508037805132133650fcb821ad171"
+)
+
+
+@pytest.mark.parametrize("seed", sorted(REFERENCE_SKEWED_QUERIES_SHA256))
+def test_reference_skewed_queries_hash(seed):
+    words = gen_words(256, 144, seed)
+    spec = WorkloadSpec(WorkloadKind.PREFIX_SKEWED, 1000, seed, bias=0.9)
+    text = "".join(q.to_text() + "\n" for q in gen_queries(spec, words))
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert digest == REFERENCE_SKEWED_QUERIES_SHA256[seed]
+
+
+def test_reference_compare_report_hash(tmp_path):
+    out = tmp_path / "compare.json"
+    assert main([*REFERENCE_COMPARE_ARGV, "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data) == 2045
+    assert hashlib.sha256(data).hexdigest() == REFERENCE_COMPARE_SHA256
 
 
 if __name__ == "__main__":
