@@ -34,9 +34,6 @@ from .core import (
     CamConfig,
     DriverMode,
     Level,
-    WordTrace,
-    WordTransitions,
-    hamming_prefix_match,
     parse_word,
 )
 from .energy import (
@@ -60,13 +57,13 @@ from .errors import (
     EmptyStore,
     InvalidConfig,
     PrefixTooShort,
-    SearchInWriteMode,
     UnknownEventClass,
     WidthMismatch,
     WriteInSearchMode,
     ZeroSearches,
 )
 from .mle import MleTrace, expected_energized_fraction, mle_eval
+from .trace import WordTrace, WordTransitions
 from .verify import Counterexample, VerifyOutcome, verify_exhaustive, verify_randomized
 from .workload import (
     WorkloadKind,

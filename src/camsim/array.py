@@ -10,8 +10,9 @@ precharged stays low for free.
 
 The gate has one home: ``_bounds`` says which run of ``_order`` has ML_EN
 high, from facts each array sets once (the baseline is the same array with
-no energizer). ``search`` and the ML_EN-transition count read it, and so
-does the per-word trace path, through ``_energized``.
+no energizer). ``search`` and the ML_EN-transition count read it. This
+module holds only that counting path; ``SearchReport.traces`` comes from the
+truth-level per-word model in ``trace``, which reads no gate fact.
 
 The gate is indexed, as selective precharge is in hardware: a gated array
 keeps its addresses stably sorted by stored prefix (``_order``) and the
@@ -33,18 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import BitWord, CamConfig, DriverMode, Level, WordTrace, WordTransitions
-from .errors import (
-    AddressOutOfRange,
-    InvalidConfig,
-    SearchInWriteMode,
-    WidthMismatch,
-)
-from .mle import mle_eval
+from .core import BitWord, CamConfig
+from .errors import AddressOutOfRange, InvalidConfig, WidthMismatch
+from .trace import WordTrace, word_traces
 
 
 class Variant(Enum):
@@ -115,7 +110,6 @@ class CamArray:
     config: CamConfig
     words: tuple[BitWord, ...]
     variant: Variant = Variant.SELECTIVE
-    mode: DriverMode = DriverMode.SEARCH
     _ordered: tuple[int, ...] = _derived(())
     _energizers: int = _derived(0)
     _order: Sequence[int] = _derived(())
@@ -150,17 +144,14 @@ class CamArray:
             set_fact(self, "_ordered", tuple(values))
             set_fact(self, "_order", range(cfg.num_words))
 
-    def with_mode(self, mode: DriverMode) -> "CamArray":
-        return replace(self, mode=mode)
-
 
 def new_array(
     config: CamConfig,
     variant: Variant = Variant.SELECTIVE,
     words: Optional[Sequence[BitWord]] = None,
 ) -> CamArray:
-    """Build an array in search mode. Without ``words`` every latch powers up
-    to zero, the canonical initial state."""
+    """Build an array. Without ``words`` every latch powers up to zero, the
+    canonical initial state."""
     if words is None:
         zero = BitWord(config.word_bits, 0)
         words = (zero,) * config.num_words
@@ -185,7 +176,7 @@ def write_word(array: CamArray, addr: int, word: BitWord) -> CamArray:
         )
     words = list(array.words)
     words[addr] = word
-    return replace(array, words=tuple(words), mode=DriverMode.SEARCH)
+    return replace(array, words=tuple(words))
 
 
 def oracle_search(words: Sequence[BitWord], query: BitWord) -> tuple[int, ...]:
@@ -212,18 +203,6 @@ def _gate_index(
     order = [a for b in buckets for a in b]
     del buckets
     return tuple(order), starts
-
-
-@lru_cache(maxsize=None)
-def _mnode_table(k: int) -> tuple[tuple[Level, ...], ...]:
-    # Index is the XOR of stored and search prefixes (bit 0 most significant).
-    # Each node compares one stored bit with one search bit, so storing the
-    # XOR against an all-zero search prefix gives the same levels.
-    zeros = (0,) * k
-    return tuple(
-        mle_eval([(x >> (k - 1 - i)) & 1 for i in range(k)], zeros).m_nodes
-        for x in range(1 << k)
-    )
 
 
 class SearchReport(NamedTuple):
@@ -259,12 +238,12 @@ class SearchReport(NamedTuple):
 
     @property
     def traces(self) -> tuple[WordTrace, ...]:
-        return _build_traces(self.array, self.query, self.prev_query)
+        a = self.array
+        k, gated = a.config.mle_bits, bool(a._energizers)
+        return word_traces(a.words, k, gated, self.query, self.prev_query)
 
 
 def _check_query(array: CamArray, query: BitWord, prev_query: Optional[BitWord]) -> None:
-    if array.mode is DriverMode.WRITE:
-        raise SearchInWriteMode("cannot search while the write driver is enabled")
     n = array.config.word_bits
     if query.width != n:
         raise WidthMismatch(f"query width {query.width} != word_bits {n}")
@@ -298,12 +277,6 @@ def _bounds(array: CamArray, prefix: Optional[int]) -> tuple[int, int]:
         return 0, 0
     starts = array._starts
     return starts[prefix], starts[prefix + 1]
-
-
-def _energized(array: CamArray, prefix: Optional[int]) -> Sequence[int]:
-    """Addresses whose ML_EN is high for ``prefix``, in ascending order."""
-    lo, hi = _bounds(array, prefix)
-    return array._order[lo:hi]
 
 
 def _ml_en_transitions(array: CamArray, qp: int, pp: Optional[int]) -> int:
@@ -348,39 +321,6 @@ def search(
         array._energizers,
     )
     return SearchReport(array, query, prev_query, matches, precharged, totals)
-
-
-def _build_traces(
-    array: CamArray, query: BitWord, prev_query: Optional[BitWord]
-) -> tuple[WordTrace, ...]:
-    n, k = array.config.word_bits, array.config.mle_bits
-    qp, pp, sl = _drive(array, query, prev_query)
-    now = set(_energized(array, qp))
-    before = set(_energized(array, pp))
-    mnodes = _mnode_table(k) if array._energizers else ((),) * (1 << k)
-    out = []
-    for addr, word in enumerate(array.words):
-        v = word.value
-        en_now, en_prev = addr in now, addr in before
-        diff = v ^ query.value if en_now else 0
-        out.append(
-            WordTrace(
-                addr,
-                mnodes[(v >> (n - k)) ^ qp],
-                Level.from_bit(en_now),
-                en_now,
-                Level.from_bit(en_now and not diff),
-                n - diff.bit_length() if diff else None,
-                WordTransitions(
-                    ml_en_charges=int(en_now and not en_prev),
-                    ml_en_discharges=int(en_prev and not en_now),
-                    ml_charges=int(en_now),
-                    ml_discharges=int(diff != 0),
-                    sl_toggles=sl,
-                ),
-            )
-        )
-    return tuple(out)
 
 
 def sum_event_totals(reports: Iterable[SearchReport]) -> EventTotals:

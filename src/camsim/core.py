@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import BadDigit, InvalidConfig, WidthMismatch
 
@@ -165,53 +165,3 @@ def parse_word(text: str, width: int, fmt: str = "bin") -> BitWord:
         if ch not in alphabet:
             raise BadDigit(f"character {ch!r} is not a {name} digit")
     return BitWord(width, int(text, 1 << bits))
-
-
-def hamming_prefix_match(a: BitWord, b: BitWord, k: int) -> bool:
-    """True iff bits 0..k-1 of the two words are pairwise equal."""
-    if a.width != b.width:
-        raise WidthMismatch(f"word widths differ: {a.width} vs {b.width}")
-    if not 0 <= k <= a.width:
-        raise ValueError(f"prefix length {k} outside [0, {a.width}]")
-    shift = a.width - k
-    return (a.value >> shift) == (b.value >> shift)
-
-
-@dataclass(frozen=True)
-class WordTransitions:
-    """Per-word transition counts for one search.
-
-    ``sl_toggles`` is the number of searchline columns that changed level;
-    the columns are shared by every word, so each word's cells see the same
-    count.
-    """
-
-    ml_en_charges: int = 0
-    ml_en_discharges: int = 0
-    ml_charges: int = 0
-    ml_discharges: int = 0
-    sl_toggles: int = 0
-
-
-@dataclass(frozen=True)
-class WordTrace:
-    """Node levels and transition events for one word during one search.
-
-    ``m_nodes`` holds M0 (the energizer's charge source) followed by the
-    mismatch-detect nodes M1..M_{k-1}. In the all-NOR baseline the energizer
-    stage does not exist: ``m_nodes`` is empty and ``ml_en`` reads high
-    because the precharge device is tied straight to the supply.
-
-    ``discharging_bit`` is the lowest mismatching cell index when the
-    precharged match line was pulled low (suffix indices for the gated
-    variant, any index for the baseline); all mismatching cells conduct at
-    once but the line swings only once.
-    """
-
-    addr: int
-    m_nodes: tuple[Level, ...]
-    ml_en: Level
-    ml_precharged: bool
-    ml_final: Level
-    discharging_bit: Optional[int]
-    transitions: WordTransitions

@@ -277,6 +277,8 @@ def sweep_mle_bits(
         if workload is None:
             raise InvalidConfig("sweep needs a workload spec or explicit queries")
         queries = gen_queries(workload, words)
+    if not queries:
+        raise ZeroSearches("sweep needs at least one query")
 
     rows = []
     for k in ks:

@@ -29,10 +29,6 @@ class WriteInSearchMode(CamError):
     """Cell write attempted while the driver is in search mode."""
 
 
-class SearchInWriteMode(CamError):
-    """Search attempted while the write driver is enabled."""
-
-
 class UnknownEventClass(CamError):
     """Event class not recognized by the energy model."""
 

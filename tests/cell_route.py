@@ -1,15 +1,7 @@
-"""Shared test helpers: the cell-level route, an independent model of one
-word's search outcome, and the small stores the search tests sweep."""
+"""Shared test helpers: the small stores the search tests sweep, and the
+check of a search against its per-word traces."""
 
-from camsim import (
-    BitWord,
-    CellKind,
-    CellState,
-    Level,
-    Variant,
-    mle_eval,
-    nor_cell_pulls_down,
-)
+from camsim import BitWord, EventTotals, Level
 
 
 def all_words(n):
@@ -20,24 +12,20 @@ def all_words(n):
 FIVE_BIT_STORE = [BitWord(5, 7 * i % 32) for i in range(12)] + [BitWord(5, 7)]
 
 
-def cell_level_word_outcome(word, query, k, variant, flip=False):
-    """Independent route: evaluate one word with the cell/energizer models,
-    bit by bit, and return (precharged, matched, discharging_bit). ``flip``
-    inverts the energizer output, as the verifier's injected fault does."""
-    if variant is Variant.SELECTIVE:
-        en = mle_eval(word.prefix_bits(k), query.prefix_bits(k)).ml_en is Level.HIGH
-        en = en != flip
-        suffix = range(k, word.width)
-    else:
-        en = True
-        suffix = range(word.width)
-    if not en:
-        return False, False, None
-    pulls = [
-        i
-        for i in suffix
-        if nor_cell_pulls_down(CellState(word.bit(i), CellKind.NOR), query.bit(i))
-    ]
-    if pulls:
-        return True, False, pulls[0]
-    return True, True, None
+def assert_traces_explain(report):
+    """The event-level check: the per-word traces sum to the search's event
+    totals field by field, and give its matches and energized count."""
+    traces = report.traces
+    sl = {t.transitions.sl_toggles for t in traces}
+    assert len(sl) == 1  # the searchlines are shared by every word
+    per_word = [t.transitions for t in traces]
+    summed = EventTotals(
+        sum(w.ml_en_charges + w.ml_en_discharges for w in per_word),
+        sum(w.ml_charges for w in per_word),
+        sum(w.ml_discharges for w in per_word),
+        sl.pop(),
+        sum(1 for t in traces if t.m_nodes),
+    )
+    assert summed._asdict() == report.event_totals._asdict()
+    assert report.matches == tuple(t.addr for t in traces if t.ml_final is Level.HIGH)
+    assert report.energized_count == sum(t.ml_precharged for t in traces)

@@ -8,11 +8,9 @@ from camsim import (
     AddressOutOfRange,
     BitWord,
     CamConfig,
-    DriverMode,
     EventTotals,
     InvalidConfig,
     Level,
-    SearchInWriteMode,
     Variant,
     WidthMismatch,
     mle_eval,
@@ -21,9 +19,9 @@ from camsim import (
     search,
     write_word,
 )
-from camsim.array import _energized, _ml_en_transitions
+from camsim.array import _bounds, _ml_en_transitions
 from camsim.draws import draw_bits
-from cell_route import FIVE_BIT_STORE, all_words, cell_level_word_outcome
+from cell_route import FIVE_BIT_STORE, all_words, assert_traces_explain
 
 
 def w(text):
@@ -37,7 +35,6 @@ def test_new_array_zero_initialized():
     cfg = CamConfig(4, 8, 3)
     arr = new_array(cfg)
     assert all(word.value == 0 for word in arr.words)
-    assert arr.mode is DriverMode.SEARCH
 
 
 def test_new_array_reference_geometry():
@@ -103,13 +100,6 @@ def test_duplicate_words_both_match():
 
 
 # ----------------------------------------------------------------- search
-
-
-def test_search_mode_guard():
-    cfg = CamConfig(2, 8, 3)
-    arr = new_array(cfg).with_mode(DriverMode.WRITE)
-    with pytest.raises(SearchInWriteMode):
-        search(arr, w("00000000"))
 
 
 def test_search_width_guards():
@@ -209,12 +199,14 @@ def test_word_outcomes_match_cell_level_route(stored, qv):
     query = BitWord(n, qv)
     for variant in (Variant.SELECTIVE, Variant.BASELINE_NOR):
         report = search(new_array(cfg, variant, words), query)
+        gated = variant is Variant.SELECTIVE
         for trace, word in zip(report.traces, words):
-            en, matched, bit = cell_level_word_outcome(word, query, k, variant)
+            en = not gated or word.prefix_int(k) == query.prefix_int(k)
+            diff = word.value ^ query.value
+            lowest = n - diff.bit_length() if en and diff else None
             assert trace.ml_precharged == en
-            assert (trace.ml_final is Level.HIGH) == matched
-            assert trace.discharging_bit == bit
-            assert (trace.addr in report.matches) == matched
+            assert (trace.ml_final is Level.HIGH) == (trace.addr in report.matches)
+            assert trace.discharging_bit == lowest
 
 
 # ----------------------------------------------------------------- traces
@@ -288,31 +280,20 @@ def test_trace_totals_are_consistent():
             other_prefix = BitWord(n, query.value ^ (1 << (n - 1)))
             for prev in (None, same_prefix, other_prefix):
                 r = search(arr, query, prev)
-                traces = r.traces
-                t = r.event_totals
-                assert t.ml_precharges == sum(x.transitions.ml_charges for x in traces)
-                assert t.ml_discharges == sum(
-                    x.transitions.ml_discharges for x in traces
-                )
-                assert t.ml_en_transitions == sum(
-                    x.transitions.ml_en_charges + x.transitions.ml_en_discharges
-                    for x in traces
-                )
-                assert all(x.transitions.sl_toggles == t.sl_toggles for x in traces)
+                assert_traces_explain(r)
                 gated = variant is Variant.SELECTIVE
-                assert t.mle_evaluations == (cfg.num_words if gated else 0)
-                assert r.matches == tuple(
-                    x.addr for x in traces if x.ml_final is Level.HIGH
-                )
-                assert r.energized_count == sum(x.ml_precharged for x in traces)
-                for x, word in zip(traces, FIVE_BIT_STORE):
-                    en, matched, bit = cell_level_word_outcome(word, query, k, variant)
-                    assert (x.ml_precharged, x.ml_final is Level.HIGH) == (en, matched)
-                    assert x.discharging_bit == bit
+                assert r.event_totals.mle_evaluations == (cfg.num_words if gated else 0)
+                for x, word in zip(r.traces, FIVE_BIT_STORE):
+                    en = not gated or word.prefix_int(k) == query.prefix_int(k)
+                    diff = word.value ^ query.value
+                    assert x.ml_precharged == en
+                    lowest = n - diff.bit_length() if en and diff else None
+                    assert (x.ml_final is Level.HIGH) == (en and not diff)
+                    assert x.discharging_bit == lowest
                     if prev is None:  # ML_EN starts low behind an energizer
                         en_prev = not gated
                     else:
-                        en_prev = cell_level_word_outcome(word, prev, k, variant)[0]
+                        en_prev = not gated or word.prefix_int(k) == prev.prefix_int(k)
                     assert x.transitions.ml_en_charges == int(en and not en_prev)
                     assert x.transitions.ml_en_discharges == int(en_prev and not en)
 
@@ -333,9 +314,9 @@ def _index_stores(n, k, size):
 def _assert_index_equals_scan(arr):
     k = arr.config.mle_bits
     prefixes = [word.prefix_int(k) for word in arr.words]
-    assert _energized(arr, None) == ()
+    assert arr._order[slice(*_bounds(arr, None))] == ()
     for qp in range(1 << k):
-        energized = _energized(arr, qp)
+        energized = arr._order[slice(*_bounds(arr, qp))]
         assert list(energized) == [a for a, p in enumerate(prefixes) if p == qp]
     count = [prefixes.count(p) for p in range(1 << k)]
     for qp, pp in product(range(1 << k), [None, *range(1 << k)]):
@@ -501,7 +482,7 @@ def _assert_scan(arr, query, prev):
     assert r.matches == oracle_search(arr.words, query)
     assert list(r.matches) == sorted(set(r.matches))
     qp = query.prefix_int(arr.config.mle_bits)
-    assert r.energized_count == len(_energized(arr, qp))
+    assert r.energized_count == len(arr._order[slice(*_bounds(arr, qp))])
 
 
 @settings(max_examples=150, deadline=None)

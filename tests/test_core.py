@@ -10,7 +10,6 @@ from camsim import (
     InvalidConfig,
     Level,
     WidthMismatch,
-    hamming_prefix_match,
     parse_word,
 )
 
@@ -95,42 +94,6 @@ def test_hex_needs_whole_digits_both_ways(width):
 def test_bitword_rejects_out_of_range_value():
     with pytest.raises(WidthMismatch):
         BitWord(4, 16)
-
-
-def test_hamming_identity():
-    a = parse_word("10110", 5, "bin")
-    for k in range(6):
-        assert hamming_prefix_match(a, a, k)
-
-
-def test_hamming_suffix_ignored():
-    a = parse_word("10110", 5, "bin")
-    b = parse_word("10101", 5, "bin")  # differs from index 3 on
-    assert hamming_prefix_match(a, b, 3)
-    assert not hamming_prefix_match(a, b, 4)
-
-
-def test_hamming_first_bit_mismatch():
-    a = parse_word("1011", 4, "bin")
-    b = parse_word("0011", 4, "bin")
-    assert not hamming_prefix_match(a, b, 1)
-    assert not hamming_prefix_match(a, b, 4)
-
-
-@given(
-    st.integers(0, 255),
-    st.integers(0, 255),
-    st.integers(0, 8),
-)
-def test_hamming_symmetry_and_full_width_equality(x, y, k):
-    a, b = BitWord(8, x), BitWord(8, y)
-    assert hamming_prefix_match(a, b, k) == hamming_prefix_match(b, a, k)
-    assert hamming_prefix_match(a, b, 8) == (a == b)
-
-
-def test_hamming_width_mismatch():
-    with pytest.raises(WidthMismatch):
-        hamming_prefix_match(BitWord(4, 0), BitWord(5, 0), 2)
 
 
 def test_config_accepts_reference_geometry():

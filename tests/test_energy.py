@@ -33,6 +33,7 @@ from camsim import (
     sweep_mle_bits,
     totals_energy,
 )
+from camsim import energy as energy_module
 
 CFG = CamConfig(256, 144, 3, seed=1)
 
@@ -266,6 +267,17 @@ def test_energy_metric_zero_searches():
 
 
 # ------------------------------------------------------------------ sweep
+
+
+def test_sweep_rejects_an_empty_query_stream(monkeypatch):
+    # a CamError, raised before any array is built; it used to be a bare
+    # ZeroDivisionError from the energized fraction
+    def no_array(*args):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(energy_module, "new_array", no_array)
+    with pytest.raises(ZeroSearches):
+        sweep_mle_bits(CFG, EnergyModel(), None, [3], queries=[])
 
 
 def test_sweep_measures_halving_fractions():

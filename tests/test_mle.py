@@ -8,7 +8,6 @@ from camsim import (
     PrefixTooShort,
     WidthMismatch,
     expected_energized_fraction,
-    hamming_prefix_match,
     mle_eval,
 )
 
@@ -52,7 +51,7 @@ def test_ml_en_equals_prefix_match_exhaustively(k):
         a = BitWord.from_bits(stored + (0,) * 2)
         for search in product((0, 1), repeat=k):
             b = BitWord.from_bits(search + (0,) * 2)
-            want = hamming_prefix_match(a, b, k)
+            want = a.prefix_int(k) == b.prefix_int(k)
             assert (mle_eval(stored, search).ml_en is Level.HIGH) == want
 
 

@@ -6,6 +6,7 @@ from camsim import (
     BitWord,
     CamConfig,
     InvalidConfig,
+    Level,
     Variant,
     new_array,
     oracle_search,
@@ -13,7 +14,7 @@ from camsim import (
     verify_randomized,
 )
 from camsim.verify import _flipped_gate_matches
-from cell_route import FIVE_BIT_STORE, all_words, cell_level_word_outcome
+from cell_route import FIVE_BIT_STORE, all_words
 
 
 def test_verify_randomized_rejects_negative_trials():
@@ -27,18 +28,22 @@ def test_verify_randomized_zero_trials_is_an_empty_pass():
 
 
 def test_flipped_gate_mutant_matches_the_cell_level_route():
-    # every variant, every query: the mutant reports exactly the words that
-    # the cell and energizer models match with the energizer output inverted,
-    # and without an energizer it is the sound search
+    # every variant, every query: the mutant reports exactly the words whose
+    # traced ML_EN level, inverted behind an energizer, is high and whose
+    # NOR-compared bits (the suffix, or the whole baseline word) equal the
+    # query's; without an energizer it is the sound search
     n = 5
     for k, variant in product((2, 3), Variant):
         arr = new_array(CamConfig(len(FIVE_BIT_STORE), n, k), variant, FIVE_BIT_STORE)
+        gated = variant is Variant.SELECTIVE
+        compared = (1 << (n - k if gated else n)) - 1
         for query in all_words(n):
             got = _flipped_gate_matches(arr, query)
             assert got == tuple(
-                addr
-                for addr, word in enumerate(FIVE_BIT_STORE)
-                if cell_level_word_outcome(word, query, k, variant, flip=True)[1]
+                t.addr
+                for t, word in zip(search(arr, query).traces, FIVE_BIT_STORE)
+                if (t.ml_en is Level.HIGH) != gated
+                and (word.value ^ query.value) & compared == 0
             )
             if variant is Variant.BASELINE_NOR:
                 assert got == search(arr, query).matches
