@@ -151,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="oracle-equivalence harness")
     _add_geometry_flags(p)
     p.add_argument("--trials", type=int, default=100000,
-                   help="randomized trials at the configured geometry (default 100000)")
+                   help="randomized trials at the configured geometry, each "
+                        "searched on both variants (default 100000)")
     p.add_argument("--inject-fault", action="store_true",
                    help="flip every energizer decision to prove the harness "
                         "detects a corrupted build")
@@ -372,7 +373,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials > 0:
         out = verify_randomized(config, args.trials, seed=args.seed, fault=fault)
         print(
-            f"randomized: {out.cases} trials at N={config.num_words} "
+            f"randomized: {args.trials} trials at N={config.num_words} "
             f"n={config.word_bits} k={config.mle_bits}"
         )
         if not out.ok:

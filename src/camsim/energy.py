@@ -271,6 +271,8 @@ def sweep_mle_bits(
         )
     if ks[-1] > MAX_MLE_BITS:
         raise InvalidConfig(f"mle_bits beyond {MAX_MLE_BITS} is unsupported")
+    # every k meets word_bits here, before the first array is searched
+    configs = [replace(config, mle_bits=k) for k in ks]
     if words is None:
         words = gen_words(config.num_words, config.word_bits, config.seed)
     if queries is None:
@@ -281,8 +283,7 @@ def sweep_mle_bits(
         raise ZeroSearches("sweep needs at least one query")
 
     rows = []
-    for k in ks:
-        cfg = replace(config, mle_bits=k)
+    for cfg in configs:
         arr = new_array(cfg, Variant.SELECTIVE, words)
         reports = run_search_stream(arr, queries)
         totals = sum_event_totals(reports)
@@ -291,7 +292,7 @@ def sweep_mle_bits(
             totals_energy(totals, model, cfg), cfg, len(queries)
         )
         rows.append(
-            SweepRow(k, fraction, metric, search_delay(model, cfg))
+            SweepRow(cfg.mle_bits, fraction, metric, search_delay(model, cfg))
         )
     return rows
 

@@ -5,7 +5,9 @@ against structured and seeded stores (all single-word pairs, full tables,
 shared-prefix stores, duplicates). The randomized tier hammers the full
 256 x 144 geometry with a mix of uniform queries, planted copies, and
 near-miss single-bit corruptions, which is where a wrong prefix gate or
-suffix scan actually shows up.
+suffix scan actually shows up. Both tiers search every query on the gated
+and on the all-NOR array of a store, against one oracle scan, so a
+``VerifyOutcome.cases`` counts two searches per query.
 
 With ``fault`` set, the harness checks a mutant instead of the sound build:
 one whose energizer inverts every decision, so it must report a
@@ -74,22 +76,25 @@ def _check_store(
     config: CamConfig,
     words: Sequence[BitWord],
     queries: Iterable[BitWord],
-    variant: Variant,
     fault: bool,
     context: str,
 ) -> VerifyOutcome:
-    arr = new_array(config, variant, words)
+    """Search each query on the store's gated array, then on its all-NOR
+    array, and compare both with one oracle scan. ``context`` is a format
+    string whose one field takes the variant of a failing search."""
+    words = tuple(words)
+    arrays = [new_array(config, variant, words) for variant in Variant]
     cases = 0
     prev = None
     for q in queries:
-        got = _flipped_gate_matches(arr, q) if fault else search(arr, q, prev).matches
-        prev = q
         expected = oracle_search(words, q)
-        cases += 1
-        if got != expected:
-            return VerifyOutcome(
-                cases, Counterexample(tuple(words), q, expected, got, context)
-            )
+        for arr in arrays:
+            cases += 1
+            got = _flipped_gate_matches(arr, q) if fault else search(arr, q, prev).matches
+            if got != expected:
+                ctx = context.format(arr.variant.value)
+                return VerifyOutcome(cases, Counterexample(words, q, expected, got, ctx))
+        prev = q
     return VerifyOutcome(cases, None)
 
 
@@ -99,48 +104,35 @@ def _all_words(width: int) -> list[BitWord]:
 
 def verify_exhaustive(seed: int = 0, fault: bool = False) -> VerifyOutcome:
     """Small-geometry sweep: n = 4..6, k = 2..3, stores up to 32 words,
-    every possible query against every store. Checks both variants."""
+    every possible query against every store, on both variants."""
     total = 0
     for n in (4, 5, 6):
         universe = _all_words(n)
         for k in (2, 3):
-            cfg = CamConfig(num_words=1, word_bits=n, mle_bits=k, seed=seed)
-            for variant in (Variant.SELECTIVE, Variant.BASELINE_NOR):
-                ctx = f"n={n} k={k} {variant.value}"
-                # every (stored word, query) pair at N=1
-                for w in universe:
-                    out = _check_store(
-                        cfg, [w], universe, variant, fault, f"{ctx} single-word"
-                    )
-                    total += out.cases
-                    if not out.ok:
-                        return VerifyOutcome(total, out.counterexample)
-                stores = []
+            # every (stored word, query) pair at N=1
+            stores = [("single-word", [w]) for w in universe]
+            stores += [
                 # full table (capped at 32 words), all queries hit something
-                stores.append(universe[: min(len(universe), 32)])
+                ("store", universe[:32]),
                 # every word shares the same k-bit prefix; worst case gating
-                shared = [w for w in universe if w.prefix_int(k) == 1][:8]
-                stores.append(shared)
+                ("store", [w for w in universe if w.prefix_int(k) == 1][:8]),
                 # duplicates must both report
-                stores.append([universe[3], universe[5], universe[3], universe[0]])
-                # seeded random stores of assorted sizes
-                for j, size in enumerate((5, 17, 32)):
-                    stores.append(
-                        [
-                            BitWord(n, draw_bits(_TAG_STORE, seed, n * 1000 + k * 100 + j * 10 + i, n))
-                            for i in range(size)
-                        ]
-                    )
-                for words in stores:
-                    cfg_n = CamConfig(
-                        num_words=len(words), word_bits=n, mle_bits=k, seed=seed
-                    )
-                    out = _check_store(
-                        cfg_n, words, universe, variant, fault, f"{ctx} store"
-                    )
-                    total += out.cases
-                    if not out.ok:
-                        return VerifyOutcome(total, out.counterexample)
+                ("store", [universe[3], universe[5], universe[3], universe[0]]),
+            ]
+            # seeded random stores of assorted sizes
+            for j, size in enumerate((5, 17, 32)):
+                base = n * 1000 + k * 100 + j * 10
+                stores.append(("store", [
+                    BitWord(n, draw_bits(_TAG_STORE, seed, base + i, n))
+                    for i in range(size)
+                ]))
+            for kind, words in stores:
+                cfg = CamConfig(len(words), n, k, seed=seed)
+                ctx = f"n={n} k={k} {{}} {kind}"
+                out = _check_store(cfg, words, universe, fault, ctx)
+                total += out.cases
+                if not out.ok:
+                    return VerifyOutcome(total, out.counterexample)
     return VerifyOutcome(total, None)
 
 
@@ -150,9 +142,10 @@ def verify_randomized(
     seed: int = 0,
     fault: bool = False,
 ) -> VerifyOutcome:
-    """Randomized trials at full geometry against the selective array. Each
-    trial draws its query from (seed, trial index): 60% uniform, 30% an
-    exact copy of a stored word, 10% a stored word with one flipped bit."""
+    """Randomized trials at full geometry on both variants, so ``cases`` is
+    2 x ``trials`` when every search passes. Each trial draws its query from
+    (seed, trial index): 60% uniform, 30% an exact copy of a stored word,
+    10% a stored word with one flipped bit."""
     from .workload import gen_words
 
     if trials < 0:
@@ -171,4 +164,4 @@ def verify_randomized(
         return BitWord(n, base.value ^ (1 << (n - 1 - pos)))
 
     queries = (trial(i) for i in range(trials))
-    return _check_store(config, words, queries, Variant.SELECTIVE, fault, "randomized")
+    return _check_store(config, words, queries, fault, "randomized {}")

@@ -280,6 +280,23 @@ def test_sweep_rejects_an_empty_query_stream(monkeypatch):
         sweep_mle_bits(CFG, EnergyModel(), None, [3], queries=[])
 
 
+def test_sweep_checks_every_k_against_the_width_before_any_array(monkeypatch):
+    # k = 5 does not fit a 5-bit word; k = 2, 3 and 4 used to be searched
+    # over the whole stream before the error
+    built = []
+    build = energy_module.new_array
+
+    def recording(cfg, *args):
+        built.append(cfg.mle_bits)
+        return build(cfg, *args)
+
+    monkeypatch.setattr(energy_module, "new_array", recording)
+    spec = WorkloadSpec(WorkloadKind.UNIFORM, 10, 1)
+    with pytest.raises(InvalidConfig, match="smaller than word_bits"):
+        sweep_mle_bits(CamConfig(16, 5, 3, seed=1), EnergyModel(), spec, range(2, 7))
+    assert built == []
+
+
 def test_sweep_measures_halving_fractions():
     spec = WorkloadSpec(WorkloadKind.UNIFORM, 4000, 21)
     rows = sweep_mle_bits(CFG, EnergyModel(), spec, range(2, 7))

@@ -23,8 +23,9 @@ TRIALS = 50
 
 def test_traces_explain_every_exhaustive_search(monkeypatch):
     # every store and query of the verifier's exhaustive tier, with the
-    # previous query threaded as the verifier threads it
-    searched = []
+    # previous query threaded as the verifier threads it; each query is
+    # searched on both variants against one oracle scan
+    searched, scans = [], []
 
     def checked(arr, query, prev_query=None):
         report = search(arr, query, prev_query)
@@ -32,12 +33,19 @@ def test_traces_explain_every_exhaustive_search(monkeypatch):
         searched.append(report.variant)
         return report
 
+    def counted_oracle(words, query):
+        scans.append(query)
+        return oracle_search(words, query)
+
     search = camsim.verify.search
+    oracle_search = camsim.verify.oracle_search
     monkeypatch.setattr(camsim.verify, "search", checked)
+    monkeypatch.setattr(camsim.verify, "oracle_search", counted_oracle)
     out = verify_exhaustive(1)
     assert out.ok
     assert len(searched) == out.cases == 24192
-    assert set(searched) == set(Variant)
+    assert searched.count(Variant.SELECTIVE) == searched.count(Variant.BASELINE_NOR)
+    assert len(scans) == 12096
 
 
 @pytest.mark.parametrize("variant", Variant)

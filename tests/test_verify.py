@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+import camsim.verify
 from camsim import (
     BitWord,
     CamConfig,
@@ -11,6 +12,7 @@ from camsim import (
     new_array,
     oracle_search,
     search,
+    verify_exhaustive,
     verify_randomized,
 )
 from camsim.verify import _flipped_gate_matches
@@ -25,6 +27,48 @@ def test_verify_randomized_rejects_negative_trials():
 def test_verify_randomized_zero_trials_is_an_empty_pass():
     out = verify_randomized(CamConfig(num_words=8, word_bits=8, mle_bits=3), 0)
     assert out.ok and out.cases == 0
+
+
+REFERENCE = CamConfig(256, 144, 3, seed=1)
+
+
+def test_randomized_tier_searches_both_variants_against_one_oracle_scan(monkeypatch):
+    searched, scans = [], []
+
+    def counted_search(arr, query, prev_query=None):
+        searched.append(arr.variant)
+        return search(arr, query, prev_query)
+
+    def counted_oracle(words, query):
+        scans.append(query)
+        return oracle_search(words, query)
+
+    monkeypatch.setattr(camsim.verify, "search", counted_search)
+    monkeypatch.setattr(camsim.verify, "oracle_search", counted_oracle)
+    out = verify_randomized(REFERENCE, 200, 1)
+    assert out.ok and out.cases == 400
+    assert searched.count(Variant.SELECTIVE) == searched.count(Variant.BASELINE_NOR) == 200
+    assert len(scans) == 200
+
+
+def test_randomized_tier_catches_a_baseline_only_fault(monkeypatch):
+    # a mutant all-NOR array that loses its last match once the store
+    # outgrows the exhaustive tier's 32 words: only the randomized tier
+    # holds such a store, so only a baseline check there can catch it
+    def dropping(arr, query, prev_query=None):
+        report = search(arr, query, prev_query)
+        if arr.variant is Variant.BASELINE_NOR and arr.config.num_words > 32:
+            return report._replace(matches=report.matches[:-1])
+        return report
+
+    monkeypatch.setattr(camsim.verify, "search", dropping)
+    assert verify_exhaustive(1).ok
+    out = verify_randomized(REFERENCE, 200, 1)
+    ce = out.counterexample
+    assert ce is not None and ce.context == "randomized baseline-nor"
+    assert ce.expected == oracle_search(ce.words, ce.query) != ()
+    assert ce.got == ce.expected[:-1]
+    assert out.cases % 2 == 0  # the selective search of that query passed
 
 
 def test_flipped_gate_mutant_matches_the_cell_level_route():
