@@ -8,21 +8,21 @@ Evaluation phase: any mismatching NOR cell on a precharged line pulls it low
 (one discharge event, however many cells conduct); a line that was never
 precharged stays low for free.
 
-The gate has one home: ``_bounds`` says which run of ``_order`` has ML_EN
-high, from facts each array sets once (the baseline is the same array with
-no energizer). ``search`` and the ML_EN-transition count read it. This
-module holds only that counting path; ``SearchReport.traces`` comes from the
-truth-level per-word model in ``trace``, which reads no gate fact.
+The gate has one home: ``_runs``, a table each array sets once that gives,
+per search prefix, the run of ``_order`` whose ML_EN is high. The two
+variants differ only in that table, so ``search`` has no variant branch and
+reads it for both the query and the previous query. This module holds only
+that counting path; ``SearchReport.traces`` comes from the truth-level
+per-word model in ``trace``, which reads no gate fact.
 
 The gate is indexed, as selective precharge is in hardware: a gated array
-keeps its addresses stably sorted by stored prefix (``_order``) and the
-2^k + 1 offsets where each prefix's bucket starts in that order
-(``_starts``); the baseline's order is plain address order. ``_ordered``
-holds the stored values in ``_order``'s order, so a search slices its
-bucket's values and tests the key against them at C speed, and lists the
-matching addresses (ascending, because the sort is stable) only on a hit.
-Its cost is O(bucket), not O(N); the ML_EN-transition count is two bucket
-sizes.
+keeps its addresses stably sorted by stored prefix (``_order``), and each
+prefix's run is its bucket in that order; the baseline's order is plain
+address order and every prefix's run is all of it. ``_ordered`` holds the
+stored values in ``_order``'s order, so a search slices its run's values
+and tests the key against them at C speed, and lists the matching addresses
+(ascending, because the sort is stable) only on a hit. Its cost is O(run),
+not O(N); the ML_EN-transition count is two run sizes.
 
 Arrays are immutable values; ``write_word`` returns a new array. ``search``
 is a pure function of (array, query, previous query), the previous query
@@ -100,11 +100,11 @@ class CamArray:
     The baseline has no energizer (``_energizers`` is 0). ``_order`` lists
     the addresses, stably sorted by stored prefix in a gated array and in
     address order in the baseline, and ``_ordered[i]`` is the value stored
-    at ``_order[i]``. The lines with ML_EN high are the run
-    ``_order[lo:hi]`` that ``_bounds`` gives: prefix p's bucket
-    ``_order[_starts[p]:_starts[p + 1]]`` in a gated array, every line in
-    the baseline, which needs no ``_starts``. A line with ML_EN high matches
-    when its stored value equals the query's.
+    at ``_order[i]``. For search prefix p the lines with ML_EN high are
+    ``_order[slice(*_runs[p])]``: p's bucket in a gated array, every line in
+    the baseline. ``_idle`` is the run before the first search: none gated
+    (ML_EN powers up low), every line in the baseline. A line with ML_EN
+    high matches when its stored value equals the query's.
     """
 
     config: CamConfig
@@ -113,7 +113,8 @@ class CamArray:
     _ordered: tuple[int, ...] = _derived(())
     _energizers: int = _derived(0)
     _order: Sequence[int] = _derived(())
-    _starts: tuple[int, ...] = _derived(())
+    _runs: Sequence[tuple[int, int]] = _derived(())
+    _idle: tuple[int, int] = _derived((0, 0))
 
     def __post_init__(self) -> None:
         cfg = self.config
@@ -126,23 +127,26 @@ class CamArray:
                 raise WidthMismatch(
                     f"stored word width {w.width} != word_bits {cfg.word_bits}"
                 )
-        n, k = cfg.word_bits, cfg.mle_bits
+        n, k, size = cfg.word_bits, cfg.mle_bits, cfg.num_words
         gated = self.variant is Variant.SELECTIVE
         # Every tuple fact is copied from a list, never from an iterator:
         # CPython resizes a tuple it sizes from an iterator, and the resized
         # blocks pile up on its small-tuple free lists, which peak memory
         # counts (about 50 KB of the ``camsim verify`` peak).
         values = [w.value for w in self.words]
-        set_fact = object.__setattr__
-        set_fact(self, "_energizers", cfg.num_words if gated else 0)
         if gated:
-            order, starts = _gate_index(values, n - k, k)
-            set_fact(self, "_ordered", tuple([values[a] for a in order]))
-            set_fact(self, "_order", order)
-            set_fact(self, "_starts", starts)
+            order, runs = _gate_index(values, n - k, k)
+            values = [values[a] for a in order]
+            idle = (0, 0)
         else:
-            set_fact(self, "_ordered", tuple(values))
-            set_fact(self, "_order", range(cfg.num_words))
+            order, idle = range(size), (0, size)
+            runs = (idle,) * (1 << k)
+        set_fact = object.__setattr__
+        set_fact(self, "_energizers", size if gated else 0)
+        set_fact(self, "_ordered", tuple(values))
+        set_fact(self, "_order", order)
+        set_fact(self, "_runs", runs)
+        set_fact(self, "_idle", idle)
 
 
 def new_array(
@@ -191,27 +195,29 @@ def oracle_search(words: Sequence[BitWord], query: BitWord) -> tuple[int, ...]:
 
 def _gate_index(
     values: Sequence[int], shift: int, k: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``_order`` and ``_starts`` for the stored values, whose prefixes are
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """``_order`` and ``_runs`` for the stored values, whose prefixes are
     their top k bits (``value >> shift``): a counting sort, stable, and
-    cheaper here than sorted() with a key. The buckets go before the tuple
-    copy of the order is made, so they do not add to peak memory."""
+    cheaper here than sorted() with a key. Prefix p's run spans its bucket.
+    The buckets go before the tuple copy of the order is made, so they do
+    not add to peak memory."""
     buckets: list[list[int]] = [[] for _ in range(1 << k)]
     for addr, v in enumerate(values):
         buckets[v >> shift].append(addr)
-    starts = tuple([*accumulate(map(len, buckets), initial=0)])
+    starts = [*accumulate(map(len, buckets), initial=0)]
     order = [a for b in buckets for a in b]
     del buckets
-    return tuple(order), starts
+    return tuple(order), tuple([*zip(starts, starts[1:])])
 
 
 class SearchReport(NamedTuple):
     """Outcome of one search: matches, energization, and event tallies.
 
-    ``energy_total`` and ``delay`` stay None until the energy model fills
-    them. ``traces`` is rebuilt on demand from the immutable inputs, so bulk
-    runs that only read matches and totals skip the per-word objects. A
-    tuple, like ``EventTotals``; the repr leaves out ``array``.
+    ``energy_total`` stays None until the energy model fills it; the delay
+    is a per-variant constant, ``energy.search_delay``. ``traces`` is
+    rebuilt on demand from the immutable inputs, so bulk runs that only read
+    matches and totals skip the per-word objects. A tuple, like
+    ``EventTotals``; the repr leaves out ``array``.
     """
 
     array: CamArray
@@ -221,7 +227,6 @@ class SearchReport(NamedTuple):
     energized_count: int
     event_totals: EventTotals
     energy_total: Optional[float] = None
-    delay: Optional[float] = None
 
     def __repr__(self) -> str:
         # A tuple repr would print all N stored words of ``array``.
@@ -243,54 +248,6 @@ class SearchReport(NamedTuple):
         return word_traces(a.words, k, gated, self.query, self.prev_query)
 
 
-def _check_query(array: CamArray, query: BitWord, prev_query: Optional[BitWord]) -> None:
-    n = array.config.word_bits
-    if query.width != n:
-        raise WidthMismatch(f"query width {query.width} != word_bits {n}")
-    if prev_query is not None and prev_query.width != n:
-        raise WidthMismatch(
-            f"previous query width {prev_query.width} != word_bits {n}"
-        )
-
-
-def _drive(
-    array: CamArray, query: BitWord, prev_query: Optional[BitWord]
-) -> tuple[int, Optional[int], int]:
-    """The search prefix, the previous one (None before the first search) and
-    the number of searchline columns this search toggles."""
-    cfg = array.config
-    shift = cfg.word_bits - cfg.mle_bits
-    if prev_query is None:
-        return query.value >> shift, None, cfg.word_bits
-    pv = prev_query.value
-    return query.value >> shift, pv >> shift, (query.value ^ pv).bit_count()
-
-
-def _bounds(array: CamArray, prefix: Optional[int]) -> tuple[int, int]:
-    """The run ``_order[lo:hi]`` of lines whose ML_EN is high for search
-    prefix ``prefix``, or before the first search when it is None. Without
-    an energizer every line is always enabled; a gated line is enabled when
-    its stored prefix equals the search prefix."""
-    if not array._energizers:
-        return 0, array.config.num_words
-    if prefix is None:
-        return 0, 0
-    starts = array._starts
-    return starts[prefix], starts[prefix + 1]
-
-
-def _ml_en_transitions(array: CamArray, qp: int, pp: Optional[int]) -> int:
-    """Lines whose ML_EN level changes from previous prefix ``pp`` to ``qp``.
-    Before the first search every ML_EN is low, so ``qp``'s bucket charges;
-    two different prefixes select disjoint buckets, so exactly the words of
-    both buckets change."""
-    if not array._energizers or pp == qp:
-        return 0
-    lo, hi = _bounds(array, qp)
-    plo, phi = _bounds(array, pp)
-    return hi - lo + phi - plo
-
-
 def search(
     array: CamArray, query: BitWord, prev_query: Optional[BitWord] = None
 ) -> SearchReport:
@@ -302,10 +259,23 @@ def search(
     construction (prev_query None) toggles all n columns and charges ML_EN
     from low.
     """
-    _check_query(array, query, prev_query)
-    qp, pp, sl_toggles = _drive(array, query, prev_query)
-    lo, hi = _bounds(array, qp)
+    cfg = array.config
+    n = cfg.word_bits
+    if query.width != n:
+        raise WidthMismatch(f"query width {query.width} != word_bits {n}")
+    shift = n - cfg.mle_bits
     key = query.value
+    runs = array._runs
+    run = lo, hi = runs[key >> shift]
+    if prev_query is None:
+        prev_run, sl_toggles = array._idle, n
+    else:
+        if prev_query.width != n:
+            raise WidthMismatch(
+                f"previous query width {prev_query.width} != word_bits {n}"
+            )
+        prev_run = runs[prev_query.value >> shift]
+        sl_toggles = (key ^ prev_query.value).bit_count()
     bucket = array._ordered[lo:hi]
     if key in bucket:
         order = array._order
@@ -313,8 +283,10 @@ def search(
     else:
         matches = ()
     precharged = hi - lo
+    # Distinct runs never overlap, so every line of both changes its ML_EN.
+    plo, phi = prev_run
     totals = EventTotals(
-        _ml_en_transitions(array, qp, pp),
+        0 if run == prev_run else precharged + phi - plo,
         precharged,
         precharged - len(matches),
         sl_toggles,

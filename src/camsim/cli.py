@@ -372,13 +372,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 1
     if args.trials > 0:
         out = verify_randomized(config, args.trials, seed=args.seed, fault=fault)
+        if not out.ok:
+            print(f"counterexample: {out.counterexample.describe()}", file=sys.stderr)
+            return 1
         print(
             f"randomized: {args.trials} trials at N={config.num_words} "
             f"n={config.word_bits} k={config.mle_bits}"
         )
-        if not out.ok:
-            print(f"counterexample: {out.counterexample.describe()}", file=sys.stderr)
-            return 1
     print("verify: all searches matched the oracle")
     return 0
 

@@ -219,8 +219,9 @@ def search_delay(
 def aggregate(
     report: SearchReport, model: EnergyModel, config: CamConfig
 ) -> SearchReport:
-    """A copy of the report with energy_total and delay filled from its
-    event tallies."""
+    """A copy of the report with energy_total filled from its event
+    tallies. The delay is the same for every search of a variant:
+    ``search_delay(model, config, report.variant)``."""
     return SearchReport(
         report.array,
         report.query,
@@ -229,7 +230,6 @@ def aggregate(
         report.energized_count,
         report.event_totals,
         totals_energy(report.event_totals, model, config),
-        search_delay(model, config, report.variant),
     )
 
 

@@ -19,7 +19,6 @@ from camsim import (
     search,
     write_word,
 )
-from camsim.array import _bounds, _ml_en_transitions
 from camsim.draws import draw_bits
 from cell_route import FIVE_BIT_STORE, all_words, assert_traces_explain
 
@@ -312,21 +311,29 @@ def _index_stores(n, k, size):
 
 
 def _assert_index_equals_scan(arr):
-    k = arr.config.mle_bits
+    n, k = arr.config.word_bits, arr.config.mle_bits
+    gated = arr.variant is Variant.SELECTIVE
     prefixes = [word.prefix_int(k) for word in arr.words]
-    assert arr._order[slice(*_bounds(arr, None))] == ()
+    # the addresses whose ML_EN is high for search prefix p
+    enabled = [
+        [a for a, stored in enumerate(prefixes) if not gated or stored == p]
+        for p in range(1 << k)
+    ]
+    idle = [] if gated else list(range(len(prefixes)))
+    assert list(arr._order[slice(*arr._idle)]) == idle
     for qp in range(1 << k):
-        energized = arr._order[slice(*_bounds(arr, qp))]
-        assert list(energized) == [a for a, p in enumerate(prefixes) if p == qp]
-    count = [prefixes.count(p) for p in range(1 << k)]
+        assert list(arr._order[slice(*arr._runs[qp])]) == enabled[qp]
+    queries = [BitWord(n, p << (n - k)) for p in range(1 << k)]
     for qp, pp in product(range(1 << k), [None, *range(1 << k)]):
-        if pp == qp:
+        if not gated or pp == qp:
             want = 0
         elif pp is None:
-            want = count[qp]
+            want = len(enabled[qp])
         else:
-            want = count[qp] + count[pp]
-        assert _ml_en_transitions(arr, qp, pp) == want
+            want = len(enabled[qp]) + len(enabled[pp])
+        prev = None if pp is None else queries[pp]
+        report = search(arr, queries[qp], prev)
+        assert report.event_totals.ml_en_transitions == want
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -335,8 +342,8 @@ def test_gate_index_equals_prefix_scan(k):
     n = k + 2
     for size in range(1, 41):
         cfg = CamConfig(size, n, k)
-        for words in _index_stores(n, k, size):
-            arr = new_array(cfg, words=words)
+        for words, variant in product(_index_stores(n, k, size), Variant):
+            arr = new_array(cfg, variant, words)
             _assert_index_equals_scan(arr)
             # flip word 0's last prefix bit, moving it to another bucket
             moved = BitWord(n, words[0].value ^ (1 << (n - k)))
@@ -482,7 +489,7 @@ def _assert_scan(arr, query, prev):
     assert r.matches == oracle_search(arr.words, query)
     assert list(r.matches) == sorted(set(r.matches))
     qp = query.prefix_int(arr.config.mle_bits)
-    assert r.energized_count == len(arr._order[slice(*_bounds(arr, qp))])
+    assert r.energized_count == len(arr._order[slice(*arr._runs[qp])])
 
 
 @settings(max_examples=150, deadline=None)
@@ -512,13 +519,13 @@ def test_record_reprs_are_pinned():
         "SearchReport(query=BitWord(width=6, value=3), prev_query=BitWord(width=6,"
         " value=56), matches=(0, 2), energized_count=2, event_totals=EventTotals("
         "ml_en_transitions=3, ml_precharges=2, ml_discharges=0, sl_toggles=5,"
-        " mle_evaluations=4), energy_total=None, delay=None)"
+        " mle_evaluations=4), energy_total=None)"
     )
     assert repr(base) == (
         "SearchReport(query=BitWord(width=6, value=21), prev_query=None,"
         " matches=(1,), energized_count=4, event_totals=EventTotals("
         "ml_en_transitions=0, ml_precharges=4, ml_discharges=3, sl_toggles=6,"
-        " mle_evaluations=0), energy_total=None, delay=None)"
+        " mle_evaluations=0), energy_total=None)"
     )
     assert repr(EventTotals(1, 2, 3, 4, 5)) == (
         "EventTotals(ml_en_transitions=1, ml_precharges=2, ml_discharges=3,"

@@ -3,6 +3,8 @@ import threading
 
 import pytest
 
+import camsim.verify
+from camsim import Variant, search
 from camsim.cli import build_parser, main
 
 
@@ -405,6 +407,25 @@ def test_verify_inject_fault_exits_1(capsys):
                "--inject-fault"])
     assert rc == 1
     assert "counterexample" in capsys.readouterr().err
+
+
+def test_verify_prints_the_randomized_line_only_when_the_tier_passes(
+    monkeypatch, capsys
+):
+    # an all-NOR mutant that drops its last match once the store outgrows
+    # the exhaustive tier's 32 words fails only in the randomized tier
+    def dropping(arr, query, prev_query=None):
+        report = search(arr, query, prev_query)
+        if arr.variant is Variant.BASELINE_NOR and arr.config.num_words > 32:
+            return report._replace(matches=report.matches[:-1])
+        return report
+
+    monkeypatch.setattr(camsim.verify, "search", dropping)
+    assert main(["verify", "--trials", "200"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "exhaustive: 24192 cases checked\n"
+    assert "randomized: 200 trials" not in captured.out
+    assert "randomized baseline-nor" in captured.err
 
 
 def test_verify_negative_trials_exits_2_before_any_work(monkeypatch, capsys):

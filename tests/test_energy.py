@@ -166,7 +166,7 @@ def _run(config, variant, num_queries, seed=3, model=None):
     return run_search_stream(arr, queries), queries
 
 
-def test_aggregate_fills_energy_and_delay():
+def test_aggregate_fills_energy():
     cfg = CamConfig(16, 12, 3, seed=5)
     reports, _ = _run(cfg, Variant.SELECTIVE, 10)
     model = EnergyModel()
@@ -174,7 +174,7 @@ def test_aggregate_fills_energy_and_delay():
     assert filled.energy_total == pytest.approx(
         totals_energy(reports[0].event_totals, model, cfg)
     )
-    assert filled.delay == search_delay(model, cfg)
+    assert filled == reports[0]._replace(energy_total=filled.energy_total)
     assert reports[0].energy_total is None  # original untouched
 
 
@@ -399,7 +399,6 @@ def test_unit_energies_are_bit_equal_to_four_event_energy_calls(totals, model, c
     assert type(filled) is type(report)
     assert filled == report._replace(
         energy_total=totals_energy(totals, model, cfg),
-        delay=search_delay(model, cfg, report.variant),
     )
 
 

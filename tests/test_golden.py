@@ -38,6 +38,13 @@ CASES: dict[str, tuple[list[str], dict[str, str], int]] = {
         {"stdout": "search-planted.json"},
         0,
     ),
+    "search-baseline": (
+        ["search", "--num-words", "32", "--width", "24", "--queries", "40",
+         "--seed", "5", "--workload", "planted", "--match-rate", "0.5",
+         "--variant", "baseline-nor"],
+        {"stdout": "search-baseline.json"},
+        0,
+    ),
     "compare-skewed": (
         ["compare", "--num-words", "32", "--width", "24", "--queries", "60",
          "--seed", "5", "--workload", "prefix-skewed", "--bias", "0.8"],
