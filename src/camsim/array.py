@@ -42,6 +42,11 @@ from .errors import AddressOutOfRange, InvalidConfig, WidthMismatch
 from .trace import WordTrace, word_traces
 
 
+# Builds a NamedTuple from a ready tuple of all its fields, without the
+# Python-level argument binding of the class's generated ``__new__``.
+_new_tuple = tuple.__new__
+
+
 class Variant(Enum):
     """Array organization: prefix-gated precharge or the all-NOR baseline."""
 
@@ -183,14 +188,15 @@ def write_word(array: CamArray, addr: int, word: BitWord) -> CamArray:
     return replace(array, words=tuple(words))
 
 
-def oracle_search(words: Sequence[BitWord], query: BitWord) -> tuple[int, ...]:
-    """Reference model: plain linear scan for exact equality."""
-    for w in words:
-        if w.width != query.width:
-            raise WidthMismatch(
-                f"stored word width {w.width} != query width {query.width}"
-            )
-    return tuple([addr for addr, w in enumerate(words) if w.value == query.value])
+def oracle_search(values: Sequence[int], key: int) -> tuple[int, ...]:
+    """Reference model: a plain linear scan of the stored values, in address
+    order, for exact equality with ``key``. It reads no gate fact, so it is
+    independent of ``search``; like ``search`` it tests ``key in values`` at
+    C speed and lists the (ascending) addresses only on a hit. Widths are
+    the caller's to check."""
+    if key not in values:
+        return ()
+    return tuple([addr for addr, v in enumerate(values) if v == key])
 
 
 def _gate_index(
@@ -285,14 +291,17 @@ def search(
     precharged = hi - lo
     # Distinct runs never overlap, so every line of both changes its ML_EN.
     plo, phi = prev_run
-    totals = EventTotals(
+    # _new_tuple checks no field count, so every field is passed.
+    totals = _new_tuple(EventTotals, (
         0 if run == prev_run else precharged + phi - plo,
         precharged,
         precharged - len(matches),
         sl_toggles,
         array._energizers,
-    )
-    return SearchReport(array, query, prev_query, matches, precharged, totals)
+    ))
+    return _new_tuple(SearchReport, (
+        array, query, prev_query, matches, precharged, totals, None
+    ))
 
 
 def sum_event_totals(reports: Iterable[SearchReport]) -> EventTotals:

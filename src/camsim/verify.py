@@ -7,7 +7,9 @@ shared-prefix stores, duplicates). The randomized tier hammers the full
 near-miss single-bit corruptions, which is where a wrong prefix gate or
 suffix scan actually shows up. Both tiers search every query on the gated
 and on the all-NOR array of a store, against one oracle scan, so a
-``VerifyOutcome.cases`` counts two searches per query.
+``VerifyOutcome.cases`` counts two searches per query. The oracle scans
+the store's values as plain ints, listed once per store; widths are checked
+before a scan, not inside it.
 
 With ``fault`` set, the harness checks a mutant instead of the sound build:
 one whose energizer inverts every decision, so it must report a
@@ -22,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 from .array import CamArray, Variant, new_array, oracle_search, search
 from .core import BitWord, CamConfig
 from .draws import draw_bits, draw_pick, draw_unit
-from .errors import InvalidConfig
+from .errors import InvalidConfig, WidthMismatch
 
 _TAG_STORE = b"verify-store"
 _TAG_TRIAL = b"verify-trial"
@@ -80,14 +82,21 @@ def _check_store(
     context: str,
 ) -> VerifyOutcome:
     """Search each query on the store's gated array, then on its all-NOR
-    array, and compare both with one oracle scan. ``context`` is a format
-    string whose one field takes the variant of a failing search."""
+    array, and compare both with one oracle scan of the stored values.
+    ``new_array`` rejects a stored word of the wrong width before the first
+    scan, and each query's width is checked before it is searched, so the
+    oracle compares plain ints. ``context`` is a format string whose one
+    field takes the variant of a failing search."""
     words = tuple(words)
     arrays = [new_array(config, variant, words) for variant in Variant]
+    values = [w.value for w in words]
+    n = config.word_bits
     cases = 0
     prev = None
     for q in queries:
-        expected = oracle_search(words, q)
+        if q.width != n:
+            raise WidthMismatch(f"query width {q.width} != word_bits {n}")
+        expected = oracle_search(values, q.value)
         for arr in arrays:
             cases += 1
             got = _flipped_gate_matches(arr, q) if fault else search(arr, q, prev).matches
@@ -150,7 +159,8 @@ def verify_randomized(
 
     if trials < 0:
         raise InvalidConfig(f"trials must be >= 0, got {trials}")
-    words = gen_words(config.num_words, config.word_bits, config.seed)
+    # One copy of the store: _check_store keeps a tuple as it is.
+    words = tuple(gen_words(config.num_words, config.word_bits, config.seed))
     n = config.word_bits
 
     def trial(i: int) -> BitWord:

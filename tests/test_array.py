@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import camsim.verify
 from camsim import (
     AddressOutOfRange,
     BitWord,
@@ -11,6 +12,7 @@ from camsim import (
     EventTotals,
     InvalidConfig,
     Level,
+    SearchReport,
     Variant,
     WidthMismatch,
     mle_eval,
@@ -20,6 +22,7 @@ from camsim import (
     write_word,
 )
 from camsim.draws import draw_bits
+from camsim.verify import _check_store
 from cell_route import FIVE_BIT_STORE, all_words, assert_traces_explain
 
 
@@ -142,24 +145,51 @@ def test_exhaustive_full_table_equals_oracle():
     cfg = CamConfig(16, 4, 2)
     words = all_words(4)
     arr = new_array(cfg, words=words)
+    values = [w.value for w in words]
     prev = None
     for query in all_words(4):
         got = search(arr, query, prev).matches
-        assert got == oracle_search(words, query) == (query.value,)
+        assert got == oracle_search(values, query.value) == (query.value,)
         prev = query
 
 
 def test_empty_store_oracle():
-    assert oracle_search([], BitWord(4, 3)) == ()
+    assert oracle_search([], 3) == ()
+
+
+def test_oracle_absent_key():
+    assert oracle_search([1, 2, 4], 3) == ()
 
 
 def test_oracle_single_word():
-    assert oracle_search([BitWord(4, 3)], BitWord(4, 3)) == (0,)
+    assert oracle_search([3], 3) == (0,)
 
 
-def test_oracle_width_guard():
-    with pytest.raises(WidthMismatch):
-        oracle_search([BitWord(4, 0)], BitWord(5, 0))
+def test_oracle_duplicates_ascend():
+    assert oracle_search([7, 3, 7, 0, 7], 7) == (0, 2, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 15), max_size=24), st.integers(0, 15))
+def test_oracle_is_a_linear_scan(values, key):
+    assert oracle_search(values, key) == tuple(
+        a for a, v in enumerate(values) if v == key
+    )
+
+
+def test_oracle_width_guard(monkeypatch):
+    # the oracle scans ints, so the verifier rejects a width that does not
+    # fit before any scan or search: a stored word's in new_array, a
+    # query's in _check_store
+    calls = []
+    monkeypatch.setattr(camsim.verify, "search", lambda *a: calls.append(a))
+    monkeypatch.setattr(camsim.verify, "oracle_search", lambda *a: calls.append(a))
+    cfg = CamConfig(2, 4, 2)
+    with pytest.raises(WidthMismatch, match="query width 5"):
+        _check_store(cfg, [BitWord(4, 0)] * 2, [BitWord(5, 0)], False, "{}")
+    with pytest.raises(WidthMismatch, match="stored word width 5"):
+        _check_store(cfg, [BitWord(5, 0)] * 2, [BitWord(4, 0)], False, "{}")
+    assert calls == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,7 +212,7 @@ def test_search_equals_oracle_on_random_arrays(case):
         prev = None
         for qv in queries:
             q = BitWord(n, qv)
-            assert search(arr, q, prev).matches == oracle_search(words, q)
+            assert search(arr, q, prev).matches == oracle_search(stored, qv)
             prev = q
 
 
@@ -350,10 +380,11 @@ def test_gate_index_equals_prefix_scan(k):
             arr = write_word(arr, 0, moved)
             _assert_index_equals_scan(arr)
             if size % 8 == 1:  # every query against a sample of the stores
-                stored = arr.words
+                stored = [w.value for w in arr.words]
                 prev = None
                 for query in all_words(n):
-                    assert search(arr, query, prev).matches == oracle_search(stored, query)
+                    got = search(arr, query, prev).matches
+                    assert got == oracle_search(stored, query.value)
                     prev = query
 
 
@@ -437,7 +468,8 @@ def test_write_search_interleaving_matches_oracle(ops):
         else:
             _, qv, _ = op
             q = BitWord(8, qv)
-            assert search(arr, q, prev).matches == oracle_search(arr.words, q)
+            stored = [w.value for w in arr.words]
+            assert search(arr, q, prev).matches == oracle_search(stored, qv)
             prev = q
 
 
@@ -486,7 +518,7 @@ def _assert_scan(arr, query, prev):
     for i, value in enumerate(arr._ordered):
         assert value == arr.words[arr._order[i]].value
     r = search(arr, query, prev)
-    assert r.matches == oracle_search(arr.words, query)
+    assert r.matches == oracle_search([w.value for w in arr.words], query.value)
     assert list(r.matches) == sorted(set(r.matches))
     qp = query.prefix_int(arr.config.mle_bits)
     assert r.energized_count == len(arr._order[slice(*arr._runs[qp])])
@@ -506,6 +538,24 @@ def test_gate_ordered_scan_with_repeated_values(case):
 
 
 # ---------------------------------------------------------------- records
+
+
+@pytest.mark.parametrize("variant", Variant)
+def test_search_records_have_every_field(variant):
+    # search builds both records with tuple.__new__, which checks no field
+    # count: a dropped or extra field would otherwise pass silently
+    cfg = CamConfig(4, 6, 2)
+    words = [BitWord(6, v) for v in (0b000011, 0b010101, 0b000011, 0b111000)]
+    arr = new_array(cfg, variant, words)
+    first = search(arr, BitWord(6, 3))
+    threaded = search(arr, BitWord(6, 21), BitWord(6, 3))
+    for r in (first, threaded):
+        assert type(r) is SearchReport
+        assert len(r) == len(SearchReport._fields) == 7
+        assert r.energy_total is None
+        assert type(r.event_totals) is EventTotals
+        assert len(r.event_totals) == len(EventTotals._fields) == 5
+    assert first.prev_query is None and threaded.prev_query == BitWord(6, 3)
 
 
 def test_record_reprs_are_pinned():

@@ -33,9 +33,9 @@ def test_traces_explain_every_exhaustive_search(monkeypatch):
         searched.append(report.variant)
         return report
 
-    def counted_oracle(words, query):
-        scans.append(query)
-        return oracle_search(words, query)
+    def counted_oracle(values, key):
+        scans.append(key)
+        return oracle_search(values, key)
 
     search = camsim.verify.search
     oracle_search = camsim.verify.oracle_search

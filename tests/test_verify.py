@@ -39,9 +39,9 @@ def test_randomized_tier_searches_both_variants_against_one_oracle_scan(monkeypa
         searched.append(arr.variant)
         return search(arr, query, prev_query)
 
-    def counted_oracle(words, query):
-        scans.append(query)
-        return oracle_search(words, query)
+    def counted_oracle(values, key):
+        scans.append(key)
+        return oracle_search(values, key)
 
     monkeypatch.setattr(camsim.verify, "search", counted_search)
     monkeypatch.setattr(camsim.verify, "oracle_search", counted_oracle)
@@ -66,9 +66,26 @@ def test_randomized_tier_catches_a_baseline_only_fault(monkeypatch):
     out = verify_randomized(REFERENCE, 200, 1)
     ce = out.counterexample
     assert ce is not None and ce.context == "randomized baseline-nor"
-    assert ce.expected == oracle_search(ce.words, ce.query) != ()
+    assert ce.expected == oracle_search([w.value for w in ce.words], ce.query.value) != ()
     assert ce.got == ce.expected[:-1]
     assert out.cases % 2 == 0  # the selective search of that query passed
+
+
+def test_oracle_mutant_is_caught_on_the_duplicates_store(monkeypatch):
+    # the scan decides every verdict: an oracle that loses the last address
+    # of a multi-hit result must show up as a counterexample, first on the
+    # exhaustive tier's only store with a repeated word
+    def dropping(values, key):
+        expected = oracle_search(values, key)
+        return expected[:-1] if len(expected) > 1 else expected
+
+    monkeypatch.setattr(camsim.verify, "oracle_search", dropping)
+    out = verify_exhaustive(1)
+    ce = out.counterexample
+    assert ce is not None and ce.context == "n=4 k=2 selective store"
+    assert [w.value for w in ce.words] == [3, 5, 3, 0]
+    assert ce.query.value == 3
+    assert ce.got == (0, 2) and ce.expected == (0,)
 
 
 def test_flipped_gate_mutant_matches_the_cell_level_route():
@@ -101,7 +118,7 @@ def test_fault_injection_breaks_oracle_agreement():
     ]
     query = words[0]
     got = _flipped_gate_matches(new_array(cfg, words=words), query)
-    assert got != oracle_search(words, query)
+    assert got != oracle_search([w.value for w in words], query.value)
     # the flipped gate energizes addresses 1, 2 and 3, and only address 1's
     # suffix matches on its NOR chain
     assert got == (1,)
