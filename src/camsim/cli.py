@@ -201,6 +201,8 @@ def _materialize(args: argparse.Namespace):
     if args.words:
         lines = read_text_lines(args.words)
         words = load_words(lines, config.word_bits, args.format, args.words)
+        if not words:
+            raise InvalidConfig(f"word file {args.words} holds no words")
         if len(words) != config.num_words:
             config = replace(config, num_words=len(words))
     else:
@@ -281,8 +283,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     config, model, words, queries, workload_meta = _materialize(args)
     variant = Variant(args.variant)
     arr = new_array(config, variant, words)
-    reports = run_search_stream(arr, queries)
-    reports = [aggregate(r, model, config) for r in reports]
+    reports = aggregate(run_search_stream(arr, queries), model, config)
     agg = _aggregate_dict(config, model, variant, reports)
     document = {
         "report": "search",

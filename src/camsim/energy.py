@@ -26,6 +26,7 @@ from .array import (
     EventTotals,
     SearchReport,
     Variant,
+    _new_tuple,
     new_array,
     run_search_stream,
     sum_event_totals,
@@ -217,20 +218,27 @@ def search_delay(
 
 
 def aggregate(
-    report: SearchReport, model: EnergyModel, config: CamConfig
-) -> SearchReport:
-    """A copy of the report with energy_total filled from its event
-    tallies. The delay is the same for every search of a variant:
+    reports: Iterable[SearchReport], model: EnergyModel, config: CamConfig
+) -> list[SearchReport]:
+    """Copies of the reports with energy_total filled from their event
+    tallies, in order; the inputs are not changed. The unit energies are
+    fetched once per call, so a run is priced in one call, and each energy
+    equals ``totals_energy(r.event_totals, model, config)`` bit for bit.
+    A negative priced count is a ValueError, as there. The delay is the
+    same for every search of a variant:
     ``search_delay(model, config, report.variant)``."""
-    return SearchReport(
-        report.array,
-        report.query,
-        report.prev_query,
-        report.matches,
-        report.energized_count,
-        report.event_totals,
-        totals_energy(report.event_totals, model, config),
-    )
+    pre, dis, sl, mle = _unit_energies(model, config)
+    out = []
+    for array, query, prev_query, matches, count, totals, _ in reports:
+        _, p, d, s, m = totals
+        if p < 0 or d < 0 or s < 0 or m < 0:
+            raise ValueError(f"event counts must be >= 0, got {(p, d, s, m)}")
+        # _new_tuple checks no field count, so every field is passed.
+        out.append(_new_tuple(SearchReport, (
+            array, query, prev_query, matches, count, totals,
+            pre * p + dis * d + sl * s + mle * m,
+        )))
+    return out
 
 
 def energy_metric(total_energy: float, config: CamConfig, num_searches: int) -> float:

@@ -18,7 +18,9 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, compress
 from pathlib import Path
+from types import NoneType
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .array import EventTotals, SearchReport
@@ -194,9 +196,10 @@ def report_json_text(document: dict) -> str:
     """Pretty-printed JSON (``json.dumps`` with indent 2); NaN and infinities
     are rejected because they are not valid JSON.
 
-    A top-level ``"queries"`` list of ``query_summary`` rows is rendered by
-    ``_query_rows_parts``'s template, whose bytes equal ``json.dumps``'s, and
-    spliced into the rest of the document at its key; any other list goes
+    A top-level ``"queries"`` list of ``query_summary`` rows is checked and
+    rendered column by column by ``_query_rows_parts``, whose bytes equal
+    ``json.dumps``'s, and spliced into the rest of the document at its key.
+    Any other list, including one with a single row of another shape, goes
     through ``json.dumps`` whole."""
     try:
         body = _query_rows_parts(document.get("queries"))
@@ -238,10 +241,15 @@ _EMPTY_QUERIES = '\n  "queries": []'
 
 
 def query_summary(index: int, report: SearchReport) -> dict:
-    """Per-query summary entry embedded in JSON reports."""
-    values = (index, list(report.matches), report.energized_count,
-              report.event_totals.to_dict(), report.energy_total)
-    return dict(zip(QUERY_ROW_KEYS, values))
+    """Per-query summary entry embedded in JSON reports, keyed in
+    ``QUERY_ROW_KEYS`` order."""
+    return {
+        "index": index,
+        "matches": list(report.matches),
+        "energized_count": report.energized_count,
+        "events": report.event_totals.to_dict(),
+        "energy": report.energy_total,
+    }
 
 
 def _json_object_format(keys: Sequence[str], values: dict, indent: int) -> str:
@@ -261,7 +269,6 @@ def _json_object_format(keys: Sequence[str], values: dict, indent: int) -> str:
 _ROW_FORMAT = "    " + _json_object_format(
     QUERY_ROW_KEYS, {"events": _json_object_format(_EVENT_KEYS, {}, 6)}, 4
 )
-_INT_ONLY = {int}
 
 
 def _query_rows_parts(rows: object) -> Optional[list[str]]:
@@ -270,34 +277,46 @@ def _query_rows_parts(rows: object) -> Optional[list[str]]:
     (one join then copies each row once). None unless ``rows`` is a
     non-empty list and every row has ``query_summary``'s shape: its keys in
     order, int counts and matches, and a finite float or None energy. A bool
-    is not an int here, since JSON spells it differently."""
+    is not an int here, since JSON spells it differently.
+
+    Rows are checked and rendered column by column, with C-level passes
+    over the whole list. Each type check runs before any step that relies
+    on that type, so a foreign list gives None and never raises."""
     if type(rows) is not list or not rows:
         return None
-    out = []
-    for row in rows:
-        if type(row) is not dict or tuple(row) != QUERY_ROW_KEYS:
-            return None
-        index, matches, count, events, energy = row.values()
-        if (
-            type(matches) is not list
-            or type(events) is not dict
-            or tuple(events) != _EVENT_KEYS
-            or {*map(type, (index, count, *matches, *events.values()))} != _INT_ONLY
-        ):
-            return None
-        if energy is None:
-            energy_text = "null"
-        elif type(energy) is float and math.isfinite(energy):
-            energy_text = repr(energy)
-        else:
-            return None
-        matches_text = (
-            "[\n        " + ",\n        ".join(map(str, matches)) + "\n      ]"
-            if matches else "[]"
+    if {*map(type, rows)} != {dict} or {*map(tuple, rows)} != {QUERY_ROW_KEYS}:
+        return None
+    index, matches, count, events, energy = zip(*map(dict.values, rows))
+    if (
+        {*map(type, matches)} != {list}
+        or {*map(type, events)} != {dict}
+        or {*map(tuple, events)} != {_EVENT_KEYS}
+    ):
+        return None
+    counts = [*zip(*map(dict.values, events))]
+    ints = {
+        *map(type, index),
+        *map(type, count),
+        *map(type, chain.from_iterable(matches)),
+        *map(type, chain.from_iterable(counts)),
+    }
+    kinds = {*map(type, energy)}
+    # filter(None, ...) skips None and 0.0, both of which are valid.
+    if (
+        ints != {int}
+        or not kinds <= {float, NoneType}
+        or not all(map(math.isfinite, filter(None, energy)))
+    ):
+        return None
+    # A "{}" slot formats a float as its repr, which is json.dumps's text.
+    if NoneType in kinds:
+        energy = ["null" if e is None else e for e in energy]
+    n = len(rows)
+    matches_text = ["[]"] * n
+    for i in compress(range(n), matches):
+        matches_text[i] = (
+            "[\n        " + ",\n        ".join(map(str, matches[i])) + "\n      ]"
         )
-        out.append(_ROW_FORMAT.format(
-            index, matches_text, count, *events.values(), energy_text
-        ))
-        out.append(",\n")
-    out.pop()
+    out = [",\n"] * (2 * n - 1)
+    out[::2] = map(_ROW_FORMAT.format, index, matches_text, count, *counts, energy)
     return out

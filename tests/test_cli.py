@@ -3,8 +3,9 @@ import threading
 
 import pytest
 
+import camsim.cli
 import camsim.verify
-from camsim import Variant, search
+from camsim import EnergyModel, Variant, search
 from camsim.cli import build_parser, main
 
 
@@ -339,6 +340,46 @@ def test_sweep_empty_queries_file_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "holds no words" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["search", "sweep", "compare"])
+def test_empty_words_file_exits_2_naming_it(tmp_path, capsys, verb):
+    words = tmp_path / "empty.txt"
+    words.write_text("# no words here\n\n")
+    out = tmp_path / "r.out"
+    rc = main([verb, "--words", str(words), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: word file {words} holds no words\n"
+    assert not out.exists()
+
+
+def test_search_prices_each_run_once(tmp_path, monkeypatch):
+    # The unit energies are fetched once per run, so the energy model is
+    # hashed (for the unit-energy cache) as often at 400 queries as at 10.
+    aggregate_calls = []
+    hash_calls = []
+    real_aggregate = camsim.cli.aggregate
+    real_hash = EnergyModel.__hash__
+
+    def counting_aggregate(*args):
+        aggregate_calls.append(args)
+        return real_aggregate(*args)
+
+    def counting_hash(model):
+        hash_calls.append(model)
+        return real_hash(model)
+
+    monkeypatch.setattr(camsim.cli, "aggregate", counting_aggregate)
+    monkeypatch.setattr(EnergyModel, "__hash__", counting_hash)
+    hashes = []
+    for queries in (10, 400):
+        del aggregate_calls[:], hash_calls[:]
+        rc = main(["search", "--num-words", "32", "--width", "24",
+                   "--queries", str(queries), "--out", str(tmp_path / "r.json")])
+        assert rc == 0
+        assert len(aggregate_calls) == 1
+        hashes.append(len(hash_calls))
+    assert hashes[0] == hashes[1] > 0
 
 
 def test_sweep_non_finite_metric_exits_2_without_csv(tmp_path, capsys):

@@ -170,12 +170,47 @@ def test_aggregate_fills_energy():
     cfg = CamConfig(16, 12, 3, seed=5)
     reports, _ = _run(cfg, Variant.SELECTIVE, 10)
     model = EnergyModel()
-    filled = aggregate(reports[0], model, cfg)
+    filled = aggregate(reports[:1], model, cfg)[0]
     assert filled.energy_total == pytest.approx(
         totals_energy(reports[0].event_totals, model, cfg)
     )
     assert filled == reports[0]._replace(energy_total=filled.energy_total)
     assert reports[0].energy_total is None  # original untouched
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_aggregate_prices_a_run_bit_for_bit(variant):
+    cfg = CamConfig(32, 24, 3, seed=5)
+    reports, _ = _run(cfg, variant, 60)
+    before = list(reports)
+    model = EnergyModel(c_ml_per_cell=0.7, c_sl_per_cell=0.3, upsize_base=1.5)
+    filled = aggregate(reports, model, cfg)
+    assert len(filled) == len(reports)
+    for r, f in zip(reports, filled):
+        assert type(f) is type(r)
+        assert f.energy_total.hex() == totals_energy(r.event_totals, model, cfg).hex()
+        assert f == r._replace(energy_total=f.energy_total)
+    # the inputs are untouched: same objects, energy still unset
+    assert all(a is b for a, b in zip(reports, before))
+    assert all(r.energy_total is None for r in reports)
+
+
+def test_aggregate_takes_any_iterable():
+    cfg = CamConfig(16, 12, 3, seed=5)
+    reports, _ = _run(cfg, Variant.SELECTIVE, 10)
+    assert aggregate([], EnergyModel(), cfg) == []
+    assert aggregate(iter(()), EnergyModel(), cfg) == []
+    assert aggregate((r for r in reports), EnergyModel(), cfg) == aggregate(
+        reports, EnergyModel(), cfg
+    )
+
+
+def test_aggregate_rejects_negative_counts():
+    cfg = CamConfig(16, 12, 3, seed=5)
+    reports, _ = _run(cfg, Variant.SELECTIVE, 3)
+    bad = reports[1]._replace(event_totals=EventTotals(0, 0, 0, -1, 0))
+    with pytest.raises(ValueError, match="event counts must be >= 0"):
+        aggregate([reports[0], bad, reports[2]], EnergyModel(), cfg)
 
 
 def test_zero_event_report_has_zero_energy():
@@ -353,8 +388,8 @@ def test_power_is_energy_times_frequency_only():
     # f never changes per-search energy, only the optional power figure
     cfg = CamConfig(16, 12, 3, seed=5)
     reports, _ = _run(cfg, Variant.SELECTIVE, 20)
-    slow = aggregate(reports[0], EnergyModel(f=1.0), cfg)
-    fast = aggregate(reports[0], EnergyModel(f=4.0), cfg)
+    slow = aggregate(reports[:1], EnergyModel(f=1.0), cfg)[0]
+    fast = aggregate(reports[:1], EnergyModel(f=4.0), cfg)[0]
     assert slow.energy_total == fast.energy_total
 
 
@@ -394,7 +429,7 @@ def test_unit_energies_are_bit_equal_to_four_event_energy_calls(totals, model, c
     want = _four_call_energy(totals, model, cfg).hex()
     assert totals_energy(totals, model, cfg).hex() == want
     report = _BASE_REPORT._replace(event_totals=totals)
-    filled = aggregate(report, model, cfg)
+    (filled,) = aggregate([report], model, cfg)
     assert filled.energy_total.hex() == want
     assert type(filled) is type(report)
     assert filled == report._replace(

@@ -256,10 +256,10 @@ def test_write_report_json_round_trip(tmp_path):
     cfg = CamConfig(8, 12, 3, seed=3)
     words = gen_words(8, 12, 3)
     queries = gen_queries(WorkloadSpec(WorkloadKind.UNIFORM, 5, 3), words)
-    reports = [
-        aggregate(r, EnergyModel(), cfg)
-        for r in run_search_stream(new_array(cfg, Variant.SELECTIVE, words), queries)
-    ]
+    reports = aggregate(
+        run_search_stream(new_array(cfg, Variant.SELECTIVE, words), queries),
+        EnergyModel(), cfg,
+    )
     doc = {"queries": [query_summary(i, r) for i, r in enumerate(reports)]}
     path = tmp_path / "report.json"
     write_report(doc, path, "json")
@@ -288,16 +288,16 @@ def _row(index, matches, count, events, energy) -> dict:
     return dict(zip(QUERY_ROW_KEYS, (index, matches, count, events, energy)))
 
 
-def _planted_rows() -> list[dict]:
+def _planted_rows(num_queries: int = 30) -> list[dict]:
     cfg = CamConfig(16, 12, 3, seed=4)
     words = gen_words(16, 12, 4)
     words[5] = words[9] = words[2]  # one query can then match three lines
-    spec = WorkloadSpec(WorkloadKind.PLANTED, 30, 4, match_rate=0.6)
+    spec = WorkloadSpec(WorkloadKind.PLANTED, num_queries, 4, match_rate=0.6)
     queries = gen_queries(spec, words)
     reports = run_search_stream(new_array(cfg, Variant.SELECTIVE, words), queries)
     return [
-        query_summary(i, aggregate(r, EnergyModel(), cfg))
-        for i, r in enumerate(reports)
+        query_summary(i, r)
+        for i, r in enumerate(aggregate(reports, EnergyModel(), cfg))
     ]
 
 
@@ -350,22 +350,35 @@ def test_row_template_equals_json_dumps_on_random_rows(rows):
         assert report_json_text(doc) == _dumps_reference(doc)
 
 
+def _foreign_rows(good: list[dict]) -> list:
+    """Rows that ``query_summary`` never builds, one flaw each."""
+    events = good[0]["events"]
+    return [
+        {"index": 3},
+        dict(reversed(list(good[0].items()))),
+        {**good[0], "extra": 1},
+        _row(True, [], 0, events, 1.0),
+        _row(0, [False], 0, events, 1.0),
+        _row(0, (1, 2), 0, events, 1.0),
+        _row(0, [], 0, events, 1),
+        _row(0, [], 0, {**events, "sl_toggles": 1.5}, 1.0),
+        _row(0, [], 0, dict(reversed(list(events.items()))), 1.0),
+        _row(0, [], "0", events, 1.0),
+        "not a row",
+        1,
+        None,
+    ]
+
+
 def test_foreign_queries_lists_keep_json_dumps_bytes():
     good = _planted_rows()[:3]
-    events = good[0]["events"]
+    bad = _foreign_rows(good)
     foreign = [
         [],
-        [*good, {"index": 3}],
-        [*good, dict(reversed(list(good[0].items())))],
-        [{**good[0], "extra": 1}],
-        [_row(True, [], 0, events, 1.0)],
-        [_row(0, [False], 0, events, 1.0)],
-        [_row(0, (1, 2), 0, events, 1.0)],
-        [_row(0, [], 0, events, 1)],
-        [_row(0, [], 0, {**events, "sl_toggles": 1.5}, 1.0)],
-        [_row(0, [], 0, dict(reversed(list(events.items()))), 1.0)],
-        [_row(0, [], "0", events, 1.0)],
-        ["not a row", 1, None],
+        [*good, bad[0]],
+        [*good, bad[1]],
+        *([row] for row in bad[2:10]),
+        bad[10:],
         tuple(good),
     ]
     for rows in foreign:
@@ -374,6 +387,25 @@ def test_foreign_queries_lists_keep_json_dumps_bytes():
             assert report_json_text(doc) == _dumps_reference(doc)
     nested = {"inner": {"queries": []}, "queries": good, "tail": "\n  \"queries\": []"}
     assert report_json_text(nested) == _dumps_reference(nested)
+
+
+def test_one_foreign_row_among_many_keeps_json_dumps_bytes():
+    # The checks run column by column over the whole list, so a single
+    # flawed row must reject the list wherever it sits, without raising.
+    good = _planted_rows(300)
+    events = good[0]["events"]
+    odd_values = (7, None, "[]")
+    bad = [
+        *_foreign_rows(good),
+        *(_row(0, v, 0, events, 1.0) for v in odd_values),
+        *(_row(0, [], 0, v, 1.0) for v in odd_values),
+    ]
+    assert _query_rows_parts(good) is not None
+    for row in bad:
+        for rows in ([*good, row], [*good[:150], row, *good[150:]]):
+            assert _query_rows_parts(rows) is None
+            for doc in (_document(rows), {"queries": rows}):
+                assert report_json_text(doc) == _dumps_reference(doc)
 
 
 def test_non_finite_row_energy_is_rejected(tmp_path):
