@@ -10,6 +10,7 @@ from .array import (
     CamArray,
     EventTotals,
     SearchReport,
+    SearchRun,
     Variant,
     new_array,
     oracle_search,

@@ -28,13 +28,18 @@ Arrays are immutable values; ``write_word`` returns a new array. ``search``
 is a pure function of (array, query, previous query), the previous query
 being the explicit context for searchline-toggle and ML_EN-transition
 counting, so concurrent searches are deterministic under any scheduling.
+``run_search_stream`` applies the same rules to a whole stream at once, in
+C-level passes over the query keys, and returns one column per count
+(``SearchRun``) instead of a record per query; only the scan of each
+query's run for matches stays per query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain, compress, islice
+from operator import add, attrgetter, contains, mul, ne, sub, xor
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import BitWord, CamConfig
@@ -83,15 +88,7 @@ class EventTotals(NamedTuple):
         )
 
     def to_dict(self) -> dict[str, int]:
-        # A literal, not _asdict: this runs once per query row and _asdict's
-        # zip over _fields takes about twice as long.
-        return {
-            "ml_en_transitions": self.ml_en_transitions,
-            "ml_precharges": self.ml_precharges,
-            "ml_discharges": self.ml_discharges,
-            "sl_toggles": self.sl_toggles,
-            "mle_evaluations": self.mle_evaluations,
-        }
+        return self._asdict()
 
 
 def _derived(default):
@@ -219,11 +216,11 @@ def _gate_index(
 class SearchReport(NamedTuple):
     """Outcome of one search: matches, energization, and event tallies.
 
-    ``energy_total`` stays None until the energy model fills it; the delay
-    is a per-variant constant, ``energy.search_delay``. ``traces`` is
-    rebuilt on demand from the immutable inputs, so bulk runs that only read
-    matches and totals skip the per-word objects. A tuple, like
-    ``EventTotals``; the repr leaves out ``array``.
+    The energy is the model's: ``energy.totals_energy(report.event_totals,
+    ...)``; the delay is a per-variant constant, ``energy.search_delay``.
+    ``traces`` is rebuilt on demand from the immutable inputs, so callers
+    that only read matches and totals skip the per-word objects. A tuple,
+    like ``EventTotals``; the repr leaves out ``array``.
     """
 
     array: CamArray
@@ -232,7 +229,6 @@ class SearchReport(NamedTuple):
     matches: tuple[int, ...]
     energized_count: int
     event_totals: EventTotals
-    energy_total: Optional[float] = None
 
     def __repr__(self) -> str:
         # A tuple repr would print all N stored words of ``array``.
@@ -252,6 +248,20 @@ class SearchReport(NamedTuple):
         a = self.array
         k, gated = a.config.mle_bits, bool(a._energizers)
         return word_traces(a.words, k, gated, self.query, self.prev_query)
+
+
+def _hit_addresses(
+    bucket: tuple[int, ...], key: int, order: Sequence[int], lo: int
+) -> tuple[int, ...]:
+    """The addresses, ascending, of the ``bucket`` entries equal to ``key``,
+    where entry i of the bucket is stored at ``order[lo + i]``. Each hit is
+    found by a C-level ``tuple.index`` scan from the one before it."""
+    out = []
+    i = -1
+    for _ in range(bucket.count(key)):
+        i = bucket.index(key, i + 1)
+        out.append(order[lo + i])
+    return tuple(out)
 
 
 def search(
@@ -283,11 +293,7 @@ def search(
         prev_run = runs[prev_query.value >> shift]
         sl_toggles = (key ^ prev_query.value).bit_count()
     bucket = array._ordered[lo:hi]
-    if key in bucket:
-        order = array._order
-        matches = tuple([order[lo + i] for i, v in enumerate(bucket) if v == key])
-    else:
-        matches = ()
+    matches = _hit_addresses(bucket, key, array._order, lo) if key in bucket else ()
     precharged = hi - lo
     # Distinct runs never overlap, so every line of both changes its ML_EN.
     plo, phi = prev_run
@@ -300,26 +306,98 @@ def search(
         array._energizers,
     ))
     return _new_tuple(SearchReport, (
-        array, query, prev_query, matches, precharged, totals, None
+        array, query, prev_query, matches, precharged, totals
     ))
 
 
-def sum_event_totals(reports: Iterable[SearchReport]) -> EventTotals:
-    """The reports' event counts summed field by field, with no
-    intermediate ``EventTotals``; no reports sum to ``EventTotals()``."""
-    return EventTotals(*map(sum, zip(*[r.event_totals for r in reports])))
+@dataclass(frozen=True)
+class SearchRun:
+    """A query stream's outcome: one entry per query in each column.
+
+    Entry i of a column is the field of that name in what ``search`` reports
+    for query i, threaded after query i - 1. ``energized`` is each query's
+    ML precharge count as well; its discharges are ``energized - len(matches)``
+    and its energizer evaluations are ``array._energizers`` for every query,
+    so neither is stored. ``len(run)`` is the number of queries.
+    """
+
+    array: CamArray = field(repr=False)
+    matches: Sequence[tuple[int, ...]]
+    energized: Sequence[int]
+    ml_en_transitions: Sequence[int]
+    sl_toggles: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.matches)
+
+    @property
+    def ml_discharges(self) -> list[int]:
+        return [*map(sub, self.energized, map(len, self.matches))]
+
+
+def sum_event_totals(run: SearchRun) -> EventTotals:
+    """The run's event counts, summed column by column; an empty run sums to
+    ``EventTotals()``."""
+    precharges = sum(run.energized)
+    return EventTotals(
+        sum(run.ml_en_transitions),
+        precharges,
+        precharges - sum(map(len, run.matches)),
+        sum(run.sl_toggles),
+        run.array._energizers * len(run),
+    )
 
 
 def run_search_stream(
     array: CamArray,
     queries: Iterable[BitWord],
     prev_query: Optional[BitWord] = None,
-) -> list[SearchReport]:
+) -> SearchRun:
     """Search a query stream in order, threading each query as the next
-    one's toggle baseline."""
-    out = []
-    prev = prev_query
-    for q in queries:
-        out.append(search(array, q, prev))
-        prev = q
-    return out
+    one's toggle baseline, and count the whole run in C-level passes over
+    the query keys: the same counts and matches as ``search`` query by
+    query, with no per-query record.
+
+    A width error is the first that searching query by query raises: the
+    checks run in the order q0, ``prev_query``, q1, ... An empty stream
+    gives an empty run, whatever ``prev_query`` is."""
+    queries = list(queries)
+    if not queries:
+        return SearchRun(array, [], [], [], [])
+    cfg = array.config
+    n = cfg.word_bits
+    if {*map(attrgetter("width"), queries)} != {n} or (
+        prev_query is not None and prev_query.width != n
+    ):
+        prev = prev_query
+        for q in queries:  # raises the width error of the first bad search
+            search(array, q, prev)
+            prev = q
+    shift = n - cfg.mle_bits
+    keys = [*map(attrgetter("value"), queries)]
+    prefixes = [*map(shift.__rrshift__, keys)]
+    table = array._runs
+    runs = [*map(table.__getitem__, prefixes)]
+    sizes = [hi - lo for lo, hi in table]
+    energized = [*map(sizes.__getitem__, prefixes)]
+    if prev_query is None:
+        prev_run, sl_first = array._idle, n
+    else:
+        prev_run = table[prev_query.value >> shift]
+        sl_first = (keys[0] ^ prev_query.value).bit_count()
+    # search's rule: no transition when the run stays, else every line of
+    # both runs changes its ML_EN. A bool times an int is an int.
+    ml_en = [*map(
+        mul,
+        map(ne, runs, chain((prev_run,), runs)),
+        map(add, energized, chain((prev_run[1] - prev_run[0],), energized)),
+    )]
+    sl = [sl_first, *map(int.bit_count, map(xor, islice(keys, 1, None), keys))]
+    # The gate's scan: each query's key against its run's stored values.
+    ordered, order = array._ordered, array._order
+    buckets = [ordered[lo:hi] for lo, hi in table]
+    scanned = [*map(buckets.__getitem__, prefixes)]
+    matches: list[tuple[int, ...]] = [()] * len(keys)
+    for i in compress(range(len(keys)), map(contains, scanned, keys)):
+        matches[i] = _hit_addresses(scanned[i], keys[i], order, runs[i][0])
+    return SearchRun(array, matches, energized, ml_en, sl)

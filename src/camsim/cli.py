@@ -238,9 +238,9 @@ def _report_header(args, config, model, workload_meta) -> dict:
     }
 
 
-def _aggregate_dict(config, model, variant, reports) -> dict:
-    totals = sum_event_totals(reports)
-    searches = len(reports)
+def _aggregate_dict(config, model, variant, run) -> dict:
+    totals = sum_event_totals(run)
+    searches = len(run)
     energy = totals_energy(totals, model, config)
     fraction = totals.ml_precharges / (config.num_words * searches)
     expected = (
@@ -250,8 +250,8 @@ def _aggregate_dict(config, model, variant, reports) -> dict:
     )
     return {
         "searches": searches,
-        "queries_with_match": sum(1 for r in reports if r.matches),
-        "total_matches": sum(len(r.matches) for r in reports),
+        "queries_with_match": searches - run.matches.count(()),
+        "total_matches": sum(map(len, run.matches)),
         "mean_energized_fraction": fraction,
         "expected_energized_fraction": expected,
         "event_totals": totals.to_dict(),
@@ -283,14 +283,15 @@ def cmd_search(args: argparse.Namespace) -> int:
     config, model, words, queries, workload_meta = _materialize(args)
     variant = Variant(args.variant)
     arr = new_array(config, variant, words)
-    reports = aggregate(run_search_stream(arr, queries), model, config)
-    agg = _aggregate_dict(config, model, variant, reports)
+    run = run_search_stream(arr, queries)
+    energies = aggregate(run, model, config)
+    agg = _aggregate_dict(config, model, variant, run)
     document = {
         "report": "search",
         "variant": variant.value,
         **_report_header(args, config, model, workload_meta),
         "aggregate": agg,
-        "queries": [query_summary(i, r) for i, r in enumerate(reports)],
+        "queries": query_summary(run, energies),
     }
     _emit(document, args.out)
     return _check_fraction(args, agg["mean_energized_fraction"])
@@ -302,9 +303,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     per_query_matches = {}
     for variant in (Variant.SELECTIVE, Variant.BASELINE_NOR):
         arr = new_array(config, variant, words)
-        reports = run_search_stream(arr, queries)
-        sides[variant] = _aggregate_dict(config, model, variant, reports)
-        per_query_matches[variant] = [r.matches for r in reports]
+        run = run_search_stream(arr, queries)
+        sides[variant] = _aggregate_dict(config, model, variant, run)
+        per_query_matches[variant] = run.matches
 
     sel, base = sides[Variant.SELECTIVE], sides[Variant.BASELINE_NOR]
     event_ratio = (
@@ -317,13 +318,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
             model, EventClass.ML_PRECHARGE, ev["ml_precharges"], config
         ) + event_energy(model, EventClass.ML_DISCHARGE, ev["ml_discharges"], config)
 
+    # A valid model's positive energies can still round to 0. The ratios
+    # divide by the baseline's energies, and its total is at least its ML
+    # energy, which every search precharges.
+    base_ml = ml_energy(base)
+    if base_ml == 0:
+        raise InvalidConfig(
+            "the all-NOR baseline's ML energy underflows to 0 under this "
+            "model, so the energy ratios are undefined"
+        )
     document = {
         "report": "compare",
         **_report_header(args, config, model, workload_meta),
         "selective": sel,
         "baseline_nor": base,
         "ml_precharge_event_ratio": event_ratio,
-        "ml_energy_ratio": ml_energy(sel) / ml_energy(base),
+        "ml_energy_ratio": ml_energy(sel) / base_ml,
         "total_energy_ratio": sel["energy_total"] / base["energy_total"],
         "match_sets_identical": per_query_matches[Variant.SELECTIVE]
         == per_query_matches[Variant.BASELINE_NOR],

@@ -24,9 +24,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .array import (
     EventTotals,
-    SearchReport,
+    SearchRun,
     Variant,
-    _new_tuple,
     new_array,
     run_search_stream,
     sum_event_totals,
@@ -217,28 +216,25 @@ def search_delay(
     )
 
 
-def aggregate(
-    reports: Iterable[SearchReport], model: EnergyModel, config: CamConfig
-) -> list[SearchReport]:
-    """Copies of the reports with energy_total filled from their event
-    tallies, in order; the inputs are not changed. The unit energies are
-    fetched once per call, so a run is priced in one call, and each energy
-    equals ``totals_energy(r.event_totals, model, config)`` bit for bit.
-    A negative priced count is a ValueError, as there. The delay is the
-    same for every search of a variant:
-    ``search_delay(model, config, report.variant)``."""
+def aggregate(run: SearchRun, model: EnergyModel, config: CamConfig) -> list[float]:
+    """The energy of each search of the run, in order. The unit energies are
+    fetched once per call, and each energy equals ``totals_energy`` of that
+    search's event totals bit for bit: the same products, summed in the same
+    order. A negative priced count is a ValueError, as there, checked once
+    per column. The delay is the same for every search of a variant:
+    ``search_delay(model, config, run.array.variant)``."""
     pre, dis, sl, mle = _unit_energies(model, config)
-    out = []
-    for array, query, prev_query, matches, count, totals, _ in reports:
-        _, p, d, s, m = totals
-        if p < 0 or d < 0 or s < 0 or m < 0:
-            raise ValueError(f"event counts must be >= 0, got {(p, d, s, m)}")
-        # _new_tuple checks no field count, so every field is passed.
-        out.append(_new_tuple(SearchReport, (
-            array, query, prev_query, matches, count, totals,
-            pre * p + dis * d + sl * s + mle * m,
-        )))
-    return out
+    discharges = run.ml_discharges
+    columns = (run.energized, discharges, run.sl_toggles, [run.array._energizers])
+    for column in columns:
+        if min(column, default=0) < 0:
+            raise ValueError(f"event counts must be >= 0, got {min(column)}")
+    # mle * m is the same product for every search, so it is taken once.
+    last = mle * run.array._energizers
+    return [
+        pre * p + dis * d + sl * s + last
+        for p, d, s in zip(run.energized, discharges, run.sl_toggles)
+    ]
 
 
 def energy_metric(total_energy: float, config: CamConfig, num_searches: int) -> float:
@@ -293,8 +289,7 @@ def sweep_mle_bits(
     rows = []
     for cfg in configs:
         arr = new_array(cfg, Variant.SELECTIVE, words)
-        reports = run_search_stream(arr, queries)
-        totals = sum_event_totals(reports)
+        totals = sum_event_totals(run_search_stream(arr, queries))
         fraction = totals.ml_precharges / (cfg.num_words * len(queries))
         metric = energy_metric(
             totals_energy(totals, model, cfg), cfg, len(queries)

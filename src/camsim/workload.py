@@ -18,12 +18,11 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress
+from itertools import compress, filterfalse, repeat
 from pathlib import Path
-from types import NoneType
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
-from .array import EventTotals, SearchReport
+from .array import EventTotals, SearchRun
 from .core import _SEED_LIMIT, BitWord, parse_word
 from .draws import (
     blocks,
@@ -192,26 +191,32 @@ def sweep_csv_text(rows: Sequence) -> str:
     return buf.getvalue()
 
 
+def _json_text(document: object) -> str:
+    """``json.dumps`` with indent 2; NaN and infinities are rejected because
+    they are not valid JSON."""
+    try:
+        return json.dumps(document, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise InvalidConfig(f"report holds a non-finite number: {exc}") from exc
+
+
 def report_json_text(document: dict) -> str:
     """Pretty-printed JSON (``json.dumps`` with indent 2); NaN and infinities
     are rejected because they are not valid JSON.
 
-    A top-level ``"queries"`` list of ``query_summary`` rows is checked and
-    rendered column by column by ``_query_rows_parts``, whose bytes equal
-    ``json.dumps``'s, and spliced into the rest of the document at its key.
-    Any other list, including one with a single row of another shape, goes
-    through ``json.dumps`` whole."""
-    try:
-        body = _query_rows_parts(document.get("queries"))
-        if body is None:
-            return json.dumps(document, indent=2, allow_nan=False) + "\n"
-        header = json.dumps({**document, "queries": []}, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise InvalidConfig(f"report holds a non-finite number: {exc}") from exc
+    A top-level ``"queries"`` value that ``query_summary`` rendered is
+    spliced into the rest of the document at its key; any other document
+    goes through ``json.dumps`` whole."""
+    rows = document.get("queries")
+    if not isinstance(rows, QueryRows):
+        return _json_text(document) + "\n"
+    header = _json_text({**document, "queries": []})
+    if rows.non_finite is not None:
+        _json_text(rows.non_finite)  # raises, after any error in the header
     # A top-level key is the only place this text can occur: deeper keys are
     # indented further, and string values escape their quotes and newlines.
     head, _, tail = header.partition(_EMPTY_QUERIES)
-    return "".join([head, '\n  "queries": [\n', *body, "\n  ]", tail, "\n"])
+    return "".join([head, *rows.parts, tail, "\n"])
 
 
 def write_report(
@@ -236,20 +241,20 @@ def write_report(
 
 
 QUERY_ROW_KEYS = ("index", "matches", "energized_count", "events", "energy")
-_EVENT_KEYS = tuple(EventTotals().to_dict())
+_EVENT_KEYS = EventTotals._fields
 _EMPTY_QUERIES = '\n  "queries": []'
 
 
-def query_summary(index: int, report: SearchReport) -> dict:
-    """Per-query summary entry embedded in JSON reports, keyed in
-    ``QUERY_ROW_KEYS`` order."""
-    return {
-        "index": index,
-        "matches": list(report.matches),
-        "energized_count": report.energized_count,
-        "events": report.event_totals.to_dict(),
-        "energy": report.energy_total,
-    }
+@dataclass(frozen=True)
+class QueryRows:
+    """A search report's "queries" list, rendered: ``parts`` join to the
+    text that ``json.dumps(indent=2)`` writes for the list under a top-level
+    key, from its leading newline to its closing bracket. ``non_finite`` is
+    the first energy that JSON cannot hold, if any; ``report_json_text``
+    then refuses the document."""
+
+    parts: list[str]
+    non_finite: Optional[float] = None
 
 
 def _json_object_format(keys: Sequence[str], values: dict, indent: int) -> str:
@@ -263,60 +268,39 @@ def _json_object_format(keys: Sequence[str], values: dict, indent: int) -> str:
     return f"{{{{\n{members}\n{pad}}}}}"
 
 
-# One query row inside the top-level "queries" list. The slots are the
-# index, the rendered match list, energized_count, the event counts in
-# ``EventTotals.to_dict`` order and the rendered energy.
-_ROW_FORMAT = "    " + _json_object_format(
+# One query row inside the top-level "queries" list, with a %s slot for each
+# of: the index, the rendered match list, energized_count, the event counts
+# in ``EventTotals`` field order and the energy. %s writes an int or a float
+# as its repr, which is json.dumps's text for it.
+_ROW_TEMPLATE = ("    " + _json_object_format(
     QUERY_ROW_KEYS, {"events": _json_object_format(_EVENT_KEYS, {}, 6)}, 4
-)
+)).format(*["%s"] * 9)
 
 
-def _query_rows_parts(rows: object) -> Optional[list[str]]:
-    """The rows of a "queries" list, as ``json.dumps(indent=2)`` writes them
-    under a top-level key, with the ",\\n" between them as parts of their own
-    (one join then copies each row once). None unless ``rows`` is a
-    non-empty list and every row has ``query_summary``'s shape: its keys in
-    order, int counts and matches, and a finite float or None energy. A bool
-    is not an int here, since JSON spells it differently.
-
-    Rows are checked and rendered column by column, with C-level passes
-    over the whole list. Each type check runs before any step that relies
-    on that type, so a foreign list gives None and never raises."""
-    if type(rows) is not list or not rows:
-        return None
-    if {*map(type, rows)} != {dict} or {*map(tuple, rows)} != {QUERY_ROW_KEYS}:
-        return None
-    index, matches, count, events, energy = zip(*map(dict.values, rows))
-    if (
-        {*map(type, matches)} != {list}
-        or {*map(type, events)} != {dict}
-        or {*map(tuple, events)} != {_EVENT_KEYS}
-    ):
-        return None
-    counts = [*zip(*map(dict.values, events))]
-    ints = {
-        *map(type, index),
-        *map(type, count),
-        *map(type, chain.from_iterable(matches)),
-        *map(type, chain.from_iterable(counts)),
-    }
-    kinds = {*map(type, energy)}
-    # filter(None, ...) skips None and 0.0, both of which are valid.
-    if (
-        ints != {int}
-        or not kinds <= {float, NoneType}
-        or not all(map(math.isfinite, filter(None, energy)))
-    ):
-        return None
-    # A "{}" slot formats a float as its repr, which is json.dumps's text.
-    if NoneType in kinds:
-        energy = ["null" if e is None else e for e in energy]
-    n = len(rows)
+def query_summary(run: SearchRun, energies: Sequence[float]) -> QueryRows:
+    """The per-query rows of a search report, keyed in ``QUERY_ROW_KEYS``
+    order: each search's index, matches, energized count, event counts and
+    energy (``energies[i]``, as ``energy.aggregate`` gives it). Every row is
+    rendered column by column."""
+    n = len(run)
+    if len(energies) != n:
+        raise ValueError(f"{len(energies)} energies for a run of {n} searches")
+    if not n:
+        return QueryRows([_EMPTY_QUERIES])
+    matches = run.matches
     matches_text = ["[]"] * n
     for i in compress(range(n), matches):
         matches_text[i] = (
             "[\n        " + ",\n        ".join(map(str, matches[i])) + "\n      ]"
         )
-    out = [",\n"] * (2 * n - 1)
-    out[::2] = map(_ROW_FORMAT.format, index, matches_text, count, *counts, energy)
-    return out
+    energized = run.energized
+    columns = zip(
+        range(n), matches_text, energized,
+        run.ml_en_transitions, energized, run.ml_discharges, run.sl_toggles,
+        repeat(run.array._energizers), energies,
+    )
+    parts = [",\n"] * (2 * n + 1)
+    parts[0] = '\n  "queries": [\n'
+    parts[1::2] = map(_ROW_TEMPLATE.__mod__, columns)
+    parts[-1] = "\n  ]"
+    return QueryRows(parts, next(filterfalse(math.isfinite, energies), None))

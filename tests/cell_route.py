@@ -1,7 +1,8 @@
-"""Shared test helpers: the small stores the search tests sweep, and the
-check of a search against its per-word traces."""
+"""Shared test helpers: the small stores the search tests sweep, the check
+of a search against its per-word traces, and the check of a columnar run
+against query-by-query ``search``."""
 
-from camsim import BitWord, EventTotals, Level
+from camsim import BitWord, EventTotals, Level, search
 
 
 def all_words(n):
@@ -29,3 +30,35 @@ def assert_traces_explain(report):
     assert summed._asdict() == report.event_totals._asdict()
     assert report.matches == tuple(t.addr for t in traces if t.ml_final is Level.HIGH)
     assert report.energized_count == sum(t.ml_precharged for t in traces)
+
+
+def searched(arr, queries, prev_query=None):
+    """Each query's ``search`` report, threaded as ``run_search_stream``
+    threads the stream."""
+    reports = []
+    for q in queries:
+        reports.append(search(arr, q, prev_query))
+        prev_query = q
+    return reports
+
+
+def run_totals(run):
+    """Each search's ``EventTotals``, read from the run's columns."""
+    return [
+        EventTotals(t, e, d, s, run.array._energizers)
+        for t, e, d, s in zip(
+            run.ml_en_transitions, run.energized, run.ml_discharges, run.sl_toggles
+        )
+    ]
+
+
+def assert_run_equals_searches(run, reports):
+    """Every column entry of the run equals the field of that name in the
+    query's ``search`` report, and every count is a plain int."""
+    assert len(run) == len(reports)
+    assert list(run.matches) == [r.matches for r in reports]
+    assert list(run.energized) == [r.energized_count for r in reports]
+    assert run_totals(run) == [r.event_totals for r in reports]
+    columns = (run.energized, run.ml_en_transitions, run.sl_toggles)
+    assert {type(c) for column in columns for c in column} <= {int}
+    assert {type(m) for m in run.matches} <= {tuple}

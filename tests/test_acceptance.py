@@ -82,18 +82,11 @@ def test_criterion_2_energized_fraction():
 def test_criterion_3_baseline_comparison():
     words = gen_words(GEOMETRY.num_words, GEOMETRY.word_bits, GEOMETRY.seed)
     queries = gen_queries(WorkloadSpec(WorkloadKind.UNIFORM, 10_000, 2), words)
-    sel_reports = run_search_stream(
-        new_array(GEOMETRY, Variant.SELECTIVE, words), queries
-    )
-    base_reports = run_search_stream(
-        new_array(GEOMETRY, Variant.BASELINE_NOR, words), queries
-    )
-    for a, b in zip(sel_reports, base_reports):
-        assert a.matches == b.matches
-    ratio = (
-        sum_event_totals(sel_reports).ml_precharges
-        / sum_event_totals(base_reports).ml_precharges
-    )
+    sel = run_search_stream(new_array(GEOMETRY, Variant.SELECTIVE, words), queries)
+    base = run_search_stream(new_array(GEOMETRY, Variant.BASELINE_NOR, words), queries)
+    assert len(sel.matches) == 10_000
+    assert sel.matches == base.matches
+    ratio = sum_event_totals(sel).ml_precharges / sum_event_totals(base).ml_precharges
     assert abs(ratio - 0.125) <= 0.005
     print(
         f"CRITERION 3 PASS: ML-precharge event ratio {ratio:.5f} "

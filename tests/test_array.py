@@ -551,8 +551,7 @@ def test_search_records_have_every_field(variant):
     threaded = search(arr, BitWord(6, 21), BitWord(6, 3))
     for r in (first, threaded):
         assert type(r) is SearchReport
-        assert len(r) == len(SearchReport._fields) == 7
-        assert r.energy_total is None
+        assert len(r) == len(SearchReport._fields) == 6
         assert type(r.event_totals) is EventTotals
         assert len(r.event_totals) == len(EventTotals._fields) == 5
     assert first.prev_query is None and threaded.prev_query == BitWord(6, 3)
@@ -560,7 +559,8 @@ def test_search_records_have_every_field(variant):
 
 def test_record_reprs_are_pinned():
     # Recorded when both records were frozen dataclasses whose report repr
-    # left out ``array``.
+    # left out ``array``, and re-recorded when ``energy_total`` left the
+    # report: the energies live in the run's prices (``energy.aggregate``).
     cfg = CamConfig(4, 6, 2)
     words = [BitWord(6, v) for v in (0b000011, 0b010101, 0b000011, 0b111000)]
     sel = search(new_array(cfg, Variant.SELECTIVE, words), BitWord(6, 3), BitWord(6, 56))
@@ -569,13 +569,13 @@ def test_record_reprs_are_pinned():
         "SearchReport(query=BitWord(width=6, value=3), prev_query=BitWord(width=6,"
         " value=56), matches=(0, 2), energized_count=2, event_totals=EventTotals("
         "ml_en_transitions=3, ml_precharges=2, ml_discharges=0, sl_toggles=5,"
-        " mle_evaluations=4), energy_total=None)"
+        " mle_evaluations=4))"
     )
     assert repr(base) == (
         "SearchReport(query=BitWord(width=6, value=21), prev_query=None,"
         " matches=(1,), energized_count=4, event_totals=EventTotals("
         "ml_en_transitions=0, ml_precharges=4, ml_discharges=3, sl_toggles=6,"
-        " mle_evaluations=0), energy_total=None)"
+        " mle_evaluations=0))"
     )
     assert repr(EventTotals(1, 2, 3, 4, 5)) == (
         "EventTotals(ml_en_transitions=1, ml_precharges=2, ml_discharges=3,"

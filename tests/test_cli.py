@@ -113,6 +113,21 @@ def test_compare_non_finite_model_file_exits_2_without_report(tmp_path):
     assert not out.exists()
 
 
+def test_compare_energy_underflow_exits_2_without_report(tmp_path, capsys):
+    # Every parameter is valid and positive, but each event's energy rounds
+    # to 0, so the baseline energies that the ratios divide by are 0.
+    tiny = ["c_ml_per_cell=1e-320", "c_sl_per_cell=1e-320", "c_mle_node=1e-320",
+            "v_dd=1e-10", "v_swing_ml=1e-10", "v_swing_sl=1e-10"]
+    out = tmp_path / "r.json"
+    argv = ["compare", "--num-words", "8", "--width", "8", "--queries", "5",
+            "--out", str(out)]
+    rc = main(argv + [arg for p in tiny for arg in ("--param", p)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "underflows to 0" in err
+
+
 def test_param_bad_decimal_exits_2_without_report(tmp_path, capsys):
     out = tmp_path / "r.json"
     rc = main(["search", "--num-words", "16", "--width", "16", "--queries", "20",

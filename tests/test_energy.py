@@ -2,18 +2,21 @@ import math
 import operator
 from dataclasses import replace
 from functools import reduce
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camsim import (
+    BitWord,
     CamConfig,
     EnergyModel,
     EventClass,
     EventTotals,
     InvalidConfig,
     PrefixTooShort,
+    SearchRun,
     UnknownEventClass,
     Variant,
     WorkloadKind,
@@ -26,6 +29,7 @@ from camsim import (
     gen_words,
     new_array,
     run_search_stream,
+    search,
     search_delay,
     series_depth,
     sum_event_totals,
@@ -34,6 +38,7 @@ from camsim import (
     totals_energy,
 )
 from camsim import energy as energy_module
+from cell_route import searched
 
 CFG = CamConfig(256, 144, 3, seed=1)
 
@@ -168,49 +173,50 @@ def _run(config, variant, num_queries, seed=3, model=None):
 
 def test_aggregate_fills_energy():
     cfg = CamConfig(16, 12, 3, seed=5)
-    reports, _ = _run(cfg, Variant.SELECTIVE, 10)
+    run, queries = _run(cfg, Variant.SELECTIVE, 10)
     model = EnergyModel()
-    filled = aggregate(reports[:1], model, cfg)[0]
-    assert filled.energy_total == pytest.approx(
-        totals_energy(reports[0].event_totals, model, cfg)
-    )
-    assert filled == reports[0]._replace(energy_total=filled.energy_total)
-    assert reports[0].energy_total is None  # original untouched
+    energies = aggregate(run, model, cfg)
+    assert len(energies) == len(run) == 10
+    first = search(run.array, queries[0])
+    assert energies[0] == pytest.approx(totals_energy(first.event_totals, model, cfg))
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_aggregate_prices_a_run_bit_for_bit(variant):
     cfg = CamConfig(32, 24, 3, seed=5)
-    reports, _ = _run(cfg, variant, 60)
-    before = list(reports)
+    run, queries = _run(cfg, variant, 60)
     model = EnergyModel(c_ml_per_cell=0.7, c_sl_per_cell=0.3, upsize_base=1.5)
-    filled = aggregate(reports, model, cfg)
-    assert len(filled) == len(reports)
-    for r, f in zip(reports, filled):
-        assert type(f) is type(r)
-        assert f.energy_total.hex() == totals_energy(r.event_totals, model, cfg).hex()
-        assert f == r._replace(energy_total=f.energy_total)
-    # the inputs are untouched: same objects, energy still unset
-    assert all(a is b for a, b in zip(reports, before))
-    assert all(r.energy_total is None for r in reports)
+    energies = aggregate(run, model, cfg)
+    reports = searched(run.array, queries)
+    assert len(energies) == len(reports)
+    for e, r in zip(energies, reports):
+        assert type(e) is float
+        assert e.hex() == totals_energy(r.event_totals, model, cfg).hex()
 
 
-def test_aggregate_takes_any_iterable():
+def test_aggregate_takes_any_sequence_columns():
     cfg = CamConfig(16, 12, 3, seed=5)
-    reports, _ = _run(cfg, Variant.SELECTIVE, 10)
-    assert aggregate([], EnergyModel(), cfg) == []
-    assert aggregate(iter(()), EnergyModel(), cfg) == []
-    assert aggregate((r for r in reports), EnergyModel(), cfg) == aggregate(
-        reports, EnergyModel(), cfg
+    run, _ = _run(cfg, Variant.SELECTIVE, 10)
+    empty = SearchRun(run.array, (), (), (), ())
+    assert aggregate(empty, EnergyModel(), cfg) == []
+    as_tuples = SearchRun(
+        run.array, tuple(run.matches), tuple(run.energized),
+        tuple(run.ml_en_transitions), tuple(run.sl_toggles),
+    )
+    assert aggregate(as_tuples, EnergyModel(), cfg) == aggregate(
+        run, EnergyModel(), cfg
     )
 
 
 def test_aggregate_rejects_negative_counts():
     cfg = CamConfig(16, 12, 3, seed=5)
-    reports, _ = _run(cfg, Variant.SELECTIVE, 3)
-    bad = reports[1]._replace(event_totals=EventTotals(0, 0, 0, -1, 0))
-    with pytest.raises(ValueError, match="event counts must be >= 0"):
-        aggregate([reports[0], bad, reports[2]], EnergyModel(), cfg)
+    run, _ = _run(cfg, Variant.SELECTIVE, 3)
+    bad_toggles = replace(run, sl_toggles=[*run.sl_toggles[:1], -1, *run.sl_toggles[2:]])
+    # more matches than energized lines: a negative discharge count
+    bad_discharges = replace(run, matches=[*run.matches[:2], (0,) * 99])
+    for bad in (bad_toggles, bad_discharges):
+        with pytest.raises(ValueError, match="event counts must be >= 0"):
+            aggregate(bad, EnergyModel(), cfg)
 
 
 def test_zero_event_report_has_zero_energy():
@@ -222,8 +228,8 @@ def test_zero_event_report_has_zero_energy():
 def test_ml_energy_proportionality():
     cfg = CamConfig(64, 24, 3, seed=11)
     model = EnergyModel()
-    reports, _ = _run(cfg, Variant.SELECTIVE, 200)
-    totals = sum_event_totals(reports)
+    run, _ = _run(cfg, Variant.SELECTIVE, 200)
+    totals = sum_event_totals(run)
     ml = event_energy(
         model, EventClass.ML_PRECHARGE, totals.ml_precharges, cfg
     ) + event_energy(model, EventClass.ML_DISCHARGE, totals.ml_discharges, cfg)
@@ -261,8 +267,8 @@ def test_selective_never_exceeds_baseline_ml_energy():
         cfg, Variant.BASELINE_NOR, gen_words(cfg.num_words, cfg.word_bits, cfg.seed)
     )
     base = run_search_stream(base_arr, queries)
-    def ml_energy(reports):
-        t = sum_event_totals(reports)
+    def ml_energy(run):
+        t = sum_event_totals(run)
         return event_energy(model, EventClass.ML_PRECHARGE, t.ml_precharges, cfg) + \
             event_energy(model, EventClass.ML_DISCHARGE, t.ml_discharges, cfg)
     assert ml_energy(sel) <= ml_energy(base)
@@ -387,10 +393,10 @@ def test_sweep_validates_k_range():
 def test_power_is_energy_times_frequency_only():
     # f never changes per-search energy, only the optional power figure
     cfg = CamConfig(16, 12, 3, seed=5)
-    reports, _ = _run(cfg, Variant.SELECTIVE, 20)
-    slow = aggregate(reports[:1], EnergyModel(f=1.0), cfg)[0]
-    fast = aggregate(reports[:1], EnergyModel(f=4.0), cfg)[0]
-    assert slow.energy_total == fast.energy_total
+    run, _ = _run(cfg, Variant.SELECTIVE, 20)
+    slow = aggregate(run, EnergyModel(f=1.0), cfg)
+    fast = aggregate(run, EnergyModel(f=4.0), cfg)
+    assert slow == fast
 
 
 # totals_energy as it was before unit energies: one event_energy call per
@@ -420,7 +426,20 @@ _CONFIGS = st.integers(2, 6).flatmap(
 )
 _COUNT = st.one_of(st.just(0), st.integers(0, 10**6), st.integers(0, 2**62))
 _TOTALS = st.builds(EventTotals, _COUNT, _COUNT, _COUNT, _COUNT, _COUNT)
-_BASE_REPORT = _run(CamConfig(16, 12, 3, seed=5), Variant.SELECTIVE, 1)[0][0]
+_BASE_CONFIG = CamConfig(16, 12, 3, seed=5)
+_BASE_ARRAY = new_array(_BASE_CONFIG, Variant.SELECTIVE, gen_words(16, 12, 5))
+_BASE_REPORT = search(_BASE_ARRAY, BitWord(12, 5))
+
+
+def _priced_columns(totals):
+    """A stand-in run of one search whose priced counts are ``totals``'s:
+    the columns that ``aggregate`` reads."""
+    return SimpleNamespace(
+        energized=[totals.ml_precharges],
+        ml_discharges=[totals.ml_discharges],
+        sl_toggles=[totals.sl_toggles],
+        array=SimpleNamespace(_energizers=totals.mle_evaluations),
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -428,13 +447,8 @@ _BASE_REPORT = _run(CamConfig(16, 12, 3, seed=5), Variant.SELECTIVE, 1)[0][0]
 def test_unit_energies_are_bit_equal_to_four_event_energy_calls(totals, model, cfg):
     want = _four_call_energy(totals, model, cfg).hex()
     assert totals_energy(totals, model, cfg).hex() == want
-    report = _BASE_REPORT._replace(event_totals=totals)
-    (filled,) = aggregate([report], model, cfg)
-    assert filled.energy_total.hex() == want
-    assert type(filled) is type(report)
-    assert filled == report._replace(
-        energy_total=totals_energy(totals, model, cfg),
-    )
+    (energy,) = aggregate(_priced_columns(totals), model, cfg)
+    assert energy.hex() == want
 
 
 def test_totals_energy_rejects_negative_counts():
@@ -443,18 +457,21 @@ def test_totals_energy_rejects_negative_counts():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_TOTALS, max_size=40))
-def test_sum_event_totals_equals_chained_add(stream):
-    reports = [_BASE_REPORT._replace(event_totals=t) for t in stream]
+@given(st.lists(st.integers(0, 4095), max_size=40), st.sampled_from(list(Variant)))
+def test_sum_event_totals_equals_chained_add(values, variant):
+    arr = new_array(_BASE_CONFIG, variant, _BASE_ARRAY.words)
+    queries = [BitWord(12, v) for v in values]
+    reports = searched(arr, queries)
     want = reduce(operator.add, (r.event_totals for r in reports), EventTotals())
-    assert sum_event_totals(reports) == want
-    assert sum_event_totals(r for r in reports) == want
-    assert type(sum_event_totals(reports)) is EventTotals
+    total = sum_event_totals(run_search_stream(arr, queries))
+    assert total == want
+    assert type(total) is EventTotals
 
 
 def test_sum_event_totals_of_no_reports_is_zero():
-    assert sum_event_totals([]) == EventTotals()
-    assert type(sum_event_totals([])) is EventTotals
+    empty = run_search_stream(_BASE_ARRAY, [])
+    assert sum_event_totals(empty) == EventTotals()
+    assert type(sum_event_totals(empty)) is EventTotals
 
 
 @settings(max_examples=60, deadline=None)

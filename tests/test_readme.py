@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from camsim import SearchReport
+from camsim import EnergyModel, SearchReport, SearchRun, totals_energy
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,7 +16,8 @@ def _library_example() -> str:
 def test_readme_library_example_runs(capsys):
     scope: dict = {}
     exec(compile(_library_example(), str(README), "exec"), scope)
-    report = scope["report"]
-    assert type(report) is SearchReport
-    assert report.energy_total is not None and "delay" not in report._fields
+    run, energies, report = scope["run"], scope["energies"], scope["report"]
+    assert type(run) is SearchRun and len(run) == len(energies) == 1000
+    assert type(report) is SearchReport and len(report._fields) == 6
+    assert energies[0] == totals_energy(report.event_totals, EnergyModel(), scope["cfg"])
     assert capsys.readouterr().out.strip()

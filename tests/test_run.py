@@ -1,0 +1,152 @@
+"""The columnar run engine: ``run_search_stream`` against query-by-query
+``search``, and its prices against ``totals_energy``, bit for bit."""
+
+import pytest
+
+import camsim.verify
+from camsim import (
+    BitWord,
+    CamConfig,
+    EnergyModel,
+    EventTotals,
+    SearchRun,
+    Variant,
+    WidthMismatch,
+    WorkloadKind,
+    WorkloadSpec,
+    aggregate,
+    gen_queries,
+    gen_words,
+    new_array,
+    run_search_stream,
+    search,
+    sum_event_totals,
+    totals_energy,
+    verify_exhaustive,
+)
+from cell_route import assert_run_equals_searches, searched
+
+MODEL = EnergyModel(c_ml_per_cell=0.7, c_sl_per_cell=0.3, upsize_base=1.5)
+
+
+def _assert_prices(run, reports, config):
+    energies = aggregate(run, MODEL, config)
+    assert [e.hex() for e in energies] == [
+        totals_energy(r.event_totals, MODEL, config).hex() for r in reports
+    ]
+
+
+def test_columns_equal_search_on_every_exhaustive_store(monkeypatch):
+    # Every store and query universe of the verifier's exhaustive tier, on
+    # both variants, first from power-up and then threaded after a query.
+    stores = []
+    check_store = camsim.verify._check_store
+
+    def recorded(config, words, queries, fault, context):
+        queries = list(queries)
+        stores.append((config, words, queries))
+        return check_store(config, words, queries, fault, context)
+
+    monkeypatch.setattr(camsim.verify, "_check_store", recorded)
+    assert verify_exhaustive(1).ok
+    assert len(stores) == 260
+    searches = 0
+    for config, words, queries in stores:
+        for variant in Variant:
+            arr = new_array(config, variant, words)
+            for prev in (None, queries[-1]):
+                reports = searched(arr, queries, prev)
+                run = run_search_stream(arr, queries, prev)
+                assert_run_equals_searches(run, reports)
+                _assert_prices(run, reports, config)
+                searches += len(run)
+    assert searches == 2 * 24192
+
+
+@pytest.mark.parametrize("seed", [1, 97])
+@pytest.mark.parametrize(
+    "kind", [WorkloadKind.UNIFORM, WorkloadKind.PLANTED, WorkloadKind.PREFIX_SKEWED]
+)
+def test_columns_equal_search_at_reference_geometry(kind, seed):
+    config = CamConfig(256, 144, 3, seed=seed)
+    words = gen_words(256, 144, seed)
+    spec = WorkloadSpec(
+        kind, 300, seed,
+        match_rate=0.5 if kind is WorkloadKind.PLANTED else None,
+        bias=0.9 if kind is WorkloadKind.PREFIX_SKEWED else None,
+    )
+    queries = gen_queries(spec, words)
+    for variant in Variant:
+        arr = new_array(config, variant, words)
+        for prev in (None, queries[0]):
+            reports = searched(arr, queries[1:], prev)
+            run = run_search_stream(arr, queries[1:], prev)
+            assert_run_equals_searches(run, reports)
+            _assert_prices(run, reports, config)
+            if kind is WorkloadKind.PLANTED:
+                assert sum(map(bool, run.matches)) > 100
+
+
+def test_run_takes_any_iterable_of_queries():
+    config = CamConfig(16, 12, 3, seed=5)
+    words = gen_words(16, 12, 5)
+    queries = gen_queries(WorkloadSpec(WorkloadKind.PLANTED, 20, 5, match_rate=0.5), words)
+    arr = new_array(config, Variant.SELECTIVE, words)
+    run = run_search_stream(arr, queries)
+    assert type(run) is SearchRun
+    assert run_search_stream(arr, iter(queries)) == run
+    assert run_search_stream(arr, tuple(queries)) == run
+
+
+@pytest.mark.parametrize("variant", Variant)
+def test_empty_stream_gives_an_empty_run(variant):
+    config = CamConfig(4, 6, 2)
+    arr = new_array(config, variant)
+    for prev in (None, BitWord(6, 5), BitWord(7, 5)):
+        run = run_search_stream(arr, [], prev)
+        assert len(run) == 0 and not run
+        assert sum_event_totals(run) == EventTotals()
+        assert aggregate(run, MODEL, config) == []
+
+
+# (stream widths, prev_query width or None) -> the message of the first
+# width error, in the order q0, prev_query, q1, ...
+WIDTH_CASES = [
+    (([7, 6, 6], None), "query width 7 != word_bits 6"),
+    (([7, 6, 6], 8), "query width 7 != word_bits 6"),
+    (([6, 6, 6], 8), "previous query width 8 != word_bits 6"),
+    (([6, 9, 6], 8), "previous query width 8 != word_bits 6"),
+    (([6, 9, 5], None), "query width 9 != word_bits 6"),
+    (([6, 6, 5], 6), "query width 5 != word_bits 6"),
+]
+
+
+@pytest.mark.parametrize("variant", Variant)
+@pytest.mark.parametrize("case, message", WIDTH_CASES)
+def test_width_errors_come_in_search_order(variant, case, message):
+    widths, prev_width = case
+    arr = new_array(CamConfig(4, 6, 2), variant)
+    queries = [BitWord(w, 1) for w in widths]
+    prev = None if prev_width is None else BitWord(prev_width, 1)
+    with pytest.raises(WidthMismatch) as per_query:
+        searched(arr, queries, prev)
+    with pytest.raises(WidthMismatch) as columnar:
+        run_search_stream(arr, queries, prev)
+    assert str(per_query.value) == str(columnar.value) == message
+
+
+@pytest.mark.parametrize("variant", Variant)
+def test_a_hit_on_every_line_lists_every_address(variant):
+    # 256 copies of one word, and a stored word twice among other values:
+    # the run and search list the same ascending addresses.
+    config = CamConfig(256, 12, 3)
+    same = [BitWord(12, 0b101_000000011)] * 256
+    mixed = [BitWord(12, (7 * i) % 4096) for i in range(256)]
+    mixed[200] = mixed[3]
+    for words, query, want in (
+        (same, same[0], tuple(range(256))),
+        (mixed, mixed[3], (3, 200)),
+    ):
+        arr = new_array(config, variant, words)
+        assert search(arr, query).matches == want
+        assert run_search_stream(arr, [query, query]).matches == [want, want]

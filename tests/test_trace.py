@@ -15,7 +15,7 @@ from camsim import (
     run_search_stream,
     verify_exhaustive,
 )
-from cell_route import assert_traces_explain
+from cell_route import assert_run_equals_searches, assert_traces_explain, searched
 
 # randomized searches per variant and workload at 256 x 144
 TRIALS = 50
@@ -61,7 +61,9 @@ def test_traces_explain_randomized_searches_at_reference_geometry(variant, spec)
     cfg = CamConfig(256, 144, 3, seed=2)
     words = gen_words(cfg.num_words, cfg.word_bits, cfg.seed)
     arr = new_array(cfg, variant, words)
-    reports = run_search_stream(arr, gen_queries(spec, words))
+    queries = gen_queries(spec, words)
+    reports = searched(arr, queries)
+    assert_run_equals_searches(run_search_stream(arr, queries), reports)
     assert len(reports) == TRIALS
     if spec.kind is WorkloadKind.PLANTED:
         assert any(r.matches for r in reports)

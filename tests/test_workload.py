@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from camsim import (
     EmptyStore,
     EnergyModel,
     InvalidConfig,
+    SearchRun,
     Variant,
     WidthMismatch,
     WorkloadKind,
@@ -31,7 +33,6 @@ from camsim import (
 from camsim.workload import (
     QUERY_ROW_KEYS,
     SWEEP_CSV_HEADER,
-    _query_rows_parts,
     content_lines,
     query_summary,
     read_text_lines,
@@ -124,8 +125,8 @@ def test_prefix_skewed_exceeds_uniform_fraction():
     spec = WorkloadSpec(WorkloadKind.PREFIX_SKEWED, 2000, 23, bias=bias)
     queries = gen_queries(spec, words)
     arr = new_array(cfg, Variant.SELECTIVE, words)
-    reports = run_search_stream(arr, queries)
-    measured = sum(r.energized_count for r in reports) / (cfg.num_words * len(queries))
+    run = run_search_stream(arr, queries)
+    measured = sum(run.energized) / (cfg.num_words * len(queries))
 
     # analytic expectation: each word is energized with prob
     # bias^(k-d) * (1-bias)^d, d = prefix Hamming distance to words[0]
@@ -256,17 +257,15 @@ def test_write_report_json_round_trip(tmp_path):
     cfg = CamConfig(8, 12, 3, seed=3)
     words = gen_words(8, 12, 3)
     queries = gen_queries(WorkloadSpec(WorkloadKind.UNIFORM, 5, 3), words)
-    reports = aggregate(
-        run_search_stream(new_array(cfg, Variant.SELECTIVE, words), queries),
-        EnergyModel(), cfg,
-    )
-    doc = {"queries": [query_summary(i, r) for i, r in enumerate(reports)]}
+    run = run_search_stream(new_array(cfg, Variant.SELECTIVE, words), queries)
+    energies = aggregate(run, EnergyModel(), cfg)
+    doc = {"queries": query_summary(run, energies)}
     path = tmp_path / "report.json"
     write_report(doc, path, "json")
     loaded = json.loads(path.read_text())
-    for entry, report in zip(loaded["queries"], reports):
-        assert entry["energized_count"] == report.energized_count
-        assert entry["matches"] == list(report.matches)
+    assert [e["energized_count"] for e in loaded["queries"]] == run.energized
+    assert [e["matches"] for e in loaded["queries"]] == list(map(list, run.matches))
+    assert [e["energy"] for e in loaded["queries"]] == energies
 
 
 def test_write_report_rejects_unknown_format(tmp_path):
@@ -279,59 +278,81 @@ def _dumps_reference(document: dict) -> str:
     return json.dumps(document, indent=2, allow_nan=False) + "\n"
 
 
-ROW_ENERGIES = (0.0, 1.0, 0.1 + 0.2, 1e22, 1e-300, 5e-324, None)
+def _reference_rows(run, energies) -> list[dict]:
+    """The rows as plain dicts: what ``json.dumps`` must render the same."""
+    return [
+        {
+            "index": i,
+            "matches": list(t[0]),
+            "energized_count": t[1],
+            "events": dict(zip(_EVENT_NAMES, t[2:])),
+            "energy": energy,
+        }
+        for i, (t, energy) in enumerate(zip(zip(
+            run.matches, run.energized, run.ml_en_transitions, run.energized,
+            run.ml_discharges, run.sl_toggles, [run.array._energizers] * len(run),
+        ), energies))
+    ]
+
+
+ROW_ENERGIES = (0.0, -0.0, 1.0, 0.1 + 0.2, 1e22, 1e-300, 5e-324, 7)
 _EVENT_NAMES = ("ml_en_transitions", "ml_precharges", "ml_discharges",
                 "sl_toggles", "mle_evaluations")
+_ARRAY = new_array(CamConfig(16, 12, 3))
 
 
-def _row(index, matches, count, events, energy) -> dict:
-    return dict(zip(QUERY_ROW_KEYS, (index, matches, count, events, energy)))
-
-
-def _planted_rows(num_queries: int = 30) -> list[dict]:
+def _planted_run(num_queries: int = 30):
     cfg = CamConfig(16, 12, 3, seed=4)
     words = gen_words(16, 12, 4)
     words[5] = words[9] = words[2]  # one query can then match three lines
     spec = WorkloadSpec(WorkloadKind.PLANTED, num_queries, 4, match_rate=0.6)
     queries = gen_queries(spec, words)
-    reports = run_search_stream(new_array(cfg, Variant.SELECTIVE, words), queries)
-    return [
-        query_summary(i, r)
-        for i, r in enumerate(aggregate(reports, EnergyModel(), cfg))
-    ]
+    run = run_search_stream(new_array(cfg, Variant.SELECTIVE, words), queries)
+    return run, aggregate(run, EnergyModel(), cfg)
 
 
-def _document(rows: list) -> dict:
+def _document(rows) -> dict:
     return {"report": "search", "aggregate": {"energy_total": 2.5},
             "queries": rows, "notes": ["after the rows"]}
 
 
+def _assert_rows_render_as_json_dumps(run, energies):
+    rows = query_summary(run, energies)
+    reference = _reference_rows(run, energies)
+    for doc, want in (
+        (_document(rows), _document(reference)),
+        ({"queries": rows}, {"queries": reference}),
+    ):
+        assert report_json_text(doc) == _dumps_reference(want)
+
+
 def test_row_template_equals_json_dumps_on_planted_rows():
-    rows = _planted_rows()
-    assert {len(r["matches"]) for r in rows} >= {0, 1, 3}
-    assert _query_rows_parts(rows) is not None  # the template renders them
-    doc = _document(rows)
-    assert report_json_text(doc) == _dumps_reference(doc)
-    only = {"queries": rows}
-    assert report_json_text(only) == _dumps_reference(only)
+    run, energies = _planted_run()
+    assert {len(m) for m in run.matches} >= {0, 1, 3}
+    _assert_rows_render_as_json_dumps(run, energies)
 
 
 def test_row_template_energies():
-    events = dict.fromkeys(_EVENT_NAMES, 3)
-    rows = [_row(i, [i] * (i % 3), i, events, e) for i, e in enumerate(ROW_ENERGIES)]
-    assert _query_rows_parts(rows) is not None
-    for doc in (_document(rows), {"queries": rows}):
-        assert report_json_text(doc) == _dumps_reference(doc)
+    n = len(ROW_ENERGIES)
+    run = SearchRun(
+        _ARRAY, [(i,) * (i % 3) for i in range(n)], [3] * n, [3] * n, [3] * n
+    )
+    _assert_rows_render_as_json_dumps(run, ROW_ENERGIES)
+
+
+def test_row_template_renders_an_empty_run():
+    run = SearchRun(_ARRAY, [], [], [], [])
+    assert query_summary(run, []).parts == ['\n  "queries": []']
+    _assert_rows_render_as_json_dumps(run, [])
 
 
 _UINT64 = st.integers(0, 2**64)
-_ROWS = st.lists(
-    st.builds(
-        _row,
+_COLUMNS = st.lists(
+    st.tuples(
+        st.lists(_UINT64, max_size=5).map(tuple),
         _UINT64,
-        st.lists(_UINT64, max_size=5),
         _UINT64,
-        st.tuples(*[_UINT64] * 5).map(lambda counts: dict(zip(_EVENT_NAMES, counts))),
+        _UINT64,
         st.one_of(
             st.sampled_from(ROW_ENERGIES),
             st.floats(allow_nan=False, allow_infinity=False),
@@ -343,27 +364,32 @@ _ROWS = st.lists(
 
 
 @settings(max_examples=80, deadline=None)
-@given(_ROWS)
-def test_row_template_equals_json_dumps_on_random_rows(rows):
-    assert _query_rows_parts(rows) is not None
-    for doc in (_document(rows), {"queries": rows}):
-        assert report_json_text(doc) == _dumps_reference(doc)
+@given(_COLUMNS, st.integers(0, 2**64))
+def test_row_template_equals_json_dumps_on_random_rows(rows, energizers):
+    matches, energized, ml_en, sl, energies = map(list, zip(*rows))
+    array = SimpleNamespace(_energizers=energizers)
+    run = SearchRun(array, matches, energized, ml_en, sl)
+    _assert_rows_render_as_json_dumps(run, energies)
 
 
 def _foreign_rows(good: list[dict]) -> list:
     """Rows that ``query_summary`` never builds, one flaw each."""
     events = good[0]["events"]
+
+    def row(*values):
+        return dict(zip(QUERY_ROW_KEYS, values))
+
     return [
         {"index": 3},
         dict(reversed(list(good[0].items()))),
         {**good[0], "extra": 1},
-        _row(True, [], 0, events, 1.0),
-        _row(0, [False], 0, events, 1.0),
-        _row(0, (1, 2), 0, events, 1.0),
-        _row(0, [], 0, events, 1),
-        _row(0, [], 0, {**events, "sl_toggles": 1.5}, 1.0),
-        _row(0, [], 0, dict(reversed(list(events.items()))), 1.0),
-        _row(0, [], "0", events, 1.0),
+        row(True, [], 0, events, 1.0),
+        row(0, [False], 0, events, 1.0),
+        row(0, (1, 2), 0, events, 1.0),
+        row(0, [], 0, events, 1),
+        row(0, [], 0, {**events, "sl_toggles": 1.5}, 1.0),
+        row(0, [], 0, dict(reversed(list(events.items()))), 1.0),
+        row(0, [], "0", events, 1.0),
         "not a row",
         1,
         None,
@@ -371,18 +397,12 @@ def _foreign_rows(good: list[dict]) -> list:
 
 
 def test_foreign_queries_lists_keep_json_dumps_bytes():
-    good = _planted_rows()[:3]
+    # Only query_summary's rows are spliced; any other "queries" value,
+    # including plain dicts of the same shape, goes through json.dumps.
+    good = _reference_rows(*_planted_run())[:3]
     bad = _foreign_rows(good)
-    foreign = [
-        [],
-        [*good, bad[0]],
-        [*good, bad[1]],
-        *([row] for row in bad[2:10]),
-        bad[10:],
-        tuple(good),
-    ]
+    foreign = [[], good, *([row] for row in bad), bad, tuple(good)]
     for rows in foreign:
-        assert _query_rows_parts(rows) is None
         for doc in (_document(rows), {"queries": rows}):
             assert report_json_text(doc) == _dumps_reference(doc)
     nested = {"inner": {"queries": []}, "queries": good, "tail": "\n  \"queries\": []"}
@@ -390,30 +410,36 @@ def test_foreign_queries_lists_keep_json_dumps_bytes():
 
 
 def test_one_foreign_row_among_many_keeps_json_dumps_bytes():
-    # The checks run column by column over the whole list, so a single
-    # flawed row must reject the list wherever it sits, without raising.
-    good = _planted_rows(300)
-    events = good[0]["events"]
-    odd_values = (7, None, "[]")
-    bad = [
-        *_foreign_rows(good),
-        *(_row(0, v, 0, events, 1.0) for v in odd_values),
-        *(_row(0, [], 0, v, 1.0) for v in odd_values),
-    ]
-    assert _query_rows_parts(good) is not None
-    for row in bad:
+    good = _reference_rows(*_planted_run(300))
+    for row in _foreign_rows(good):
         for rows in ([*good, row], [*good[:150], row, *good[150:]]):
-            assert _query_rows_parts(rows) is None
             for doc in (_document(rows), {"queries": rows}):
                 assert report_json_text(doc) == _dumps_reference(doc)
 
 
+def test_rows_need_one_energy_per_search():
+    run, energies = _planted_run()
+    for wrong in (energies[:-1], [*energies, 1.0]):
+        with pytest.raises(ValueError, match="energies for a run of 30"):
+            query_summary(run, wrong)
+
+
 def test_non_finite_row_energy_is_rejected(tmp_path):
-    rows = _planted_rows()
+    # The error names the number json.dumps of the whole document would
+    # name: the first non-finite one, here an aggregate before the rows.
+    run, energies = _planted_run()
     path = tmp_path / "report.json"
-    for bad in (math.nan, math.inf, -math.inf):
-        doc = _document([*rows, {**rows[0], "energy": bad}])
-        with pytest.raises(InvalidConfig) as err:
-            write_report(doc, path, "json")
-        assert isinstance(err.value.__cause__, ValueError)
+    for total in (2.5, math.inf):
+        for bad in (math.nan, math.inf, -math.inf):
+            row_energies = [*energies[:-1], bad]
+            doc = _document(query_summary(run, row_energies))
+            reference = _document(_reference_rows(run, row_energies))
+            doc["aggregate"]["energy_total"] = total
+            reference["aggregate"]["energy_total"] = total
+            with pytest.raises(ValueError) as want:
+                _dumps_reference(reference)
+            with pytest.raises(InvalidConfig) as err:
+                write_report(doc, path, "json")
+            assert isinstance(err.value.__cause__, ValueError)
+            assert str(err.value) == f"report holds a non-finite number: {want.value}"
     assert not path.exists()
