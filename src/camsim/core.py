@@ -20,6 +20,13 @@ MAX_MLE_BITS = 6
 
 _SEED_LIMIT = 2 ** 64
 
+
+def _check_seed(seed: int) -> None:
+    """Every seed keys its draws as 8 big-endian bytes."""
+    if not 0 <= seed < _SEED_LIMIT:
+        raise InvalidConfig("seed must fit in 64 unsigned bits")
+
+
 # Word text formats: bits per digit, format() code, digit alphabet and the
 # digit name used in error messages.
 _WORD_FORMATS = {
@@ -84,8 +91,7 @@ class CamConfig:
                 f"mle_bits ({self.mle_bits}) must be smaller than word_bits "
                 f"({self.word_bits})"
             )
-        if not 0 <= self.seed < _SEED_LIMIT:
-            raise InvalidConfig("seed must fit in 64 unsigned bits")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,14 @@ is the 32-byte blake2b digest of the tag, the seed (8 bytes), the index
 from __future__ import annotations
 
 import math
+import struct
 from functools import lru_cache
 from hashlib import blake2b
+
+from .core import _check_seed
+
+# A draw's index (8 bytes) and block 0's number (4 zero bytes), as one update.
+_FIRST_BLOCK = struct.Struct(">Q4x").pack
 
 
 @lru_cache(maxsize=64)
@@ -19,35 +25,67 @@ def _block_suffixes(count: int) -> tuple[bytes, ...]:
     return tuple([block.to_bytes(4, "big") for block in range(count)])
 
 
-def blocks(tag: bytes, seed: int, index: int, nbytes: int) -> bytes:
-    """The first ``nbytes`` of the concatenated digest blocks of one draw."""
-    head = blake2b(tag, digest_size=32)
-    head.update(seed.to_bytes(8, "big") + index.to_bytes(8, "big"))
-    parts = []
-    for suffix in _block_suffixes((nbytes + 31) // 32):
-        h = head.copy()
-        h.update(suffix)
-        parts.append(h.digest())
-    return b"".join(parts)[:nbytes]
+class Stream:
+    """The draws of one (tag, seed) pair. The tag and the seed are hashed
+    once, and each draw continues a copy of that hasher state with its
+    index and block number. blake2b of a concatenation does not depend on
+    how its updates are split, so the bytes are those of one hash over the
+    whole key. A stream keeps nothing between draws."""
 
+    __slots__ = ("_head",)
 
-def draw_bits(tag: bytes, seed: int, index: int, width: int) -> int:
-    """``width`` uniform bits."""
-    nbytes = (width + 7) // 8
-    raw = int.from_bytes(blocks(tag, seed, index, nbytes), "big")
-    return raw >> (8 * nbytes - width)
+    def __init__(self, tag: bytes, seed: int) -> None:
+        _check_seed(seed)
+        head = blake2b(tag, digest_size=32)
+        head.update(seed.to_bytes(8, "big"))
+        self._head = head
 
+    def blocks(self, index: int, nbytes: int) -> bytes:
+        """The first ``nbytes`` of the concatenated digest blocks of draw
+        ``index``."""
+        if nbytes <= 32:
+            h = self._head.copy()
+            h.update(_FIRST_BLOCK(index))
+            return h.digest()[:nbytes]
+        head = self._head.copy()
+        head.update(index.to_bytes(8, "big"))
+        parts = []
+        for suffix in _block_suffixes((nbytes + 31) // 32):
+            h = head.copy()
+            h.update(suffix)
+            parts.append(h.digest())
+        return b"".join(parts)[:nbytes]
 
-def draw_unit(tag: bytes, seed: int, index: int) -> float:
-    """A uniform float in [0, 1)."""
-    raw = int.from_bytes(blocks(tag, seed, index, 8), "big")
-    return raw / 2.0 ** 64
+    def bits(self, index: int, width: int) -> int:
+        """``width`` uniform bits."""
+        nbytes = (width + 7) // 8
+        raw = int.from_bytes(self.blocks(index, nbytes), "big")
+        return raw >> (8 * nbytes - width)
 
+    def bits_column(self, count: int, width: int, start: int = 0) -> list[int]:
+        """``bits(i, width)`` for i = start .. start + count - 1. Up to 256
+        bits a draw comes from its first block alone, so the column takes
+        one loop with no method call per draw."""
+        indices = range(start, start + count)
+        nbytes = (width + 7) // 8
+        if nbytes > 32:
+            return [self.bits(i, width) for i in indices]
+        copy, drop, from_bytes = self._head.copy, 8 * nbytes - width, int.from_bytes
+        out = []
+        for i in indices:
+            h = copy()
+            h.update(_FIRST_BLOCK(i))
+            # Only the draw's own bytes, so each int is allocated at its size.
+            out.append(from_bytes(h.digest()[:nbytes], "big") >> drop)
+        return out
 
-def draw_pick(tag: bytes, seed: int, index: int, count: int) -> int:
-    """An index in [0, count)."""
-    raw = int.from_bytes(blocks(tag, seed, index, 8), "big")
-    return raw % count
+    def unit(self, index: int) -> float:
+        """A uniform float in [0, 1)."""
+        return self.bits(index, 64) / 2.0 ** 64
+
+    def pick(self, index: int, count: int) -> int:
+        """An index in [0, count)."""
+        return self.bits(index, 64) % count
 
 
 def unit_threshold(p: float) -> int:

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 from .array import CamArray, Variant, new_array, oracle_search, search
 from .core import BitWord, CamConfig
-from .draws import draw_bits, draw_pick, draw_unit
+from .draws import Stream
 from .errors import InvalidConfig, WidthMismatch
 
 _TAG_STORE = b"verify-store"
@@ -115,6 +115,7 @@ def verify_exhaustive(seed: int = 0, fault: bool = False) -> VerifyOutcome:
     """Small-geometry sweep: n = 4..6, k = 2..3, stores up to 32 words,
     every possible query against every store, on both variants."""
     total = 0
+    store_draws = Stream(_TAG_STORE, seed)
     for n in (4, 5, 6):
         universe = _all_words(n)
         for k in (2, 3):
@@ -131,10 +132,8 @@ def verify_exhaustive(seed: int = 0, fault: bool = False) -> VerifyOutcome:
             # seeded random stores of assorted sizes
             for j, size in enumerate((5, 17, 32)):
                 base = n * 1000 + k * 100 + j * 10
-                stores.append(("store", [
-                    BitWord(n, draw_bits(_TAG_STORE, seed, base + i, n))
-                    for i in range(size)
-                ]))
+                values = store_draws.bits_column(size, n, start=base)
+                stores.append(("store", [BitWord(n, v) for v in values]))
             for kind, words in stores:
                 cfg = CamConfig(len(words), n, k, seed=seed)
                 ctx = f"n={n} k={k} {{}} {kind}"
@@ -162,15 +161,18 @@ def verify_randomized(
     # One copy of the store: _check_store keeps a tuple as it is.
     words = tuple(gen_words(config.num_words, config.word_bits, config.seed))
     n = config.word_bits
+    styles, trial_draws, flips = (
+        Stream(tag, seed) for tag in (_TAG_STYLE, _TAG_TRIAL, _TAG_FLIP)
+    )
 
     def trial(i: int) -> BitWord:
-        style = draw_unit(_TAG_STYLE, seed, i)
+        style = styles.unit(i)
         if style < 0.6:
-            return BitWord(n, draw_bits(_TAG_TRIAL, seed, i, n))
-        base = words[draw_pick(_TAG_TRIAL, seed, i, len(words))]
+            return BitWord(n, trial_draws.bits(i, n))
+        base = words[trial_draws.pick(i, len(words))]
         if style < 0.9:
             return base
-        pos = draw_pick(_TAG_FLIP, seed, i, n)
+        pos = flips.pick(i, n)
         return BitWord(n, base.value ^ (1 << (n - 1 - pos)))
 
     queries = (trial(i) for i in range(trials))

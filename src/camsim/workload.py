@@ -23,15 +23,8 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .array import EventTotals, SearchRun
-from .core import _SEED_LIMIT, BitWord, parse_word
-from .draws import (
-    blocks,
-    draw_bits,
-    draw_pick,
-    draw_unit,
-    threshold_bits,
-    unit_threshold,
-)
+from .core import BitWord, _check_seed, parse_word
+from .draws import Stream, threshold_bits, unit_threshold
 from .errors import BadDigit, EmptyStore, InvalidConfig, WidthMismatch
 
 # Stream tags keep the word, query, and decision draws independent.
@@ -67,8 +60,7 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.num_queries < 1:
             raise InvalidConfig(f"num_queries must be >= 1, got {self.num_queries}")
-        if not 0 <= self.seed < _SEED_LIMIT:
-            raise InvalidConfig("seed must fit in 64 unsigned bits")
+        _check_seed(self.seed)
         if self.kind is WorkloadKind.PLANTED:
             if self.match_rate is None or not 0 <= self.match_rate <= 1:
                 raise InvalidConfig("planted workload needs match_rate in [0, 1]")
@@ -90,9 +82,8 @@ def gen_words(count: int, width: int, seed: int) -> list[BitWord]:
     """Uniform independent bits, deterministic for a fixed seed."""
     if count < 1 or width < 1:
         raise InvalidConfig("count and width must be >= 1")
-    return [
-        BitWord(width, draw_bits(_TAG_WORDS, seed, i, width)) for i in range(count)
-    ]
+    values = Stream(_TAG_WORDS, seed).bits_column(count, width)
+    return [BitWord(width, v) for v in values]
 
 
 def gen_queries(workload: WorkloadSpec, words: Sequence[BitWord]) -> list[BitWord]:
@@ -102,24 +93,29 @@ def gen_queries(workload: WorkloadSpec, words: Sequence[BitWord]) -> list[BitWor
         raise EmptyStore("query generation needs at least one stored word")
     width = words[0].width
     seed = workload.seed
+    count = workload.num_queries
 
-    out = []
     if workload.kind is WorkloadKind.UNIFORM:
-        for i in range(workload.num_queries):
-            out.append(BitWord(width, draw_bits(_TAG_QUERY, seed, i, width)))
-    elif workload.kind is WorkloadKind.PLANTED:
-        for i in range(workload.num_queries):
-            if draw_unit(_TAG_DECISION, seed, i) < workload.match_rate:
-                out.append(words[draw_pick(_TAG_PICK, seed, i, len(words))])
+        values = Stream(_TAG_QUERY, seed).bits_column(count, width)
+        return [BitWord(width, v) for v in values]
+    out = []
+    if workload.kind is WorkloadKind.PLANTED:
+        decision, pick, query = (
+            Stream(tag, seed) for tag in (_TAG_DECISION, _TAG_PICK, _TAG_QUERY)
+        )
+        for i in range(count):
+            if decision.unit(i) < workload.match_rate:
+                out.append(words[pick.pick(i, len(words))])
             else:
-                out.append(BitWord(width, draw_bits(_TAG_QUERY, seed, i, width)))
+                out.append(BitWord(width, query.bits(i, width)))
     else:
         # Bit pos keeps the anchor's bit when its 32-bit word x has
         # x / 2**32 < bias, so the flip mask has a 1 wherever x >= threshold.
         anchor = words[0].value
         threshold = unit_threshold(workload.bias)
-        for i in range(workload.num_queries):
-            flips = threshold_bits(blocks(_TAG_SKEW, seed, i, 4 * width), threshold)
+        skew = Stream(_TAG_SKEW, seed)
+        for i in range(count):
+            flips = threshold_bits(skew.blocks(i, 4 * width), threshold)
             out.append(BitWord(width, anchor ^ int(flips, 2)))
     return out
 

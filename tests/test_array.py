@@ -21,7 +21,7 @@ from camsim import (
     search,
     write_word,
 )
-from camsim.draws import draw_bits
+from camsim.draws import Stream
 from camsim.verify import _check_store
 from cell_route import FIVE_BIT_STORE, all_words, assert_traces_explain
 
@@ -333,9 +333,10 @@ def _index_stores(n, k, size):
     prefix, and two words repeated."""
     seed = n * 100 + size
     shared = 1 << (n - k)
+    draws = Stream(b"index", seed)
     return (
-        [BitWord(n, draw_bits(b"index", seed, i, n)) for i in range(size)],
-        [BitWord(n, shared | draw_bits(b"index", seed, i, 2)) for i in range(size)],
+        [BitWord(n, v) for v in draws.bits_column(size, n)],
+        [BitWord(n, shared | v) for v in draws.bits_column(size, 2)],
         [BitWord(n, (5, 2 ** n - 3)[i % 2]) for i in range(size)],
     )
 

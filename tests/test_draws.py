@@ -12,15 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camsim.core import BitWord
-from camsim.draws import (
-    blocks,
-    draw_bits,
-    draw_pick,
-    draw_unit,
-    threshold_bits,
-    unit_threshold,
-)
+from camsim.core import BitWord, CamConfig
+from camsim.draws import Stream, threshold_bits, unit_threshold
+from camsim.errors import InvalidConfig
+from camsim.verify import verify_exhaustive, verify_randomized
 from camsim.workload import WorkloadKind, WorkloadSpec, gen_queries, gen_words
 
 WIDTHS = (3, 8, 13, 144)
@@ -115,16 +110,18 @@ def _outputs(case: str) -> list[str]:
                 )
             )
         elif name == "unit":
-            lines += [draw_unit(_TAG_STYLE, seed, i).hex() for i in range(NUM_DRAWS)]
+            stream = Stream(_TAG_STYLE, seed)
+            lines += [stream.unit(i).hex() for i in range(NUM_DRAWS)]
         elif name == "pick":
             for tag, count in ((_TAG_TRIAL, 256), (_TAG_TRIAL, 3), (_TAG_FLIP, 144)):
-                lines += [str(draw_pick(tag, seed, i, count)) for i in range(NUM_DRAWS)]
+                stream = Stream(tag, seed)
+                lines += [str(stream.pick(i, count)) for i in range(NUM_DRAWS)]
         elif name == "bits":
             for tag in (_TAG_TRIAL, _TAG_STORE):
+                stream = Stream(tag, seed)
                 for width in WIDTHS:
                     lines += [
-                        format(draw_bits(tag, seed, i, width), "x")
-                        for i in range(NUM_DRAWS)
+                        format(stream.bits(i, width), "x") for i in range(NUM_DRAWS)
                     ]
         else:
             raise KeyError(case)
@@ -163,10 +160,51 @@ def _reference_blocks(tag: bytes, seed: int, index: int, nbytes: int) -> bytes:
     [(b"words", 0, 0), (b"skew", 97, 12345), (b"", 2**64 - 1, 2**64 - 1)],
 )
 def test_blocks_equal_the_four_update_reference(tag, seed, index):
+    stream = Stream(tag, seed)
     for nbytes in range(1, 101):
-        assert blocks(tag, seed, index, nbytes) == _reference_blocks(
+        assert stream.blocks(index, nbytes) == _reference_blocks(
             tag, seed, index, nbytes
         )
+
+
+@pytest.mark.parametrize("width", (1, 3, 144, 256, 257))
+def test_bits_column_equals_one_draw_per_index(width):
+    # 257 bits need a second block, so the column falls back to ``bits``.
+    for seed in SEEDS:
+        stream = Stream(b"column", seed)
+        expected = [stream.bits(i, width) for i in range(NUM_DRAWS)]
+        assert stream.bits_column(NUM_DRAWS, width) == expected
+        assert stream.bits_column(50, width, start=120) == expected[120:170]
+        assert stream.bits_column(0, width) == []
+
+
+def test_a_stream_keeps_no_state_between_draws():
+    stream = Stream(b"query", 97)
+    forward = [stream.blocks(i, 40) for i in range(NUM_DRAWS)]
+    backward = [stream.blocks(i, 40) for i in reversed(range(NUM_DRAWS))]
+    assert backward[::-1] == forward
+    assert [stream.blocks(i, 40) for i in range(NUM_DRAWS)] == forward
+    for width in (3, 144):
+        column = stream.bits_column(NUM_DRAWS, width)
+        assert stream.bits_column(NUM_DRAWS, width) == column
+        backward = [stream.bits(i, width) for i in reversed(range(NUM_DRAWS))]
+        assert backward == column[::-1]
+    units = [stream.unit(i) for i in range(NUM_DRAWS)]
+    assert [stream.unit(i) for i in reversed(range(NUM_DRAWS))] == units[::-1]
+    assert units == [stream.unit(i) for i in range(NUM_DRAWS)]
+
+
+@pytest.mark.parametrize("seed", (-1, 2**64))
+def test_a_seed_outside_64_unsigned_bits_is_invalid_config(seed):
+    calls = [
+        lambda: Stream(b"words", seed),
+        lambda: gen_words(4, 8, seed),
+        lambda: verify_exhaustive(seed=seed),
+        lambda: verify_randomized(CamConfig(16, 12, 3), 5, seed=seed),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidConfig, match="^seed must fit in 64 unsigned bits$"):
+            call()
 
 
 def _reference_skewed(workload: WorkloadSpec, words) -> list[BitWord]:
@@ -188,7 +226,7 @@ def _reference_skewed(workload: WorkloadSpec, words) -> list[BitWord]:
 def test_skewed_queries_equal_the_per_bit_reference(width):
     words = gen_words(NUM_WORDS, width, 5)
     for i in range(20):
-        bias = min(max(draw_unit(b"test-bias", width, i), 2**-33), 1 - 2**-33)
+        bias = min(max(Stream(b"test-bias", width).unit(i), 2**-33), 1 - 2**-33)
         spec = WorkloadSpec(WorkloadKind.PREFIX_SKEWED, 10, i, bias=bias)
         assert gen_queries(spec, words) == _reference_skewed(spec, words)
 
@@ -200,7 +238,7 @@ def test_integer_threshold_matches_the_float_test_at_the_boundary():
         math.nextafter(0.5, 1),
         1 / 3,
         0.1,
-        *(draw_unit(b"test-bias", 0, i) for i in range(500)),
+        *map(Stream(b"test-bias", 0).unit, range(500)),
     ]
     for bias in biases:
         t = unit_threshold(bias)

@@ -4,6 +4,7 @@
 import pytest
 
 import camsim.verify
+import camsim.array
 from camsim import (
     BitWord,
     CamConfig,
@@ -18,6 +19,7 @@ from camsim import (
     gen_queries,
     gen_words,
     new_array,
+    oracle_search,
     run_search_stream,
     search,
     sum_event_totals,
@@ -36,9 +38,9 @@ def _assert_prices(run, reports, config):
     ]
 
 
-def test_columns_equal_search_on_every_exhaustive_store(monkeypatch):
-    # Every store and query universe of the verifier's exhaustive tier, on
-    # both variants, first from power-up and then threaded after a query.
+@pytest.fixture(scope="module")
+def exhaustive_stores():
+    """Every (config, words, queries) the verifier's exhaustive tier checks."""
     stores = []
     check_store = camsim.verify._check_store
 
@@ -47,11 +49,18 @@ def test_columns_equal_search_on_every_exhaustive_store(monkeypatch):
         stores.append((config, words, queries))
         return check_store(config, words, queries, fault, context)
 
-    monkeypatch.setattr(camsim.verify, "_check_store", recorded)
-    assert verify_exhaustive(1).ok
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(camsim.verify, "_check_store", recorded)
+        assert verify_exhaustive(1).ok
     assert len(stores) == 260
+    return stores
+
+
+def test_columns_equal_search_on_every_exhaustive_store(exhaustive_stores):
+    # Every store and query universe of the verifier's exhaustive tier, on
+    # both variants, first from power-up and then threaded after a query.
     searches = 0
-    for config, words, queries in stores:
+    for config, words, queries in exhaustive_stores:
         for variant in Variant:
             arr = new_array(config, variant, words)
             for prev in (None, queries[-1]):
@@ -61,6 +70,22 @@ def test_columns_equal_search_on_every_exhaustive_store(monkeypatch):
                 _assert_prices(run, reports, config)
                 searches += len(run)
     assert searches == 2 * 24192
+
+
+def test_count_columns_hold_only_ints_on_every_exhaustive_store(exhaustive_stores):
+    # The row template writes each count as its str, which is a JSON
+    # integer only for an int, so a float or bool in any column fails here.
+    types = set()
+    for config, words, queries in exhaustive_stores:
+        for variant in Variant:
+            run = run_search_stream(new_array(config, variant, words), queries)
+            for column in (
+                run.energized, run.ml_en_transitions, run.sl_toggles,
+                run.ml_discharges, [run.array._energizers],
+                [a for m in run.matches for a in m],
+            ):
+                types |= {*map(type, column)}
+    assert types == {int}
 
 
 @pytest.mark.parametrize("seed", [1, 97])
@@ -150,3 +175,28 @@ def test_a_hit_on_every_line_lists_every_address(variant):
         arr = new_array(config, variant, words)
         assert search(arr, query).matches == want
         assert run_search_stream(arr, [query, query]).matches == [want, want]
+
+
+@pytest.mark.parametrize("share", [0.0, 1.0])
+@pytest.mark.parametrize("variant", Variant)
+@pytest.mark.parametrize("hits", [0, 1, 5, 256])
+def test_both_hit_listings_equal_the_oracle(monkeypatch, hits, variant, share):
+    # A share of 0 lists every hit in one enumerate pass, and 1 finds each
+    # by a tuple.index scan. ``hits`` addresses spread over the store hold
+    # the key; the other words are distinct, and those at even addresses
+    # sort before the key's prefix, so its gated run starts past entry 0.
+    monkeypatch.setattr(camsim.array, "_INDEX_SCAN_SHARE", share)
+    key = 0b101_000000011
+    values = [(2, 5)[a % 2] << 9 | (4 + a) for a in range(256)]
+    for j in range(hits):
+        values[(7 * j + 1) % 256] = key
+    assert values.count(key) == hits
+    words = [BitWord(12, v) for v in values]
+    want = oracle_search(values, key)
+    assert len(want) == hits
+    arr = new_array(CamConfig(256, 12, 3), variant, words)
+    query = BitWord(12, key)
+    assert search(arr, query).matches == want
+    assert run_search_stream(arr, [query, query]).matches == [want, want]
+    lo, hi = arr._runs[5]
+    assert camsim.array._hit_addresses(arr._ordered[lo:hi], key, arr._order, lo) == want
