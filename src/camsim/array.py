@@ -250,25 +250,15 @@ class SearchReport(NamedTuple):
         return word_traces(a.words, k, gated, self.query, self.prev_query)
 
 
-# The largest share of a bucket whose hits ``_hit_addresses`` finds by one
-# ``tuple.index`` scan each; above it one ``enumerate`` pass is cheaper. At
-# 8, 32 and 256 entries the two cost the same at about 5/8 of them.
-_INDEX_SCAN_SHARE = 5 / 8
-
-
 def _hit_addresses(
     bucket: tuple[int, ...], key: int, order: Sequence[int], lo: int
 ) -> tuple[int, ...]:
     """The addresses, ascending, of the ``bucket`` entries equal to ``key``,
-    where entry i of the bucket is stored at ``order[lo + i]``. A few hits
-    are found by C-level ``tuple.index`` scans, each from the one before
-    it; a bucket mostly of hits is listed in one pass."""
-    hits = bucket.count(key)
-    if hits > _INDEX_SCAN_SHARE * len(bucket):
-        return tuple([order[lo + i] for i, v in enumerate(bucket) if v == key])
+    where entry i of the bucket is stored at ``order[lo + i]``. Each hit is
+    found by a C-level ``tuple.index`` scan from the one before it."""
     out = []
     i = -1
-    for _ in range(hits):
+    for _ in range(bucket.count(key)):
         i = bucket.index(key, i + 1)
         out.append(order[lo + i])
     return tuple(out)

@@ -43,10 +43,6 @@ class Stream:
     def blocks(self, index: int, nbytes: int) -> bytes:
         """The first ``nbytes`` of the concatenated digest blocks of draw
         ``index``."""
-        if nbytes <= 32:
-            h = self._head.copy()
-            h.update(_FIRST_BLOCK(index))
-            return h.digest()[:nbytes]
         head = self._head.copy()
         head.update(index.to_bytes(8, "big"))
         parts = []

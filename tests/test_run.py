@@ -4,7 +4,6 @@
 import pytest
 
 import camsim.verify
-import camsim.array
 from camsim import (
     BitWord,
     CamConfig,
@@ -38,9 +37,9 @@ def _assert_prices(run, reports, config):
     ]
 
 
-@pytest.fixture(scope="module")
-def exhaustive_stores():
-    """Every (config, words, queries) the verifier's exhaustive tier checks."""
+def test_columns_equal_search_on_every_exhaustive_store(monkeypatch):
+    # Every store and query universe of the verifier's exhaustive tier, on
+    # both variants, first from power-up and then threaded after a query.
     stores = []
     check_store = camsim.verify._check_store
 
@@ -49,18 +48,12 @@ def exhaustive_stores():
         stores.append((config, words, queries))
         return check_store(config, words, queries, fault, context)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(camsim.verify, "_check_store", recorded)
-        assert verify_exhaustive(1).ok
+    monkeypatch.setattr(camsim.verify, "_check_store", recorded)
+    assert verify_exhaustive(1).ok
     assert len(stores) == 260
-    return stores
-
-
-def test_columns_equal_search_on_every_exhaustive_store(exhaustive_stores):
-    # Every store and query universe of the verifier's exhaustive tier, on
-    # both variants, first from power-up and then threaded after a query.
     searches = 0
-    for config, words, queries in exhaustive_stores:
+    types = set()
+    for config, words, queries in stores:
         for variant in Variant:
             arr = new_array(config, variant, words)
             for prev in (None, queries[-1]):
@@ -69,22 +62,15 @@ def test_columns_equal_search_on_every_exhaustive_store(exhaustive_stores):
                 assert_run_equals_searches(run, reports)
                 _assert_prices(run, reports, config)
                 searches += len(run)
+                for column in (
+                    run.energized, run.ml_en_transitions, run.sl_toggles,
+                    run.ml_discharges, [run.array._energizers],
+                    [a for m in run.matches for a in m],
+                ):
+                    types |= {*map(type, column)}
     assert searches == 2 * 24192
-
-
-def test_count_columns_hold_only_ints_on_every_exhaustive_store(exhaustive_stores):
     # The row template writes each count as its str, which is a JSON
     # integer only for an int, so a float or bool in any column fails here.
-    types = set()
-    for config, words, queries in exhaustive_stores:
-        for variant in Variant:
-            run = run_search_stream(new_array(config, variant, words), queries)
-            for column in (
-                run.energized, run.ml_en_transitions, run.sl_toggles,
-                run.ml_discharges, [run.array._energizers],
-                [a for m in run.matches for a in m],
-            ):
-                types |= {*map(type, column)}
     assert types == {int}
 
 
@@ -162,41 +148,24 @@ def test_width_errors_come_in_search_order(variant, case, message):
 
 @pytest.mark.parametrize("variant", Variant)
 def test_a_hit_on_every_line_lists_every_address(variant):
-    # 256 copies of one word, and a stored word twice among other values:
-    # the run and search list the same ascending addresses.
+    # 256 copies of one word; a stored word twice among other values; and
+    # 0, 1 or 5 copies of a key among distinct words, those at even
+    # addresses sorting before the key's prefix, so its gated run starts
+    # past entry 0. The run and search list the oracle's ascending addresses.
     config = CamConfig(256, 12, 3)
-    same = [BitWord(12, 0b101_000000011)] * 256
-    mixed = [BitWord(12, (7 * i) % 4096) for i in range(256)]
+    key = 0b101_000000011
+    mixed = [(7 * i) % 4096 for i in range(256)]
     mixed[200] = mixed[3]
-    for words, query, want in (
-        (same, same[0], tuple(range(256))),
-        (mixed, mixed[3], (3, 200)),
-    ):
-        arr = new_array(config, variant, words)
+    stores = [([key] * 256, key), (mixed, mixed[3])]
+    for hits in (0, 1, 5):
+        values = [(2, 5)[a % 2] << 9 | (4 + a) for a in range(256)]
+        for j in range(hits):
+            values[7 * j + 1] = key
+        stores.append((values, key))
+    assert [len(oracle_search(*store)) for store in stores] == [256, 2, 0, 1, 5]
+    for values, query_value in stores:
+        want = oracle_search(values, query_value)
+        arr = new_array(config, variant, [BitWord(12, v) for v in values])
+        query = BitWord(12, query_value)
         assert search(arr, query).matches == want
         assert run_search_stream(arr, [query, query]).matches == [want, want]
-
-
-@pytest.mark.parametrize("share", [0.0, 1.0])
-@pytest.mark.parametrize("variant", Variant)
-@pytest.mark.parametrize("hits", [0, 1, 5, 256])
-def test_both_hit_listings_equal_the_oracle(monkeypatch, hits, variant, share):
-    # A share of 0 lists every hit in one enumerate pass, and 1 finds each
-    # by a tuple.index scan. ``hits`` addresses spread over the store hold
-    # the key; the other words are distinct, and those at even addresses
-    # sort before the key's prefix, so its gated run starts past entry 0.
-    monkeypatch.setattr(camsim.array, "_INDEX_SCAN_SHARE", share)
-    key = 0b101_000000011
-    values = [(2, 5)[a % 2] << 9 | (4 + a) for a in range(256)]
-    for j in range(hits):
-        values[(7 * j + 1) % 256] = key
-    assert values.count(key) == hits
-    words = [BitWord(12, v) for v in values]
-    want = oracle_search(values, key)
-    assert len(want) == hits
-    arr = new_array(CamConfig(256, 12, 3), variant, words)
-    query = BitWord(12, key)
-    assert search(arr, query).matches == want
-    assert run_search_stream(arr, [query, query]).matches == [want, want]
-    lo, hi = arr._runs[5]
-    assert camsim.array._hit_addresses(arr._ordered[lo:hi], key, arr._order, lo) == want
