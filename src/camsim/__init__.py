@@ -17,7 +17,6 @@ from .array import (
     run_search_stream,
     search,
     sum_event_totals,
-    write_word,
 )
 from .cells import (
     CellKind,
@@ -52,13 +51,11 @@ from .energy import (
     totals_energy,
 )
 from .errors import (
-    AddressOutOfRange,
     BadDigit,
     CamError,
     EmptyStore,
     InvalidConfig,
     PrefixTooShort,
-    UnknownEventClass,
     WidthMismatch,
     WriteInSearchMode,
     ZeroSearches,
@@ -69,7 +66,6 @@ from .verify import Counterexample, VerifyOutcome, verify_exhaustive, verify_ran
 from .workload import (
     WorkloadKind,
     WorkloadSpec,
-    dump_words,
     gen_queries,
     gen_words,
     load_words,

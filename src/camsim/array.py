@@ -1,5 +1,5 @@
-"""The full N x n CAM array: storage, write path, the two-phase search
-protocol, and an all-NOR baseline for comparison.
+"""The full N x n CAM array: storage, the two-phase search protocol, and an
+all-NOR baseline for comparison.
 
 A search runs in two phases per word. Precharge phase: in the gated variant
 the energizer evaluates the k-bit prefixes and the match line charges only
@@ -24,7 +24,8 @@ and tests the key against them at C speed, and lists the matching addresses
 (ascending, because the sort is stable) only on a hit. Its cost is O(run),
 not O(N); the ML_EN-transition count is two run sizes.
 
-Arrays are immutable values; ``write_word`` returns a new array. ``search``
+Arrays are immutable values, built whole from their stored words: there is
+no array-level write, and a changed store is a new array. ``search``
 is a pure function of (array, query, previous query), the previous query
 being the explicit context for searchline-toggle and ML_EN-transition
 counting, so concurrent searches are deterministic under any scheduling.
@@ -36,14 +37,14 @@ query's run for matches stays per query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, chain, compress, islice
 from operator import add, attrgetter, contains, mul, ne, sub, xor
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import BitWord, CamConfig
-from .errors import AddressOutOfRange, InvalidConfig, WidthMismatch
+from .errors import InvalidConfig, WidthMismatch
 from .trace import WordTrace, word_traces
 
 
@@ -67,9 +68,9 @@ class EventTotals(NamedTuple):
     energy is carried by the evaluation class, so ``ml_en_transitions`` is
     reported for activity analysis only.
 
-    A tuple, so one is built per search at tuple cost: ``+`` adds field by
-    field, ``*`` repeats as it does for any tuple, and a record equals the
-    plain tuple of its counts.
+    A tuple, so one is built per search at tuple cost: ``+`` concatenates
+    and ``*`` repeats as for any tuple, and a record equals the plain tuple
+    of its counts. A run's counts are summed by ``sum_event_totals``.
     """
 
     ml_en_transitions: int = 0
@@ -77,18 +78,6 @@ class EventTotals(NamedTuple):
     ml_discharges: int = 0
     sl_toggles: int = 0
     mle_evaluations: int = 0
-
-    def __add__(self, other: "EventTotals") -> "EventTotals":  # type: ignore[override]
-        return EventTotals(
-            self.ml_en_transitions + other.ml_en_transitions,
-            self.ml_precharges + other.ml_precharges,
-            self.ml_discharges + other.ml_discharges,
-            self.sl_toggles + other.sl_toggles,
-            self.mle_evaluations + other.mle_evaluations,
-        )
-
-    def to_dict(self) -> dict[str, int]:
-        return self._asdict()
 
 
 def _derived(default):
@@ -153,36 +142,11 @@ class CamArray:
 
 def new_array(
     config: CamConfig,
-    variant: Variant = Variant.SELECTIVE,
-    words: Optional[Sequence[BitWord]] = None,
+    variant: Variant,
+    words: Sequence[BitWord],
 ) -> CamArray:
-    """Build an array. Without ``words`` every latch powers up to zero, the
-    canonical initial state."""
-    if words is None:
-        zero = BitWord(config.word_bits, 0)
-        words = (zero,) * config.num_words
+    """Build an array that stores ``words``, one per address."""
     return CamArray(config, tuple(words), variant)
-
-
-def write_word(array: CamArray, addr: int, word: BitWord) -> CamArray:
-    """One full write cycle: drive the write control, store the word through
-    the cell write path, release back to search mode.
-
-    The energizer output is ambiguous while the write control is asserted, so
-    no search events are counted here.
-    """
-    cfg = array.config
-    if not 0 <= addr < cfg.num_words:
-        raise AddressOutOfRange(
-            f"address {addr} outside [0, {cfg.num_words})"
-        )
-    if word.width != cfg.word_bits:
-        raise WidthMismatch(
-            f"word width {word.width} != word_bits {cfg.word_bits}"
-        )
-    words = list(array.words)
-    words[addr] = word
-    return replace(array, words=tuple(words))
 
 
 def oracle_search(values: Sequence[int], key: int) -> tuple[int, ...]:

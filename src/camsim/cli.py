@@ -21,7 +21,7 @@ from .array import (
     run_search_stream,
     sum_event_totals,
 )
-from .core import CamConfig
+from .core import BitWord, CamConfig
 from .energy import (
     ENERGY_UNITS_NOTE,
     UPSIZE_NOTE,
@@ -186,6 +186,15 @@ def _make_workload(args: argparse.Namespace) -> WorkloadSpec:
     )
 
 
+def _load_word_file(path: str, kind: str, width: int, fmt: str) -> list[BitWord]:
+    """The words of a ``--words`` or ``--queries-file`` file, which must hold
+    at least one; ``kind`` names the file in that error."""
+    words = load_words(read_text_lines(path), width, fmt, path)
+    if not words:
+        raise InvalidConfig(f"{kind} file {path} holds no words")
+    return words
+
+
 def _materialize(args: argparse.Namespace):
     """Validate flags, then build (config, model, words, queries, workload_meta)."""
     tolerance = getattr(args, "tolerance", 0.0)
@@ -199,20 +208,16 @@ def _materialize(args: argparse.Namespace):
     spec = None if args.queries_file else _make_workload(args)
 
     if args.words:
-        lines = read_text_lines(args.words)
-        words = load_words(lines, config.word_bits, args.format, args.words)
-        if not words:
-            raise InvalidConfig(f"word file {args.words} holds no words")
+        words = _load_word_file(args.words, "word", config.word_bits, args.format)
         if len(words) != config.num_words:
             config = replace(config, num_words=len(words))
     else:
         words = gen_words(config.num_words, config.word_bits, config.seed)
 
     if args.queries_file:
-        lines = read_text_lines(args.queries_file)
-        queries = load_words(lines, config.word_bits, args.format, args.queries_file)
-        if not queries:
-            raise InvalidConfig(f"query file {args.queries_file} holds no words")
+        queries = _load_word_file(
+            args.queries_file, "query", config.word_bits, args.format
+        )
         workload_meta = {
             "kind": "file",
             "path": args.queries_file,
@@ -232,7 +237,7 @@ def _report_header(args, config, model, workload_meta) -> dict:
         "workload": workload_meta,
         "words_file": args.words,
         "word_format": args.format,
-        "model": model.to_dict(),
+        "model": asdict(model),
         "units": {"energy": ENERGY_UNITS_NOTE, "delay": DELAY_UNITS_NOTE},
         "notes": [UPSIZE_NOTE],
     }
@@ -254,7 +259,7 @@ def _aggregate_dict(config, model, variant, run) -> dict:
         "total_matches": sum(map(len, run.matches)),
         "mean_energized_fraction": fraction,
         "expected_energized_fraction": expected,
-        "event_totals": totals.to_dict(),
+        "event_totals": totals._asdict(),
         "energy_total": energy,
         "energy_metric": energy_metric(energy, config, searches),
         "delay_per_search": search_delay(model, config, variant),
@@ -365,7 +370,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"seed={config.seed} k={args.k_min}..{args.k_max} "
         f"workload={workload_desc} queries={len(queries)}"
     )
-    print("model: " + " ".join(f"{k}={v:g}" for k, v in model.to_dict().items()))
+    print("model: " + " ".join(f"{k}={v:g}" for k, v in asdict(model).items()))
     print(f"argmin k = {sweep_argmin(rows)}")
     print("note: energy metric is in model-calibrated arbitrary units")
     return 0

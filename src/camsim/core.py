@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
-
 from .errors import BadDigit, InvalidConfig, WidthMismatch
 
 # Energizer prefix width limits: one bit feeds the charge source, so at
@@ -51,9 +49,6 @@ class Level(Enum):
     @classmethod
     def from_bit(cls, bit: int) -> "Level":
         return cls.HIGH if bit else cls.LOW
-
-    def as_bit(self) -> int:
-        return self.value
 
 
 class DriverMode(Enum):
@@ -113,16 +108,6 @@ class BitWord:
                 f"value {self.value:#x} does not fit in {self.width} bits"
             )
 
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitWord":
-        seq = tuple(bits)
-        value = 0
-        for b in seq:
-            if b not in (0, 1):
-                raise BadDigit(f"bit values must be 0 or 1, got {b!r}")
-            value = (value << 1) | b
-        return cls(len(seq), value)
-
     def bit(self, index: int) -> int:
         if not 0 <= index < self.width:
             raise IndexError(index)
@@ -145,12 +130,6 @@ class BitWord:
                 f"width {self.width} is not a whole number of {name} digits"
             )
         return format(self.value, f"0{self.width // bits}{code}")
-
-    def __len__(self) -> int:
-        return self.width
-
-    def __getitem__(self, index: int) -> int:
-        return self.bit(index)
 
 
 def parse_word(text: str, width: int, fmt: str = "bin") -> BitWord:

@@ -34,7 +34,6 @@ from .core import MAX_MLE_BITS, MIN_MLE_BITS, BitWord, CamConfig
 from .errors import (
     InvalidConfig,
     PrefixTooShort,
-    UnknownEventClass,
     ZeroSearches,
 )
 from .workload import (
@@ -128,13 +127,10 @@ class EnergyModel:
         lines = content_lines(read_text_lines(path))
         return cls().with_assignments((f"{path}: line {n}", t) for n, t in lines)
 
-    def to_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in self.field_names()}
-
 
 def event_energy(
     model: EnergyModel,
-    event_class: Union[EventClass, str],
+    event_class: EventClass,
     multiplicity: int,
     config: CamConfig,
 ) -> float:
@@ -146,17 +142,13 @@ def event_energy(
     energizer evaluation switches k internal nodes whose devices grow by
     upsize_base for every series device beyond the k=3 reference.
     """
-    try:
-        cls = EventClass(event_class)
-    except ValueError:
-        raise UnknownEventClass(f"unknown event class {event_class!r}") from None
     if multiplicity < 0:
         raise ValueError(f"multiplicity must be >= 0, got {multiplicity}")
     n, k = config.word_bits, config.mle_bits
-    if cls in (EventClass.ML_PRECHARGE, EventClass.ML_DISCHARGE):
+    if event_class in (EventClass.ML_PRECHARGE, EventClass.ML_DISCHARGE):
         cap = model.c_ml_per_cell * (n - k)
         swing = model.v_swing_ml
-    elif cls is EventClass.SL_TOGGLE:
+    elif event_class is EventClass.SL_TOGGLE:
         cap = model.c_sl_per_cell * config.num_words
         swing = model.v_swing_sl
     else:

@@ -21,16 +21,8 @@ class PrefixTooShort(CamError):
     """The energizer stage needs at least two prefix bits."""
 
 
-class AddressOutOfRange(CamError):
-    """Word address outside [0, num_words)."""
-
-
 class WriteInSearchMode(CamError):
     """Cell write attempted while the driver is in search mode."""
-
-
-class UnknownEventClass(CamError):
-    """Event class not recognized by the energy model."""
 
 
 class ZeroSearches(CamError):

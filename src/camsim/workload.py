@@ -159,12 +159,6 @@ def load_words(
     return out
 
 
-def dump_words(words: Sequence[BitWord], stream: IO[str], fmt: str = "bin") -> None:
-    for w in words:
-        stream.write(w.to_text(fmt))
-        stream.write("\n")
-
-
 SWEEP_CSV_HEADER = "k,energized_fraction,energy_metric,mean_delay"
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import camsim.verify
 from camsim import (
-    AddressOutOfRange,
     BitWord,
     CamConfig,
     EventTotals,
@@ -19,7 +18,6 @@ from camsim import (
     new_array,
     oracle_search,
     search,
-    write_word,
 )
 from camsim.draws import Stream
 from camsim.verify import _check_store
@@ -27,21 +25,15 @@ from cell_route import FIVE_BIT_STORE, all_words, assert_traces_explain
 
 
 def w(text):
-    return BitWord.from_bits(int(c) for c in text)
+    return BitWord(len(text), int(text, 2))
 
 
 # ---------------------------------------------------------------- creation
 
 
-def test_new_array_zero_initialized():
-    cfg = CamConfig(4, 8, 3)
-    arr = new_array(cfg)
-    assert all(word.value == 0 for word in arr.words)
-
-
 def test_new_array_reference_geometry():
     cfg = CamConfig(256, 144, 3)
-    arr = new_array(cfg)
+    arr = new_array(cfg, Variant.SELECTIVE, [BitWord(144, 0)] * 256)
     assert len(arr.words) == 256 and arr.words[0].width == 144
 
 
@@ -53,9 +45,9 @@ def test_new_array_rejects_one_bit_prefix():
 def test_array_validates_word_count_and_width():
     cfg = CamConfig(2, 8, 3)
     with pytest.raises(InvalidConfig):
-        new_array(cfg, words=[BitWord(8, 0)])
+        new_array(cfg, Variant.SELECTIVE, [BitWord(8, 0)])
     with pytest.raises(WidthMismatch):
-        new_array(cfg, words=[BitWord(8, 0), BitWord(7, 0)])
+        new_array(cfg, Variant.SELECTIVE, [BitWord(8, 0), BitWord(7, 0)])
 
 
 # ------------------------------------------------------------------ writes
@@ -63,41 +55,17 @@ def test_array_validates_word_count_and_width():
 
 def test_write_then_search_matches():
     cfg = CamConfig(4, 8, 3)
-    arr = write_word(new_array(cfg), 2, w("10110011"))
-    report = search(arr, w("10110011"))
+    words = [BitWord(8, 0)] * 4
+    words[2] = w("10110011")
+    report = search(new_array(cfg, Variant.SELECTIVE, words), w("10110011"))
     assert report.matches == (2,)
-
-
-def test_write_isolation():
-    cfg = CamConfig(4, 8, 3)
-    arr = new_array(cfg)
-    arr = write_word(arr, 0, w("10110011"))
-    arr = write_word(arr, 1, w("01110011"))
-    assert search(arr, w("10110011")).matches == (0,)
-
-
-def test_write_bounds_and_width():
-    cfg = CamConfig(4, 8, 3)
-    arr = new_array(cfg)
-    with pytest.raises(AddressOutOfRange):
-        write_word(arr, 4, w("10110011"))
-    with pytest.raises(WidthMismatch):
-        write_word(arr, 0, BitWord(7, 0))
-
-
-def test_write_returns_new_value():
-    cfg = CamConfig(2, 8, 3)
-    arr = new_array(cfg)
-    arr2 = write_word(arr, 0, w("11111111"))
-    assert arr.words[0].value == 0
-    assert arr2.words[0].value == 0xFF
 
 
 def test_duplicate_words_both_match():
     cfg = CamConfig(3, 8, 3)
-    arr = new_array(cfg)
-    arr = write_word(arr, 0, w("10110011"))
-    arr = write_word(arr, 2, w("10110011"))
+    words = [BitWord(8, 0)] * 3
+    words[0] = words[2] = w("10110011")
+    arr = new_array(cfg, Variant.SELECTIVE, words)
     assert search(arr, w("10110011")).matches == (0, 2)
 
 
@@ -105,7 +73,7 @@ def test_duplicate_words_both_match():
 
 
 def test_search_width_guards():
-    arr = new_array(CamConfig(2, 8, 3))
+    arr = new_array(CamConfig(2, 8, 3), Variant.SELECTIVE, [BitWord(8, 0)] * 2)
     with pytest.raises(WidthMismatch):
         search(arr, BitWord(7, 0))
     with pytest.raises(WidthMismatch):
@@ -118,7 +86,7 @@ def test_single_match_energizes_one_line():
     query = w("10110011")
     words = [BitWord(8, query.value ^ 0x80) for _ in range(8)]
     words[5] = query
-    report = search(new_array(cfg, words=words), query)
+    report = search(new_array(cfg, Variant.SELECTIVE, words), query)
     assert report.matches == (5,)
     assert report.energized_count == 1
     assert report.event_totals.ml_discharges == 0
@@ -129,7 +97,7 @@ def test_shared_prefix_energizes_all_and_discharges_all():
     cfg = CamConfig(8, 8, 3)
     query = w("10110011")
     words = [BitWord(8, (query.prefix_int(3) << 5) | i) for i in range(8)]
-    report = search(new_array(cfg, words=words), query)
+    report = search(new_array(cfg, Variant.SELECTIVE, words), query)
     assert report.energized_count == 8
     assert report.matches == tuple(
         a for a, word in enumerate(words) if word == query
@@ -144,7 +112,7 @@ def test_exhaustive_full_table_equals_oracle():
     # all 16 distinct words stored, every possible query, k=2
     cfg = CamConfig(16, 4, 2)
     words = all_words(4)
-    arr = new_array(cfg, words=words)
+    arr = new_array(cfg, Variant.SELECTIVE, words)
     values = [w.value for w in words]
     prev = None
     for query in all_words(4):
@@ -244,7 +212,7 @@ def test_word_outcomes_match_cell_level_route(stored, qv):
 def test_trace_invariants_selective():
     cfg = CamConfig(16, 6, 3)
     words = all_words(6)[16:32]
-    arr = new_array(cfg, words=words)
+    arr = new_array(cfg, Variant.SELECTIVE, words)
     query = BitWord(6, 0b010110)
     report = search(arr, query)
     traces = report.traces
@@ -272,13 +240,13 @@ def test_trace_m_nodes_match_energizer():
     cfg = CamConfig(4, 6, 3)
     words = [w("101010"), w("001010"), w("111010"), w("100010")]
     query = w("101110")
-    report = search(new_array(cfg, words=words), query)
+    report = search(new_array(cfg, Variant.SELECTIVE, words), query)
     for t, word in zip(report.traces, words):
         assert t.m_nodes == mle_eval(word.prefix_bits(3), query.prefix_bits(3)).m_nodes
     # every stored/search prefix pair at every supported width
     for k in range(2, 7):
         words = [BitWord(k + 2, p << 2 | 1) for p in range(1 << k)]
-        arr = new_array(CamConfig(len(words), k + 2, k), words=words)
+        arr = new_array(CamConfig(len(words), k + 2, k), Variant.SELECTIVE, words)
         for qp in range(1 << k):
             query = BitWord(k + 2, qp << 2)
             for t, word in zip(search(arr, query).traces, words):
@@ -378,7 +346,7 @@ def test_gate_index_equals_prefix_scan(k):
             _assert_index_equals_scan(arr)
             # flip word 0's last prefix bit, moving it to another bucket
             moved = BitWord(n, words[0].value ^ (1 << (n - k)))
-            arr = write_word(arr, 0, moved)
+            arr = new_array(cfg, variant, [moved, *words[1:]])
             _assert_index_equals_scan(arr)
             if size % 8 == 1:  # every query against a sample of the stores
                 stored = [w.value for w in arr.words]
@@ -391,7 +359,7 @@ def test_gate_index_equals_prefix_scan(k):
 
 def test_searchline_toggle_counting():
     cfg = CamConfig(2, 8, 3)
-    arr = new_array(cfg)
+    arr = new_array(cfg, Variant.SELECTIVE, [BitWord(8, 0)] * 2)
     q1, q2 = w("10110011"), w("10010111")
     first = search(arr, q1)
     assert first.event_totals.sl_toggles == 8  # first search drives every column
@@ -405,7 +373,7 @@ def test_searchline_toggle_counting():
 def test_ml_en_transitions_against_cell_route():
     cfg = CamConfig(8, 6, 2)
     words = all_words(6)[8:16]
-    arr = new_array(cfg, words=words)
+    arr = new_array(cfg, Variant.SELECTIVE, words)
     q1, q2 = BitWord(6, 0b001100), BitWord(6, 0b011100)
     report = search(arr, q2, prev_query=q1)
     charges = discharges = 0
@@ -425,10 +393,10 @@ def test_suffix_change_never_affects_energization():
     query = w("10110011")
     for suffix in range(32):
         word = BitWord(8, (query.prefix_int(3) << 5) | suffix)
-        report = search(new_array(cfg, words=[word]), query)
+        report = search(new_array(cfg, Variant.SELECTIVE, [word]), query)
         assert report.energized_count == 1
     flipped = BitWord(8, query.value ^ 0x80)
-    report = search(new_array(cfg, words=[flipped]), query)
+    report = search(new_array(cfg, Variant.SELECTIVE, [flipped]), query)
     assert report.energized_count == 0
 
 
@@ -460,12 +428,14 @@ def test_baseline_dominance():
 )
 def test_write_search_interleaving_matches_oracle(ops):
     cfg = CamConfig(6, 8, 3)
-    arr = new_array(cfg)
+    words = [BitWord(8, 0)] * 6
+    arr = new_array(cfg, Variant.SELECTIVE, words)
     prev = None
     for op in ops:
         if op[0] == "write":
             _, addr, value = op
-            arr = write_word(arr, addr, BitWord(8, value))
+            words[addr] = BitWord(8, value)
+            arr = new_array(cfg, Variant.SELECTIVE, words)
         else:
             _, qv, _ = op
             q = BitWord(8, qv)
@@ -533,9 +503,10 @@ def test_gate_ordered_scan_with_repeated_values(case):
     query = BitWord(n, qv)
     prev = None if pv is None else BitWord(n, pv)
     for variant in (Variant.SELECTIVE, Variant.BASELINE_NOR):
-        arr = new_array(CamConfig(len(words), n, k), variant, words)
-        _assert_scan(arr, query, prev)
-        _assert_scan(write_word(arr, addr, BitWord(n, wv)), query, prev)
+        cfg = CamConfig(len(words), n, k)
+        _assert_scan(new_array(cfg, variant, words), query, prev)
+        rewritten = [*words[:addr], BitWord(n, wv), *words[addr + 1:]]
+        _assert_scan(new_array(cfg, variant, rewritten), query, prev)
 
 
 # ---------------------------------------------------------------- records

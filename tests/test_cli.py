@@ -353,7 +353,7 @@ def test_sweep_empty_queries_file_exits_2(tmp_path, capsys):
     out = tmp_path / "s.csv"
     rc = main(["sweep", "--queries-file", str(queries), "--out", str(out)])
     assert rc == 2
-    assert "holds no words" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: query file {queries} holds no words\n"
     assert not out.exists()
 
 

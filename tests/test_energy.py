@@ -1,7 +1,5 @@
 import math
-import operator
 from dataclasses import replace
-from functools import reduce
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +15,6 @@ from camsim import (
     InvalidConfig,
     PrefixTooShort,
     SearchRun,
-    UnknownEventClass,
     Variant,
     WorkloadKind,
     WorkloadSpec,
@@ -76,11 +73,6 @@ def test_ml_energy_is_linear_in_swing():
     e_half = event_energy(half, EventClass.ML_PRECHARGE, 7, CFG)
     e_full = event_energy(full, EventClass.ML_PRECHARGE, 7, CFG)
     assert e_full == pytest.approx(2 * e_half)
-
-
-def test_unknown_event_class():
-    with pytest.raises(UnknownEventClass):
-        event_energy(EnergyModel(), "ml_wobble", 1, CFG)
 
 
 def test_negative_multiplicity_rejected():
@@ -462,7 +454,8 @@ def test_sum_event_totals_equals_chained_add(values, variant):
     arr = new_array(_BASE_CONFIG, variant, _BASE_ARRAY.words)
     queries = [BitWord(12, v) for v in values]
     reports = searched(arr, queries)
-    want = reduce(operator.add, (r.event_totals for r in reports), EventTotals())
+    # field by field, from zero counts, over the per-search totals
+    want = EventTotals(*map(sum, zip(EventTotals(), *(r.event_totals for r in reports))))
     total = sum_event_totals(run_search_stream(arr, queries))
     assert total == want
     assert type(total) is EventTotals
@@ -472,14 +465,6 @@ def test_sum_event_totals_of_no_reports_is_zero():
     empty = run_search_stream(_BASE_ARRAY, [])
     assert sum_event_totals(empty) == EventTotals()
     assert type(sum_event_totals(empty)) is EventTotals
-
-
-@settings(max_examples=60, deadline=None)
-@given(_TOTALS, _TOTALS)
-def test_event_totals_add_field_by_field(a, b):
-    total = a + b
-    assert type(total) is EventTotals and len(total) == 5
-    assert total == tuple(x + y for x, y in zip(a, b))
 
 
 @settings(max_examples=40, deadline=None)

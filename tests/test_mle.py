@@ -48,9 +48,9 @@ def test_three_bit_table_has_exactly_eight_high_outcomes():
 def test_ml_en_equals_prefix_match_exhaustively(k):
     # cell-level route against the integer prefix-compare route
     for stored in product((0, 1), repeat=k):
-        a = BitWord.from_bits(stored + (0,) * 2)
+        a = BitWord(k + 2, int("".join(map(str, stored)), 2) << 2)
         for search in product((0, 1), repeat=k):
-            b = BitWord.from_bits(search + (0,) * 2)
+            b = BitWord(k + 2, int("".join(map(str, search)), 2) << 2)
             want = a.prefix_int(k) == b.prefix_int(k)
             assert (mle_eval(stored, search).ml_en is Level.HIGH) == want
 

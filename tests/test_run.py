@@ -112,7 +112,7 @@ def test_run_takes_any_iterable_of_queries():
 @pytest.mark.parametrize("variant", Variant)
 def test_empty_stream_gives_an_empty_run(variant):
     config = CamConfig(4, 6, 2)
-    arr = new_array(config, variant)
+    arr = new_array(config, variant, gen_words(4, 6, 1))
     for prev in (None, BitWord(6, 5), BitWord(7, 5)):
         run = run_search_stream(arr, [], prev)
         assert len(run) == 0 and not run
@@ -136,7 +136,7 @@ WIDTH_CASES = [
 @pytest.mark.parametrize("case, message", WIDTH_CASES)
 def test_width_errors_come_in_search_order(variant, case, message):
     widths, prev_width = case
-    arr = new_array(CamConfig(4, 6, 2), variant)
+    arr = new_array(CamConfig(4, 6, 2), variant, gen_words(4, 6, 1))
     queries = [BitWord(w, 1) for w in widths]
     prev = None if prev_width is None else BitWord(prev_width, 1)
     with pytest.raises(WidthMismatch) as per_query:

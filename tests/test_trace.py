@@ -12,6 +12,7 @@ from camsim import (
     gen_queries,
     gen_words,
     new_array,
+    oracle_search,
     run_search_stream,
     verify_exhaustive,
 )
@@ -67,5 +68,7 @@ def test_traces_explain_randomized_searches_at_reference_geometry(variant, spec)
     assert len(reports) == TRIALS
     if spec.kind is WorkloadKind.PLANTED:
         assert any(r.matches for r in reports)
+    values = [w.value for w in words]
     for report in reports:
+        assert report.matches == oracle_search(values, report.query.value)
         assert_traces_explain(report)

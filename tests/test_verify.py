@@ -113,11 +113,11 @@ def test_flipped_gate_mutant_matches_the_cell_level_route():
 def test_fault_injection_breaks_oracle_agreement():
     cfg = CamConfig(4, 8, 3)
     words = [
-        BitWord.from_bits(int(c) for c in text)
+        BitWord(8, int(text, 2))
         for text in ("10110011", "00110011", "11111111", "00000000")
     ]
     query = words[0]
-    got = _flipped_gate_matches(new_array(cfg, words=words), query)
+    got = _flipped_gate_matches(new_array(cfg, Variant.SELECTIVE, words), query)
     assert got != oracle_search([w.value for w in words], query.value)
     # the flipped gate energizes addresses 1, 2 and 3, and only address 1's
     # suffix matches on its NOR chain

@@ -20,7 +20,6 @@ from camsim import (
     WorkloadKind,
     WorkloadSpec,
     aggregate,
-    dump_words,
     gen_queries,
     gen_words,
     load_words,
@@ -206,9 +205,8 @@ def test_load_words_passes_other_errors_through_unchanged():
 @pytest.mark.parametrize("fmt", ["bin", "hex"])
 def test_dump_then_load_round_trip(fmt):
     words = gen_words(20, 16, 77)
-    buf = io.StringIO()
-    dump_words(words, buf, fmt)
-    assert load_words(io.StringIO(buf.getvalue()), 16, fmt) == words
+    text = "".join(w.to_text(fmt) + "\n" for w in words)
+    assert load_words(io.StringIO(text), 16, fmt) == words
 
 
 # ------------------------------------------------------------------ reports
@@ -298,7 +296,7 @@ def _reference_rows(run, energies) -> list[dict]:
 ROW_ENERGIES = (0.0, -0.0, 1.0, 0.1 + 0.2, 1e22, 1e-300, 5e-324, 7)
 _EVENT_NAMES = ("ml_en_transitions", "ml_precharges", "ml_discharges",
                 "sl_toggles", "mle_evaluations")
-_ARRAY = new_array(CamConfig(16, 12, 3))
+_ARRAY = new_array(CamConfig(16, 12, 3), Variant.SELECTIVE, gen_words(16, 12, 3))
 
 
 def _planted_run(num_queries: int = 30):
