@@ -31,8 +31,10 @@ being the explicit context for searchline-toggle and ML_EN-transition
 counting, so concurrent searches are deterministic under any scheduling.
 ``run_search_stream`` applies the same rules to a whole stream at once, in
 C-level passes over the query keys, and returns one column per count
-(``SearchRun``) instead of a record per query; only the scan of each
-query's run for matches stays per query.
+(``SearchRun``) instead of a record per query. Its match test is a
+membership test in one set of stored values per distinct run: O(N) to
+build once per stream, then O(1) per query, and only a hit slices its run
+to list the addresses. ``search`` keeps its slice scan.
 """
 
 from __future__ import annotations
@@ -326,6 +328,11 @@ def run_search_stream(
     the query keys: the same counts and matches as ``search`` query by
     query, with no per-query record.
 
+    Where ``search`` scans a slice of its run's stored values, the stream
+    builds one ``frozenset`` of them per distinct run (O(N) once per call;
+    the baseline's 2^k prefixes share one set of all N values) and tests
+    each key's membership in O(1). Only a hit lists addresses from the run.
+
     A width error is the first that searching query by query raises: the
     checks run in the order q0, ``prev_query``, q1, ... An empty stream
     gives an empty run, whatever ``prev_query`` is."""
@@ -361,11 +368,14 @@ def run_search_stream(
         map(add, energized, chain((prev_run[1] - prev_run[0],), energized)),
     )]
     sl = [sl_first, *map(int.bit_count, map(xor, islice(keys, 1, None), keys))]
-    # The gate's scan: each query's key against its run's stored values.
+    # One set per distinct run, not per prefix: the baseline's 2^k prefixes
+    # share one set of N values instead of 2^k copies of it.
     ordered, order = array._ordered, array._order
-    buckets = [ordered[lo:hi] for lo, hi in table]
-    scanned = [*map(buckets.__getitem__, prefixes)]
+    sets = {run: frozenset(ordered[slice(*run)]) for run in {*table}}
+    stored = [*map(sets.__getitem__, table)]
     matches: list[tuple[int, ...]] = [()] * len(keys)
-    for i in compress(range(len(keys)), map(contains, scanned, keys)):
-        matches[i] = _hit_addresses(scanned[i], keys[i], order, runs[i][0])
+    hits = map(contains, map(stored.__getitem__, prefixes), keys)
+    for i in compress(range(len(keys)), hits):
+        lo, hi = runs[i]
+        matches[i] = _hit_addresses(ordered[lo:hi], keys[i], order, lo)
     return SearchRun(array, matches, energized, ml_en, sl)

@@ -140,7 +140,8 @@ def event_energy(
     capacitance of the whole NOR chain, c_ml_per_cell * (n - k); a toggled
     searchline column drives one gate in every word, c_sl_per_cell * N; one
     energizer evaluation switches k internal nodes whose devices grow by
-    upsize_base for every series device beyond the k=3 reference.
+    upsize_base for every series device beyond the k=3 reference. Any
+    ``event_class`` that is not an ``EventClass`` is a ValueError.
     """
     if multiplicity < 0:
         raise ValueError(f"multiplicity must be >= 0, got {multiplicity}")
@@ -151,9 +152,11 @@ def event_energy(
     elif event_class is EventClass.SL_TOGGLE:
         cap = model.c_sl_per_cell * config.num_words
         swing = model.v_swing_sl
-    else:
+    elif event_class is EventClass.MLE_EVAL:
         cap = model.c_mle_node * k * model.upsize_base ** (k - 3)
         swing = model.v_dd
+    else:
+        raise ValueError(f"event_class must be an EventClass, got {event_class!r}")
     return cap * model.v_dd * swing * multiplicity
 
 

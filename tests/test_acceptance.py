@@ -9,8 +9,6 @@ from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
-import pytest
-
 from camsim import (
     CamConfig,
     EnergyModel,

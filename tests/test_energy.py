@@ -80,6 +80,13 @@ def test_negative_multiplicity_rejected():
         event_energy(EnergyModel(), EventClass.SL_TOGGLE, -1, CFG)
 
 
+@pytest.mark.parametrize("event_class", ["ml_precharge", "mle_eval", None, 3])
+def test_event_class_outside_the_enum_rejected(event_class):
+    # Such a value used to be priced silently as an energizer evaluation.
+    with pytest.raises(ValueError, match="must be an EventClass"):
+        event_energy(EnergyModel(), event_class, 1, CFG)
+
+
 def test_model_validation():
     with pytest.raises(InvalidConfig):
         EnergyModel(c_ml_per_cell=0)

@@ -169,3 +169,37 @@ def test_a_hit_on_every_line_lists_every_address(variant):
         query = BitWord(12, query_value)
         assert search(arr, query).matches == want
         assert run_search_stream(arr, [query, query]).matches == [want, want]
+
+
+# Stores of 8 six-bit words at k = 3 for the stream's set lookup, each
+# searched with every six-bit key.
+MEMBERSHIP_STORES = {
+    # Prefixes 0, 3 and 7 only: the empty buckets 1-2 and 4-6 each share one
+    # run tuple, which starts where the next occupied bucket's run does.
+    "repeated-runs": [1, 3, 24, 27, 29, 56, 60, 63],
+    "one-bucket": [40 + a for a in range(8)],  # every word has prefix 5
+    "duplicates": [9, 9, 40, 9, 40, 63, 0, 0],
+}
+
+
+@pytest.mark.parametrize("variant", Variant)
+@pytest.mark.parametrize("store", [*MEMBERSHIP_STORES, "planted-all-hit"])
+def test_stream_membership_equals_search_and_oracle(variant, store):
+    if store in MEMBERSHIP_STORES:
+        config, values = CamConfig(8, 6, 3), MEMBERSHIP_STORES[store]
+        queries = [BitWord(6, v) for v in range(64)]
+    else:
+        config = CamConfig(64, 12, 3, seed=3)
+        words = gen_words(64, 12, 3)
+        values = [w.value for w in words]
+        spec = WorkloadSpec(WorkloadKind.PLANTED, 200, 3, match_rate=1.0)
+        queries = gen_queries(spec, words)
+    n = config.word_bits
+    arr = new_array(config, variant, [BitWord(n, v) for v in values])
+    want = [oracle_search(values, q.value) for q in queries]
+    if store == "planted-all-hit":
+        assert all(want)  # every query takes the hit path
+    for prev in (None, queries[-1]):
+        run = run_search_stream(arr, queries, prev)
+        assert list(run.matches) == want
+        assert_run_equals_searches(run, searched(arr, queries, prev))

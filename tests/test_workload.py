@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from camsim import (
     BadDigit,
-    BitWord,
     CamConfig,
     EmptyStore,
     EnergyModel,
