@@ -1,27 +1,41 @@
-"""Oracle-equivalence harness: the search protocol against a linear scan.
+"""Oracle-equivalence harness: both search engines against a linear scan.
 
-Two tiers. The exhaustive tier walks small geometries through every query
-against structured and seeded stores (all single-word pairs, full tables,
-shared-prefix stores, duplicates). The randomized tier hammers the full
-256 x 144 geometry with a mix of uniform queries, planted copies, and
-near-miss single-bit corruptions, which is where a wrong prefix gate or
-suffix scan actually shows up. Both tiers search every query on the gated
-and on the all-NOR array of a store, against one oracle scan, so a
-``VerifyOutcome.cases`` counts two searches per query. The oracle scans
-the store's values as plain ints, listed once per store; widths are checked
-before a scan, not inside it.
+Two tiers, one per engine. The exhaustive tier walks small geometries
+through every query against structured and seeded stores (all single-word
+pairs, full tables, shared-prefix stores, duplicates), and checks
+``run_search_stream``, the column-at-a-time engine that the search, sweep
+and compare verbs run: one stream per store and variant over the whole
+query universe. The randomized tier hammers the full 256 x 144 geometry
+with a mix of uniform queries, planted copies, and near-miss single-bit
+corruptions, which is where a wrong prefix gate or suffix scan actually
+shows up, and checks single ``search`` lazily, query by query, threaded.
+Both tiers check every query on the gated and on the all-NOR array of a
+store against one oracle scan, so a ``VerifyOutcome.cases`` counts two
+searches per query, and either tier reports its first failure in the same
+order: query by query, gated before all-NOR. The oracle scans the store's
+values as plain ints, listed once per store; widths are checked before a
+scan or a stream, not inside it.
 
 With ``fault`` set, the harness checks a mutant instead of the sound build:
 one whose energizer inverts every decision, so it must report a
-counterexample.
+counterexample. Both tiers take the mutant's matches query by query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import attrgetter, ne
 from typing import Iterable, Optional, Sequence
 
-from .array import CamArray, Variant, new_array, oracle_search, search
+from .array import (
+    CamArray,
+    Variant,
+    new_array,
+    oracle_search,
+    run_search_stream,
+    search,
+)
 from .core import BitWord, CamConfig
 from .draws import Stream
 from .errors import InvalidConfig, WidthMismatch
@@ -74,7 +88,70 @@ def _flipped_gate_matches(arr: CamArray, query: BitWord) -> tuple[int, ...]:
     return tuple(sorted(matches))
 
 
-def _check_store(
+def _require_width(queries: Iterable[BitWord], n: int) -> None:
+    """Raise the width error of the first query that is not ``n`` bits wide."""
+    for q in queries:
+        if q.width != n:
+            raise WidthMismatch(f"query width {q.width} != word_bits {n}")
+
+
+def _first_mismatch(
+    arr: CamArray,
+    queries: Sequence[BitWord],
+    expected: Sequence[tuple[int, ...]],
+    fault: bool,
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """The first index at which ``arr``'s match column for ``queries``
+    differs from ``expected``, and the column's entry there; None if the
+    column passes. The column lives only in this call, so a store's check
+    holds at most one variant's column at a time."""
+    if fault:
+        column = [_flipped_gate_matches(arr, q) for q in queries]
+    else:
+        column = run_search_stream(arr, queries).matches
+    for i in compress(count(), map(ne, column, expected)):
+        return i, column[i]
+    return None
+
+
+def _check_columns(
+    config: CamConfig,
+    words: Sequence[BitWord],
+    queries: Sequence[BitWord],
+    fault: bool,
+    context: str,
+) -> VerifyOutcome:
+    """Stream every query through the store's gated array, then through its
+    all-NOR array, and compare each match column with one oracle scan of the
+    stored values per query. ``new_array`` rejects a stored word of the
+    wrong width and every query's width is checked before the first scan,
+    so the oracle compares plain ints. The verdict is the one a query-major
+    loop gives: a failure of the j-th variant at query i is case
+    2i + j + 1, so the all-NOR column is checked only up to the gated
+    column's first failure. ``context`` is a format string whose one field
+    takes the variant of a failing search."""
+    words = tuple(words)
+    arrays = [new_array(config, variant, words) for variant in Variant]
+    n = config.word_bits
+    if {*map(attrgetter("width"), queries)} - {n}:
+        _require_width(queries, n)
+    values = [w.value for w in words]
+    expected = [oracle_search(values, q.value) for q in queries]
+    failure, end = None, len(queries)
+    for j, arr in enumerate(arrays):
+        found = _first_mismatch(arr, queries[:end], expected, fault)
+        if found is not None:
+            failure, end = (j, arr, *found), found[0]
+    if failure is None:
+        return VerifyOutcome(2 * len(queries), None)
+    j, arr, i, got = failure
+    ctx = context.format(arr.variant.value)
+    return VerifyOutcome(
+        2 * i + j + 1, Counterexample(words, queries[i], expected[i], got, ctx)
+    )
+
+
+def _check_searches(
     config: CamConfig,
     words: Sequence[BitWord],
     queries: Iterable[BitWord],
@@ -82,11 +159,11 @@ def _check_store(
     context: str,
 ) -> VerifyOutcome:
     """Search each query on the store's gated array, then on its all-NOR
-    array, and compare both with one oracle scan of the stored values.
-    ``new_array`` rejects a stored word of the wrong width before the first
-    scan, and each query's width is checked before it is searched, so the
-    oracle compares plain ints. ``context`` is a format string whose one
-    field takes the variant of a failing search."""
+    array, threaded after the query before it, and compare both with one
+    oracle scan of the stored values; stop at the first failure. Queries
+    are drawn and checked one at a time, so no column of them is held.
+    Widths are checked as in ``_check_columns``, each query's before it is
+    scanned, and ``context`` is used as there."""
     words = tuple(words)
     arrays = [new_array(config, variant, words) for variant in Variant]
     values = [w.value for w in words]
@@ -94,8 +171,7 @@ def _check_store(
     cases = 0
     prev = None
     for q in queries:
-        if q.width != n:
-            raise WidthMismatch(f"query width {q.width} != word_bits {n}")
+        _require_width((q,), n)
         expected = oracle_search(values, q.value)
         for arr in arrays:
             cases += 1
@@ -113,7 +189,8 @@ def _all_words(width: int) -> list[BitWord]:
 
 def verify_exhaustive(seed: int = 0, fault: bool = False) -> VerifyOutcome:
     """Small-geometry sweep: n = 4..6, k = 2..3, stores up to 32 words,
-    every possible query against every store, on both variants."""
+    every possible query against every store, streamed through both
+    variants."""
     total = 0
     store_draws = Stream(_TAG_STORE, seed)
     for n in (4, 5, 6):
@@ -137,7 +214,7 @@ def verify_exhaustive(seed: int = 0, fault: bool = False) -> VerifyOutcome:
             for kind, words in stores:
                 cfg = CamConfig(len(words), n, k, seed=seed)
                 ctx = f"n={n} k={k} {{}} {kind}"
-                out = _check_store(cfg, words, universe, fault, ctx)
+                out = _check_columns(cfg, words, universe, fault, ctx)
                 total += out.cases
                 if not out.ok:
                     return VerifyOutcome(total, out.counterexample)
@@ -150,15 +227,15 @@ def verify_randomized(
     seed: int = 0,
     fault: bool = False,
 ) -> VerifyOutcome:
-    """Randomized trials at full geometry on both variants, so ``cases`` is
-    2 x ``trials`` when every search passes. Each trial draws its query from
-    (seed, trial index): 60% uniform, 30% an exact copy of a stored word,
-    10% a stored word with one flipped bit."""
+    """Randomized trials at full geometry, each one a single ``search`` on
+    both variants, so ``cases`` is 2 x ``trials`` when every search passes.
+    Each trial draws its query from (seed, trial index): 60% uniform, 30% an
+    exact copy of a stored word, 10% a stored word with one flipped bit."""
     from .workload import gen_words
 
     if trials < 0:
         raise InvalidConfig(f"trials must be >= 0, got {trials}")
-    # One copy of the store: _check_store keeps a tuple as it is.
+    # One copy of the store: _check_searches keeps a tuple as it is.
     words = tuple(gen_words(config.num_words, config.word_bits, config.seed))
     n = config.word_bits
     styles, trial_draws, flips = (
@@ -176,4 +253,4 @@ def verify_randomized(
         return BitWord(n, base.value ^ (1 << (n - 1 - pos)))
 
     queries = (trial(i) for i in range(trials))
-    return _check_store(config, words, queries, fault, "randomized {}")
+    return _check_searches(config, words, queries, fault, "randomized {}")

@@ -20,7 +20,7 @@ from camsim import (
     search,
 )
 from camsim.draws import Stream
-from camsim.verify import _check_store
+from camsim.verify import _check_columns, _check_searches
 from cell_route import FIVE_BIT_STORE, all_words, assert_traces_explain
 
 
@@ -147,16 +147,20 @@ def test_oracle_is_a_linear_scan(values, key):
 
 def test_oracle_width_guard(monkeypatch):
     # the oracle scans ints, so the verifier rejects a width that does not
-    # fit before any scan or search: a stored word's in new_array, a
-    # query's in _check_store
+    # fit before any scan, stream or search: a stored word's in new_array, a
+    # query's in the check of each tier. The exhaustive tier streams a list,
+    # so it checks every query before the first scan; the randomized tier
+    # draws its queries one by one and checks each before it is scanned.
     calls = []
-    monkeypatch.setattr(camsim.verify, "search", lambda *a: calls.append(a))
-    monkeypatch.setattr(camsim.verify, "oracle_search", lambda *a: calls.append(a))
+    for name in ("search", "run_search_stream", "oracle_search"):
+        monkeypatch.setattr(camsim.verify, name, lambda *a: calls.append(a))
     cfg = CamConfig(2, 4, 2)
-    with pytest.raises(WidthMismatch, match="query width 5"):
-        _check_store(cfg, [BitWord(4, 0)] * 2, [BitWord(5, 0)], False, "{}")
-    with pytest.raises(WidthMismatch, match="stored word width 5"):
-        _check_store(cfg, [BitWord(5, 0)] * 2, [BitWord(4, 0)], False, "{}")
+    bad_last = [BitWord(4, 1), BitWord(5, 0)]
+    for check, queries in ((_check_columns, bad_last), (_check_searches, bad_last[1:])):
+        with pytest.raises(WidthMismatch, match="query width 5"):
+            check(cfg, [BitWord(4, 0)] * 2, queries, False, "{}")
+        with pytest.raises(WidthMismatch, match="stored word width 5"):
+            check(cfg, [BitWord(5, 0)] * 2, [BitWord(4, 0)], False, "{}")
     assert calls == []
 
 

@@ -3,7 +3,6 @@
 
 import pytest
 
-import camsim.verify
 from camsim import (
     BitWord,
     CamConfig,
@@ -23,7 +22,6 @@ from camsim import (
     search,
     sum_event_totals,
     totals_energy,
-    verify_exhaustive,
 )
 from cell_route import assert_run_equals_searches, searched
 
@@ -37,23 +35,15 @@ def _assert_prices(run, reports, config):
     ]
 
 
-def test_columns_equal_search_on_every_exhaustive_store(monkeypatch):
+def test_columns_equal_search_on_every_exhaustive_store(exhaustive_tier):
     # Every store and query universe of the verifier's exhaustive tier, on
     # both variants, first from power-up and then threaded after a query.
-    stores = []
-    check_store = camsim.verify._check_store
-
-    def recorded(config, words, queries, fault, context):
-        queries = list(queries)
-        stores.append((config, words, queries))
-        return check_store(config, words, queries, fault, context)
-
-    monkeypatch.setattr(camsim.verify, "_check_store", recorded)
-    assert verify_exhaustive(1).ok
+    stores = exhaustive_tier.stores
+    assert exhaustive_tier.outcome.ok
     assert len(stores) == 260
     searches = 0
     types = set()
-    for config, words, queries in stores:
+    for config, words, queries, _ in stores:
         for variant in Variant:
             arr = new_array(config, variant, words)
             for prev in (None, queries[-1]):

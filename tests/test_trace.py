@@ -3,7 +3,6 @@ counting search path, search by search."""
 
 import pytest
 
-import camsim.verify
 from camsim import (
     CamConfig,
     Variant,
@@ -14,7 +13,6 @@ from camsim import (
     new_array,
     oracle_search,
     run_search_stream,
-    verify_exhaustive,
 )
 from cell_route import assert_run_equals_searches, assert_traces_explain, searched
 
@@ -22,31 +20,23 @@ from cell_route import assert_run_equals_searches, assert_traces_explain, search
 TRIALS = 50
 
 
-def test_traces_explain_every_exhaustive_search(monkeypatch):
-    # every store and query of the verifier's exhaustive tier, with the
-    # previous query threaded as the verifier threads it; each query is
-    # searched on both variants against one oracle scan
-    searched, scans = [], []
-
-    def checked(arr, query, prev_query=None):
-        report = search(arr, query, prev_query)
-        assert_traces_explain(report)
-        searched.append(report.variant)
-        return report
-
-    def counted_oracle(values, key):
-        scans.append(key)
-        return oracle_search(values, key)
-
-    search = camsim.verify.search
-    oracle_search = camsim.verify.oracle_search
-    monkeypatch.setattr(camsim.verify, "search", checked)
-    monkeypatch.setattr(camsim.verify, "oracle_search", counted_oracle)
-    out = verify_exhaustive(1)
+def test_traces_explain_every_exhaustive_search(exhaustive_tier):
+    # every store and query of the verifier's exhaustive tier, searched one
+    # by one on both variants with the previous query threaded as the
+    # verifier's streams thread it; the verifier itself streams each store
+    # once per variant against one oracle scan per query
+    out, stores, streams, scans = exhaustive_tier
+    traced = 0
+    for config, words, queries, _ in stores:
+        for variant in Variant:
+            for report in searched(new_array(config, variant, words), queries):
+                assert_traces_explain(report)
+                traced += 1
     assert out.ok
-    assert len(searched) == out.cases == 24192
-    assert searched.count(Variant.SELECTIVE) == searched.count(Variant.BASELINE_NOR)
-    assert len(scans) == 12096
+    assert traced == out.cases == 24192
+    assert scans == 12096
+    assert len(streams) == 520 and sum(n for _, n in streams) == 24192
+    assert [v for v, _ in streams] == [*Variant] * 260
 
 
 @pytest.mark.parametrize("variant", Variant)

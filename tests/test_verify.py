@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -11,6 +12,7 @@ from camsim import (
     Variant,
     new_array,
     oracle_search,
+    run_search_stream,
     search,
     verify_exhaustive,
     verify_randomized,
@@ -86,6 +88,88 @@ def test_oracle_mutant_is_caught_on_the_duplicates_store(monkeypatch):
     assert [w.value for w in ce.words] == [3, 5, 3, 0]
     assert ce.query.value == 3
     assert ce.got == (0, 2) and ce.expected == (0,)
+
+
+def test_stream_mutant_is_caught_on_the_duplicates_store(monkeypatch):
+    # the exhaustive tier checks the stream that every verb runs: a stream
+    # that loses the last address of a multi-hit result must show up as a
+    # counterexample, first on the tier's only store with a repeated word
+    def dropping(arr, queries, prev_query=None):
+        run = run_search_stream(arr, queries, prev_query)
+        return replace(run, matches=[m[:-1] if len(m) > 1 else m for m in run.matches])
+
+    monkeypatch.setattr(camsim.verify, "run_search_stream", dropping)
+    out = verify_exhaustive(1)
+    ce = out.counterexample
+    assert ce is not None and ce.context == "n=4 k=2 selective store"
+    assert [w.value for w in ce.words] == [3, 5, 3, 0]
+    assert ce.query.value == 3
+    assert ce.expected == (0, 2) and ce.got == (0,)
+    # 16 single-word stores and two 16-word stores pass (576 cases), then
+    # the gated stream fails at query 3: case 2 * 3 + 1
+    assert out.cases == 576 + 7
+
+
+def _per_query_reference(stores, matches_of):
+    """(cases, context, query, expected, got) of the first failure that a
+    loop over ``stores`` finds, query by query and gated before all-NOR,
+    where ``matches_of(arr, query)`` gives the matches under test."""
+    cases = 0
+    for config, words, queries, context in stores:
+        values = [w.value for w in words]
+        arrays = [new_array(config, variant, words) for variant in Variant]
+        for query in queries:
+            expected = oracle_search(values, query.value)
+            for arr in arrays:
+                cases += 1
+                got = matches_of(arr, query)
+                if got != expected:
+                    return cases, context.format(arr.variant.value), query, expected, got
+
+
+# variant -> the query values whose stream matches a mutant corrupts, on the
+# 17-word stores only (the first is n=4 k=2, checked after 21 others), and
+# the variant whose failure comes first query by query
+STREAM_MUTANTS = {
+    "gated-only": ({Variant.SELECTIVE: {9}}, Variant.SELECTIVE),
+    "nor-only": ({Variant.BASELINE_NOR: {9}}, Variant.BASELINE_NOR),
+    "both-at-one-query": (
+        {Variant.SELECTIVE: {9}, Variant.BASELINE_NOR: {9}}, Variant.SELECTIVE
+    ),
+    "nor-at-an-earlier-query": (
+        {Variant.SELECTIVE: {9}, Variant.BASELINE_NOR: {6}}, Variant.BASELINE_NOR
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", STREAM_MUTANTS)
+def test_stream_counterexample_is_the_per_query_loops_first(
+    mutant, monkeypatch, exhaustive_tier
+):
+    # the exhaustive tier compares whole columns, but it reports what a
+    # query-by-query loop reports: the first failing query, gated before
+    # all-NOR, as case 2i + 1 or 2i + 2 after every earlier store's cases
+    broken, first = STREAM_MUTANTS[mutant]
+
+    def corrupt(arr, query, matches):
+        if arr.config.num_words == 17 and query.value in broken.get(arr.variant, ()):
+            return matches[:-1] if matches else (0,)
+        return matches
+
+    def mutant_stream(arr, queries, prev_query=None):
+        queries = list(queries)
+        run = run_search_stream(arr, queries, prev_query)
+        matches = [corrupt(arr, q, m) for q, m in zip(queries, run.matches)]
+        return replace(run, matches=matches)
+
+    monkeypatch.setattr(camsim.verify, "run_search_stream", mutant_stream)
+    out = verify_exhaustive(1)
+    ce = out.counterexample
+    assert ce is not None and ce.context == f"n=4 k=2 {first.value} store"
+    want = _per_query_reference(
+        exhaustive_tier.stores, lambda arr, q: corrupt(arr, q, search(arr, q).matches)
+    )
+    assert (out.cases, ce.context, ce.query, ce.expected, ce.got) == want
 
 
 def test_flipped_gate_mutant_matches_the_cell_level_route():
