@@ -30,8 +30,8 @@ is a pure function of (array, query, previous query), the previous query
 being the explicit context for searchline-toggle and ML_EN-transition
 counting, so concurrent searches are deterministic under any scheduling.
 ``run_search_stream`` applies the same rules to a whole stream at once, in
-C-level passes over the query keys, and returns one column per count
-(``SearchRun``) instead of a record per query. Its match test is a
+C-level passes over a column of int query keys, and returns one column per
+count (``SearchRun``) instead of a record per query. Its match test is a
 membership test in one set of stored values per distinct run: O(N) to
 build once per stream, then O(1) per query, and only a hit slices its run
 to list the addresses. ``search`` keeps its slice scan.
@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, chain, compress, islice
-from operator import add, attrgetter, contains, mul, ne, sub, xor
+from operator import add, contains, mul, ne, sub, xor
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import BitWord, CamConfig
@@ -281,8 +281,8 @@ class SearchRun:
     """A query stream's outcome: one entry per query in each column.
 
     Entry i of a column is the field of that name in what ``search`` reports
-    for query i, threaded after query i - 1. ``energized`` is each query's
-    ML precharge count as well; its discharges are ``energized - len(matches)``
+    for key i, threaded after key i - 1. ``energized`` is each query's ML
+    precharge count as well; its discharges are ``energized - len(matches)``
     and its energizer evaluations are ``array._energizers`` for every query,
     so neither is stored. ``len(run)`` is the number of queries.
 
@@ -318,48 +318,56 @@ def sum_event_totals(run: SearchRun) -> EventTotals:
     )
 
 
+def _check_keys(keys: Sequence[int], n: int, prev_key: Optional[int] = None) -> None:
+    """Raise ``WidthMismatch`` for the first key that is negative or 2^n or
+    more, in the order q0, ``prev_key``, q1, ... in which ``search`` meets
+    them. A C-level ``min`` and ``max`` clear a sound stream."""
+    ends = [min(keys), max(keys)] + ([] if prev_key is None else [prev_key])
+    if min(ends) >= 0 and not max(ends) >> n:
+        return
+    named = [(f"query {i}", key) for i, key in enumerate(keys)]
+    if prev_key is not None:
+        named.insert(1, ("previous query", prev_key))
+    for name, key in named:
+        if key < 0 or key >> n:
+            raise WidthMismatch(f"{name}: key {key:#x} does not fit in word_bits {n}")
+
+
 def run_search_stream(
     array: CamArray,
-    queries: Iterable[BitWord],
-    prev_query: Optional[BitWord] = None,
+    keys: Iterable[int],
+    prev_key: Optional[int] = None,
 ) -> SearchRun:
-    """Search a query stream in order, threading each query as the next
-    one's toggle baseline, and count the whole run in C-level passes over
-    the query keys: the same counts and matches as ``search`` query by
-    query, with no per-query record.
+    """Search a stream of int query keys in order, threading each key as the
+    next one's toggle baseline, and count the whole run in C-level passes
+    over the keys: the same counts and matches as ``search`` on
+    ``BitWord(n, key)`` query by query, with no per-query record.
 
     Where ``search`` scans a slice of its run's stored values, the stream
     builds one ``frozenset`` of them per distinct run (O(N) once per call;
     the baseline's 2^k prefixes share one set of all N values) and tests
     each key's membership in O(1). Only a hit lists addresses from the run.
 
-    A width error is the first that searching query by query raises: the
-    checks run in the order q0, ``prev_query``, q1, ... An empty stream
-    gives an empty run, whatever ``prev_query`` is."""
-    queries = list(queries)
-    if not queries:
+    ``_check_keys`` raises for a key that is not an n-bit value before any
+    search, and a ``BitWord`` in place of a key is a ``TypeError``. An empty
+    stream gives an empty run, whatever ``prev_key`` is."""
+    keys = list(keys)
+    if not keys:
         return SearchRun(array, [], [], [], [])
     cfg = array.config
     n = cfg.word_bits
-    if {*map(attrgetter("width"), queries)} != {n} or (
-        prev_query is not None and prev_query.width != n
-    ):
-        prev = prev_query
-        for q in queries:  # raises the width error of the first bad search
-            search(array, q, prev)
-            prev = q
+    _check_keys(keys, n, prev_key)
     shift = n - cfg.mle_bits
-    keys = [*map(attrgetter("value"), queries)]
     prefixes = [*map(shift.__rrshift__, keys)]
     table = array._runs
     runs = [*map(table.__getitem__, prefixes)]
     sizes = [hi - lo for lo, hi in table]
     energized = [*map(sizes.__getitem__, prefixes)]
-    if prev_query is None:
+    if prev_key is None:
         prev_run, sl_first = array._idle, n
     else:
-        prev_run = table[prev_query.value >> shift]
-        sl_first = (keys[0] ^ prev_query.value).bit_count()
+        prev_run = table[prev_key >> shift]
+        sl_first = (keys[0] ^ prev_key).bit_count()
     # search's rule: no transition when the run stays, else every line of
     # both runs changes its ML_EN. A bool times an int is an int.
     ml_en = [*map(

@@ -196,7 +196,7 @@ def _load_word_file(path: str, kind: str, width: int, fmt: str) -> list[BitWord]
 
 
 def _materialize(args: argparse.Namespace):
-    """Validate flags, then build (config, model, words, queries, workload_meta)."""
+    """Validate flags, then build (config, model, words, query keys, workload_meta)."""
     tolerance = getattr(args, "tolerance", 0.0)
     if not tolerance >= 0:  # NaN fails every comparison
         raise InvalidConfig(f"--tolerance must be >= 0, got {tolerance:g}")
@@ -215,9 +215,9 @@ def _materialize(args: argparse.Namespace):
         words = gen_words(config.num_words, config.word_bits, config.seed)
 
     if args.queries_file:
-        queries = _load_word_file(
+        queries = [w.value for w in _load_word_file(
             args.queries_file, "query", config.word_bits, args.format
-        )
+        )]
         workload_meta = {
             "kind": "file",
             "path": args.queries_file,

@@ -253,13 +253,13 @@ def sweep_mle_bits(
     workload: Optional[WorkloadSpec],
     k_values: Iterable[int],
     words: Optional[Sequence[BitWord]] = None,
-    queries: Optional[Sequence[BitWord]] = None,
+    queries: Optional[Sequence[int]] = None,
 ) -> list[SweepRow]:
     """Replay one stored dataset and query stream at each prefix width.
 
-    The words and queries are generated once (or passed in) and shared, so
-    rows differ only in where the first/second stage boundary sits. The
-    energized fraction is measured from the run, never assumed.
+    The words and the queries (int keys) are generated once (or passed in)
+    and shared, so rows differ only in where the first/second stage boundary
+    sits. The energized fraction is measured from the run, never assumed.
     """
     ks = sorted(set(int(k) for k in k_values))
     if not ks:

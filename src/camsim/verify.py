@@ -14,7 +14,8 @@ store against one oracle scan, so a ``VerifyOutcome.cases`` counts two
 searches per query, and either tier reports its first failure in the same
 order: query by query, gated before all-NOR. The oracle scans the store's
 values as plain ints, listed once per store; widths are checked before a
-scan or a stream, not inside it.
+scan or a stream, not inside it. The exhaustive tier's queries are int
+keys, one list per width; a ``BitWord`` is built only for a counterexample.
 
 With ``fault`` set, the harness checks a mutant instead of the sound build:
 one whose energizer inverts every decision, so it must report a
@@ -25,12 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count
-from operator import attrgetter, ne
+from operator import ne
 from typing import Iterable, Optional, Sequence
 
 from .array import (
     CamArray,
     Variant,
+    _check_keys,
     new_array,
     oracle_search,
     run_search_stream,
@@ -72,43 +74,36 @@ class VerifyOutcome:
         return self.counterexample is None
 
 
-def _flipped_gate_matches(arr: CamArray, query: BitWord) -> tuple[int, ...]:
+def _flipped_gate_matches(arr: CamArray, key: int) -> tuple[int, ...]:
     """The matches of ``arr`` built with every energizer decision inverted:
-    the words whose stored prefix differs from the query's and whose suffix
-    equals the query's. The baseline has no energizer to invert."""
-    if arr.variant is Variant.BASELINE_NOR:
-        return search(arr, query).matches
+    the words whose stored prefix differs from ``key``'s and whose suffix
+    equals ``key``'s. The baseline has no energizer to invert."""
     n, k = arr.config.word_bits, arr.config.mle_bits
+    if arr.variant is Variant.BASELINE_NOR:
+        return search(arr, BitWord(n, key)).matches
     shift = n - k
-    suffix = query.value & ((1 << shift) - 1)
+    suffix = key & ((1 << shift) - 1)
     matches: list[int] = []
     for p in range(1 << k):
-        if p != query.value >> shift:
+        if p != key >> shift:
             matches += search(arr, BitWord(n, p << shift | suffix)).matches
     return tuple(sorted(matches))
 
 
-def _require_width(queries: Iterable[BitWord], n: int) -> None:
-    """Raise the width error of the first query that is not ``n`` bits wide."""
-    for q in queries:
-        if q.width != n:
-            raise WidthMismatch(f"query width {q.width} != word_bits {n}")
-
-
 def _first_mismatch(
     arr: CamArray,
-    queries: Sequence[BitWord],
+    keys: Sequence[int],
     expected: Sequence[tuple[int, ...]],
     fault: bool,
 ) -> Optional[tuple[int, tuple[int, ...]]]:
-    """The first index at which ``arr``'s match column for ``queries``
-    differs from ``expected``, and the column's entry there; None if the
-    column passes. The column lives only in this call, so a store's check
-    holds at most one variant's column at a time."""
+    """The first index at which ``arr``'s match column for the query
+    ``keys`` differs from ``expected``, and the column's entry there; None
+    if the column passes. The column lives only in this call, so a store's
+    check holds at most one variant's column at a time."""
     if fault:
-        column = [_flipped_gate_matches(arr, q) for q in queries]
+        column = [_flipped_gate_matches(arr, key) for key in keys]
     else:
-        column = run_search_stream(arr, queries).matches
+        column = run_search_stream(arr, keys).matches
     for i in compress(count(), map(ne, column, expected)):
         return i, column[i]
     return None
@@ -117,38 +112,36 @@ def _first_mismatch(
 def _check_columns(
     config: CamConfig,
     words: Sequence[BitWord],
-    queries: Sequence[BitWord],
+    keys: Sequence[int],
     fault: bool,
     context: str,
 ) -> VerifyOutcome:
-    """Stream every query through the store's gated array, then through its
-    all-NOR array, and compare each match column with one oracle scan of the
-    stored values per query. ``new_array`` rejects a stored word of the
-    wrong width and every query's width is checked before the first scan,
-    so the oracle compares plain ints. The verdict is the one a query-major
-    loop gives: a failure of the j-th variant at query i is case
+    """Stream every query key through the store's gated array, then through
+    its all-NOR array, and compare each match column with one oracle scan of
+    the stored values per key. ``new_array`` rejects a stored word of the
+    wrong width and every key is checked to be an n-bit value before the
+    first scan, so the oracle compares plain ints. The verdict is the one a
+    query-major loop gives: a failure of the j-th variant at query i is case
     2i + j + 1, so the all-NOR column is checked only up to the gated
     column's first failure. ``context`` is a format string whose one field
     takes the variant of a failing search."""
     words = tuple(words)
     arrays = [new_array(config, variant, words) for variant in Variant]
     n = config.word_bits
-    if {*map(attrgetter("width"), queries)} - {n}:
-        _require_width(queries, n)
+    _check_keys(keys, n)
     values = [w.value for w in words]
-    expected = [oracle_search(values, q.value) for q in queries]
-    failure, end = None, len(queries)
+    expected = [oracle_search(values, key) for key in keys]
+    failure, end = None, len(keys)
     for j, arr in enumerate(arrays):
-        found = _first_mismatch(arr, queries[:end], expected, fault)
+        found = _first_mismatch(arr, keys[:end], expected, fault)
         if found is not None:
             failure, end = (j, arr, *found), found[0]
     if failure is None:
-        return VerifyOutcome(2 * len(queries), None)
+        return VerifyOutcome(2 * len(keys), None)
     j, arr, i, got = failure
     ctx = context.format(arr.variant.value)
-    return VerifyOutcome(
-        2 * i + j + 1, Counterexample(words, queries[i], expected[i], got, ctx)
-    )
+    query = BitWord(n, keys[i])
+    return VerifyOutcome(2 * i + j + 1, Counterexample(words, query, expected[i], got, ctx))
 
 
 def _check_searches(
@@ -162,8 +155,8 @@ def _check_searches(
     array, threaded after the query before it, and compare both with one
     oracle scan of the stored values; stop at the first failure. Queries
     are drawn and checked one at a time, so no column of them is held.
-    Widths are checked as in ``_check_columns``, each query's before it is
-    scanned, and ``context`` is used as there."""
+    Each query's width is checked before it is scanned, so the oracle
+    compares plain ints, and ``context`` is used as in ``_check_columns``."""
     words = tuple(words)
     arrays = [new_array(config, variant, words) for variant in Variant]
     values = [w.value for w in words]
@@ -171,20 +164,17 @@ def _check_searches(
     cases = 0
     prev = None
     for q in queries:
-        _require_width((q,), n)
+        if q.width != n:
+            raise WidthMismatch(f"query width {q.width} != word_bits {n}")
         expected = oracle_search(values, q.value)
         for arr in arrays:
             cases += 1
-            got = _flipped_gate_matches(arr, q) if fault else search(arr, q, prev).matches
+            got = _flipped_gate_matches(arr, q.value) if fault else search(arr, q, prev).matches
             if got != expected:
                 ctx = context.format(arr.variant.value)
                 return VerifyOutcome(cases, Counterexample(words, q, expected, got, ctx))
         prev = q
     return VerifyOutcome(cases, None)
-
-
-def _all_words(width: int) -> list[BitWord]:
-    return [BitWord(width, v) for v in range(1 << width)]
 
 
 def verify_exhaustive(seed: int = 0, fault: bool = False) -> VerifyOutcome:
@@ -194,7 +184,8 @@ def verify_exhaustive(seed: int = 0, fault: bool = False) -> VerifyOutcome:
     total = 0
     store_draws = Stream(_TAG_STORE, seed)
     for n in (4, 5, 6):
-        universe = _all_words(n)
+        keys = list(range(1 << n))
+        universe = [BitWord(n, v) for v in keys]
         for k in (2, 3):
             # every (stored word, query) pair at N=1
             stores = [("single-word", [w]) for w in universe]
@@ -214,7 +205,7 @@ def verify_exhaustive(seed: int = 0, fault: bool = False) -> VerifyOutcome:
             for kind, words in stores:
                 cfg = CamConfig(len(words), n, k, seed=seed)
                 ctx = f"n={n} k={k} {{}} {kind}"
-                out = _check_columns(cfg, words, universe, fault, ctx)
+                out = _check_columns(cfg, words, keys, fault, ctx)
                 total += out.cases
                 if not out.ok:
                     return VerifyOutcome(total, out.counterexample)

@@ -86,9 +86,10 @@ def gen_words(count: int, width: int, seed: int) -> list[BitWord]:
     return [BitWord(width, v) for v in values]
 
 
-def gen_queries(workload: WorkloadSpec, words: Sequence[BitWord]) -> list[BitWord]:
-    """Query stream for the given recipe; query i depends only on (seed, i)
-    and the stored words, never on evaluation order."""
+def gen_queries(workload: WorkloadSpec, words: Sequence[BitWord]) -> list[int]:
+    """Query keys for the given recipe, as ints as wide as the stored words;
+    query i depends only on (seed, i) and the stored words, never on
+    evaluation order."""
     if not words:
         raise EmptyStore("query generation needs at least one stored word")
     width = words[0].width
@@ -96,8 +97,7 @@ def gen_queries(workload: WorkloadSpec, words: Sequence[BitWord]) -> list[BitWor
     count = workload.num_queries
 
     if workload.kind is WorkloadKind.UNIFORM:
-        values = Stream(_TAG_QUERY, seed).bits_column(count, width)
-        return [BitWord(width, v) for v in values]
+        return Stream(_TAG_QUERY, seed).bits_column(count, width)
     out = []
     if workload.kind is WorkloadKind.PLANTED:
         decision, pick, query = (
@@ -105,9 +105,9 @@ def gen_queries(workload: WorkloadSpec, words: Sequence[BitWord]) -> list[BitWor
         )
         for i in range(count):
             if decision.unit(i) < workload.match_rate:
-                out.append(words[pick.pick(i, len(words))])
+                out.append(words[pick.pick(i, len(words))].value)
             else:
-                out.append(BitWord(width, query.bits(i, width)))
+                out.append(query.bits(i, width))
     else:
         # Bit pos keeps the anchor's bit when its 32-bit word x has
         # x / 2**32 < bias, so the flip mask has a 1 wherever x >= threshold.
@@ -116,7 +116,7 @@ def gen_queries(workload: WorkloadSpec, words: Sequence[BitWord]) -> list[BitWor
         skew = Stream(_TAG_SKEW, seed)
         for i in range(count):
             flips = threshold_bits(skew.blocks(i, 4 * width), threshold)
-            out.append(BitWord(width, anchor ^ int(flips, 2)))
+            out.append(anchor ^ int(flips, 2))
     return out
 
 

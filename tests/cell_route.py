@@ -1,6 +1,6 @@
 """Shared test helpers: the small stores the search tests sweep, the check
 of a search against its per-word traces, and the check of a columnar run
-against query-by-query ``search``."""
+of int query keys against query-by-query ``search``."""
 
 from camsim import BitWord, EventTotals, Level, search
 
@@ -32,13 +32,16 @@ def assert_traces_explain(report):
     assert report.energized_count == sum(t.ml_precharged for t in traces)
 
 
-def searched(arr, queries, prev_query=None):
-    """Each query's ``search`` report, threaded as ``run_search_stream``
-    threads the stream."""
+def searched(arr, keys, prev_key=None):
+    """Each query key's ``search`` report, on ``BitWord(n, key)``, threaded
+    as ``run_search_stream`` threads the stream."""
+    n = arr.config.word_bits
+    prev = None if prev_key is None else BitWord(n, prev_key)
     reports = []
-    for q in queries:
-        reports.append(search(arr, q, prev_query))
-        prev_query = q
+    for key in keys:
+        query = BitWord(n, key)
+        reports.append(search(arr, query, prev))
+        prev = query
     return reports
 
 

@@ -12,7 +12,7 @@ class ExhaustiveTier(NamedTuple):
     """One recorded ``verify_exhaustive(1)`` run of the sound build."""
 
     outcome: VerifyOutcome
-    # (config, words, queries, context) of each store checked, in order
+    # (config, words, query keys, context) of each store checked, in order
     stores: list
     # (variant, queries streamed) of each run_search_stream call
     streams: list
@@ -30,12 +30,12 @@ def exhaustive_tier():
     stream = camsim.verify.run_search_stream
     oracle = camsim.verify.oracle_search
 
-    def recorded(config, words, queries, fault, context):
-        stores.append((config, words, queries, context))
-        return check(config, words, queries, fault, context)
+    def recorded(config, words, keys, fault, context):
+        stores.append((config, words, keys, context))
+        return check(config, words, keys, fault, context)
 
-    def counted_stream(arr, queries, prev_query=None):
-        run = stream(arr, queries, prev_query)
+    def counted_stream(arr, keys, prev_key=None):
+        run = stream(arr, keys, prev_key)
         streams.append((arr.variant, len(run)))
         return run
 

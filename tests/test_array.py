@@ -148,19 +148,24 @@ def test_oracle_is_a_linear_scan(values, key):
 def test_oracle_width_guard(monkeypatch):
     # the oracle scans ints, so the verifier rejects a width that does not
     # fit before any scan, stream or search: a stored word's in new_array, a
-    # query's in the check of each tier. The exhaustive tier streams a list,
-    # so it checks every query before the first scan; the randomized tier
-    # draws its queries one by one and checks each before it is scanned.
+    # query's in the check of each tier. The exhaustive tier streams a list
+    # of int keys, so it checks every key is a 4-bit value before the first
+    # scan; the randomized tier draws its query words one by one and checks
+    # each one's width before it is scanned.
     calls = []
     for name in ("search", "run_search_stream", "oracle_search"):
         monkeypatch.setattr(camsim.verify, name, lambda *a: calls.append(a))
     cfg = CamConfig(2, 4, 2)
-    bad_last = [BitWord(4, 1), BitWord(5, 0)]
-    for check, queries in ((_check_columns, bad_last), (_check_searches, bad_last[1:])):
-        with pytest.raises(WidthMismatch, match="query width 5"):
-            check(cfg, [BitWord(4, 0)] * 2, queries, False, "{}")
+    checks = (
+        (_check_columns, [1, 16], "^query 1: key 0x10 does not fit in word_bits 4$",
+         [0]),
+        (_check_searches, [BitWord(5, 0)], "query width 5", [BitWord(4, 0)]),
+    )
+    for check, bad_last, message, good in checks:
+        with pytest.raises(WidthMismatch, match=message):
+            check(cfg, [BitWord(4, 0)] * 2, bad_last, False, "{}")
         with pytest.raises(WidthMismatch, match="stored word width 5"):
-            check(cfg, [BitWord(5, 0)] * 2, [BitWord(4, 0)], False, "{}")
+            check(cfg, [BitWord(5, 0)] * 2, good, False, "{}")
     assert calls == []
 
 

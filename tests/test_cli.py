@@ -4,6 +4,7 @@ import threading
 import pytest
 
 import camsim.cli
+import camsim.core
 import camsim.verify
 from camsim import EnergyModel, Variant, search
 from camsim.cli import build_parser, main
@@ -395,6 +396,27 @@ def test_search_prices_each_run_once(tmp_path, monkeypatch):
         assert len(aggregate_calls) == 1
         hashes.append(len(hash_calls))
     assert hashes[0] == hashes[1] > 0
+
+
+@pytest.mark.parametrize("verb, workload", [
+    ("search", ["--workload", "uniform"]),
+    ("compare", ["--workload", "prefix-skewed", "--bias", "0.9"]),
+])
+def test_verbs_build_a_bitword_per_stored_word_only(tmp_path, monkeypatch, verb, workload):
+    # The queries go from the generator to the stream as int keys, so a run
+    # builds no BitWord per query: at most one per stored word.
+    built = []
+    real_post_init = camsim.core.BitWord.__post_init__
+
+    def counting_post_init(word):
+        built.append(word)
+        real_post_init(word)
+
+    monkeypatch.setattr(camsim.core.BitWord, "__post_init__", counting_post_init)
+    rc = main([verb, "--num-words", "256", "--width", "144", "--queries", "500",
+               *workload, "--out", str(tmp_path / "r.json")])
+    assert rc == 0
+    assert 0 < len(built) <= 256
 
 
 def test_sweep_non_finite_metric_exits_2_without_csv(tmp_path, capsys):

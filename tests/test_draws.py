@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camsim.core import BitWord, CamConfig
+from camsim.core import CamConfig
 from camsim.draws import Stream, threshold_bits, unit_threshold
 from camsim.errors import InvalidConfig
 from camsim.verify import verify_exhaustive, verify_randomized
@@ -83,9 +83,12 @@ def _texts(words):
     return [w.to_text() for w in words]
 
 
-def _queries(kind, width, seed, **params):
+def _query_texts(kind, width, seed, **params):
+    """The query keys as binary text, width digits each, as
+    ``BitWord.to_text`` writes a word."""
     words = gen_words(NUM_WORDS, width, seed)
-    return gen_queries(WorkloadSpec(kind, NUM_QUERIES, seed, **params), words)
+    keys = gen_queries(WorkloadSpec(kind, NUM_QUERIES, seed, **params), words)
+    return [format(key, f"0{width}b") for key in keys]
 
 
 def _outputs(case: str) -> list[str]:
@@ -97,17 +100,15 @@ def _outputs(case: str) -> list[str]:
         if name == "words":
             lines += _texts(gen_words(NUM_WORDS, int(rest[0]), seed))
         elif name == "uniform":
-            lines += _texts(_queries(WorkloadKind.UNIFORM, int(rest[0]), seed))
+            lines += _query_texts(WorkloadKind.UNIFORM, int(rest[0]), seed)
         elif name == "planted":
-            lines += _texts(
-                _queries(WorkloadKind.PLANTED, int(rest[0]), seed, match_rate=0.5)
+            lines += _query_texts(
+                WorkloadKind.PLANTED, int(rest[0]), seed, match_rate=0.5
             )
         elif name == "skewed":
             width, bias = rest[0].split("-", 1)
-            lines += _texts(
-                _queries(
-                    WorkloadKind.PREFIX_SKEWED, int(width), seed, bias=BIASES[bias]
-                )
+            lines += _query_texts(
+                WorkloadKind.PREFIX_SKEWED, int(width), seed, bias=BIASES[bias]
             )
         elif name == "unit":
             stream = Stream(_TAG_STYLE, seed)
@@ -207,8 +208,9 @@ def test_a_seed_outside_64_unsigned_bits_is_invalid_config(seed):
             call()
 
 
-def _reference_skewed(workload: WorkloadSpec, words) -> list[BitWord]:
-    """The per-bit form: a float unit draw per bit against the bias."""
+def _reference_skewed(workload: WorkloadSpec, words) -> list[int]:
+    """The per-bit form, as query keys: a float unit draw per bit against
+    the bias."""
     anchor, width = words[0], words[0].width
     out = []
     for i in range(workload.num_queries):
@@ -218,7 +220,7 @@ def _reference_skewed(workload: WorkloadSpec, words) -> list[BitWord]:
             u = int.from_bytes(raw[4 * pos : 4 * pos + 4], "big") / 2.0**32
             bit = anchor.bit(pos) if u < workload.bias else 1 - anchor.bit(pos)
             value = (value << 1) | bit
-        out.append(BitWord(width, value))
+        out.append(value)
     return out
 
 

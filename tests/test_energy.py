@@ -176,7 +176,7 @@ def test_aggregate_fills_energy():
     model = EnergyModel()
     energies = aggregate(run, model, cfg)
     assert len(energies) == len(run) == 10
-    first = search(run.array, queries[0])
+    first = search(run.array, BitWord(cfg.word_bits, queries[0]))
     assert energies[0] == pytest.approx(totals_energy(first.event_totals, model, cfg))
 
 
@@ -250,7 +250,7 @@ def test_energy_additivity_over_split_streams():
     arr = new_array(cfg, Variant.SELECTIVE, words)
     whole = run_search_stream(arr, queries)
     first = run_search_stream(arr, queries[:23])
-    second = run_search_stream(arr, queries[23:], prev_query=queries[22])
+    second = run_search_stream(arr, queries[23:], prev_key=queries[22])
     e_whole = totals_energy(sum_event_totals(whole), model, cfg)
     e_split = totals_energy(sum_event_totals(first), model, cfg) + totals_energy(
         sum_event_totals(second), model, cfg
@@ -459,11 +459,10 @@ def test_totals_energy_rejects_negative_counts():
 @given(st.lists(st.integers(0, 4095), max_size=40), st.sampled_from(list(Variant)))
 def test_sum_event_totals_equals_chained_add(values, variant):
     arr = new_array(_BASE_CONFIG, variant, _BASE_ARRAY.words)
-    queries = [BitWord(12, v) for v in values]
-    reports = searched(arr, queries)
+    reports = searched(arr, values)
     # field by field, from zero counts, over the per-search totals
     want = EventTotals(*map(sum, zip(EventTotals(), *(r.event_totals for r in reports))))
-    total = sum_event_totals(run_search_stream(arr, queries))
+    total = sum_event_totals(run_search_stream(arr, values))
     assert total == want
     assert type(total) is EventTotals
 

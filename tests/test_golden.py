@@ -190,7 +190,7 @@ REFERENCE_COMPARE_SHA256 = (
 def test_reference_skewed_queries_hash(seed):
     words = gen_words(256, 144, seed)
     spec = WorkloadSpec(WorkloadKind.PREFIX_SKEWED, 1000, seed, bias=0.9)
-    text = "".join(q.to_text() + "\n" for q in gen_queries(spec, words))
+    text = "".join(format(v, "0144b") + "\n" for v in gen_queries(spec, words))
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     assert digest == REFERENCE_SKEWED_QUERIES_SHA256[seed]
 

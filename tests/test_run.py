@@ -1,5 +1,6 @@
-"""The columnar run engine: ``run_search_stream`` against query-by-query
-``search``, and its prices against ``totals_energy``, bit for bit."""
+"""The columnar run engine: ``run_search_stream`` on int query keys against
+query-by-query ``search``, and its prices against ``totals_energy``, bit for
+bit."""
 
 import pytest
 
@@ -103,15 +104,16 @@ def test_run_takes_any_iterable_of_queries():
 def test_empty_stream_gives_an_empty_run(variant):
     config = CamConfig(4, 6, 2)
     arr = new_array(config, variant, gen_words(4, 6, 1))
-    for prev in (None, BitWord(6, 5), BitWord(7, 5)):
+    for prev in (None, 5, 1 << 7, -1):
         run = run_search_stream(arr, [], prev)
         assert len(run) == 0 and not run
         assert sum_event_totals(run) == EventTotals()
         assert aggregate(run, MODEL, config) == []
 
 
-# (stream widths, prev_query width or None) -> the message of the first
-# width error, in the order q0, prev_query, q1, ...
+# (query widths, previous query width or None) -> the message of the first
+# width error that searching query by query raises, in the order q0,
+# prev_query, q1, ...
 WIDTH_CASES = [
     (([7, 6, 6], None), "query width 7 != word_bits 6"),
     (([7, 6, 6], 8), "query width 7 != word_bits 6"),
@@ -127,13 +129,44 @@ WIDTH_CASES = [
 def test_width_errors_come_in_search_order(variant, case, message):
     widths, prev_width = case
     arr = new_array(CamConfig(4, 6, 2), variant, gen_words(4, 6, 1))
-    queries = [BitWord(w, 1) for w in widths]
     prev = None if prev_width is None else BitWord(prev_width, 1)
-    with pytest.raises(WidthMismatch) as per_query:
-        searched(arr, queries, prev)
-    with pytest.raises(WidthMismatch) as columnar:
-        run_search_stream(arr, queries, prev)
-    assert str(per_query.value) == str(columnar.value) == message
+    with pytest.raises(WidthMismatch, match=f"^{message}$"):
+        for query in [BitWord(w, 1) for w in widths]:
+            search(arr, query, prev)
+            prev = query
+
+
+# The same six positions for the stream's int keys: (keys, prev_key) -> the
+# message of the first key that is not a 6-bit value (negative, or 64 or
+# more), in the order q0, prev_key, q1, ...
+KEY_RANGE_CASES = [
+    (([64, 1, 1], None), "query 0: key 0x40 does not fit in word_bits 6"),
+    (([-1, 1, 1], 256), "query 0: key -0x1 does not fit in word_bits 6"),
+    (([1, 1, 1], -2), "previous query: key -0x2 does not fit in word_bits 6"),
+    (([1, 512, 1], 64), "previous query: key 0x40 does not fit in word_bits 6"),
+    (([1, 512, -1], None), "query 1: key 0x200 does not fit in word_bits 6"),
+    (([63, 0, -5], 0), "query 2: key -0x5 does not fit in word_bits 6"),
+]
+
+
+@pytest.mark.parametrize("variant", Variant)
+@pytest.mark.parametrize("case, message", KEY_RANGE_CASES)
+def test_key_range_errors_come_in_search_order(variant, case, message):
+    keys, prev_key = case
+    arr = new_array(CamConfig(4, 6, 2), variant, gen_words(4, 6, 1))
+    with pytest.raises(WidthMismatch, match=f"^{message}$"):
+        run_search_stream(arr, keys, prev_key)
+
+
+@pytest.mark.parametrize("variant", Variant)
+def test_stream_refuses_bitword_queries(variant):
+    # A BitWord in place of an int key, in the stream or as the previous
+    # key, is a TypeError, not a silently wrong run.
+    arr = new_array(CamConfig(4, 6, 2), variant, gen_words(4, 6, 1))
+    word = BitWord(6, 1)
+    for keys, prev in (([word], None), ([word, word], None), ([1, 2], word)):
+        with pytest.raises(TypeError):
+            run_search_stream(arr, keys, prev)
 
 
 @pytest.mark.parametrize("variant", Variant)
@@ -156,9 +189,9 @@ def test_a_hit_on_every_line_lists_every_address(variant):
     for values, query_value in stores:
         want = oracle_search(values, query_value)
         arr = new_array(config, variant, [BitWord(12, v) for v in values])
-        query = BitWord(12, query_value)
-        assert search(arr, query).matches == want
-        assert run_search_stream(arr, [query, query]).matches == [want, want]
+        assert search(arr, BitWord(12, query_value)).matches == want
+        keys = [query_value, query_value]
+        assert run_search_stream(arr, keys).matches == [want, want]
 
 
 # Stores of 8 six-bit words at k = 3 for the stream's set lookup, each
@@ -177,7 +210,7 @@ MEMBERSHIP_STORES = {
 def test_stream_membership_equals_search_and_oracle(variant, store):
     if store in MEMBERSHIP_STORES:
         config, values = CamConfig(8, 6, 3), MEMBERSHIP_STORES[store]
-        queries = [BitWord(6, v) for v in range(64)]
+        queries = list(range(64))
     else:
         config = CamConfig(64, 12, 3, seed=3)
         words = gen_words(64, 12, 3)
@@ -186,7 +219,7 @@ def test_stream_membership_equals_search_and_oracle(variant, store):
         queries = gen_queries(spec, words)
     n = config.word_bits
     arr = new_array(config, variant, [BitWord(n, v) for v in values])
-    want = [oracle_search(values, q.value) for q in queries]
+    want = [oracle_search(values, key) for key in queries]
     if store == "planted-all-hit":
         assert all(want)  # every query takes the hit path
     for prev in (None, queries[-1]):

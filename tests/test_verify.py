@@ -94,8 +94,8 @@ def test_stream_mutant_is_caught_on_the_duplicates_store(monkeypatch):
     # the exhaustive tier checks the stream that every verb runs: a stream
     # that loses the last address of a multi-hit result must show up as a
     # counterexample, first on the tier's only store with a repeated word
-    def dropping(arr, queries, prev_query=None):
-        run = run_search_stream(arr, queries, prev_query)
+    def dropping(arr, keys, prev_key=None):
+        run = run_search_stream(arr, keys, prev_key)
         return replace(run, matches=[m[:-1] if len(m) > 1 else m for m in run.matches])
 
     monkeypatch.setattr(camsim.verify, "run_search_stream", dropping)
@@ -112,18 +112,19 @@ def test_stream_mutant_is_caught_on_the_duplicates_store(monkeypatch):
 
 def _per_query_reference(stores, matches_of):
     """(cases, context, query, expected, got) of the first failure that a
-    loop over ``stores`` finds, query by query and gated before all-NOR,
-    where ``matches_of(arr, query)`` gives the matches under test."""
+    loop over ``stores`` finds, query key by query key and gated before
+    all-NOR, where ``matches_of(arr, key)`` gives the matches under test."""
     cases = 0
-    for config, words, queries, context in stores:
+    for config, words, keys, context in stores:
         values = [w.value for w in words]
         arrays = [new_array(config, variant, words) for variant in Variant]
-        for query in queries:
-            expected = oracle_search(values, query.value)
+        for key in keys:
+            expected = oracle_search(values, key)
             for arr in arrays:
                 cases += 1
-                got = matches_of(arr, query)
+                got = matches_of(arr, key)
                 if got != expected:
+                    query = BitWord(config.word_bits, key)
                     return cases, context.format(arr.variant.value), query, expected, got
 
 
@@ -151,23 +152,27 @@ def test_stream_counterexample_is_the_per_query_loops_first(
     # all-NOR, as case 2i + 1 or 2i + 2 after every earlier store's cases
     broken, first = STREAM_MUTANTS[mutant]
 
-    def corrupt(arr, query, matches):
-        if arr.config.num_words == 17 and query.value in broken.get(arr.variant, ()):
+    def corrupt(arr, key, matches):
+        if arr.config.num_words == 17 and key in broken.get(arr.variant, ()):
             return matches[:-1] if matches else (0,)
         return matches
 
-    def mutant_stream(arr, queries, prev_query=None):
-        queries = list(queries)
-        run = run_search_stream(arr, queries, prev_query)
-        matches = [corrupt(arr, q, m) for q, m in zip(queries, run.matches)]
+    def mutant_stream(arr, keys, prev_key=None):
+        keys = list(keys)
+        run = run_search_stream(arr, keys, prev_key)
+        matches = [corrupt(arr, key, m) for key, m in zip(keys, run.matches)]
         return replace(run, matches=matches)
+
+    def searched_matches(arr, key):
+        return search(arr, BitWord(arr.config.word_bits, key)).matches
 
     monkeypatch.setattr(camsim.verify, "run_search_stream", mutant_stream)
     out = verify_exhaustive(1)
     ce = out.counterexample
     assert ce is not None and ce.context == f"n=4 k=2 {first.value} store"
     want = _per_query_reference(
-        exhaustive_tier.stores, lambda arr, q: corrupt(arr, q, search(arr, q).matches)
+        exhaustive_tier.stores,
+        lambda arr, key: corrupt(arr, key, searched_matches(arr, key)),
     )
     assert (out.cases, ce.context, ce.query, ce.expected, ce.got) == want
 
@@ -183,7 +188,7 @@ def test_flipped_gate_mutant_matches_the_cell_level_route():
         gated = variant is Variant.SELECTIVE
         compared = (1 << (n - k if gated else n)) - 1
         for query in all_words(n):
-            got = _flipped_gate_matches(arr, query)
+            got = _flipped_gate_matches(arr, query.value)
             assert got == tuple(
                 t.addr
                 for t, word in zip(search(arr, query).traces, FIVE_BIT_STORE)
@@ -201,7 +206,7 @@ def test_fault_injection_breaks_oracle_agreement():
         for text in ("10110011", "00110011", "11111111", "00000000")
     ]
     query = words[0]
-    got = _flipped_gate_matches(new_array(cfg, Variant.SELECTIVE, words), query)
+    got = _flipped_gate_matches(new_array(cfg, Variant.SELECTIVE, words), query.value)
     assert got != oracle_search([w.value for w in words], query.value)
     # the flipped gate energizes addresses 1, 2 and 3, and only address 1's
     # suffix matches on its NOR chain

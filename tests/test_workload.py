@@ -70,23 +70,38 @@ def test_uniform_queries_deterministic_and_width_bound():
     spec = WorkloadSpec(WorkloadKind.UNIFORM, 20, 9)
     qs = gen_queries(spec, words)
     assert qs == gen_queries(spec, words)
-    assert all(q.width == 16 for q in qs)
+    assert all(0 <= q < 1 << 16 for q in qs)
+
+
+@pytest.mark.parametrize("spec", [
+    WorkloadSpec(WorkloadKind.UNIFORM, 60, 9),
+    WorkloadSpec(WorkloadKind.PLANTED, 60, 9, match_rate=0.5),
+    WorkloadSpec(WorkloadKind.PREFIX_SKEWED, 60, 9, bias=0.9),
+], ids=lambda spec: spec.kind.value)
+@pytest.mark.parametrize("width", [3, 64, 144])
+def test_queries_are_a_list_of_int_keys_as_wide_as_the_words(spec, width):
+    # The query column that run_search_stream takes: a list of plain ints,
+    # each an n-bit value for the stored words' width n.
+    keys = gen_queries(spec, gen_words(8, width, 2))
+    assert type(keys) is list and len(keys) == 60
+    assert {type(k) for k in keys} == {int}
+    assert all(0 <= k < 1 << width for k in keys)
 
 
 def test_planted_rate_one_always_matches():
     words = gen_words(16, 32, 3)
     spec = WorkloadSpec(WorkloadKind.PLANTED, 50, 11, match_rate=1.0)
     values = [w.value for w in words]
-    for q in gen_queries(spec, words):
-        assert oracle_search(values, q.value)
+    for key in gen_queries(spec, words):
+        assert oracle_search(values, key)
 
 
 def test_planted_rate_zero_effectively_never_matches():
     words = gen_words(16, 144, 3)
     spec = WorkloadSpec(WorkloadKind.PLANTED, 50, 11, match_rate=0.0)
     values = [w.value for w in words]
-    for q in gen_queries(spec, words):
-        assert not oracle_search(values, q.value)
+    for key in gen_queries(spec, words):
+        assert not oracle_search(values, key)
 
 
 def test_planted_match_fraction_tracks_rate():
@@ -95,7 +110,7 @@ def test_planted_match_fraction_tracks_rate():
     words = gen_words(8, 32, 5)
     spec = WorkloadSpec(WorkloadKind.PLANTED, num, 17, match_rate=rate)
     values = [w.value for w in words]
-    hits = sum(1 for q in gen_queries(spec, words) if oracle_search(values, q.value))
+    hits = sum(1 for key in gen_queries(spec, words) if oracle_search(values, key))
     sigma = math.sqrt(rate * (1 - rate) / num)
     assert abs(hits / num - rate) <= 3 * sigma + 1e-9
 
