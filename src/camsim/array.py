@@ -8,21 +8,19 @@ Evaluation phase: any mismatching NOR cell on a precharged line pulls it low
 (one discharge event, however many cells conduct); a line that was never
 precharged stays low for free.
 
-The gate has one home: ``_runs``, a table each array sets once that gives,
-per search prefix, the run of ``_order`` whose ML_EN is high. The two
-variants differ only in that table, so ``search`` has no variant branch and
-reads it for both the query and the previous query. This module holds only
-that counting path; ``SearchReport.traces`` comes from the truth-level
+The gate only counts. The energizer decides how many match lines
+precharge, never which words match: a word that matches the query stores
+its value, so its prefix is the query's and its line is energized on either
+variant. So each array keeps, set once, its stored ints in address order
+(``_values``), from which matches are read by value, and the gate as a
+prefix histogram: a key's bucket is ``key >> _shift`` (its k-bit prefix
+when gated; one bucket for every key on the all-NOR array, which
+precharges every line), and ``_runs[b]`` counts the lines whose ML_EN is
+high for bucket b. The variants differ only in those facts, so
+``search`` has no variant branch. When the bucket repeats no ML_EN changes;
+otherwise every line of both buckets changes its ML_EN, since two gated
+buckets share no line. ``SearchReport.traces`` comes from the truth-level
 per-word model in ``trace``, which reads no gate fact.
-
-The gate is indexed, as selective precharge is in hardware: a gated array
-keeps its addresses stably sorted by stored prefix (``_order``), and each
-prefix's run is its bucket in that order; the baseline's order is plain
-address order and every prefix's run is all of it. ``_ordered`` holds the
-stored values in ``_order``'s order, so a search slices its run's values
-and tests the key against them at C speed, and lists the matching addresses
-(ascending, because the sort is stable) only on a hit. Its cost is O(run),
-not O(N); the ML_EN-transition count is two run sizes.
 
 Arrays are immutable values, built whole from their stored words: there is
 no array-level write, and a changed store is a new array. ``search``
@@ -31,18 +29,23 @@ being the explicit context for searchline-toggle and ML_EN-transition
 counting, so concurrent searches are deterministic under any scheduling.
 ``run_search_stream`` applies the same rules to a whole stream at once, in
 C-level passes over a column of int query keys, and returns one column per
-count (``SearchRun``) instead of a record per query. Its match test is a
-membership test in one set of stored values per distinct run: O(N) to
-build once per stream, then O(1) per query, and only a hit slices its run
-to list the addresses. ``search`` keeps its slice scan.
+count (``SearchRun``) instead of a record per query.
+
+A single ``search`` tests its key against all N stored values with a
+C-level ``in``, and lists a hit's addresses with ``tuple.count`` and
+``tuple.index`` scans. A stream instead builds one dict from stored value
+to ascending addresses per call, in O(N), and reads every key's matches
+from it in one C-level ``map``, O(1) per query. The dict goes when the call
+returns: kept on each array, it would add about 24 KB to every 256 x 144
+array that ``camsim verify`` holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, chain, compress, islice
-from operator import add, contains, mul, ne, sub, xor
+from itertools import chain, islice, repeat
+from operator import add, mul, ne, sub, xor
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import BitWord, CamConfig
@@ -88,26 +91,25 @@ def _derived(default):
 
 @dataclass(frozen=True)
 class CamArray:
-    """Stored words plus the gate facts the search path works on, set once.
+    """Stored words plus the facts the search path works on, set once.
 
-    The baseline has no energizer (``_energizers`` is 0). ``_order`` lists
-    the addresses, stably sorted by stored prefix in a gated array and in
-    address order in the baseline, and ``_ordered[i]`` is the value stored
-    at ``_order[i]``. For search prefix p the lines with ML_EN high are
-    ``_order[slice(*_runs[p])]``: p's bucket in a gated array, every line in
-    the baseline. ``_idle`` is the run before the first search: none gated
-    (ML_EN powers up low), every line in the baseline. A line with ML_EN
-    high matches when its stored value equals the query's.
+    ``_values[a]`` is the value stored at address a. A key's gate bucket is
+    ``key >> _shift``: its k-bit prefix in a gated array, 0 for every key in
+    the baseline. ``_runs[b]`` is the number of lines whose ML_EN is high for
+    bucket b: the words stored with prefix b when gated, all N in the
+    baseline. ``_idle`` is the (bucket, lines) pair before the first search:
+    (None, 0) gated, as ML_EN powers up low, and (0, N) in the baseline. The
+    baseline has no energizer (``_energizers`` is 0).
     """
 
     config: CamConfig
     words: tuple[BitWord, ...]
     variant: Variant = Variant.SELECTIVE
-    _ordered: tuple[int, ...] = _derived(())
+    _values: tuple[int, ...] = _derived(())
     _energizers: int = _derived(0)
-    _order: Sequence[int] = _derived(())
-    _runs: Sequence[tuple[int, int]] = _derived(())
-    _idle: tuple[int, int] = _derived((0, 0))
+    _shift: int = _derived(0)
+    _runs: tuple[int, ...] = _derived(())
+    _idle: tuple[Optional[int], int] = _derived((None, 0))
 
     def __post_init__(self) -> None:
         cfg = self.config
@@ -127,19 +129,13 @@ class CamArray:
         # blocks pile up on its small-tuple free lists, which peak memory
         # counts (about 50 KB of the ``camsim verify`` peak).
         values = [w.value for w in self.words]
-        if gated:
-            order, runs = _gate_index(values, n - k, k)
-            values = [values[a] for a in order]
-            idle = (0, 0)
-        else:
-            order, idle = range(size), (0, size)
-            runs = (idle,) * (1 << k)
+        shift = n - k if gated else n
         set_fact = object.__setattr__
         set_fact(self, "_energizers", size if gated else 0)
-        set_fact(self, "_ordered", tuple(values))
-        set_fact(self, "_order", order)
-        set_fact(self, "_runs", runs)
-        set_fact(self, "_idle", idle)
+        set_fact(self, "_values", tuple(values))
+        set_fact(self, "_shift", shift)
+        set_fact(self, "_runs", _gate_index(values, shift, n))
+        set_fact(self, "_idle", (None, 0) if gated else (0, size))
 
 
 def new_array(
@@ -153,30 +149,23 @@ def new_array(
 
 def oracle_search(values: Sequence[int], key: int) -> tuple[int, ...]:
     """Reference model: a plain linear scan of the stored values, in address
-    order, for exact equality with ``key``. It reads no gate fact, so it is
-    independent of ``search``; like ``search`` it tests ``key in values`` at
-    C speed and lists the (ascending) addresses only on a hit. Widths are
-    the caller's to check."""
+    order, for exact equality with ``key``. It reads no fact of an array,
+    and it lists the (ascending) addresses of a hit with its own loop, not
+    with ``search``'s ``tuple.count`` and ``tuple.index`` scans; like
+    ``search`` it tests ``key in values`` at C speed first. Widths are the
+    caller's to check."""
     if key not in values:
         return ()
     return tuple([addr for addr, v in enumerate(values) if v == key])
 
 
-def _gate_index(
-    values: Sequence[int], shift: int, k: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """``_order`` and ``_runs`` for the stored values, whose prefixes are
-    their top k bits (``value >> shift``): a counting sort, stable, and
-    cheaper here than sorted() with a key. Prefix p's run spans its bucket.
-    The buckets go before the tuple copy of the order is made, so they do
-    not add to peak memory."""
-    buckets: list[list[int]] = [[] for _ in range(1 << k)]
-    for addr, v in enumerate(values):
-        buckets[v >> shift].append(addr)
-    starts = [*accumulate(map(len, buckets), initial=0)]
-    order = [a for b in buckets for a in b]
-    del buckets
-    return tuple(order), tuple([*zip(starts, starts[1:])])
+def _gate_index(values: Sequence[int], shift: int, n: int) -> tuple[int, ...]:
+    """``_runs``, the gate's histogram of the stored n-bit values: entry b
+    counts the values whose bucket ``value >> shift`` is b."""
+    counts = [0] * (1 << (n - shift))
+    for v in values:
+        counts[v >> shift] += 1
+    return tuple(counts)
 
 
 class SearchReport(NamedTuple):
@@ -216,17 +205,15 @@ class SearchReport(NamedTuple):
         return word_traces(a.words, k, gated, self.query, self.prev_query)
 
 
-def _hit_addresses(
-    bucket: tuple[int, ...], key: int, order: Sequence[int], lo: int
-) -> tuple[int, ...]:
-    """The addresses, ascending, of the ``bucket`` entries equal to ``key``,
-    where entry i of the bucket is stored at ``order[lo + i]``. Each hit is
-    found by a C-level ``tuple.index`` scan from the one before it."""
+def _hit_addresses(values: tuple[int, ...], key: int) -> tuple[int, ...]:
+    """The addresses, ascending, at which ``values`` holds ``key``: one
+    C-level ``tuple.count`` scan, then a ``tuple.index`` scan from each hit
+    to the next."""
     out = []
     i = -1
-    for _ in range(bucket.count(key)):
-        i = bucket.index(key, i + 1)
-        out.append(order[lo + i])
+    for _ in range(values.count(key)):
+        i = values.index(key, i + 1)
+        out.append(i)
     return tuple(out)
 
 
@@ -240,32 +227,33 @@ def search(
     are taken against the levels that query produced. The first search after
     construction (prev_query None) toggles all n columns and charges ML_EN
     from low.
+
+    The gate gives only the counts, from the query's and the previous
+    query's buckets. The matches are the addresses that store the query's
+    value, found by a C-level scan of all N stored values, hit or miss.
     """
-    cfg = array.config
-    n = cfg.word_bits
+    n = array.config.word_bits
     if query.width != n:
         raise WidthMismatch(f"query width {query.width} != word_bits {n}")
-    shift = n - cfg.mle_bits
     key = query.value
-    runs = array._runs
-    run = lo, hi = runs[key >> shift]
+    shift, runs = array._shift, array._runs
+    bucket = key >> shift
     if prev_query is None:
-        prev_run, sl_toggles = array._idle, n
+        (prev_bucket, prev_precharged), sl_toggles = array._idle, n
     else:
         if prev_query.width != n:
             raise WidthMismatch(
                 f"previous query width {prev_query.width} != word_bits {n}"
             )
-        prev_run = runs[prev_query.value >> shift]
+        prev_bucket = prev_query.value >> shift
+        prev_precharged = runs[prev_bucket]
         sl_toggles = (key ^ prev_query.value).bit_count()
-    bucket = array._ordered[lo:hi]
-    matches = _hit_addresses(bucket, key, array._order, lo) if key in bucket else ()
-    precharged = hi - lo
-    # Distinct runs never overlap, so every line of both changes its ML_EN.
-    plo, phi = prev_run
+    values = array._values
+    matches = _hit_addresses(values, key) if key in values else ()
+    precharged = runs[bucket]
     # _new_tuple checks no field count, so every field is passed.
     totals = _new_tuple(EventTotals, (
-        0 if run == prev_run else precharged + phi - plo,
+        0 if bucket == prev_bucket else precharged + prev_precharged,
         precharged,
         precharged - len(matches),
         sl_toggles,
@@ -333,6 +321,19 @@ def _check_keys(keys: Sequence[int], n: int, prev_key: Optional[int] = None) -> 
             raise WidthMismatch(f"{name}: key {key:#x} does not fit in word_bits {n}")
 
 
+def _value_index(values: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """Each stored value's addresses, ascending, keyed by the value. Most
+    stores hold distinct values, so each value first gets its one address;
+    only a store with a repeated value is grouped again, through lists."""
+    index = {value: (addr,) for addr, value in enumerate(values)}
+    if len(index) == len(values):
+        return index
+    grouped: dict[int, list[int]] = {}
+    for addr, value in enumerate(values):
+        grouped.setdefault(value, []).append(addr)
+    return {value: tuple(addrs) for value, addrs in grouped.items()}
+
+
 def run_search_stream(
     array: CamArray,
     keys: Iterable[int],
@@ -343,10 +344,9 @@ def run_search_stream(
     over the keys: the same counts and matches as ``search`` on
     ``BitWord(n, key)`` query by query, with no per-query record.
 
-    Where ``search`` scans a slice of its run's stored values, the stream
-    builds one ``frozenset`` of them per distinct run (O(N) once per call;
-    the baseline's 2^k prefixes share one set of all N values) and tests
-    each key's membership in O(1). Only a hit lists addresses from the run.
+    Where ``search`` scans all N stored values, the stream builds one dict
+    from stored value to ascending addresses (O(N) once per call, dropped on
+    return) and reads each key's matches from it in O(1).
 
     ``_check_keys`` raises for a key that is not an n-bit value before any
     search, and a ``BitWord`` in place of a key is a ``TypeError``. An empty
@@ -354,36 +354,25 @@ def run_search_stream(
     keys = list(keys)
     if not keys:
         return SearchRun(array, [], [], [], [])
-    cfg = array.config
-    n = cfg.word_bits
+    n = array.config.word_bits
     _check_keys(keys, n, prev_key)
-    shift = n - cfg.mle_bits
-    prefixes = [*map(shift.__rrshift__, keys)]
-    table = array._runs
-    runs = [*map(table.__getitem__, prefixes)]
-    sizes = [hi - lo for lo, hi in table]
-    energized = [*map(sizes.__getitem__, prefixes)]
+    shift, runs = array._shift, array._runs
+    buckets = [*map(shift.__rrshift__, keys)]
+    energized = [*map(runs.__getitem__, buckets)]
     if prev_key is None:
-        prev_run, sl_first = array._idle, n
+        (prev_bucket, prev_precharged), sl_first = array._idle, n
     else:
-        prev_run = table[prev_key >> shift]
+        prev_bucket = prev_key >> shift
+        prev_precharged = runs[prev_bucket]
         sl_first = (keys[0] ^ prev_key).bit_count()
-    # search's rule: no transition when the run stays, else every line of
-    # both runs changes its ML_EN. A bool times an int is an int.
+    # search's rule: no transition when the bucket stays, else every line
+    # of both buckets changes its ML_EN. A bool times an int is an int.
     ml_en = [*map(
         mul,
-        map(ne, runs, chain((prev_run,), runs)),
-        map(add, energized, chain((prev_run[1] - prev_run[0],), energized)),
+        map(ne, buckets, chain((prev_bucket,), buckets)),
+        map(add, energized, chain((prev_precharged,), energized)),
     )]
     sl = [sl_first, *map(int.bit_count, map(xor, islice(keys, 1, None), keys))]
-    # One set per distinct run, not per prefix: the baseline's 2^k prefixes
-    # share one set of N values instead of 2^k copies of it.
-    ordered, order = array._ordered, array._order
-    sets = {run: frozenset(ordered[slice(*run)]) for run in {*table}}
-    stored = [*map(sets.__getitem__, table)]
-    matches: list[tuple[int, ...]] = [()] * len(keys)
-    hits = map(contains, map(stored.__getitem__, prefixes), keys)
-    for i in compress(range(len(keys)), hits):
-        lo, hi = runs[i]
-        matches[i] = _hit_addresses(ordered[lo:hi], keys[i], order, lo)
+    index = _value_index(array._values)
+    matches = [*map(index.get, keys, repeat(()))]
     return SearchRun(array, matches, energized, ml_en, sl)

@@ -302,17 +302,19 @@ def cmd_search(args: argparse.Namespace) -> int:
     return _check_fraction(args, agg["mean_energized_fraction"])
 
 
+def _compare_side(config, model, variant, words, queries) -> tuple[dict, list]:
+    """One variant's aggregate dict and match column. Its run and array go
+    when this returns, so the next variant's stream does not hold them."""
+    run = run_search_stream(new_array(config, variant, words), queries)
+    return _aggregate_dict(config, model, variant, run), run.matches
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     config, model, words, queries, workload_meta = _materialize(args)
-    sides = {}
-    per_query_matches = {}
-    for variant in (Variant.SELECTIVE, Variant.BASELINE_NOR):
-        arr = new_array(config, variant, words)
-        run = run_search_stream(arr, queries)
-        sides[variant] = _aggregate_dict(config, model, variant, run)
-        per_query_matches[variant] = run.matches
-
-    sel, base = sides[Variant.SELECTIVE], sides[Variant.BASELINE_NOR]
+    (sel, sel_matches), (base, base_matches) = (
+        _compare_side(config, model, variant, words, queries)
+        for variant in (Variant.SELECTIVE, Variant.BASELINE_NOR)
+    )
     event_ratio = (
         sel["event_totals"]["ml_precharges"] / base["event_totals"]["ml_precharges"]
     )
@@ -340,8 +342,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "ml_precharge_event_ratio": event_ratio,
         "ml_energy_ratio": ml_energy(sel) / base_ml,
         "total_energy_ratio": sel["energy_total"] / base["energy_total"],
-        "match_sets_identical": per_query_matches[Variant.SELECTIVE]
-        == per_query_matches[Variant.BASELINE_NOR],
+        "match_sets_identical": sel_matches == base_matches,
     }
     _emit(document, args.out)
     if not document["match_sets_identical"]:

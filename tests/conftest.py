@@ -30,9 +30,9 @@ def exhaustive_tier():
     stream = camsim.verify.run_search_stream
     oracle = camsim.verify.oracle_search
 
-    def recorded(config, words, keys, fault, context):
+    def recorded(config, words, keys, fault, context, key_columns):
         stores.append((config, words, keys, context))
-        return check(config, words, keys, fault, context)
+        return check(config, words, keys, fault, context, key_columns)
 
     def counted_stream(arr, keys, prev_key=None):
         run = stream(arr, keys, prev_key)

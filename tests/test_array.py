@@ -17,10 +17,11 @@ from camsim import (
     mle_eval,
     new_array,
     oracle_search,
+    run_search_stream,
     search,
 )
 from camsim.draws import Stream
-from camsim.verify import _check_columns, _check_searches
+from camsim.verify import _check_columns, _check_searches, _key_columns
 from cell_route import FIVE_BIT_STORE, all_words, assert_traces_explain
 
 
@@ -156,8 +157,13 @@ def test_oracle_width_guard(monkeypatch):
     for name in ("search", "run_search_stream", "oracle_search"):
         monkeypatch.setattr(camsim.verify, name, lambda *a: calls.append(a))
     cfg = CamConfig(2, 4, 2)
+
+    def check_columns(config, words, keys, fault, context):
+        key_columns = _key_columns(keys, 4, 2)
+        return _check_columns(config, words, keys, fault, context, key_columns)
+
     checks = (
-        (_check_columns, [1, 16], "^query 1: key 0x10 does not fit in word_bits 4$",
+        (check_columns, [1, 16], "^query 1: key 0x10 does not fit in word_bits 4$",
          [0]),
         (_check_searches, [BitWord(5, 0)], "query width 5", [BitWord(4, 0)]),
     )
@@ -319,28 +325,33 @@ def _index_stores(n, k, size):
 
 
 def _assert_index_equals_scan(arr):
+    """The gate's histogram against a scan of the stored prefixes: each
+    search prefix's energized count (an empty bucket energizes no line) from
+    ``search`` and ``run_search_stream``, the idle state, and the ML_EN
+    transitions of every (prefix, previous prefix or None) pair."""
     n, k = arr.config.word_bits, arr.config.mle_bits
     gated = arr.variant is Variant.SELECTIVE
     prefixes = [word.prefix_int(k) for word in arr.words]
-    # the addresses whose ML_EN is high for search prefix p
+    # the number of lines whose ML_EN is high for search prefix p
     enabled = [
-        [a for a, stored in enumerate(prefixes) if not gated or stored == p]
+        sum(1 for stored in prefixes if not gated or stored == p)
         for p in range(1 << k)
     ]
-    idle = [] if gated else list(range(len(prefixes)))
-    assert list(arr._order[slice(*arr._idle)]) == idle
-    for qp in range(1 << k):
-        assert list(arr._order[slice(*arr._runs[qp])]) == enabled[qp]
-    queries = [BitWord(n, p << (n - k)) for p in range(1 << k)]
+    keys = [p << (n - k) for p in range(1 << k)]
+    assert [arr._runs[key >> arr._shift] for key in keys] == enabled
+    assert arr._idle == ((None, 0) if gated else (0, len(prefixes)))
+    assert run_search_stream(arr, keys).energized == enabled
+    queries = [BitWord(n, key) for key in keys]
     for qp, pp in product(range(1 << k), [None, *range(1 << k)]):
         if not gated or pp == qp:
             want = 0
         elif pp is None:
-            want = len(enabled[qp])
+            want = enabled[qp]
         else:
-            want = len(enabled[qp]) + len(enabled[pp])
+            want = enabled[qp] + enabled[pp]
         prev = None if pp is None else queries[pp]
         report = search(arr, queries[qp], prev)
+        assert report.energized_count == enabled[qp]
         assert report.event_totals.ml_en_transitions == want
 
 
@@ -494,19 +505,25 @@ def _repeat_scans(draw):
 
 
 def _assert_scan(arr, query, prev):
-    assert len(arr._ordered) == len(arr.words)
-    for i, value in enumerate(arr._ordered):
-        assert value == arr.words[arr._order[i]].value
+    assert arr._values == tuple(w.value for w in arr.words)
     r = search(arr, query, prev)
     assert r.matches == oracle_search([w.value for w in arr.words], query.value)
     assert list(r.matches) == sorted(set(r.matches))
-    qp = query.prefix_int(arr.config.mle_bits)
-    assert r.energized_count == len(arr._order[slice(*arr._runs[qp])])
+    prev_key = None if prev is None else prev.value
+    run = run_search_stream(arr, [query.value], prev_key)
+    assert run.matches == [r.matches]
+    k = arr.config.mle_bits
+    gated = arr.variant is Variant.SELECTIVE
+    assert r.energized_count == run.energized[0] == sum(
+        1 for w in arr.words if not gated or w.prefix_int(k) == query.prefix_int(k)
+    )
 
 
 @settings(max_examples=150, deadline=None)
 @given(_repeat_scans())
-def test_gate_ordered_scan_with_repeated_values(case):
+def test_repeated_values_come_back_ascending(case):
+    # one value at scattered addresses: search and the stream both list
+    # every address that stores it, ascending, on both variants
     n, k, values, qv, pv, (addr, wv) = case
     words = [BitWord(n, v) for v in values]
     query = BitWord(n, qv)

@@ -1,8 +1,10 @@
 import json
 import threading
+import weakref
 
 import pytest
 
+import camsim.array
 import camsim.cli
 import camsim.core
 import camsim.verify
@@ -456,6 +458,27 @@ def test_compare_smoke(tmp_path):
     assert abs(doc["ml_precharge_event_ratio"] - 0.125) < 0.02
     assert doc["ml_energy_ratio"] == pytest.approx(doc["ml_precharge_event_ratio"])
     assert doc["baseline_nor"]["mean_energized_fraction"] == 1.0
+
+
+def test_compare_frees_the_selective_run_before_the_baseline_stream(
+    tmp_path, monkeypatch
+):
+    # each side's run and array go once its aggregate and match column are
+    # taken, so the all-NOR stream does not run beside the selective one
+    runs = []
+
+    def watched(arr, keys, prev_key=None):
+        assert [ref() for ref in runs] == [None] * len(runs)
+        run = camsim.array.run_search_stream(arr, keys, prev_key)
+        runs.append(weakref.ref(run))
+        return run
+
+    monkeypatch.setattr(camsim.cli, "run_search_stream", watched)
+    rc = main([
+        "compare", "--num-words", "64", "--width", "32", "--queries", "50",
+        "--out", str(tmp_path / "cmp.json"),
+    ])
+    assert rc == 0 and len(runs) == 2
 
 
 def test_compare_adversarial_shared_prefix_ratio_one(tmp_path):

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import camsim.array
 import camsim.verify
 from camsim import (
     BitWord,
@@ -17,6 +18,7 @@ from camsim import (
     verify_exhaustive,
     verify_randomized,
 )
+from camsim.cli import main
 from camsim.verify import _flipped_gate_matches
 from cell_route import FIVE_BIT_STORE, all_words
 
@@ -110,6 +112,25 @@ def test_stream_mutant_is_caught_on_the_duplicates_store(monkeypatch):
     assert out.cases == 576 + 7
 
 
+def test_a_match_failure_comes_before_a_count_failure_at_one_query(monkeypatch):
+    # a stream that loses a match and miscounts the same query reports the
+    # match counterexample, byte for byte as a match-only mutant does
+    def both(arr, keys, prev_key=None):
+        run = run_search_stream(arr, keys, prev_key)
+        bad = [len(m) > 1 for m in run.matches]
+        matches = [m[:-1] if b else m for m, b in zip(run.matches, bad)]
+        energized = [e + b for e, b in zip(run.energized, bad)]
+        return replace(run, matches=matches, energized=energized)
+
+    monkeypatch.setattr(camsim.verify, "run_search_stream", both)
+    out = verify_exhaustive(1)
+    assert out.cases == 576 + 7
+    assert out.counterexample.describe() == (
+        "n=4 k=2 selective store: query 0011 against [0011, 0101, 0011, 0000]"
+        " expected [0, 2], got [0]"
+    )
+
+
 def _per_query_reference(stores, matches_of):
     """(cases, context, query, expected, got) of the first failure that a
     loop over ``stores`` finds, query key by query key and gated before
@@ -175,6 +196,99 @@ def test_stream_counterexample_is_the_per_query_loops_first(
         lambda arr, key: corrupt(arr, key, searched_matches(arr, key)),
     )
     assert (out.cases, ce.context, ce.query, ce.expected, ce.got) == want
+
+
+SOUND_GATE = camsim.array._gate_index
+
+
+def _all_on_gate(monkeypatch):
+    # the gated array energizes every line, whatever the search prefix
+    def gate(values, shift, n):
+        return (len(values),) * (1 << (n - shift))
+
+    monkeypatch.setattr(camsim.array, "_gate_index", gate)
+
+
+def _neighbour_gate(monkeypatch):
+    # each search prefix also energizes the next prefix's bucket; the
+    # baseline's one bucket is left as it is
+    def gate(values, shift, n):
+        runs = SOUND_GATE(values, shift, n)
+        if len(runs) == 1:
+            return runs
+        return tuple(r + runs[(b + 1) % len(runs)] for b, r in enumerate(runs))
+
+    monkeypatch.setattr(camsim.array, "_gate_index", gate)
+
+
+def _ml_en_off_by_one(monkeypatch):
+    # every ML_EN transition count but 0 is one too many, on both engines
+    def stream(arr, keys, prev_key=None):
+        run = run_search_stream(arr, keys, prev_key)
+        counts = [t + 1 if t else 0 for t in run.ml_en_transitions]
+        return replace(run, ml_en_transitions=counts)
+
+    def one_search(arr, query, prev_query=None):
+        report = search(arr, query, prev_query)
+        totals = report.event_totals
+        t = totals.ml_en_transitions
+        return report._replace(
+            event_totals=totals._replace(ml_en_transitions=t + 1 if t else 0)
+        )
+
+    monkeypatch.setattr(camsim.verify, "run_search_stream", stream)
+    monkeypatch.setattr(camsim.verify, "search", one_search)
+
+
+# mutant -> (install, the exhaustive tier's cases and counterexample, the
+# field the randomized tier names at its first trial)
+GATE_MUTANTS = {
+    "all-on-gate": (
+        _all_on_gate, 9,
+        "n=4 k=2 selective single-word: query 0100 after 0011 against [0000]"
+        " expected energized 0, got 1",
+        "ml_en_transitions",
+    ),
+    "neighbour-bucket": (
+        _neighbour_gate, 25,
+        "n=4 k=2 selective single-word: query 1100 after 1011 against [0000]"
+        " expected energized 0, got 1",
+        "ml_en_transitions",
+    ),
+    "ml-en-off-by-one": (
+        _ml_en_off_by_one, 1,
+        "n=4 k=2 selective single-word: query 0000 against [0000]"
+        " expected ml_en_transitions 1, got 2",
+        "ml_en_transitions",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", GATE_MUTANTS)
+def test_gate_mutant_is_caught_on_its_counts(mutant, monkeypatch, capsys):
+    # matches are read by stored value, so each mutant keeps every match
+    # right: only the count oracle can catch it, on both tiers and in the
+    # CLI, and the counterexample names the count that failed
+    install, cases, described, randomized_field = GATE_MUTANTS[mutant]
+    install(monkeypatch)
+    out = verify_exhaustive(1)
+    assert out.cases == cases and out.counterexample.describe() == described
+    out = verify_randomized(REFERENCE, 200, 1)
+    ce = out.counterexample
+    assert out.cases == 1 and ce.context == "randomized selective"
+    assert ce.field == randomized_field and ce.prev_query is None
+    assert ce.expected != ce.got
+    assert f" expected {randomized_field} {ce.expected}, got {ce.got}" in ce.describe()
+    assert main(["verify", "--trials", "200"]) == 1
+    assert capsys.readouterr().err == f"counterexample: {described}\n"
+
+
+def test_fault_injection_checks_matches_only(monkeypatch):
+    # the inverted-gate mutant has no counts: a count mutant on top of it
+    # leaves its first counterexample as it is
+    _all_on_gate(monkeypatch)
+    out = verify_exhaustive(1, fault=True)
+    assert out.cases == 1 and out.counterexample.field == "matches"
 
 
 def test_flipped_gate_mutant_matches_the_cell_level_route():
