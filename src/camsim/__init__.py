@@ -61,7 +61,7 @@ from .errors import (
     ZeroSearches,
 )
 from .mle import MleTrace, expected_energized_fraction, mle_eval
-from .trace import WordTrace, WordTransitions
+from .trace import WordTrace, WordTransitions, word_traces
 from .verify import Counterexample, VerifyOutcome, verify_exhaustive, verify_randomized
 from .workload import (
     WorkloadKind,

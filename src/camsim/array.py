@@ -19,8 +19,10 @@ precharges every line), and ``_runs[b]`` counts the lines whose ML_EN is
 high for bucket b. The variants differ only in those facts, so
 ``search`` has no variant branch. When the bucket repeats no ML_EN changes;
 otherwise every line of both buckets changes its ML_EN, since two gated
-buckets share no line. ``SearchReport.traces`` comes from the truth-level
-per-word model in ``trace``, which reads no gate fact.
+buckets share no line. This module imports nothing of the truth-level
+per-word model (``trace``, ``mle``, ``cells``), which the tests check every
+count against: ``trace.word_traces`` rebuilds a search's per-word levels
+from the array and its queries.
 
 Arrays are immutable values, built whole from their stored words: there is
 no array-level write, and a changed store is a new array. ``search``
@@ -29,7 +31,8 @@ being the explicit context for searchline-toggle and ML_EN-transition
 counting, so concurrent searches are deterministic under any scheduling.
 ``run_search_stream`` applies the same rules to a whole stream at once, in
 C-level passes over a column of int query keys, and returns one column per
-count (``SearchRun``) instead of a record per query.
+count (``SearchRun``) instead of a record per query. Both records hold
+only what a search computes, never the array or the queries.
 
 A single ``search`` tests its key against all N stored values with a
 C-level ``in``, and lists a hit's addresses with ``tuple.count`` and
@@ -50,7 +53,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import BitWord, CamConfig
 from .errors import InvalidConfig, WidthMismatch
-from .trace import WordTrace, word_traces
 
 
 # Builds a NamedTuple from a ready tuple of all its fields, without the
@@ -169,40 +171,16 @@ def _gate_index(values: Sequence[int], shift: int, n: int) -> tuple[int, ...]:
 
 
 class SearchReport(NamedTuple):
-    """Outcome of one search: matches, energization, and event tallies.
+    """Outcome of one search: the matching addresses, ascending, and the
+    event tallies; ``event_totals.ml_precharges`` is the energized count.
 
     The energy is the model's: ``energy.totals_energy(report.event_totals,
     ...)``; the delay is a per-variant constant, ``energy.search_delay``.
-    ``traces`` is rebuilt on demand from the immutable inputs, so callers
-    that only read matches and totals skip the per-word objects. A tuple,
-    like ``EventTotals``; the repr leaves out ``array``.
+    A tuple, like ``EventTotals``.
     """
 
-    array: CamArray
-    query: BitWord
-    prev_query: Optional[BitWord]
     matches: tuple[int, ...]
-    energized_count: int
     event_totals: EventTotals
-
-    def __repr__(self) -> str:
-        # A tuple repr would print all N stored words of ``array``.
-        shown = zip(self._fields[1:], self[1:])
-        return f"SearchReport({', '.join(f'{k}={v!r}' for k, v in shown)})"
-
-    @property
-    def config(self) -> CamConfig:
-        return self.array.config
-
-    @property
-    def variant(self) -> Variant:
-        return self.array.variant
-
-    @property
-    def traces(self) -> tuple[WordTrace, ...]:
-        a = self.array
-        k, gated = a.config.mle_bits, bool(a._energizers)
-        return word_traces(a.words, k, gated, self.query, self.prev_query)
 
 
 def _hit_addresses(values: tuple[int, ...], key: int) -> tuple[int, ...]:
@@ -259,9 +237,7 @@ def search(
         sl_toggles,
         array._energizers,
     ))
-    return _new_tuple(SearchReport, (
-        array, query, prev_query, matches, precharged, totals
-    ))
+    return _new_tuple(SearchReport, (matches, totals))
 
 
 @dataclass(frozen=True)
@@ -270,16 +246,17 @@ class SearchRun:
 
     Entry i of a column is the field of that name in what ``search`` reports
     for key i, threaded after key i - 1. ``energized`` is each query's ML
-    precharge count as well; its discharges are ``energized - len(matches)``
-    and its energizer evaluations are ``array._energizers`` for every query,
-    so neither is stored. ``len(run)`` is the number of queries.
+    precharge count; its discharges are ``energized - len(matches)``, so
+    they are not stored. ``energizers`` is every query's energizer
+    evaluations: N on a gated array, 0 on the all-NOR one. ``len(run)`` is
+    the number of queries.
 
     Every count column holds plain ``int``s, and ``matches`` holds tuples of
     ``int`` addresses: ``workload.query_summary`` writes each entry as its
     ``str``, which is a JSON integer only for an ``int``.
     """
 
-    array: CamArray = field(repr=False)
+    energizers: int
     matches: Sequence[tuple[int, ...]]
     energized: Sequence[int]
     ml_en_transitions: Sequence[int]
@@ -302,7 +279,7 @@ def sum_event_totals(run: SearchRun) -> EventTotals:
         precharges,
         precharges - sum(map(len, run.matches)),
         sum(run.sl_toggles),
-        run.array._energizers * len(run),
+        run.energizers * len(run),
     )
 
 
@@ -353,7 +330,7 @@ def run_search_stream(
     stream gives an empty run, whatever ``prev_key`` is."""
     keys = list(keys)
     if not keys:
-        return SearchRun(array, [], [], [], [])
+        return SearchRun(array._energizers, [], [], [], [])
     n = array.config.word_bits
     _check_keys(keys, n, prev_key)
     shift, runs = array._shift, array._runs
@@ -375,4 +352,4 @@ def run_search_stream(
     sl = [sl_first, *map(int.bit_count, map(xor, islice(keys, 1, None), keys))]
     index = _value_index(array._values)
     matches = [*map(index.get, keys, repeat(()))]
-    return SearchRun(array, matches, energized, ml_en, sl)
+    return SearchRun(array._energizers, matches, energized, ml_en, sl)

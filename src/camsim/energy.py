@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -169,7 +168,6 @@ _PRICED_CLASSES = (
 )
 
 
-@lru_cache(maxsize=16)
 def _unit_energies(model: EnergyModel, config: CamConfig) -> tuple[float, ...]:
     """``event_energy`` of one event of each priced class. Multiplying by an
     exact 1 rounds nothing, so unit * m is the float ``event_energy`` gives
@@ -179,7 +177,7 @@ def _unit_energies(model: EnergyModel, config: CamConfig) -> tuple[float, ...]:
 
 def totals_energy(totals: EventTotals, model: EnergyModel, config: CamConfig) -> float:
     """The sum of ``event_energy`` over the priced classes, bit for bit, from
-    unit energies computed once per (model, config)."""
+    the unit energies of one event of each class."""
     counts = (
         totals.ml_precharges,
         totals.ml_discharges,
@@ -217,15 +215,15 @@ def aggregate(run: SearchRun, model: EnergyModel, config: CamConfig) -> list[flo
     search's event totals bit for bit: the same products, summed in the same
     order. A negative priced count is a ValueError, as there, checked once
     per column. The delay is the same for every search of a variant:
-    ``search_delay(model, config, run.array.variant)``."""
+    ``search_delay(model, config, variant)`` for the searched array's."""
     pre, dis, sl, mle = _unit_energies(model, config)
     discharges = run.ml_discharges
-    columns = (run.energized, discharges, run.sl_toggles, [run.array._energizers])
+    columns = (run.energized, discharges, run.sl_toggles, [run.energizers])
     for column in columns:
         if min(column, default=0) < 0:
             raise ValueError(f"event counts must be >= 0, got {min(column)}")
     # mle * m is the same product for every search, so it is taken once.
-    last = mle * run.array._energizers
+    last = mle * run.energizers
     return [
         pre * p + dis * d + sl * s + last
         for p, d, s in zip(run.energized, discharges, run.sl_toggles)

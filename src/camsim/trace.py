@@ -1,15 +1,17 @@
 """The one per-word model, at truth level: what each word's cells do in one
-search. It reads no fact of the array's gate index, so it is independent of
-the counting path in ``array``; the tests check that the summed per-word
-transitions equal each search's ``EventTotals``.
+search. It reads an array's stored words, its config and its variant, but
+no fact of its gate index, and ``array`` imports nothing of it, so it is
+independent of the counting path there; the tests check that the summed
+per-word transitions equal each search's ``EventTotals``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import ne
-from typing import Optional, Sequence
+from typing import Optional
 
+from .array import CamArray, Variant
 from .cells import CellKind, CellState, nor_cell_pulls_down
 from .core import BitWord, Level
 from .mle import mle_eval
@@ -56,26 +58,23 @@ class WordTrace:
 
 
 def word_traces(
-    words: Sequence[BitWord],
-    k: int,
-    gated: bool,
-    query: BitWord,
-    prev_query: Optional[BitWord] = None,
+    array: CamArray, query: BitWord, prev_query: Optional[BitWord] = None
 ) -> tuple[WordTrace, ...]:
-    """Trace each stored word through a search of ``query`` after
-    ``prev_query`` (None before the first search: a gated ML_EN starts low
-    and all n searchlines toggle). With ``gated`` the energizer evaluates the
-    first k bits against the query's prefix and the previous query's, and
-    the NOR cells cover the rest; without it every match line precharges and
-    the NOR cells cover the whole word. The NOR scan stops at the first cell
-    that pulls the line low. Words and queries share one width, as
-    ``search`` checks."""
+    """Trace each word stored in ``array`` through a search of ``query``
+    after ``prev_query`` (None before the first search: a gated ML_EN starts
+    low and all n searchlines toggle). On the selective variant the
+    energizer evaluates the first k = ``mle_bits`` bits against the query's
+    prefix and the previous query's, and the NOR cells cover the rest; on
+    the all-NOR baseline every match line precharges and the NOR cells
+    cover the whole word. The NOR scan stops at the first cell that pulls
+    the line low. Words and queries share one width, as ``search`` checks."""
+    k, gated = array.config.mle_bits, array.variant is Variant.SELECTIVE
     bits = query.bits()
     prev = None if prev_query is None else prev_query.bits()
     sl = len(bits) if prev is None else sum(map(ne, bits, prev))
     qp, pp = bits[:k], None if prev is None else prev[:k]
     out = []
-    for addr, word in enumerate(words):
+    for addr, word in enumerate(array.words):
         m_nodes, ml_en, en_prev = (), Level.HIGH, True
         if gated:
             stored = word.prefix_bits(k)

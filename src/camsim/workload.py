@@ -287,7 +287,7 @@ def query_summary(run: SearchRun, energies: Sequence[float]) -> QueryRows:
     columns = zip(
         range(n), matches_text, energized,
         run.ml_en_transitions, energized, run.ml_discharges, run.sl_toggles,
-        repeat(run.array._energizers), energies,
+        repeat(run.energizers), energies,
     )
     parts = [",\n"] * (2 * n + 1)
     parts[0] = '\n  "queries": [\n'

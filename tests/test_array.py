@@ -19,6 +19,7 @@ from camsim import (
     oracle_search,
     run_search_stream,
     search,
+    word_traces,
 )
 from camsim.draws import Stream
 from camsim.verify import _check_columns, _check_searches, _key_columns
@@ -89,7 +90,7 @@ def test_single_match_energizes_one_line():
     words[5] = query
     report = search(new_array(cfg, Variant.SELECTIVE, words), query)
     assert report.matches == (5,)
-    assert report.energized_count == 1
+    assert report.event_totals.ml_precharges == 1
     assert report.event_totals.ml_discharges == 0
 
 
@@ -99,7 +100,7 @@ def test_shared_prefix_energizes_all_and_discharges_all():
     query = w("10110011")
     words = [BitWord(8, (query.prefix_int(3) << 5) | i) for i in range(8)]
     report = search(new_array(cfg, Variant.SELECTIVE, words), query)
-    assert report.energized_count == 8
+    assert report.event_totals.ml_precharges == 8
     assert report.matches == tuple(
         a for a, word in enumerate(words) if word == query
     )
@@ -210,9 +211,10 @@ def test_word_outcomes_match_cell_level_route(stored, qv):
     words = [BitWord(n, v) for v in stored]
     query = BitWord(n, qv)
     for variant in (Variant.SELECTIVE, Variant.BASELINE_NOR):
-        report = search(new_array(cfg, variant, words), query)
+        arr = new_array(cfg, variant, words)
+        report = search(arr, query)
         gated = variant is Variant.SELECTIVE
-        for trace, word in zip(report.traces, words):
+        for trace, word in zip(word_traces(arr, query), words):
             en = not gated or word.prefix_int(k) == query.prefix_int(k)
             diff = word.value ^ query.value
             lowest = n - diff.bit_length() if en and diff else None
@@ -230,7 +232,7 @@ def test_trace_invariants_selective():
     arr = new_array(cfg, Variant.SELECTIVE, words)
     query = BitWord(6, 0b010110)
     report = search(arr, query)
-    traces = report.traces
+    traces = word_traces(arr, query)
     assert len(traces) == 16
     for t in traces:
         assert t.ml_precharged == (t.ml_en is Level.HIGH)
@@ -245,7 +247,7 @@ def test_trace_invariants_selective():
         assert t.ml_precharged == (
             words[t.addr].prefix_int(3) == query.prefix_int(3)
         )
-    assert report.energized_count == sum(t.ml_precharged for t in traces)
+    assert report.event_totals.ml_precharges == sum(t.ml_precharged for t in traces)
     assert set(report.matches) == {
         t.addr for t in traces if t.ml_final is Level.HIGH
     }
@@ -255,8 +257,8 @@ def test_trace_m_nodes_match_energizer():
     cfg = CamConfig(4, 6, 3)
     words = [w("101010"), w("001010"), w("111010"), w("100010")]
     query = w("101110")
-    report = search(new_array(cfg, Variant.SELECTIVE, words), query)
-    for t, word in zip(report.traces, words):
+    arr = new_array(cfg, Variant.SELECTIVE, words)
+    for t, word in zip(word_traces(arr, query), words):
         assert t.m_nodes == mle_eval(word.prefix_bits(3), query.prefix_bits(3)).m_nodes
     # every stored/search prefix pair at every supported width
     for k in range(2, 7):
@@ -264,7 +266,7 @@ def test_trace_m_nodes_match_energizer():
         arr = new_array(CamConfig(len(words), k + 2, k), Variant.SELECTIVE, words)
         for qp in range(1 << k):
             query = BitWord(k + 2, qp << 2)
-            for t, word in zip(search(arr, query).traces, words):
+            for t, word in zip(word_traces(arr, query), words):
                 want = mle_eval(word.prefix_bits(k), query.prefix_bits(k))
                 assert t.m_nodes == want.m_nodes
                 assert t.ml_en is want.ml_en
@@ -273,8 +275,7 @@ def test_trace_m_nodes_match_energizer():
 def test_baseline_traces_have_no_energizer_nodes():
     cfg = CamConfig(4, 6, 3)
     arr = new_array(cfg, Variant.BASELINE_NOR, all_words(6)[:4])
-    report = search(arr, BitWord(6, 2))
-    for t in report.traces:
+    for t in word_traces(arr, BitWord(6, 2)):
         assert t.m_nodes == ()
         assert t.ml_en is Level.HIGH
         assert t.ml_precharged
@@ -291,11 +292,10 @@ def test_trace_totals_are_consistent():
             same_prefix = BitWord(n, query.value ^ 1)
             other_prefix = BitWord(n, query.value ^ (1 << (n - 1)))
             for prev in (None, same_prefix, other_prefix):
-                r = search(arr, query, prev)
-                assert_traces_explain(r)
+                r, traces = assert_traces_explain(arr, query, prev)
                 gated = variant is Variant.SELECTIVE
                 assert r.event_totals.mle_evaluations == (cfg.num_words if gated else 0)
-                for x, word in zip(r.traces, FIVE_BIT_STORE):
+                for x, word in zip(traces, FIVE_BIT_STORE):
                     en = not gated or word.prefix_int(k) == query.prefix_int(k)
                     diff = word.value ^ query.value
                     assert x.ml_precharged == en
@@ -351,7 +351,7 @@ def _assert_index_equals_scan(arr):
             want = enabled[qp] + enabled[pp]
         prev = None if pp is None else queries[pp]
         report = search(arr, queries[qp], prev)
-        assert report.energized_count == enabled[qp]
+        assert report.event_totals.ml_precharges == enabled[qp]
         assert report.event_totals.ml_en_transitions == want
 
 
@@ -403,7 +403,7 @@ def test_ml_en_transitions_against_cell_route():
         charges += before is Level.LOW and after is Level.HIGH
         discharges += before is Level.HIGH and after is Level.LOW
     assert report.event_totals.ml_en_transitions == charges + discharges
-    trs = report.traces
+    trs = word_traces(arr, q2, q1)
     assert sum(t.transitions.ml_en_charges for t in trs) == charges
     assert sum(t.transitions.ml_en_discharges for t in trs) == discharges
 
@@ -414,10 +414,10 @@ def test_suffix_change_never_affects_energization():
     for suffix in range(32):
         word = BitWord(8, (query.prefix_int(3) << 5) | suffix)
         report = search(new_array(cfg, Variant.SELECTIVE, [word]), query)
-        assert report.energized_count == 1
+        assert report.event_totals.ml_precharges == 1
     flipped = BitWord(8, query.value ^ 0x80)
     report = search(new_array(cfg, Variant.SELECTIVE, [flipped]), query)
-    assert report.energized_count == 0
+    assert report.event_totals.ml_precharges == 0
 
 
 def test_baseline_dominance():
@@ -514,7 +514,7 @@ def _assert_scan(arr, query, prev):
     assert run.matches == [r.matches]
     k = arr.config.mle_bits
     gated = arr.variant is Variant.SELECTIVE
-    assert r.energized_count == run.energized[0] == sum(
+    assert r.event_totals.ml_precharges == run.energized[0] == sum(
         1 for w in arr.words if not gated or w.prefix_int(k) == query.prefix_int(k)
     )
 
@@ -549,29 +549,27 @@ def test_search_records_have_every_field(variant):
     threaded = search(arr, BitWord(6, 21), BitWord(6, 3))
     for r in (first, threaded):
         assert type(r) is SearchReport
-        assert len(r) == len(SearchReport._fields) == 6
+        assert len(r) == len(SearchReport._fields) == 2
         assert type(r.event_totals) is EventTotals
         assert len(r.event_totals) == len(EventTotals._fields) == 5
-    assert first.prev_query is None and threaded.prev_query == BitWord(6, 3)
 
 
 def test_record_reprs_are_pinned():
     # Recorded when both records were frozen dataclasses whose report repr
-    # left out ``array``, and re-recorded when ``energy_total`` left the
-    # report: the energies live in the run's prices (``energy.aggregate``).
+    # left out ``array``, re-recorded when ``energy_total`` left the report
+    # (the energies live in the run's prices, ``energy.aggregate``), and
+    # again when the report came down to its matches and event totals.
     cfg = CamConfig(4, 6, 2)
     words = [BitWord(6, v) for v in (0b000011, 0b010101, 0b000011, 0b111000)]
     sel = search(new_array(cfg, Variant.SELECTIVE, words), BitWord(6, 3), BitWord(6, 56))
     base = search(new_array(cfg, Variant.BASELINE_NOR, words), BitWord(6, 21))
     assert repr(sel) == (
-        "SearchReport(query=BitWord(width=6, value=3), prev_query=BitWord(width=6,"
-        " value=56), matches=(0, 2), energized_count=2, event_totals=EventTotals("
+        "SearchReport(matches=(0, 2), event_totals=EventTotals("
         "ml_en_transitions=3, ml_precharges=2, ml_discharges=0, sl_toggles=5,"
         " mle_evaluations=4))"
     )
     assert repr(base) == (
-        "SearchReport(query=BitWord(width=6, value=21), prev_query=None,"
-        " matches=(1,), energized_count=4, event_totals=EventTotals("
+        "SearchReport(matches=(1,), event_totals=EventTotals("
         "ml_en_transitions=0, ml_precharges=4, ml_discharges=3, sl_toggles=6,"
         " mle_evaluations=0))"
     )

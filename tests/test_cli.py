@@ -7,8 +7,9 @@ import pytest
 import camsim.array
 import camsim.cli
 import camsim.core
+import camsim.energy
 import camsim.verify
-from camsim import EnergyModel, Variant, search
+from camsim import Variant, search
 from camsim.cli import build_parser, main
 
 
@@ -372,32 +373,32 @@ def test_empty_words_file_exits_2_naming_it(tmp_path, capsys, verb):
 
 
 def test_search_prices_each_run_once(tmp_path, monkeypatch):
-    # The unit energies are fetched once per run, so the energy model is
-    # hashed (for the unit-energy cache) as often at 400 queries as at 10.
+    # The unit energies are computed once per run, as often at 400 queries
+    # as at 10.
     aggregate_calls = []
-    hash_calls = []
+    unit_calls = []
     real_aggregate = camsim.cli.aggregate
-    real_hash = EnergyModel.__hash__
+    real_units = camsim.energy._unit_energies
 
     def counting_aggregate(*args):
         aggregate_calls.append(args)
         return real_aggregate(*args)
 
-    def counting_hash(model):
-        hash_calls.append(model)
-        return real_hash(model)
+    def counting_units(*args):
+        unit_calls.append(args)
+        return real_units(*args)
 
     monkeypatch.setattr(camsim.cli, "aggregate", counting_aggregate)
-    monkeypatch.setattr(EnergyModel, "__hash__", counting_hash)
-    hashes = []
+    monkeypatch.setattr(camsim.energy, "_unit_energies", counting_units)
+    units = []
     for queries in (10, 400):
-        del aggregate_calls[:], hash_calls[:]
+        del aggregate_calls[:], unit_calls[:]
         rc = main(["search", "--num-words", "32", "--width", "24",
                    "--queries", str(queries), "--out", str(tmp_path / "r.json")])
         assert rc == 0
         assert len(aggregate_calls) == 1
-        hashes.append(len(hash_calls))
-    assert hashes[0] == hashes[1] > 0
+        units.append(len(unit_calls))
+    assert units[0] == units[1] > 0
 
 
 @pytest.mark.parametrize("verb, workload", [

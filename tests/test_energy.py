@@ -162,11 +162,15 @@ def test_delay_strictly_increasing_in_k():
 # -------------------------------------------------------------- aggregate
 
 
-def _run(config, variant, num_queries, seed=3, model=None):
+def _array(config, variant):
     words = gen_words(config.num_words, config.word_bits, config.seed)
+    return new_array(config, variant, words)
+
+
+def _run(config, variant, num_queries, seed=3, model=None):
+    arr = _array(config, variant)
     spec = WorkloadSpec(WorkloadKind.UNIFORM, num_queries, seed)
-    queries = gen_queries(spec, words)
-    arr = new_array(config, variant, words)
+    queries = gen_queries(spec, arr.words)
     return run_search_stream(arr, queries), queries
 
 
@@ -176,7 +180,7 @@ def test_aggregate_fills_energy():
     model = EnergyModel()
     energies = aggregate(run, model, cfg)
     assert len(energies) == len(run) == 10
-    first = search(run.array, BitWord(cfg.word_bits, queries[0]))
+    first = search(_array(cfg, Variant.SELECTIVE), BitWord(cfg.word_bits, queries[0]))
     assert energies[0] == pytest.approx(totals_energy(first.event_totals, model, cfg))
 
 
@@ -186,7 +190,7 @@ def test_aggregate_prices_a_run_bit_for_bit(variant):
     run, queries = _run(cfg, variant, 60)
     model = EnergyModel(c_ml_per_cell=0.7, c_sl_per_cell=0.3, upsize_base=1.5)
     energies = aggregate(run, model, cfg)
-    reports = searched(run.array, queries)
+    reports = searched(_array(cfg, variant), queries)
     assert len(energies) == len(reports)
     for e, r in zip(energies, reports):
         assert type(e) is float
@@ -196,10 +200,10 @@ def test_aggregate_prices_a_run_bit_for_bit(variant):
 def test_aggregate_takes_any_sequence_columns():
     cfg = CamConfig(16, 12, 3, seed=5)
     run, _ = _run(cfg, Variant.SELECTIVE, 10)
-    empty = SearchRun(run.array, (), (), (), ())
+    empty = SearchRun(run.energizers, (), (), (), ())
     assert aggregate(empty, EnergyModel(), cfg) == []
     as_tuples = SearchRun(
-        run.array, tuple(run.matches), tuple(run.energized),
+        run.energizers, tuple(run.matches), tuple(run.energized),
         tuple(run.ml_en_transitions), tuple(run.sl_toggles),
     )
     assert aggregate(as_tuples, EnergyModel(), cfg) == aggregate(
@@ -437,7 +441,7 @@ def _priced_columns(totals):
         energized=[totals.ml_precharges],
         ml_discharges=[totals.ml_discharges],
         sl_toggles=[totals.sl_toggles],
-        array=SimpleNamespace(_energizers=totals.mle_evaluations),
+        energizers=totals.mle_evaluations,
     )
 
 

@@ -1,6 +1,7 @@
 """No module of the package, the tests or the root conftest imports a name it
 never uses. The scan skips ``__future__`` imports and the package's
-``__init__.py``, whose imports are its re-exports."""
+``__init__.py``, whose imports are its re-exports. The search engine
+imports nothing of the per-word model that the tests check it against."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,25 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def imported_modules(source):
+    """The module named by every import in ``source``, relative ones with
+    their leading dots."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+    return names
+
+
+def test_engine_imports_nothing_of_the_model():
+    # trace, mle and cells are the truth-level reference for every count
+    # that array.py computes, so the engine must not be built on them
+    source = (ROOT / "src" / "camsim" / "array.py").read_text(encoding="utf-8")
+    imported = imported_modules(source)
+    assert ".core" in imported
+    model = {".trace", ".mle", ".cells", "camsim.trace", "camsim.mle", "camsim.cells"}
+    assert model.isdisjoint(imported)

@@ -18,6 +18,6 @@ def test_readme_library_example_runs(capsys):
     exec(compile(_library_example(), str(README), "exec"), scope)
     run, energies, report = scope["run"], scope["energies"], scope["report"]
     assert type(run) is SearchRun and len(run) == len(energies) == 1000
-    assert type(report) is SearchReport and len(report._fields) == 6
+    assert type(report) is SearchReport and len(report._fields) == 2
     assert energies[0] == totals_energy(report.event_totals, EnergyModel(), scope["cfg"])
     assert capsys.readouterr().out.strip()

@@ -2,6 +2,9 @@
 query-by-query ``search``, and its prices against ``totals_energy``, bit for
 bit."""
 
+import gc
+import weakref
+
 import pytest
 
 from camsim import (
@@ -55,7 +58,7 @@ def test_columns_equal_search_on_every_exhaustive_store(exhaustive_tier):
                 searches += len(run)
                 for column in (
                     run.energized, run.ml_en_transitions, run.sl_toggles,
-                    run.ml_discharges, [run.array._energizers],
+                    run.ml_discharges, [run.energizers],
                     [a for m in run.matches for a in m],
                 ):
                     types |= {*map(type, column)}
@@ -109,6 +112,21 @@ def test_empty_stream_gives_an_empty_run(variant):
         assert len(run) == 0 and not run
         assert sum_event_totals(run) == EventTotals()
         assert aggregate(run, MODEL, config) == []
+
+
+@pytest.mark.parametrize("variant", Variant)
+def test_a_run_does_not_keep_its_array_alive(variant):
+    # a run holds its columns and one int, never the array it searched
+    config = CamConfig(16, 12, 3, seed=5)
+    words = gen_words(16, 12, 5)
+    arr = new_array(config, variant, words)
+    array_ref = weakref.ref(arr)
+    run = run_search_stream(arr, [w.value for w in words])
+    del arr
+    gc.collect()
+    assert array_ref() is None
+    assert len(run) == 16
+    assert run.energizers == (16 if variant is Variant.SELECTIVE else 0)
 
 
 # (query widths, previous query width or None) -> the message of the first

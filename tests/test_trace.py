@@ -14,7 +14,7 @@ from camsim import (
     oracle_search,
     run_search_stream,
 )
-from cell_route import assert_run_equals_searches, assert_traces_explain, searched
+from cell_route import assert_run_equals_searches, assert_traces_explain, threaded
 
 # randomized searches per variant and workload at 256 x 144
 TRIALS = 50
@@ -29,8 +29,9 @@ def test_traces_explain_every_exhaustive_search(exhaustive_tier):
     traced = 0
     for config, words, queries, _ in stores:
         for variant in Variant:
-            for report in searched(new_array(config, variant, words), queries):
-                assert_traces_explain(report)
+            arr = new_array(config, variant, words)
+            for query, prev in threaded(config.word_bits, queries):
+                assert_traces_explain(arr, query, prev)
                 traced += 1
     assert out.ok
     assert traced == out.cases == 24192
@@ -53,12 +54,13 @@ def test_traces_explain_randomized_searches_at_reference_geometry(variant, spec)
     words = gen_words(cfg.num_words, cfg.word_bits, cfg.seed)
     arr = new_array(cfg, variant, words)
     queries = gen_queries(spec, words)
-    reports = searched(arr, queries)
+    values = [w.value for w in words]
+    reports = []
+    for query, prev in threaded(cfg.word_bits, queries):
+        report, _ = assert_traces_explain(arr, query, prev)
+        assert report.matches == oracle_search(values, query.value)
+        reports.append(report)
     assert_run_equals_searches(run_search_stream(arr, queries), reports)
     assert len(reports) == TRIALS
     if spec.kind is WorkloadKind.PLANTED:
         assert any(r.matches for r in reports)
-    values = [w.value for w in words]
-    for report in reports:
-        assert report.matches == oracle_search(values, report.query.value)
-        assert_traces_explain(report)

@@ -17,6 +17,7 @@ from camsim import (
     search,
     verify_exhaustive,
     verify_randomized,
+    word_traces,
 )
 from camsim.cli import main
 from camsim.verify import _flipped_gate_matches
@@ -305,7 +306,7 @@ def test_flipped_gate_mutant_matches_the_cell_level_route():
             got = _flipped_gate_matches(arr, query.value)
             assert got == tuple(
                 t.addr
-                for t, word in zip(search(arr, query).traces, FIVE_BIT_STORE)
+                for t, word in zip(word_traces(arr, query), FIVE_BIT_STORE)
                 if (t.ml_en is Level.HIGH) != gated
                 and (word.value ^ query.value) & compared == 0
             )

@@ -1,7 +1,6 @@
 import io
 import json
 import math
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -302,7 +301,7 @@ def _reference_rows(run, energies) -> list[dict]:
         }
         for i, (t, energy) in enumerate(zip(zip(
             run.matches, run.energized, run.ml_en_transitions, run.energized,
-            run.ml_discharges, run.sl_toggles, [run.array._energizers] * len(run),
+            run.ml_discharges, run.sl_toggles, [run.energizers] * len(run),
         ), energies))
     ]
 
@@ -310,7 +309,6 @@ def _reference_rows(run, energies) -> list[dict]:
 ROW_ENERGIES = (0.0, -0.0, 1.0, 0.1 + 0.2, 1e22, 1e-300, 5e-324, 7)
 _EVENT_NAMES = ("ml_en_transitions", "ml_precharges", "ml_discharges",
                 "sl_toggles", "mle_evaluations")
-_ARRAY = new_array(CamConfig(16, 12, 3), Variant.SELECTIVE, gen_words(16, 12, 3))
 
 
 def _planted_run(num_queries: int = 30):
@@ -347,13 +345,13 @@ def test_row_template_equals_json_dumps_on_planted_rows():
 def test_row_template_energies():
     n = len(ROW_ENERGIES)
     run = SearchRun(
-        _ARRAY, [(i,) * (i % 3) for i in range(n)], [3] * n, [3] * n, [3] * n
+        16, [(i,) * (i % 3) for i in range(n)], [3] * n, [3] * n, [3] * n
     )
     _assert_rows_render_as_json_dumps(run, ROW_ENERGIES)
 
 
 def test_row_template_renders_an_empty_run():
-    run = SearchRun(_ARRAY, [], [], [], [])
+    run = SearchRun(16, [], [], [], [])
     assert query_summary(run, []).parts == ['\n  "queries": []']
     _assert_rows_render_as_json_dumps(run, [])
 
@@ -379,8 +377,7 @@ _COLUMNS = st.lists(
 @given(_COLUMNS, st.integers(0, 2**64))
 def test_row_template_equals_json_dumps_on_random_rows(rows, energizers):
     matches, energized, ml_en, sl, energies = map(list, zip(*rows))
-    array = SimpleNamespace(_energizers=energizers)
-    run = SearchRun(array, matches, energized, ml_en, sl)
+    run = SearchRun(energizers, matches, energized, ml_en, sl)
     _assert_rows_render_as_json_dumps(run, energies)
 
 
