@@ -252,8 +252,11 @@ class SearchRun:
     the number of queries.
 
     Every count column holds plain ``int``s, and ``matches`` holds tuples of
-    ``int`` addresses: ``workload.query_summary`` writes each entry as its
-    ``str``, which is a JSON integer only for an ``int``.
+    ``int`` addresses: a search report writes each entry as its ``str``,
+    which is a JSON integer only for an ``int``. ``workload.query_summary``
+    keeps the run, and the report writer slices its columns a chunk of rows
+    at a time, so each column is a sequence that slices, and the run must not
+    change before its report is written.
     """
 
     energizers: int

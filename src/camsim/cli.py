@@ -256,7 +256,7 @@ def _aggregate_dict(config, model, variant, run) -> dict:
     return {
         "searches": searches,
         "queries_with_match": searches - run.matches.count(()),
-        "total_matches": sum(map(len, run.matches)),
+        "total_matches": totals.ml_precharges - totals.ml_discharges,
         "mean_energized_fraction": fraction,
         "expected_energized_fraction": expected,
         "event_totals": totals._asdict(),

@@ -18,7 +18,8 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, filterfalse, repeat
+from itertools import chain, compress, filterfalse, repeat
+from operator import sub
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
@@ -190,23 +191,30 @@ def _json_text(document: object) -> str:
         raise InvalidConfig(f"report holds a non-finite number: {exc}") from exc
 
 
-def report_json_text(document: dict) -> str:
-    """Pretty-printed JSON (``json.dumps`` with indent 2); NaN and infinities
-    are rejected because they are not valid JSON.
-
-    A top-level ``"queries"`` value that ``query_summary`` rendered is
-    spliced into the rest of the document at its key; any other document
-    goes through ``json.dumps`` whole."""
+def _json_pieces(document: dict) -> Iterable[str]:
+    """The pieces that join to ``report_json_text(document)``, with every
+    check already run, so writing them one by one writes nothing for a
+    refused document. A ``QueryRows`` under the top-level ``"queries"`` key
+    is spliced in and renders its rows as the pieces are read; any other
+    document is one piece, ``json.dumps`` of the whole."""
     rows = document.get("queries")
     if not isinstance(rows, QueryRows):
-        return _json_text(document) + "\n"
+        return (_json_text(document) + "\n",)
     header = _json_text({**document, "queries": []})
-    if rows.non_finite is not None:
-        _json_text(rows.non_finite)  # raises, after any error in the header
+    non_finite = next(filterfalse(math.isfinite, rows.energies), None)
+    if non_finite is not None:
+        _json_text(non_finite)  # raises, after any error in the header
     # A top-level key is the only place this text can occur: deeper keys are
     # indented further, and string values escape their quotes and newlines.
     head, _, tail = header.partition(_EMPTY_QUERIES)
-    return "".join([head, *rows.parts, tail, "\n"])
+    return chain((head,), rows, (tail + "\n",))
+
+
+def report_json_text(document: dict) -> str:
+    """Pretty-printed JSON (``json.dumps`` with indent 2); NaN and infinities
+    are rejected because they are not valid JSON. A ``QueryRows`` under the
+    top-level ``"queries"`` key renders as the list of its rows."""
+    return "".join(_json_pieces(document))
 
 
 def write_report(
@@ -215,19 +223,23 @@ def write_report(
     fmt: str = "json",
 ) -> None:
     """Serialize a report document (json) or sweep rows (csv) to a path or
-    stream. Identical inputs produce byte-identical output."""
+    stream. Identical inputs produce byte-identical output. A refused report
+    writes nothing and creates no file. A search report's rows are written a
+    chunk at a time, so its whole text is never held in memory."""
     if fmt == "json":
         if not isinstance(report, dict):
             raise ValueError("json reports expect a document dict")
-        text = report_json_text(report)
+        pieces = _json_pieces(report)
     elif fmt == "csv":
-        text = sweep_csv_text(report)
+        pieces = (sweep_csv_text(report),)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     if hasattr(destination, "write"):
-        destination.write(text)  # type: ignore[union-attr]
+        for piece in pieces:
+            destination.write(piece)  # type: ignore[union-attr]
     else:
-        Path(destination).write_text(text, encoding="utf-8", newline="")
+        with open(destination, "w", encoding="utf-8", newline="") as out:
+            out.writelines(pieces)
 
 
 QUERY_ROW_KEYS = ("index", "matches", "energized_count", "events", "energy")
@@ -235,16 +247,49 @@ _EVENT_KEYS = EventTotals._fields
 _EMPTY_QUERIES = '\n  "queries": []'
 
 
+# Rows rendered per piece of a search report: a chunk's text, about 280
+# bytes a row at 256 x 144, is the most of the rows held at once.
+QUERY_ROWS_PER_CHUNK = 256
+
+
 @dataclass(frozen=True)
 class QueryRows:
-    """A search report's "queries" list, rendered: ``parts`` join to the
-    text that ``json.dumps(indent=2)`` writes for the list under a top-level
-    key, from its leading newline to its closing bracket. ``non_finite`` is
-    the first energy that JSON cannot hold, if any; ``report_json_text``
-    then refuses the document."""
+    """A search report's "queries" list, rendered on iteration: the pieces
+    join to the text that ``json.dumps(indent=2)`` writes for the list under
+    a top-level key, from its leading newline to its closing bracket. Each
+    piece after the first holds at most ``QUERY_ROWS_PER_CHUNK`` rows. The
+    rows are read from ``run`` and ``energies`` at iteration time."""
 
-    parts: list[str]
-    non_finite: Optional[float] = None
+    run: SearchRun
+    energies: Sequence[float]
+
+    def __iter__(self) -> Iterator[str]:
+        run = self.run
+        n = len(run)
+        if not n:
+            yield _EMPTY_QUERIES
+            return
+        yield '\n  "queries": [\n'
+        for start in range(0, n, QUERY_ROWS_PER_CHUNK):
+            if start:
+                yield ",\n"
+            stop = start + QUERY_ROWS_PER_CHUNK
+            matches = run.matches[start:stop]
+            matches_text = ["[]"] * len(matches)
+            for i in compress(range(len(matches)), matches):
+                matches_text[i] = (
+                    "[\n        " + ",\n        ".join(map(str, matches[i]))
+                    + "\n      ]"
+                )
+            energized = run.energized[start:stop]
+            columns = zip(
+                range(start, stop), matches_text, energized,
+                run.ml_en_transitions[start:stop], energized,
+                map(sub, energized, map(len, matches)), run.sl_toggles[start:stop],
+                repeat(run.energizers), self.energies[start:stop],
+            )
+            yield ",\n".join(map(_ROW_TEMPLATE.__mod__, columns))
+        yield "\n  ]"
 
 
 def _json_object_format(keys: Sequence[str], values: dict, indent: int) -> str:
@@ -270,27 +315,11 @@ _ROW_TEMPLATE = ("    " + _json_object_format(
 def query_summary(run: SearchRun, energies: Sequence[float]) -> QueryRows:
     """The per-query rows of a search report, keyed in ``QUERY_ROW_KEYS``
     order: each search's index, matches, energized count, event counts and
-    energy (``energies[i]``, as ``energy.aggregate`` gives it). Every row is
-    rendered column by column."""
+    energy (``energies[i]``, as ``energy.aggregate`` gives it). The rows are
+    rendered column by column, a chunk at a time, when the report is
+    written; ``write_report`` refuses a non-finite energy before it writes
+    any byte."""
     n = len(run)
     if len(energies) != n:
         raise ValueError(f"{len(energies)} energies for a run of {n} searches")
-    if not n:
-        return QueryRows([_EMPTY_QUERIES])
-    matches = run.matches
-    matches_text = ["[]"] * n
-    for i in compress(range(n), matches):
-        matches_text[i] = (
-            "[\n        " + ",\n        ".join(map(str, matches[i])) + "\n      ]"
-        )
-    energized = run.energized
-    columns = zip(
-        range(n), matches_text, energized,
-        run.ml_en_transitions, energized, run.ml_discharges, run.sl_toggles,
-        repeat(run.energizers), energies,
-    )
-    parts = [",\n"] * (2 * n + 1)
-    parts[0] = '\n  "queries": [\n'
-    parts[1::2] = map(_ROW_TEMPLATE.__mod__, columns)
-    parts[-1] = "\n  ]"
-    return QueryRows(parts, next(filterfalse(math.isfinite, energies), None))
+    return QueryRows(run, energies)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from camsim import (
 )
 from camsim.workload import (
     QUERY_ROW_KEYS,
+    QUERY_ROWS_PER_CHUNK,
     SWEEP_CSV_HEADER,
     content_lines,
     query_summary,
@@ -352,8 +354,47 @@ def test_row_template_energies():
 
 def test_row_template_renders_an_empty_run():
     run = SearchRun(16, [], [], [], [])
-    assert query_summary(run, []).parts == ['\n  "queries": []']
+    assert list(query_summary(run, [])) == ['\n  "queries": []']
     _assert_rows_render_as_json_dumps(run, [])
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, QUERY_ROWS_PER_CHUNK + 1])
+def test_rows_render_as_json_dumps_across_chunk_boundaries(extra):
+    # The Hypothesis rows below never fill a chunk. At 2 * chunk + 1 rows
+    # the first boundary has hits on both sides and the second none.
+    run, energies = _planted_run(QUERY_ROWS_PER_CHUNK + extra)
+    chunk = QUERY_ROWS_PER_CHUNK
+    if extra > 0:
+        assert run.matches[chunk - 1] and run.matches[chunk]
+    if extra > chunk:
+        assert not (run.matches[2 * chunk - 1] or run.matches[2 * chunk])
+    _assert_rows_render_as_json_dumps(run, energies)
+    pieces = list(query_summary(run, energies))
+    rows = [p for p in pieces[1:-1] if p != ",\n"]
+    assert len(rows) == -(-len(run) // chunk)
+    assert all(r.count('"index"') <= chunk for r in rows)
+
+
+def test_written_report_is_never_held_whole(tmp_path):
+    # The rows are rendered and written a chunk at a time: from the rows'
+    # summary to the closed file, the traced peak stays far below the
+    # file's size (the whole text alone would be 1x, its bytes 2x).
+    run, energies = _planted_run(20_000)
+    path = tmp_path / "report.json"
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_report(_document(query_summary(run, energies)), path, "json")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 5_000_000
+    assert peak < size / 4, (peak, size)
 
 
 _UINT64 = st.integers(0, 2**64)
@@ -436,8 +477,10 @@ def test_rows_need_one_energy_per_search():
 def test_non_finite_row_energy_is_rejected(tmp_path):
     # The error names the number json.dumps of the whole document would
     # name: the first non-finite one, here an aggregate before the rows.
+    # Every check runs before the first byte: no file, an empty stream.
     run, energies = _planted_run()
     path = tmp_path / "report.json"
+    stream = io.StringIO()
     for total in (2.5, math.inf):
         for bad in (math.nan, math.inf, -math.inf):
             row_energies = [*energies[:-1], bad]
@@ -447,8 +490,12 @@ def test_non_finite_row_energy_is_rejected(tmp_path):
             reference["aggregate"]["energy_total"] = total
             with pytest.raises(ValueError) as want:
                 _dumps_reference(reference)
-            with pytest.raises(InvalidConfig) as err:
-                write_report(doc, path, "json")
-            assert isinstance(err.value.__cause__, ValueError)
-            assert str(err.value) == f"report holds a non-finite number: {want.value}"
+            for destination in (path, stream):
+                with pytest.raises(InvalidConfig) as err:
+                    write_report(doc, destination, "json")
+                assert isinstance(err.value.__cause__, ValueError)
+                assert str(err.value) == (
+                    f"report holds a non-finite number: {want.value}"
+                )
     assert not path.exists()
+    assert stream.getvalue() == ""
