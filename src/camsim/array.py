@@ -29,9 +29,9 @@ no array-level write, and a changed store is a new array. ``search``
 is a pure function of (array, query, previous query), the previous query
 being the explicit context for searchline-toggle and ML_EN-transition
 counting, so concurrent searches are deterministic under any scheduling.
-``run_search_stream`` applies the same rules to a whole stream at once, in
-C-level passes over a column of int query keys, and returns one column per
-count (``SearchRun``) instead of a record per query. Both records hold
+``run_search_stream`` applies the same rules to a stream of int query keys,
+in C-level passes over one chunk of keys at a time, and returns one column
+per count (``SearchRun``) instead of a record per query. Both records hold
 only what a search computes, never the array or the queries.
 
 A single ``search`` tests its key against all N stored values with a
@@ -249,14 +249,17 @@ class SearchRun:
     precharge count; its discharges are ``energized - len(matches)``, so
     they are not stored. ``energizers`` is every query's energizer
     evaluations: N on a gated array, 0 on the all-NOR one. ``len(run)`` is
-    the number of queries.
+    the number of queries, and ``run[a:b]`` is the run of queries a .. b - 1
+    (each column sliced), so a long run is priced and written a chunk at a
+    time.
 
-    Every count column holds plain ``int``s, and ``matches`` holds tuples of
-    ``int`` addresses: a search report writes each entry as its ``str``,
-    which is a JSON integer only for an ``int``. ``workload.query_summary``
-    keeps the run, and the report writer slices its columns a chunk of rows
-    at a time, so each column is a sequence that slices, and the run must not
-    change before its report is written.
+    The columns are the only per-query state that lives for a whole run
+    (about 33 bytes a query in ``run_search_stream``'s lists); the keys
+    are not kept. Every count column holds plain ``int``s, and ``matches``
+    holds tuples of ``int`` addresses: a search report writes each entry as
+    its ``str``, which is a JSON integer only for an ``int``. Each column is
+    a sequence that slices, and ``workload.query_summary`` keeps the run, so
+    the run must not change before its report is written.
     """
 
     energizers: int
@@ -267,6 +270,12 @@ class SearchRun:
 
     def __len__(self) -> int:
         return len(self.matches)
+
+    def __getitem__(self, rows: slice) -> "SearchRun":
+        return SearchRun(
+            self.energizers, self.matches[rows], self.energized[rows],
+            self.ml_en_transitions[rows], self.sl_toggles[rows],
+        )
 
     @property
     def ml_discharges(self) -> list[int]:
@@ -286,14 +295,23 @@ def sum_event_totals(run: SearchRun) -> EventTotals:
     )
 
 
-def _check_keys(keys: Sequence[int], n: int, prev_key: Optional[int] = None) -> None:
+# Keys a stream reads and searches at a time: the most of its keys it holds.
+KEYS_PER_CHUNK = 512
+
+
+def _check_keys(
+    keys: Sequence[int], n: int, prev_key: Optional[int] = None, start: int = 0
+) -> None:
     """Raise ``WidthMismatch`` for the first key that is negative or 2^n or
     more, in the order q0, ``prev_key``, q1, ... in which ``search`` meets
-    them. A C-level ``min`` and ``max`` clear a sound stream."""
-    ends = [min(keys), max(keys)] + ([] if prev_key is None else [prev_key])
-    if min(ends) >= 0 and not max(ends) >> n:
+    them; ``keys[0]`` is query ``start`` of its stream. A C-level ``min``
+    and ``max`` clear a sound stream."""
+    low, high = min(keys), max(keys)
+    if prev_key is not None:
+        low, high = min(low, prev_key), max(high, prev_key)
+    if low >= 0 and not high >> n:
         return
-    named = [(f"query {i}", key) for i, key in enumerate(keys)]
+    named = [(f"query {i}", key) for i, key in enumerate(keys, start)]
     if prev_key is not None:
         named.insert(1, ("previous query", prev_key))
     for name, key in named:
@@ -320,39 +338,58 @@ def run_search_stream(
     prev_key: Optional[int] = None,
 ) -> SearchRun:
     """Search a stream of int query keys in order, threading each key as the
-    next one's toggle baseline, and count the whole run in C-level passes
-    over the keys: the same counts and matches as ``search`` on
+    next one's toggle baseline, and count the run in C-level passes over
+    the keys: the same counts and matches as ``search`` on
     ``BitWord(n, key)`` query by query, with no per-query record.
+
+    The keys are read ``KEYS_PER_CHUNK`` at a time, and only the chunk in
+    hand is held: the run's columns grow by each chunk's entries, and the
+    last key of a chunk is the toggle baseline of the next one's first. So
+    ``keys`` may be a lazy iterable, drawn as it is read.
 
     Where ``search`` scans all N stored values, the stream builds one dict
     from stored value to ascending addresses (O(N) once per call, dropped on
     return) and reads each key's matches from it in O(1).
 
     ``_check_keys`` raises for a key that is not an n-bit value before any
-    search, and a ``BitWord`` in place of a key is a ``TypeError``. An empty
-    stream gives an empty run, whatever ``prev_key`` is."""
-    keys = list(keys)
-    if not keys:
-        return SearchRun(array._energizers, [], [], [], [])
+    search of its chunk, naming its position in the whole stream, so no run
+    is returned. A ``BitWord`` in place of a key is a ``TypeError``. An
+    empty stream gives an empty run, whatever ``prev_key`` is."""
     n = array.config.word_bits
-    _check_keys(keys, n, prev_key)
     shift, runs = array._shift, array._runs
-    buckets = [*map(shift.__rrshift__, keys)]
-    energized = [*map(runs.__getitem__, buckets)]
-    if prev_key is None:
-        (prev_bucket, prev_precharged), sl_first = array._idle, n
-    else:
-        prev_bucket = prev_key >> shift
-        prev_precharged = runs[prev_bucket]
-        sl_first = (keys[0] ^ prev_key).bit_count()
-    # search's rule: no transition when the bucket stays, else every line
-    # of both buckets changes its ML_EN. A bool times an int is an int.
-    ml_en = [*map(
-        mul,
-        map(ne, buckets, chain((prev_bucket,), buckets)),
-        map(add, energized, chain((prev_precharged,), energized)),
-    )]
-    sl = [sl_first, *map(int.bit_count, map(xor, islice(keys, 1, None), keys))]
-    index = _value_index(array._values)
-    matches = [*map(index.get, keys, repeat(()))]
+    get = _value_index(array._values).get
+    matches: list[tuple[int, ...]] = []
+    energized: list[int] = []
+    ml_en: list[int] = []
+    sl: list[int] = []
+    keys = iter(keys)
+    start = 0
+    chunk = list(islice(keys, KEYS_PER_CHUNK))
+    while chunk:
+        _check_keys(chunk, n, None if start else prev_key, start)
+        if prev_key is None:
+            (prev_bucket, prev_lines), sl_first = array._idle, n
+        else:
+            prev_bucket = prev_key >> shift
+            prev_lines = runs[prev_bucket]
+            sl_first = (chunk[0] ^ prev_key).bit_count()
+        buckets = [*map(shift.__rrshift__, chunk)]
+        energized += map(runs.__getitem__, buckets)
+        lines = energized[start:]
+        # search's rule: no transition when the bucket stays, else every
+        # line of both buckets changes its ML_EN. A bool times an int is an
+        # int.
+        ml_en += map(
+            mul,
+            map(ne, buckets, chain((prev_bucket,), buckets)),
+            map(add, lines, chain((prev_lines,), lines)),
+        )
+        sl.append(sl_first)
+        sl += map(int.bit_count, map(xor, islice(chunk, 1, None), chunk))
+        matches += map(get, chunk, repeat(()))
+        start += len(chunk)
+        prev_key = chunk[-1]
+        # A short chunk was the last one.
+        full = len(chunk) == KEYS_PER_CHUNK
+        chunk = list(islice(keys, KEYS_PER_CHUNK)) if full else []
     return SearchRun(array._energizers, matches, energized, ml_en, sl)

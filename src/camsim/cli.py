@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import argparse
 import math
+import shutil
 import sys
+from array import array
 from dataclasses import asdict, replace
+from functools import partial
+from itertools import chain
 from typing import Optional, Sequence
 
 from .array import (
+    KEYS_PER_CHUNK,
     Variant,
     new_array,
     run_search_stream,
@@ -114,14 +119,22 @@ def _add_check_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse builds a help formatter at every add_argument, and each one
+    # asks the terminal for its width; the width argparse would take, read
+    # once per parser, gives the same help text.
+    formatter = partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="camsim",
         description="Behavioral simulator of a prefix-gated match-line CAM "
                     "with switching-activity energy accounting.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("search", help="run a query stream and emit a JSON report")
+    p = sub.add_parser("search", formatter_class=formatter,
+                       help="run a query stream and emit a JSON report")
     _add_geometry_flags(p)
     _add_workload_flags(p)
     _add_model_flags(p)
@@ -131,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="selective", help="array organization")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("sweep", help="replay one workload across prefix widths, emit CSV")
+    p = sub.add_parser("sweep", formatter_class=formatter,
+                       help="replay one workload across prefix widths, emit CSV")
     _add_geometry_flags(p)
     _add_workload_flags(p)
     _add_model_flags(p)
@@ -140,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=6, help="last prefix width (default 6)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("compare", help="gated vs all-NOR baseline on one workload")
+    p = sub.add_parser("compare", formatter_class=formatter,
+                       help="gated vs all-NOR baseline on one workload")
     _add_geometry_flags(p)
     _add_workload_flags(p)
     _add_model_flags(p)
@@ -148,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_check_flags(p)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("verify", help="oracle-equivalence harness")
+    p = sub.add_parser("verify", formatter_class=formatter,
+                       help="oracle-equivalence harness")
     _add_geometry_flags(p)
     p.add_argument("--trials", type=int, default=100000,
                    help="randomized trials at the configured geometry, each "
@@ -196,7 +212,10 @@ def _load_word_file(path: str, kind: str, width: int, fmt: str) -> list[BitWord]
 
 
 def _materialize(args: argparse.Namespace):
-    """Validate flags, then build (config, model, words, query keys, workload_meta)."""
+    """Validate flags, then build (config, model, words, query keys,
+    workload_meta). The keys are an iterator that is read once and drawn
+    ``KEYS_PER_CHUNK`` at a time as it is read; a ``--queries-file``'s keys
+    are read whole, and the iterator lets go of them once it is spent."""
     tolerance = getattr(args, "tolerance", 0.0)
     if not tolerance >= 0:  # NaN fails every comparison
         raise InvalidConfig(f"--tolerance must be >= 0, got {tolerance:g}")
@@ -215,16 +234,21 @@ def _materialize(args: argparse.Namespace):
         words = gen_words(config.num_words, config.word_bits, config.seed)
 
     if args.queries_file:
-        queries = [w.value for w in _load_word_file(
+        keys = [w.value for w in _load_word_file(
             args.queries_file, "query", config.word_bits, args.format
         )]
         workload_meta = {
             "kind": "file",
             "path": args.queries_file,
-            "num_queries": len(queries),
+            "num_queries": len(keys),
         }
+        queries = iter(keys)
     else:
-        queries = gen_queries(spec, words)
+        count = spec.num_queries
+        queries = chain.from_iterable(
+            gen_queries(spec, words, start, min(start + KEYS_PER_CHUNK, count))
+            for start in range(0, count, KEYS_PER_CHUNK)
+        )
         workload_meta = spec.to_dict()
 
     return config, model, words, queries, workload_meta
@@ -287,9 +311,13 @@ def _check_fraction(args, measured: float) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     config, model, words, queries, workload_meta = _materialize(args)
     variant = Variant(args.variant)
-    arr = new_array(config, variant, words)
-    run = run_search_stream(arr, queries)
-    energies = aggregate(run, model, config)
+    run = run_search_stream(new_array(config, variant, words), queries)
+    # Priced a chunk at a time into 8-byte floats: no float object outlives
+    # its chunk.
+    energies = array("d")
+    for start in range(0, len(run), KEYS_PER_CHUNK):
+        chunk = run[start:start + KEYS_PER_CHUNK]
+        energies.fromlist(aggregate(chunk, model, config))
     agg = _aggregate_dict(config, model, variant, run)
     document = {
         "report": "search",
@@ -311,6 +339,7 @@ def _compare_side(config, model, variant, words, queries) -> tuple[dict, list]:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config, model, words, queries, workload_meta = _materialize(args)
+    queries = list(queries)  # both variants search them
     (sel, sel_matches), (base, base_matches) = (
         _compare_side(config, model, variant, words, queries)
         for variant in (Variant.SELECTIVE, Variant.BASELINE_NOR)
@@ -355,6 +384,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.k_min > args.k_max:
         raise InvalidConfig(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
     config, model, words, queries, _ = _materialize(args)
+    queries = list(queries)  # every k searches them
     rows = sweep_mle_bits(
         config, model, None,
         range(args.k_min, args.k_max + 1),
@@ -401,8 +431,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # No reference to the parser is kept, so it is freed before the verb runs.
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:

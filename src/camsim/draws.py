@@ -63,16 +63,16 @@ class Stream:
         bits a draw comes from its first block alone, so the column takes
         one loop with no method call per draw."""
         indices = range(start, start + count)
-        nbytes = (width + 7) // 8
-        if nbytes > 32:
+        if width > 256:
             return [self.bits(i, width) for i in indices]
-        copy, drop, from_bytes = self._head.copy, 8 * nbytes - width, int.from_bytes
+        # The first nbytes of the block, shifted right by 8 * nbytes - width,
+        # are the whole block shifted right by 256 - width: no slice per draw.
+        copy, drop, from_bytes = self._head.copy, 256 - width, int.from_bytes
         out = []
         for i in indices:
             h = copy()
             h.update(_FIRST_BLOCK(i))
-            # Only the draw's own bytes, so each int is allocated at its size.
-            out.append(from_bytes(h.digest()[:nbytes], "big") >> drop)
+            out.append(from_bytes(h.digest(), "big") >> drop)
         return out
 
     def unit(self, index: int) -> float:

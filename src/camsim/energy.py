@@ -210,12 +210,19 @@ def search_delay(
 
 
 def aggregate(run: SearchRun, model: EnergyModel, config: CamConfig) -> list[float]:
-    """The energy of each search of the run, in order. The unit energies are
-    fetched once per call, and each energy equals ``totals_energy`` of that
-    search's event totals bit for bit: the same products, summed in the same
-    order. A negative priced count is a ValueError, as there, checked once
-    per column. The delay is the same for every search of a variant:
-    ``search_delay(model, config, variant)`` for the searched array's."""
+    """The energy of each search of the run, in order, as a list of floats.
+    The unit energies are fetched once per call, and each energy equals
+    ``totals_energy`` of that search's event totals bit for bit: the same
+    products, summed in the same order. A negative priced count is a
+    ValueError, as there, checked once per column. The delay is the same for
+    every search of a variant: ``search_delay(model, config, variant)`` for
+    the searched array's.
+
+    A search's energy depends on its own counts only, so a chunk of a run
+    (``run[a:b]``) prices to that slice of the whole run's energies.
+    ``camsim search`` prices ``KEYS_PER_CHUNK`` searches a call into an
+    ``array('d')``, so no more than a chunk of float objects (32 bytes each,
+    against 8 in the array) is alive at once."""
     pre, dis, sl, mle = _unit_energies(model, config)
     discharges = run.ml_discharges
     columns = (run.energized, discharges, run.sl_toggles, [run.energizers])

@@ -87,24 +87,36 @@ def gen_words(count: int, width: int, seed: int) -> list[BitWord]:
     return [BitWord(width, v) for v in values]
 
 
-def gen_queries(workload: WorkloadSpec, words: Sequence[BitWord]) -> list[int]:
-    """Query keys for the given recipe, as ints as wide as the stored words;
-    query i depends only on (seed, i) and the stored words, never on
-    evaluation order."""
+def gen_queries(
+    workload: WorkloadSpec,
+    words: Sequence[BitWord],
+    start: int = 0,
+    stop: Optional[int] = None,
+) -> list[int]:
+    """Query keys for the given recipe, as ints as wide as the stored words:
+    queries ``start`` .. ``stop`` - 1 of the stream, all of it by default.
+    Query i depends only on (seed, i) and the stored words, never on
+    evaluation order, so a range is that slice of the whole stream."""
     if not words:
         raise EmptyStore("query generation needs at least one stored word")
+    if stop is None:
+        stop = workload.num_queries
+    if not 0 <= start <= stop <= workload.num_queries:
+        raise InvalidConfig(
+            f"query range [{start}, {stop}) is not within the "
+            f"{workload.num_queries} queries"
+        )
     width = words[0].width
     seed = workload.seed
-    count = workload.num_queries
 
     if workload.kind is WorkloadKind.UNIFORM:
-        return Stream(_TAG_QUERY, seed).bits_column(count, width)
+        return Stream(_TAG_QUERY, seed).bits_column(stop - start, width, start)
     out = []
     if workload.kind is WorkloadKind.PLANTED:
         decision, pick, query = (
             Stream(tag, seed) for tag in (_TAG_DECISION, _TAG_PICK, _TAG_QUERY)
         )
-        for i in range(count):
+        for i in range(start, stop):
             if decision.unit(i) < workload.match_rate:
                 out.append(words[pick.pick(i, len(words))].value)
             else:
@@ -115,7 +127,7 @@ def gen_queries(workload: WorkloadSpec, words: Sequence[BitWord]) -> list[int]:
         anchor = words[0].value
         threshold = unit_threshold(workload.bias)
         skew = Stream(_TAG_SKEW, seed)
-        for i in range(count):
+        for i in range(start, stop):
             flips = threshold_bits(skew.blocks(i, 4 * width), threshold)
             out.append(anchor ^ int(flips, 2))
     return out
@@ -248,8 +260,10 @@ _EMPTY_QUERIES = '\n  "queries": []'
 
 
 # Rows rendered per piece of a search report: a chunk's text, about 280
-# bytes a row at 256 x 144, is the most of the rows held at once.
-QUERY_ROWS_PER_CHUNK = 256
+# bytes a row at 256 x 144, is held up to three times while it is written
+# (the row strings, their join and its encoding), so this is the report's
+# largest share of the memory a search holds beyond its run's columns.
+QUERY_ROWS_PER_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -257,8 +271,12 @@ class QueryRows:
     """A search report's "queries" list, rendered on iteration: the pieces
     join to the text that ``json.dumps(indent=2)`` writes for the list under
     a top-level key, from its leading newline to its closing bracket. Each
-    piece after the first holds at most ``QUERY_ROWS_PER_CHUNK`` rows. The
-    rows are read from ``run`` and ``energies`` at iteration time."""
+    piece after the first holds at most ``QUERY_ROWS_PER_CHUNK`` rows, and a
+    chunk of rows after the first starts with the separator that follows
+    the row before it, so each chunk is one write. The rows are read from
+    ``run`` and ``energies`` at iteration time; ``energies`` is any sequence
+    of floats that slices, such as the ``array('d')`` (8 bytes an energy)
+    that ``camsim search`` fills."""
 
     run: SearchRun
     energies: Sequence[float]
@@ -271,8 +289,6 @@ class QueryRows:
             return
         yield '\n  "queries": [\n'
         for start in range(0, n, QUERY_ROWS_PER_CHUNK):
-            if start:
-                yield ",\n"
             stop = start + QUERY_ROWS_PER_CHUNK
             matches = run.matches[start:stop]
             matches_text = ["[]"] * len(matches)
@@ -288,7 +304,8 @@ class QueryRows:
                 map(sub, energized, map(len, matches)), run.sl_toggles[start:stop],
                 repeat(run.energizers), self.energies[start:stop],
             )
-            yield ",\n".join(map(_ROW_TEMPLATE.__mod__, columns))
+            lead = ("",) if start else ()  # the separator after the last chunk
+            yield ",\n".join([*lead, *map(_ROW_TEMPLATE.__mod__, columns)])
         yield "\n  ]"
 
 
@@ -315,10 +332,12 @@ _ROW_TEMPLATE = ("    " + _json_object_format(
 def query_summary(run: SearchRun, energies: Sequence[float]) -> QueryRows:
     """The per-query rows of a search report, keyed in ``QUERY_ROW_KEYS``
     order: each search's index, matches, energized count, event counts and
-    energy (``energies[i]``, as ``energy.aggregate`` gives it). The rows are
-    rendered column by column, a chunk at a time, when the report is
-    written; ``write_report`` refuses a non-finite energy before it writes
-    any byte."""
+    energy (``energies[i]``, as ``energy.aggregate`` gives it for the
+    search; ``camsim search`` prices the run a chunk at a time into an
+    ``array('d')``). Nothing is rendered here: the rows are rendered column
+    by column, a chunk at a time, when the report is written, and
+    ``write_report`` refuses a non-finite energy before it writes any
+    byte."""
     n = len(run)
     if len(energies) != n:
         raise ValueError(f"{len(energies)} energies for a run of {n} searches")

@@ -1,0 +1,255 @@
+"""``camsim search`` as a chunked pipeline: keys drawn, streamed and priced
+``KEYS_PER_CHUNK`` at a time, rows written ``QUERY_ROWS_PER_CHUNK`` at a
+time, with the same bytes as a run over whole columns."""
+
+from __future__ import annotations
+
+import gc
+import json
+import tracemalloc
+from itertools import chain
+
+import pytest
+
+import camsim.cli
+from camsim import (
+    BitWord,
+    CamConfig,
+    Variant,
+    WidthMismatch,
+    WorkloadKind,
+    WorkloadSpec,
+    aggregate,
+    gen_queries,
+    gen_words,
+    new_array,
+    run_search_stream,
+    search,
+)
+from camsim.array import KEYS_PER_CHUNK
+from camsim.cli import (
+    _aggregate_dict,
+    _make_config,
+    _make_model,
+    _report_header,
+    build_parser,
+    main,
+)
+from camsim.workload import QUERY_ROWS_PER_CHUNK, query_summary, report_json_text
+
+WORKLOADS = {
+    "uniform": ["--workload", "uniform"],
+    "planted": ["--workload", "planted", "--match-rate", "0.5"],
+    "prefix-skewed": ["--workload", "prefix-skewed", "--bias", "0.9"],
+}
+GEOMETRY = ["--num-words", "16", "--width", "24", "--mle-bits", "3", "--seed", "7"]
+
+
+def _edge_counts(*chunks: int) -> list[int]:
+    """1, C - 1, C, C + 1 and 2C + 1 for each chunk size C."""
+    return sorted({n for c in chunks for n in (1, c - 1, c, c + 1, 2 * c + 1)})
+
+
+def _reference_text(argv: list[str], keys: list[int], meta: dict) -> str:
+    """The report over whole columns: the keys as one list, one stream, one
+    ``aggregate`` and ``report_json_text`` of the document."""
+    args = build_parser().parse_args(argv)
+    config, model = _make_config(args), _make_model(args)
+    variant = Variant(args.variant)
+    words = gen_words(config.num_words, config.word_bits, config.seed)
+    run = run_search_stream(new_array(config, variant, words), keys)
+    energies = aggregate(run, model, config)
+    document = {
+        "report": "search",
+        "variant": variant.value,
+        **_report_header(args, config, model, meta),
+        "aggregate": _aggregate_dict(config, model, variant, run),
+        "queries": query_summary(run, energies),
+    }
+    return report_json_text(document)
+
+
+def _assert_chunk_heads_are_threaded(text: str, keys: list[int], variant: Variant):
+    """The first row of every key and row chunk carries the toggles and
+    ML_EN transitions of a search threaded after the previous chunk's last
+    key."""
+    rows = json.loads(text)["queries"]
+    arr = new_array(CamConfig(16, 24, 3, seed=7), variant, gen_words(16, 24, 7))
+    for chunk in (KEYS_PER_CHUNK, QUERY_ROWS_PER_CHUNK):
+        for i in range(chunk, len(keys), chunk):
+            want = search(arr, BitWord(24, keys[i]), BitWord(24, keys[i - 1]))
+            events = rows[i]["events"]
+            assert events["sl_toggles"] == want.event_totals.sl_toggles
+            assert events["ml_en_transitions"] == want.event_totals.ml_en_transitions
+
+
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("count", _edge_counts(KEYS_PER_CHUNK, QUERY_ROWS_PER_CHUNK))
+def test_search_report_equals_the_whole_run_at_chunk_edges(
+    tmp_path, workload, variant, count
+):
+    out = tmp_path / "r.json"
+    argv = ["search", *GEOMETRY, *WORKLOADS[workload], "--variant", variant,
+            "--queries", str(count), "--out", str(out)]
+    assert main(argv) == 0
+    text = out.read_text(encoding="utf-8")
+    args = build_parser().parse_args(argv)
+    spec = camsim.cli._make_workload(args)
+    keys = gen_queries(spec, gen_words(16, 24, 7))
+    assert text == _reference_text(argv, keys, spec.to_dict())
+    _assert_chunk_heads_are_threaded(text, keys, Variant(variant))
+
+
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_queries_file_goes_through_the_same_chunks(tmp_path, variant):
+    words = gen_words(16, 24, 7)
+    spec = WorkloadSpec(WorkloadKind.PLANTED, 2 * KEYS_PER_CHUNK + 1, 3, match_rate=0.5)
+    keys = gen_queries(spec, words)
+    path = tmp_path / "queries.txt"
+    path.write_text("".join(format(k, "024b") + "\n" for k in keys))
+    out = tmp_path / "r.json"
+    argv = ["search", *GEOMETRY, "--queries-file", str(path),
+            "--variant", variant, "--out", str(out)]
+    assert main(argv) == 0
+    text = out.read_text(encoding="utf-8")
+    meta = {"kind": "file", "path": str(path), "num_queries": len(keys)}
+    assert text == _reference_text(argv, keys, meta)
+    _assert_chunk_heads_are_threaded(text, keys, Variant(variant))
+
+
+# ------------------------------------------------------------ draw ranges
+
+_SPECS = {
+    "uniform": {},
+    "planted": {"match_rate": 0.5},
+    "prefix-skewed": {"bias": 0.9},
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 97])
+@pytest.mark.parametrize("width", [3, 8, 13, 144])
+@pytest.mark.parametrize("kind", _SPECS)
+def test_a_draw_range_is_that_slice_of_the_whole_column(kind, width, seed):
+    total = 70
+    spec = WorkloadSpec(WorkloadKind(kind), total, seed, **_SPECS[kind])
+    words = gen_words(8, width, seed)
+    whole = gen_queries(spec, words)
+    assert len(whole) == total
+    ranges = [(0, 1), (0, total), (1, 2), (5, 38), (31, 64), (total - 1, total),
+              (17, total), (total, total)]
+    for start, stop in ranges:
+        assert gen_queries(spec, words, start, stop) == whole[start:stop]
+    assert gen_queries(spec, words, 17) == whole[17:]
+    # Chunks of any size join to the whole column.
+    for size in (1, 7, 32):
+        parts = [gen_queries(spec, words, s, min(s + size, total))
+                 for s in range(0, total, size)]
+        assert list(chain.from_iterable(parts)) == whole
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 3), (4, 3), (0, 71), (71, 71)])
+def test_a_draw_range_outside_the_stream_is_refused(start, stop):
+    spec = WorkloadSpec(WorkloadKind.UNIFORM, 70, 1)
+    with pytest.raises(camsim.InvalidConfig, match=r"query range .* 70 queries"):
+        gen_queries(spec, gen_words(8, 8, 1), start, stop)
+
+
+# ------------------------------------------------------- key errors by chunk
+
+C = KEYS_PER_CHUNK
+
+# (keys, prev_key) -> the first key that is not a 6-bit value, as today's
+# KEY_RANGE_CASES, with the bad keys in later chunks.
+LATER_CHUNK_CASES = [
+    (([1] * (C + 2) + [-5], 0), f"query {C + 2}: key -0x5"),
+    (([1] * (2 * C) + [64, 1], None), f"query {2 * C}: key 0x40"),
+    (([1] * (C - 1) + [64] + [1] * C, None), f"query {C - 1}: key 0x40"),
+    (([1] * C + [-1, 64], 3), f"query {C}: key -0x1"),
+    (([1] * C + [64], -2), "previous query: key -0x2"),
+    (([63, 0] + [1] * C + [512], 64), "previous query: key 0x40"),
+]
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+@pytest.mark.parametrize("variant", Variant)
+@pytest.mark.parametrize("case, message", LATER_CHUNK_CASES)
+def test_a_bad_key_in_a_later_chunk_names_its_stream_position(
+    variant, case, message, lazy
+):
+    keys, prev_key = case
+    arr = new_array(CamConfig(4, 6, 2), variant, gen_words(4, 6, 1))
+    source = iter(keys) if lazy else keys
+    with pytest.raises(WidthMismatch, match=f"^{message} does not fit in word_bits 6$"):
+        run_search_stream(arr, source, prev_key)
+
+
+@pytest.mark.parametrize("out", ["file", "-"])
+def test_cli_refuses_a_bad_key_in_a_later_chunk_before_writing(
+    tmp_path, monkeypatch, capsys, out
+):
+    real = camsim.cli.gen_queries
+    bad_at = C + 3
+
+    def corrupted(spec, words, start=0, stop=None):
+        keys = real(spec, words, start, stop)
+        if start <= bad_at < start + len(keys):
+            keys[bad_at - start] = -5
+        return keys
+
+    monkeypatch.setattr(camsim.cli, "gen_queries", corrupted)
+    path = tmp_path / "r.json"
+    rc = main(["search", *GEOMETRY, "--queries", str(2 * C + 1),
+               "--out", str(path) if out == "file" else "-"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: query {bad_at}: key -0x5 does not fit in word_bits 24\n"
+    )
+    assert not path.exists()
+
+
+def test_the_stream_reads_its_keys_a_chunk_at_a_time():
+    # A lazy key source is read chunk by chunk: a bad key in chunk 2 stops
+    # the stream once that chunk is read, long before the source ends.
+    arr = new_array(CamConfig(4, 6, 2), Variant.SELECTIVE, gen_words(4, 6, 1))
+    read = []
+
+    def keys():
+        for i in range(10 * C):
+            read.append(i)
+            yield 64 if i == 2 * C + 7 else 1
+
+    with pytest.raises(WidthMismatch, match=f"^query {2 * C + 7}: "):
+        run_search_stream(arr, keys())
+    assert len(read) == 3 * C
+
+
+# ----------------------------------------------------------- memory growth
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_search_memory_grows_less_than_64_bytes_a_query(tmp_path, workload):
+    # At the reference geometry, the traced peak of a whole search verb
+    # grows by the run's columns and the 8-byte energies only: the keys,
+    # the float objects and the report text are held a chunk at a time.
+    def peak(queries: int) -> int:
+        argv = ["search", "--num-words", "256", "--width", "144",
+                "--mle-bits", "3", "--seed", "1", *WORKLOADS[workload],
+                "--queries", str(queries), "--out", str(tmp_path / "r.json")]
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    peak(2_000)  # warm every cache the verb fills once
+    small, large = peak(2_000), peak(8_000)
+    assert (large - small) / 6_000 < 64, (small, large)

@@ -10,6 +10,7 @@ import camsim.core
 import camsim.energy
 import camsim.verify
 from camsim import Variant, search
+from camsim.array import KEYS_PER_CHUNK
 from camsim.cli import build_parser, main
 
 
@@ -372,9 +373,9 @@ def test_empty_words_file_exits_2_naming_it(tmp_path, capsys, verb):
     assert not out.exists()
 
 
-def test_search_prices_each_run_once(tmp_path, monkeypatch):
-    # The unit energies are computed once per run, as often at 400 queries
-    # as at 10.
+def test_search_prices_each_chunk_once(tmp_path, monkeypatch):
+    # The run is priced KEYS_PER_CHUNK searches at a time, in order, and the
+    # unit energies are computed once per chunk, never once per query.
     aggregate_calls = []
     unit_calls = []
     real_aggregate = camsim.cli.aggregate
@@ -390,15 +391,15 @@ def test_search_prices_each_run_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(camsim.cli, "aggregate", counting_aggregate)
     monkeypatch.setattr(camsim.energy, "_unit_energies", counting_units)
-    units = []
-    for queries in (10, 400):
+    chunk = KEYS_PER_CHUNK
+    for queries, sizes in ((10, [10]), (2 * chunk + 1, [chunk, chunk, 1])):
         del aggregate_calls[:], unit_calls[:]
         rc = main(["search", "--num-words", "32", "--width", "24",
                    "--queries", str(queries), "--out", str(tmp_path / "r.json")])
         assert rc == 0
-        assert len(aggregate_calls) == 1
-        units.append(len(unit_calls))
-    assert units[0] == units[1] > 0
+        assert [len(args[0]) for args in aggregate_calls] == sizes
+        # each chunk's prices, then the run's total energy
+        assert len(unit_calls) == len(sizes) + 1
 
 
 @pytest.mark.parametrize("verb, workload", [

@@ -313,12 +313,21 @@ _EVENT_NAMES = ("ml_en_transitions", "ml_precharges", "ml_discharges",
                 "sl_toggles", "mle_evaluations")
 
 
-def _planted_run(num_queries: int = 30):
+def _planted_run(num_queries: int = 30, hits_at=(), misses_at=()):
+    """A planted run on 16 words, three of which store one value; the
+    queries at ``hits_at`` are set to that value and those at ``misses_at``
+    to one that no word stores."""
     cfg = CamConfig(16, 12, 3, seed=4)
     words = gen_words(16, 12, 4)
     words[5] = words[9] = words[2]  # one query can then match three lines
     spec = WorkloadSpec(WorkloadKind.PLANTED, num_queries, 4, match_rate=0.6)
     queries = gen_queries(spec, words)
+    stored = {w.value for w in words}
+    miss = next(v for v in range(1 << 12) if v not in stored)
+    for at, key in ((hits_at, words[2].value), (misses_at, miss)):
+        for i in at:
+            if i < num_queries:
+                queries[i] = key
     run = run_search_stream(new_array(cfg, Variant.SELECTIVE, words), queries)
     return run, aggregate(run, EnergyModel(), cfg)
 
@@ -362,17 +371,22 @@ def test_row_template_renders_an_empty_run():
 def test_rows_render_as_json_dumps_across_chunk_boundaries(extra):
     # The Hypothesis rows below never fill a chunk. At 2 * chunk + 1 rows
     # the first boundary has hits on both sides and the second none.
-    run, energies = _planted_run(QUERY_ROWS_PER_CHUNK + extra)
     chunk = QUERY_ROWS_PER_CHUNK
+    run, energies = _planted_run(
+        chunk + extra, hits_at=(chunk - 1, chunk), misses_at=(2 * chunk - 1, 2 * chunk)
+    )
     if extra > 0:
         assert run.matches[chunk - 1] and run.matches[chunk]
     if extra > chunk:
         assert not (run.matches[2 * chunk - 1] or run.matches[2 * chunk])
     _assert_rows_render_as_json_dumps(run, energies)
     pieces = list(query_summary(run, energies))
-    rows = [p for p in pieces[1:-1] if p != ",\n"]
+    rows = pieces[1:-1]
     assert len(rows) == -(-len(run) // chunk)
     assert all(r.count('"index"') <= chunk for r in rows)
+    # each chunk is one piece; one after the first opens with the separator
+    assert rows[0].startswith("    {")
+    assert all(r.startswith(",\n    {") for r in rows[1:])
 
 
 def test_written_report_is_never_held_whole(tmp_path):
