@@ -1,6 +1,8 @@
-"""``camsim search`` as a chunked pipeline: keys drawn, streamed and priced
-``KEYS_PER_CHUNK`` at a time, rows written ``QUERY_ROWS_PER_CHUNK`` at a
-time, with the same bytes as a run over whole columns."""
+"""``camsim search`` and ``camsim compare`` as chunked pipelines: keys
+drawn, streamed and priced ``KEYS_PER_CHUNK`` at a time (``compare`` folds
+each chunk of both variants into running counts), rows written
+``QUERY_ROWS_PER_CHUNK`` at a time, with the same bytes as runs over whole
+columns."""
 
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from camsim import (
     new_array,
     run_search_stream,
     search,
+    sum_event_totals,
 )
 from camsim.array import KEYS_PER_CHUNK
 from camsim.cli import (
@@ -63,7 +66,10 @@ def _reference_text(argv: list[str], keys: list[int], meta: dict) -> str:
         "report": "search",
         "variant": variant.value,
         **_report_header(args, config, model, meta),
-        "aggregate": _aggregate_dict(config, model, variant, run),
+        "aggregate": _aggregate_dict(
+            config, model, variant, sum_event_totals(run), len(run),
+            len(run) - run.matches.count(()),
+        ),
         "queries": query_summary(run, energies),
     }
     return report_json_text(document)
@@ -116,6 +122,71 @@ def test_queries_file_goes_through_the_same_chunks(tmp_path, variant):
     meta = {"kind": "file", "path": str(path), "num_queries": len(keys)}
     assert text == _reference_text(argv, keys, meta)
     _assert_chunk_heads_are_threaded(text, keys, Variant(variant))
+
+
+def _compare_text(tmp_path, argv: list[str]) -> str:
+    out = tmp_path / "cmp.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+def _whole_list_compare_text(tmp_path, monkeypatch, argv: list[str], count: int):
+    """The compare report with all ``count`` keys in one chunk: one
+    whole-list ``run_search_stream`` per variant, as before the fold."""
+    real, calls = camsim.cli.run_search_stream, []
+
+    def whole_list(arr, keys, prev_key=None):
+        calls.append((arr.variant, len(keys), prev_key))
+        return real(arr, keys, prev_key)
+
+    with monkeypatch.context() as m:
+        m.setattr(camsim.cli, "KEYS_PER_CHUNK", count)
+        m.setattr(camsim.cli, "run_search_stream", whole_list)
+        text = _compare_text(tmp_path, argv)
+    assert calls == [(v, count, None) for v in Variant]
+    return text
+
+
+def _assert_match_counts(text: str, keys: list[int]):
+    """Each side's match counts are the keys' hits on the stored values."""
+    values = [w.value for w in gen_words(16, 24, 7)]
+    doc = json.loads(text)
+    for side in ("selective", "baseline_nor"):
+        agg = doc[side]
+        assert agg["queries_with_match"] == sum(k in values for k in keys)
+        assert agg["total_matches"] == sum(map(values.count, keys))
+    assert doc["match_sets_identical"] is True
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("count", _edge_counts(KEYS_PER_CHUNK))
+def test_compare_report_equals_the_whole_list_runs_at_chunk_edges(
+    tmp_path, monkeypatch, workload, count
+):
+    argv = ["compare", *GEOMETRY, *WORKLOADS[workload], "--queries", str(count)]
+    text = _compare_text(tmp_path, argv)
+    assert text == _whole_list_compare_text(tmp_path, monkeypatch, argv, count)
+    spec = camsim.cli._make_workload(build_parser().parse_args(argv))
+    words = gen_words(16, 24, 7)
+    keys = gen_queries(spec, words)
+    _assert_match_counts(text, keys)
+    if workload == "planted" and count == 2 * KEYS_PER_CHUNK + 1:
+        # hits on both sides of a chunk boundary, so the folded match
+        # counts span chunks
+        stored = {w.value for w in words}
+        hits = [i for i, k in enumerate(keys) if k in stored]
+        assert hits[0] < KEYS_PER_CHUNK <= hits[-1]
+
+
+def test_compare_queries_file_goes_through_the_same_chunks(tmp_path, monkeypatch):
+    spec = WorkloadSpec(WorkloadKind.PLANTED, 2 * KEYS_PER_CHUNK + 1, 3, match_rate=0.5)
+    keys = gen_queries(spec, gen_words(16, 24, 7))
+    path = tmp_path / "queries.txt"
+    path.write_text("".join(format(k, "024b") + "\n" for k in keys))
+    argv = ["compare", *GEOMETRY, "--queries-file", str(path)]
+    text = _compare_text(tmp_path, argv)
+    assert text == _whole_list_compare_text(tmp_path, monkeypatch, argv, len(keys))
+    _assert_match_counts(text, keys)
 
 
 # ------------------------------------------------------------ draw ranges
@@ -185,9 +256,12 @@ def test_a_bad_key_in_a_later_chunk_names_its_stream_position(
 
 
 @pytest.mark.parametrize("out", ["file", "-"])
+@pytest.mark.parametrize("verb", ["search", "compare"])
 def test_cli_refuses_a_bad_key_in_a_later_chunk_before_writing(
-    tmp_path, monkeypatch, capsys, out
+    tmp_path, monkeypatch, capsys, verb, out
 ):
+    # compare streams each chunk on its own, but names a bad key by its
+    # place in the whole stream, as search does
     real = camsim.cli.gen_queries
     bad_at = C + 3
 
@@ -199,7 +273,7 @@ def test_cli_refuses_a_bad_key_in_a_later_chunk_before_writing(
 
     monkeypatch.setattr(camsim.cli, "gen_queries", corrupted)
     path = tmp_path / "r.json"
-    rc = main(["search", *GEOMETRY, "--queries", str(2 * C + 1),
+    rc = main([verb, *GEOMETRY, "--queries", str(2 * C + 1),
                "--out", str(path) if out == "file" else "-"])
     assert rc == 1
     captured = capsys.readouterr()
@@ -228,28 +302,49 @@ def test_the_stream_reads_its_keys_a_chunk_at_a_time():
 
 # ----------------------------------------------------------- memory growth
 
+def _traced_peak(argv: list[str]) -> int:
+    """The traced peak of one in-process verb run, above what was traced
+    before it."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def _growth_per_query(tmp_path, verb: str, workload: str) -> float:
+    """Bytes a query by which a verb's traced peak grows from 2,000 to
+    8,000 queries at the reference geometry."""
+    def peak(queries: int) -> int:
+        return _traced_peak([
+            verb, "--num-words", "256", "--width", "144", "--mle-bits", "3",
+            "--seed", "1", *WORKLOADS[workload], "--queries", str(queries),
+            "--out", str(tmp_path / "r.json"),
+        ])
+
+    peak(2_000)  # warm every cache the verb fills once
+    small, large = peak(2_000), peak(8_000)
+    return (large - small) / 6_000
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_search_memory_grows_less_than_64_bytes_a_query(tmp_path, workload):
     # At the reference geometry, the traced peak of a whole search verb
     # grows by the run's columns and the 8-byte energies only: the keys,
     # the float objects and the report text are held a chunk at a time.
-    def peak(queries: int) -> int:
-        argv = ["search", "--num-words", "256", "--width", "144",
-                "--mle-bits", "3", "--seed", "1", *WORKLOADS[workload],
-                "--queries", str(queries), "--out", str(tmp_path / "r.json")]
-        gc.collect()
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            assert main(argv) == 0
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
+    assert _growth_per_query(tmp_path, "search", workload) < 64
 
-    peak(2_000)  # warm every cache the verb fills once
-    small, large = peak(2_000), peak(8_000)
-    assert (large - small) / 6_000 < 64, (small, large)
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_compare_memory_does_not_grow_with_the_query_count(tmp_path, workload):
+    # compare keeps running counts only: no key, column or run outlives its
+    # chunk, so its traced peak grows by less than 4 bytes a query (the
+    # whole-list compare grew by 74 to 100).
+    assert _growth_per_query(tmp_path, "compare", workload) < 4
