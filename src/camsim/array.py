@@ -36,11 +36,13 @@ only what a search computes, never the array or the queries.
 
 A single ``search`` tests its key against all N stored values with a
 C-level ``in``, and lists a hit's addresses with ``tuple.count`` and
-``tuple.index`` scans. A stream instead builds one dict from stored value
-to ascending addresses per call, in O(N), and reads every key's matches
-from it in one C-level ``map``, O(1) per query. The dict goes when the call
-returns: kept on each array, it would add about 24 KB to every 256 x 144
-array that ``camsim verify`` holds.
+``tuple.index`` scans. A stream instead reads every key's matches from a
+dict from stored value to ascending addresses (``value_index``, built in
+O(N)) in one C-level ``map``, O(1) per query. A stream builds the dict for
+itself unless its caller hands one in, and it goes when the call returns:
+kept on each array, it would add about 24 KB to every 256 x 144 array that
+``camsim verify`` holds. A caller that streams many chunks, or several
+arrays of the same words, builds it once and hands it to each call.
 """
 
 from __future__ import annotations
@@ -319,10 +321,13 @@ def _check_keys(
             raise WidthMismatch(f"{name}: key {key:#x} does not fit in word_bits {n}")
 
 
-def _value_index(values: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-    """Each stored value's addresses, ascending, keyed by the value. Most
-    stores hold distinct values, so each value first gets its one address;
-    only a store with a repeated value is grouped again, through lists."""
+def value_index(array: CamArray) -> dict[int, tuple[int, ...]]:
+    """Each stored value's addresses, ascending, keyed by the value: the
+    dict from which ``run_search_stream`` reads matches. It depends only on
+    the stored words, so arrays of the same words share it. Most stores
+    hold distinct values, so each value first gets its one address; only a
+    store with a repeated value is grouped again, through lists."""
+    values = array._values
     index = {value: (addr,) for addr, value in enumerate(values)}
     if len(index) == len(values):
         return index
@@ -336,6 +341,8 @@ def run_search_stream(
     array: CamArray,
     keys: Iterable[int],
     prev_key: Optional[int] = None,
+    start: int = 0,
+    index: Optional[dict[int, tuple[int, ...]]] = None,
 ) -> SearchRun:
     """Search a stream of int query keys in order, threading each key as the
     next one's toggle baseline, and count the run in C-level passes over
@@ -347,26 +354,29 @@ def run_search_stream(
     last key of a chunk is the toggle baseline of the next one's first. So
     ``keys`` may be a lazy iterable, drawn as it is read.
 
-    Where ``search`` scans all N stored values, the stream builds one dict
-    from stored value to ascending addresses (O(N) once per call, dropped on
-    return) and reads each key's matches from it in O(1).
+    Where ``search`` scans all N stored values, the stream reads each key's
+    matches in O(1) from ``index``: ``value_index`` of an array that stores
+    the same words, or, if None, one the call builds (O(N)) and drops on
+    return.
 
-    ``_check_keys`` raises for a key that is not an n-bit value before any
-    search of its chunk, naming its position in the whole stream, so no run
-    is returned. A ``BitWord`` in place of a key is a ``TypeError``. An
-    empty stream gives an empty run, whatever ``prev_key`` is."""
+    ``start`` is the position of the first key in the whole stream, of
+    which ``keys`` may be a later part. ``_check_keys`` raises for a key
+    that is not an n-bit value before any search of its chunk, naming its
+    position in the whole stream, so no run is returned. A ``BitWord`` in
+    place of a key is a ``TypeError``. An empty stream gives an empty run,
+    whatever ``prev_key`` is."""
     n = array.config.word_bits
     shift, runs = array._shift, array._runs
-    get = _value_index(array._values).get
+    get = (value_index(array) if index is None else index).get
     matches: list[tuple[int, ...]] = []
     energized: list[int] = []
     ml_en: list[int] = []
     sl: list[int] = []
     keys = iter(keys)
-    start = 0
+    done = 0
     chunk = list(islice(keys, KEYS_PER_CHUNK))
     while chunk:
-        _check_keys(chunk, n, None if start else prev_key, start)
+        _check_keys(chunk, n, None if done else prev_key, start + done)
         if prev_key is None:
             (prev_bucket, prev_lines), sl_first = array._idle, n
         else:
@@ -375,7 +385,7 @@ def run_search_stream(
             sl_first = (chunk[0] ^ prev_key).bit_count()
         buckets = [*map(shift.__rrshift__, chunk)]
         energized += map(runs.__getitem__, buckets)
-        lines = energized[start:]
+        lines = energized[done:]
         # search's rule: no transition when the bucket stays, else every
         # line of both buckets changes its ML_EN. A bool times an int is an
         # int.
@@ -387,7 +397,7 @@ def run_search_stream(
         sl.append(sl_first)
         sl += map(int.bit_count, map(xor, islice(chunk, 1, None), chunk))
         matches += map(get, chunk, repeat(()))
-        start += len(chunk)
+        done += len(chunk)
         prev_key = chunk[-1]
         # A short chunk was the last one.
         full = len(chunk) == KEYS_PER_CHUNK

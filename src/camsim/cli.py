@@ -24,10 +24,10 @@ from .array import (
     KEYS_PER_CHUNK,
     EventTotals,
     Variant,
-    _check_keys,
     new_array,
     run_search_stream,
     sum_event_totals,
+    value_index,
 )
 from .core import BitWord, CamConfig
 from .energy import (
@@ -353,16 +353,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     with_match = [0] * len(variants)
     identical = True
     searches, prev_key = 0, None
+    # Both arrays store the same words, so one value index, built once,
+    # serves every chunk of both.
+    index = value_index(arrays[0])
     # Both variants search each chunk in turn, and only the running counts
     # and the selective chunk's match column outlive a chunk's run: one run
-    # is alive at a time.
+    # is alive at a time. Each stream names a bad key by its place in the
+    # whole stream, which starts ``searches`` keys before the chunk.
     for chunk in chunks:
-        # The streams check their keys too, but number them from the
-        # chunk's start; a bad key is named by its place in the whole stream.
-        _check_keys(chunk, config.word_bits, None, searches)
         columns = []
         for side, arr in enumerate(arrays):
-            run = run_search_stream(arr, chunk, prev_key)
+            run = run_search_stream(arr, chunk, prev_key, searches, index)
             totals[side] = EventTotals._make(
                 map(add, totals[side], sum_event_totals(run))
             )

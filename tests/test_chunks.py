@@ -29,7 +29,7 @@ from camsim import (
     search,
     sum_event_totals,
 )
-from camsim.array import KEYS_PER_CHUNK
+from camsim.array import KEYS_PER_CHUNK, value_index
 from camsim.cli import (
     _aggregate_dict,
     _make_config,
@@ -135,15 +135,15 @@ def _whole_list_compare_text(tmp_path, monkeypatch, argv: list[str], count: int)
     whole-list ``run_search_stream`` per variant, as before the fold."""
     real, calls = camsim.cli.run_search_stream, []
 
-    def whole_list(arr, keys, prev_key=None):
-        calls.append((arr.variant, len(keys), prev_key))
-        return real(arr, keys, prev_key)
+    def whole_list(arr, keys, prev_key, start, index):
+        calls.append((arr.variant, len(keys), prev_key, start))
+        return real(arr, keys, prev_key, start, index)
 
     with monkeypatch.context() as m:
         m.setattr(camsim.cli, "KEYS_PER_CHUNK", count)
         m.setattr(camsim.cli, "run_search_stream", whole_list)
         text = _compare_text(tmp_path, argv)
-    assert calls == [(v, count, None) for v in Variant]
+    assert calls == [(v, count, None, 0) for v in Variant]
     return text
 
 
@@ -298,6 +298,50 @@ def test_the_stream_reads_its_keys_a_chunk_at_a_time():
     with pytest.raises(WidthMismatch, match=f"^query {2 * C + 7}: "):
         run_search_stream(arr, keys())
     assert len(read) == 3 * C
+
+
+@pytest.mark.parametrize("variant", Variant)
+def test_streams_of_the_parts_with_one_index_join_to_the_whole_run(variant):
+    # Parts streamed with their start, the previous part's last key and one
+    # value index join to the whole stream's run, and a bad key in a part
+    # is named by its place in the whole stream.
+    config = CamConfig(16, 24, 3)
+    words = gen_words(16, 24, 7)
+    spec = WorkloadSpec(WorkloadKind.PLANTED, 3 * C + 5, 7, match_rate=0.5)
+    keys = gen_queries(spec, words)
+    arr = new_array(config, variant, words)
+    index = value_index(new_array(config, Variant.SELECTIVE, words))
+    whole = run_search_stream(arr, keys)
+    for size in (1, C - 1, C, 2 * C + 3):
+        parts = [
+            run_search_stream(arr, keys[s:s + size], keys[s - 1] if s else None,
+                              s, index)
+            for s in range(0, len(keys), size)
+        ]
+        for column in ("matches", "energized", "ml_en_transitions", "sl_toggles"):
+            joined = list(chain.from_iterable(getattr(p, column) for p in parts))
+            assert joined == getattr(whole, column)
+    bad = keys[C + 1:C + 9]
+    bad[4] = 1 << 24
+    with pytest.raises(WidthMismatch, match=f"^query {C + 5}: key 0x1000000 "):
+        run_search_stream(arr, bad, keys[C], C + 1, index)
+
+
+@pytest.mark.parametrize("verb", ["search", "compare"])
+def test_a_verb_builds_one_value_index_per_run(monkeypatch, tmp_path, verb):
+    # compare streams 2 variants x 3 chunks here; both arrays store the same
+    # words, so the index is built once, not once per stream.
+    real, built = camsim.array.value_index, []
+
+    def counted(array):
+        built.append(array.variant)
+        return real(array)
+
+    for module in (camsim.array, camsim.cli):
+        monkeypatch.setattr(module, "value_index", counted)
+    argv = [verb, *GEOMETRY, *WORKLOADS["planted"], "--queries", str(2 * C + 1)]
+    assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(built) == 1
 
 
 # ----------------------------------------------------------- memory growth

@@ -469,9 +469,9 @@ def test_compare_frees_the_selective_run_before_the_baseline_stream(
     # taken, so the all-NOR stream does not run beside the selective one
     runs = []
 
-    def watched(arr, keys, prev_key=None):
+    def watched(arr, *args):
         assert [ref() for ref in runs] == [None] * len(runs)
-        run = camsim.array.run_search_stream(arr, keys, prev_key)
+        run = camsim.array.run_search_stream(arr, *args)
         runs.append(weakref.ref(run))
         return run
 
