@@ -11,21 +11,22 @@ precharged stays low for free.
 The gate only counts. The energizer decides how many match lines
 precharge, never which words match: a word that matches the query stores
 its value, so its prefix is the query's and its line is energized on either
-variant. So each array keeps, set once, its stored ints in address order
-(``_values``), from which matches are read by value, and the gate as a
-prefix histogram: a key's bucket is ``key >> _shift`` (its k-bit prefix
-when gated; one bucket for every key on the all-NOR array, which
-precharges every line), and ``_runs[b]`` counts the lines whose ML_EN is
-high for bucket b. The variants differ only in those facts, so
-``search`` has no variant branch. When the bucket repeats no ML_EN changes;
-otherwise every line of both buckets changes its ML_EN, since two gated
-buckets share no line. This module imports nothing of the truth-level
-per-word model (``trace``, ``mle``, ``cells``), which the tests check every
-count against: ``trace.word_traces`` rebuilds a search's per-word levels
-from the array and its queries.
+variant. So each array keeps, set once, its store as ints in address
+order (``values``; no ``BitWord`` of it), from which matches are read by
+value, and the gate as a prefix histogram: a key's bucket is
+``key >> _shift`` (its k-bit prefix when gated; one bucket for every key
+on the all-NOR array, which precharges every line), and ``_runs[b]``
+counts the lines whose ML_EN is high for bucket b. The variants differ
+only in those facts, so ``search`` has no variant branch. When the bucket
+repeats no ML_EN changes; otherwise every line of both buckets changes its
+ML_EN, since two gated buckets share no line. This module imports nothing
+of the truth-level per-word model (``trace``, ``mle``, ``cells``), which
+the tests check every count against: ``trace.word_traces`` rebuilds a
+search's per-word levels from the array and its queries.
 
-Arrays are immutable values, built whole from their stored words: there is
-no array-level write, and a changed store is a new array. ``search``
+Arrays are immutable values, built whole: ``new_array`` checks the width
+of each stored ``BitWord`` and keeps its int value. There is no
+array-level write, and a changed store is a new array. ``search``
 is a pure function of (array, query, previous query), the previous query
 being the explicit context for searchline-toggle and ML_EN-transition
 counting, so concurrent searches are deterministic under any scheduling.
@@ -95,21 +96,21 @@ def _derived(default):
 
 @dataclass(frozen=True)
 class CamArray:
-    """Stored words plus the facts the search path works on, set once.
+    """Stored values plus the facts the search path works on, set once.
 
-    ``_values[a]`` is the value stored at address a. A key's gate bucket is
-    ``key >> _shift``: its k-bit prefix in a gated array, 0 for every key in
-    the baseline. ``_runs[b]`` is the number of lines whose ML_EN is high for
-    bucket b: the words stored with prefix b when gated, all N in the
-    baseline. ``_idle`` is the (bucket, lines) pair before the first search:
-    (None, 0) gated, as ML_EN powers up low, and (0, N) in the baseline. The
-    baseline has no energizer (``_energizers`` is 0).
+    ``values[a]`` is the n-bit value stored at address a: the store is kept
+    once, as ints. A key's gate bucket is ``key >> _shift``: its k-bit
+    prefix in a gated array, 0 for every key in the baseline. ``_runs[b]``
+    is the number of lines whose ML_EN is high for bucket b: the words
+    stored with prefix b when gated, all N in the baseline. ``_idle`` is the
+    (bucket, lines) pair before the first search: (None, 0) gated, as ML_EN
+    powers up low, and (0, N) in the baseline. The baseline has no
+    energizer (``_energizers`` is 0).
     """
 
     config: CamConfig
-    words: tuple[BitWord, ...]
+    values: tuple[int, ...]
     variant: Variant = Variant.SELECTIVE
-    _values: tuple[int, ...] = _derived(())
     _energizers: int = _derived(0)
     _shift: int = _derived(0)
     _runs: tuple[int, ...] = _derived(())
@@ -117,26 +118,17 @@ class CamArray:
 
     def __post_init__(self) -> None:
         cfg = self.config
-        if len(self.words) != cfg.num_words:
-            raise InvalidConfig(
-                f"expected {cfg.num_words} words, got {len(self.words)}"
-            )
-        for w in self.words:
-            if w.width != cfg.word_bits:
-                raise WidthMismatch(
-                    f"stored word width {w.width} != word_bits {cfg.word_bits}"
-                )
         n, k, size = cfg.word_bits, cfg.mle_bits, cfg.num_words
+        values = tuple(self.values)
+        if len(values) != size:
+            raise InvalidConfig(f"expected {size} words, got {len(values)}")
+        if min(values) < 0 or max(values) >> n:
+            raise WidthMismatch(f"a stored value does not fit in word_bits {n}")
         gated = self.variant is Variant.SELECTIVE
-        # Every tuple fact is copied from a list, never from an iterator:
-        # CPython resizes a tuple it sizes from an iterator, and the resized
-        # blocks pile up on its small-tuple free lists, which peak memory
-        # counts (about 50 KB of the ``camsim verify`` peak).
-        values = [w.value for w in self.words]
         shift = n - k if gated else n
         set_fact = object.__setattr__
+        set_fact(self, "values", values)
         set_fact(self, "_energizers", size if gated else 0)
-        set_fact(self, "_values", tuple(values))
         set_fact(self, "_shift", shift)
         set_fact(self, "_runs", _gate_index(values, shift, n))
         set_fact(self, "_idle", (None, 0) if gated else (0, size))
@@ -147,8 +139,17 @@ def new_array(
     variant: Variant,
     words: Sequence[BitWord],
 ) -> CamArray:
-    """Build an array that stores ``words``, one per address."""
-    return CamArray(config, tuple(words), variant)
+    """Build an array that stores ``words``, one per address, as their int
+    values, once each word's width is checked against ``config``."""
+    n = config.word_bits
+    for w in words:
+        if w.width != n:
+            raise WidthMismatch(f"stored word width {w.width} != word_bits {n}")
+    # A tuple copied from a list, never from an iterator: CPython resizes a
+    # tuple it sizes from an iterator, and the resized blocks pile up on its
+    # small-tuple free lists, which peak memory counts (about 50 KB of the
+    # ``camsim verify`` peak).
+    return CamArray(config, tuple([w.value for w in words]), variant)
 
 
 def oracle_search(values: Sequence[int], key: int) -> tuple[int, ...]:
@@ -228,7 +229,7 @@ def search(
         prev_bucket = prev_query.value >> shift
         prev_precharged = runs[prev_bucket]
         sl_toggles = (key ^ prev_query.value).bit_count()
-    values = array._values
+    values = array.values
     matches = _hit_addresses(values, key) if key in values else ()
     precharged = runs[bucket]
     # _new_tuple checks no field count, so every field is passed.
@@ -327,7 +328,7 @@ def value_index(array: CamArray) -> dict[int, tuple[int, ...]]:
     the stored words, so arrays of the same words share it. Most stores
     hold distinct values, so each value first gets its one address; only a
     store with a repeated value is grouped again, through lists."""
-    values = array._values
+    values = array.values
     index = {value: (addr,) for addr, value in enumerate(values)}
     if len(index) == len(values):
         return index

@@ -28,6 +28,7 @@ from .array import (
     new_array,
     run_search_stream,
     sum_event_totals,
+    value_index,
 )
 from .core import MAX_MLE_BITS, MIN_MLE_BITS, BitWord, CamConfig
 from .errors import (
@@ -136,11 +137,14 @@ def event_energy(
     """Energy for ``multiplicity`` events of one class.
 
     Switched capacitance per event: a match-line swing moves the drain
-    capacitance of the whole NOR chain, c_ml_per_cell * (n - k); a toggled
-    searchline column drives one gate in every word, c_sl_per_cell * N; one
-    energizer evaluation switches k internal nodes whose devices grow by
-    upsize_base for every series device beyond the k=3 reference. Any
-    ``event_class`` that is not an ``EventClass`` is a ValueError.
+    capacitance of n - k NOR cells, c_ml_per_cell * (n - k), on both
+    variants. That is the gated line's NOR chain; the all-NOR line spans n
+    NOR cells, as ``trace.word_traces`` models it, but is priced at the
+    same n - k. A toggled searchline column drives one gate in every word,
+    c_sl_per_cell * N; one energizer evaluation switches k internal nodes
+    whose devices grow by upsize_base for every series device beyond the
+    k=3 reference. Any ``event_class`` that is not an ``EventClass`` is a
+    ValueError.
     """
     if multiplicity < 0:
         raise ValueError(f"multiplicity must be >= 0, got {multiplicity}")
@@ -264,7 +268,9 @@ def sweep_mle_bits(
 
     The words and the queries (int keys) are generated once (or passed in)
     and shared, so rows differ only in where the first/second stage boundary
-    sits. The energized fraction is measured from the run, never assumed.
+    sits; every k's array stores the same words, so one value index serves
+    every k's stream. The energized fraction is measured from the run, never
+    assumed.
     """
     ks = sorted(set(int(k) for k in k_values))
     if not ks:
@@ -286,10 +292,11 @@ def sweep_mle_bits(
     if not queries:
         raise ZeroSearches("sweep needs at least one query")
 
+    arrays = [new_array(cfg, Variant.SELECTIVE, words) for cfg in configs]
+    index = value_index(arrays[0])
     rows = []
-    for cfg in configs:
-        arr = new_array(cfg, Variant.SELECTIVE, words)
-        totals = sum_event_totals(run_search_stream(arr, queries))
+    for cfg, arr in zip(configs, arrays):
+        totals = sum_event_totals(run_search_stream(arr, queries, None, 0, index))
         fraction = totals.ml_precharges / (cfg.num_words * len(queries))
         metric = energy_metric(
             totals_energy(totals, model, cfg), cfg, len(queries)

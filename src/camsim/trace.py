@@ -1,8 +1,8 @@
 """The one per-word model, at truth level: what each word's cells do in one
-search. It reads an array's stored words, its config and its variant, but
-no fact of its gate index, and ``array`` imports nothing of it, so it is
-independent of the counting path there; the tests check that the summed
-per-word transitions equal each search's ``EventTotals``.
+search. It reads an array's stored values, bit by bit, its config and its
+variant, but no fact of its gate index, and ``array`` imports nothing of
+it, so it is independent of the counting path there; the tests check that
+the summed per-word transitions equal each search's ``EventTotals``.
 """
 
 from __future__ import annotations
@@ -68,24 +68,26 @@ def word_traces(
     the all-NOR baseline every match line precharges and the NOR cells
     cover the whole word. The NOR scan stops at the first cell that pulls
     the line low. Words and queries share one width, as ``search`` checks."""
-    k, gated = array.config.mle_bits, array.variant is Variant.SELECTIVE
+    n, k = array.config.word_bits, array.config.mle_bits
+    gated = array.variant is Variant.SELECTIVE
     bits = query.bits()
     prev = None if prev_query is None else prev_query.bits()
     sl = len(bits) if prev is None else sum(map(ne, bits, prev))
     qp, pp = bits[:k], None if prev is None else prev[:k]
     out = []
-    for addr, word in enumerate(array.words):
+    for addr, value in enumerate(array.values):
+        stored = BitWord(n, value).bits()
         m_nodes, ml_en, en_prev = (), Level.HIGH, True
         if gated:
-            stored = word.prefix_bits(k)
-            mle = mle_eval(stored, qp)
+            prefix = stored[:k]
+            mle = mle_eval(prefix, qp)
             m_nodes, ml_en = mle.m_nodes, mle.ml_en
-            en_prev = pp is not None and mle_eval(stored, pp).ml_en is Level.HIGH
+            en_prev = pp is not None and mle_eval(prefix, pp).ml_en is Level.HIGH
         en = ml_en is Level.HIGH
         pulls = (
             i
             for i in range(k if gated else 0, len(bits))
-            if nor_cell_pulls_down(CellState(word.bit(i), CellKind.NOR), bits[i])
+            if nor_cell_pulls_down(CellState(stored[i], CellKind.NOR), bits[i])
         )
         pulled = next(pulls, None) if en else None
         fell = pulled is not None

@@ -5,7 +5,7 @@ from typing import NamedTuple
 import pytest
 
 import camsim.verify
-from camsim import VerifyOutcome, verify_exhaustive
+from camsim import BitWord, VerifyOutcome, verify_exhaustive
 
 
 class ExhaustiveTier(NamedTuple):
@@ -30,9 +30,12 @@ def exhaustive_tier():
     stream = camsim.verify.run_search_stream
     oracle = camsim.verify.oracle_search
 
-    def recorded(config, words, keys, fault, context, key_columns):
+    def recorded(store, keys, key_columns, engine, context, *rest):
+        arrays, values, _ = store
+        config = arrays[0].config
+        words = [BitWord(config.word_bits, v) for v in values]
         stores.append((config, words, keys, context))
-        return check(config, words, keys, fault, context, key_columns)
+        return check(store, keys, key_columns, engine, context, *rest)
 
     def counted_stream(arr, keys, prev_key=None):
         run = stream(arr, keys, prev_key)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import camsim.verify
 from camsim import (
     BitWord,
+    CamArray,
     CamConfig,
     EventTotals,
     InvalidConfig,
@@ -22,7 +23,13 @@ from camsim import (
     word_traces,
 )
 from camsim.draws import Stream
-from camsim.verify import _check_columns, _check_searches, _key_columns
+from camsim.verify import (
+    _check_columns,
+    _key_columns,
+    _search_columns,
+    _store,
+    _stream_columns,
+)
 from cell_route import FIVE_BIT_STORE, all_words, assert_traces_explain
 
 
@@ -36,7 +43,7 @@ def w(text):
 def test_new_array_reference_geometry():
     cfg = CamConfig(256, 144, 3)
     arr = new_array(cfg, Variant.SELECTIVE, [BitWord(144, 0)] * 256)
-    assert len(arr.words) == 256 and arr.words[0].width == 144
+    assert arr.values == (0,) * 256 and arr.config.word_bits == 144
 
 
 def test_new_array_rejects_one_bit_prefix():
@@ -50,6 +57,14 @@ def test_array_validates_word_count_and_width():
         new_array(cfg, Variant.SELECTIVE, [BitWord(8, 0)])
     with pytest.raises(WidthMismatch):
         new_array(cfg, Variant.SELECTIVE, [BitWord(8, 0), BitWord(7, 0)])
+    # an array built from ints checks that each one is an n-bit value
+    for variant in Variant:
+        with pytest.raises(InvalidConfig, match="expected 2 words, got 1"):
+            CamArray(cfg, (0,), variant)
+        for values in ((0, 256), (-1, 0)):
+            with pytest.raises(WidthMismatch, match="does not fit in word_bits 8"):
+                CamArray(cfg, values, variant)
+        assert CamArray(cfg, [255, 0], variant).values == (255, 0)
 
 
 # ------------------------------------------------------------------ writes
@@ -149,30 +164,26 @@ def test_oracle_is_a_linear_scan(values, key):
 
 def test_oracle_width_guard(monkeypatch):
     # the oracle scans ints, so the verifier rejects a width that does not
-    # fit before any scan, stream or search: a stored word's in new_array, a
-    # query's in the check of each tier. The exhaustive tier streams a list
-    # of int keys, so it checks every key is a 4-bit value before the first
-    # scan; the randomized tier draws its query words one by one and checks
-    # each one's width before it is scanned.
+    # fit before any scan, stream or search: a stored word's in new_array,
+    # and every key of a store's keys, or of a randomized chunk's, in the
+    # column check that both tiers share, before the first scan.
     calls = []
     for name in ("search", "run_search_stream", "oracle_search"):
         monkeypatch.setattr(camsim.verify, name, lambda *a: calls.append(a))
     cfg = CamConfig(2, 4, 2)
 
-    def check_columns(config, words, keys, fault, context):
-        key_columns = _key_columns(keys, 4, 2)
-        return _check_columns(config, words, keys, fault, context, key_columns)
+    for engine in (_stream_columns, _search_columns):
 
-    checks = (
-        (check_columns, [1, 16], "^query 1: key 0x10 does not fit in word_bits 4$",
-         [0]),
-        (_check_searches, [BitWord(5, 0)], "query width 5", [BitWord(4, 0)]),
-    )
-    for check, bad_last, message, good in checks:
-        with pytest.raises(WidthMismatch, match=message):
-            check(cfg, [BitWord(4, 0)] * 2, bad_last, False, "{}")
+        def check(words, keys):
+            store = _store(cfg, words)
+            return _check_columns(store, keys, _key_columns(keys, 4, 2), engine, "{}")
+
+        with pytest.raises(
+            WidthMismatch, match="^query 1: key 0x10 does not fit in word_bits 4$"
+        ):
+            check([BitWord(4, 0)] * 2, [1, 16])
         with pytest.raises(WidthMismatch, match="stored word width 5"):
-            check(cfg, [BitWord(5, 0)] * 2, good, False, "{}")
+            check([BitWord(5, 0)] * 2, [0])
     assert calls == []
 
 
@@ -331,7 +342,7 @@ def _assert_index_equals_scan(arr):
     transitions of every (prefix, previous prefix or None) pair."""
     n, k = arr.config.word_bits, arr.config.mle_bits
     gated = arr.variant is Variant.SELECTIVE
-    prefixes = [word.prefix_int(k) for word in arr.words]
+    prefixes = [value >> (n - k) for value in arr.values]
     # the number of lines whose ML_EN is high for search prefix p
     enabled = [
         sum(1 for stored in prefixes if not gated or stored == p)
@@ -369,7 +380,7 @@ def test_gate_index_equals_prefix_scan(k):
             arr = new_array(cfg, variant, [moved, *words[1:]])
             _assert_index_equals_scan(arr)
             if size % 8 == 1:  # every query against a sample of the stores
-                stored = [w.value for w in arr.words]
+                stored = list(arr.values)
                 prev = None
                 for query in all_words(n):
                     got = search(arr, query, prev).matches
@@ -459,7 +470,7 @@ def test_write_search_interleaving_matches_oracle(ops):
         else:
             _, qv, _ = op
             q = BitWord(8, qv)
-            stored = [w.value for w in arr.words]
+            stored = [w.value for w in words]
             assert search(arr, q, prev).matches == oracle_search(stored, qv)
             prev = q
 
@@ -504,10 +515,10 @@ def _repeat_scans(draw):
     return n, k, values, query, prev, write
 
 
-def _assert_scan(arr, query, prev):
-    assert arr._values == tuple(w.value for w in arr.words)
+def _assert_scan(arr, words, query, prev):
+    assert arr.values == tuple(w.value for w in words)
     r = search(arr, query, prev)
-    assert r.matches == oracle_search([w.value for w in arr.words], query.value)
+    assert r.matches == oracle_search([w.value for w in words], query.value)
     assert list(r.matches) == sorted(set(r.matches))
     prev_key = None if prev is None else prev.value
     run = run_search_stream(arr, [query.value], prev_key)
@@ -515,7 +526,7 @@ def _assert_scan(arr, query, prev):
     k = arr.config.mle_bits
     gated = arr.variant is Variant.SELECTIVE
     assert r.event_totals.ml_precharges == run.energized[0] == sum(
-        1 for w in arr.words if not gated or w.prefix_int(k) == query.prefix_int(k)
+        1 for w in words if not gated or w.prefix_int(k) == query.prefix_int(k)
     )
 
 
@@ -530,9 +541,9 @@ def test_repeated_values_come_back_ascending(case):
     prev = None if pv is None else BitWord(n, pv)
     for variant in (Variant.SELECTIVE, Variant.BASELINE_NOR):
         cfg = CamConfig(len(words), n, k)
-        _assert_scan(new_array(cfg, variant, words), query, prev)
+        _assert_scan(new_array(cfg, variant, words), words, query, prev)
         rewritten = [*words[:addr], BitWord(n, wv), *words[addr + 1:]]
-        _assert_scan(new_array(cfg, variant, rewritten), query, prev)
+        _assert_scan(new_array(cfg, variant, rewritten), rewritten, query, prev)
 
 
 # ---------------------------------------------------------------- records

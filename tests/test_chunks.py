@@ -327,17 +327,18 @@ def test_streams_of_the_parts_with_one_index_join_to_the_whole_run(variant):
         run_search_stream(arr, bad, keys[C], C + 1, index)
 
 
-@pytest.mark.parametrize("verb", ["search", "compare"])
+@pytest.mark.parametrize("verb", ["search", "compare", "sweep"])
 def test_a_verb_builds_one_value_index_per_run(monkeypatch, tmp_path, verb):
-    # compare streams 2 variants x 3 chunks here; both arrays store the same
-    # words, so the index is built once, not once per stream.
+    # compare streams 2 variants x 3 chunks here, and sweep one array per k
+    # = 2..6; each verb's arrays store the same words, so the index is built
+    # once, not once per stream.
     real, built = camsim.array.value_index, []
 
     def counted(array):
         built.append(array.variant)
         return real(array)
 
-    for module in (camsim.array, camsim.cli):
+    for module in (camsim.array, camsim.cli, camsim.energy):
         monkeypatch.setattr(module, "value_index", counted)
     argv = [verb, *GEOMETRY, *WORKLOADS["planted"], "--queries", str(2 * C + 1)]
     assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0

@@ -33,6 +33,7 @@ from camsim import (
     sweep_argmin,
     sweep_mle_bits,
     totals_energy,
+    word_traces,
 )
 from camsim import energy as energy_module
 from cell_route import searched
@@ -51,6 +52,25 @@ def test_ml_event_energy_reference_value():
     model = EnergyModel(c_ml_per_cell=1.0, v_dd=1.0, v_swing_ml=1.0)
     assert event_energy(model, EventClass.ML_PRECHARGE, 1, CFG) == 141.0
     assert event_energy(model, EventClass.ML_DISCHARGE, 2, CFG) == 282.0
+
+
+@pytest.mark.parametrize("variant", Variant)
+def test_a_match_line_event_is_priced_at_n_minus_k_cells_on_both_variants(variant):
+    # As the code prices it: a match-line precharge or discharge moves
+    # c_ml_per_cell * (n - k) on either variant. The all-NOR line spans all
+    # n NOR cells, as its trace shows by discharging through a prefix bit,
+    # but it is priced at the same n - k.
+    n, k = 24, 3
+    cfg = CamConfig(2, n, k)
+    arr = new_array(cfg, variant, [BitWord(n, 0), BitWord(n, 1 << (n - 1))])
+    query = BitWord(n, 0)
+    totals = sum_event_totals(run_search_stream(arr, [query.value]))
+    ml_events = totals.ml_precharges + totals.ml_discharges
+    assert ml_events == (1 if variant is Variant.SELECTIVE else 3)
+    ml_only = totals._replace(sl_toggles=0, mle_evaluations=0)
+    assert totals_energy(ml_only, EnergyModel(), cfg) == ml_events * (n - k)
+    if variant is Variant.BASELINE_NOR:
+        assert word_traces(arr, query)[1].discharging_bit == 0
 
 
 def test_sl_event_energy_scales_with_word_count():
@@ -170,7 +190,7 @@ def _array(config, variant):
 def _run(config, variant, num_queries, seed=3, model=None):
     arr = _array(config, variant)
     spec = WorkloadSpec(WorkloadKind.UNIFORM, num_queries, seed)
-    queries = gen_queries(spec, arr.words)
+    queries = gen_queries(spec, [BitWord(config.word_bits, v) for v in arr.values])
     return run_search_stream(arr, queries), queries
 
 
@@ -430,7 +450,8 @@ _CONFIGS = st.integers(2, 6).flatmap(
 _COUNT = st.one_of(st.just(0), st.integers(0, 10**6), st.integers(0, 2**62))
 _TOTALS = st.builds(EventTotals, _COUNT, _COUNT, _COUNT, _COUNT, _COUNT)
 _BASE_CONFIG = CamConfig(16, 12, 3, seed=5)
-_BASE_ARRAY = new_array(_BASE_CONFIG, Variant.SELECTIVE, gen_words(16, 12, 5))
+_BASE_WORDS = gen_words(16, 12, 5)
+_BASE_ARRAY = new_array(_BASE_CONFIG, Variant.SELECTIVE, _BASE_WORDS)
 _BASE_REPORT = search(_BASE_ARRAY, BitWord(12, 5))
 
 
@@ -462,7 +483,7 @@ def test_totals_energy_rejects_negative_counts():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 4095), max_size=40), st.sampled_from(list(Variant)))
 def test_sum_event_totals_equals_chained_add(values, variant):
-    arr = new_array(_BASE_CONFIG, variant, _BASE_ARRAY.words)
+    arr = new_array(_BASE_CONFIG, variant, _BASE_WORDS)
     reports = searched(arr, values)
     # field by field, from zero counts, over the per-search totals
     want = EventTotals(*map(sum, zip(EventTotals(), *(r.event_totals for r in reports))))

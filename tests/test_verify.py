@@ -284,6 +284,73 @@ def test_gate_mutant_is_caught_on_its_counts(mutant, monkeypatch, capsys):
     assert capsys.readouterr().err == f"counterexample: {described}\n"
 
 
+# The randomized tier's chunk size, and a trial that starts a chunk at every
+# size the test below checks (1, 3 and this one), in a later chunk than the
+# first.
+CHUNK = camsim.verify.TRIALS_PER_CHUNK
+LATER_TRIAL = 3 * CHUNK
+
+
+def _later_chunk_mutant(monkeypatch):
+    # the gated array miscounts the searchline toggles of one search only:
+    # trial LATER_TRIAL's, after trial LATER_TRIAL - 1, which the tier
+    # threads from the chunk before
+    keys = []
+
+    def recording(arr, query, prev_query=None):
+        if arr.variant is Variant.SELECTIVE:
+            keys.append(query.value)
+        return search(arr, query, prev_query)
+
+    monkeypatch.setattr(camsim.verify, "search", recording)
+    assert verify_randomized(REFERENCE, LATER_TRIAL + 1, 1).ok
+    pair = keys[LATER_TRIAL - 1], keys[LATER_TRIAL]
+
+    def miscounting(arr, query, prev_query=None):
+        report = search(arr, query, prev_query)
+        if (
+            arr.variant is Variant.SELECTIVE
+            and prev_query is not None
+            and (prev_query.value, query.value) == pair
+        ):
+            totals = report.event_totals
+            totals = totals._replace(sl_toggles=totals.sl_toggles + 1)
+            return report._replace(event_totals=totals)
+        return report
+
+    monkeypatch.setattr(camsim.verify, "search", miscounting)
+    return pair
+
+
+@pytest.mark.parametrize("build", ["sound", "fault", *GATE_MUTANTS, "later-chunk"])
+def test_randomized_verdict_does_not_depend_on_the_chunk_size(build, monkeypatch):
+    # the tier draws and checks its trials a chunk at a time, threading each
+    # chunk after the last key of the one before: one trial per chunk, three,
+    # or the real size all give the query-by-query loop's verdict
+    assert LATER_TRIAL < 200
+    pair = None
+    if build in GATE_MUTANTS:
+        GATE_MUTANTS[build][0](monkeypatch)
+    elif build == "later-chunk":
+        pair = _later_chunk_mutant(monkeypatch)
+    verdicts = set()
+    for size in (1, 3, CHUNK):
+        monkeypatch.setattr(camsim.verify, "TRIALS_PER_CHUNK", size)
+        out = verify_randomized(REFERENCE, 200, 1, fault=build == "fault")
+        ce = out.counterexample
+        verdicts.add((out.cases, ce and (ce.describe(), ce.field, ce.prev_query)))
+    assert len(verdicts) == 1
+    (cases, failure), = verdicts
+    if build == "sound":
+        assert (cases, failure) == (400, None)
+    elif build == "later-chunk":
+        assert cases == 2 * LATER_TRIAL + 1
+        assert failure[1:] == ("sl_toggles", BitWord(144, pair[0]))
+        assert failure[0].startswith("randomized selective: query ")
+    else:
+        assert failure is not None
+
+
 def test_fault_injection_checks_matches_only(monkeypatch):
     # the inverted-gate mutant has no counts: a count mutant on top of it
     # leaves its first counterexample as it is
