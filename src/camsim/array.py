@@ -17,7 +17,7 @@ value, and the gate as a prefix histogram: a key's bucket is
 ``key >> _shift`` (its k-bit prefix when gated; one bucket for every key
 on the all-NOR array, which precharges every line), and ``_runs[b]``
 counts the lines whose ML_EN is high for bucket b. The variants differ
-only in those facts, so ``search`` has no variant branch. When the bucket
+only in those facts, so the engine has no variant branch. When the bucket
 repeats no ML_EN changes; otherwise every line of both buckets changes its
 ML_EN, since two gated buckets share no line. This module imports nothing
 of the truth-level per-word model (``trace``, ``mle``, ``cells``), which
@@ -26,24 +26,25 @@ search's per-word levels from the array and its queries.
 
 Arrays are immutable values, built whole: ``new_array`` checks the width
 of each stored ``BitWord`` and keeps its int value. There is no
-array-level write, and a changed store is a new array. ``search``
-is a pure function of (array, query, previous query), the previous query
-being the explicit context for searchline-toggle and ML_EN-transition
-counting, so concurrent searches are deterministic under any scheduling.
-``run_search_stream`` applies the same rules to a stream of int query keys,
-in C-level passes over one chunk of keys at a time, and returns one column
-per count (``SearchRun``) instead of a record per query. Both records hold
-only what a search computes, never the array or the queries.
+array-level write, and a changed store is a new array.
+``run_search_stream`` is the one search engine. It applies the rules above
+to a stream of int query keys, in C-level passes over one chunk of keys at
+a time, and returns one column per count (``SearchRun``) instead of a
+record per query. It is a pure function of (array, keys, previous key),
+the previous key being the explicit context for searchline-toggle and
+ML_EN-transition counting, so concurrent searches are deterministic under
+any scheduling. ``search`` is the stream of one ``BitWord`` query, after
+an optional previous one, as a ``SearchReport``. Both records hold only
+what a search computes, never the array or the queries.
 
-A single ``search`` tests its key against all N stored values with a
-C-level ``in``, and lists a hit's addresses with ``tuple.count`` and
-``tuple.index`` scans. A stream instead reads every key's matches from a
-dict from stored value to ascending addresses (``value_index``, built in
-O(N)) in one C-level ``map``, O(1) per query. A stream builds the dict for
-itself unless its caller hands one in, and it goes when the call returns:
-kept on each array, it would add about 24 KB to every 256 x 144 array that
-``camsim verify`` holds. A caller that streams many chunks, or several
-arrays of the same words, builds it once and hands it to each call.
+A stream reads every key's matches from a dict from stored value to
+ascending addresses (``value_index``, built in O(N)) in one C-level
+``map``, O(1) per query. A stream builds the dict for itself unless its
+caller hands one in, and it goes when the call returns: kept on each
+array, it would add about 24 KB to every 256 x 144 array that ``camsim
+verify`` holds. So a ``search`` costs one O(N) build; a caller with many
+queries, or that streams many chunks or several arrays of the same words,
+builds the index once and hands it to each ``run_search_stream`` call.
 """
 
 from __future__ import annotations
@@ -56,11 +57,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import BitWord, CamConfig
 from .errors import InvalidConfig, WidthMismatch
-
-
-# Builds a NamedTuple from a ready tuple of all its fields, without the
-# Python-level argument binding of the class's generated ``__new__``.
-_new_tuple = tuple.__new__
 
 
 class Variant(Enum):
@@ -156,9 +152,8 @@ def oracle_search(values: Sequence[int], key: int) -> tuple[int, ...]:
     """Reference model: a plain linear scan of the stored values, in address
     order, for exact equality with ``key``. It reads no fact of an array,
     and it lists the (ascending) addresses of a hit with its own loop, not
-    with ``search``'s ``tuple.count`` and ``tuple.index`` scans; like
-    ``search`` it tests ``key in values`` at C speed first. Widths are the
-    caller's to check."""
+    from a ``value_index``, once a C-level ``key in values`` finds one.
+    Widths are the caller's to check."""
     if key not in values:
         return ()
     return tuple([addr for addr, v in enumerate(values) if v == key])
@@ -173,82 +168,12 @@ def _gate_index(values: Sequence[int], shift: int, n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-class SearchReport(NamedTuple):
-    """Outcome of one search: the matching addresses, ascending, and the
-    event tallies; ``event_totals.ml_precharges`` is the energized count.
-
-    The energy is the model's: ``energy.totals_energy(report.event_totals,
-    ...)``; the delay is a per-variant constant, ``energy.search_delay``.
-    A tuple, like ``EventTotals``.
-    """
-
-    matches: tuple[int, ...]
-    event_totals: EventTotals
-
-
-def _hit_addresses(values: tuple[int, ...], key: int) -> tuple[int, ...]:
-    """The addresses, ascending, at which ``values`` holds ``key``: one
-    C-level ``tuple.count`` scan, then a ``tuple.index`` scan from each hit
-    to the next."""
-    out = []
-    i = -1
-    for _ in range(values.count(key)):
-        i = values.index(key, i + 1)
-        out.append(i)
-    return tuple(out)
-
-
-def search(
-    array: CamArray, query: BitWord, prev_query: Optional[BitWord] = None
-) -> SearchReport:
-    """Run the two-phase protocol for one query against every word.
-
-    ``prev_query`` is the previously driven search word; columns that changed
-    count one searchline toggle each, and ML_EN charge/discharge transitions
-    are taken against the levels that query produced. The first search after
-    construction (prev_query None) toggles all n columns and charges ML_EN
-    from low.
-
-    The gate gives only the counts, from the query's and the previous
-    query's buckets. The matches are the addresses that store the query's
-    value, found by a C-level scan of all N stored values, hit or miss.
-    """
-    n = array.config.word_bits
-    if query.width != n:
-        raise WidthMismatch(f"query width {query.width} != word_bits {n}")
-    key = query.value
-    shift, runs = array._shift, array._runs
-    bucket = key >> shift
-    if prev_query is None:
-        (prev_bucket, prev_precharged), sl_toggles = array._idle, n
-    else:
-        if prev_query.width != n:
-            raise WidthMismatch(
-                f"previous query width {prev_query.width} != word_bits {n}"
-            )
-        prev_bucket = prev_query.value >> shift
-        prev_precharged = runs[prev_bucket]
-        sl_toggles = (key ^ prev_query.value).bit_count()
-    values = array.values
-    matches = _hit_addresses(values, key) if key in values else ()
-    precharged = runs[bucket]
-    # _new_tuple checks no field count, so every field is passed.
-    totals = _new_tuple(EventTotals, (
-        0 if bucket == prev_bucket else precharged + prev_precharged,
-        precharged,
-        precharged - len(matches),
-        sl_toggles,
-        array._energizers,
-    ))
-    return _new_tuple(SearchReport, (matches, totals))
-
-
 @dataclass(frozen=True)
 class SearchRun:
     """A query stream's outcome: one entry per query in each column.
 
-    Entry i of a column is the field of that name in what ``search`` reports
-    for key i, threaded after key i - 1. ``energized`` is each query's ML
+    Entry i of a column is key i's matches or count of that name, searched
+    after key i - 1. ``energized`` is each query's ML
     precharge count; its discharges are ``energized - len(matches)``, so
     they are not stored. ``energizers`` is every query's energizer
     evaluations: N on a gated array, 0 on the all-NOR one. ``len(run)`` is
@@ -306,8 +231,8 @@ def _check_keys(
     keys: Sequence[int], n: int, prev_key: Optional[int] = None, start: int = 0
 ) -> None:
     """Raise ``WidthMismatch`` for the first key that is negative or 2^n or
-    more, in the order q0, ``prev_key``, q1, ... in which ``search`` meets
-    them; ``keys[0]`` is query ``start`` of its stream. A C-level ``min``
+    more, in the order q0, ``prev_key``, q1, ... in which a query-by-query
+    search meets them; ``keys[0]`` is query ``start`` of its stream. A C-level ``min``
     and ``max`` clear a sound stream."""
     low, high = min(keys), max(keys)
     if prev_key is not None:
@@ -347,16 +272,14 @@ def run_search_stream(
 ) -> SearchRun:
     """Search a stream of int query keys in order, threading each key as the
     next one's toggle baseline, and count the run in C-level passes over
-    the keys: the same counts and matches as ``search`` on
-    ``BitWord(n, key)`` query by query, with no per-query record.
+    the keys, with no per-query record.
 
     The keys are read ``KEYS_PER_CHUNK`` at a time, and only the chunk in
     hand is held: the run's columns grow by each chunk's entries, and the
     last key of a chunk is the toggle baseline of the next one's first. So
     ``keys`` may be a lazy iterable, drawn as it is read.
 
-    Where ``search`` scans all N stored values, the stream reads each key's
-    matches in O(1) from ``index``: ``value_index`` of an array that stores
+    The stream reads each key's matches in O(1) from ``index``: ``value_index`` of an array that stores
     the same words, or, if None, one the call builds (O(N)) and drops on
     return.
 
@@ -387,7 +310,7 @@ def run_search_stream(
         buckets = [*map(shift.__rrshift__, chunk)]
         energized += map(runs.__getitem__, buckets)
         lines = energized[done:]
-        # search's rule: no transition when the bucket stays, else every
+        # The gate's rule: no transition when the bucket stays, else every
         # line of both buckets changes its ML_EN. A bool times an int is an
         # int.
         ml_en += map(
@@ -404,3 +327,45 @@ def run_search_stream(
         full = len(chunk) == KEYS_PER_CHUNK
         chunk = list(islice(keys, KEYS_PER_CHUNK)) if full else []
     return SearchRun(array._energizers, matches, energized, ml_en, sl)
+
+
+class SearchReport(NamedTuple):
+    """Outcome of one search: the matching addresses, ascending, and the
+    event tallies; ``event_totals.ml_precharges`` is the energized count.
+
+    The energy is the model's: ``energy.totals_energy(report.event_totals,
+    ...)``; the delay is a per-variant constant, ``energy.search_delay``.
+    A tuple, like ``EventTotals``.
+    """
+
+    matches: tuple[int, ...]
+    event_totals: EventTotals
+
+
+def search(
+    array: CamArray, query: BitWord, prev_query: Optional[BitWord] = None
+) -> SearchReport:
+    """Run the two-phase protocol for one query against every word: the
+    stream of ``query``'s key after ``prev_query``'s, as one record.
+
+    ``prev_query`` is the previously driven search word; columns that changed
+    count one searchline toggle each, and ML_EN charge/discharge transitions
+    are taken against the levels that query produced. The first search after
+    construction (prev_query None) toggles all n columns and charges ML_EN
+    from low. The query's width is checked first, then the previous one's.
+
+    Each call builds the stream's value index, O(N); search many queries
+    with one ``run_search_stream``.
+    """
+    n = array.config.word_bits
+    if query.width != n:
+        raise WidthMismatch(f"query width {query.width} != word_bits {n}")
+    prev_key = None
+    if prev_query is not None:
+        if prev_query.width != n:
+            raise WidthMismatch(
+                f"previous query width {prev_query.width} != word_bits {n}"
+            )
+        prev_key = prev_query.value
+    run = run_search_stream(array, (query.value,), prev_key)
+    return SearchReport(run.matches[0], sum_event_totals(run))

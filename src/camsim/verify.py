@@ -1,43 +1,42 @@
-"""Oracle-equivalence harness: both search engines against a linear scan
-for the matches and a count oracle for the gate.
+"""Oracle-equivalence harness: the search engine against a linear scan for
+the matches and a count oracle for the gate.
 
-Two tiers, one per engine, through one column checker (``_check_columns``)
+Two tiers check ``run_search_stream``, the one engine that every verb (and
+single ``search``) runs, through one column checker (``_check_columns``)
 and one count oracle (``_count_columns``). The exhaustive tier walks small
 geometries through every query against structured and seeded stores (all
-single-word pairs, full tables, shared-prefix stores, duplicates), and
-checks ``run_search_stream``, the column-at-a-time engine that the search,
-sweep and compare verbs run: one stream per store and variant over the
-whole query universe. The randomized tier hammers the full 256 x 144
-geometry with a mix of uniform queries, planted copies, and near-miss
-single-bit corruptions, which is where a wrong prefix gate or suffix scan
-actually shows up, and checks single ``search``. It draws its trials as
-int keys, ``TRIALS_PER_CHUNK`` at a time, searches each chunk query by
-query, the chunk's first search threaded after the last key of the chunk
-before, and checks the chunk's columns as the exhaustive tier checks a
-store's. Both tiers check every query on the gated and on the all-NOR
-array of a store against one oracle scan, so a ``VerifyOutcome.cases``
-counts two searches per query, and either tier reports its first failure
-in the same order: query by query, gated before all-NOR. The oracle scans
-the store's values as plain ints, read from its words once per store;
-widths are checked before a scan, a stream or a search, not inside it.
-Arrays keep their store as ints, so the randomized tier holds no
-``BitWord`` of its store once its arrays are built; a query's is built
-only to search it, and the store's only for a counterexample.
+single-word pairs, full tables, shared-prefix stores, duplicates): one
+stream per store and variant over the whole query universe. The
+randomized tier hammers the full 256 x 144 geometry with a mix of uniform
+queries, planted copies, and near-miss single-bit corruptions, which is
+where a wrong prefix gate or suffix scan actually shows up. It draws its
+trials as int keys, ``TRIALS_PER_CHUNK`` at a time, and streams each chunk
+on both variants after the last key of the chunk before. Every stream of
+a store reads its matches from the one ``value_index`` built with the
+store (``_store``), once per store. Both tiers check every query on
+the gated and on the all-NOR array of a store against one oracle scan, so
+a ``VerifyOutcome.cases`` counts two searches per query, and either tier
+reports its first failure in the same order: query by query, gated before
+all-NOR. The oracle scans the store's values as plain ints, read from its
+words once per store; widths are checked before a scan or a stream, not
+inside it. Arrays keep their store as ints, so the randomized tier holds
+no ``BitWord`` of its store once its arrays are built, and builds one for
+a query or the store only for a counterexample.
 
-The engines read matches by stored value, so a wrong gate would still give
+The engine reads matches by stored value, so a wrong gate would still give
 the right matches; the count oracle checks the gate. It takes occ(p), the
 number of stored words with prefix p, from the words (no gate fact of the
 array), and derives each search's counts: on the gated array occ(p) lines
 energize, and ML_EN switches on occ(p) + occ(p') lines when the prefix
 changes from p' (occ(p) on the first search, none when it repeats); on the
-all-NOR array all N lines energize and ML_EN never switches. Searchline
-toggles are popcount(q XOR q'), n on the first search. The exhaustive tier
-compares the stream's ``energized``, ``ml_en_transitions`` and
-``sl_toggles`` columns. The randomized tier compares every ``EventTotals``
-field of each search, in that order: the discharges are the energized
-lines less the hits, and the energizer evaluations N on the gated array,
-none on the all-NOR one. A search fails on its matches first; a count
-failure names its field.
+all-NOR array all N lines energize and ML_EN never switches. The
+discharges are the energized lines less the hits, and searchline toggles
+are popcount(q XOR q'), n on the first search. Both tiers compare, in this
+order, the stream's ``energized``, ``ml_en_transitions``,
+``ml_discharges`` and ``sl_toggles`` columns, and its ``energizers``: N
+energizer evaluations per query on the gated array, none on the all-NOR
+one. So every ``EventTotals`` field of every search is checked. A search
+fails on its matches first; a count failure names its column.
 
 With ``fault`` set, the harness checks a mutant instead of the sound build:
 one whose energizer inverts every decision, so it must report a
@@ -48,19 +47,21 @@ check matches only, as the mutant has no counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice
 from operator import add, mul, ne, sub, xor
 from typing import Callable, Optional, Sequence, Union
 
+# bench/spans.py wraps ``search`` here; ROADMAP item 9 keeps wrapped names
+# bound until a benchmark change (item 2) re-lists verify's layers.
 from .array import (
     CamArray,
-    EventTotals,
     Variant,
     _check_keys,
     new_array,
     oracle_search,
     run_search_stream,
     search,
+    value_index,
 )
 from .core import BitWord, CamConfig
 from .draws import Stream
@@ -117,29 +118,32 @@ def _flipped_gate_matches(arr: CamArray, key: int) -> tuple[int, ...]:
     read from its stored values: on the gated array, the words whose suffix
     equals ``key``'s and whose prefix differs (with equal suffixes, the
     words not equal to ``key``); on the baseline, which has no energizer to
-    invert, the oracle's scan."""
-    values = arr.values
+    invert, the sound build's: ``search``'s."""
     if arr.variant is Variant.BASELINE_NOR:
-        return oracle_search(values, key)
+        return search(arr, BitWord(arr.config.word_bits, key)).matches
+    values = arr.values
     suffix = (1 << (arr.config.word_bits - arr.config.mle_bits)) - 1
     return tuple([
         addr for addr, v in enumerate(values) if v != key and not (v ^ key) & suffix
     ])
 
 
-def _store(config: CamConfig, words: Sequence[BitWord]) -> tuple[list, list, list]:
+def _store(
+    config: CamConfig, words: Sequence[BitWord]
+) -> tuple[list, list, list, dict]:
     """A store to check: its gated and its all-NOR array (``new_array``
     rejects a word of the wrong width), its values as the oracle scans them,
-    read from the words and not from an array, and occ, where occ[p] is how
-    many of them store the k-bit prefix p. Only the arrays' ints outlive
-    the call, not the words."""
+    read from the words and not from an array, occ, where occ[p] is how
+    many of them store the k-bit prefix p, and the ``value_index`` from
+    which both arrays' streams read their matches. Only the arrays' ints
+    outlive the call, not the words."""
     arrays = [new_array(config, variant, words) for variant in Variant]
     values = [w.value for w in words]
     occ = [0] * (1 << config.mle_bits)
     shift = config.word_bits - config.mle_bits
     for v in values:
         occ[v >> shift] += 1
-    return arrays, values, occ
+    return arrays, values, occ, value_index(arrays[0])
 
 
 def _key_columns(
@@ -160,13 +164,14 @@ def _key_columns(
 
 def _count_columns(
     occ: Sequence[int], size: int, gated: bool, key_columns: tuple,
-    hits: Optional[Sequence[int]] = None,
+    hits: Sequence[int],
 ) -> dict[str, list[int]]:
     """The count oracle for a stream: the count columns ``run_search_stream``
-    must give for the keys of ``key_columns`` on the gated or the all-NOR
-    array of ``size`` words with occupancy ``occ``, by the rule in the
-    module docstring. Given ``hits``, each key's match count, it gives
-    instead every ``EventTotals`` field of the single searches, by name."""
+    must give for the keys of ``key_columns``, whose match counts are
+    ``hits``, on the gated or the all-NOR array of ``size`` words with
+    occupancy ``occ``, by the rule in the module docstring, in the order
+    it checks them. ``energizers`` has one entry per key, as every search
+    of a stream makes the same energizer evaluations."""
     prefixes, changed, toggles, before = key_columns
     if not gated:
         energized, ml_en = [size] * len(prefixes), [0] * len(prefixes)
@@ -174,48 +179,36 @@ def _count_columns(
         energized = [*map(occ.__getitem__, prefixes)]
         first = 0 if before is None else occ[before]
         ml_en = [*map(mul, changed, map(add, energized, chain((first,), energized)))]
-    if hits is None:
-        return {
-            "energized": energized, "ml_en_transitions": ml_en, "sl_toggles": toggles
-        }
-    discharges = [*map(sub, energized, hits)]
-    energizers = [size if gated else 0] * len(prefixes)
-    totals = ml_en, energized, discharges, toggles, energizers
-    return dict(zip(EventTotals._fields, totals))
+    return {
+        "energized": energized,
+        "ml_en_transitions": ml_en,
+        "ml_discharges": [*map(sub, energized, hits)],
+        "sl_toggles": toggles,
+        "energizers": [size if gated else 0] * len(prefixes),
+    }
 
 
 # The engines. Each gives the columns of its searches of ``keys`` on ``arr``,
 # in order, the first after ``prev_key``: a dict from field name to column,
-# the match column first.
-_STREAM_FIELDS = ("matches", "energized", "ml_en_transitions", "sl_toggles")
+# the match column first. ``index`` is the store's ``value_index``.
+_STREAM_FIELDS = (
+    "matches", "energized", "ml_en_transitions", "ml_discharges", "sl_toggles"
+)
 
 
 def _stream_columns(
-    arr: CamArray, keys: Sequence[int], prev_key: Optional[int]
+    arr: CamArray, keys: Sequence[int], prev_key: Optional[int], index: dict
 ) -> dict:
-    """``run_search_stream``'s matches and count columns."""
-    run = run_search_stream(arr, keys, prev_key)
-    return {name: getattr(run, name) for name in _STREAM_FIELDS}
-
-
-def _search_columns(
-    arr: CamArray, keys: Sequence[int], prev_key: Optional[int]
-) -> dict:
-    """Single ``search``es, query by query, each threaded after the query
-    before it: the matches, then every ``EventTotals`` field in its order."""
-    n = arr.config.word_bits
-    queries = [BitWord(n, key) for key in keys]
-    prevs = chain((None if prev_key is None else BitWord(n, prev_key),), queries)
-    reports = [*map(search, repeat(arr), queries, prevs)]
-    totals = map(list, zip(*[r.event_totals for r in reports]))
-    return {
-        "matches": [r.matches for r in reports],
-        **dict(zip(EventTotals._fields, totals)),
-    }
+    """``run_search_stream``'s matches and count columns, and its one
+    energizer count as a column."""
+    run = run_search_stream(arr, keys, prev_key, 0, index)
+    columns = {name: getattr(run, name) for name in _STREAM_FIELDS}
+    columns["energizers"] = [run.energizers] * len(run)
+    return columns
 
 
 def _fault_columns(
-    arr: CamArray, keys: Sequence[int], prev_key: Optional[int]
+    arr: CamArray, keys: Sequence[int], prev_key: Optional[int], index: dict
 ) -> dict:
     """The fault mutant's matches: it has no counts."""
     return {"matches": [_flipped_gate_matches(arr, key) for key in keys]}
@@ -241,39 +234,38 @@ def _first_mismatch(
 
 
 def _check_columns(
-    store: tuple[list, list, list],
+    store: tuple[list, list, list, dict],
     keys: Sequence[int],
     key_columns: tuple,
     engine: Callable[..., dict],
     context: str,
     prev_key: Optional[int] = None,
-    totals: bool = False,
 ) -> VerifyOutcome:
     """Search the query ``keys``, after ``prev_key``, with ``engine`` on the
     gated array of ``store`` (``_store``'s), then on its all-NOR array, and
     compare each match column with one oracle scan of the stored values per
-    key, and each count column with the count oracle (every ``EventTotals``
-    field if ``totals``). Every key is checked to be an n-bit value before
-    the first scan, so the oracle compares plain ints. ``key_columns`` is
-    ``_key_columns`` of the keys after ``prev_key``, which the exhaustive
-    tier computes once for every store it checks. The verdict is the one a
+    key, and each count column with the count oracle. Every key is checked
+    to be an n-bit value before the first scan, so the oracle compares
+    plain ints. ``key_columns`` is ``_key_columns`` of the keys after
+    ``prev_key``, which the exhaustive tier computes once for every store
+    it checks. The verdict is the one a
     query-major loop gives: a failure of the j-th variant at query i is case
     2i + j + 1, so the all-NOR array is searched only up to the gated
     array's first failure, and only one engine's columns are alive at a
     time. ``context`` is a format string whose one field takes the variant
     of a failing search; the store's words are rebuilt only for a
     counterexample."""
-    arrays, values, occ = store
+    arrays, values, occ, index = store
     n = arrays[0].config.word_bits
     _check_keys(keys, n)
     matches = [oracle_search(values, key) for key in keys]
-    hits = [*map(len, matches)] if totals else None
+    hits = [*map(len, matches)]
     failure, end = None, len(keys)
     for j, arr in enumerate(arrays):
         gated = arr.variant is Variant.SELECTIVE
         counts = _count_columns(occ, len(values), gated, key_columns, hits)
         expected = {"matches": matches, **counts}
-        found = _first_mismatch(engine(arr, keys[:end], prev_key), expected)
+        found = _first_mismatch(engine(arr, keys[:end], prev_key, index), expected)
         if found is not None:
             failure, end = (j, arr, *found), found[0]
     if failure is None:
@@ -339,13 +331,14 @@ def verify_randomized(
     seed: int = 0,
     fault: bool = False,
 ) -> VerifyOutcome:
-    """Randomized trials at full geometry, each one a single ``search`` on
-    both variants, so ``cases`` is 2 x ``trials`` when every search passes.
-    Each trial draws its query key from (seed, trial index): 60% uniform,
-    30% an exact copy of a stored word, 10% a stored word with one flipped
-    bit. The trials are drawn and checked ``TRIALS_PER_CHUNK`` at a time,
-    each chunk after the last key of the one before, so the verdict does
-    not depend on the chunk size."""
+    """Randomized trials at full geometry, each one search on both variants,
+    so ``cases`` is 2 x ``trials`` when every search passes. Each trial
+    draws its query key from (seed, trial index): 60% uniform, 30% an exact
+    copy of a stored word, 10% a stored word with one flipped bit. The
+    trials are drawn and checked ``TRIALS_PER_CHUNK`` at a time, each chunk
+    streamed after the last key of the one before, so the verdict does not
+    depend on the chunk size. Every stream reads its matches from the
+    store's one ``value_index``, built once per call."""
     from .workload import gen_words
 
     if trials < 0:
@@ -366,13 +359,13 @@ def verify_randomized(
             return base
         return base ^ (1 << (n - 1 - flips.pick(i, n)))
 
-    engine = _fault_columns if fault else _search_columns
+    engine = _fault_columns if fault else _stream_columns
     total, prev_key = 0, None
     for start in range(0, trials, TRIALS_PER_CHUNK):
         keys = [trial(i) for i in range(start, min(start + TRIALS_PER_CHUNK, trials))]
         key_columns = _key_columns(keys, n, k, prev_key)
         out = _check_columns(
-            store, keys, key_columns, engine, "randomized {}", prev_key, totals=True
+            store, keys, key_columns, engine, "randomized {}", prev_key
         )
         total += out.cases
         if not out.ok:

@@ -1,8 +1,19 @@
 """Shared test helpers: the small stores the search tests sweep, the check
 of a search against its per-word traces, and the check of a columnar run
-of int query keys against query-by-query ``search``."""
+of int query keys against the oracles: ``oracle_search`` for the matches
+and the verifier's count oracle for the counts."""
 
-from camsim import BitWord, EventTotals, Level, search, word_traces
+from camsim import (
+    BitWord,
+    EventTotals,
+    Level,
+    SearchReport,
+    Variant,
+    oracle_search,
+    search,
+    word_traces,
+)
+from camsim.verify import _count_columns, _key_columns
 
 
 def all_words(n):
@@ -13,11 +24,13 @@ def all_words(n):
 FIVE_BIT_STORE = [BitWord(5, 7 * i % 32) for i in range(12)] + [BitWord(5, 7)]
 
 
-def assert_traces_explain(arr, query, prev=None):
+def assert_traces_explain(arr, query, prev=None, report=None):
     """The event-level check: the per-word traces of a search of ``query``
     after ``prev`` sum to its event totals field by field, and give its
-    matches and energized count. Returns the search's report and traces."""
-    report = search(arr, query, prev)
+    matches and energized count. ``report`` is the search's record, or None
+    for ``search``'s. Returns the report and the traces."""
+    if report is None:
+        report = search(arr, query, prev)
     traces = word_traces(arr, query, prev)
     sl = {t.transitions.sl_toggles for t in traces}
     assert len(sl) == 1  # the searchlines are shared by every word
@@ -46,29 +59,49 @@ def threaded(n, keys, prev_key=None):
         prev = query
 
 
-def searched(arr, keys, prev_key=None):
-    """Each query key's ``search`` report, threaded as ``threaded`` pairs
-    them."""
-    return [search(arr, q, p) for q, p in threaded(arr.config.word_bits, keys, prev_key)]
+def oracle_reports(arr, keys, prev_key=None):
+    """Each query key's ``SearchReport`` as the oracles give it, the keys
+    searched in order after ``prev_key``: ``oracle_search``'s scan of the
+    stored values for the matches, and the count oracle of ``camsim
+    verify`` (``_key_columns`` and ``_count_columns``, which read the
+    stored prefixes, not the array's gate) for the event totals."""
+    keys = list(keys)
+    if not keys:
+        return []
+    n, k = arr.config.word_bits, arr.config.mle_bits
+    values = arr.values
+    occ = [0] * (1 << k)
+    for v in values:
+        occ[v >> (n - k)] += 1
+    matches = [oracle_search(values, key) for key in keys]
+    counts = _count_columns(
+        occ, len(values), arr.variant is Variant.SELECTIVE,
+        _key_columns(keys, n, k, prev_key), [*map(len, matches)],
+    )
+    totals = zip(
+        counts["ml_en_transitions"], counts["energized"], counts["ml_discharges"],
+        counts["sl_toggles"], counts["energizers"],
+    )
+    return [SearchReport(m, EventTotals(*t)) for m, t in zip(matches, totals)]
 
 
-def run_totals(run):
-    """Each search's ``EventTotals``, read from the run's columns."""
+def run_reports(run):
+    """Each search's ``SearchReport``, read from the run's columns."""
+    totals = zip(
+        run.ml_en_transitions, run.energized, run.ml_discharges, run.sl_toggles
+    )
     return [
-        EventTotals(t, e, d, s, run.energizers)
-        for t, e, d, s in zip(
-            run.ml_en_transitions, run.energized, run.ml_discharges, run.sl_toggles
-        )
+        SearchReport(m, EventTotals(t, e, d, s, run.energizers))
+        for m, (t, e, d, s) in zip(run.matches, totals)
     ]
 
 
-def assert_run_equals_searches(run, reports):
+def assert_run_equals_reports(run, reports):
     """Every column entry of the run equals the field of that name in the
-    query's ``search`` report (``energized`` is ``ml_precharges``), and every
-    count is a plain int."""
+    query's report (``energized`` is ``ml_precharges``), and every count is
+    a plain int."""
     assert len(run) == len(reports)
-    assert list(run.matches) == [r.matches for r in reports]
-    assert run_totals(run) == [r.event_totals for r in reports]
+    assert run_reports(run) == reports
     columns = (run.energized, run.ml_en_transitions, run.sl_toggles)
     assert {type(c) for column in columns for c in column} <= {int}
     assert {type(m) for m in run.matches} <= {tuple}

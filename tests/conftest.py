@@ -31,14 +31,14 @@ def exhaustive_tier():
     oracle = camsim.verify.oracle_search
 
     def recorded(store, keys, key_columns, engine, context, *rest):
-        arrays, values, _ = store
+        arrays, values, *_ = store
         config = arrays[0].config
         words = [BitWord(config.word_bits, v) for v in values]
         stores.append((config, words, keys, context))
         return check(store, keys, key_columns, engine, context, *rest)
 
-    def counted_stream(arr, keys, prev_key=None):
-        run = stream(arr, keys, prev_key)
+    def counted_stream(arr, keys, prev_key=None, *rest):
+        run = stream(arr, keys, prev_key, *rest)
         streams.append((arr.variant, len(run)))
         return run
 

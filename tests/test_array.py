@@ -22,11 +22,12 @@ from camsim import (
     search,
     word_traces,
 )
+from camsim.array import value_index
 from camsim.draws import Stream
 from camsim.verify import (
     _check_columns,
+    _fault_columns,
     _key_columns,
-    _search_columns,
     _store,
     _stream_columns,
 )
@@ -131,11 +132,8 @@ def test_exhaustive_full_table_equals_oracle():
     words = all_words(4)
     arr = new_array(cfg, Variant.SELECTIVE, words)
     values = [w.value for w in words]
-    prev = None
-    for query in all_words(4):
-        got = search(arr, query, prev).matches
-        assert got == oracle_search(values, query.value) == (query.value,)
-        prev = query
+    got = run_search_stream(arr, values).matches
+    assert got == [oracle_search(values, v) for v in values] == [(v,) for v in values]
 
 
 def test_empty_store_oracle():
@@ -166,13 +164,14 @@ def test_oracle_width_guard(monkeypatch):
     # the oracle scans ints, so the verifier rejects a width that does not
     # fit before any scan, stream or search: a stored word's in new_array,
     # and every key of a store's keys, or of a randomized chunk's, in the
-    # column check that both tiers share, before the first scan.
+    # column check that both tiers share, before the first scan, on the
+    # sound engine and the fault mutant's.
     calls = []
     for name in ("search", "run_search_stream", "oracle_search"):
         monkeypatch.setattr(camsim.verify, name, lambda *a: calls.append(a))
     cfg = CamConfig(2, 4, 2)
 
-    for engine in (_stream_columns, _search_columns):
+    for engine in (_stream_columns, _fault_columns):
 
         def check(words, keys):
             store = _store(cfg, words)
@@ -338,8 +337,10 @@ def _index_stores(n, k, size):
 def _assert_index_equals_scan(arr):
     """The gate's histogram against a scan of the stored prefixes: each
     search prefix's energized count (an empty bucket energizes no line) from
-    ``search`` and ``run_search_stream``, the idle state, and the ML_EN
-    transitions of every (prefix, previous prefix or None) pair."""
+    ``run_search_stream``, the idle state, and the ML_EN transitions of
+    every (prefix, previous prefix or None) pair: one stream of one key per
+    prefix after None, and one stream of the keys pp, qp for every pair,
+    whose odd positions are each qp after its pp."""
     n, k = arr.config.word_bits, arr.config.mle_bits
     gated = arr.variant is Variant.SELECTIVE
     prefixes = [value >> (n - k) for value in arr.values]
@@ -352,18 +353,18 @@ def _assert_index_equals_scan(arr):
     assert [arr._runs[key >> arr._shift] for key in keys] == enabled
     assert arr._idle == ((None, 0) if gated else (0, len(prefixes)))
     assert run_search_stream(arr, keys).energized == enabled
-    queries = [BitWord(n, key) for key in keys]
-    for qp, pp in product(range(1 << k), [None, *range(1 << k)]):
-        if not gated or pp == qp:
-            want = 0
-        elif pp is None:
-            want = enabled[qp]
-        else:
-            want = enabled[qp] + enabled[pp]
-        prev = None if pp is None else queries[pp]
-        report = search(arr, queries[qp], prev)
-        assert report.event_totals.ml_precharges == enabled[qp]
-        assert report.event_totals.ml_en_transitions == want
+    index = value_index(arr)
+    firsts = [run_search_stream(arr, [key], None, 0, index) for key in keys]
+    assert [run.energized[0] for run in firsts] == enabled
+    from_idle = enabled if gated else [0] * len(keys)
+    assert [run.ml_en_transitions[0] for run in firsts] == from_idle
+    pairs = list(product(range(1 << k), repeat=2))
+    walk = [keys[p] for pair in pairs for p in pair]
+    run = run_search_stream(arr, walk, None, 0, index)
+    assert run.energized[1::2] == [enabled[qp] for _, qp in pairs]
+    assert run.ml_en_transitions[1::2] == [
+        0 if not gated or pp == qp else enabled[qp] + enabled[pp] for pp, qp in pairs
+    ]
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -381,11 +382,9 @@ def test_gate_index_equals_prefix_scan(k):
             _assert_index_equals_scan(arr)
             if size % 8 == 1:  # every query against a sample of the stores
                 stored = list(arr.values)
-                prev = None
-                for query in all_words(n):
-                    got = search(arr, query, prev).matches
-                    assert got == oracle_search(stored, query.value)
-                    prev = query
+                queries = range(1 << n)
+                got = run_search_stream(arr, queries).matches
+                assert got == [oracle_search(stored, key) for key in queries]
 
 
 def test_searchline_toggle_counting():
@@ -517,12 +516,12 @@ def _repeat_scans(draw):
 
 def _assert_scan(arr, words, query, prev):
     assert arr.values == tuple(w.value for w in words)
+    want = oracle_search([w.value for w in words], query.value)
+    assert list(want) == sorted(set(want))
     r = search(arr, query, prev)
-    assert r.matches == oracle_search([w.value for w in words], query.value)
-    assert list(r.matches) == sorted(set(r.matches))
     prev_key = None if prev is None else prev.value
     run = run_search_stream(arr, [query.value], prev_key)
-    assert run.matches == [r.matches]
+    assert r.matches == want and run.matches == [want]
     k = arr.config.mle_bits
     gated = arr.variant is Variant.SELECTIVE
     assert r.event_totals.ml_precharges == run.energized[0] == sum(

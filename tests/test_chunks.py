@@ -15,7 +15,6 @@ import pytest
 
 import camsim.cli
 from camsim import (
-    BitWord,
     CamConfig,
     Variant,
     WidthMismatch,
@@ -26,7 +25,6 @@ from camsim import (
     gen_words,
     new_array,
     run_search_stream,
-    search,
     sum_event_totals,
 )
 from camsim.array import KEYS_PER_CHUNK, value_index
@@ -39,6 +37,7 @@ from camsim.cli import (
     main,
 )
 from camsim.workload import QUERY_ROWS_PER_CHUNK, query_summary, report_json_text
+from cell_route import oracle_reports
 
 WORKLOADS = {
     "uniform": ["--workload", "uniform"],
@@ -83,7 +82,7 @@ def _assert_chunk_heads_are_threaded(text: str, keys: list[int], variant: Varian
     arr = new_array(CamConfig(16, 24, 3, seed=7), variant, gen_words(16, 24, 7))
     for chunk in (KEYS_PER_CHUNK, QUERY_ROWS_PER_CHUNK):
         for i in range(chunk, len(keys), chunk):
-            want = search(arr, BitWord(24, keys[i]), BitWord(24, keys[i - 1]))
+            (want,) = oracle_reports(arr, keys[i:i + 1], keys[i - 1])
             events = rows[i]["events"]
             assert events["sl_toggles"] == want.event_totals.sl_toggles
             assert events["ml_en_transitions"] == want.event_totals.ml_en_transitions

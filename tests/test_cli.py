@@ -1,6 +1,7 @@
 import json
 import threading
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +10,7 @@ import camsim.cli
 import camsim.core
 import camsim.energy
 import camsim.verify
-from camsim import Variant, search
+from camsim import Variant, run_search_stream
 from camsim.array import KEYS_PER_CHUNK
 from camsim.cli import build_parser, main
 
@@ -517,13 +518,13 @@ def test_verify_prints_the_randomized_line_only_when_the_tier_passes(
 ):
     # an all-NOR mutant that drops its last match once the store outgrows
     # the exhaustive tier's 32 words fails only in the randomized tier
-    def dropping(arr, query, prev_query=None):
-        report = search(arr, query, prev_query)
+    def dropping(arr, keys, prev_key=None, *rest):
+        run = run_search_stream(arr, keys, prev_key, *rest)
         if arr.variant is Variant.BASELINE_NOR and arr.config.num_words > 32:
-            return report._replace(matches=report.matches[:-1])
-        return report
+            return replace(run, matches=[m[:-1] for m in run.matches])
+        return run
 
-    monkeypatch.setattr(camsim.verify, "search", dropping)
+    monkeypatch.setattr(camsim.verify, "run_search_stream", dropping)
     assert main(["verify", "--trials", "200"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "exhaustive: 24192 cases checked\n"

@@ -36,7 +36,7 @@ from camsim import (
     word_traces,
 )
 from camsim import energy as energy_module
-from cell_route import searched
+from cell_route import oracle_reports
 
 CFG = CamConfig(256, 144, 3, seed=1)
 
@@ -200,7 +200,7 @@ def test_aggregate_fills_energy():
     model = EnergyModel()
     energies = aggregate(run, model, cfg)
     assert len(energies) == len(run) == 10
-    first = search(_array(cfg, Variant.SELECTIVE), BitWord(cfg.word_bits, queries[0]))
+    (first,) = oracle_reports(_array(cfg, Variant.SELECTIVE), queries[:1])
     assert energies[0] == pytest.approx(totals_energy(first.event_totals, model, cfg))
 
 
@@ -210,7 +210,7 @@ def test_aggregate_prices_a_run_bit_for_bit(variant):
     run, queries = _run(cfg, variant, 60)
     model = EnergyModel(c_ml_per_cell=0.7, c_sl_per_cell=0.3, upsize_base=1.5)
     energies = aggregate(run, model, cfg)
-    reports = searched(_array(cfg, variant), queries)
+    reports = oracle_reports(_array(cfg, variant), queries)
     assert len(energies) == len(reports)
     for e, r in zip(energies, reports):
         assert type(e) is float
@@ -484,7 +484,7 @@ def test_totals_energy_rejects_negative_counts():
 @given(st.lists(st.integers(0, 4095), max_size=40), st.sampled_from(list(Variant)))
 def test_sum_event_totals_equals_chained_add(values, variant):
     arr = new_array(_BASE_CONFIG, variant, _BASE_WORDS)
-    reports = searched(arr, values)
+    reports = oracle_reports(arr, values)
     # field by field, from zero counts, over the per-search totals
     want = EventTotals(*map(sum, zip(EventTotals(), *(r.event_totals for r in reports))))
     total = sum_event_totals(run_search_stream(arr, values))

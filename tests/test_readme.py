@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 from camsim import EnergyModel, SearchReport, SearchRun, totals_energy
+from cell_route import run_reports
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,5 +20,7 @@ def test_readme_library_example_runs(capsys):
     run, energies, report = scope["run"], scope["energies"], scope["report"]
     assert type(run) is SearchRun and len(run) == len(energies) == 1000
     assert type(report) is SearchReport and len(report._fields) == 2
+    # the example's single search is the run's first query, from power-up
+    assert report == run_reports(run)[0]
     assert energies[0] == totals_energy(report.event_totals, EnergyModel(), scope["cfg"])
     assert capsys.readouterr().out.strip()

@@ -1,6 +1,7 @@
 """The columnar run engine: ``run_search_stream`` on int query keys against
-query-by-query ``search``, and its prices against ``totals_energy``, bit for
-bit."""
+the oracles, query by query (``oracle_search`` for the matches, the
+verifier's count oracle for the counts), and its prices against
+``totals_energy`` of the oracles' event totals, bit for bit."""
 
 import gc
 import weakref
@@ -27,7 +28,7 @@ from camsim import (
     sum_event_totals,
     totals_energy,
 )
-from cell_route import assert_run_equals_searches, searched
+from cell_route import assert_run_equals_reports, oracle_reports
 
 MODEL = EnergyModel(c_ml_per_cell=0.7, c_sl_per_cell=0.3, upsize_base=1.5)
 
@@ -39,7 +40,7 @@ def _assert_prices(run, reports, config):
     ]
 
 
-def test_columns_equal_search_on_every_exhaustive_store(exhaustive_tier):
+def test_columns_equal_the_oracles_on_every_exhaustive_store(exhaustive_tier):
     # Every store and query universe of the verifier's exhaustive tier, on
     # both variants, first from power-up and then threaded after a query.
     stores = exhaustive_tier.stores
@@ -51,9 +52,9 @@ def test_columns_equal_search_on_every_exhaustive_store(exhaustive_tier):
         for variant in Variant:
             arr = new_array(config, variant, words)
             for prev in (None, queries[-1]):
-                reports = searched(arr, queries, prev)
+                reports = oracle_reports(arr, queries, prev)
                 run = run_search_stream(arr, queries, prev)
-                assert_run_equals_searches(run, reports)
+                assert_run_equals_reports(run, reports)
                 _assert_prices(run, reports, config)
                 searches += len(run)
                 for column in (
@@ -72,7 +73,7 @@ def test_columns_equal_search_on_every_exhaustive_store(exhaustive_tier):
 @pytest.mark.parametrize(
     "kind", [WorkloadKind.UNIFORM, WorkloadKind.PLANTED, WorkloadKind.PREFIX_SKEWED]
 )
-def test_columns_equal_search_at_reference_geometry(kind, seed):
+def test_columns_equal_the_oracles_at_reference_geometry(kind, seed):
     config = CamConfig(256, 144, 3, seed=seed)
     words = gen_words(256, 144, seed)
     spec = WorkloadSpec(
@@ -84,9 +85,9 @@ def test_columns_equal_search_at_reference_geometry(kind, seed):
     for variant in Variant:
         arr = new_array(config, variant, words)
         for prev in (None, queries[0]):
-            reports = searched(arr, queries[1:], prev)
+            reports = oracle_reports(arr, queries[1:], prev)
             run = run_search_stream(arr, queries[1:], prev)
-            assert_run_equals_searches(run, reports)
+            assert_run_equals_reports(run, reports)
             _assert_prices(run, reports, config)
             if kind is WorkloadKind.PLANTED:
                 assert sum(map(bool, run.matches)) > 100
@@ -225,7 +226,7 @@ MEMBERSHIP_STORES = {
 
 @pytest.mark.parametrize("variant", Variant)
 @pytest.mark.parametrize("store", [*MEMBERSHIP_STORES, "planted-all-hit"])
-def test_stream_membership_equals_search_and_oracle(variant, store):
+def test_stream_membership_equals_the_oracles(variant, store):
     if store in MEMBERSHIP_STORES:
         config, values = CamConfig(8, 6, 3), MEMBERSHIP_STORES[store]
         queries = list(range(64))
@@ -243,4 +244,4 @@ def test_stream_membership_equals_search_and_oracle(variant, store):
     for prev in (None, queries[-1]):
         run = run_search_stream(arr, queries, prev)
         assert list(run.matches) == want
-        assert_run_equals_searches(run, searched(arr, queries, prev))
+        assert_run_equals_reports(run, oracle_reports(arr, queries, prev))

@@ -1,5 +1,5 @@
 """Event-level cross-check: the truth-level per-word traces against the
-counting search path, search by search."""
+counting search engine, search by search."""
 
 import pytest
 
@@ -11,27 +11,33 @@ from camsim import (
     gen_queries,
     gen_words,
     new_array,
-    oracle_search,
     run_search_stream,
 )
-from cell_route import assert_run_equals_searches, assert_traces_explain, threaded
+from cell_route import (
+    assert_run_equals_reports,
+    assert_traces_explain,
+    oracle_reports,
+    run_reports,
+    threaded,
+)
 
 # randomized searches per variant and workload at 256 x 144
 TRIALS = 50
 
 
 def test_traces_explain_every_exhaustive_search(exhaustive_tier):
-    # every store and query of the verifier's exhaustive tier, searched one
-    # by one on both variants with the previous query threaded as the
-    # verifier's streams thread it; the verifier itself streams each store
-    # once per variant against one oracle scan per query
+    # every store and query of the verifier's exhaustive tier, streamed on
+    # both variants as the verifier streams it, each search's row traced
+    # with the previous query threaded; the verifier itself streams each
+    # store once per variant against one oracle scan per query
     out, stores, streams, scans = exhaustive_tier
     traced = 0
     for config, words, queries, _ in stores:
         for variant in Variant:
             arr = new_array(config, variant, words)
-            for query, prev in threaded(config.word_bits, queries):
-                assert_traces_explain(arr, query, prev)
+            rows = run_reports(run_search_stream(arr, queries))
+            for (query, prev), row in zip(threaded(config.word_bits, queries), rows):
+                assert_traces_explain(arr, query, prev, row)
                 traced += 1
     assert out.ok
     assert traced == out.cases == 24192
@@ -54,13 +60,11 @@ def test_traces_explain_randomized_searches_at_reference_geometry(variant, spec)
     words = gen_words(cfg.num_words, cfg.word_bits, cfg.seed)
     arr = new_array(cfg, variant, words)
     queries = gen_queries(spec, words)
-    values = [w.value for w in words]
-    reports = []
-    for query, prev in threaded(cfg.word_bits, queries):
-        report, _ = assert_traces_explain(arr, query, prev)
-        assert report.matches == oracle_search(values, query.value)
-        reports.append(report)
-    assert_run_equals_searches(run_search_stream(arr, queries), reports)
+    run = run_search_stream(arr, queries)
+    reports = oracle_reports(arr, queries)
+    assert_run_equals_reports(run, reports)
+    for (query, prev), report in zip(threaded(cfg.word_bits, queries), reports):
+        assert_traces_explain(arr, query, prev, report)
     assert len(reports) == TRIALS
     if spec.kind is WorkloadKind.PLANTED:
         assert any(r.matches for r in reports)

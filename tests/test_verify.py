@@ -40,15 +40,16 @@ REFERENCE = CamConfig(256, 144, 3, seed=1)
 def test_randomized_tier_searches_both_variants_against_one_oracle_scan(monkeypatch):
     searched, scans = [], []
 
-    def counted_search(arr, query, prev_query=None):
-        searched.append(arr.variant)
-        return search(arr, query, prev_query)
+    def counted_stream(arr, keys, prev_key=None, *rest):
+        run = run_search_stream(arr, keys, prev_key, *rest)
+        searched.extend([arr.variant] * len(run))
+        return run
 
     def counted_oracle(values, key):
         scans.append(key)
         return oracle_search(values, key)
 
-    monkeypatch.setattr(camsim.verify, "search", counted_search)
+    monkeypatch.setattr(camsim.verify, "run_search_stream", counted_stream)
     monkeypatch.setattr(camsim.verify, "oracle_search", counted_oracle)
     out = verify_randomized(REFERENCE, 200, 1)
     assert out.ok and out.cases == 400
@@ -60,13 +61,13 @@ def test_randomized_tier_catches_a_baseline_only_fault(monkeypatch):
     # a mutant all-NOR array that loses its last match once the store
     # outgrows the exhaustive tier's 32 words: only the randomized tier
     # holds such a store, so only a baseline check there can catch it
-    def dropping(arr, query, prev_query=None):
-        report = search(arr, query, prev_query)
+    def dropping(arr, keys, prev_key=None, *rest):
+        run = run_search_stream(arr, keys, prev_key, *rest)
         if arr.variant is Variant.BASELINE_NOR and arr.config.num_words > 32:
-            return report._replace(matches=report.matches[:-1])
-        return report
+            return replace(run, matches=[m[:-1] for m in run.matches])
+        return run
 
-    monkeypatch.setattr(camsim.verify, "search", dropping)
+    monkeypatch.setattr(camsim.verify, "run_search_stream", dropping)
     assert verify_exhaustive(1).ok
     out = verify_randomized(REFERENCE, 200, 1)
     ce = out.counterexample
@@ -97,8 +98,8 @@ def test_stream_mutant_is_caught_on_the_duplicates_store(monkeypatch):
     # the exhaustive tier checks the stream that every verb runs: a stream
     # that loses the last address of a multi-hit result must show up as a
     # counterexample, first on the tier's only store with a repeated word
-    def dropping(arr, keys, prev_key=None):
-        run = run_search_stream(arr, keys, prev_key)
+    def dropping(arr, keys, prev_key=None, *rest):
+        run = run_search_stream(arr, keys, prev_key, *rest)
         return replace(run, matches=[m[:-1] if len(m) > 1 else m for m in run.matches])
 
     monkeypatch.setattr(camsim.verify, "run_search_stream", dropping)
@@ -116,8 +117,8 @@ def test_stream_mutant_is_caught_on_the_duplicates_store(monkeypatch):
 def test_a_match_failure_comes_before_a_count_failure_at_one_query(monkeypatch):
     # a stream that loses a match and miscounts the same query reports the
     # match counterexample, byte for byte as a match-only mutant does
-    def both(arr, keys, prev_key=None):
-        run = run_search_stream(arr, keys, prev_key)
+    def both(arr, keys, prev_key=None, *rest):
+        run = run_search_stream(arr, keys, prev_key, *rest)
         bad = [len(m) > 1 for m in run.matches]
         matches = [m[:-1] if b else m for m, b in zip(run.matches, bad)]
         energized = [e + b for e, b in zip(run.energized, bad)]
@@ -179,14 +180,11 @@ def test_stream_counterexample_is_the_per_query_loops_first(
             return matches[:-1] if matches else (0,)
         return matches
 
-    def mutant_stream(arr, keys, prev_key=None):
+    def mutant_stream(arr, keys, prev_key=None, *rest):
         keys = list(keys)
-        run = run_search_stream(arr, keys, prev_key)
+        run = run_search_stream(arr, keys, prev_key, *rest)
         matches = [corrupt(arr, key, m) for key, m in zip(keys, run.matches)]
         return replace(run, matches=matches)
-
-    def searched_matches(arr, key):
-        return search(arr, BitWord(arr.config.word_bits, key)).matches
 
     monkeypatch.setattr(camsim.verify, "run_search_stream", mutant_stream)
     out = verify_exhaustive(1)
@@ -194,7 +192,7 @@ def test_stream_counterexample_is_the_per_query_loops_first(
     assert ce is not None and ce.context == f"n=4 k=2 {first.value} store"
     want = _per_query_reference(
         exhaustive_tier.stores,
-        lambda arr, key: corrupt(arr, key, searched_matches(arr, key)),
+        lambda arr, key: corrupt(arr, key, oracle_search(arr.values, key)),
     )
     assert (out.cases, ce.context, ce.query, ce.expected, ce.got) == want
 
@@ -223,44 +221,53 @@ def _neighbour_gate(monkeypatch):
 
 
 def _ml_en_off_by_one(monkeypatch):
-    # every ML_EN transition count but 0 is one too many, on both engines
-    def stream(arr, keys, prev_key=None):
-        run = run_search_stream(arr, keys, prev_key)
+    # every ML_EN transition count but 0 is one too many
+    def stream(arr, keys, prev_key=None, *rest):
+        run = run_search_stream(arr, keys, prev_key, *rest)
         counts = [t + 1 if t else 0 for t in run.ml_en_transitions]
         return replace(run, ml_en_transitions=counts)
 
-    def one_search(arr, query, prev_query=None):
-        report = search(arr, query, prev_query)
-        totals = report.event_totals
-        t = totals.ml_en_transitions
-        return report._replace(
-            event_totals=totals._replace(ml_en_transitions=t + 1 if t else 0)
-        )
-
     monkeypatch.setattr(camsim.verify, "run_search_stream", stream)
-    monkeypatch.setattr(camsim.verify, "search", one_search)
+
+
+def _energizer_short_by_one(monkeypatch):
+    # the gated array evaluates one energizer fewer than it stores words,
+    # while every energized count, match and transition stays right
+    def build(config, variant, words):
+        arr = new_array(config, variant, words)
+        if arr._energizers:
+            object.__setattr__(arr, "_energizers", arr._energizers - 1)
+        return arr
+
+    monkeypatch.setattr(camsim.verify, "new_array", build)
 
 
 # mutant -> (install, the exhaustive tier's cases and counterexample, the
-# field the randomized tier names at its first trial)
+# column the randomized tier names at its first trial)
 GATE_MUTANTS = {
     "all-on-gate": (
         _all_on_gate, 9,
         "n=4 k=2 selective single-word: query 0100 after 0011 against [0000]"
         " expected energized 0, got 1",
-        "ml_en_transitions",
+        "energized",
     ),
     "neighbour-bucket": (
         _neighbour_gate, 25,
         "n=4 k=2 selective single-word: query 1100 after 1011 against [0000]"
         " expected energized 0, got 1",
-        "ml_en_transitions",
+        "energized",
     ),
     "ml-en-off-by-one": (
         _ml_en_off_by_one, 1,
         "n=4 k=2 selective single-word: query 0000 against [0000]"
         " expected ml_en_transitions 1, got 2",
         "ml_en_transitions",
+    ),
+    "energizer-short-by-one": (
+        _energizer_short_by_one, 1,
+        "n=4 k=2 selective single-word: query 0000 against [0000]"
+        " expected energizers 1, got 0",
+        "energizers",
     ),
 }
 
@@ -295,30 +302,26 @@ def _later_chunk_mutant(monkeypatch):
     # the gated array miscounts the searchline toggles of one search only:
     # trial LATER_TRIAL's, after trial LATER_TRIAL - 1, which the tier
     # threads from the chunk before
-    keys = []
+    searched = []
 
-    def recording(arr, query, prev_query=None):
+    def recording(arr, keys, prev_key=None, *rest):
         if arr.variant is Variant.SELECTIVE:
-            keys.append(query.value)
-        return search(arr, query, prev_query)
+            searched.extend(keys)
+        return run_search_stream(arr, keys, prev_key, *rest)
 
-    monkeypatch.setattr(camsim.verify, "search", recording)
+    monkeypatch.setattr(camsim.verify, "run_search_stream", recording)
     assert verify_randomized(REFERENCE, LATER_TRIAL + 1, 1).ok
-    pair = keys[LATER_TRIAL - 1], keys[LATER_TRIAL]
+    pair = searched[LATER_TRIAL - 1], searched[LATER_TRIAL]
 
-    def miscounting(arr, query, prev_query=None):
-        report = search(arr, query, prev_query)
-        if (
-            arr.variant is Variant.SELECTIVE
-            and prev_query is not None
-            and (prev_query.value, query.value) == pair
-        ):
-            totals = report.event_totals
-            totals = totals._replace(sl_toggles=totals.sl_toggles + 1)
-            return report._replace(event_totals=totals)
-        return report
+    def miscounting(arr, keys, prev_key=None, *rest):
+        run = run_search_stream(arr, keys, prev_key, *rest)
+        if arr.variant is not Variant.SELECTIVE:
+            return run
+        pairs = zip([prev_key, *keys], keys)
+        toggles = [t + (p == pair) for t, p in zip(run.sl_toggles, pairs)]
+        return replace(run, sl_toggles=toggles)
 
-    monkeypatch.setattr(camsim.verify, "search", miscounting)
+    monkeypatch.setattr(camsim.verify, "run_search_stream", miscounting)
     return pair
 
 
@@ -349,6 +352,35 @@ def test_randomized_verdict_does_not_depend_on_the_chunk_size(build, monkeypatch
         assert failure[0].startswith("randomized selective: query ")
     else:
         assert failure is not None
+
+
+@pytest.mark.parametrize("trials", [1, CHUNK, 200])
+def test_randomized_tier_builds_one_value_index_per_call(monkeypatch, trials):
+    # every chunk is one stream per variant, and every stream reads its
+    # matches from the one index built for the call: the streams build none
+    # of their own, and no single search is made
+    real, built, streams = camsim.array.value_index, [], []
+
+    def counted_index(array):
+        built.append(array.variant)
+        return real(array)
+
+    def counted_stream(arr, keys, prev_key=None, *rest):
+        streams.append(arr.variant)
+        return run_search_stream(arr, keys, prev_key, *rest)
+
+    def no_search(*args):
+        raise AssertionError("the randomized tier called search")
+
+    for module in (camsim.array, camsim.verify):
+        monkeypatch.setattr(module, "value_index", counted_index)
+    monkeypatch.setattr(camsim.verify, "run_search_stream", counted_stream)
+    monkeypatch.setattr(camsim.verify, "search", no_search)
+    out = verify_randomized(REFERENCE, trials, 1)
+    assert out.ok and out.cases == 2 * trials
+    assert len(built) == 1
+    chunks = -(-trials // CHUNK)
+    assert streams == [Variant.SELECTIVE, Variant.BASELINE_NOR] * chunks
 
 
 def test_fault_injection_checks_matches_only(monkeypatch):
