@@ -17,11 +17,15 @@ store (``_store``), once per store. Both tiers check every query on
 the gated and on the all-NOR array of a store against one oracle scan, so
 a ``VerifyOutcome.cases`` counts two searches per query, and either tier
 reports its first failure in the same order: query by query, gated before
-all-NOR. The oracle scans the store's values as plain ints, read from its
-words once per store; widths are checked before a scan or a stream, not
-inside it. Arrays keep their store as ints, so the randomized tier holds
-no ``BitWord`` of its store once its arrays are built, and builds one for
-a query or the store only for a counterexample.
+all-NOR. The randomized tier also checks ``search``, the public one-key
+entry point, on the first trial of each chunk once the chunk's streams
+pass: its width checks, its previous query and its ``SearchReport`` are
+code of its own that no stream runs. The oracle scans the store's values
+as plain ints, read from its words once per store; widths are checked
+before a scan or a stream, not inside it. Arrays keep their store as ints,
+so the randomized tier holds no ``BitWord`` of its store once its arrays
+are built. It builds one for a query only for single ``search`` or a
+counterexample, and the store's only for a counterexample.
 
 The engine reads matches by stored value, so a wrong gate would still give
 the right matches; the count oracle checks the gate. It takes occ(p), the
@@ -29,30 +33,30 @@ number of stored words with prefix p, from the words (no gate fact of the
 array), and derives each search's counts: on the gated array occ(p) lines
 energize, and ML_EN switches on occ(p) + occ(p') lines when the prefix
 changes from p' (occ(p) on the first search, none when it repeats); on the
-all-NOR array all N lines energize and ML_EN never switches. The
-discharges are the energized lines less the hits, and searchline toggles
-are popcount(q XOR q'), n on the first search. Both tiers compare, in this
-order, the stream's ``energized``, ``ml_en_transitions``,
-``ml_discharges`` and ``sl_toggles`` columns, and its ``energizers``: N
-energizer evaluations per query on the gated array, none on the all-NOR
-one. So every ``EventTotals`` field of every search is checked. A search
-fails on its matches first; a count failure names its column.
+all-NOR array all N lines energize and ML_EN never switches. Searchline
+toggles are popcount(q XOR q'), n on the first search. Both tiers compare,
+in this order, the stream's ``energized``, ``ml_en_transitions`` and
+``sl_toggles`` columns, and its ``energizers``: N energizer evaluations per
+query on the gated array, none on the all-NOR one. The discharges are not
+a column of their own: a stream's (and a ``SearchReport``'s) are its
+energized lines less its matches by construction, so checking those two
+checks them, and every ``EventTotals`` field of every search is checked. A
+search fails on its matches first; a count failure names its column.
 
 With ``fault`` set, the harness checks a mutant instead of the sound build:
 one whose energizer inverts every decision, so it must report a
-counterexample. Both tiers take the mutant's matches query by query and
-check matches only, as the mutant has no counts.
+counterexample. Both tiers take the mutant's matches on the gated array
+query by query, and the sound stream's on the all-NOR array, which has no
+energizer to invert, and check matches only, as the mutant has no counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice
-from operator import add, mul, ne, sub, xor
+from operator import add, mul, ne, xor
 from typing import Callable, Optional, Sequence, Union
 
-# bench/spans.py wraps ``search`` here; ROADMAP item 9 keeps wrapped names
-# bound until a benchmark change (item 2) re-lists verify's layers.
 from .array import (
     CamArray,
     Variant,
@@ -114,13 +118,10 @@ class VerifyOutcome:
 
 
 def _flipped_gate_matches(arr: CamArray, key: int) -> tuple[int, ...]:
-    """The matches of ``arr`` built with every energizer decision inverted,
-    read from its stored values: on the gated array, the words whose suffix
-    equals ``key``'s and whose prefix differs (with equal suffixes, the
-    words not equal to ``key``); on the baseline, which has no energizer to
-    invert, the sound build's: ``search``'s."""
-    if arr.variant is Variant.BASELINE_NOR:
-        return search(arr, BitWord(arr.config.word_bits, key)).matches
+    """The matches of the gated ``arr`` built with every energizer decision
+    inverted, read from its stored values: the words whose suffix equals
+    ``key``'s and whose prefix differs (with equal suffixes, the words not
+    equal to ``key``)."""
     values = arr.values
     suffix = (1 << (arr.config.word_bits - arr.config.mle_bits)) - 1
     return tuple([
@@ -163,14 +164,12 @@ def _key_columns(
 
 
 def _count_columns(
-    occ: Sequence[int], size: int, gated: bool, key_columns: tuple,
-    hits: Sequence[int],
+    occ: Sequence[int], size: int, gated: bool, key_columns: tuple
 ) -> dict[str, list[int]]:
     """The count oracle for a stream: the count columns ``run_search_stream``
-    must give for the keys of ``key_columns``, whose match counts are
-    ``hits``, on the gated or the all-NOR array of ``size`` words with
-    occupancy ``occ``, by the rule in the module docstring, in the order
-    it checks them. ``energizers`` has one entry per key, as every search
+    must give for the keys of ``key_columns`` on the gated or the all-NOR
+    array of ``size`` words with occupancy ``occ``, by the rule in the
+    module docstring, in the order it checks them. ``energizers`` has one entry per key, as every search
     of a stream makes the same energizer evaluations."""
     prefixes, changed, toggles, before = key_columns
     if not gated:
@@ -182,7 +181,6 @@ def _count_columns(
     return {
         "energized": energized,
         "ml_en_transitions": ml_en,
-        "ml_discharges": [*map(sub, energized, hits)],
         "sl_toggles": toggles,
         "energizers": [size if gated else 0] * len(prefixes),
     }
@@ -191,9 +189,7 @@ def _count_columns(
 # The engines. Each gives the columns of its searches of ``keys`` on ``arr``,
 # in order, the first after ``prev_key``: a dict from field name to column,
 # the match column first. ``index`` is the store's ``value_index``.
-_STREAM_FIELDS = (
-    "matches", "energized", "ml_en_transitions", "ml_discharges", "sl_toggles"
-)
+_STREAM_FIELDS = ("matches", "energized", "ml_en_transitions", "sl_toggles")
 
 
 def _stream_columns(
@@ -207,10 +203,32 @@ def _stream_columns(
     return columns
 
 
+def _report_columns(
+    arr: CamArray, keys: Sequence[int], prev_key: Optional[int], index: dict
+) -> dict:
+    """Single ``search``'s report of each key, after the key before it, as
+    the same columns. ``search`` takes ``BitWord``s and builds its own
+    index, so ``index`` is not used."""
+    n = arr.config.word_bits
+    prevs = [None if p is None else BitWord(n, p) for p in chain((prev_key,), keys)]
+    reports = [search(arr, BitWord(n, key), prev) for key, prev in zip(keys, prevs)]
+    totals = [r.event_totals for r in reports]
+    return {
+        "matches": [r.matches for r in reports],
+        "energized": [t.ml_precharges for t in totals],
+        "ml_en_transitions": [t.ml_en_transitions for t in totals],
+        "sl_toggles": [t.sl_toggles for t in totals],
+        "energizers": [t.mle_evaluations for t in totals],
+    }
+
+
 def _fault_columns(
     arr: CamArray, keys: Sequence[int], prev_key: Optional[int], index: dict
 ) -> dict:
-    """The fault mutant's matches: it has no counts."""
+    """The fault mutant's matches: it has no counts. The all-NOR array has
+    no energizer to invert, so its matches are the sound stream's."""
+    if arr.variant is Variant.BASELINE_NOR:
+        return {"matches": run_search_stream(arr, keys, prev_key, 0, index).matches}
     return {"matches": [_flipped_gate_matches(arr, key) for key in keys]}
 
 
@@ -259,11 +277,10 @@ def _check_columns(
     n = arrays[0].config.word_bits
     _check_keys(keys, n)
     matches = [oracle_search(values, key) for key in keys]
-    hits = [*map(len, matches)]
     failure, end = None, len(keys)
     for j, arr in enumerate(arrays):
         gated = arr.variant is Variant.SELECTIVE
-        counts = _count_columns(occ, len(values), gated, key_columns, hits)
+        counts = _count_columns(occ, len(values), gated, key_columns)
         expected = {"matches": matches, **counts}
         found = _first_mismatch(engine(arr, keys[:end], prev_key, index), expected)
         if found is not None:
@@ -336,9 +353,13 @@ def verify_randomized(
     draws its query key from (seed, trial index): 60% uniform, 30% an exact
     copy of a stored word, 10% a stored word with one flipped bit. The
     trials are drawn and checked ``TRIALS_PER_CHUNK`` at a time, each chunk
-    streamed after the last key of the one before, so the verdict does not
-    depend on the chunk size. Every stream reads its matches from the
-    store's one ``value_index``, built once per call."""
+    streamed after the last key of the one before. Every stream reads its
+    matches from the store's one ``value_index``, built once per call. Once
+    a chunk's streams pass, its first trial is searched again with
+    ``search`` on both variants, after the same previous key, and checked
+    against the same oracles; a failure there is that trial's case, in the
+    context ``randomized <variant> search``. So the verdict does not depend
+    on the chunk size, except where only ``search`` fails."""
     from .workload import gen_words
 
     if trials < 0:
@@ -367,6 +388,14 @@ def verify_randomized(
         out = _check_columns(
             store, keys, key_columns, engine, "randomized {}", prev_key
         )
+        if out.ok:
+            first = keys[:1]
+            single = _check_columns(
+                store, first, _key_columns(first, n, k, prev_key),
+                _report_columns, "randomized {} search", prev_key,
+            )
+            if not single.ok:
+                return VerifyOutcome(total + single.cases, single.counterexample)
         total += out.cases
         if not out.ok:
             return VerifyOutcome(total, out.counterexample)

@@ -76,10 +76,12 @@ def oracle_reports(arr, keys, prev_key=None):
     matches = [oracle_search(values, key) for key in keys]
     counts = _count_columns(
         occ, len(values), arr.variant is Variant.SELECTIVE,
-        _key_columns(keys, n, k, prev_key), [*map(len, matches)],
+        _key_columns(keys, n, k, prev_key),
     )
+    # the lines that precharge and do not match discharge
+    discharges = [e - len(m) for e, m in zip(counts["energized"], matches)]
     totals = zip(
-        counts["ml_en_transitions"], counts["energized"], counts["ml_discharges"],
+        counts["ml_en_transitions"], counts["energized"], discharges,
         counts["sl_toggles"], counts["energizers"],
     )
     return [SearchReport(m, EventTotals(*t)) for m, t in zip(matches, totals)]

@@ -28,6 +28,7 @@ from camsim.verify import (
     _check_columns,
     _fault_columns,
     _key_columns,
+    _report_columns,
     _store,
     _stream_columns,
 )
@@ -165,13 +166,13 @@ def test_oracle_width_guard(monkeypatch):
     # fit before any scan, stream or search: a stored word's in new_array,
     # and every key of a store's keys, or of a randomized chunk's, in the
     # column check that both tiers share, before the first scan, on the
-    # sound engine and the fault mutant's.
+    # sound engine, single search's and the fault mutant's.
     calls = []
     for name in ("search", "run_search_stream", "oracle_search"):
         monkeypatch.setattr(camsim.verify, name, lambda *a: calls.append(a))
     cfg = CamConfig(2, 4, 2)
 
-    for engine in (_stream_columns, _fault_columns):
+    for engine in (_stream_columns, _report_columns, _fault_columns):
 
         def check(words, keys):
             store = _store(cfg, words)

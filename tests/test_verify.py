@@ -20,7 +20,8 @@ from camsim import (
     word_traces,
 )
 from camsim.cli import main
-from camsim.verify import _flipped_gate_matches
+from camsim.array import value_index
+from camsim.verify import _fault_columns, _flipped_gate_matches
 from cell_route import FIVE_BIT_STORE, all_words
 
 
@@ -54,7 +55,10 @@ def test_randomized_tier_searches_both_variants_against_one_oracle_scan(monkeypa
     out = verify_randomized(REFERENCE, 200, 1)
     assert out.ok and out.cases == 400
     assert searched.count(Variant.SELECTIVE) == searched.count(Variant.BASELINE_NOR) == 200
-    assert len(scans) == 200
+    # one scan per trial for both streams, and one more for each chunk's
+    # first trial, which single search then checks on both variants
+    chunks = -(-200 // camsim.verify.TRIALS_PER_CHUNK)
+    assert len(scans) == 200 + chunks
 
 
 def test_randomized_tier_catches_a_baseline_only_fault(monkeypatch):
@@ -357,30 +361,54 @@ def test_randomized_verdict_does_not_depend_on_the_chunk_size(build, monkeypatch
 @pytest.mark.parametrize("trials", [1, CHUNK, 200])
 def test_randomized_tier_builds_one_value_index_per_call(monkeypatch, trials):
     # every chunk is one stream per variant, and every stream reads its
-    # matches from the one index built for the call: the streams build none
-    # of their own, and no single search is made
-    real, built, streams = camsim.array.value_index, [], []
+    # matches from the one index built for the call; then single search,
+    # which builds an index of its own, searches the chunk's first trial on
+    # each variant, after the chunk before's last trial
+    real, built, streams, searched = camsim.array.value_index, [], [], []
 
     def counted_index(array):
         built.append(array.variant)
         return real(array)
 
     def counted_stream(arr, keys, prev_key=None, *rest):
-        streams.append(arr.variant)
+        keys = list(keys)
+        streams.append((arr.variant, keys[0], prev_key))
         return run_search_stream(arr, keys, prev_key, *rest)
 
-    def no_search(*args):
-        raise AssertionError("the randomized tier called search")
+    def counted_search(arr, query, prev_query=None):
+        prev_key = None if prev_query is None else prev_query.value
+        searched.append((arr.variant, query.value, prev_key))
+        return search(arr, query, prev_query)
 
     for module in (camsim.array, camsim.verify):
         monkeypatch.setattr(module, "value_index", counted_index)
     monkeypatch.setattr(camsim.verify, "run_search_stream", counted_stream)
-    monkeypatch.setattr(camsim.verify, "search", no_search)
+    monkeypatch.setattr(camsim.verify, "search", counted_search)
     out = verify_randomized(REFERENCE, trials, 1)
     assert out.ok and out.cases == 2 * trials
-    assert len(built) == 1
     chunks = -(-trials // CHUNK)
-    assert streams == [Variant.SELECTIVE, Variant.BASELINE_NOR] * chunks
+    assert [v for v, _, _ in streams] == [Variant.SELECTIVE, Variant.BASELINE_NOR] * chunks
+    assert searched == streams
+    assert len(built) == 1 + len(searched)
+
+
+def test_randomized_tier_catches_a_search_only_fault(monkeypatch, capsys):
+    # every stream passes, but single search forgets its previous query:
+    # the check of each chunk's first trial catches it at the second
+    # chunk's, the first one searched after another
+    def forgetful(arr, query, prev_query=None):
+        return search(arr, query)
+
+    monkeypatch.setattr(camsim.verify, "search", forgetful)
+    assert verify_exhaustive(1).ok
+    out = verify_randomized(REFERENCE, 200, 1)
+    ce = out.counterexample
+    assert out.cases == 2 * CHUNK + 1
+    assert ce.context == "randomized selective search"
+    assert ce.field == "ml_en_transitions" and ce.prev_query is not None
+    assert ce.expected != ce.got
+    assert main(["verify", "--trials", "200"]) == 1
+    assert capsys.readouterr().err == f"counterexample: {ce.describe()}\n"
 
 
 def test_fault_injection_checks_matches_only(monkeypatch):
@@ -395,22 +423,21 @@ def test_flipped_gate_mutant_matches_the_cell_level_route():
     # every variant, every query: the mutant reports exactly the words whose
     # traced ML_EN level, inverted behind an energizer, is high and whose
     # NOR-compared bits (the suffix, or the whole baseline word) equal the
-    # query's; without an energizer it is the sound search
+    # query's; without an energizer that is the sound stream
     n = 5
     for k, variant in product((2, 3), Variant):
         arr = new_array(CamConfig(len(FIVE_BIT_STORE), n, k), variant, FIVE_BIT_STORE)
         gated = variant is Variant.SELECTIVE
         compared = (1 << (n - k if gated else n)) - 1
-        for query in all_words(n):
-            got = _flipped_gate_matches(arr, query.value)
-            assert got == tuple(
+        queries = all_words(n)
+        got = _fault_columns(arr, [q.value for q in queries], None, value_index(arr))
+        for query, matches in zip(queries, got["matches"]):
+            assert matches == tuple(
                 t.addr
                 for t, word in zip(word_traces(arr, query), FIVE_BIT_STORE)
                 if (t.ml_en is Level.HIGH) != gated
                 and (word.value ^ query.value) & compared == 0
             )
-            if variant is Variant.BASELINE_NOR:
-                assert got == search(arr, query).matches
 
 
 def test_fault_injection_breaks_oracle_agreement():
