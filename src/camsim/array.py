@@ -28,9 +28,9 @@ Arrays are immutable values, built whole: ``new_array`` checks the width
 of each stored ``BitWord`` and keeps its int value. There is no
 array-level write, and a changed store is a new array.
 ``run_search_stream`` is the one search engine. It applies the rules above
-to a stream of int query keys, in C-level passes over one chunk of keys at
-a time, and returns one column per count (``SearchRun``) instead of a
-record per query. It is a pure function of (array, keys, previous key),
+to a sequence of int query keys, in one set of C-level passes over the
+keys, and returns one column per count (``SearchRun``) instead of a record
+per query. It is a pure function of (array, keys, previous key),
 the previous key being the explicit context for searchline-toggle and
 ML_EN-transition counting, so concurrent searches are deterministic under
 any scheduling. ``search`` is the stream of one ``BitWord`` query, after
@@ -45,15 +45,18 @@ array, it would add about 24 KB to every 256 x 144 array that ``camsim
 verify`` holds. So a ``search`` costs one O(N) build; a caller with many
 queries, or that streams many chunks or several arrays of the same words,
 builds the index once and hands it to each ``run_search_stream`` call.
+Cutting a long stream into chunks is the caller's: ``camsim.cli`` draws,
+searches and prices its keys ``KEYS_PER_CHUNK`` at a time, each chunk
+threaded after the last key of the one before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import add, mul, ne, sub, xor
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import BitWord, CamConfig
 from .errors import InvalidConfig, WidthMismatch
@@ -177,16 +180,15 @@ class SearchRun:
     precharge count; its discharges are ``energized - len(matches)``, so
     they are not stored. ``energizers`` is every query's energizer
     evaluations: N on a gated array, 0 on the all-NOR one. ``len(run)`` is
-    the number of queries, and ``run[a:b]`` is the run of queries a .. b - 1
-    (each column sliced), so a long run is priced and written a chunk at a
-    time.
+    the number of queries.
 
     The columns are the only per-query state that lives for a whole run
     (about 33 bytes a query in ``run_search_stream``'s lists); the keys
-    are not kept. Every count column holds plain ``int``s, and ``matches``
-    holds tuples of ``int`` addresses: a search report writes each entry as
-    its ``str``, which is a JSON integer only for an ``int``. Each column is
-    a sequence that slices, and ``workload.query_summary`` keeps the run, so
+    are not kept. ``camsim search`` extends one run's lists by each chunk's
+    run. Every count column holds plain ``int``s, and ``matches`` holds
+    tuples of ``int`` addresses: a search report writes each entry as its
+    ``str``, which is a JSON integer only for an ``int``. Each column is a
+    sequence that slices, and ``workload.query_summary`` keeps the run, so
     the run must not change before its report is written.
     """
 
@@ -198,12 +200,6 @@ class SearchRun:
 
     def __len__(self) -> int:
         return len(self.matches)
-
-    def __getitem__(self, rows: slice) -> "SearchRun":
-        return SearchRun(
-            self.energizers, self.matches[rows], self.energized[rows],
-            self.ml_en_transitions[rows], self.sl_toggles[rows],
-        )
 
     @property
     def ml_discharges(self) -> list[int]:
@@ -223,17 +219,13 @@ def sum_event_totals(run: SearchRun) -> EventTotals:
     )
 
 
-# Keys a stream reads and searches at a time: the most of its keys it holds.
-KEYS_PER_CHUNK = 512
-
-
 def _check_keys(
     keys: Sequence[int], n: int, prev_key: Optional[int] = None, start: int = 0
 ) -> None:
     """Raise ``WidthMismatch`` for the first key that is negative or 2^n or
     more, in the order q0, ``prev_key``, q1, ... in which a query-by-query
-    search meets them; ``keys[0]`` is query ``start`` of its stream. A C-level ``min``
-    and ``max`` clear a sound stream."""
+    search meets them; ``keys[0]`` is query ``start`` of its stream. A
+    C-level ``min`` and ``max`` clear a sound stream."""
     low, high = min(keys), max(keys)
     if prev_key is not None:
         low, high = min(low, prev_key), max(high, prev_key)
@@ -265,68 +257,52 @@ def value_index(array: CamArray) -> dict[int, tuple[int, ...]]:
 
 def run_search_stream(
     array: CamArray,
-    keys: Iterable[int],
+    keys: Sequence[int],
     prev_key: Optional[int] = None,
     start: int = 0,
     index: Optional[dict[int, tuple[int, ...]]] = None,
 ) -> SearchRun:
-    """Search a stream of int query keys in order, threading each key as the
-    next one's toggle baseline, and count the run in C-level passes over
-    the keys, with no per-query record.
+    """Search a sequence of int query keys in order, threading each key as
+    the next one's toggle baseline, and count the run in one set of C-level
+    passes over the keys, with no per-query record.
 
-    The keys are read ``KEYS_PER_CHUNK`` at a time, and only the chunk in
-    hand is held: the run's columns grow by each chunk's entries, and the
-    last key of a chunk is the toggle baseline of the next one's first. So
-    ``keys`` may be a lazy iterable, drawn as it is read.
+    The stream reads each key's matches in O(1) from ``index``:
+    ``value_index`` of an array that stores the same words, or, if None,
+    one the call builds (O(N)) and drops on return.
 
-    The stream reads each key's matches in O(1) from ``index``: ``value_index`` of an array that stores
-    the same words, or, if None, one the call builds (O(N)) and drops on
-    return.
-
-    ``start`` is the position of the first key in the whole stream, of
-    which ``keys`` may be a later part. ``_check_keys`` raises for a key
-    that is not an n-bit value before any search of its chunk, naming its
-    position in the whole stream, so no run is returned. A ``BitWord`` in
-    place of a key is a ``TypeError``. An empty stream gives an empty run,
-    whatever ``prev_key`` is."""
+    ``start`` is the position of ``keys[0]`` in the whole stream, of which
+    ``keys`` may be a later part searched after ``prev_key``, its last key
+    before. ``_check_keys`` raises for a key that is not an n-bit value
+    before any search, naming its position in the whole stream, so no run
+    is returned. A ``BitWord`` in place of a key is a ``TypeError``. A
+    one-shot iterator in place of the sequence is read up by the check's
+    ``min``, so its ``max`` raises ``ValueError``. An empty sequence gives
+    an empty run, whatever ``prev_key`` is."""
+    if not keys:
+        return SearchRun(array._energizers, [], [], [], [])
     n = array.config.word_bits
+    _check_keys(keys, n, prev_key, start)
     shift, runs = array._shift, array._runs
+    if prev_key is None:
+        (prev_bucket, prev_lines), sl_first = array._idle, n
+    else:
+        prev_bucket = prev_key >> shift
+        prev_lines = runs[prev_bucket]
+        sl_first = (keys[0] ^ prev_key).bit_count()
+    buckets = [*map(shift.__rrshift__, keys)]
+    energized = [*map(runs.__getitem__, buckets)]
+    # The gate's rule: no transition when the bucket stays, else every line
+    # of both buckets changes its ML_EN. A bool times an int is an int.
+    ml_en = [*map(
+        mul,
+        map(ne, buckets, chain((prev_bucket,), buckets)),
+        map(add, energized, chain((prev_lines,), energized)),
+    )]
+    sl = [sl_first, *map(int.bit_count, map(xor, keys[1:], keys))]
     get = (value_index(array) if index is None else index).get
-    matches: list[tuple[int, ...]] = []
-    energized: list[int] = []
-    ml_en: list[int] = []
-    sl: list[int] = []
-    keys = iter(keys)
-    done = 0
-    chunk = list(islice(keys, KEYS_PER_CHUNK))
-    while chunk:
-        _check_keys(chunk, n, None if done else prev_key, start + done)
-        if prev_key is None:
-            (prev_bucket, prev_lines), sl_first = array._idle, n
-        else:
-            prev_bucket = prev_key >> shift
-            prev_lines = runs[prev_bucket]
-            sl_first = (chunk[0] ^ prev_key).bit_count()
-        buckets = [*map(shift.__rrshift__, chunk)]
-        energized += map(runs.__getitem__, buckets)
-        lines = energized[done:]
-        # The gate's rule: no transition when the bucket stays, else every
-        # line of both buckets changes its ML_EN. A bool times an int is an
-        # int.
-        ml_en += map(
-            mul,
-            map(ne, buckets, chain((prev_bucket,), buckets)),
-            map(add, lines, chain((prev_lines,), lines)),
-        )
-        sl.append(sl_first)
-        sl += map(int.bit_count, map(xor, islice(chunk, 1, None), chunk))
-        matches += map(get, chunk, repeat(()))
-        done += len(chunk)
-        prev_key = chunk[-1]
-        # A short chunk was the last one.
-        full = len(chunk) == KEYS_PER_CHUNK
-        chunk = list(islice(keys, KEYS_PER_CHUNK)) if full else []
-    return SearchRun(array._energizers, matches, energized, ml_en, sl)
+    return SearchRun(
+        array._energizers, [*map(get, keys, repeat(()))], energized, ml_en, sl
+    )
 
 
 class SearchReport(NamedTuple):

@@ -18,11 +18,11 @@ from dataclasses import asdict, replace
 from functools import partial
 from itertools import chain
 from operator import add
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .array import (
-    KEYS_PER_CHUNK,
     EventTotals,
+    SearchRun,
     Variant,
     new_array,
     run_search_stream,
@@ -58,6 +58,10 @@ from .workload import (
 )
 
 DELAY_UNITS_NOTE = "delay is in abstract series-device units"
+
+# Keys a verb draws (or slices from a --queries-file), searches and prices
+# at a time: the most of its keys it holds.
+KEYS_PER_CHUNK = 512
 
 # Exit code per error class, first match wins: I/O failures and malformed
 # word files are 1, any other simulator error is a bad flag or config, 2.
@@ -214,12 +218,23 @@ def _load_word_file(path: str, kind: str, width: int, fmt: str) -> list[BitWord]
     return words
 
 
+def _key_chunks(count: int, draw: Callable[[int, int], Sequence[int]]):
+    """``(start, prev_key, keys)`` for each ``KEYS_PER_CHUNK`` keys of a
+    stream of ``count`` keys (the last chunk may be shorter): ``keys`` is
+    ``draw(start, stop)``, called as the chunk is read, and ``prev_key`` is
+    the key before ``start``, None for the first chunk."""
+    prev_key = None
+    for start in range(0, count, KEYS_PER_CHUNK):
+        keys = draw(start, min(start + KEYS_PER_CHUNK, count))
+        yield start, prev_key, keys
+        prev_key = keys[-1]
+
+
 def _materialize(args: argparse.Namespace):
     """Validate flags, then build (config, model, words, key chunks,
-    workload_meta). The key chunks are an iterator, read once, of lists of
-    ``KEYS_PER_CHUNK`` keys (the last may be shorter), each drawn as it is
-    read; a ``--queries-file``'s keys are read whole and handed out in
-    slices, and the iterator lets go of them once it is spent."""
+    workload_meta). The key chunks are ``_key_chunks``, read once: drawn
+    by ``gen_queries`` as they are read, or slices of a ``--queries-file``'s
+    keys, which are read whole and let go once the chunks are spent."""
     tolerance = getattr(args, "tolerance", 0.0)
     if not tolerance >= 0:  # NaN fails every comparison
         raise InvalidConfig(f"--tolerance must be >= 0, got {tolerance:g}")
@@ -246,16 +261,9 @@ def _materialize(args: argparse.Namespace):
             "path": args.queries_file,
             "num_queries": len(keys),
         }
-        chunks = (
-            keys[start:start + KEYS_PER_CHUNK]
-            for start in range(0, len(keys), KEYS_PER_CHUNK)
-        )
+        chunks = _key_chunks(len(keys), lambda start, stop: keys[start:stop])
     else:
-        count = spec.num_queries
-        chunks = (
-            gen_queries(spec, words, start, min(start + KEYS_PER_CHUNK, count))
-            for start in range(0, count, KEYS_PER_CHUNK)
-        )
+        chunks = _key_chunks(spec.num_queries, partial(gen_queries, spec, words))
         workload_meta = spec.to_dict()
 
     return config, model, words, chunks, workload_meta
@@ -318,18 +326,28 @@ def _check_fraction(args, measured: float) -> int:
     return 1
 
 
+def _search_chunks(config, model, variant, words, chunks):
+    """The run of every key chunk on one array of ``words``, and each
+    search's energy in an ``array('d')``. Each chunk is searched with one
+    value index, threaded after the chunk before, and priced at once, so no
+    float object outlives its chunk; the array, the index and the last
+    chunk's keys go when the call returns, before the report is written."""
+    arr = new_array(config, variant, words)
+    index = value_index(arr)
+    run = SearchRun(arr._energizers, [], [], [], [])
+    energies = array("d")
+    for start, prev_key, keys in chunks:
+        part = run_search_stream(arr, keys, prev_key, start, index)
+        for name in ("matches", "energized", "ml_en_transitions", "sl_toggles"):
+            getattr(run, name).extend(getattr(part, name))
+        energies.fromlist(aggregate(part, model, config))
+    return run, energies
+
+
 def cmd_search(args: argparse.Namespace) -> int:
     config, model, words, chunks, workload_meta = _materialize(args)
     variant = Variant(args.variant)
-    run = run_search_stream(
-        new_array(config, variant, words), chain.from_iterable(chunks)
-    )
-    # Priced a chunk at a time into 8-byte floats: no float object outlives
-    # its chunk.
-    energies = array("d")
-    for start in range(0, len(run), KEYS_PER_CHUNK):
-        chunk = run[start:start + KEYS_PER_CHUNK]
-        energies.fromlist(aggregate(chunk, model, config))
+    run, energies = _search_chunks(config, model, variant, words, chunks)
     agg = _aggregate_dict(
         config, model, variant, sum_event_totals(run), len(run),
         len(run) - run.matches.count(()),
@@ -352,18 +370,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     totals = [EventTotals()] * len(variants)
     with_match = [0] * len(variants)
     identical = True
-    searches, prev_key = 0, None
+    searches = 0
     # Both arrays store the same words, so one value index, built once,
     # serves every chunk of both.
     index = value_index(arrays[0])
     # Both variants search each chunk in turn, and only the running counts
     # and the selective chunk's match column outlive a chunk's run: one run
     # is alive at a time. Each stream names a bad key by its place in the
-    # whole stream, which starts ``searches`` keys before the chunk.
-    for chunk in chunks:
+    # whole stream.
+    for start, prev_key, keys in chunks:
         columns = []
         for side, arr in enumerate(arrays):
-            run = run_search_stream(arr, chunk, prev_key, searches, index)
+            run = run_search_stream(arr, keys, prev_key, start, index)
             totals[side] = EventTotals._make(
                 map(add, totals[side], sum_event_totals(run))
             )
@@ -371,8 +389,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             columns.append(run.matches)
             del run
         identical = identical and columns[0] == columns[1]
-        searches += len(chunk)
-        prev_key = chunk[-1]
+        searches += len(keys)
     sel, base = (
         _aggregate_dict(config, model, variant, side_totals, searches, matched)
         for variant, side_totals, matched in zip(variants, totals, with_match)
@@ -417,7 +434,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.k_min > args.k_max:
         raise InvalidConfig(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
     config, model, words, chunks, _ = _materialize(args)
-    queries = list(chain.from_iterable(chunks))  # every k searches them
+    # every k searches them
+    queries = list(chain.from_iterable(keys for _, _, keys in chunks))
     rows = sweep_mle_bits(
         config, model, None,
         range(args.k_min, args.k_max + 1),

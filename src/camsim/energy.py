@@ -222,11 +222,12 @@ def aggregate(run: SearchRun, model: EnergyModel, config: CamConfig) -> list[flo
     every search of a variant: ``search_delay(model, config, variant)`` for
     the searched array's.
 
-    A search's energy depends on its own counts only, so a chunk of a run
-    (``run[a:b]``) prices to that slice of the whole run's energies.
-    ``camsim search`` prices ``KEYS_PER_CHUNK`` searches a call into an
-    ``array('d')``, so no more than a chunk of float objects (32 bytes each,
-    against 8 in the array) is alive at once."""
+    A search's energy depends on its own counts only, so the run of a chunk
+    of keys, searched after the key before it, prices to that slice of the
+    whole run's energies. ``camsim search`` prices each chunk's run of
+    ``cli.KEYS_PER_CHUNK`` searches into an ``array('d')``, so no more than
+    a chunk of float objects (32 bytes each, against 8 in the array) is
+    alive at once."""
     pre, dis, sl, mle = _unit_energies(model, config)
     discharges = run.ml_discharges
     columns = (run.energized, discharges, run.sl_toggles, [run.energizers])

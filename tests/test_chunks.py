@@ -1,8 +1,10 @@
-"""``camsim search`` and ``camsim compare`` as chunked pipelines: keys
-drawn, streamed and priced ``KEYS_PER_CHUNK`` at a time (``compare`` folds
-each chunk of both variants into running counts), rows written
-``QUERY_ROWS_PER_CHUNK`` at a time, with the same bytes as runs over whole
-columns."""
+"""``camsim search`` and ``camsim compare`` as chunked pipelines: the CLI
+cuts the keys into ``cli.KEYS_PER_CHUNK`` chunks, draws each as it is read,
+and searches it with one ``run_search_stream`` call threaded after the
+chunk before; ``search`` prices each chunk's run and extends one run by it,
+``compare`` folds each chunk of both variants into running counts. Rows are
+written ``QUERY_ROWS_PER_CHUNK`` at a time, with the same bytes as runs
+over whole columns."""
 
 from __future__ import annotations
 
@@ -27,8 +29,9 @@ from camsim import (
     run_search_stream,
     sum_event_totals,
 )
-from camsim.array import KEYS_PER_CHUNK, value_index
+from camsim.array import value_index
 from camsim.cli import (
+    KEYS_PER_CHUNK,
     _aggregate_dict,
     _make_config,
     _make_model,
@@ -241,17 +244,15 @@ LATER_CHUNK_CASES = [
 ]
 
 
-@pytest.mark.parametrize("lazy", [False, True])
 @pytest.mark.parametrize("variant", Variant)
 @pytest.mark.parametrize("case, message", LATER_CHUNK_CASES)
 def test_a_bad_key_in_a_later_chunk_names_its_stream_position(
-    variant, case, message, lazy
+    variant, case, message
 ):
     keys, prev_key = case
     arr = new_array(CamConfig(4, 6, 2), variant, gen_words(4, 6, 1))
-    source = iter(keys) if lazy else keys
     with pytest.raises(WidthMismatch, match=f"^{message} does not fit in word_bits 6$"):
-        run_search_stream(arr, source, prev_key)
+        run_search_stream(arr, keys, prev_key)
 
 
 @pytest.mark.parametrize("out", ["file", "-"])
@@ -259,12 +260,13 @@ def test_a_bad_key_in_a_later_chunk_names_its_stream_position(
 def test_cli_refuses_a_bad_key_in_a_later_chunk_before_writing(
     tmp_path, monkeypatch, capsys, verb, out
 ):
-    # compare streams each chunk on its own, but names a bad key by its
-    # place in the whole stream, as search does
-    real = camsim.cli.gen_queries
+    # Both verbs stream each chunk on their own, name a bad key by its
+    # place in the whole stream, and stop drawing at the bad key's chunk.
+    real, drawn = camsim.cli.gen_queries, []
     bad_at = C + 3
 
     def corrupted(spec, words, start=0, stop=None):
+        drawn.append((start, stop))
         keys = real(spec, words, start, stop)
         if start <= bad_at < start + len(keys):
             keys[bad_at - start] = -5
@@ -281,22 +283,31 @@ def test_cli_refuses_a_bad_key_in_a_later_chunk_before_writing(
         f"error: query {bad_at}: key -0x5 does not fit in word_bits 24\n"
     )
     assert not path.exists()
+    assert drawn == [(0, C), (C, 2 * C)]
 
 
-def test_the_stream_reads_its_keys_a_chunk_at_a_time():
-    # A lazy key source is read chunk by chunk: a bad key in chunk 2 stops
-    # the stream once that chunk is read, long before the source ends.
-    arr = new_array(CamConfig(4, 6, 2), Variant.SELECTIVE, gen_words(4, 6, 1))
-    read = []
+def test_search_draws_no_key_while_a_stream_runs(tmp_path, monkeypatch):
+    # Each chunk is drawn before its stream starts, so the draws and the
+    # searches are separate calls, and a span of one never holds the other.
+    real_draw, real_stream = camsim.cli.gen_queries, camsim.cli.run_search_stream
+    events = []
 
-    def keys():
-        for i in range(10 * C):
-            read.append(i)
-            yield 64 if i == 2 * C + 7 else 1
+    def draw(*args):
+        events.append("draw")
+        return real_draw(*args)
 
-    with pytest.raises(WidthMismatch, match=f"^query {2 * C + 7}: "):
-        run_search_stream(arr, keys())
-    assert len(read) == 3 * C
+    def stream(*args):
+        events.append("stream starts")
+        run = real_stream(*args)
+        events.append("stream ends")
+        return run
+
+    monkeypatch.setattr(camsim.cli, "gen_queries", draw)
+    monkeypatch.setattr(camsim.cli, "run_search_stream", stream)
+    argv = ["search", *GEOMETRY, "--queries", str(2 * C + 1),
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    assert events == ["draw", "stream starts", "stream ends"] * 3
 
 
 @pytest.mark.parametrize("variant", Variant)

@@ -11,7 +11,7 @@ import camsim.core
 import camsim.energy
 import camsim.verify
 from camsim import Variant, run_search_stream
-from camsim.array import KEYS_PER_CHUNK
+from camsim.cli import KEYS_PER_CHUNK
 from camsim.cli import build_parser, main
 
 
