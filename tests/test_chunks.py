@@ -18,6 +18,7 @@ import pytest
 import camsim.cli
 from camsim import (
     CamConfig,
+    EnergyModel,
     Variant,
     WidthMismatch,
     WorkloadKind,
@@ -33,9 +34,11 @@ from camsim.array import value_index
 from camsim.cli import (
     KEYS_PER_CHUNK,
     _aggregate_dict,
+    _key_chunks,
     _make_config,
     _make_model,
     _report_header,
+    _search_chunks,
     build_parser,
     main,
 )
@@ -244,15 +247,39 @@ LATER_CHUNK_CASES = [
 ]
 
 
+def _lazy_chunks(keys, prev_key, drawn):
+    """``_key_chunks`` over ``keys``, drawn a chunk at a time into
+    ``drawn``, with ``prev_key`` threaded before the first chunk."""
+    def draw(start, stop):
+        drawn.append((start, stop))
+        return keys[start:stop]
+
+    for start, prev, chunk in _key_chunks(len(keys), draw):
+        yield start, prev_key if start == 0 else prev, chunk
+
+
+@pytest.mark.parametrize("lazy", [False, True])
 @pytest.mark.parametrize("variant", Variant)
 @pytest.mark.parametrize("case, message", LATER_CHUNK_CASES)
 def test_a_bad_key_in_a_later_chunk_names_its_stream_position(
-    variant, case, message
+    variant, case, message, lazy
 ):
+    # One stream over all the keys, or (lazy) the CLI's pipeline, which
+    # draws and searches the keys a chunk at a time and draws no chunk
+    # after the bad key's.
     keys, prev_key = case
-    arr = new_array(CamConfig(4, 6, 2), variant, gen_words(4, 6, 1))
-    with pytest.raises(WidthMismatch, match=f"^{message} does not fit in word_bits 6$"):
-        run_search_stream(arr, keys, prev_key)
+    config, words = CamConfig(4, 6, 2), gen_words(4, 6, 1)
+    match = f"^{message} does not fit in word_bits 6$"
+    if not lazy:
+        with pytest.raises(WidthMismatch, match=match):
+            run_search_stream(new_array(config, variant, words), keys, prev_key)
+        return
+    drawn = []
+    with pytest.raises(WidthMismatch, match=match):
+        _search_chunks(config, EnergyModel(), variant, words,
+                       _lazy_chunks(keys, prev_key, drawn))
+    bad = 0 if message.startswith("previous") else int(message.split()[1][:-1])
+    assert drawn == [(s, min(s + C, len(keys))) for s in range(0, bad // C * C + 1, C)]
 
 
 @pytest.mark.parametrize("out", ["file", "-"])
@@ -284,6 +311,22 @@ def test_cli_refuses_a_bad_key_in_a_later_chunk_before_writing(
     )
     assert not path.exists()
     assert drawn == [(0, C), (C, 2 * C)]
+
+
+def test_the_stream_reads_its_keys_a_chunk_at_a_time():
+    # A lazy key source is read chunk by chunk: a bad key in chunk 2 stops
+    # the pipeline once that chunk is read, long before the source ends.
+    config, words = CamConfig(4, 6, 2), gen_words(4, 6, 1)
+    read = []
+
+    def draw(start, stop):
+        read.extend(range(start, stop))
+        return [64 if i == 2 * C + 7 else 1 for i in range(start, stop)]
+
+    with pytest.raises(WidthMismatch, match=f"^query {2 * C + 7}: "):
+        _search_chunks(config, EnergyModel(), Variant.SELECTIVE, words,
+                       _key_chunks(10 * C, draw))
+    assert read == list(range(3 * C))
 
 
 def test_search_draws_no_key_while_a_stream_runs(tmp_path, monkeypatch):
