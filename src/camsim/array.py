@@ -225,8 +225,17 @@ def _check_keys(
     """Raise ``WidthMismatch`` for the first key that is negative or 2^n or
     more, in the order q0, ``prev_key``, q1, ... in which a query-by-query
     search meets them; ``keys[0]`` is query ``start`` of its stream. A
-    C-level ``min`` and ``max`` clear a sound stream."""
-    low, high = min(keys), max(keys)
+    C-level ``min`` and ``max`` clear a sound stream. A one-shot iterator
+    is read up by ``min``, and the ``ValueError`` of its empty ``max`` is
+    raised again with a message that names ``keys``."""
+    low = min(keys)
+    try:
+        high = max(keys)
+    except ValueError:
+        raise ValueError(
+            "keys was read up by its range check: pass a list or another "
+            "sequence, not a one-shot iterator"
+        ) from None
     if prev_key is not None:
         low, high = min(low, prev_key), max(high, prev_key)
     if low >= 0 and not high >> n:
@@ -275,9 +284,9 @@ def run_search_stream(
     before. ``_check_keys`` raises for a key that is not an n-bit value
     before any search, naming its position in the whole stream, so no run
     is returned. A ``BitWord`` in place of a key is a ``TypeError``. A
-    one-shot iterator in place of the sequence is read up by the check's
-    ``min``, so its ``max`` raises ``ValueError``. An empty sequence gives
-    an empty run, whatever ``prev_key`` is."""
+    one-shot iterator in place of the sequence is a ``ValueError`` that
+    says to pass a list. An empty sequence gives an empty run, whatever
+    ``prev_key`` is."""
     if not keys:
         return SearchRun(array._energizers, [], [], [], [])
     n = array.config.word_bits

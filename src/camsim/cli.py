@@ -222,12 +222,15 @@ def _key_chunks(count: int, draw: Callable[[int, int], Sequence[int]]):
     """``(start, prev_key, keys)`` for each ``KEYS_PER_CHUNK`` keys of a
     stream of ``count`` keys (the last chunk may be shorter): ``keys`` is
     ``draw(start, stop)``, called as the chunk is read, and ``prev_key`` is
-    the key before ``start``, None for the first chunk."""
+    the key before ``start``, None for the first chunk. The generator lets
+    go of a chunk's keys before it draws the next chunk, so a reader that
+    also drops them at the end of each step holds one chunk at a time."""
     prev_key = None
     for start in range(0, count, KEYS_PER_CHUNK):
         keys = draw(start, min(start + KEYS_PER_CHUNK, count))
         yield start, prev_key, keys
         prev_key = keys[-1]
+        del keys
 
 
 def _materialize(args: argparse.Namespace):
@@ -341,6 +344,7 @@ def _search_chunks(config, model, variant, words, chunks):
         for name in ("matches", "energized", "ml_en_transitions", "sl_toggles"):
             getattr(run, name).extend(getattr(part, name))
         energies.fromlist(aggregate(part, model, config))
+        del keys, part  # before the next chunk is drawn
     return run, energies
 
 
@@ -390,6 +394,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             del run
         identical = identical and columns[0] == columns[1]
         searches += len(keys)
+        del keys, columns  # before the next chunk is drawn
     sel, base = (
         _aggregate_dict(config, model, variant, side_totals, searches, matched)
         for variant, side_totals, matched in zip(variants, totals, with_match)

@@ -4,6 +4,12 @@ A draw reads no state left by earlier draws, so a workload is identical
 whatever order its values are drawn in, on any platform. Block b of a draw
 is the 32-byte blake2b digest of the tag, the seed (8 bytes), the index
 (8 bytes) and b (4 bytes), all big-endian.
+
+A column method draws a run of indices in one loop, with no method call
+per draw: ``Stream.bits_column`` gives the ints of ``bits`` for each index,
+and ``Stream.blocks_column`` gives the bytes of ``blocks`` for each index,
+joined in index order into one buffer. Both give exactly the bytes of the
+per-draw methods, whatever the run's bounds.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import math
 import struct
 from functools import lru_cache
 from hashlib import blake2b
+from typing import Iterable
 
 from .core import _check_seed
 
@@ -52,6 +59,26 @@ class Stream:
             parts.append(h.digest())
         return b"".join(parts)[:nbytes]
 
+    def blocks_column(self, count: int, nbytes: int, start: int = 0) -> bytearray:
+        """``blocks(i, nbytes)`` for i = start .. start + count - 1, joined
+        in that order into one buffer of ``count * nbytes`` bytes. Every
+        block is appended to the buffer as it is hashed, and the part of a
+        draw's last block beyond ``nbytes`` is cut off the buffer's end."""
+        suffixes = _block_suffixes((nbytes + 31) // 32)
+        cut = nbytes - 32 * len(suffixes)  # in (-32, 0]
+        copy = self._head.copy
+        out = bytearray()
+        for i in range(start, start + count):
+            head = copy()
+            head.update(i.to_bytes(8, "big"))
+            for suffix in suffixes:
+                h = head.copy()
+                h.update(suffix)
+                out += h.digest()
+            if cut:
+                del out[cut:]
+        return out
+
     def bits(self, index: int, width: int) -> int:
         """``width`` uniform bits."""
         nbytes = (width + 7) // 8
@@ -62,7 +89,10 @@ class Stream:
         """``bits(i, width)`` for i = start .. start + count - 1. Up to 256
         bits a draw comes from its first block alone, so the column takes
         one loop with no method call per draw."""
-        indices = range(start, start + count)
+        return self._bits_at(range(start, start + count), width)
+
+    def _bits_at(self, indices: Iterable[int], width: int) -> list[int]:
+        """``bits(i, width)`` for each i of ``indices``, in their order."""
         if width > 256:
             return [self.bits(i, width) for i in indices]
         # The first nbytes of the block, shifted right by 8 * nbytes - width,
@@ -106,7 +136,9 @@ def _top_byte_table(top: int) -> bytes:
 
 def threshold_bits(raw: bytes, threshold: int) -> bytes:
     """ASCII b"0" or b"1" per big-endian 32-bit word x of ``raw``, b"1" when
-    x >= ``threshold`` (an int in [0, 2**32]).
+    x >= ``threshold`` (an int in [0, 2**32]). ``raw`` may be a
+    ``bytearray``, such as a ``Stream.blocks_column`` buffer, and the
+    digits may then be one too.
 
     The top bytes decide every word but those whose top byte equals the
     threshold's; only those ties compare their low 24 bits."""

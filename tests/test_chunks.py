@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import json
 import tracemalloc
+import weakref
 from itertools import chain
 
 import pytest
@@ -351,6 +352,30 @@ def test_search_draws_no_key_while_a_stream_runs(tmp_path, monkeypatch):
             "--out", str(tmp_path / "r.json")]
     assert main(argv) == 0
     assert events == ["draw", "stream starts", "stream ends"] * 3
+
+
+class _Keys(list):
+    """A chunk of keys that can be weakly referenced."""
+
+
+@pytest.mark.parametrize("verb", ["search", "compare"])
+def test_a_key_chunk_is_freed_before_the_next_is_drawn(tmp_path, monkeypatch, verb):
+    # The generator and the verb's loop both let go of a chunk's keys at
+    # the end of its step, so two chunks are never alive at once.
+    real, chunks = camsim.cli.gen_queries, []
+
+    def draw(spec, words, start=0, stop=None):
+        alive = [i for i, ref in enumerate(chunks) if ref() is not None]
+        assert alive == [], f"chunks {alive} alive when drawing [{start}, {stop})"
+        keys = _Keys(real(spec, words, start, stop))
+        chunks.append(weakref.ref(keys))
+        return keys
+
+    monkeypatch.setattr(camsim.cli, "gen_queries", draw)
+    argv = [verb, *GEOMETRY, *WORKLOADS["prefix-skewed"], "--queries", str(2 * C + 1),
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    assert len(chunks) == 3
 
 
 @pytest.mark.parametrize("variant", Variant)

@@ -16,7 +16,13 @@ from camsim.core import CamConfig
 from camsim.draws import Stream, threshold_bits, unit_threshold
 from camsim.errors import InvalidConfig
 from camsim.verify import verify_exhaustive, verify_randomized
-from camsim.workload import WorkloadKind, WorkloadSpec, gen_queries, gen_words
+from camsim.workload import (
+    SKEWED_QUERIES_PER_BATCH,
+    WorkloadKind,
+    WorkloadSpec,
+    gen_queries,
+    gen_words,
+)
 
 WIDTHS = (3, 8, 13, 144)
 SEEDS = (0, 1, 97)
@@ -179,6 +185,18 @@ def test_bits_column_equals_one_draw_per_index(width):
         assert stream.bits_column(0, width) == []
 
 
+@pytest.mark.parametrize("start", (0, 7, 2**64 - 40))
+def test_blocks_column_joins_one_draw_per_index(start):
+    # Sizes that end inside a block cut each draw's last block; 0 draws
+    # give an empty buffer.
+    stream = Stream(b"skew", 97)
+    for nbytes in (1, 12, 31, 32, 33, 52, 64, 100, 576):
+        for count in (0, 1, 5):
+            assert stream.blocks_column(count, nbytes, start) == b"".join(
+                stream.blocks(i, nbytes) for i in range(start, start + count)
+            ), (nbytes, count)
+
+
 def test_a_stream_keeps_no_state_between_draws():
     stream = Stream(b"query", 97)
     forward = [stream.blocks(i, 40) for i in range(NUM_DRAWS)]
@@ -231,6 +249,79 @@ def test_skewed_queries_equal_the_per_bit_reference(width):
         bias = min(max(Stream(b"test-bias", width).unit(i), 2**-33), 1 - 2**-33)
         spec = WorkloadSpec(WorkloadKind.PREFIX_SKEWED, 10, i, bias=bias)
         assert gen_queries(spec, words) == _reference_skewed(spec, words)
+
+
+def _reference_planted(workload: WorkloadSpec, words) -> list[int]:
+    """One decision, pick or query draw per call, as query keys."""
+    decision, pick, query = (
+        Stream(tag, workload.seed)
+        for tag in (b"plant-decision", b"plant-pick", b"query")
+    )
+    return [
+        words[pick.pick(i, len(words))].value
+        if decision.unit(i) < workload.match_rate
+        else query.bits(i, words[0].width)
+        for i in range(workload.num_queries)
+    ]
+
+
+def _tie_heavy_bias(seed: int, width: int, count: int) -> float:
+    """A bias whose threshold has the top byte that the most skew words of
+    the first ``count`` queries share, with low bits at the median of those
+    words', so the most words tie and the ties fall both ways."""
+    raw = b"".join(_reference_blocks(b"skew", seed, i, 4 * width) for i in range(count))
+    tops = raw[0::4]
+    top = max(range(256), key=tops.count)
+    lows = sorted(
+        int.from_bytes(raw[i + 1 : i + 4], "big")
+        for i in range(0, len(raw), 4)
+        if raw[i] == top
+    )
+    return (top << 24 | lows[len(lows) // 2]) / 2**32
+
+
+B = SKEWED_QUERIES_PER_BATCH
+# Ranges that start and end inside a batch, on its edges, and across
+# several batches, for a stream of 3B + 5 queries.
+BATCH_RANGES = [(3, 37), (15, 17), (0, 1), (B - 1, B + 1), (B, 2 * B), (1, 3 * B + 4),
+                (2 * B + 3, 3 * B + 5), (3 * B + 4, 3 * B + 5), (0, 3 * B + 5), (9, 9)]
+
+
+@pytest.mark.parametrize("width", (3, 13, 144))
+@pytest.mark.parametrize("kind", ("prefix-skewed", "planted"))
+def test_a_range_across_batches_is_that_slice_of_the_per_query_draws(kind, width):
+    total = 3 * B + 5
+    assert total >= 37
+    words = gen_words(NUM_WORDS, width, 3)
+    if kind == "planted":
+        specs = [WorkloadSpec(WorkloadKind.PLANTED, total, seed, match_rate=rate)
+                 for seed in SEEDS for rate in (0.0, 0.3, 1.0)]
+        reference = _reference_planted
+    else:
+        biases = [0.9, 1 - 2**-33, _tie_heavy_bias(11, width, total)]
+        specs = [WorkloadSpec(WorkloadKind.PREFIX_SKEWED, total, seed, bias=bias)
+                 for seed in (11, 97) for bias in biases]
+        reference = _reference_skewed
+    for spec in specs:
+        whole = reference(spec, words)
+        for start, stop in BATCH_RANGES:
+            assert gen_queries(spec, words, start, stop) == whole[start:stop], (
+                spec, start, stop
+            )
+
+
+@pytest.mark.parametrize("width", (3, 13, 144))
+def test_the_tie_heavy_bias_puts_many_words_on_the_threshold(width):
+    # Its top byte is the most common one, so more words take the tie path
+    # than under any other threshold, and they fall on both sides of it.
+    total = 3 * B + 5
+    bias = _tie_heavy_bias(11, width, total)
+    threshold = unit_threshold(bias)
+    raw = b"".join(_reference_blocks(b"skew", 11, i, 4 * width) for i in range(total))
+    ties = [int.from_bytes(raw[i : i + 4], "big")
+            for i in range(0, len(raw), 4) if raw[i] == threshold >> 24]
+    assert len(ties) * 256 > len(raw) // 4  # more than a byte's share
+    assert min(ties) < threshold <= max(ties)
 
 
 def test_integer_threshold_matches_the_float_test_at_the_boundary():

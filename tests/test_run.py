@@ -104,7 +104,7 @@ def test_run_takes_any_sequence_of_queries():
     # The stream reads its keys more than once, so a one-shot iterator is
     # refused rather than searched in part.
     runs = []
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^keys was read up .*pass a list"):
         runs.append(run_search_stream(arr, iter(queries)))
     assert runs == []
 
