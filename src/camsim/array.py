@@ -38,13 +38,14 @@ an optional previous one, as a ``SearchReport``. Both records hold only
 what a search computes, never the array or the queries.
 
 A stream reads every key's matches from a dict from stored value to
-ascending addresses (``value_index``, built in O(N)) in one C-level
-``map``, O(1) per query. A stream builds the dict for itself unless its
-caller hands one in, and it goes when the call returns: kept on each
-array, it would add about 24 KB to every 256 x 144 array that ``camsim
-verify`` holds. So a ``search`` costs one O(N) build; a caller with many
-queries, or that streams many chunks or several arrays of the same words,
-builds the index once and hands it to each ``run_search_stream`` call.
+ascending addresses in one C-level ``map``, O(1) per query. The dict is a
+fact of the stored values, not of a gate: an array's ``values`` is a
+``Store``, a tuple of the ints that builds the dict (``Store.addresses``,
+O(N)) on the first stream of any array over it and keeps it. Arrays made
+from one with ``dataclasses.replace(array, variant=...)`` or
+``replace(array, config=...)`` keep its ``Store``, so every gate over the
+same words reads one dict. It is built lazily, so building an array that
+is never searched costs no dict.
 Cutting a long stream into chunks is the caller's: ``camsim.cli`` draws,
 searches and prices its keys ``KEYS_PER_CHUNK`` at a time, each chunk
 threaded after the last key of the one before.
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import chain, repeat
 from operator import add, mul, ne, sub, xor
 from typing import NamedTuple, Optional, Sequence
@@ -89,6 +91,26 @@ class EventTotals(NamedTuple):
     mle_evaluations: int = 0
 
 
+class Store(tuple):
+    """The stored values as ints, in address order: a tuple that keeps the
+    dict from which ``run_search_stream`` reads matches, built on first use.
+    Every array that holds this ``Store`` shares that dict."""
+
+    @cached_property
+    def addresses(self) -> dict[int, tuple[int, ...]]:
+        """Each stored value's addresses, ascending, keyed by the value.
+        Most stores hold distinct values, so each value first gets its one
+        address; only a store with a repeated value is grouped again,
+        through lists."""
+        index = {value: (addr,) for addr, value in enumerate(self)}
+        if len(index) == len(self):
+            return index
+        grouped: dict[int, list[int]] = {}
+        for addr, value in enumerate(self):
+            grouped.setdefault(value, []).append(addr)
+        return {value: tuple(addrs) for value, addrs in grouped.items()}
+
+
 def _derived(default):
     return field(init=False, repr=False, compare=False, default=default)
 
@@ -98,7 +120,9 @@ class CamArray:
     """Stored values plus the facts the search path works on, set once.
 
     ``values[a]`` is the n-bit value stored at address a: the store is kept
-    once, as ints. A key's gate bucket is ``key >> _shift``: its k-bit
+    once, as ints, in a ``Store`` that ``dataclasses.replace`` passes on to
+    the array it makes, so a second gate over the same words shares it and
+    its dict of addresses. A key's gate bucket is ``key >> _shift``: its k-bit
     prefix in a gated array, 0 for every key in the baseline. ``_runs[b]``
     is the number of lines whose ML_EN is high for bucket b: the words
     stored with prefix b when gated, all N in the baseline. ``_idle`` is the
@@ -118,7 +142,7 @@ class CamArray:
     def __post_init__(self) -> None:
         cfg = self.config
         n, k, size = cfg.word_bits, cfg.mle_bits, cfg.num_words
-        values = tuple(self.values)
+        values = self.values if type(self.values) is Store else Store(self.values)
         if len(values) != size:
             raise InvalidConfig(f"expected {size} words, got {len(values)}")
         if min(values) < 0 or max(values) >> n:
@@ -148,14 +172,14 @@ def new_array(
     # tuple it sizes from an iterator, and the resized blocks pile up on its
     # small-tuple free lists, which peak memory counts (about 50 KB of the
     # ``camsim verify`` peak).
-    return CamArray(config, tuple([w.value for w in words]), variant)
+    return CamArray(config, Store([w.value for w in words]), variant)
 
 
 def oracle_search(values: Sequence[int], key: int) -> tuple[int, ...]:
     """Reference model: a plain linear scan of the stored values, in address
     order, for exact equality with ``key``. It reads no fact of an array,
     and it lists the (ascending) addresses of a hit with its own loop, not
-    from a ``value_index``, once a C-level ``key in values`` finds one.
+    from ``Store.addresses``, once a C-level ``key in values`` finds one.
     Widths are the caller's to check."""
     if key not in values:
         return ()
@@ -248,36 +272,19 @@ def _check_keys(
             raise WidthMismatch(f"{name}: key {key:#x} does not fit in word_bits {n}")
 
 
-def value_index(array: CamArray) -> dict[int, tuple[int, ...]]:
-    """Each stored value's addresses, ascending, keyed by the value: the
-    dict from which ``run_search_stream`` reads matches. It depends only on
-    the stored words, so arrays of the same words share it. Most stores
-    hold distinct values, so each value first gets its one address; only a
-    store with a repeated value is grouped again, through lists."""
-    values = array.values
-    index = {value: (addr,) for addr, value in enumerate(values)}
-    if len(index) == len(values):
-        return index
-    grouped: dict[int, list[int]] = {}
-    for addr, value in enumerate(values):
-        grouped.setdefault(value, []).append(addr)
-    return {value: tuple(addrs) for value, addrs in grouped.items()}
-
-
 def run_search_stream(
     array: CamArray,
     keys: Sequence[int],
     prev_key: Optional[int] = None,
     start: int = 0,
-    index: Optional[dict[int, tuple[int, ...]]] = None,
 ) -> SearchRun:
     """Search a sequence of int query keys in order, threading each key as
     the next one's toggle baseline, and count the run in one set of C-level
     passes over the keys, with no per-query record.
 
-    The stream reads each key's matches in O(1) from ``index``:
-    ``value_index`` of an array that stores the same words, or, if None,
-    one the call builds (O(N)) and drops on return.
+    The stream reads each key's matches in O(1) from the store's
+    ``addresses``, built (O(N)) on the first stream of any array that
+    holds the same ``Store``.
 
     ``start`` is the position of ``keys[0]`` in the whole stream, of which
     ``keys`` may be a later part searched after ``prev_key``, its last key
@@ -308,7 +315,7 @@ def run_search_stream(
         map(add, energized, chain((prev_lines,), energized)),
     )]
     sl = [sl_first, *map(int.bit_count, map(xor, keys[1:], keys))]
-    get = (value_index(array) if index is None else index).get
+    get = array.values.addresses.get
     return SearchRun(
         array._energizers, [*map(get, keys, repeat(()))], energized, ml_en, sl
     )
@@ -339,8 +346,8 @@ def search(
     construction (prev_query None) toggles all n columns and charges ML_EN
     from low. The query's width is checked first, then the previous one's.
 
-    Each call builds the stream's value index, O(N); search many queries
-    with one ``run_search_stream``.
+    Each call is one stream, so search many queries with one
+    ``run_search_stream``.
     """
     n = array.config.word_bits
     if query.width != n:

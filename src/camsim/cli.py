@@ -27,7 +27,6 @@ from .array import (
     new_array,
     run_search_stream,
     sum_event_totals,
-    value_index,
 )
 from .core import BitWord, CamConfig
 from .energy import (
@@ -331,16 +330,16 @@ def _check_fraction(args, measured: float) -> int:
 
 def _search_chunks(config, model, variant, words, chunks):
     """The run of every key chunk on one array of ``words``, and each
-    search's energy in an ``array('d')``. Each chunk is searched with one
-    value index, threaded after the chunk before, and priced at once, so no
-    float object outlives its chunk; the array, the index and the last
-    chunk's keys go when the call returns, before the report is written."""
+    search's energy in an ``array('d')``. Each chunk is searched after the
+    chunk before, reading its matches from the store's one dict of
+    addresses, and priced at once, so no float object outlives its chunk;
+    the array, its store and the last chunk's keys go when the call
+    returns, before the report is written."""
     arr = new_array(config, variant, words)
-    index = value_index(arr)
     run = SearchRun(arr._energizers, [], [], [], [])
     energies = array("d")
     for start, prev_key, keys in chunks:
-        part = run_search_stream(arr, keys, prev_key, start, index)
+        part = run_search_stream(arr, keys, prev_key, start)
         for name in ("matches", "energized", "ml_en_transitions", "sl_toggles"):
             getattr(run, name).extend(getattr(part, name))
         energies.fromlist(aggregate(part, model, config))
@@ -370,14 +369,14 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     config, model, words, chunks, workload_meta = _materialize(args)
     variants = (Variant.SELECTIVE, Variant.BASELINE_NOR)
-    arrays = [new_array(config, variant, words) for variant in variants]
+    # The all-NOR array shares the gated one's store, so the dict of
+    # addresses, built on the first stream, serves every chunk of both.
+    gated = new_array(config, Variant.SELECTIVE, words)
+    arrays = [gated, replace(gated, variant=Variant.BASELINE_NOR)]
     totals = [EventTotals()] * len(variants)
     with_match = [0] * len(variants)
     identical = True
     searches = 0
-    # Both arrays store the same words, so one value index, built once,
-    # serves every chunk of both.
-    index = value_index(arrays[0])
     # Both variants search each chunk in turn, and only the running counts
     # and the selective chunk's match column outlive a chunk's run: one run
     # is alive at a time. Each stream names a bad key by its place in the
@@ -385,7 +384,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for start, prev_key, keys in chunks:
         columns = []
         for side, arr in enumerate(arrays):
-            run = run_search_stream(arr, keys, prev_key, start, index)
+            run = run_search_stream(arr, keys, prev_key, start)
             totals[side] = EventTotals._make(
                 map(add, totals[side], sum_event_totals(run))
             )

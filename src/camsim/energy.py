@@ -28,7 +28,6 @@ from .array import (
     new_array,
     run_search_stream,
     sum_event_totals,
-    value_index,
 )
 from .core import MAX_MLE_BITS, MIN_MLE_BITS, BitWord, CamConfig
 from .errors import (
@@ -269,8 +268,9 @@ def sweep_mle_bits(
 
     The words and the queries (int keys) are generated once (or passed in)
     and shared, so rows differ only in where the first/second stage boundary
-    sits; every k's array stores the same words, so one value index serves
-    every k's stream. The energized fraction is measured from the run, never
+    sits; every k's array is the first one with its config replaced, so all
+    share one store, and the dict of addresses built on the first stream
+    serves every k's. The energized fraction is measured from the run, never
     assumed.
     """
     ks = sorted(set(int(k) for k in k_values))
@@ -293,11 +293,11 @@ def sweep_mle_bits(
     if not queries:
         raise ZeroSearches("sweep needs at least one query")
 
-    arrays = [new_array(cfg, Variant.SELECTIVE, words) for cfg in configs]
-    index = value_index(arrays[0])
+    first = new_array(configs[0], Variant.SELECTIVE, words)
     rows = []
-    for cfg, arr in zip(configs, arrays):
-        totals = sum_event_totals(run_search_stream(arr, queries, None, 0, index))
+    for cfg in configs:
+        arr = replace(first, config=cfg)
+        totals = sum_event_totals(run_search_stream(arr, queries))
         fraction = totals.ml_precharges / (cfg.num_words * len(queries))
         metric = energy_metric(
             totals_energy(totals, model, cfg), cfg, len(queries)

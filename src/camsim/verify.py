@@ -11,11 +11,13 @@ randomized tier hammers the full 256 x 144 geometry with a mix of uniform
 queries, planted copies, and near-miss single-bit corruptions, which is
 where a wrong prefix gate or suffix scan actually shows up. It draws its
 trials as int keys, ``TRIALS_PER_CHUNK`` at a time, and streams each chunk
-on both variants after the last key of the chunk before. Every stream of
-a store reads its matches from the one ``value_index`` built with the
-store (``_store``), once per store. Both tiers check every query on
-the gated and on the all-NOR array of a store against one oracle scan, so
-a ``VerifyOutcome.cases`` counts two searches per query, and either tier
+on both variants after the last key of the chunk before. A store's
+all-NOR array is its gated array with the variant replaced (``_store``),
+so both hold one ``array.Store``, and every stream and single ``search``
+of the store reads its matches from one dict of addresses, built once per
+store. Both tiers check every query on the gated and on the all-NOR array
+of a store against one oracle scan, so a ``VerifyOutcome.cases`` counts
+two searches per query, and either tier
 reports its first failure in the same order: query by query, gated before
 all-NOR. The randomized tier also checks ``search``, the public one-key
 entry point, on the first trial of each chunk once the chunk's streams
@@ -52,7 +54,7 @@ energizer to invert, and check matches only, as the mutant has no counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, compress, count, islice
 from operator import add, mul, ne, xor
 from typing import Callable, Optional, Sequence, Union
@@ -65,7 +67,6 @@ from .array import (
     oracle_search,
     run_search_stream,
     search,
-    value_index,
 )
 from .core import BitWord, CamConfig
 from .draws import Stream
@@ -129,22 +130,20 @@ def _flipped_gate_matches(arr: CamArray, key: int) -> tuple[int, ...]:
     ])
 
 
-def _store(
-    config: CamConfig, words: Sequence[BitWord]
-) -> tuple[list, list, list, dict]:
+def _store(config: CamConfig, words: Sequence[BitWord]) -> tuple[list, list, list]:
     """A store to check: its gated and its all-NOR array (``new_array``
-    rejects a word of the wrong width), its values as the oracle scans them,
-    read from the words and not from an array, occ, where occ[p] is how
-    many of them store the k-bit prefix p, and the ``value_index`` from
-    which both arrays' streams read their matches. Only the arrays' ints
-    outlive the call, not the words."""
-    arrays = [new_array(config, variant, words) for variant in Variant]
+    rejects a word of the wrong width), which share one ``array.Store``,
+    its values as the oracle scans them, read from the words and not from
+    an array, and occ, where occ[p] is how many of them store the k-bit
+    prefix p. Only the arrays' ints outlive the call, not the words."""
+    gated = new_array(config, Variant.SELECTIVE, words)
+    arrays = [gated, replace(gated, variant=Variant.BASELINE_NOR)]
     values = [w.value for w in words]
     occ = [0] * (1 << config.mle_bits)
     shift = config.word_bits - config.mle_bits
     for v in values:
         occ[v >> shift] += 1
-    return arrays, values, occ, value_index(arrays[0])
+    return arrays, values, occ
 
 
 def _key_columns(
@@ -188,27 +187,26 @@ def _count_columns(
 
 # The engines. Each gives the columns of its searches of ``keys`` on ``arr``,
 # in order, the first after ``prev_key``: a dict from field name to column,
-# the match column first. ``index`` is the store's ``value_index``.
+# the match column first.
 _STREAM_FIELDS = ("matches", "energized", "ml_en_transitions", "sl_toggles")
 
 
 def _stream_columns(
-    arr: CamArray, keys: Sequence[int], prev_key: Optional[int], index: dict
+    arr: CamArray, keys: Sequence[int], prev_key: Optional[int]
 ) -> dict:
     """``run_search_stream``'s matches and count columns, and its one
     energizer count as a column."""
-    run = run_search_stream(arr, keys, prev_key, 0, index)
+    run = run_search_stream(arr, keys, prev_key)
     columns = {name: getattr(run, name) for name in _STREAM_FIELDS}
     columns["energizers"] = [run.energizers] * len(run)
     return columns
 
 
 def _report_columns(
-    arr: CamArray, keys: Sequence[int], prev_key: Optional[int], index: dict
+    arr: CamArray, keys: Sequence[int], prev_key: Optional[int]
 ) -> dict:
     """Single ``search``'s report of each key, after the key before it, as
-    the same columns. ``search`` takes ``BitWord``s and builds its own
-    index, so ``index`` is not used."""
+    the same columns."""
     n = arr.config.word_bits
     prevs = [None if p is None else BitWord(n, p) for p in chain((prev_key,), keys)]
     reports = [search(arr, BitWord(n, key), prev) for key, prev in zip(keys, prevs)]
@@ -223,12 +221,12 @@ def _report_columns(
 
 
 def _fault_columns(
-    arr: CamArray, keys: Sequence[int], prev_key: Optional[int], index: dict
+    arr: CamArray, keys: Sequence[int], prev_key: Optional[int]
 ) -> dict:
     """The fault mutant's matches: it has no counts. The all-NOR array has
     no energizer to invert, so its matches are the sound stream's."""
     if arr.variant is Variant.BASELINE_NOR:
-        return {"matches": run_search_stream(arr, keys, prev_key, 0, index).matches}
+        return {"matches": run_search_stream(arr, keys, prev_key).matches}
     return {"matches": [_flipped_gate_matches(arr, key) for key in keys]}
 
 
@@ -252,7 +250,7 @@ def _first_mismatch(
 
 
 def _check_columns(
-    store: tuple[list, list, list, dict],
+    store: tuple[list, list, list],
     keys: Sequence[int],
     key_columns: tuple,
     engine: Callable[..., dict],
@@ -273,7 +271,7 @@ def _check_columns(
     time. ``context`` is a format string whose one field takes the variant
     of a failing search; the store's words are rebuilt only for a
     counterexample."""
-    arrays, values, occ, index = store
+    arrays, values, occ = store
     n = arrays[0].config.word_bits
     _check_keys(keys, n)
     matches = [oracle_search(values, key) for key in keys]
@@ -282,7 +280,7 @@ def _check_columns(
         gated = arr.variant is Variant.SELECTIVE
         counts = _count_columns(occ, len(values), gated, key_columns)
         expected = {"matches": matches, **counts}
-        found = _first_mismatch(engine(arr, keys[:end], prev_key, index), expected)
+        found = _first_mismatch(engine(arr, keys[:end], prev_key), expected)
         if found is not None:
             failure, end = (j, arr, *found), found[0]
     if failure is None:
@@ -353,8 +351,9 @@ def verify_randomized(
     draws its query key from (seed, trial index): 60% uniform, 30% an exact
     copy of a stored word, 10% a stored word with one flipped bit. The
     trials are drawn and checked ``TRIALS_PER_CHUNK`` at a time, each chunk
-    streamed after the last key of the one before. Every stream reads its
-    matches from the store's one ``value_index``, built once per call. Once
+    streamed after the last key of the one before. Every stream and single
+    ``search`` reads its matches from the store's one dict of addresses,
+    built once per call. Once
     a chunk's streams pass, its first trial is searched again with
     ``search`` on both variants, after the same previous key, and checked
     against the same oracles; a failure there is that trial's case, in the

@@ -6,6 +6,7 @@ import pytest
 
 import camsim.verify
 from camsim import BitWord, VerifyOutcome, verify_exhaustive
+from camsim.array import Store
 
 
 class ExhaustiveTier(NamedTuple):
@@ -52,3 +53,19 @@ def exhaustive_tier():
         patch.setattr(camsim.verify, "oracle_search", counted_oracle)
         outcome = verify_exhaustive(1)
     return ExhaustiveTier(outcome, stores, streams, len(scans))
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """The stores whose dict of addresses (``Store.addresses``, the value
+    index) is built while the test runs, one entry per build. The build
+    itself is wrapped, so what caches it stays the program's own."""
+    built = []
+    build = Store.addresses.func
+
+    def counted(store):
+        built.append(store)
+        return build(store)
+
+    monkeypatch.setattr(Store.addresses, "func", counted)
+    return built

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -15,6 +16,10 @@ from camsim import (
     SearchReport,
     Variant,
     WidthMismatch,
+    WorkloadKind,
+    WorkloadSpec,
+    gen_queries,
+    gen_words,
     mle_eval,
     new_array,
     oracle_search,
@@ -22,7 +27,7 @@ from camsim import (
     search,
     word_traces,
 )
-from camsim.array import value_index
+from camsim.array import Store
 from camsim.draws import Stream
 from camsim.verify import (
     _check_columns,
@@ -66,7 +71,49 @@ def test_array_validates_word_count_and_width():
         for values in ((0, 256), (-1, 0)):
             with pytest.raises(WidthMismatch, match="does not fit in word_bits 8"):
                 CamArray(cfg, values, variant)
-        assert CamArray(cfg, [255, 0], variant).values == (255, 0)
+        # and equals, hashes and prints as the array of the same words
+        arr = CamArray(cfg, [255, 0], variant)
+        built = new_array(cfg, variant, [BitWord(8, 255), BitWord(8, 0)])
+        assert type(arr.values) is Store and arr.values == (255, 0)
+        assert arr == built and hash(arr) == hash(built) and repr(arr) == repr(built)
+
+
+# -------------------------------------------------------- one store, gates
+
+
+def test_gates_made_by_replace_share_one_store():
+    # a second variant or prefix width over the same words keeps the array's
+    # Store, so every gate reads one value index, and streams as a fresh
+    # array of the same words does; a repeated value keeps both addresses
+    cfg = CamConfig(16, 24, 3)
+    words = gen_words(16, 24, 7)
+    words[5] = words[3]
+    spec = WorkloadSpec(WorkloadKind.PLANTED, 300, 7, match_rate=0.5)
+    keys = gen_queries(spec, words)
+    first = new_array(cfg, Variant.SELECTIVE, words)
+    gates = [first, replace(first, variant=Variant.BASELINE_NOR)]
+    for k in (2, 4, 6):
+        gates += [replace(gate, config=replace(cfg, mle_bits=k)) for gate in gates[:2]]
+    for arr in gates:
+        fresh = new_array(arr.config, arr.variant, words)
+        assert arr.values is first.values and arr == fresh
+        assert run_search_stream(arr, keys) == run_search_stream(fresh, keys)
+        assert arr.values.addresses is first.values.addresses
+        assert fresh.values.addresses is not first.values.addresses
+    assert first.values.addresses[words[3].value] == (3, 5)
+
+
+def test_single_searches_of_one_array_build_its_index_once(index_builds):
+    # the index is built lazily, on the first search, and kept by the store
+    cfg = CamConfig(16, 24, 3)
+    words = gen_words(16, 24, 7)
+    arr = new_array(cfg, Variant.SELECTIVE, words)
+    assert index_builds == []
+    prev = None
+    for word in words[:10]:
+        assert search(arr, word, prev).matches == oracle_search(arr.values, word.value)
+        prev = word
+    assert len(index_builds) == 1 and index_builds[0] is arr.values
 
 
 # ------------------------------------------------------------------ writes
@@ -354,14 +401,13 @@ def _assert_index_equals_scan(arr):
     assert [arr._runs[key >> arr._shift] for key in keys] == enabled
     assert arr._idle == ((None, 0) if gated else (0, len(prefixes)))
     assert run_search_stream(arr, keys).energized == enabled
-    index = value_index(arr)
-    firsts = [run_search_stream(arr, [key], None, 0, index) for key in keys]
+    firsts = [run_search_stream(arr, [key]) for key in keys]
     assert [run.energized[0] for run in firsts] == enabled
     from_idle = enabled if gated else [0] * len(keys)
     assert [run.ml_en_transitions[0] for run in firsts] == from_idle
     pairs = list(product(range(1 << k), repeat=2))
     walk = [keys[p] for pair in pairs for p in pair]
-    run = run_search_stream(arr, walk, None, 0, index)
+    run = run_search_stream(arr, walk)
     assert run.energized[1::2] == [enabled[qp] for _, qp in pairs]
     assert run.ml_en_transitions[1::2] == [
         0 if not gated or pp == qp else enabled[qp] + enabled[pp] for pp, qp in pairs

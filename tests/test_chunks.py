@@ -31,7 +31,6 @@ from camsim import (
     run_search_stream,
     sum_event_totals,
 )
-from camsim.array import value_index
 from camsim.cli import (
     KEYS_PER_CHUNK,
     _aggregate_dict,
@@ -141,9 +140,9 @@ def _whole_list_compare_text(tmp_path, monkeypatch, argv: list[str], count: int)
     whole-list ``run_search_stream`` per variant, as before the fold."""
     real, calls = camsim.cli.run_search_stream, []
 
-    def whole_list(arr, keys, prev_key, start, index):
+    def whole_list(arr, keys, prev_key, start):
         calls.append((arr.variant, len(keys), prev_key, start))
-        return real(arr, keys, prev_key, start, index)
+        return real(arr, keys, prev_key, start)
 
     with monkeypatch.context() as m:
         m.setattr(camsim.cli, "KEYS_PER_CHUNK", count)
@@ -380,20 +379,18 @@ def test_a_key_chunk_is_freed_before_the_next_is_drawn(tmp_path, monkeypatch, ve
 
 @pytest.mark.parametrize("variant", Variant)
 def test_streams_of_the_parts_with_one_index_join_to_the_whole_run(variant):
-    # Parts streamed with their start, the previous part's last key and one
-    # value index join to the whole stream's run, and a bad key in a part
-    # is named by its place in the whole stream.
+    # Parts streamed with their start and the previous part's last key, on
+    # one array and so one value index, join to the whole stream's run, and
+    # a bad key in a part is named by its place in the whole stream.
     config = CamConfig(16, 24, 3)
     words = gen_words(16, 24, 7)
     spec = WorkloadSpec(WorkloadKind.PLANTED, 3 * C + 5, 7, match_rate=0.5)
     keys = gen_queries(spec, words)
     arr = new_array(config, variant, words)
-    index = value_index(new_array(config, Variant.SELECTIVE, words))
     whole = run_search_stream(arr, keys)
     for size in (1, C - 1, C, 2 * C + 3):
         parts = [
-            run_search_stream(arr, keys[s:s + size], keys[s - 1] if s else None,
-                              s, index)
+            run_search_stream(arr, keys[s:s + size], keys[s - 1] if s else None, s)
             for s in range(0, len(keys), size)
         ]
         for column in ("matches", "energized", "ml_en_transitions", "sl_toggles"):
@@ -402,25 +399,17 @@ def test_streams_of_the_parts_with_one_index_join_to_the_whole_run(variant):
     bad = keys[C + 1:C + 9]
     bad[4] = 1 << 24
     with pytest.raises(WidthMismatch, match=f"^query {C + 5}: key 0x1000000 "):
-        run_search_stream(arr, bad, keys[C], C + 1, index)
+        run_search_stream(arr, bad, keys[C], C + 1)
 
 
 @pytest.mark.parametrize("verb", ["search", "compare", "sweep"])
-def test_a_verb_builds_one_value_index_per_run(monkeypatch, tmp_path, verb):
+def test_a_verb_builds_one_value_index_per_run(index_builds, tmp_path, verb):
     # compare streams 2 variants x 3 chunks here, and sweep one array per k
-    # = 2..6; each verb's arrays store the same words, so the index is built
+    # = 2..6; each verb's arrays share one store, so its index is built
     # once, not once per stream.
-    real, built = camsim.array.value_index, []
-
-    def counted(array):
-        built.append(array.variant)
-        return real(array)
-
-    for module in (camsim.array, camsim.cli, camsim.energy):
-        monkeypatch.setattr(module, "value_index", counted)
     argv = [verb, *GEOMETRY, *WORKLOADS["planted"], "--queries", str(2 * C + 1)]
     assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
-    assert len(built) == 1
+    assert len(index_builds) == 1
 
 
 # ----------------------------------------------------------- memory growth

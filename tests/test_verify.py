@@ -20,7 +20,6 @@ from camsim import (
     word_traces,
 )
 from camsim.cli import main
-from camsim.array import value_index
 from camsim.verify import _fault_columns, _flipped_gate_matches
 from cell_route import FIVE_BIT_STORE, all_words
 
@@ -359,16 +358,15 @@ def test_randomized_verdict_does_not_depend_on_the_chunk_size(build, monkeypatch
 
 
 @pytest.mark.parametrize("trials", [1, CHUNK, 200])
-def test_randomized_tier_builds_one_value_index_per_call(monkeypatch, trials):
-    # every chunk is one stream per variant, and every stream reads its
-    # matches from the one index built for the call; then single search,
-    # which builds an index of its own, searches the chunk's first trial on
-    # each variant, after the chunk before's last trial
-    real, built, streams, searched = camsim.array.value_index, [], [], []
-
-    def counted_index(array):
-        built.append(array.variant)
-        return real(array)
+def test_randomized_tier_builds_one_value_index_per_call(
+    monkeypatch, index_builds, trials
+):
+    # every chunk is one stream per variant; then single search searches
+    # the chunk's first trial on each variant, after the chunk before's
+    # last trial. Both variants' arrays share the call's one store, so
+    # every stream and every single search reads its matches from the one
+    # index built for the call.
+    streams, searched = [], []
 
     def counted_stream(arr, keys, prev_key=None, *rest):
         keys = list(keys)
@@ -380,8 +378,6 @@ def test_randomized_tier_builds_one_value_index_per_call(monkeypatch, trials):
         searched.append((arr.variant, query.value, prev_key))
         return search(arr, query, prev_query)
 
-    for module in (camsim.array, camsim.verify):
-        monkeypatch.setattr(module, "value_index", counted_index)
     monkeypatch.setattr(camsim.verify, "run_search_stream", counted_stream)
     monkeypatch.setattr(camsim.verify, "search", counted_search)
     out = verify_randomized(REFERENCE, trials, 1)
@@ -389,7 +385,7 @@ def test_randomized_tier_builds_one_value_index_per_call(monkeypatch, trials):
     chunks = -(-trials // CHUNK)
     assert [v for v, _, _ in streams] == [Variant.SELECTIVE, Variant.BASELINE_NOR] * chunks
     assert searched == streams
-    assert len(built) == 1 + len(searched)
+    assert len(index_builds) == 1
 
 
 def test_randomized_tier_catches_a_search_only_fault(monkeypatch, capsys):
@@ -430,7 +426,7 @@ def test_flipped_gate_mutant_matches_the_cell_level_route():
         gated = variant is Variant.SELECTIVE
         compared = (1 << (n - k if gated else n)) - 1
         queries = all_words(n)
-        got = _fault_columns(arr, [q.value for q in queries], None, value_index(arr))
+        got = _fault_columns(arr, [q.value for q in queries], None)
         for query, matches in zip(queries, got["matches"]):
             assert matches == tuple(
                 t.addr
