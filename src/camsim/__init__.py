@@ -9,7 +9,6 @@ abstract series-device delay model on top.
 from .array import (
     CamArray,
     EventTotals,
-    SearchReport,
     SearchRun,
     Variant,
     new_array,

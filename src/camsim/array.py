@@ -34,8 +34,9 @@ per query. It is a pure function of (array, keys, previous key),
 the previous key being the explicit context for searchline-toggle and
 ML_EN-transition counting, so concurrent searches are deterministic under
 any scheduling. ``search`` is the stream of one ``BitWord`` query, after
-an optional previous one, as a ``SearchReport``. Both records hold only
-what a search computes, never the array or the queries.
+an optional previous one: a one-key ``SearchRun``, the one record of a
+search, which holds only what the search computes, never the array or
+the queries.
 
 A stream reads every key's matches from a dict from stored value to
 ascending addresses in one C-level ``map``, O(1) per query. The dict is a
@@ -79,7 +80,7 @@ class EventTotals(NamedTuple):
     energy is carried by the evaluation class, so ``ml_en_transitions`` is
     reported for activity analysis only.
 
-    A tuple, so one is built per search at tuple cost: ``+`` concatenates
+    A tuple, so one is built at tuple cost: ``+`` concatenates
     and ``*`` repeats as for any tuple, and a record equals the plain tuple
     of its counts. A run's counts are summed by ``sum_event_totals``.
     """
@@ -200,7 +201,8 @@ class SearchRun:
     """A query stream's outcome: one entry per query in each column.
 
     Entry i of a column is key i's matches or count of that name, searched
-    after key i - 1. ``energized`` is each query's ML
+    after key i - 1: entry 0 of the one-key run that ``search`` returns for
+    that query after the one before. ``energized`` is each query's ML
     precharge count; its discharges are ``energized - len(matches)``, so
     they are not stored. ``energizers`` is every query's energizer
     evaluations: N on a gated array, 0 on the all-NOR one. ``len(run)`` is
@@ -221,6 +223,9 @@ class SearchRun:
     energized: Sequence[int]
     ml_en_transitions: Sequence[int]
     sl_toggles: Sequence[int]
+    # The per-query columns, in the order ``camsim verify`` checks them: a
+    # class attribute, not a field.
+    COLUMNS = ("matches", "energized", "ml_en_transitions", "sl_toggles")
 
     def __len__(self) -> int:
         return len(self.matches)
@@ -321,24 +326,11 @@ def run_search_stream(
     )
 
 
-class SearchReport(NamedTuple):
-    """Outcome of one search: the matching addresses, ascending, and the
-    event tallies; ``event_totals.ml_precharges`` is the energized count.
-
-    The energy is the model's: ``energy.totals_energy(report.event_totals,
-    ...)``; the delay is a per-variant constant, ``energy.search_delay``.
-    A tuple, like ``EventTotals``.
-    """
-
-    matches: tuple[int, ...]
-    event_totals: EventTotals
-
-
 def search(
     array: CamArray, query: BitWord, prev_query: Optional[BitWord] = None
-) -> SearchReport:
+) -> SearchRun:
     """Run the two-phase protocol for one query against every word: the
-    stream of ``query``'s key after ``prev_query``'s, as one record.
+    stream of ``query``'s key after ``prev_query``'s, a run of length 1.
 
     ``prev_query`` is the previously driven search word; columns that changed
     count one searchline toggle each, and ML_EN charge/discharge transitions
@@ -352,12 +344,8 @@ def search(
     n = array.config.word_bits
     if query.width != n:
         raise WidthMismatch(f"query width {query.width} != word_bits {n}")
-    prev_key = None
-    if prev_query is not None:
-        if prev_query.width != n:
-            raise WidthMismatch(
-                f"previous query width {prev_query.width} != word_bits {n}"
-            )
-        prev_key = prev_query.value
-    run = run_search_stream(array, (query.value,), prev_key)
-    return SearchReport(run.matches[0], sum_event_totals(run))
+    if prev_query is None:
+        return run_search_stream(array, (query.value,))
+    if prev_query.width != n:
+        raise WidthMismatch(f"previous query width {prev_query.width} != word_bits {n}")
+    return run_search_stream(array, (query.value,), prev_query.value)

@@ -28,7 +28,7 @@ from .array import (
     run_search_stream,
     sum_event_totals,
 )
-from .core import BitWord, CamConfig
+from .core import MIN_MLE_BITS, BitWord, CamConfig
 from .energy import (
     ENERGY_UNITS_NOTE,
     UPSIZE_NOTE,
@@ -340,7 +340,7 @@ def _search_chunks(config, model, variant, words, chunks):
     energies = array("d")
     for start, prev_key, keys in chunks:
         part = run_search_stream(arr, keys, prev_key, start)
-        for name in ("matches", "energized", "ml_en_transitions", "sl_toggles"):
+        for name in SearchRun.COLUMNS:
             getattr(run, name).extend(getattr(part, name))
         energies.fromlist(aggregate(part, model, config))
         del keys, part  # before the next chunk is drawn
@@ -437,6 +437,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.k_min > args.k_max:
         raise InvalidConfig(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
+    # Every row sets its own k, which sweep_mle_bits checks, so --mle-bits
+    # is accepted and unread, as --workers is: the shared config takes the
+    # smallest k, which fits every width a config allows.
+    args.mle_bits = MIN_MLE_BITS
     config, model, words, chunks, _ = _materialize(args)
     # every k searches them
     queries = list(chain.from_iterable(keys for _, _, keys in chunks))

@@ -2,14 +2,18 @@
 the matches and a count oracle for the gate.
 
 Two tiers check ``run_search_stream``, the one engine that every verb (and
-single ``search``) runs, through one column checker (``_check_columns``)
-and one count oracle (``_count_columns``). The exhaustive tier walks small
-geometries through every query against structured and seeded stores (all
-single-word pairs, full tables, shared-prefix stores, duplicates): one
-stream per store and variant over the whole query universe. The
-randomized tier hammers the full 256 x 144 geometry with a mix of uniform
-queries, planted copies, and near-miss single-bit corruptions, which is
-where a wrong prefix gate or suffix scan actually shows up. It draws its
+single ``search``) runs, through one run checker (``_check_columns``)
+against one expected run (``_expected_run``: the oracle scan's matches and
+the count oracle's columns). Every engine (the sound stream, single
+``search`` and the fault mutant) is a function (array, keys, previous key)
+-> ``SearchRun``, so a search has one record throughout. The exhaustive
+tier walks small geometries through every query against structured and
+seeded stores (all single-word pairs, full tables, shared-prefix stores,
+duplicates): one stream per store and variant over the whole query
+universe. The randomized tier hammers the full 256 x 144 geometry with a
+mix of uniform queries, planted copies, and near-miss single-bit
+corruptions, which is where a wrong prefix gate or suffix scan actually
+shows up. It draws its
 trials as int keys, ``TRIALS_PER_CHUNK`` at a time, and streams each chunk
 on both variants after the last key of the chunk before. A store's
 all-NOR array is its gated array with the variant replaced (``_store``),
@@ -21,8 +25,8 @@ two searches per query, and either tier
 reports its first failure in the same order: query by query, gated before
 all-NOR. The randomized tier also checks ``search``, the public one-key
 entry point, on the first trial of each chunk once the chunk's streams
-pass: its width checks, its previous query and its ``SearchReport`` are
-code of its own that no stream runs. The oracle scans the store's values
+pass: its width checks and its previous query are code of its own that
+no stream runs. The oracle scans the store's values
 as plain ints, read from its words once per store; widths are checked
 before a scan or a stream, not inside it. Arrays keep their store as ints,
 so the randomized tier holds no ``BitWord`` of its store once its arrays
@@ -37,19 +41,21 @@ energize, and ML_EN switches on occ(p) + occ(p') lines when the prefix
 changes from p' (occ(p) on the first search, none when it repeats); on the
 all-NOR array all N lines energize and ML_EN never switches. Searchline
 toggles are popcount(q XOR q'), n on the first search. Both tiers compare,
-in this order, the stream's ``energized``, ``ml_en_transitions`` and
-``sl_toggles`` columns, and its ``energizers``: N energizer evaluations per
-query on the gated array, none on the all-NOR one. The discharges are not
-a column of their own: a stream's (and a ``SearchReport``'s) are its
-energized lines less its matches by construction, so checking those two
-checks them, and every ``EventTotals`` field of every search is checked. A
-search fails on its matches first; a count failure names its column.
+in this order (``SearchRun.COLUMNS``), the run's ``matches``,
+``energized``, ``ml_en_transitions`` and ``sl_toggles`` columns, and then
+its ``energizers``: N energizer evaluations per query on the gated array,
+none on the all-NOR one. The discharges are not a column of their own: a
+run's are its energized lines less its matches by construction, so
+checking those two checks them, and every ``EventTotals`` field of every
+search is checked. A search fails on its matches first; a count failure
+names its column.
 
 With ``fault`` set, the harness checks a mutant instead of the sound build:
 one whose energizer inverts every decision, so it must report a
-counterexample. Both tiers take the mutant's matches on the gated array
-query by query, and the sound stream's on the all-NOR array, which has no
-energizer to invert, and check matches only, as the mutant has no counts.
+counterexample. Its run is the sound stream's with the gated array's
+matches replaced by the mutant's, query by query; the all-NOR array has
+no energizer to invert, so its run is the sound one. Its counts are the
+sound stream's, so a failure can only come from its matches.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .array import (
     CamArray,
+    SearchRun,
     Variant,
     _check_keys,
     new_array,
@@ -162,90 +169,65 @@ def _key_columns(
     return prefixes, changed, toggles, before
 
 
-def _count_columns(
-    occ: Sequence[int], size: int, gated: bool, key_columns: tuple
-) -> dict[str, list[int]]:
-    """The count oracle for a stream: the count columns ``run_search_stream``
-    must give for the keys of ``key_columns`` on the gated or the all-NOR
-    array of ``size`` words with occupancy ``occ``, by the rule in the
-    module docstring, in the order it checks them. ``energizers`` has one entry per key, as every search
-    of a stream makes the same energizer evaluations."""
+def _expected_run(
+    matches: list, occ: Sequence[int], size: int, gated: bool, key_columns: tuple
+) -> SearchRun:
+    """The run ``run_search_stream`` must give for the keys of
+    ``key_columns`` on the gated or the all-NOR array of ``size`` words with
+    occupancy ``occ``: the oracle scan's ``matches``, and the count oracle's
+    columns by the rule in the module docstring."""
     prefixes, changed, toggles, before = key_columns
+    queries = len(prefixes)
     if not gated:
-        energized, ml_en = [size] * len(prefixes), [0] * len(prefixes)
-    else:
-        energized = [*map(occ.__getitem__, prefixes)]
-        first = 0 if before is None else occ[before]
-        ml_en = [*map(mul, changed, map(add, energized, chain((first,), energized)))]
-    return {
-        "energized": energized,
-        "ml_en_transitions": ml_en,
-        "sl_toggles": toggles,
-        "energizers": [size if gated else 0] * len(prefixes),
-    }
+        return SearchRun(0, matches, [size] * queries, [0] * queries, toggles)
+    energized = [*map(occ.__getitem__, prefixes)]
+    first = 0 if before is None else occ[before]
+    ml_en = [*map(mul, changed, map(add, energized, chain((first,), energized)))]
+    return SearchRun(size, matches, energized, ml_en, toggles)
 
 
-# The engines. Each gives the columns of its searches of ``keys`` on ``arr``,
-# in order, the first after ``prev_key``: a dict from field name to column,
-# the match column first.
-_STREAM_FIELDS = ("matches", "energized", "ml_en_transitions", "sl_toggles")
+# The engines: each searches ``keys`` on ``arr`` in order, the first after
+# ``prev_key``, and returns the run. The sound one is ``run_search_stream``.
 
 
-def _stream_columns(
+def _search_run(
     arr: CamArray, keys: Sequence[int], prev_key: Optional[int]
-) -> dict:
-    """``run_search_stream``'s matches and count columns, and its one
-    energizer count as a column."""
-    run = run_search_stream(arr, keys, prev_key)
-    columns = {name: getattr(run, name) for name in _STREAM_FIELDS}
-    columns["energizers"] = [run.energizers] * len(run)
-    return columns
-
-
-def _report_columns(
-    arr: CamArray, keys: Sequence[int], prev_key: Optional[int]
-) -> dict:
-    """Single ``search``'s report of each key, after the key before it, as
-    the same columns."""
+) -> SearchRun:
+    """Single ``search`` of the one key in ``keys``."""
+    (key,) = keys
     n = arr.config.word_bits
-    prevs = [None if p is None else BitWord(n, p) for p in chain((prev_key,), keys)]
-    reports = [search(arr, BitWord(n, key), prev) for key, prev in zip(keys, prevs)]
-    totals = [r.event_totals for r in reports]
-    return {
-        "matches": [r.matches for r in reports],
-        "energized": [t.ml_precharges for t in totals],
-        "ml_en_transitions": [t.ml_en_transitions for t in totals],
-        "sl_toggles": [t.sl_toggles for t in totals],
-        "energizers": [t.mle_evaluations for t in totals],
-    }
+    prev = None if prev_key is None else BitWord(n, prev_key)
+    return search(arr, BitWord(n, key), prev)
 
 
-def _fault_columns(
+def _fault_run(
     arr: CamArray, keys: Sequence[int], prev_key: Optional[int]
-) -> dict:
-    """The fault mutant's matches: it has no counts. The all-NOR array has
-    no energizer to invert, so its matches are the sound stream's."""
+) -> SearchRun:
+    """The fault mutant's run: the sound stream's, with the matches of the
+    gated array's inverted energizer. The all-NOR array has no energizer to
+    invert, so its run is the sound one."""
+    run = run_search_stream(arr, keys, prev_key)
     if arr.variant is Variant.BASELINE_NOR:
-        return {"matches": run_search_stream(arr, keys, prev_key).matches}
-    return {"matches": [_flipped_gate_matches(arr, key) for key in keys]}
+        return run
+    return replace(run, matches=[_flipped_gate_matches(arr, key) for key in keys])
 
 
-def _first_mismatch(
-    got: dict[str, Sequence], expected: dict[str, Sequence]
-) -> Optional[tuple[int, str, object, object]]:
-    """The first failure of an engine's ``got`` columns against the
-    ``expected`` columns of the same names, as (index, field, expected
-    entry, got entry), or None if they pass. At one index the first failing
-    field in ``got``'s order is named, so a match failure comes before a
-    count failure."""
+def _first_mismatch(got: SearchRun, expected: SearchRun) -> Optional[tuple]:
+    """The first failure of the run ``got`` against the ``expected`` run,
+    whose keys may run on past ``got``'s, as (index, field, expected entry,
+    got entry), or None if they pass. At one index the first failing field
+    in ``SearchRun.COLUMNS`` order is named, then ``energizers``, one int for
+    every query, which fails at query 0."""
     first = None
-    for name, column in got.items():
-        want = expected[name]
+    for name in SearchRun.COLUMNS:
+        column, want = getattr(got, name), getattr(expected, name)
         if column == want:  # a C-level pass for the common case
             continue
         i = next(compress(count(), map(ne, column, want)), None)
         if i is not None and (first is None or i < first[0]):
             first = i, name, want[i], column[i]
+    if got.energizers != expected.energizers and (first is None or first[0]):
+        first = 0, "energizers", expected.energizers, got.energizers
     return first
 
 
@@ -253,23 +235,23 @@ def _check_columns(
     store: tuple[list, list, list],
     keys: Sequence[int],
     key_columns: tuple,
-    engine: Callable[..., dict],
+    engine: Callable[..., SearchRun],
     context: str,
     prev_key: Optional[int] = None,
 ) -> VerifyOutcome:
     """Search the query ``keys``, after ``prev_key``, with ``engine`` on the
     gated array of ``store`` (``_store``'s), then on its all-NOR array, and
-    compare each match column with one oracle scan of the stored values per
-    key, and each count column with the count oracle. Every key is checked
+    compare each run whole with the expected run: one oracle scan of the
+    stored values per key, and the count oracle. Every key is checked
     to be an n-bit value before the first scan, so the oracle compares
     plain ints. ``key_columns`` is ``_key_columns`` of the keys after
     ``prev_key``, which the exhaustive tier computes once for every store
-    it checks. The verdict is the one a
-    query-major loop gives: a failure of the j-th variant at query i is case
-    2i + j + 1, so the all-NOR array is searched only up to the gated
-    array's first failure, and only one engine's columns are alive at a
-    time. ``context`` is a format string whose one field takes the variant
-    of a failing search; the store's words are rebuilt only for a
+    it checks. The verdict is the one a query-major loop gives: a failure
+    of the j-th variant at query i is case 2i + j + 1, so the all-NOR array
+    is searched only up to the gated array's first failure (not at all for
+    a failure at query 0), and only one engine's run is alive at a time.
+    ``context`` is a format string whose one field takes the variant of a
+    failing search; the store's words are rebuilt only for a
     counterexample."""
     arrays, values, occ = store
     n = arrays[0].config.word_bits
@@ -277,9 +259,10 @@ def _check_columns(
     matches = [oracle_search(values, key) for key in keys]
     failure, end = None, len(keys)
     for j, arr in enumerate(arrays):
+        if not end:  # no failure can come before query 0
+            break
         gated = arr.variant is Variant.SELECTIVE
-        counts = _count_columns(occ, len(values), gated, key_columns)
-        expected = {"matches": matches, **counts}
+        expected = _expected_run(matches, occ, len(values), gated, key_columns)
         found = _first_mismatch(engine(arr, keys[:end], prev_key), expected)
         if found is not None:
             failure, end = (j, arr, *found), found[0]
@@ -299,7 +282,7 @@ def verify_exhaustive(seed: int = 0, fault: bool = False) -> VerifyOutcome:
     every possible query against every store, streamed through both
     variants. The count oracle's key columns are computed once per (n, k)
     and shared by every store."""
-    engine = _fault_columns if fault else _stream_columns
+    engine = _fault_run if fault else run_search_stream
     total = 0
     store_draws = Stream(_TAG_STORE, seed)
     for n in (4, 5, 6):
@@ -379,7 +362,7 @@ def verify_randomized(
             return base
         return base ^ (1 << (n - 1 - flips.pick(i, n)))
 
-    engine = _fault_columns if fault else _stream_columns
+    engine = _fault_run if fault else run_search_stream
     total, prev_key = 0, None
     for start in range(0, trials, TRIALS_PER_CHUNK):
         keys = [trial(i) for i in range(start, min(start + TRIALS_PER_CHUNK, trials))]
@@ -391,7 +374,7 @@ def verify_randomized(
             first = keys[:1]
             single = _check_columns(
                 store, first, _key_columns(first, n, k, prev_key),
-                _report_columns, "randomized {} search", prev_key,
+                _search_run, "randomized {} search", prev_key,
             )
             if not single.ok:
                 return VerifyOutcome(total + single.cases, single.counterexample)

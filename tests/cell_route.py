@@ -1,19 +1,20 @@
 """Shared test helpers: the small stores the search tests sweep, the check
-of a search against its per-word traces, and the check of a columnar run
-of int query keys against the oracles: ``oracle_search`` for the matches
-and the verifier's count oracle for the counts."""
+of a one-key run against its per-word traces, and the run of int query
+keys that the oracles expect: ``oracle_search`` for the matches and the
+verifier's count oracle for the counts."""
 
 from camsim import (
     BitWord,
     EventTotals,
     Level,
-    SearchReport,
+    SearchRun,
     Variant,
     oracle_search,
     search,
+    sum_event_totals,
     word_traces,
 )
-from camsim.verify import _count_columns, _key_columns
+from camsim.verify import _expected_run, _key_columns
 
 
 def all_words(n):
@@ -24,13 +25,13 @@ def all_words(n):
 FIVE_BIT_STORE = [BitWord(5, 7 * i % 32) for i in range(12)] + [BitWord(5, 7)]
 
 
-def assert_traces_explain(arr, query, prev=None, report=None):
+def assert_traces_explain(arr, query, prev=None, run=None):
     """The event-level check: the per-word traces of a search of ``query``
     after ``prev`` sum to its event totals field by field, and give its
-    matches and energized count. ``report`` is the search's record, or None
-    for ``search``'s. Returns the report and the traces."""
-    if report is None:
-        report = search(arr, query, prev)
+    matches and energized count. ``run`` is the search's one-key run, or
+    None for ``search``'s. Returns the run and the traces."""
+    if run is None:
+        run = search(arr, query, prev)
     traces = word_traces(arr, query, prev)
     sl = {t.transitions.sl_toggles for t in traces}
     assert len(sl) == 1  # the searchlines are shared by every word
@@ -42,10 +43,11 @@ def assert_traces_explain(arr, query, prev=None, report=None):
         sl.pop(),
         sum(1 for t in traces if t.m_nodes),
     )
-    assert summed._asdict() == report.event_totals._asdict()
-    assert report.matches == tuple(t.addr for t in traces if t.ml_final is Level.HIGH)
-    assert report.event_totals.ml_precharges == sum(t.ml_precharged for t in traces)
-    return report, traces
+    assert len(run) == 1
+    assert summed._asdict() == sum_event_totals(run)._asdict()
+    assert run.matches == [tuple(t.addr for t in traces if t.ml_final is Level.HIGH)]
+    assert run.energized == [sum(t.ml_precharged for t in traces)]
+    return run, traces
 
 
 def threaded(n, keys, prev_key=None):
@@ -59,51 +61,40 @@ def threaded(n, keys, prev_key=None):
         prev = query
 
 
-def oracle_reports(arr, keys, prev_key=None):
-    """Each query key's ``SearchReport`` as the oracles give it, the keys
-    searched in order after ``prev_key``: ``oracle_search``'s scan of the
-    stored values for the matches, and the count oracle of ``camsim
-    verify`` (``_key_columns`` and ``_count_columns``, which read the
-    stored prefixes, not the array's gate) for the event totals."""
-    keys = list(keys)
-    if not keys:
-        return []
+def oracle_run(arr, keys, prev_key=None):
+    """The ``SearchRun`` that the oracles give for the query keys, searched
+    in order after ``prev_key``: ``oracle_search``'s scan of the stored
+    values for the matches, and the count oracle of ``camsim verify``
+    (``_key_columns`` and ``_expected_run``, which read the stored
+    prefixes, not the array's gate) for the counts."""
     n, k = arr.config.word_bits, arr.config.mle_bits
-    values = arr.values
+    keys, values = list(keys), arr.values
     occ = [0] * (1 << k)
     for v in values:
         occ[v >> (n - k)] += 1
     matches = [oracle_search(values, key) for key in keys]
-    counts = _count_columns(
-        occ, len(values), arr.variant is Variant.SELECTIVE,
-        _key_columns(keys, n, k, prev_key),
-    )
-    # the lines that precharge and do not match discharge
-    discharges = [e - len(m) for e, m in zip(counts["energized"], matches)]
-    totals = zip(
-        counts["ml_en_transitions"], counts["energized"], discharges,
-        counts["sl_toggles"], counts["energizers"],
-    )
-    return [SearchReport(m, EventTotals(*t)) for m, t in zip(matches, totals)]
+    gated = arr.variant is Variant.SELECTIVE
+    # an empty stream has no key columns, whatever ``prev_key`` is
+    key_columns = _key_columns(keys, n, k, prev_key) if keys else ([],) * 3 + (None,)
+    return _expected_run(matches, occ, len(values), gated, key_columns)
 
 
-def run_reports(run):
-    """Each search's ``SearchReport``, read from the run's columns."""
-    totals = zip(
-        run.ml_en_transitions, run.energized, run.ml_discharges, run.sl_toggles
-    )
-    return [
-        SearchReport(m, EventTotals(t, e, d, s, run.energizers))
-        for m, (t, e, d, s) in zip(run.matches, totals)
-    ]
+def one_key_runs(run):
+    """Each search of the run as a one-key run, the run ``search`` returns
+    for that query after the one before."""
+    rows = zip(run.matches, run.energized, run.ml_en_transitions, run.sl_toggles)
+    return [SearchRun(run.energizers, [m], [e], [t], [s]) for m, e, t, s in rows]
 
 
-def assert_run_equals_reports(run, reports):
-    """Every column entry of the run equals the field of that name in the
-    query's report (``energized`` is ``ml_precharges``), and every count is
-    a plain int."""
-    assert len(run) == len(reports)
-    assert run_reports(run) == reports
+def query_totals(run):
+    """Each search's ``EventTotals``, read from the run's columns."""
+    return [sum_event_totals(one) for one in one_key_runs(run)]
+
+
+def assert_run_is_oracle_run(run, arr, keys, prev_key=None):
+    """The run equals, whole, the oracles' run of the same keys after
+    ``prev_key``, and every count is a plain int, every match a tuple."""
+    assert run == oracle_run(arr, keys, prev_key)
     columns = (run.energized, run.ml_en_transitions, run.sl_toggles)
     assert {type(c) for column in columns for c in column} <= {int}
     assert {type(m) for m in run.matches} <= {tuple}

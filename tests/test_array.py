@@ -13,7 +13,7 @@ from camsim import (
     EventTotals,
     InvalidConfig,
     Level,
-    SearchReport,
+    SearchRun,
     Variant,
     WidthMismatch,
     WorkloadKind,
@@ -25,17 +25,17 @@ from camsim import (
     oracle_search,
     run_search_stream,
     search,
+    sum_event_totals,
     word_traces,
 )
 from camsim.array import Store
 from camsim.draws import Stream
 from camsim.verify import (
     _check_columns,
-    _fault_columns,
+    _fault_run,
     _key_columns,
-    _report_columns,
+    _search_run,
     _store,
-    _stream_columns,
 )
 from cell_route import FIVE_BIT_STORE, all_words, assert_traces_explain
 
@@ -111,7 +111,7 @@ def test_single_searches_of_one_array_build_its_index_once(index_builds):
     assert index_builds == []
     prev = None
     for word in words[:10]:
-        assert search(arr, word, prev).matches == oracle_search(arr.values, word.value)
+        assert search(arr, word, prev).matches == [oracle_search(arr.values, word.value)]
         prev = word
     assert len(index_builds) == 1 and index_builds[0] is arr.values
 
@@ -123,8 +123,8 @@ def test_write_then_search_matches():
     cfg = CamConfig(4, 8, 3)
     words = [BitWord(8, 0)] * 4
     words[2] = w("10110011")
-    report = search(new_array(cfg, Variant.SELECTIVE, words), w("10110011"))
-    assert report.matches == (2,)
+    run = search(new_array(cfg, Variant.SELECTIVE, words), w("10110011"))
+    assert run.matches == [(2,)]
 
 
 def test_duplicate_words_both_match():
@@ -132,7 +132,7 @@ def test_duplicate_words_both_match():
     words = [BitWord(8, 0)] * 3
     words[0] = words[2] = w("10110011")
     arr = new_array(cfg, Variant.SELECTIVE, words)
-    assert search(arr, w("10110011")).matches == (0, 2)
+    assert search(arr, w("10110011")).matches == [(0, 2)]
 
 
 # ----------------------------------------------------------------- search
@@ -152,10 +152,10 @@ def test_single_match_energizes_one_line():
     query = w("10110011")
     words = [BitWord(8, query.value ^ 0x80) for _ in range(8)]
     words[5] = query
-    report = search(new_array(cfg, Variant.SELECTIVE, words), query)
-    assert report.matches == (5,)
-    assert report.event_totals.ml_precharges == 1
-    assert report.event_totals.ml_discharges == 0
+    run = search(new_array(cfg, Variant.SELECTIVE, words), query)
+    assert run.matches == [(5,)]
+    assert run.energized == [1]
+    assert run.ml_discharges == [0]
 
 
 def test_shared_prefix_energizes_all_and_discharges_all():
@@ -163,15 +163,11 @@ def test_shared_prefix_energizes_all_and_discharges_all():
     cfg = CamConfig(8, 8, 3)
     query = w("10110011")
     words = [BitWord(8, (query.prefix_int(3) << 5) | i) for i in range(8)]
-    report = search(new_array(cfg, Variant.SELECTIVE, words), query)
-    assert report.event_totals.ml_precharges == 8
-    assert report.matches == tuple(
-        a for a, word in enumerate(words) if word == query
-    )
-    assert (
-        report.event_totals.ml_discharges
-        == 8 - len(report.matches)
-    )
+    run = search(new_array(cfg, Variant.SELECTIVE, words), query)
+    assert run.energized == [8]
+    (matches,) = run.matches
+    assert matches == tuple(a for a, word in enumerate(words) if word == query)
+    assert run.ml_discharges == [8 - len(matches)]
 
 
 def test_exhaustive_full_table_equals_oracle():
@@ -213,13 +209,14 @@ def test_oracle_width_guard(monkeypatch):
     # fit before any scan, stream or search: a stored word's in new_array,
     # and every key of a store's keys, or of a randomized chunk's, in the
     # column check that both tiers share, before the first scan, on the
-    # sound engine, single search's and the fault mutant's.
+    # sound engine, single search and the fault mutant.
     calls = []
     for name in ("search", "run_search_stream", "oracle_search"):
         monkeypatch.setattr(camsim.verify, name, lambda *a: calls.append(a))
     cfg = CamConfig(2, 4, 2)
 
-    for engine in (_stream_columns, _report_columns, _fault_columns):
+    # the sound engine is verify's run_search_stream, patched above
+    for engine in (camsim.verify.run_search_stream, _search_run, _fault_run):
 
         def check(words, keys):
             store = _store(cfg, words)
@@ -254,7 +251,7 @@ def test_search_equals_oracle_on_random_arrays(case):
         prev = None
         for qv in queries:
             q = BitWord(n, qv)
-            assert search(arr, q, prev).matches == oracle_search(stored, qv)
+            assert search(arr, q, prev).matches == [oracle_search(stored, qv)]
             prev = q
 
 
@@ -270,14 +267,14 @@ def test_word_outcomes_match_cell_level_route(stored, qv):
     query = BitWord(n, qv)
     for variant in (Variant.SELECTIVE, Variant.BASELINE_NOR):
         arr = new_array(cfg, variant, words)
-        report = search(arr, query)
+        (matches,) = search(arr, query).matches
         gated = variant is Variant.SELECTIVE
         for trace, word in zip(word_traces(arr, query), words):
             en = not gated or word.prefix_int(k) == query.prefix_int(k)
             diff = word.value ^ query.value
             lowest = n - diff.bit_length() if en and diff else None
             assert trace.ml_precharged == en
-            assert (trace.ml_final is Level.HIGH) == (trace.addr in report.matches)
+            assert (trace.ml_final is Level.HIGH) == (trace.addr in matches)
             assert trace.discharging_bit == lowest
 
 
@@ -289,7 +286,7 @@ def test_trace_invariants_selective():
     words = all_words(6)[16:32]
     arr = new_array(cfg, Variant.SELECTIVE, words)
     query = BitWord(6, 0b010110)
-    report = search(arr, query)
+    run = search(arr, query)
     traces = word_traces(arr, query)
     assert len(traces) == 16
     for t in traces:
@@ -305,8 +302,8 @@ def test_trace_invariants_selective():
         assert t.ml_precharged == (
             words[t.addr].prefix_int(3) == query.prefix_int(3)
         )
-    assert report.event_totals.ml_precharges == sum(t.ml_precharged for t in traces)
-    assert set(report.matches) == {
+    assert run.energized == [sum(t.ml_precharged for t in traces)]
+    assert set(run.matches[0]) == {
         t.addr for t in traces if t.ml_final is Level.HIGH
     }
 
@@ -352,7 +349,7 @@ def test_trace_totals_are_consistent():
             for prev in (None, same_prefix, other_prefix):
                 r, traces = assert_traces_explain(arr, query, prev)
                 gated = variant is Variant.SELECTIVE
-                assert r.event_totals.mle_evaluations == (cfg.num_words if gated else 0)
+                assert r.energizers == (cfg.num_words if gated else 0)
                 for x, word in zip(traces, FIVE_BIT_STORE):
                     en = not gated or word.prefix_int(k) == query.prefix_int(k)
                     diff = word.value ^ query.value
@@ -439,12 +436,12 @@ def test_searchline_toggle_counting():
     arr = new_array(cfg, Variant.SELECTIVE, [BitWord(8, 0)] * 2)
     q1, q2 = w("10110011"), w("10010111")
     first = search(arr, q1)
-    assert first.event_totals.sl_toggles == 8  # first search drives every column
+    assert first.sl_toggles == [8]  # first search drives every column
     second = search(arr, q2, prev_query=q1)
     delta = sum(q1.bit(i) != q2.bit(i) for i in range(8))
-    assert second.event_totals.sl_toggles == delta == 2
+    assert second.sl_toggles == [delta] == [2]
     same = search(arr, q2, prev_query=q2)
-    assert same.event_totals.sl_toggles == 0
+    assert same.sl_toggles == [0]
 
 
 def test_ml_en_transitions_against_cell_route():
@@ -452,14 +449,14 @@ def test_ml_en_transitions_against_cell_route():
     words = all_words(6)[8:16]
     arr = new_array(cfg, Variant.SELECTIVE, words)
     q1, q2 = BitWord(6, 0b001100), BitWord(6, 0b011100)
-    report = search(arr, q2, prev_query=q1)
+    run = search(arr, q2, prev_query=q1)
     charges = discharges = 0
     for word in words:
         before = mle_eval(word.prefix_bits(2), q1.prefix_bits(2)).ml_en
         after = mle_eval(word.prefix_bits(2), q2.prefix_bits(2)).ml_en
         charges += before is Level.LOW and after is Level.HIGH
         discharges += before is Level.HIGH and after is Level.LOW
-    assert report.event_totals.ml_en_transitions == charges + discharges
+    assert run.ml_en_transitions == [charges + discharges]
     trs = word_traces(arr, q2, q1)
     assert sum(t.transitions.ml_en_charges for t in trs) == charges
     assert sum(t.transitions.ml_en_discharges for t in trs) == discharges
@@ -470,11 +467,11 @@ def test_suffix_change_never_affects_energization():
     query = w("10110011")
     for suffix in range(32):
         word = BitWord(8, (query.prefix_int(3) << 5) | suffix)
-        report = search(new_array(cfg, Variant.SELECTIVE, [word]), query)
-        assert report.event_totals.ml_precharges == 1
+        run = search(new_array(cfg, Variant.SELECTIVE, [word]), query)
+        assert run.energized == [1]
     flipped = BitWord(8, query.value ^ 0x80)
-    report = search(new_array(cfg, Variant.SELECTIVE, [flipped]), query)
-    assert report.event_totals.ml_precharges == 0
+    run = search(new_array(cfg, Variant.SELECTIVE, [flipped]), query)
+    assert run.energized == [0]
 
 
 def test_baseline_dominance():
@@ -483,13 +480,13 @@ def test_baseline_dominance():
     query = w("01010101")
     sel = search(new_array(cfg, Variant.SELECTIVE, words), query)
     base = search(new_array(cfg, Variant.BASELINE_NOR, words), query)
-    assert sel.event_totals.ml_precharges <= base.event_totals.ml_precharges
-    assert base.event_totals.ml_precharges == 8
+    assert sel.energized[0] <= base.energized[0]
+    assert base.energized == [8]
     assert sel.matches == base.matches
     # equality only when every stored prefix matches the query prefix
     shared = [BitWord(8, (query.prefix_int(3) << 5) | i) for i in range(8)]
     sel2 = search(new_array(cfg, Variant.SELECTIVE, shared), query)
-    assert sel2.event_totals.ml_precharges == 8
+    assert sel2.energized == [8]
 
 
 @settings(max_examples=40, deadline=None)
@@ -517,7 +514,7 @@ def test_write_search_interleaving_matches_oracle(ops):
             _, qv, _ = op
             q = BitWord(8, qv)
             stored = [w.value for w in words]
-            assert search(arr, q, prev).matches == oracle_search(stored, qv)
+            assert search(arr, q, prev).matches == [oracle_search(stored, qv)]
             prev = q
 
 
@@ -568,10 +565,10 @@ def _assert_scan(arr, words, query, prev):
     r = search(arr, query, prev)
     prev_key = None if prev is None else prev.value
     run = run_search_stream(arr, [query.value], prev_key)
-    assert r.matches == want and run.matches == [want]
+    assert r.matches == run.matches == [want]
     k = arr.config.mle_bits
     gated = arr.variant is Variant.SELECTIVE
-    assert r.event_totals.ml_precharges == run.energized[0] == sum(
+    assert r.energized[0] == run.energized[0] == sum(
         1 for w in words if not gated or w.prefix_int(k) == query.prefix_int(k)
     )
 
@@ -596,40 +593,40 @@ def test_repeated_values_come_back_ascending(case):
 
 
 @pytest.mark.parametrize("variant", Variant)
-def test_search_records_have_every_field(variant):
-    # search builds both records with tuple.__new__, which checks no field
-    # count: a dropped or extra field would otherwise pass silently
+def test_search_is_the_one_key_stream(variant):
+    # a search's record is the run of its one key, with or without the
+    # previous query: the same columns and energizers as the stream's
     cfg = CamConfig(4, 6, 2)
     words = [BitWord(6, v) for v in (0b000011, 0b010101, 0b000011, 0b111000)]
     arr = new_array(cfg, variant, words)
-    first = search(arr, BitWord(6, 3))
-    threaded = search(arr, BitWord(6, 21), BitWord(6, 3))
-    for r in (first, threaded):
-        assert type(r) is SearchReport
-        assert len(r) == len(SearchReport._fields) == 2
-        assert type(r.event_totals) is EventTotals
-        assert len(r.event_totals) == len(EventTotals._fields) == 5
+    for query, prev in ((3, None), (21, 3), (56, 21)):
+        prev_query = None if prev is None else BitWord(6, prev)
+        run = search(arr, BitWord(6, query), prev_query)
+        assert type(run) is SearchRun and len(run) == 1
+        assert run == run_search_stream(arr, [query], prev)
+        assert type(sum_event_totals(run)) is EventTotals
 
 
 def test_record_reprs_are_pinned():
     # Recorded when both records were frozen dataclasses whose report repr
     # left out ``array``, re-recorded when ``energy_total`` left the report
-    # (the energies live in the run's prices, ``energy.aggregate``), and
-    # again when the report came down to its matches and event totals.
+    # (the energies live in the run's prices, ``energy.aggregate``), again
+    # when the report came down to its matches and event totals, and again
+    # when a search came to return its one-key run.
     cfg = CamConfig(4, 6, 2)
     words = [BitWord(6, v) for v in (0b000011, 0b010101, 0b000011, 0b111000)]
     sel = search(new_array(cfg, Variant.SELECTIVE, words), BitWord(6, 3), BitWord(6, 56))
     base = search(new_array(cfg, Variant.BASELINE_NOR, words), BitWord(6, 21))
     assert repr(sel) == (
-        "SearchReport(matches=(0, 2), event_totals=EventTotals("
-        "ml_en_transitions=3, ml_precharges=2, ml_discharges=0, sl_toggles=5,"
-        " mle_evaluations=4))"
+        "SearchRun(energizers=4, matches=[(0, 2)], energized=[2],"
+        " ml_en_transitions=[3], sl_toggles=[5])"
     )
     assert repr(base) == (
-        "SearchReport(matches=(1,), event_totals=EventTotals("
-        "ml_en_transitions=0, ml_precharges=4, ml_discharges=3, sl_toggles=6,"
-        " mle_evaluations=0))"
+        "SearchRun(energizers=0, matches=[(1,)], energized=[4],"
+        " ml_en_transitions=[0], sl_toggles=[6])"
     )
+    assert sum_event_totals(sel) == EventTotals(3, 2, 0, 5, 4)
+    assert sum_event_totals(base) == EventTotals(0, 4, 3, 6, 0)
     assert repr(EventTotals(1, 2, 3, 4, 5)) == (
         "EventTotals(ml_en_transitions=1, ml_precharges=2, ml_discharges=3,"
         " sl_toggles=4, mle_evaluations=5)"

@@ -342,6 +342,31 @@ def test_sweep_rejects_bad_k_range(tmp_path):
     assert main(["sweep", "--k-min", "4", "--k-max", "3", "--queries", "10"]) == 2
 
 
+def test_sweep_checks_only_the_k_values_it_sweeps(tmp_path, capsys):
+    # every row sets its own k, so --mle-bits is accepted and unread: a
+    # sweep that fits its width runs whatever --mle-bits says, and each k
+    # out of range keeps its own message
+    base = ["sweep", "--num-words", "8", "--queries", "20"]
+    outputs = set()
+    for extra in ([], ["--mle-bits", "7"], ["--mle-bits", "1"], ["--mle-bits", "5"]):
+        out = tmp_path / "s.csv"
+        argv = [*base, "--width", "5", "--k-min", "2", "--k-max", "4", *extra]
+        assert main([*argv, "--out", str(out)]) == 0
+        outputs.add((out.read_text(), capsys.readouterr().out))
+    assert len(outputs) == 1
+    assert main([*base, "--width", "3", "--k-min", "2", "--k-max", "2"]) == 0
+    capsys.readouterr()
+    for flags, message in (
+        (["--k-min", "1"], "the energizer needs at least 2 bits, got 1"),
+        (["--k-max", "7"], "mle_bits beyond 6 is unsupported"),
+        (["--width", "4"], "mle_bits (4) must be smaller than word_bits (4)"),
+        (["--width", "3", "--k-min", "3", "--k-max", "3", "--mle-bits", "2"],
+         "mle_bits (3) must be smaller than word_bits (3)"),
+    ):
+        assert main([*base, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sweep_echoes_effective_configuration(tmp_path, capsys):
     rc = main([
         "sweep", "--num-words", "16", "--width", "12", "--queries", "50",

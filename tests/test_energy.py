@@ -36,7 +36,7 @@ from camsim import (
     word_traces,
 )
 from camsim import energy as energy_module
-from cell_route import oracle_reports
+from cell_route import oracle_run, query_totals
 
 CFG = CamConfig(256, 144, 3, seed=1)
 
@@ -200,8 +200,8 @@ def test_aggregate_fills_energy():
     model = EnergyModel()
     energies = aggregate(run, model, cfg)
     assert len(energies) == len(run) == 10
-    (first,) = oracle_reports(_array(cfg, Variant.SELECTIVE), queries[:1])
-    assert energies[0] == pytest.approx(totals_energy(first.event_totals, model, cfg))
+    first = sum_event_totals(oracle_run(_array(cfg, Variant.SELECTIVE), queries[:1]))
+    assert energies[0] == pytest.approx(totals_energy(first, model, cfg))
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -210,11 +210,11 @@ def test_aggregate_prices_a_run_bit_for_bit(variant):
     run, queries = _run(cfg, variant, 60)
     model = EnergyModel(c_ml_per_cell=0.7, c_sl_per_cell=0.3, upsize_base=1.5)
     energies = aggregate(run, model, cfg)
-    reports = oracle_reports(_array(cfg, variant), queries)
-    assert len(energies) == len(reports)
-    for e, r in zip(energies, reports):
+    totals = query_totals(oracle_run(_array(cfg, variant), queries))
+    assert len(energies) == len(totals)
+    for e, t in zip(energies, totals):
         assert type(e) is float
-        assert e.hex() == totals_energy(r.event_totals, model, cfg).hex()
+        assert e.hex() == totals_energy(t, model, cfg).hex()
 
 
 def test_aggregate_takes_any_sequence_columns():
@@ -452,7 +452,7 @@ _TOTALS = st.builds(EventTotals, _COUNT, _COUNT, _COUNT, _COUNT, _COUNT)
 _BASE_CONFIG = CamConfig(16, 12, 3, seed=5)
 _BASE_WORDS = gen_words(16, 12, 5)
 _BASE_ARRAY = new_array(_BASE_CONFIG, Variant.SELECTIVE, _BASE_WORDS)
-_BASE_REPORT = search(_BASE_ARRAY, BitWord(12, 5))
+_BASE_RUN = search(_BASE_ARRAY, BitWord(12, 5))
 
 
 def _priced_columns(totals):
@@ -484,9 +484,9 @@ def test_totals_energy_rejects_negative_counts():
 @given(st.lists(st.integers(0, 4095), max_size=40), st.sampled_from(list(Variant)))
 def test_sum_event_totals_equals_chained_add(values, variant):
     arr = new_array(_BASE_CONFIG, variant, _BASE_WORDS)
-    reports = oracle_reports(arr, values)
+    per_search = query_totals(oracle_run(arr, values))
     # field by field, from zero counts, over the per-search totals
-    want = EventTotals(*map(sum, zip(EventTotals(), *(r.event_totals for r in reports))))
+    want = EventTotals(*map(sum, zip(EventTotals(), *per_search)))
     total = sum_event_totals(run_search_stream(arr, values))
     assert total == want
     assert type(total) is EventTotals
@@ -501,10 +501,12 @@ def test_sum_event_totals_of_no_reports_is_zero():
 @settings(max_examples=40, deadline=None)
 @given(_TOTALS)
 def test_records_are_immutable_hashable_values(totals):
-    report = _BASE_REPORT._replace(event_totals=totals)
-    for record in (totals, report):
-        for name in record._fields:
-            with pytest.raises(AttributeError):
-                setattr(record, name, getattr(record, name))
-        copy = type(record)(*record)
-        assert copy == record and hash(copy) == hash(record)
+    for name in totals._fields:
+        with pytest.raises(AttributeError):
+            setattr(totals, name, getattr(totals, name))
+    copy = EventTotals(*totals)
+    assert copy == totals and hash(copy) == hash(totals)
+    # a search's run is frozen too, though its columns are lists
+    for name in ("energizers", *SearchRun.COLUMNS):
+        with pytest.raises(AttributeError):
+            setattr(_BASE_RUN, name, getattr(_BASE_RUN, name))

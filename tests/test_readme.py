@@ -3,8 +3,8 @@
 import re
 from pathlib import Path
 
-from camsim import EnergyModel, SearchReport, SearchRun, totals_energy
-from cell_route import run_reports
+from camsim import EnergyModel, SearchRun, sum_event_totals, totals_energy
+from cell_route import one_key_runs
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,10 +17,11 @@ def _library_example() -> str:
 def test_readme_library_example_runs(capsys):
     scope: dict = {}
     exec(compile(_library_example(), str(README), "exec"), scope)
-    run, energies, report = scope["run"], scope["energies"], scope["report"]
+    run, energies, one = scope["run"], scope["energies"], scope["one"]
     assert type(run) is SearchRun and len(run) == len(energies) == 1000
-    assert type(report) is SearchReport and len(report._fields) == 2
+    assert type(one) is SearchRun and len(one) == 1
     # the example's single search is the run's first query, from power-up
-    assert report == run_reports(run)[0]
-    assert energies[0] == totals_energy(report.event_totals, EnergyModel(), scope["cfg"])
+    assert one == one_key_runs(run)[0]
+    totals = sum_event_totals(one)
+    assert energies[0] == totals_energy(totals, EnergyModel(), scope["cfg"])
     assert capsys.readouterr().out.strip()

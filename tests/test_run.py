@@ -28,15 +28,15 @@ from camsim import (
     sum_event_totals,
     totals_energy,
 )
-from cell_route import assert_run_equals_reports, oracle_reports
+from cell_route import assert_run_is_oracle_run, oracle_run, query_totals
 
 MODEL = EnergyModel(c_ml_per_cell=0.7, c_sl_per_cell=0.3, upsize_base=1.5)
 
 
-def _assert_prices(run, reports, config):
+def _assert_prices(run, expected, config):
     energies = aggregate(run, MODEL, config)
     assert [e.hex() for e in energies] == [
-        totals_energy(r.event_totals, MODEL, config).hex() for r in reports
+        totals_energy(t, MODEL, config).hex() for t in query_totals(expected)
     ]
 
 
@@ -52,10 +52,9 @@ def test_columns_equal_the_oracles_on_every_exhaustive_store(exhaustive_tier):
         for variant in Variant:
             arr = new_array(config, variant, words)
             for prev in (None, queries[-1]):
-                reports = oracle_reports(arr, queries, prev)
                 run = run_search_stream(arr, queries, prev)
-                assert_run_equals_reports(run, reports)
-                _assert_prices(run, reports, config)
+                assert_run_is_oracle_run(run, arr, queries, prev)
+                _assert_prices(run, oracle_run(arr, queries, prev), config)
                 searches += len(run)
                 for column in (
                     run.energized, run.ml_en_transitions, run.sl_toggles,
@@ -85,10 +84,9 @@ def test_columns_equal_the_oracles_at_reference_geometry(kind, seed):
     for variant in Variant:
         arr = new_array(config, variant, words)
         for prev in (None, queries[0]):
-            reports = oracle_reports(arr, queries[1:], prev)
             run = run_search_stream(arr, queries[1:], prev)
-            assert_run_equals_reports(run, reports)
-            _assert_prices(run, reports, config)
+            assert_run_is_oracle_run(run, arr, queries[1:], prev)
+            _assert_prices(run, oracle_run(arr, queries[1:], prev), config)
             if kind is WorkloadKind.PLANTED:
                 assert sum(map(bool, run.matches)) > 100
 
@@ -213,7 +211,7 @@ def test_a_hit_on_every_line_lists_every_address(variant):
     for values, query_value in stores:
         want = oracle_search(values, query_value)
         arr = new_array(config, variant, [BitWord(12, v) for v in values])
-        assert search(arr, BitWord(12, query_value)).matches == want
+        assert search(arr, BitWord(12, query_value)).matches == [want]
         keys = [query_value, query_value]
         assert run_search_stream(arr, keys).matches == [want, want]
 
@@ -249,4 +247,4 @@ def test_stream_membership_equals_the_oracles(variant, store):
     for prev in (None, queries[-1]):
         run = run_search_stream(arr, queries, prev)
         assert list(run.matches) == want
-        assert_run_equals_reports(run, oracle_reports(arr, queries, prev))
+        assert_run_is_oracle_run(run, arr, queries, prev)

@@ -14,10 +14,10 @@ from camsim import (
     run_search_stream,
 )
 from cell_route import (
-    assert_run_equals_reports,
+    assert_run_is_oracle_run,
     assert_traces_explain,
-    oracle_reports,
-    run_reports,
+    one_key_runs,
+    oracle_run,
     threaded,
 )
 
@@ -35,7 +35,7 @@ def test_traces_explain_every_exhaustive_search(exhaustive_tier):
     for config, words, queries, _ in stores:
         for variant in Variant:
             arr = new_array(config, variant, words)
-            rows = run_reports(run_search_stream(arr, queries))
+            rows = one_key_runs(run_search_stream(arr, queries))
             for (query, prev), row in zip(threaded(config.word_bits, queries), rows):
                 assert_traces_explain(arr, query, prev, row)
                 traced += 1
@@ -61,10 +61,10 @@ def test_traces_explain_randomized_searches_at_reference_geometry(variant, spec)
     arr = new_array(cfg, variant, words)
     queries = gen_queries(spec, words)
     run = run_search_stream(arr, queries)
-    reports = oracle_reports(arr, queries)
-    assert_run_equals_reports(run, reports)
-    for (query, prev), report in zip(threaded(cfg.word_bits, queries), reports):
-        assert_traces_explain(arr, query, prev, report)
-    assert len(reports) == TRIALS
+    assert_run_is_oracle_run(run, arr, queries)
+    rows = one_key_runs(oracle_run(arr, queries))
+    for (query, prev), row in zip(threaded(cfg.word_bits, queries), rows):
+        assert_traces_explain(arr, query, prev, row)
+    assert len(rows) == TRIALS
     if spec.kind is WorkloadKind.PLANTED:
-        assert any(r.matches for r in reports)
+        assert any(run.matches)

@@ -20,7 +20,7 @@ from camsim import (
     word_traces,
 )
 from camsim.cli import main
-from camsim.verify import _fault_columns, _flipped_gate_matches
+from camsim.verify import _fault_run, _flipped_gate_matches
 from cell_route import FIVE_BIT_STORE, all_words
 
 
@@ -407,9 +407,29 @@ def test_randomized_tier_catches_a_search_only_fault(monkeypatch, capsys):
     assert capsys.readouterr().err == f"counterexample: {ce.describe()}\n"
 
 
+def test_a_failure_at_query_0_leaves_the_all_nor_array_unsearched(monkeypatch):
+    # no failure can come before query 0, so once the gated run fails there
+    # the column check makes no all-NOR engine call, not even one of no keys
+    searched = []
+
+    def stream(arr, keys, prev_key=None, *rest):
+        searched.append((arr.variant, len(keys)))
+        run = run_search_stream(arr, keys, prev_key, *rest)
+        return replace(run, sl_toggles=[t + 1 for t in run.sl_toggles])
+
+    monkeypatch.setattr(camsim.verify, "run_search_stream", stream)
+    out = verify_exhaustive(1)
+    assert out.cases == 1 and out.counterexample.field == "sl_toggles"
+    assert searched == [(Variant.SELECTIVE, 16)]
+    searched.clear()
+    out = verify_randomized(REFERENCE, 200, 1)
+    assert out.cases == 1 and out.counterexample.field == "sl_toggles"
+    assert searched == [(Variant.SELECTIVE, CHUNK)]
+
+
 def test_fault_injection_checks_matches_only(monkeypatch):
-    # the inverted-gate mutant has no counts: a count mutant on top of it
-    # leaves its first counterexample as it is
+    # the inverted-gate mutant's counts are the sound stream's: a count
+    # mutant on top of it leaves its first counterexample as it is
     _all_on_gate(monkeypatch)
     out = verify_exhaustive(1, fault=True)
     assert out.cases == 1 and out.counterexample.field == "matches"
@@ -419,15 +439,18 @@ def test_flipped_gate_mutant_matches_the_cell_level_route():
     # every variant, every query: the mutant reports exactly the words whose
     # traced ML_EN level, inverted behind an energizer, is high and whose
     # NOR-compared bits (the suffix, or the whole baseline word) equal the
-    # query's; without an energizer that is the sound stream
+    # query's; without an energizer that is the sound stream. Every count
+    # of its run is the sound stream's, so only its matches can fail.
     n = 5
     for k, variant in product((2, 3), Variant):
         arr = new_array(CamConfig(len(FIVE_BIT_STORE), n, k), variant, FIVE_BIT_STORE)
         gated = variant is Variant.SELECTIVE
         compared = (1 << (n - k if gated else n)) - 1
         queries = all_words(n)
-        got = _fault_columns(arr, [q.value for q in queries], None)
-        for query, matches in zip(queries, got["matches"]):
+        keys = [q.value for q in queries]
+        got = _fault_run(arr, keys, None)
+        assert got == replace(run_search_stream(arr, keys), matches=got.matches)
+        for query, matches in zip(queries, got.matches):
             assert matches == tuple(
                 t.addr
                 for t, word in zip(word_traces(arr, query), FIVE_BIT_STORE)
