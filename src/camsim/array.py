@@ -19,10 +19,15 @@ on the all-NOR array, which precharges every line), and ``_runs[b]``
 counts the lines whose ML_EN is high for bucket b. The variants differ
 only in those facts, so the engine has no variant branch. When the bucket
 repeats no ML_EN changes; otherwise every line of both buckets changes its
-ML_EN, since two gated buckets share no line. This module imports nothing
-of the truth-level per-word model (``trace``, ``mle``, ``cells``), which
-the tests check every count against: ``trace.word_traces`` rebuilds a
-search's per-word levels from the array and its queries.
+ML_EN, since two gated buckets share no line. The engine branches once,
+on a gate fact: a gate of one bucket (``_runs`` of length 1, as on the
+all-NOR array, whose idle bucket is that bucket too) energizes
+``_runs[0]`` lines on every search and never changes ML_EN, so those
+columns are constants, not worked out key by key. Every gated array has
+at least four buckets. This module imports nothing of the truth-level
+per-word model (``trace``, ``mle``, ``cells``), which the tests check
+every count against: ``trace.word_traces`` rebuilds a search's per-word
+levels from the array and its queries.
 
 Arrays are immutable values, built whole: ``new_array`` checks the width
 of each stored ``BitWord`` and keeps its int value. There is no
@@ -179,12 +184,19 @@ def new_array(
 def oracle_search(values: Sequence[int], key: int) -> tuple[int, ...]:
     """Reference model: a plain linear scan of the stored values, in address
     order, for exact equality with ``key``. It reads no fact of an array,
-    and it lists the (ascending) addresses of a hit with its own loop, not
-    from ``Store.addresses``, once a C-level ``key in values`` finds one.
-    Widths are the caller's to check."""
-    if key not in values:
+    not ``Store.addresses``: a C-level ``values.count(key)`` counts the
+    hits, and each hit's address is found by a C-level ``values.index``
+    that starts just past the one before, so they ascend. Widths are the
+    caller's to check."""
+    hits = values.count(key)
+    if not hits:
         return ()
-    return tuple([addr for addr, v in enumerate(values) if v == key])
+    at = values.index(key)
+    addrs = [at]
+    for _ in range(hits - 1):
+        at = values.index(key, at + 1)
+        addrs.append(at)
+    return tuple(addrs)
 
 
 def _gate_index(values: Sequence[int], shift: int, n: int) -> tuple[int, ...]:
@@ -289,7 +301,9 @@ def run_search_stream(
 
     The stream reads each key's matches in O(1) from the store's
     ``addresses``, built (O(N)) on the first stream of any array that
-    holds the same ``Store``.
+    holds the same ``Store``. On a gate of one bucket (the all-NOR array)
+    the energized and ML_EN columns are constants, so only the range
+    check, the toggles and the matches pass over the keys.
 
     ``start`` is the position of ``keys[0]`` in the whole stream, of which
     ``keys`` may be a later part searched after ``prev_key``, its last key
@@ -303,22 +317,30 @@ def run_search_stream(
         return SearchRun(array._energizers, [], [], [], [])
     n = array.config.word_bits
     _check_keys(keys, n, prev_key, start)
+    sl_first = n if prev_key is None else (keys[0] ^ prev_key).bit_count()
     shift, runs = array._shift, array._runs
-    if prev_key is None:
-        (prev_bucket, prev_lines), sl_first = array._idle, n
+    if len(runs) == 1:
+        # One bucket (the all-NOR gate): every key's bucket, the idle one
+        # too, is 0, so the rule below gives runs[0] energized lines and no
+        # ML_EN transition for every key.
+        energized = [runs[0]] * len(keys)
+        ml_en = [0] * len(keys)
     else:
-        prev_bucket = prev_key >> shift
-        prev_lines = runs[prev_bucket]
-        sl_first = (keys[0] ^ prev_key).bit_count()
-    buckets = [*map(shift.__rrshift__, keys)]
-    energized = [*map(runs.__getitem__, buckets)]
-    # The gate's rule: no transition when the bucket stays, else every line
-    # of both buckets changes its ML_EN. A bool times an int is an int.
-    ml_en = [*map(
-        mul,
-        map(ne, buckets, chain((prev_bucket,), buckets)),
-        map(add, energized, chain((prev_lines,), energized)),
-    )]
+        if prev_key is None:
+            prev_bucket, prev_lines = array._idle
+        else:
+            prev_bucket = prev_key >> shift
+            prev_lines = runs[prev_bucket]
+        buckets = [*map(shift.__rrshift__, keys)]
+        energized = [*map(runs.__getitem__, buckets)]
+        # The gate's rule: no transition when the bucket stays, else every
+        # line of both buckets changes its ML_EN. A bool times an int is an
+        # int.
+        ml_en = [*map(
+            mul,
+            map(ne, buckets, chain((prev_bucket,), buckets)),
+            map(add, energized, chain((prev_lines,), energized)),
+        )]
     sl = [sl_first, *map(int.bit_count, map(xor, keys[1:], keys))]
     get = array.values.addresses.get
     return SearchRun(

@@ -6,8 +6,10 @@ is the 32-byte blake2b digest of the tag, the seed (8 bytes), the index
 (8 bytes) and b (4 bytes), all big-endian.
 
 A column method draws a run of indices in one loop, with no method call
-per draw: ``Stream.bits_column`` gives the ints of ``bits`` for each index,
-and ``Stream.blocks_column`` gives the bytes of ``blocks`` for each index,
+per draw: ``Stream.bits_column`` gives the ints of ``bits`` for each index
+of a run, ``Stream.bits_at`` for each index of any iterable (such as the
+indices of a run that ``itertools.compress`` keeps), and
+``Stream.blocks_column`` gives the bytes of ``blocks`` for each index,
 joined in index order into one buffer. Both give exactly the bytes of the
 per-draw methods, whatever the run's bounds.
 """
@@ -89,10 +91,12 @@ class Stream:
         """``bits(i, width)`` for i = start .. start + count - 1. Up to 256
         bits a draw comes from its first block alone, so the column takes
         one loop with no method call per draw."""
-        return self._bits_at(range(start, start + count), width)
+        return self.bits_at(range(start, start + count), width)
 
-    def _bits_at(self, indices: Iterable[int], width: int) -> list[int]:
-        """``bits(i, width)`` for each i of ``indices``, in their order."""
+    def bits_at(self, indices: Iterable[int], width: int) -> list[int]:
+        """``bits(i, width)`` for each i of ``indices``, in their order. Up
+        to 256 bits, one loop with no method call per draw; wider draws
+        fall back to ``bits``."""
         if width > 256:
             return [self.bits(i, width) for i in indices]
         # The first nbytes of the block, shifted right by 8 * nbytes - width,

@@ -15,9 +15,13 @@ mix of uniform queries, planted copies, and near-miss single-bit
 corruptions, which is where a wrong prefix gate or suffix scan actually
 shows up. It draws its
 trials as int keys, ``TRIALS_PER_CHUNK`` at a time, and streams each chunk
-on both variants after the last key of the chunk before. A store's
-all-NOR array is its gated array with the variant replaced (``_store``),
-so both hold one ``array.Store``, and every stream and single ``search``
+on both variants after the last key of the chunk before. A chunk's draws
+are columns (``_trial_keys``): its styles in one ``Stream.bits_column``,
+then, through ``Stream.bits_at``, query bits only for its uniform trials,
+picks only for its copies and flips only for its flipped copies. Each key
+is the one that per-trial ``unit``, ``bits`` and ``pick`` calls draw. A
+store's all-NOR array is its gated array with the variant replaced
+(``_store``), so both hold one ``array.Store``, and every stream and single ``search``
 of the store reads its matches from one dict of addresses, built once per
 store. Both tiers check every query on the gated and on the all-NOR array
 of a store against one oracle scan, so a ``VerifyOutcome.cases`` counts
@@ -62,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain, compress, count, islice
-from operator import add, mul, ne, xor
+from operator import add, mul, ne, not_, xor
 from typing import Callable, Optional, Sequence, Union
 
 from .array import (
@@ -315,6 +319,48 @@ def verify_exhaustive(seed: int = 0, fault: bool = False) -> VerifyOutcome:
     return VerifyOutcome(total, None)
 
 
+def _trial_draws(seed: int) -> tuple[Stream, Stream, Stream]:
+    """The randomized tier's streams at ``seed``: each trial's style, its
+    query bits or pick, and its flipped bit."""
+    return tuple(Stream(tag, seed) for tag in (_TAG_STYLE, _TAG_TRIAL, _TAG_FLIP))
+
+
+def _trial_keys(
+    draws: tuple[Stream, Stream, Stream],
+    values: Sequence[int],
+    n: int,
+    start: int,
+    stop: int,
+) -> list[int]:
+    """The query keys of trials ``start`` .. ``stop`` - 1, drawn as columns
+    from ``_trial_draws``' streams. Trial i's style is its 64-bit style draw
+    over 2**64, as ``Stream.unit`` computes it: below 0.6 the key is its n
+    query bits, else a copy of the stored value at its 64-bit pick modulo
+    N, and from 0.9 on that copy with bit ``n - 1 - flip % n`` inverted,
+    flip being its 64-bit flip draw. The query bits and the pick are draws
+    of one stream, at widths n and 64. Each trial's query bits, pick and
+    flip are drawn only where it uses them."""
+    styles, trials, flips = draws
+    fractions = [u / 2.0**64 for u in styles.bits_column(stop - start, 64, start)]
+    indices = range(start, stop)
+    uniform = [f < 0.6 for f in fractions]
+    drawn = iter(trials.bits_at(compress(indices, uniform), n))
+    size = len(values)
+    copies = iter([
+        values[u % size]
+        for u in trials.bits_at(compress(indices, map(not_, uniform)), 64)
+    ])
+    masks = iter([
+        1 << (n - 1 - u % n)
+        for u in flips.bits_at(compress(indices, [f >= 0.9 for f in fractions]), 64)
+    ])
+    return [
+        next(drawn) if f < 0.6 else next(copies) if f < 0.9
+        else next(copies) ^ next(masks)
+        for f in fractions
+    ]
+
+
 # Trials the randomized tier draws and checks at a time: the most of them
 # whose keys and columns it holds. Measured at 256 x 144 (CHANGES.md): with
 # 16 to 64 the traced peak of ``camsim verify --trials 200`` stays where the
@@ -332,8 +378,9 @@ def verify_randomized(
     """Randomized trials at full geometry, each one search on both variants,
     so ``cases`` is 2 x ``trials`` when every search passes. Each trial
     draws its query key from (seed, trial index): 60% uniform, 30% an exact
-    copy of a stored word, 10% a stored word with one flipped bit. The
-    trials are drawn and checked ``TRIALS_PER_CHUNK`` at a time, each chunk
+    copy of a stored word, 10% a stored word with one flipped bit
+    (``_trial_keys``). The trials are drawn, as columns, and checked
+    ``TRIALS_PER_CHUNK`` at a time, each chunk
     streamed after the last key of the one before. Every stream and single
     ``search`` reads its matches from the store's one dict of addresses,
     built once per call. Once
@@ -348,24 +395,12 @@ def verify_randomized(
         raise InvalidConfig(f"trials must be >= 0, got {trials}")
     n, k = config.word_bits, config.mle_bits
     store = _store(config, gen_words(config.num_words, n, config.seed))
-    values = store[1]
-    styles, trial_draws, flips = (
-        Stream(tag, seed) for tag in (_TAG_STYLE, _TAG_TRIAL, _TAG_FLIP)
-    )
-
-    def trial(i: int) -> int:
-        style = styles.unit(i)
-        if style < 0.6:
-            return trial_draws.bits(i, n)
-        base = values[trial_draws.pick(i, len(values))]
-        if style < 0.9:
-            return base
-        return base ^ (1 << (n - 1 - flips.pick(i, n)))
-
+    draws = _trial_draws(seed)
     engine = _fault_run if fault else run_search_stream
     total, prev_key = 0, None
     for start in range(0, trials, TRIALS_PER_CHUNK):
-        keys = [trial(i) for i in range(start, min(start + TRIALS_PER_CHUNK, trials))]
+        stop = min(start + TRIALS_PER_CHUNK, trials)
+        keys = _trial_keys(draws, store[1], n, start, stop)
         key_columns = _key_columns(keys, n, k, prev_key)
         out = _check_columns(
             store, keys, key_columns, engine, "randomized {}", prev_key

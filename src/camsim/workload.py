@@ -131,9 +131,9 @@ def gen_queries(
         decisions = Stream(_TAG_DECISION, seed).bits_column(stop - start, 64, start)
         planted = [u / 2.0**64 < rate for u in decisions]
         indices = range(start, stop)
-        picks = Stream(_TAG_PICK, seed)._bits_at(compress(indices, planted), 64)
+        picks = Stream(_TAG_PICK, seed).bits_at(compress(indices, planted), 64)
         picked = iter([values[u % len(values)] for u in picks])
-        drawn = iter(Stream(_TAG_QUERY, seed)._bits_at(
+        drawn = iter(Stream(_TAG_QUERY, seed).bits_at(
             compress(indices, map(not_, planted)), width
         ))
         return [next(picked) if p else next(drawn) for p in planted]

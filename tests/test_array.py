@@ -196,9 +196,17 @@ def test_oracle_duplicates_ascend():
     assert oracle_search([7, 3, 7, 0, 7], 7) == (0, 2, 4)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 15), max_size=24), st.integers(0, 15))
-def test_oracle_is_a_linear_scan(values, key):
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 15), max_size=24),
+    st.integers(0, 15),
+    st.sampled_from([list, tuple, Store]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_oracle_is_a_linear_scan(values, key, kind, at_first, at_last):
+    # the key is stored again at address 0 and at address N - 1 when drawn so
+    values = kind([key] * at_first + values + [key] * at_last)
     assert oracle_search(values, key) == tuple(
         a for a, v in enumerate(values) if v == key
     )

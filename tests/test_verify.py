@@ -11,6 +11,7 @@ from camsim import (
     InvalidConfig,
     Level,
     Variant,
+    gen_words,
     new_array,
     oracle_search,
     run_search_stream,
@@ -20,6 +21,7 @@ from camsim import (
     word_traces,
 )
 from camsim.cli import main
+from camsim.draws import Stream
 from camsim.verify import _fault_run, _flipped_gate_matches
 from cell_route import FIVE_BIT_STORE, all_words
 
@@ -58,6 +60,53 @@ def test_randomized_tier_searches_both_variants_against_one_oracle_scan(monkeypa
     # first trial, which single search then checks on both variants
     chunks = -(-200 // camsim.verify.TRIALS_PER_CHUNK)
     assert len(scans) == 200 + chunks
+
+
+def _per_trial_keys(seed, values, n, start, stop):
+    """The trial keys drawn one trial at a time with ``unit``, ``bits`` and
+    ``pick``: the style first, then the query bits or a pick, and a flip
+    for a flipped copy."""
+    styles = Stream(b"verify-style", seed)
+    draws = Stream(b"verify-trial", seed)
+    flips = Stream(b"verify-flip", seed)
+    keys = []
+    for i in range(start, stop):
+        style = styles.unit(i)
+        if style < 0.6:
+            keys.append(draws.bits(i, n))
+            continue
+        base = values[draws.pick(i, len(values))]
+        keys.append(base if style < 0.9 else base ^ (1 << (n - 1 - flips.pick(i, n))))
+    return keys
+
+
+@pytest.mark.parametrize("seed", [0, 1, 97])
+@pytest.mark.parametrize("n", [3, 13, 144, 300])
+def test_trial_keys_equal_the_per_trial_draws(monkeypatch, n, seed):
+    # 300 bits takes bits_at's per-draw fallback. The ranges start and end
+    # inside a chunk of TRIALS_PER_CHUNK trials, and the tier itself draws
+    # chunk after chunk.
+    chunk = camsim.verify.TRIALS_PER_CHUNK
+    values = [w.value for w in gen_words(7, n, seed)]
+    draws = camsim.verify._trial_draws(seed)
+    for start, stop in ((0, 1), (5, chunk - 3), (chunk - 2, 3 * chunk + 11)):
+        keys = camsim.verify._trial_keys(draws, values, n, start, stop)
+        assert keys == _per_trial_keys(seed, values, n, start, stop)
+    drawn = []
+    check = camsim.verify._check_columns
+
+    def recorded(store, keys, key_columns, engine, context, *rest):
+        if engine is run_search_stream:
+            drawn.extend(keys)
+        return check(store, keys, key_columns, engine, context, *rest)
+
+    monkeypatch.setattr(camsim.verify, "_check_columns", recorded)
+    trials = 2 * chunk + 5
+    assert verify_randomized(CamConfig(7, n, 2, seed=seed), trials, seed).ok
+    assert drawn == _per_trial_keys(seed, values, n, 0, trials)
+    # every style is drawn: uniform, copied and flipped trials
+    units = [Stream(b"verify-style", seed).unit(i) for i in range(trials)]
+    assert {(u >= 0.6) + (u >= 0.9) for u in units} == {0, 1, 2}
 
 
 def test_randomized_tier_catches_a_baseline_only_fault(monkeypatch):
