@@ -13,18 +13,15 @@ precharge, never which words match: a word that matches the query stores
 its value, so its prefix is the query's and its line is energized on either
 variant. So each array keeps, set once, its store as ints in address
 order (``values``; no ``BitWord`` of it), from which matches are read by
-value, and the gate as a prefix histogram: a key's bucket is
-``key >> _shift`` (its k-bit prefix when gated; one bucket for every key
-on the all-NOR array, which precharges every line), and ``_runs[b]``
-counts the lines whose ML_EN is high for bucket b. The variants differ
-only in those facts, so the engine has no variant branch. When the bucket
-repeats no ML_EN changes; otherwise every line of both buckets changes its
-ML_EN, since two gated buckets share no line. The engine branches once,
-on a gate fact: a gate of one bucket (``_runs`` of length 1, as on the
-all-NOR array, whose idle bucket is that bucket too) energizes
-``_runs[0]`` lines on every search and never changes ML_EN, so those
-columns are constants, not worked out key by key. Every gated array has
-at least four buckets. This module imports nothing of the truth-level
+value. A gated array also keeps its gate as a prefix histogram: a key's
+bucket is its k-bit prefix ``key >> (n - k)``, and ``_runs[b]`` counts
+the lines whose ML_EN is high for bucket b, the words stored with prefix
+b. When the bucket repeats no ML_EN changes; otherwise every line of both
+buckets changes its ML_EN, since two buckets share no line. The all-NOR
+array has no gate: it precharges every line on every search and has no
+ML_EN to change, so its energized and ML_EN columns are constants and it
+keeps no histogram (``_runs`` is empty). The engine branches once, on the
+variant. This module imports nothing of the truth-level
 per-word model (``trace``, ``mle``, ``cells``), which the tests check
 every count against: ``trace.word_traces`` rebuilds a search's per-word
 levels from the array and its queries.
@@ -117,50 +114,35 @@ class Store(tuple):
         return {value: tuple(addrs) for value, addrs in grouped.items()}
 
 
-def _derived(default):
-    return field(init=False, repr=False, compare=False, default=default)
-
-
 @dataclass(frozen=True)
 class CamArray:
-    """Stored values plus the facts the search path works on, set once.
+    """Stored values plus the gate the search path works on, set once.
 
     ``values[a]`` is the n-bit value stored at address a: the store is kept
     once, as ints, in a ``Store`` that ``dataclasses.replace`` passes on to
     the array it makes, so a second gate over the same words shares it and
-    its dict of addresses. A key's gate bucket is ``key >> _shift``: its k-bit
-    prefix in a gated array, 0 for every key in the baseline. ``_runs[b]``
-    is the number of lines whose ML_EN is high for bucket b: the words
-    stored with prefix b when gated, all N in the baseline. ``_idle`` is the
-    (bucket, lines) pair before the first search: (None, 0) gated, as ML_EN
-    powers up low, and (0, N) in the baseline. The baseline has no
-    energizer (``_energizers`` is 0).
+    its dict of addresses. ``_runs[b]`` is the number of words stored with
+    k-bit prefix b on a gated array, whose lines ML_EN enables for a key of
+    bucket b; before the first search no bucket is enabled, as ML_EN powers
+    up low. The all-NOR array has no gate, and its ``_runs`` is empty.
     """
 
     config: CamConfig
     values: tuple[int, ...]
     variant: Variant = Variant.SELECTIVE
-    _energizers: int = _derived(0)
-    _shift: int = _derived(0)
-    _runs: tuple[int, ...] = _derived(())
-    _idle: tuple[Optional[int], int] = _derived((None, 0))
+    _runs: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         cfg = self.config
-        n, k, size = cfg.word_bits, cfg.mle_bits, cfg.num_words
+        n, size = cfg.word_bits, cfg.num_words
         values = self.values if type(self.values) is Store else Store(self.values)
         if len(values) != size:
             raise InvalidConfig(f"expected {size} words, got {len(values)}")
         if min(values) < 0 or max(values) >> n:
             raise WidthMismatch(f"a stored value does not fit in word_bits {n}")
-        gated = self.variant is Variant.SELECTIVE
-        shift = n - k if gated else n
-        set_fact = object.__setattr__
-        set_fact(self, "values", values)
-        set_fact(self, "_energizers", size if gated else 0)
-        set_fact(self, "_shift", shift)
-        set_fact(self, "_runs", _gate_index(values, shift, n))
-        set_fact(self, "_idle", (None, 0) if gated else (0, size))
+        object.__setattr__(self, "values", values)
+        if self.variant is Variant.SELECTIVE:
+            object.__setattr__(self, "_runs", _gate_index(values, n - cfg.mle_bits, n))
 
 
 def new_array(
@@ -200,8 +182,8 @@ def oracle_search(values: Sequence[int], key: int) -> tuple[int, ...]:
 
 
 def _gate_index(values: Sequence[int], shift: int, n: int) -> tuple[int, ...]:
-    """``_runs``, the gate's histogram of the stored n-bit values: entry b
-    counts the values whose bucket ``value >> shift`` is b."""
+    """``_runs``, a gated array's histogram of its stored n-bit values:
+    entry b counts the values whose bucket ``value >> shift`` is b."""
     counts = [0] * (1 << (n - shift))
     for v in values:
         counts[v >> shift] += 1
@@ -301,9 +283,9 @@ def run_search_stream(
 
     The stream reads each key's matches in O(1) from the store's
     ``addresses``, built (O(N)) on the first stream of any array that
-    holds the same ``Store``. On a gate of one bucket (the all-NOR array)
-    the energized and ML_EN columns are constants, so only the range
-    check, the toggles and the matches pass over the keys.
+    holds the same ``Store``. On the all-NOR array the energized and ML_EN
+    columns are constants, so only the range check, the toggles and the
+    matches pass over the keys.
 
     ``start`` is the position of ``keys[0]`` in the whole stream, of which
     ``keys`` may be a later part searched after ``prev_key``, its last key
@@ -313,21 +295,18 @@ def run_search_stream(
     one-shot iterator in place of the sequence is a ``ValueError`` that
     says to pass a list. An empty sequence gives an empty run, whatever
     ``prev_key`` is."""
+    cfg = array.config
+    n = cfg.word_bits
+    gated = array.variant is Variant.SELECTIVE
+    energizers = cfg.num_words if gated else 0
     if not keys:
-        return SearchRun(array._energizers, [], [], [], [])
-    n = array.config.word_bits
+        return SearchRun(energizers, [], [], [], [])
     _check_keys(keys, n, prev_key, start)
     sl_first = n if prev_key is None else (keys[0] ^ prev_key).bit_count()
-    shift, runs = array._shift, array._runs
-    if len(runs) == 1:
-        # One bucket (the all-NOR gate): every key's bucket, the idle one
-        # too, is 0, so the rule below gives runs[0] energized lines and no
-        # ML_EN transition for every key.
-        energized = [runs[0]] * len(keys)
-        ml_en = [0] * len(keys)
-    else:
-        if prev_key is None:
-            prev_bucket, prev_lines = array._idle
+    if gated:
+        shift, runs = n - cfg.mle_bits, array._runs
+        if prev_key is None:  # ML_EN powers up low: no bucket is high
+            prev_bucket, prev_lines = None, 0
         else:
             prev_bucket = prev_key >> shift
             prev_lines = runs[prev_bucket]
@@ -341,11 +320,12 @@ def run_search_stream(
             map(ne, buckets, chain((prev_bucket,), buckets)),
             map(add, energized, chain((prev_lines,), energized)),
         )]
+    else:
+        energized = [cfg.num_words] * len(keys)
+        ml_en = [0] * len(keys)
     sl = [sl_first, *map(int.bit_count, map(xor, keys[1:], keys))]
     get = array.values.addresses.get
-    return SearchRun(
-        array._energizers, [*map(get, keys, repeat(()))], energized, ml_en, sl
-    )
+    return SearchRun(energizers, [*map(get, keys, repeat(()))], energized, ml_en, sl)
 
 
 def search(

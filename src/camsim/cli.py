@@ -334,17 +334,19 @@ def _search_chunks(config, model, variant, words, chunks):
     chunk before, reading its matches from the store's one dict of
     addresses, and priced at once, so no float object outlives its chunk;
     the array, its store and the last chunk's keys go when the call
-    returns, before the report is written."""
+    returns, before the report is written. A stream has at least one
+    chunk, and every chunk's run holds the array's ``energizers``."""
     arr = new_array(config, variant, words)
-    run = SearchRun(arr._energizers, [], [], [], [])
+    columns = {name: [] for name in SearchRun.COLUMNS}
     energies = array("d")
     for start, prev_key, keys in chunks:
         part = run_search_stream(arr, keys, prev_key, start)
-        for name in SearchRun.COLUMNS:
-            getattr(run, name).extend(getattr(part, name))
+        for name, column in columns.items():
+            column.extend(getattr(part, name))
         energies.fromlist(aggregate(part, model, config))
+        energizers = part.energizers
         del keys, part  # before the next chunk is drawn
-    return run, energies
+    return SearchRun(energizers, **columns), energies
 
 
 def cmd_search(args: argparse.Namespace) -> int:

@@ -21,18 +21,21 @@ then, through ``Stream.bits_at``, query bits only for its uniform trials,
 picks only for its copies and flips only for its flipped copies. Each key
 is the one that per-trial ``unit``, ``bits`` and ``pick`` calls draw. A
 store's all-NOR array is its gated array with the variant replaced
-(``_store``), so both hold one ``array.Store``, and every stream and single ``search``
-of the store reads its matches from one dict of addresses, built once per
-store. Both tiers check every query on the gated and on the all-NOR array
-of a store against one oracle scan, so a ``VerifyOutcome.cases`` counts
-two searches per query, and either tier
-reports its first failure in the same order: query by query, gated before
-all-NOR. The randomized tier also checks ``search``, the public one-key
-entry point, on the first trial of each chunk once the chunk's streams
-pass: its width checks and its previous query are code of its own that
-no stream runs. The oracle scans the store's values
-as plain ints, read from its words once per store; widths are checked
-before a scan or a stream, not inside it. Arrays keep their store as ints,
+(``_store``), so both hold one ``array.Store``, and every stream and
+single ``search`` of the store reads its matches from one dict of
+addresses, built once per store. The all-NOR array has no gate, so only
+the gated array builds a prefix histogram. Both tiers check every query
+on the gated and on the all-NOR array of a store against one oracle
+scan, so a ``VerifyOutcome.cases`` counts two searches per query, and
+either tier reports its first failure in the same order: query by query,
+gated before all-NOR. The randomized tier also checks ``search``, the
+public one-key entry point, on the first trial of each chunk once the
+chunk's streams pass: its width checks and its previous query are code
+of its own that no stream runs. The oracle scans the store's values as
+plain ints, read from its words once per store; widths are checked
+before a scan or a stream, not inside it: a store's words by
+``new_array``, the keys by ``_key_columns``, once for every store that
+shares them. Arrays keep their store as ints,
 so the randomized tier holds no ``BitWord`` of its store once its arrays
 are built. It builds one for a query only for single ``search`` or a
 counterexample, and the store's only for a counterexample.
@@ -164,7 +167,11 @@ def _key_columns(
     order after ``prev_key`` (None: after no query): each key's prefix,
     whether it differs from the previous key's (True for the first after
     none), the searchline toggles (n for the first after none), and
-    ``prev_key``'s prefix."""
+    ``prev_key``'s prefix. Every key, and ``prev_key``, is first checked to
+    be an n-bit value, so the oracle scan of any store that these columns
+    serve compares plain ints; a store's keys are checked once for every
+    store that shares them."""
+    _check_keys(keys, n, prev_key)
     prefixes = [key >> (n - k) for key in keys]
     before = None if prev_key is None else prev_key >> (n - k)
     changed = [*map(ne, prefixes, chain((before,), prefixes))]
@@ -246,20 +253,19 @@ def _check_columns(
     """Search the query ``keys``, after ``prev_key``, with ``engine`` on the
     gated array of ``store`` (``_store``'s), then on its all-NOR array, and
     compare each run whole with the expected run: one oracle scan of the
-    stored values per key, and the count oracle. Every key is checked
-    to be an n-bit value before the first scan, so the oracle compares
-    plain ints. ``key_columns`` is ``_key_columns`` of the keys after
-    ``prev_key``, which the exhaustive tier computes once for every store
-    it checks. The verdict is the one a query-major loop gives: a failure
-    of the j-th variant at query i is case 2i + j + 1, so the all-NOR array
-    is searched only up to the gated array's first failure (not at all for
-    a failure at query 0), and only one engine's run is alive at a time.
+    stored values per key, and the count oracle. ``key_columns`` is
+    ``_key_columns`` of the keys after ``prev_key``, which checked every
+    key's width and which the exhaustive tier computes once for every
+    store it checks. The verdict is the one a query-major loop gives: a
+    failure of the j-th variant at query i is case 2i + j + 1, so the
+    all-NOR array is searched only up to the gated array's first failure
+    (not at all for a failure at query 0), and only one engine's run is
+    alive at a time.
     ``context`` is a format string whose one field takes the variant of a
     failing search; the store's words are rebuilt only for a
     counterexample."""
     arrays, values, occ = store
     n = arrays[0].config.word_bits
-    _check_keys(keys, n)
     matches = [oracle_search(values, key) for key in keys]
     failure, end = None, len(keys)
     for j, arr in enumerate(arrays):

@@ -4,6 +4,7 @@ from typing import NamedTuple
 
 import pytest
 
+import camsim.array
 import camsim.verify
 from camsim import BitWord, VerifyOutcome, verify_exhaustive
 from camsim.array import Store
@@ -68,4 +69,20 @@ def index_builds(monkeypatch):
         return build(store)
 
     monkeypatch.setattr(Store.addresses, "func", counted)
+    return built
+
+
+@pytest.fixture
+def histogram_builds(monkeypatch):
+    """The stored values of each prefix histogram (``array._gate_index``,
+    a gated array's ``_runs``) built while the test runs, one entry per
+    build."""
+    built = []
+    build = camsim.array._gate_index
+
+    def counted(values, shift, n):
+        built.append(values)
+        return build(values, shift, n)
+
+    monkeypatch.setattr(camsim.array, "_gate_index", counted)
     return built

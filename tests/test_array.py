@@ -29,6 +29,7 @@ from camsim import (
     word_traces,
 )
 from camsim.array import Store
+from camsim.cli import main
 from camsim.draws import Stream
 from camsim.verify import (
     _check_columns,
@@ -36,6 +37,7 @@ from camsim.verify import (
     _key_columns,
     _search_run,
     _store,
+    verify_exhaustive,
 )
 from cell_route import FIVE_BIT_STORE, all_words, assert_traces_explain
 
@@ -114,6 +116,28 @@ def test_single_searches_of_one_array_build_its_index_once(index_builds):
         assert search(arr, word, prev).matches == [oracle_search(arr.values, word.value)]
         prev = word
     assert len(index_builds) == 1 and index_builds[0] is arr.values
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["compare"], 1),
+    (["search"], 1),
+    (["search", "--variant", "baseline-nor"], 0),
+    (["sweep"], 6),
+])
+def test_only_a_gated_array_builds_a_prefix_histogram(
+    histogram_builds, tmp_path, argv, built
+):
+    # the all-NOR array has no gate, so neither new_array nor the replace
+    # that compare makes it with builds a histogram; sweep builds one for
+    # its first gated array and one for each k = 2..6 it replaces
+    assert main([*argv, "--queries", "10", "--out", str(tmp_path / "r")]) == 0
+    assert len(histogram_builds) == built
+
+
+def test_the_exhaustive_tier_builds_one_histogram_per_store(histogram_builds):
+    # each store's all-NOR array is its gated one with the variant replaced
+    assert verify_exhaustive(1).ok
+    assert len(histogram_builds) == 260
 
 
 # ------------------------------------------------------------------ writes
@@ -215,9 +239,11 @@ def test_oracle_is_a_linear_scan(values, key, kind, at_first, at_last):
 def test_oracle_width_guard(monkeypatch):
     # the oracle scans ints, so the verifier rejects a width that does not
     # fit before any scan, stream or search: a stored word's in new_array,
-    # and every key of a store's keys, or of a randomized chunk's, in the
-    # column check that both tiers share, before the first scan, on the
-    # sound engine, single search and the fault mutant.
+    # and every key of a store's keys, or of a randomized chunk's, in
+    # _key_columns, which builds the count oracle's key columns once for
+    # every store that shares the keys, before the column check that both
+    # tiers share runs any engine: the sound one, single search or the
+    # fault mutant.
     calls = []
     for name in ("search", "run_search_stream", "oracle_search"):
         monkeypatch.setattr(camsim.verify, name, lambda *a: calls.append(a))
@@ -388,12 +414,13 @@ def _index_stores(n, k, size):
 
 
 def _assert_index_equals_scan(arr):
-    """The gate's histogram against a scan of the stored prefixes: each
-    search prefix's energized count (an empty bucket energizes no line) from
-    ``run_search_stream``, the idle state, and the ML_EN transitions of
-    every (prefix, previous prefix or None) pair: one stream of one key per
-    prefix after None, and one stream of the keys pp, qp for every pair,
-    whose odd positions are each qp after its pp."""
+    """The gated array's histogram against a scan of the stored prefixes
+    (the all-NOR array keeps none): each search prefix's energized count
+    (an empty bucket energizes no line, the all-NOR array all N) from
+    ``run_search_stream``, and the ML_EN transitions of every (prefix,
+    previous prefix or None) pair (none on the all-NOR array): one stream
+    of one key per prefix after None, and one stream of the keys pp, qp for
+    every pair, whose odd positions are each qp after its pp."""
     n, k = arr.config.word_bits, arr.config.mle_bits
     gated = arr.variant is Variant.SELECTIVE
     prefixes = [value >> (n - k) for value in arr.values]
@@ -403,8 +430,7 @@ def _assert_index_equals_scan(arr):
         for p in range(1 << k)
     ]
     keys = [p << (n - k) for p in range(1 << k)]
-    assert [arr._runs[key >> arr._shift] for key in keys] == enabled
-    assert arr._idle == ((None, 0) if gated else (0, len(prefixes)))
+    assert arr._runs == (tuple(enabled) if gated else ())
     assert run_search_stream(arr, keys).energized == enabled
     firsts = [run_search_stream(arr, [key]) for key in keys]
     assert [run.energized[0] for run in firsts] == enabled

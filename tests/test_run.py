@@ -68,32 +68,11 @@ def test_columns_equal_the_oracles_on_every_exhaustive_store(exhaustive_tier):
     assert types == {int}
 
 
-def _bucket_rule(arr, keys, prev_key):
-    """The energized and ML_EN columns by the general gate rule, restated
-    key by key: a key's bucket is ``key >> _shift`` and energizes
-    ``_runs[bucket]`` lines; ML_EN switches on the lines of both buckets
-    when the bucket changes, none when it stays, from the idle
-    (bucket, lines) before the first key."""
-    if prev_key is None:
-        before, before_lines = arr._idle
-    else:
-        before = prev_key >> arr._shift
-        before_lines = arr._runs[before]
-    energized, ml_en = [], []
-    for key in keys:
-        bucket = key >> arr._shift
-        lines = arr._runs[bucket]
-        energized.append(lines)
-        ml_en.append(0 if bucket == before else lines + before_lines)
-        before, before_lines = bucket, lines
-    return energized, ml_en
-
-
-def test_one_bucket_columns_equal_the_general_bucket_rule(exhaustive_tier):
-    # The all-NOR gate has one bucket, whose constant columns the stream
-    # does not work out key by key: they must be the rule's, on every
-    # exhaustive store after power-up and after a mid-universe key, and on
-    # a long stream at the reference geometry.
+def test_all_nor_columns_are_constants(exhaustive_tier):
+    # The all-NOR array has no gate: every search precharges all N lines
+    # and no ML_EN changes, on every exhaustive store after power-up and
+    # after a mid-universe key, and on a long stream at the reference
+    # geometry.
     cases = []
     for config, words, queries, _ in exhaustive_tier.stores:
         arr = new_array(config, Variant.BASELINE_NOR, words)
@@ -104,10 +83,11 @@ def test_one_bucket_columns_equal_the_general_bucket_rule(exhaustive_tier):
     cases += [(arr, keys[1:], None), (arr, keys[1:], keys[0])]
     assert len(cases) == 2 * 260 + 2
     for arr, keys, prev in cases:
-        assert len(arr._runs) == 1
+        assert arr._runs == ()
         run = run_search_stream(arr, keys, prev)
-        assert (run.energized, run.ml_en_transitions) == _bucket_rule(arr, keys, prev)
-        assert set(run.energized) == {arr.config.num_words}
+        assert run.energized == [arr.config.num_words] * len(keys)
+        assert run.ml_en_transitions == [0] * len(keys)
+        assert run.energizers == 0
 
 
 @pytest.mark.parametrize("seed", [1, 97])

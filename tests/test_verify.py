@@ -261,12 +261,9 @@ def _all_on_gate(monkeypatch):
 
 
 def _neighbour_gate(monkeypatch):
-    # each search prefix also energizes the next prefix's bucket; the
-    # baseline's one bucket is left as it is
+    # each search prefix also energizes the next prefix's bucket
     def gate(values, shift, n):
         runs = SOUND_GATE(values, shift, n)
-        if len(runs) == 1:
-            return runs
         return tuple(r + runs[(b + 1) % len(runs)] for b, r in enumerate(runs))
 
     monkeypatch.setattr(camsim.array, "_gate_index", gate)
@@ -285,13 +282,13 @@ def _ml_en_off_by_one(monkeypatch):
 def _energizer_short_by_one(monkeypatch):
     # the gated array evaluates one energizer fewer than it stores words,
     # while every energized count, match and transition stays right
-    def build(config, variant, words):
-        arr = new_array(config, variant, words)
-        if arr._energizers:
-            object.__setattr__(arr, "_energizers", arr._energizers - 1)
-        return arr
+    def stream(arr, keys, prev_key=None, *rest):
+        run = run_search_stream(arr, keys, prev_key, *rest)
+        if arr.variant is Variant.SELECTIVE:
+            return replace(run, energizers=run.energizers - 1)
+        return run
 
-    monkeypatch.setattr(camsim.verify, "new_array", build)
+    monkeypatch.setattr(camsim.verify, "run_search_stream", stream)
 
 
 # mutant -> (install, the exhaustive tier's cases and counterexample, the
