@@ -204,12 +204,14 @@ class SearchRun:
 
     The columns are the only per-query state that lives for a whole run
     (about 33 bytes a query in ``run_search_stream``'s lists); the keys
-    are not kept. ``camsim search`` extends one run's lists by each chunk's
-    run. Every count column holds plain ``int``s, and ``matches`` holds
-    tuples of ``int`` addresses: a search report writes each entry as its
-    ``str``, which is a JSON integer only for an ``int``. Each column is a
-    sequence that slices, and ``workload.query_summary`` keeps the run, so
-    the run must not change before its report is written.
+    are not kept. ``camsim search`` extends one run's columns by each
+    chunk's run, holding the count columns in unsigned ``array``s (about
+    21 bytes a query with the ``matches`` list). Every count column reads
+    as plain ``int``s, and ``matches`` holds tuples of ``int`` addresses:
+    a search report writes each entry as its ``str``, which is a JSON
+    integer only for an ``int``. Each column is a sequence that slices, and
+    ``workload.query_summary`` keeps the run, so the run must not change
+    before its report is written.
     """
 
     energizers: int

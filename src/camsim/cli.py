@@ -10,6 +10,7 @@ existing command lines keep working, and its value has no effect.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import shutil
 import sys
@@ -83,7 +84,10 @@ def _add_geometry_flags(p: argparse.ArgumentParser) -> None:
                    help="workload seed (default 1)")
 
 
-def _add_workload_flags(p: argparse.ArgumentParser) -> None:
+def _add_stream_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of a verb that prices a query stream: geometry, workload,
+    energy model and run flags, in that order."""
+    _add_geometry_flags(p)
     p.add_argument("--queries", type=int, default=1000,
                    help="number of generated queries (default 1000)")
     p.add_argument("--workload", choices=[k.value for k in WorkloadKind],
@@ -99,16 +103,10 @@ def _add_workload_flags(p: argparse.ArgumentParser) -> None:
                    help="load queries from FILE instead of generating")
     p.add_argument("--format", choices=["bin", "hex"], default="bin",
                    help="word file text format (default bin)")
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model-file", metavar="FILE", default=None,
                    help="energy model parameters, one 'key = value' per line")
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                    help="override one energy model parameter (repeatable)")
-
-
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="-",
                    help="report destination file, '-' for stdout (default)")
     p.add_argument("--workers", type=int, default=1,
@@ -124,53 +122,25 @@ def _add_check_flags(p: argparse.ArgumentParser) -> None:
                    help="absolute tolerance for --expect-fraction (default 0.005)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # argparse builds a help formatter at every add_argument, and each one
-    # asks the terminal for its width; the width argparse would take, read
-    # once per parser, gives the same help text.
-    formatter = partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
-    parser = argparse.ArgumentParser(
-        prog="camsim",
-        description="Behavioral simulator of a prefix-gated match-line CAM "
-                    "with switching-activity energy accounting.",
-        formatter_class=formatter,
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("search", formatter_class=formatter,
-                       help="run a query stream and emit a JSON report")
-    _add_geometry_flags(p)
-    _add_workload_flags(p)
-    _add_model_flags(p)
-    _add_run_flags(p)
+def _add_search_flags(p: argparse.ArgumentParser) -> None:
+    _add_stream_flags(p)
     _add_check_flags(p)
     p.add_argument("--variant", choices=[v.value for v in Variant],
                    default="selective", help="array organization")
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("sweep", formatter_class=formatter,
-                       help="replay one workload across prefix widths, emit CSV")
-    _add_geometry_flags(p)
-    _add_workload_flags(p)
-    _add_model_flags(p)
-    _add_run_flags(p)
+
+def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
+    _add_stream_flags(p)
     p.add_argument("--k-min", type=int, default=2, help="first prefix width (default 2)")
     p.add_argument("--k-max", type=int, default=6, help="last prefix width (default 6)")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("compare", formatter_class=formatter,
-                       help="gated vs all-NOR baseline on one workload")
-    _add_geometry_flags(p)
-    _add_workload_flags(p)
-    _add_model_flags(p)
-    _add_run_flags(p)
+
+def _add_compare_flags(p: argparse.ArgumentParser) -> None:
+    _add_stream_flags(p)
     _add_check_flags(p)
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("verify", formatter_class=formatter,
-                       help="oracle-equivalence harness")
+
+def _add_verify_flags(p: argparse.ArgumentParser) -> None:
     _add_geometry_flags(p)
     p.add_argument("--trials", type=int, default=100000,
                    help="randomized trials at the configured geometry, each "
@@ -178,9 +148,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-fault", action="store_true",
                    help="flip every energizer decision to prove the harness "
                         "detects a corrupted build")
-    p.set_defaults(func=cmd_verify)
 
+
+def _formatter() -> Callable[..., argparse.HelpFormatter]:
+    # argparse builds a help formatter at every add_argument, and each one
+    # asks the terminal for its width; the width argparse would take, read
+    # once per parser, gives the same help text.
+    return partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full ``camsim`` parser, with a subparser for every verb."""
+    formatter = _formatter()
+    parser = argparse.ArgumentParser(
+        prog="camsim",
+        description="Behavioral simulator of a prefix-gated match-line CAM "
+                    "with switching-activity energy accounting.",
+        formatter_class=formatter,
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for verb, (text, add_flags, command) in _VERBS.items():
+        p = sub.add_parser(verb, formatter_class=formatter, help=text)
+        add_flags(p)
+        p.set_defaults(func=command)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the named verb's
+    parser when ``argv[0]`` is a verb. It is built as the full parser
+    builds that verb's subparser, with the same prog, flags and defaults,
+    so it gives the same namespace, help and errors. Only the error for
+    arguments that no verb takes shows the top-level usage, so on any
+    leftover argument the full parser parses again and exits with it."""
+    entry = _VERBS.get(argv[0]) if argv else None
+    if entry is None:
+        return build_parser().parse_args(argv)
+    _, add_flags, command = entry
+    parser = argparse.ArgumentParser(
+        prog=f"camsim {argv[0]}", formatter_class=_formatter()
+    )
+    add_flags(parser)
+    parser.set_defaults(verb=argv[0], func=command)
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        return build_parser().parse_args(argv)
+    return args
 
 
 def _make_config(args: argparse.Namespace) -> CamConfig:
@@ -334,10 +349,16 @@ def _search_chunks(config, model, variant, words, chunks):
     chunk before, reading its matches from the store's one dict of
     addresses, and priced at once, so no float object outlives its chunk;
     the array, its store and the last chunk's keys go when the call
-    returns, before the report is written. A stream has at least one
-    chunk, and every chunk's run holds the array's ``energizers``."""
+    returns, before the report is written. The run's count columns are
+    unsigned machine-int arrays, whose type holds 2N (the most ML_EN
+    transitions of a search) and n (the most toggles). A stream has at
+    least one chunk, and every chunk's run holds the array's
+    ``energizers``."""
     arr = new_array(config, variant, words)
-    columns = {name: [] for name in SearchRun.COLUMNS}
+    most = max(2 * config.num_words, config.word_bits)
+    code = "I" if most < 1 << 8 * array("I").itemsize else "Q"
+    columns = {name: array(code) for name in SearchRun.COLUMNS}
+    columns["matches"] = []
     energies = array("d")
     for start, prev_key, keys in chunks:
         part = run_search_stream(arr, keys, prev_key, start)
@@ -491,12 +512,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+# Verb -> (help text, flag adder, command): the one home of each verb.
+_VERBS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None],
+                        Callable[[argparse.Namespace], int]]] = {
+    "search": ("run a query stream and emit a JSON report",
+               _add_search_flags, cmd_search),
+    "sweep": ("replay one workload across prefix widths, emit CSV",
+              _add_sweep_flags, cmd_sweep),
+    "compare": ("gated vs all-NOR baseline on one workload",
+                _add_compare_flags, cmd_compare),
+    "verify": ("oracle-equivalence harness", _add_verify_flags, cmd_verify),
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # No reference to the parser is kept, but argparse's reference cycles
-    # keep it alive while the verb runs, until the cyclic collector next
-    # runs: at the reference geometry a generation-0 collection at the
-    # verb's start frees about 55 KB of traced memory.
-    args = build_parser().parse_args(argv)
+    args = _parse_args(list(sys.argv[1:] if argv is None else argv))
+    # No parser outlives _parse_args, but every add_argument left a help
+    # formatter in a reference cycle, which only the cyclic collector
+    # frees. They are this call's newest objects, so a collection of the
+    # two young generations (about 0.1 ms) frees them before the verb
+    # runs, and the verb's peak memory does not hang on when the collector
+    # would next have run.
+    gc.collect(1)
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:

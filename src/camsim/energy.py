@@ -155,7 +155,11 @@ def event_energy(
         cap = model.c_sl_per_cell * config.num_words
         swing = model.v_swing_sl
     elif event_class is EventClass.MLE_EVAL:
-        cap = model.c_mle_node * k * model.upsize_base ** (k - 3)
+        try:
+            growth = model.upsize_base ** (k - 3)
+        except OverflowError:  # float ** raises where float * gives inf
+            growth = math.inf
+        cap = model.c_mle_node * k * growth
         swing = model.v_dd
     else:
         raise ValueError(f"event_class must be an EventClass, got {event_class!r}")

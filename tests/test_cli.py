@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import threading
 import weakref
@@ -12,7 +14,7 @@ import camsim.energy
 import camsim.verify
 from camsim import Variant, run_search_stream
 from camsim.cli import KEYS_PER_CHUNK
-from camsim.cli import build_parser, main
+from camsim.cli import _VERBS, _parse_args, build_parser, main
 
 
 def test_parser_search_defaults():
@@ -38,6 +40,80 @@ def test_parser_rejects_unknown_variant():
 def test_parser_requires_verb():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+_STREAM_FLAGS = [
+    "--num", "16", "--width", "12", "--mle-bits", "4", "--seed", "7",
+    "--queries", "5", "--workload", "planted", "--match-rate", "0.25",
+    "--bias", "0.5", "--words", "w.txt", "--queries-file", "q.txt",
+    "--format", "hex", "--model-file", "m.cfg", "--param", "v_dd=0.9",
+    "--param", "f=2", "--out", "r.json", "--workers", "3",
+]
+_CHECK_FLAGS = ["--expect-fraction", "0.2", "--tolerance", "0.01"]
+_RICH_ARGV = {
+    "search": [*_STREAM_FLAGS, *_CHECK_FLAGS, "--variant", "baseline-nor"],
+    "sweep": [*_STREAM_FLAGS, "--k-min", "3", "--k-max", "5"],
+    "compare": [*_STREAM_FLAGS, *_CHECK_FLAGS],
+    "verify": ["--num-words", "16", "--width", "12", "--mle-bits", "4",
+               "--seed", "7", "--trials", "9", "--inject-fault"],
+}
+
+
+@pytest.mark.parametrize("rich", [False, True], ids=["defaults", "flags"])
+@pytest.mark.parametrize("verb", _VERBS)
+def test_verb_parser_gives_the_full_parsers_namespace(monkeypatch, verb, rich):
+    argv = [verb, *(_RICH_ARGV[verb] if rich else [])]
+    want = vars(build_parser().parse_args(argv))
+
+    def no_full_parser():
+        raise AssertionError("a verb's argv built the full parser")
+
+    monkeypatch.setattr(camsim.cli, "build_parser", no_full_parser)
+    assert vars(_parse_args(argv)) == want
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--bogus"], ["search", "extra"], ["search", "--num-words", "x"],
+    ["verify", "--trials"], [], ["bogus"], ["-h"],
+    *([verb, "-h"] for verb in _VERBS),
+], ids=" ".join)
+def test_main_exits_as_the_full_parser_does(monkeypatch, capsys, argv):
+    # help, usage and error texts, and exit codes, are the full parser's
+    # byte for byte, also when an argument fits no verb and the error
+    # shows the top-level usage
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _parse_outcome(build_parser().parse_args, argv, capsys)
+    assert _parse_outcome(main, argv, capsys) == want
+    assert want[0] in (0, 2)
+
+
+@pytest.mark.parametrize("verb", _VERBS)
+def test_no_parser_is_alive_when_a_verb_starts(monkeypatch, verb):
+    # argparse leaves a help formatter in a reference cycle at every
+    # add_argument; main frees them, and its parser, before the verb runs
+    parser_types = (argparse.ArgumentParser, argparse.HelpFormatter)
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, parser_types)]
+    alive = []
+
+    def command(args):
+        alive.extend(
+            o for o in gc.get_objects()
+            if isinstance(o, parser_types) and not any(o is b for b in before)
+        )
+        return 0
+
+    monkeypatch.setitem(_VERBS, verb, (*_VERBS[verb][:2], command))
+    assert main([verb]) == 0
+    assert alive == []
 
 
 def test_search_smoke(tmp_path):
@@ -91,6 +167,21 @@ def test_search_malformed_words_file_exits_1(tmp_path, capsys):
     ])
     assert rc == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep"], ["search", "--mle-bits", "5"], ["compare", "--mle-bits", "5"],
+], ids=" ".join)
+def test_overflowing_upsize_base_exits_2_without_report(tmp_path, capsys, argv):
+    # 1e200 is a valid upsize_base, but 1e200 ** 2 at k = 5 leaves the float
+    # range: the energizer energy is inf, and the report is refused
+    out = tmp_path / "r.json"
+    rc = main([*argv, "--queries", "2", "--param", "upsize_base=1e200",
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_search_bad_param_exits_2(tmp_path):

@@ -87,6 +87,18 @@ def test_mle_event_energy_with_upsizing():
         assert event_energy(model, EventClass.MLE_EVAL, 1, cfg) == pytest.approx(want)
 
 
+def test_mle_event_energy_overflows_to_infinity():
+    # a valid upsize_base whose growth leaves the float range prices an
+    # energizer evaluation at inf, as an overflowing product does, instead
+    # of raising OverflowError from float **
+    model = EnergyModel(upsize_base=1e200)
+    energy = {
+        k: event_energy(model, EventClass.MLE_EVAL, 1, replace(CFG, mle_bits=k))
+        for k in (4, 5)
+    }
+    assert energy == {4: 4.0 * 4 * 1e200, 5: math.inf}
+
+
 def test_ml_energy_is_linear_in_swing():
     half = EnergyModel(v_swing_ml=0.5)
     full = EnergyModel(v_swing_ml=1.0)
