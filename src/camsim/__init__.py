@@ -10,6 +10,7 @@ from .array import (
     CamArray,
     EventTotals,
     SearchRun,
+    Store,
     Variant,
     new_array,
     oracle_search,

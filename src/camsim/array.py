@@ -12,9 +12,9 @@ The gate only counts. The energizer decides how many match lines
 precharge, never which words match: a word that matches the query stores
 its value, so its prefix is the query's and its line is energized on either
 variant. So each array keeps, set once, its store as ints in address
-order (``values``; no ``BitWord`` of it), from which matches are read by
-value. A gated array also keeps its gate as a prefix histogram: a key's
-bucket is its k-bit prefix ``key >> (n - k)``, and ``_runs[b]`` counts
+order (``values``, a ``Store``), from which matches are read by value.
+A gated array also keeps its gate as a prefix histogram: a key's bucket
+is its k-bit prefix ``key >> (n - k)``, and ``_runs[b]`` counts
 the lines whose ML_EN is high for bucket b, the words stored with prefix
 b. When the bucket repeats no ML_EN changes; otherwise every line of both
 buckets changes its ML_EN, since two buckets share no line. The all-NOR
@@ -26,9 +26,13 @@ per-word model (``trace``, ``mle``, ``cells``), which the tests check
 every count against: ``trace.word_traces`` rebuilds a search's per-word
 levels from the array and its queries.
 
-Arrays are immutable values, built whole: ``new_array`` checks the width
-of each stored ``BitWord`` and keeps its int value. There is no
-array-level write, and a changed store is a new array.
+Stored words are ints from the generator to the engine: ``gen_words`` and
+``load_words`` return a ``Store``, a tuple of n-bit ints that carries its
+width and range-checks its values once, when it is built. Arrays are
+immutable values, built whole: ``new_array`` checks that the store's
+width is the config's and keeps the ``Store`` itself. There is no
+array-level write, and a changed store is a new array. A ``BitWord`` is
+only met at the text edge: single ``search`` takes its query as one.
 ``run_search_stream`` is the one search engine. It applies the rules above
 to a sequence of int query keys, in one set of C-level passes over the
 keys, and returns one column per count (``SearchRun``) instead of a record
@@ -59,9 +63,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, mul, ne, sub, xor
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import BitWord, CamConfig
 from .errors import InvalidConfig, WidthMismatch
@@ -95,23 +99,44 @@ class EventTotals(NamedTuple):
 
 
 class Store(tuple):
-    """The stored values as ints, in address order: a tuple that keeps the
-    dict from which ``run_search_stream`` reads matches, built on first use.
-    Every array that holds this ``Store`` shares that dict."""
+    """The stored values as n-bit ints, in address order: a tuple that
+    carries its ``width`` and keeps the dict from which
+    ``run_search_stream`` reads matches, built on first use. Every array
+    that holds this ``Store`` shares that dict. Each value is checked to
+    fit in ``width`` bits once, when the store is built, by a C-level
+    ``min`` and ``max``."""
+
+    def __new__(cls, values: Iterable[int], width: int) -> "Store":
+        # Pass a list, not an iterator: CPython resizes a tuple it sizes
+        # from an iterator, and the resized blocks pile up on its
+        # small-tuple free lists, which peak memory counts (about 50 KB of
+        # the ``camsim verify`` peak).
+        store = super().__new__(cls, values)
+        if min(store, default=0) < 0 or max(store, default=0) >> width:
+            raise WidthMismatch(f"a stored value does not fit in word_bits {width}")
+        store.width = width
+        return store
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self), self.width
 
     @cached_property
     def addresses(self) -> dict[int, tuple[int, ...]]:
         """Each stored value's addresses, ascending, keyed by the value.
         Most stores hold distinct values, so each value first gets its one
-        address; only a store with a repeated value is grouped again,
-        through lists."""
+        address, its last; a store with a repeated value then regroups
+        only the values whose entry is not their own address, at the
+        addresses that hold them. (``collections.Counter`` would find them
+        too, but its ``Mapping`` check caches ``Store`` in about 3 KB of
+        ABC caches for the life of the process.)"""
         index = {value: (addr,) for addr, value in enumerate(self)}
         if len(index) == len(self):
             return index
-        grouped: dict[int, list[int]] = {}
-        for addr, value in enumerate(self):
-            grouped.setdefault(value, []).append(addr)
-        return {value: tuple(addrs) for value, addrs in grouped.items()}
+        repeated = {v: [] for a, v in enumerate(self) if index[v][0] != a}
+        for addr in compress(count(), map(repeated.__contains__, self)):
+            repeated[self[addr]].append(addr)
+        index.update((value, tuple(addrs)) for value, addrs in repeated.items())
+        return index
 
 
 @dataclass(frozen=True)
@@ -121,7 +146,9 @@ class CamArray:
     ``values[a]`` is the n-bit value stored at address a: the store is kept
     once, as ints, in a ``Store`` that ``dataclasses.replace`` passes on to
     the array it makes, so a second gate over the same words shares it and
-    its dict of addresses. ``_runs[b]`` is the number of words stored with
+    its dict of addresses. A ``Store`` must be n bits wide; other values
+    are counted, then wrapped in a ``Store`` of width n, which checks
+    them. ``_runs[b]`` is the number of words stored with
     k-bit prefix b on a gated array, whose lines ML_EN enables for a key of
     bucket b; before the first search no bucket is enabled, as ML_EN powers
     up low. The all-NOR array has no gate, and its ``_runs`` is empty.
@@ -133,34 +160,23 @@ class CamArray:
     _runs: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
-        cfg = self.config
+        cfg, values = self.config, self.values
         n, size = cfg.word_bits, cfg.num_words
-        values = self.values if type(self.values) is Store else Store(self.values)
+        if type(values) is Store and values.width != n:
+            raise WidthMismatch(f"stored word width {values.width} != word_bits {n}")
         if len(values) != size:
             raise InvalidConfig(f"expected {size} words, got {len(values)}")
-        if min(values) < 0 or max(values) >> n:
-            raise WidthMismatch(f"a stored value does not fit in word_bits {n}")
+        values = values if type(values) is Store else Store(values, n)
         object.__setattr__(self, "values", values)
         if self.variant is Variant.SELECTIVE:
             object.__setattr__(self, "_runs", _gate_index(values, n - cfg.mle_bits, n))
 
 
-def new_array(
-    config: CamConfig,
-    variant: Variant,
-    words: Sequence[BitWord],
-) -> CamArray:
-    """Build an array that stores ``words``, one per address, as their int
-    values, once each word's width is checked against ``config``."""
-    n = config.word_bits
-    for w in words:
-        if w.width != n:
-            raise WidthMismatch(f"stored word width {w.width} != word_bits {n}")
-    # A tuple copied from a list, never from an iterator: CPython resizes a
-    # tuple it sizes from an iterator, and the resized blocks pile up on its
-    # small-tuple free lists, which peak memory counts (about 50 KB of the
-    # ``camsim verify`` peak).
-    return CamArray(config, Store([w.value for w in words]), variant)
+def new_array(config: CamConfig, variant: Variant, store: Store) -> CamArray:
+    """Build an array that holds ``store``, one value per address, once its
+    width is checked against ``config``; the ``Store`` is kept, not
+    copied, so the array shares its dict of addresses."""
+    return CamArray(config, store, variant)
 
 
 def oracle_search(values: Sequence[int], key: int) -> tuple[int, ...]:

@@ -24,12 +24,13 @@ from typing import Callable, Optional, Sequence
 from .array import (
     EventTotals,
     SearchRun,
+    Store,
     Variant,
     new_array,
     run_search_stream,
     sum_event_totals,
 )
-from .core import MIN_MLE_BITS, BitWord, CamConfig
+from .core import MIN_MLE_BITS, CamConfig
 from .energy import (
     ENERGY_UNITS_NOTE,
     UPSIZE_NOTE,
@@ -223,9 +224,10 @@ def _make_workload(args: argparse.Namespace) -> WorkloadSpec:
     )
 
 
-def _load_word_file(path: str, kind: str, width: int, fmt: str) -> list[BitWord]:
-    """The words of a ``--words`` or ``--queries-file`` file, which must hold
-    at least one; ``kind`` names the file in that error."""
+def _load_word_file(path: str, kind: str, width: int, fmt: str) -> Store:
+    """The words of a ``--words`` or ``--queries-file`` file as a ``Store``
+    of ints, which must hold at least one; ``kind`` names the file in that
+    error."""
     words = load_words(read_text_lines(path), width, fmt, path)
     if not words:
         raise InvalidConfig(f"{kind} file {path} holds no words")
@@ -249,9 +251,10 @@ def _key_chunks(count: int, draw: Callable[[int, int], Sequence[int]]):
 
 def _materialize(args: argparse.Namespace):
     """Validate flags, then build (config, model, words, key chunks,
-    workload_meta). The key chunks are ``_key_chunks``, read once: drawn
-    by ``gen_queries`` as they are read, or slices of a ``--queries-file``'s
-    keys, which are read whole and let go once the chunks are spent."""
+    workload_meta); the words are a ``Store`` of ints. The key chunks are
+    ``_key_chunks``, read once: drawn by ``gen_queries`` as they are read,
+    or slices of a ``--queries-file``'s keys, which are read whole, as
+    ints, and let go once the chunks are spent."""
     tolerance = getattr(args, "tolerance", 0.0)
     if not tolerance >= 0:  # NaN fails every comparison
         raise InvalidConfig(f"--tolerance must be >= 0, got {tolerance:g}")
@@ -264,15 +267,12 @@ def _materialize(args: argparse.Namespace):
 
     if args.words:
         words = _load_word_file(args.words, "word", config.word_bits, args.format)
-        if len(words) != config.num_words:
-            config = replace(config, num_words=len(words))
+        config = replace(config, num_words=len(words))
     else:
         words = gen_words(config.num_words, config.word_bits, config.seed)
 
     if args.queries_file:
-        keys = [w.value for w in _load_word_file(
-            args.queries_file, "query", config.word_bits, args.format
-        )]
+        keys = _load_word_file(args.queries_file, "query", config.word_bits, args.format)
         workload_meta = {
             "kind": "file",
             "path": args.queries_file,
@@ -348,8 +348,9 @@ def _search_chunks(config, model, variant, words, chunks):
     search's energy in an ``array('d')``. Each chunk is searched after the
     chunk before, reading its matches from the store's one dict of
     addresses, and priced at once, so no float object outlives its chunk;
-    the array, its store and the last chunk's keys go when the call
-    returns, before the report is written. The run's count columns are
+    the array and the last chunk's keys go when the call returns, and the
+    store, which keeps the dict, once the caller lets go of ``words``,
+    before the report is written. The run's count columns are
     unsigned machine-int arrays, whose type holds 2N (the most ML_EN
     transitions of a search) and n (the most toggles). A stream has at
     least one chunk, and every chunk's run holds the array's
@@ -374,6 +375,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     config, model, words, chunks, workload_meta = _materialize(args)
     variant = Variant(args.variant)
     run, energies = _search_chunks(config, model, variant, words, chunks)
+    del words  # and its dict of addresses, before the report is written
     agg = _aggregate_dict(
         config, model, variant, sum_event_totals(run), len(run),
         len(run) - run.matches.count(()),

@@ -24,12 +24,13 @@ from typing import Iterable, Optional, Sequence, Union
 from .array import (
     EventTotals,
     SearchRun,
+    Store,
     Variant,
     new_array,
     run_search_stream,
     sum_event_totals,
 )
-from .core import MAX_MLE_BITS, MIN_MLE_BITS, BitWord, CamConfig
+from .core import MAX_MLE_BITS, MIN_MLE_BITS, CamConfig
 from .errors import (
     InvalidConfig,
     PrefixTooShort,
@@ -265,17 +266,17 @@ def sweep_mle_bits(
     model: EnergyModel,
     workload: Optional[WorkloadSpec],
     k_values: Iterable[int],
-    words: Optional[Sequence[BitWord]] = None,
+    words: Optional[Store] = None,
     queries: Optional[Sequence[int]] = None,
 ) -> list[SweepRow]:
     """Replay one stored dataset and query stream at each prefix width.
 
-    The words and the queries (int keys) are generated once (or passed in)
-    and shared, so rows differ only in where the first/second stage boundary
-    sits; every k's array is the first one with its config replaced, so all
-    share one store, and the dict of addresses built on the first stream
-    serves every k's. The energized fraction is measured from the run, never
-    assumed.
+    The words (a ``Store``) and the queries (int keys) are generated once
+    (or passed in) and shared, so rows differ only in where the
+    first/second stage boundary sits; every k's array is the first one
+    with its config replaced, so all share one store, and the dict of
+    addresses built on the first stream serves every k's. The energized
+    fraction is measured from the run, never assumed.
     """
     ks = sorted(set(int(k) for k in k_values))
     if not ks:

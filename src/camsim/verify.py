@@ -31,18 +31,19 @@ either tier reports its first failure in the same order: query by query,
 gated before all-NOR. The randomized tier also checks ``search``, the
 public one-key entry point, on the first trial of each chunk once the
 chunk's streams pass: its width checks and its previous query are code
-of its own that no stream runs. The oracle scans the store's values as
-plain ints, read from its words once per store; widths are checked
-before a scan or a stream, not inside it: a store's words by
-``new_array``, the keys by ``_key_columns``, once for every store that
-shares them. Arrays keep their store as ints,
-so the randomized tier holds no ``BitWord`` of its store once its arrays
-are built. It builds one for a query only for single ``search`` or a
+of its own that no stream runs. Both tiers build their key universes and
+their stores as ints, each store an ``array.Store``, which range-checks
+its values once, when it is built. The oracle scans that ``Store`` as a
+plain tuple of ints, with the tuple's own ``count`` and ``index``, never
+its dict of addresses; widths are checked before a scan or a stream,
+not inside it: a store's by ``new_array``, the keys by ``_key_columns``,
+once for every store that shares them. Neither tier holds a ``BitWord``:
+it builds one for a query only for single ``search`` or a
 counterexample, and the store's only for a counterexample.
 
 The engine reads matches by stored value, so a wrong gate would still give
 the right matches; the count oracle checks the gate. It takes occ(p), the
-number of stored words with prefix p, from the words (no gate fact of the
+number of stored words with prefix p, from the values (no gate fact of the
 array), and derives each search's counts: on the gated array occ(p) lines
 energize, and ML_EN switches on occ(p) + occ(p') lines when the prefix
 changes from p' (occ(p) on the first search, none when it repeats); on the
@@ -75,6 +76,7 @@ from typing import Callable, Optional, Sequence, Union
 from .array import (
     CamArray,
     SearchRun,
+    Store,
     Variant,
     _check_keys,
     new_array,
@@ -144,15 +146,15 @@ def _flipped_gate_matches(arr: CamArray, key: int) -> tuple[int, ...]:
     ])
 
 
-def _store(config: CamConfig, words: Sequence[BitWord]) -> tuple[list, list, list]:
+def _store(config: CamConfig, values: Store) -> tuple[list, Store, list]:
     """A store to check: its gated and its all-NOR array (``new_array``
-    rejects a word of the wrong width), which share one ``array.Store``,
-    its values as the oracle scans them, read from the words and not from
-    an array, and occ, where occ[p] is how many of them store the k-bit
-    prefix p. Only the arrays' ints outlive the call, not the words."""
-    gated = new_array(config, Variant.SELECTIVE, words)
+    rejects a ``Store`` of the wrong width), which both hold ``values``,
+    the ``Store`` itself, which the oracle scans as a plain tuple of ints
+    with its own ``count`` and ``index``, and occ, where occ[p] is how many
+    of the values store the k-bit prefix p, counted from the values and
+    not read from an array."""
+    gated = new_array(config, Variant.SELECTIVE, values)
     arrays = [gated, replace(gated, variant=Variant.BASELINE_NOR)]
-    values = [w.value for w in words]
     occ = [0] * (1 << config.mle_bits)
     shift = config.word_bits - config.mle_bits
     for v in values:
@@ -297,26 +299,27 @@ def verify_exhaustive(seed: int = 0, fault: bool = False) -> VerifyOutcome:
     store_draws = Stream(_TAG_STORE, seed)
     for n in (4, 5, 6):
         keys = list(range(1 << n))
-        universe = [BitWord(n, v) for v in keys]
         for k in (2, 3):
             key_columns = _key_columns(keys, n, k)
             # every (stored word, query) pair at N=1
-            stores = [("single-word", [w]) for w in universe]
+            stores = [("single-word", [v]) for v in keys]
             stores += [
                 # full table (capped at 32 words), all queries hit something
-                ("store", universe[:32]),
+                ("store", keys[:32]),
                 # every word shares the same k-bit prefix; worst case gating
-                ("store", [w for w in universe if w.prefix_int(k) == 1][:8]),
+                ("store", [v for v in keys if v >> (n - k) == 1][:8]),
                 # duplicates must both report
-                ("store", [universe[3], universe[5], universe[3], universe[0]]),
+                ("store", [3, 5, 3, 0]),
             ]
             # seeded random stores of assorted sizes
             for j, size in enumerate((5, 17, 32)):
                 base = n * 1000 + k * 100 + j * 10
-                values = store_draws.bits_column(size, n, start=base)
-                stores.append(("store", [BitWord(n, v) for v in values]))
-            for kind, words in stores:
-                store = _store(CamConfig(len(words), n, k, seed=seed), words)
+                stores.append(("store", store_draws.bits_column(size, n, start=base)))
+            # A Store keeps the dict of addresses that its streams build, so
+            # each is built only as it is checked, and goes with its check.
+            for kind, values in stores:
+                config = CamConfig(len(values), n, k, seed=seed)
+                store = _store(config, Store(values, n))
                 ctx = f"n={n} k={k} {{}} {kind}"
                 out = _check_columns(store, keys, key_columns, engine, ctx)
                 total += out.cases

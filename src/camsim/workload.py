@@ -23,8 +23,8 @@ from operator import not_, sub
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
-from .array import EventTotals, SearchRun
-from .core import BitWord, _check_seed, parse_word
+from .array import EventTotals, SearchRun, Store
+from .core import _check_seed, parse_word
 from .draws import Stream, threshold_bits, unit_threshold
 from .errors import BadDigit, EmptyStore, InvalidConfig, WidthMismatch
 
@@ -79,12 +79,12 @@ class WorkloadSpec:
         }
 
 
-def gen_words(count: int, width: int, seed: int) -> list[BitWord]:
-    """Uniform independent bits, deterministic for a fixed seed."""
+def gen_words(count: int, width: int, seed: int) -> Store:
+    """``count`` stored words of ``width`` uniform independent bits, as a
+    ``Store`` of ints, deterministic for a fixed seed."""
     if count < 1 or width < 1:
         raise InvalidConfig("count and width must be >= 1")
-    values = Stream(_TAG_WORDS, seed).bits_column(count, width)
-    return [BitWord(width, v) for v in values]
+    return Store(Stream(_TAG_WORDS, seed).bits_column(count, width), width)
 
 
 # Prefix-skewed queries hashed into one buffer and thresholded at once. The
@@ -101,12 +101,13 @@ SKEWED_QUERIES_PER_BATCH = 20
 
 def gen_queries(
     workload: WorkloadSpec,
-    words: Sequence[BitWord],
+    words: Store,
     start: int = 0,
     stop: Optional[int] = None,
 ) -> list[int]:
-    """Query keys for the given recipe, as ints as wide as the stored words:
-    queries ``start`` .. ``stop`` - 1 of the stream, all of it by default.
+    """Query keys for the given recipe, as ints as wide as the stored words
+    (``words.width``): queries ``start`` .. ``stop`` - 1 of the stream, all
+    of it by default.
     Query i depends only on (seed, i) and the stored words, never on
     evaluation order, so a range is that slice of the whole stream."""
     if not words:
@@ -118,7 +119,7 @@ def gen_queries(
             f"query range [{start}, {stop}) is not within the "
             f"{workload.num_queries} queries"
         )
-    width = words[0].width
+    width = words.width
     seed = workload.seed
 
     if workload.kind is WorkloadKind.UNIFORM:
@@ -127,12 +128,11 @@ def gen_queries(
         # Query i copies a stored word when its decision draw u has
         # u / 2**64 < match_rate, as ``Stream.unit`` computes it. Only those
         # queries draw a pick, and only the others draw query bits.
-        values, rate = [w.value for w in words], workload.match_rate
         decisions = Stream(_TAG_DECISION, seed).bits_column(stop - start, 64, start)
-        planted = [u / 2.0**64 < rate for u in decisions]
+        planted = [u / 2.0**64 < workload.match_rate for u in decisions]
         indices = range(start, stop)
         picks = Stream(_TAG_PICK, seed).bits_at(compress(indices, planted), 64)
-        picked = iter([values[u % len(values)] for u in picks])
+        picked = iter([words[u % len(words)] for u in picks])
         drawn = iter(Stream(_TAG_QUERY, seed).bits_at(
             compress(indices, map(not_, planted)), width
         ))
@@ -141,7 +141,7 @@ def gen_queries(
     # x / 2**32 < bias, so the flip mask has a 1 wherever x >= threshold.
     # A batch's draws are hashed into one buffer and thresholded at once;
     # the flips of query i are then its width digits of the result.
-    anchor = words[0].value
+    anchor = words[0]
     threshold = unit_threshold(workload.bias)
     skew = Stream(_TAG_SKEW, seed)
     out = []
@@ -179,17 +179,18 @@ def load_words(
     width: int,
     fmt: str = "bin",
     name: Optional[str] = None,
-) -> list[BitWord]:
-    """Parse one word per content line; parse errors cite the 1-based line
+) -> Store:
+    """Parse one word per content line into a ``Store`` of ``width``-bit
+    ints, keeping no ``BitWord``; parse errors cite the 1-based line
     number, after ``name`` (the source file's path) when it is given."""
     where = "" if name is None else f"{name}: "
     out = []
     for lineno, line in content_lines(source):
         try:
-            out.append(parse_word(line, width, fmt))
+            out.append(parse_word(line, width, fmt).value)
         except (WidthMismatch, BadDigit) as exc:
             raise type(exc)(f"{where}line {lineno}: {exc}") from exc
-    return out
+    return Store(out, width)
 
 
 SWEEP_CSV_HEADER = "k,energized_fraction,energy_metric,mean_delay"

@@ -8,6 +8,7 @@ from camsim import (
     EventTotals,
     Level,
     SearchRun,
+    Store,
     Variant,
     oracle_search,
     search,
@@ -22,7 +23,7 @@ def all_words(n):
 
 
 # 13 five-bit words: every bucket occupied at k = 2 and 3, and 7 stored twice
-FIVE_BIT_STORE = [BitWord(5, 7 * i % 32) for i in range(12)] + [BitWord(5, 7)]
+FIVE_BIT_STORE = Store([7 * i % 32 for i in range(12)] + [7], 5)
 
 
 def assert_traces_explain(arr, query, prev=None, run=None):

@@ -6,7 +6,7 @@ import pytest
 
 import camsim.array
 import camsim.verify
-from camsim import BitWord, VerifyOutcome, verify_exhaustive
+from camsim import VerifyOutcome, verify_exhaustive
 from camsim.array import Store
 
 
@@ -14,7 +14,7 @@ class ExhaustiveTier(NamedTuple):
     """One recorded ``verify_exhaustive(1)`` run of the sound build."""
 
     outcome: VerifyOutcome
-    # (config, words, query keys, context) of each store checked, in order
+    # (config, Store, query keys, context) of each store checked, in order
     stores: list
     # (variant, queries streamed) of each run_search_stream call
     streams: list
@@ -34,9 +34,7 @@ def exhaustive_tier():
 
     def recorded(store, keys, key_columns, engine, context, *rest):
         arrays, values, *_ = store
-        config = arrays[0].config
-        words = [BitWord(config.word_bits, v) for v in values]
-        stores.append((config, words, keys, context))
+        stores.append((arrays[0].config, values, keys, context))
         return check(store, keys, key_columns, engine, context, *rest)
 
     def counted_stream(arr, keys, prev_key=None, *rest):

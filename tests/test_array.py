@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import replace
 from itertools import product
 
@@ -51,7 +53,7 @@ def w(text):
 
 def test_new_array_reference_geometry():
     cfg = CamConfig(256, 144, 3)
-    arr = new_array(cfg, Variant.SELECTIVE, [BitWord(144, 0)] * 256)
+    arr = new_array(cfg, Variant.SELECTIVE, Store([0] * 256, 144))
     assert arr.values == (0,) * 256 and arr.config.word_bits == 144
 
 
@@ -62,22 +64,41 @@ def test_new_array_rejects_one_bit_prefix():
 
 def test_array_validates_word_count_and_width():
     cfg = CamConfig(2, 8, 3)
-    with pytest.raises(InvalidConfig):
-        new_array(cfg, Variant.SELECTIVE, [BitWord(8, 0)])
-    with pytest.raises(WidthMismatch):
-        new_array(cfg, Variant.SELECTIVE, [BitWord(8, 0), BitWord(7, 0)])
+    with pytest.raises(InvalidConfig, match="^expected 2 words, got 1$"):
+        new_array(cfg, Variant.SELECTIVE, Store([0], 8))
+    # a store's width is checked before its length
+    for values in ([0, 0], [0]):
+        with pytest.raises(WidthMismatch, match="^stored word width 7 != word_bits 8$"):
+            new_array(cfg, Variant.SELECTIVE, Store(values, 7))
+    # a store checks that each value fits in its width, once, when built
+    out_of_range = "^a stored value does not fit in word_bits 8$"
+    for values in ((0, 256), (-1, 0)):
+        with pytest.raises(WidthMismatch, match=out_of_range):
+            Store(values, 8)
     # an array built from ints checks that each one is an n-bit value
     for variant in Variant:
         with pytest.raises(InvalidConfig, match="expected 2 words, got 1"):
             CamArray(cfg, (0,), variant)
+        with pytest.raises(WidthMismatch, match="^stored word width 9 != word_bits 8$"):
+            CamArray(cfg, Store([0, 0], 9), variant)
         for values in ((0, 256), (-1, 0)):
-            with pytest.raises(WidthMismatch, match="does not fit in word_bits 8"):
+            with pytest.raises(WidthMismatch, match=out_of_range):
                 CamArray(cfg, values, variant)
         # and equals, hashes and prints as the array of the same words
         arr = CamArray(cfg, [255, 0], variant)
-        built = new_array(cfg, variant, [BitWord(8, 255), BitWord(8, 0)])
+        built = new_array(cfg, variant, Store([255, 0], 8))
         assert type(arr.values) is Store and arr.values == (255, 0)
         assert arr == built and hash(arr) == hash(built) and repr(arr) == repr(built)
+
+
+def test_a_store_copies_and_pickles_with_its_width():
+    store = Store([5, 0, 5], 3)
+    assert store.addresses == {5: (0, 2), 0: (1,)}
+    twins = copy.copy(store), copy.deepcopy(store), pickle.loads(pickle.dumps(store))
+    for twin in twins:
+        assert type(twin) is Store and twin == store and twin.width == 3
+    arr = new_array(CamConfig(3, 3, 2), Variant.SELECTIVE, store)
+    assert copy.deepcopy(arr) == arr
 
 
 # -------------------------------------------------------- one store, gates
@@ -85,11 +106,13 @@ def test_array_validates_word_count_and_width():
 
 def test_gates_made_by_replace_share_one_store():
     # a second variant or prefix width over the same words keeps the array's
-    # Store, so every gate reads one value index, and streams as a fresh
-    # array of the same words does; a repeated value keeps both addresses
+    # Store, so every gate reads one value index, as does a new array of
+    # that Store, and streams as an array of a new Store of the same words
+    # does; a repeated value keeps both addresses
     cfg = CamConfig(16, 24, 3)
-    words = gen_words(16, 24, 7)
-    words[5] = words[3]
+    values = list(gen_words(16, 24, 7))
+    values[5] = values[3]
+    words = Store(values, 24)
     spec = WorkloadSpec(WorkloadKind.PLANTED, 300, 7, match_rate=0.5)
     keys = gen_queries(spec, words)
     first = new_array(cfg, Variant.SELECTIVE, words)
@@ -97,12 +120,13 @@ def test_gates_made_by_replace_share_one_store():
     for k in (2, 4, 6):
         gates += [replace(gate, config=replace(cfg, mle_bits=k)) for gate in gates[:2]]
     for arr in gates:
-        fresh = new_array(arr.config, arr.variant, words)
-        assert arr.values is first.values and arr == fresh
+        assert new_array(arr.config, arr.variant, words).values is words
+        fresh = new_array(arr.config, arr.variant, Store(values, 24))
+        assert arr.values is first.values is words and arr == fresh
         assert run_search_stream(arr, keys) == run_search_stream(fresh, keys)
         assert arr.values.addresses is first.values.addresses
         assert fresh.values.addresses is not first.values.addresses
-    assert first.values.addresses[words[3].value] == (3, 5)
+    assert first.values.addresses[words[3]] == (3, 5)
 
 
 def test_single_searches_of_one_array_build_its_index_once(index_builds):
@@ -112,10 +136,55 @@ def test_single_searches_of_one_array_build_its_index_once(index_builds):
     arr = new_array(cfg, Variant.SELECTIVE, words)
     assert index_builds == []
     prev = None
-    for word in words[:10]:
-        assert search(arr, word, prev).matches == [oracle_search(arr.values, word.value)]
+    for value in words[:10]:
+        word = BitWord(24, value)
+        assert search(arr, word, prev).matches == [oracle_search(arr.values, value)]
         prev = word
     assert len(index_builds) == 1 and index_builds[0] is arr.values
+
+
+def _grouped_walk(values):
+    """Each stored value's ascending addresses from one walk of the whole
+    store that groups every value through lists: the reference for
+    ``Store.addresses``, which regroups only the repeated values."""
+    grouped = {}
+    for addr, value in enumerate(values):
+        grouped.setdefault(value, []).append(addr)
+    return {value: tuple(addrs) for value, addrs in grouped.items()}
+
+
+def _with_repeats(where):
+    """40 distinct 12-bit values, then one or two values repeated at the
+    start, in the middle, at the end or at all three."""
+    values = [37 * i % 4096 for i in range(40)]
+    if where in ("start", "all"):
+        values[1] = values[3] = values[0]
+    if where in ("middle", "all"):
+        values[21] = values[19]
+        values[25] = values[20]
+    if where in ("end", "all"):
+        values[-1] = values[-3] = values[-2]
+    return values
+
+
+@pytest.mark.parametrize("where", ["none", "start", "middle", "end", "all"])
+def test_store_addresses_equal_the_grouped_walk(monkeypatch, where):
+    # the oracle stays independent of the engine's dict: building the dict
+    # never scans with it
+    monkeypatch.setattr(camsim.array, "oracle_search", None)
+    values = _with_repeats(where)
+    got = Store(values, 12).addresses
+    assert got == _grouped_walk(values) and list(got) == list(_grouped_walk(values))
+    assert all(list(a) == sorted(set(a)) for a in got.values())
+    repeated = {v: a for v, a in got.items() if len(a) > 1}
+    groups = {"none": 0, "start": 1, "middle": 2, "end": 1, "all": 4}
+    assert len(repeated) == groups[where]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 15), max_size=40))
+def test_store_addresses_equal_the_grouped_walk_on_random_stores(values):
+    assert Store(values, 4).addresses == _grouped_walk(values)
 
 
 @pytest.mark.parametrize("argv, built", [
@@ -145,16 +214,14 @@ def test_the_exhaustive_tier_builds_one_histogram_per_store(histogram_builds):
 
 def test_write_then_search_matches():
     cfg = CamConfig(4, 8, 3)
-    words = [BitWord(8, 0)] * 4
-    words[2] = w("10110011")
+    words = Store([0, 0, 0b10110011, 0], 8)
     run = search(new_array(cfg, Variant.SELECTIVE, words), w("10110011"))
     assert run.matches == [(2,)]
 
 
 def test_duplicate_words_both_match():
     cfg = CamConfig(3, 8, 3)
-    words = [BitWord(8, 0)] * 3
-    words[0] = words[2] = w("10110011")
+    words = Store([0b10110011, 0, 0b10110011], 8)
     arr = new_array(cfg, Variant.SELECTIVE, words)
     assert search(arr, w("10110011")).matches == [(0, 2)]
 
@@ -163,7 +230,7 @@ def test_duplicate_words_both_match():
 
 
 def test_search_width_guards():
-    arr = new_array(CamConfig(2, 8, 3), Variant.SELECTIVE, [BitWord(8, 0)] * 2)
+    arr = new_array(CamConfig(2, 8, 3), Variant.SELECTIVE, Store([0] * 2, 8))
     with pytest.raises(WidthMismatch):
         search(arr, BitWord(7, 0))
     with pytest.raises(WidthMismatch):
@@ -174,9 +241,9 @@ def test_single_match_energizes_one_line():
     # stored equals the query at addr 5; everyone else differs in bit 0
     cfg = CamConfig(8, 8, 3)
     query = w("10110011")
-    words = [BitWord(8, query.value ^ 0x80) for _ in range(8)]
-    words[5] = query
-    run = search(new_array(cfg, Variant.SELECTIVE, words), query)
+    values = [query.value ^ 0x80] * 8
+    values[5] = query.value
+    run = search(new_array(cfg, Variant.SELECTIVE, Store(values, 8)), query)
     assert run.matches == [(5,)]
     assert run.energized == [1]
     assert run.ml_discharges == [0]
@@ -186,20 +253,19 @@ def test_shared_prefix_energizes_all_and_discharges_all():
     # every word carries the query's first 3 bits but differs later
     cfg = CamConfig(8, 8, 3)
     query = w("10110011")
-    words = [BitWord(8, (query.prefix_int(3) << 5) | i) for i in range(8)]
+    words = Store([(query.prefix_int(3) << 5) | i for i in range(8)], 8)
     run = search(new_array(cfg, Variant.SELECTIVE, words), query)
     assert run.energized == [8]
     (matches,) = run.matches
-    assert matches == tuple(a for a, word in enumerate(words) if word == query)
+    assert matches == tuple(a for a, word in enumerate(words) if word == query.value)
     assert run.ml_discharges == [8 - len(matches)]
 
 
 def test_exhaustive_full_table_equals_oracle():
     # all 16 distinct words stored, every possible query, k=2
     cfg = CamConfig(16, 4, 2)
-    words = all_words(4)
-    arr = new_array(cfg, Variant.SELECTIVE, words)
-    values = [w.value for w in words]
+    values = list(range(16))
+    arr = new_array(cfg, Variant.SELECTIVE, Store(values, 4))
     got = run_search_stream(arr, values).matches
     assert got == [oracle_search(values, v) for v in values] == [(v,) for v in values]
 
@@ -224,7 +290,7 @@ def test_oracle_duplicates_ascend():
 @given(
     st.lists(st.integers(0, 15), max_size=24),
     st.integers(0, 15),
-    st.sampled_from([list, tuple, Store]),
+    st.sampled_from([list, tuple, lambda values: Store(values, 4)]),
     st.booleans(),
     st.booleans(),
 )
@@ -259,9 +325,9 @@ def test_oracle_width_guard(monkeypatch):
         with pytest.raises(
             WidthMismatch, match="^query 1: key 0x10 does not fit in word_bits 4$"
         ):
-            check([BitWord(4, 0)] * 2, [1, 16])
+            check(Store([0] * 2, 4), [1, 16])
         with pytest.raises(WidthMismatch, match="stored word width 5"):
-            check([BitWord(5, 0)] * 2, [0])
+            check(Store([0] * 2, 5), [0])
     assert calls == []
 
 
@@ -279,9 +345,8 @@ def test_oracle_width_guard(monkeypatch):
 def test_search_equals_oracle_on_random_arrays(case):
     n, k, stored, queries = case
     cfg = CamConfig(len(stored), n, k)
-    words = [BitWord(n, v) for v in stored]
     for variant in (Variant.SELECTIVE, Variant.BASELINE_NOR):
-        arr = new_array(cfg, variant, words)
+        arr = new_array(cfg, variant, Store(stored, n))
         prev = None
         for qv in queries:
             q = BitWord(n, qv)
@@ -300,7 +365,7 @@ def test_word_outcomes_match_cell_level_route(stored, qv):
     words = [BitWord(n, v) for v in stored]
     query = BitWord(n, qv)
     for variant in (Variant.SELECTIVE, Variant.BASELINE_NOR):
-        arr = new_array(cfg, variant, words)
+        arr = new_array(cfg, variant, Store(stored, n))
         (matches,) = search(arr, query).matches
         gated = variant is Variant.SELECTIVE
         for trace, word in zip(word_traces(arr, query), words):
@@ -317,8 +382,8 @@ def test_word_outcomes_match_cell_level_route(stored, qv):
 
 def test_trace_invariants_selective():
     cfg = CamConfig(16, 6, 3)
-    words = all_words(6)[16:32]
-    arr = new_array(cfg, Variant.SELECTIVE, words)
+    values = list(range(16, 32))
+    arr = new_array(cfg, Variant.SELECTIVE, Store(values, 6))
     query = BitWord(6, 0b010110)
     run = search(arr, query)
     traces = word_traces(arr, query)
@@ -333,9 +398,7 @@ def test_trace_invariants_selective():
         if not t.ml_precharged:
             assert t.transitions.ml_discharges == 0
         # selective energization depends on the prefix only
-        assert t.ml_precharged == (
-            words[t.addr].prefix_int(3) == query.prefix_int(3)
-        )
+        assert t.ml_precharged == (values[t.addr] >> 3 == query.prefix_int(3))
     assert run.energized == [sum(t.ml_precharged for t in traces)]
     assert set(run.matches[0]) == {
         t.addr for t in traces if t.ml_final is Level.HIGH
@@ -346,13 +409,14 @@ def test_trace_m_nodes_match_energizer():
     cfg = CamConfig(4, 6, 3)
     words = [w("101010"), w("001010"), w("111010"), w("100010")]
     query = w("101110")
-    arr = new_array(cfg, Variant.SELECTIVE, words)
+    arr = new_array(cfg, Variant.SELECTIVE, Store([w.value for w in words], 6))
     for t, word in zip(word_traces(arr, query), words):
         assert t.m_nodes == mle_eval(word.prefix_bits(3), query.prefix_bits(3)).m_nodes
     # every stored/search prefix pair at every supported width
     for k in range(2, 7):
         words = [BitWord(k + 2, p << 2 | 1) for p in range(1 << k)]
-        arr = new_array(CamConfig(len(words), k + 2, k), Variant.SELECTIVE, words)
+        store = Store([w.value for w in words], k + 2)
+        arr = new_array(CamConfig(len(words), k + 2, k), Variant.SELECTIVE, store)
         for qp in range(1 << k):
             query = BitWord(k + 2, qp << 2)
             for t, word in zip(word_traces(arr, query), words):
@@ -363,7 +427,7 @@ def test_trace_m_nodes_match_energizer():
 
 def test_baseline_traces_have_no_energizer_nodes():
     cfg = CamConfig(4, 6, 3)
-    arr = new_array(cfg, Variant.BASELINE_NOR, all_words(6)[:4])
+    arr = new_array(cfg, Variant.BASELINE_NOR, Store([0, 1, 2, 3], 6))
     for t in word_traces(arr, BitWord(6, 2)):
         assert t.m_nodes == ()
         assert t.ml_en is Level.HIGH
@@ -385,8 +449,8 @@ def test_trace_totals_are_consistent():
                 gated = variant is Variant.SELECTIVE
                 assert r.energizers == (cfg.num_words if gated else 0)
                 for x, word in zip(traces, FIVE_BIT_STORE):
-                    en = not gated or word.prefix_int(k) == query.prefix_int(k)
-                    diff = word.value ^ query.value
+                    en = not gated or word >> (n - k) == query.prefix_int(k)
+                    diff = word ^ query.value
                     assert x.ml_precharged == en
                     lowest = n - diff.bit_length() if en and diff else None
                     assert (x.ml_final is Level.HIGH) == (en and not diff)
@@ -394,7 +458,7 @@ def test_trace_totals_are_consistent():
                     if prev is None:  # ML_EN starts low behind an energizer
                         en_prev = not gated
                     else:
-                        en_prev = not gated or word.prefix_int(k) == prev.prefix_int(k)
+                        en_prev = not gated or word >> (n - k) == prev.prefix_int(k)
                     assert x.transitions.ml_en_charges == int(en and not en_prev)
                     assert x.transitions.ml_en_discharges == int(en_prev and not en)
 
@@ -407,9 +471,9 @@ def _index_stores(n, k, size):
     shared = 1 << (n - k)
     draws = Stream(b"index", seed)
     return (
-        [BitWord(n, v) for v in draws.bits_column(size, n)],
-        [BitWord(n, shared | v) for v in draws.bits_column(size, 2)],
-        [BitWord(n, (5, 2 ** n - 3)[i % 2]) for i in range(size)],
+        Store(draws.bits_column(size, n), n),
+        Store([shared | v for v in draws.bits_column(size, 2)], n),
+        Store([(5, 2 ** n - 3)[i % 2] for i in range(size)], n),
     )
 
 
@@ -455,8 +519,8 @@ def test_gate_index_equals_prefix_scan(k):
             arr = new_array(cfg, variant, words)
             _assert_index_equals_scan(arr)
             # flip word 0's last prefix bit, moving it to another bucket
-            moved = BitWord(n, words[0].value ^ (1 << (n - k)))
-            arr = new_array(cfg, variant, [moved, *words[1:]])
+            moved = words[0] ^ (1 << (n - k))
+            arr = new_array(cfg, variant, Store([moved, *words[1:]], n))
             _assert_index_equals_scan(arr)
             if size % 8 == 1:  # every query against a sample of the stores
                 stored = list(arr.values)
@@ -467,7 +531,7 @@ def test_gate_index_equals_prefix_scan(k):
 
 def test_searchline_toggle_counting():
     cfg = CamConfig(2, 8, 3)
-    arr = new_array(cfg, Variant.SELECTIVE, [BitWord(8, 0)] * 2)
+    arr = new_array(cfg, Variant.SELECTIVE, Store([0] * 2, 8))
     q1, q2 = w("10110011"), w("10010111")
     first = search(arr, q1)
     assert first.sl_toggles == [8]  # first search drives every column
@@ -481,7 +545,7 @@ def test_searchline_toggle_counting():
 def test_ml_en_transitions_against_cell_route():
     cfg = CamConfig(8, 6, 2)
     words = all_words(6)[8:16]
-    arr = new_array(cfg, Variant.SELECTIVE, words)
+    arr = new_array(cfg, Variant.SELECTIVE, Store([w.value for w in words], 6))
     q1, q2 = BitWord(6, 0b001100), BitWord(6, 0b011100)
     run = search(arr, q2, prev_query=q1)
     charges = discharges = 0
@@ -500,17 +564,17 @@ def test_suffix_change_never_affects_energization():
     cfg = CamConfig(1, 8, 3)
     query = w("10110011")
     for suffix in range(32):
-        word = BitWord(8, (query.prefix_int(3) << 5) | suffix)
-        run = search(new_array(cfg, Variant.SELECTIVE, [word]), query)
+        word = Store([(query.prefix_int(3) << 5) | suffix], 8)
+        run = search(new_array(cfg, Variant.SELECTIVE, word), query)
         assert run.energized == [1]
-    flipped = BitWord(8, query.value ^ 0x80)
-    run = search(new_array(cfg, Variant.SELECTIVE, [flipped]), query)
+    flipped = Store([query.value ^ 0x80], 8)
+    run = search(new_array(cfg, Variant.SELECTIVE, flipped), query)
     assert run.energized == [0]
 
 
 def test_baseline_dominance():
     cfg = CamConfig(8, 8, 3)
-    words = [BitWord(8, 31 * i % 256) for i in range(8)]
+    words = Store([31 * i % 256 for i in range(8)], 8)
     query = w("01010101")
     sel = search(new_array(cfg, Variant.SELECTIVE, words), query)
     base = search(new_array(cfg, Variant.BASELINE_NOR, words), query)
@@ -518,7 +582,7 @@ def test_baseline_dominance():
     assert base.energized == [8]
     assert sel.matches == base.matches
     # equality only when every stored prefix matches the query prefix
-    shared = [BitWord(8, (query.prefix_int(3) << 5) | i) for i in range(8)]
+    shared = Store([(query.prefix_int(3) << 5) | i for i in range(8)], 8)
     sel2 = search(new_array(cfg, Variant.SELECTIVE, shared), query)
     assert sel2.energized == [8]
 
@@ -536,18 +600,17 @@ def test_baseline_dominance():
 )
 def test_write_search_interleaving_matches_oracle(ops):
     cfg = CamConfig(6, 8, 3)
-    words = [BitWord(8, 0)] * 6
-    arr = new_array(cfg, Variant.SELECTIVE, words)
+    stored = [0] * 6
+    arr = new_array(cfg, Variant.SELECTIVE, Store(stored, 8))
     prev = None
     for op in ops:
         if op[0] == "write":
             _, addr, value = op
-            words[addr] = BitWord(8, value)
-            arr = new_array(cfg, Variant.SELECTIVE, words)
+            stored[addr] = value
+            arr = new_array(cfg, Variant.SELECTIVE, Store(stored, 8))
         else:
             _, qv, _ = op
             q = BitWord(8, qv)
-            stored = [w.value for w in words]
             assert search(arr, q, prev).matches == [oracle_search(stored, qv)]
             prev = q
 
@@ -592,18 +655,18 @@ def _repeat_scans(draw):
     return n, k, values, query, prev, write
 
 
-def _assert_scan(arr, words, query, prev):
-    assert arr.values == tuple(w.value for w in words)
-    want = oracle_search([w.value for w in words], query.value)
+def _assert_scan(arr, values, query, prev):
+    assert arr.values == tuple(values)
+    want = oracle_search(values, query.value)
     assert list(want) == sorted(set(want))
     r = search(arr, query, prev)
     prev_key = None if prev is None else prev.value
     run = run_search_stream(arr, [query.value], prev_key)
     assert r.matches == run.matches == [want]
-    k = arr.config.mle_bits
+    n, k = arr.config.word_bits, arr.config.mle_bits
     gated = arr.variant is Variant.SELECTIVE
     assert r.energized[0] == run.energized[0] == sum(
-        1 for w in words if not gated or w.prefix_int(k) == query.prefix_int(k)
+        1 for v in values if not gated or v >> (n - k) == query.prefix_int(k)
     )
 
 
@@ -613,14 +676,14 @@ def test_repeated_values_come_back_ascending(case):
     # one value at scattered addresses: search and the stream both list
     # every address that stores it, ascending, on both variants
     n, k, values, qv, pv, (addr, wv) = case
-    words = [BitWord(n, v) for v in values]
     query = BitWord(n, qv)
     prev = None if pv is None else BitWord(n, pv)
     for variant in (Variant.SELECTIVE, Variant.BASELINE_NOR):
-        cfg = CamConfig(len(words), n, k)
-        _assert_scan(new_array(cfg, variant, words), words, query, prev)
-        rewritten = [*words[:addr], BitWord(n, wv), *words[addr + 1:]]
-        _assert_scan(new_array(cfg, variant, rewritten), rewritten, query, prev)
+        cfg = CamConfig(len(values), n, k)
+        _assert_scan(new_array(cfg, variant, Store(values, n)), values, query, prev)
+        rewritten = [*values[:addr], wv, *values[addr + 1:]]
+        arr = new_array(cfg, variant, Store(rewritten, n))
+        _assert_scan(arr, rewritten, query, prev)
 
 
 # ---------------------------------------------------------------- records
@@ -631,7 +694,7 @@ def test_search_is_the_one_key_stream(variant):
     # a search's record is the run of its one key, with or without the
     # previous query: the same columns and energizers as the stream's
     cfg = CamConfig(4, 6, 2)
-    words = [BitWord(6, v) for v in (0b000011, 0b010101, 0b000011, 0b111000)]
+    words = Store([0b000011, 0b010101, 0b000011, 0b111000], 6)
     arr = new_array(cfg, variant, words)
     for query, prev in ((3, None), (21, 3), (56, 21)):
         prev_query = None if prev is None else BitWord(6, prev)
@@ -648,7 +711,7 @@ def test_record_reprs_are_pinned():
     # when the report came down to its matches and event totals, and again
     # when a search came to return its one-key run.
     cfg = CamConfig(4, 6, 2)
-    words = [BitWord(6, v) for v in (0b000011, 0b010101, 0b000011, 0b111000)]
+    words = Store([0b000011, 0b010101, 0b000011, 0b111000], 6)
     sel = search(new_array(cfg, Variant.SELECTIVE, words), BitWord(6, 3), BitWord(6, 56))
     base = search(new_array(cfg, Variant.BASELINE_NOR, words), BitWord(6, 21))
     assert repr(sel) == (

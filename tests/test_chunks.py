@@ -154,7 +154,7 @@ def _whole_list_compare_text(tmp_path, monkeypatch, argv: list[str], count: int)
 
 def _assert_match_counts(text: str, keys: list[int]):
     """Each side's match counts are the keys' hits on the stored values."""
-    values = [w.value for w in gen_words(16, 24, 7)]
+    values = gen_words(16, 24, 7)
     doc = json.loads(text)
     for side in ("selective", "baseline_nor"):
         agg = doc[side]
@@ -178,7 +178,7 @@ def test_compare_report_equals_the_whole_list_runs_at_chunk_edges(
     if workload == "planted" and count == 2 * KEYS_PER_CHUNK + 1:
         # hits on both sides of a chunk boundary, so the folded match
         # counts span chunks
-        stored = {w.value for w in words}
+        stored = set(words)
         hits = [i for i, k in enumerate(keys) if k in stored]
         assert hits[0] < KEYS_PER_CHUNK <= hits[-1]
 

@@ -323,12 +323,24 @@ def test_model_file_with_byte_order_mark(tmp_path):
     assert json.loads(out.read_text())["model"]["v_dd"] == 2.0
 
 
-@pytest.mark.parametrize("bad_flag", ["--words", "--queries-file"])
-def test_malformed_word_error_names_its_file(tmp_path, capsys, bad_flag):
+# (line 2 of the bad file, the rest of its error message after the line
+# number); the ids of the bad-digit cases are the flag alone
+_BAD_LINES = {
+    "digit": ("10x1", "character 'x' is not a binary digit"),
+    "width": ("101", "expected 4 bits (4 binary digits), got 3 digits in '101'"),
+}
+
+
+@pytest.mark.parametrize("bad_flag, bad", [
+    pytest.param(flag, bad, id=flag if bad == "digit" else f"{flag}-{bad}")
+    for bad in _BAD_LINES for flag in ("--words", "--queries-file")
+])
+def test_malformed_word_error_names_its_file(tmp_path, capsys, bad_flag, bad):
+    line, message = _BAD_LINES[bad]
     files = {}
     for flag in ("--words", "--queries-file"):
         path = tmp_path / (flag.strip("-") + ".txt")
-        path.write_text("1011\n10x1\n" if flag == bad_flag else "1011\n0011\n")
+        path.write_text(f"1011\n{line}\n" if flag == bad_flag else "1011\n0011\n")
         files[flag] = path
     out = tmp_path / "r.json"
     rc = main(["search", "--width", "4", "--mle-bits", "2",
@@ -336,7 +348,7 @@ def test_malformed_word_error_names_its_file(tmp_path, capsys, bad_flag):
                "--queries-file", str(files["--queries-file"]), "--out", str(out)])
     assert rc == 1
     assert not out.exists()
-    assert capsys.readouterr().err.startswith(f"error: {files[bad_flag]}: line 2: ")
+    assert capsys.readouterr().err == f"error: {files[bad_flag]}: line 2: {message}\n"
 
 
 def test_search_words_file_and_variant(tmp_path):
@@ -522,10 +534,11 @@ def test_search_prices_each_chunk_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("verb, workload", [
     ("search", ["--workload", "uniform"]),
     ("compare", ["--workload", "prefix-skewed", "--bias", "0.9"]),
+    ("sweep", ["--workload", "planted"]),
 ])
-def test_verbs_build_a_bitword_per_stored_word_only(tmp_path, monkeypatch, verb, workload):
-    # The queries go from the generator to the stream as int keys, so a run
-    # builds no BitWord per query: at most one per stored word.
+def test_generated_runs_build_no_bitword(tmp_path, monkeypatch, verb, workload):
+    # The stored words and the queries go from the generator to the stream
+    # as ints, so a run builds no BitWord at all.
     built = []
     real_post_init = camsim.core.BitWord.__post_init__
 
@@ -537,7 +550,75 @@ def test_verbs_build_a_bitword_per_stored_word_only(tmp_path, monkeypatch, verb,
     rc = main([verb, "--num-words", "256", "--width", "144", "--queries", "500",
                *workload, "--out", str(tmp_path / "r.json")])
     assert rc == 0
-    assert 0 < len(built) <= 256
+    assert built == []
+
+
+def _word_run_argv(tmp_path, verb, files):
+    """A small run of ``verb``, its stored words and queries generated or,
+    with ``files``, read from a ``--words`` and a ``--queries-file``."""
+    argv = [verb, "--num-words", "16", "--width", "12", "--queries", "20",
+            "--out", str(tmp_path / "r")]
+    if files:
+        for flag, count in (("--words", 16), ("--queries-file", 20)):
+            path = tmp_path / (flag.strip("-") + ".txt")
+            path.write_text("".join(f"{i * 37 % 4096:012b}\n" for i in range(count)))
+            argv += [flag, str(path)]
+    return argv
+
+
+def _new_word_objects():
+    """A function giving each ``BitWord`` and ``Store`` that the collector
+    tracks now and did not track when this was called."""
+    word_types = (camsim.core.BitWord, camsim.array.Store)
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, word_types)]
+    seen = {id(o) for o in before}
+    return lambda: [
+        o for o in gc.get_objects() if isinstance(o, word_types) and id(o) not in seen
+    ]
+
+
+@pytest.mark.parametrize("files", [False, True], ids=["generated", "files"])
+@pytest.mark.parametrize("verb", ["search", "compare", "sweep"])
+def test_no_bitword_is_alive_when_the_first_stream_runs(
+    tmp_path, monkeypatch, verb, files
+):
+    # the stored words reach the engine as a Store of ints, and the queries
+    # as int keys: when a verb's first stream runs its array's Store is
+    # alive, and no BitWord is, whether the words and queries were drawn or
+    # read from word files
+    module = camsim.energy if verb == "sweep" else camsim.cli
+    real, first = module.run_search_stream, []
+
+    def stream(arr, *args):
+        if not first:
+            first.append((arr.values, new_objects()))
+        return real(arr, *args)
+
+    monkeypatch.setattr(module, "run_search_stream", stream)
+    argv = _word_run_argv(tmp_path, verb, files)
+    new_objects = _new_word_objects()
+    assert main(argv) == 0
+    ((store, alive),) = first
+    assert any(o is store for o in alive)
+    assert [o for o in alive if type(o) is camsim.core.BitWord] == []
+
+
+@pytest.mark.parametrize("files", [False, True], ids=["generated", "files"])
+def test_no_store_is_alive_when_search_writes_its_report(tmp_path, monkeypatch, files):
+    # the Store keeps its dict of addresses, and cmd_search lets go of it
+    # (and of every word) before the report is written
+    real, alive = camsim.cli.write_report, []
+
+    def write(*args):
+        alive.append(new_objects())
+        return real(*args)
+
+    monkeypatch.setattr(camsim.cli, "write_report", write)
+    argv = _word_run_argv(tmp_path, "search", files)
+    new_objects = _new_word_objects()
+    assert main(argv) == 0
+    assert alive == [[]]
 
 
 def test_sweep_non_finite_metric_exits_2_without_csv(tmp_path, capsys):

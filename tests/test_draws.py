@@ -86,7 +86,8 @@ def _digest(lines) -> str:
 
 
 def _texts(words):
-    return [w.to_text() for w in words]
+    """The stored words as binary text, as ``BitWord.to_text`` writes one."""
+    return [format(value, f"0{words.width}b") for value in words]
 
 
 def _query_texts(kind, width, seed, **params):
@@ -229,14 +230,15 @@ def test_a_seed_outside_64_unsigned_bits_is_invalid_config(seed):
 def _reference_skewed(workload: WorkloadSpec, words) -> list[int]:
     """The per-bit form, as query keys: a float unit draw per bit against
     the bias."""
-    anchor, width = words[0], words[0].width
+    anchor, width = words[0], words.width
     out = []
     for i in range(workload.num_queries):
         raw = _reference_blocks(b"skew", workload.seed, i, 4 * width)
         value = 0
         for pos in range(width):
             u = int.from_bytes(raw[4 * pos : 4 * pos + 4], "big") / 2.0**32
-            bit = anchor.bit(pos) if u < workload.bias else 1 - anchor.bit(pos)
+            bit = anchor >> (width - 1 - pos) & 1
+            bit = bit if u < workload.bias else 1 - bit
             value = (value << 1) | bit
         out.append(value)
     return out
@@ -258,9 +260,9 @@ def _reference_planted(workload: WorkloadSpec, words) -> list[int]:
         for tag in (b"plant-decision", b"plant-pick", b"query")
     )
     return [
-        words[pick.pick(i, len(words))].value
+        words[pick.pick(i, len(words))]
         if decision.unit(i) < workload.match_rate
-        else query.bits(i, words[0].width)
+        else query.bits(i, words.width)
         for i in range(workload.num_queries)
     ]
 

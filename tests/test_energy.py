@@ -15,6 +15,7 @@ from camsim import (
     InvalidConfig,
     PrefixTooShort,
     SearchRun,
+    Store,
     Variant,
     WorkloadKind,
     WorkloadSpec,
@@ -62,7 +63,7 @@ def test_a_match_line_event_is_priced_at_n_minus_k_cells_on_both_variants(varian
     # but it is priced at the same n - k.
     n, k = 24, 3
     cfg = CamConfig(2, n, k)
-    arr = new_array(cfg, variant, [BitWord(n, 0), BitWord(n, 1 << (n - 1))])
+    arr = new_array(cfg, variant, Store([0, 1 << (n - 1)], n))
     query = BitWord(n, 0)
     totals = sum_event_totals(run_search_stream(arr, [query.value]))
     ml_events = totals.ml_precharges + totals.ml_discharges
@@ -202,7 +203,7 @@ def _array(config, variant):
 def _run(config, variant, num_queries, seed=3, model=None):
     arr = _array(config, variant)
     spec = WorkloadSpec(WorkloadKind.UNIFORM, num_queries, seed)
-    queries = gen_queries(spec, [BitWord(config.word_bits, v) for v in arr.values])
+    queries = gen_queries(spec, arr.values)
     return run_search_stream(arr, queries), queries
 
 

@@ -14,6 +14,7 @@ from camsim import (
     EnergyModel,
     EventTotals,
     SearchRun,
+    Store,
     Variant,
     WidthMismatch,
     WorkloadKind,
@@ -48,9 +49,9 @@ def test_columns_equal_the_oracles_on_every_exhaustive_store(exhaustive_tier):
     assert len(stores) == 260
     searches = 0
     types = set()
-    for config, words, queries, _ in stores:
+    for config, store, queries, _ in stores:
         for variant in Variant:
-            arr = new_array(config, variant, words)
+            arr = new_array(config, variant, store)
             for prev in (None, queries[-1]):
                 run = run_search_stream(arr, queries, prev)
                 assert_run_is_oracle_run(run, arr, queries, prev)
@@ -74,8 +75,8 @@ def test_all_nor_columns_are_constants(exhaustive_tier):
     # after a mid-universe key, and on a long stream at the reference
     # geometry.
     cases = []
-    for config, words, queries, _ in exhaustive_tier.stores:
-        arr = new_array(config, Variant.BASELINE_NOR, words)
+    for config, store, queries, _ in exhaustive_tier.stores:
+        arr = new_array(config, Variant.BASELINE_NOR, store)
         cases += [(arr, queries, None), (arr, queries, 1 << (config.word_bits - 1))]
     words = gen_words(256, 144, 1)
     arr = new_array(CamConfig(256, 144, 3, seed=1), Variant.BASELINE_NOR, words)
@@ -147,7 +148,7 @@ def test_a_run_does_not_keep_its_array_alive(variant):
     words = gen_words(16, 12, 5)
     arr = new_array(config, variant, words)
     array_ref = weakref.ref(arr)
-    run = run_search_stream(arr, [w.value for w in words])
+    run = run_search_stream(arr, list(words))
     del arr
     gc.collect()
     assert array_ref() is None
@@ -232,7 +233,7 @@ def test_a_hit_on_every_line_lists_every_address(variant):
     assert [len(oracle_search(*store)) for store in stores] == [256, 2, 0, 1, 5]
     for values, query_value in stores:
         want = oracle_search(values, query_value)
-        arr = new_array(config, variant, [BitWord(12, v) for v in values])
+        arr = new_array(config, variant, Store(values, 12))
         assert search(arr, BitWord(12, query_value)).matches == [want]
         keys = [query_value, query_value]
         assert run_search_stream(arr, keys).matches == [want, want]
@@ -257,12 +258,10 @@ def test_stream_membership_equals_the_oracles(variant, store):
         queries = list(range(64))
     else:
         config = CamConfig(64, 12, 3, seed=3)
-        words = gen_words(64, 12, 3)
-        values = [w.value for w in words]
+        values = gen_words(64, 12, 3)
         spec = WorkloadSpec(WorkloadKind.PLANTED, 200, 3, match_rate=1.0)
-        queries = gen_queries(spec, words)
-    n = config.word_bits
-    arr = new_array(config, variant, [BitWord(n, v) for v in values])
+        queries = gen_queries(spec, values)
+    arr = new_array(config, variant, Store(values, config.word_bits))
     want = [oracle_search(values, key) for key in queries]
     if store == "planted-all-hit":
         assert all(want)  # every query takes the hit path

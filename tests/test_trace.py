@@ -32,9 +32,9 @@ def test_traces_explain_every_exhaustive_search(exhaustive_tier):
     # store once per variant against one oracle scan per query
     out, stores, streams, scans = exhaustive_tier
     traced = 0
-    for config, words, queries, _ in stores:
+    for config, store, queries, _ in stores:
         for variant in Variant:
-            arr = new_array(config, variant, words)
+            arr = new_array(config, variant, store)
             rows = one_key_runs(run_search_stream(arr, queries))
             for (query, prev), row in zip(threaded(config.word_bits, queries), rows):
                 assert_traces_explain(arr, query, prev, row)

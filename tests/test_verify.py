@@ -10,6 +10,7 @@ from camsim import (
     CamConfig,
     InvalidConfig,
     Level,
+    Store,
     Variant,
     gen_words,
     new_array,
@@ -87,7 +88,7 @@ def test_trial_keys_equal_the_per_trial_draws(monkeypatch, n, seed):
     # inside a chunk of TRIALS_PER_CHUNK trials, and the tier itself draws
     # chunk after chunk.
     chunk = camsim.verify.TRIALS_PER_CHUNK
-    values = [w.value for w in gen_words(7, n, seed)]
+    values = gen_words(7, n, seed)
     draws = camsim.verify._trial_draws(seed)
     for start, stop in ((0, 1), (5, chunk - 3), (chunk - 2, 3 * chunk + 11)):
         keys = camsim.verify._trial_keys(draws, values, n, start, stop)
@@ -190,9 +191,8 @@ def _per_query_reference(stores, matches_of):
     loop over ``stores`` finds, query key by query key and gated before
     all-NOR, where ``matches_of(arr, key)`` gives the matches under test."""
     cases = 0
-    for config, words, keys, context in stores:
-        values = [w.value for w in words]
-        arrays = [new_array(config, variant, words) for variant in Variant]
+    for config, values, keys, context in stores:
+        arrays = [new_array(config, variant, values) for variant in Variant]
         for key in keys:
             expected = oracle_search(values, key)
             for arr in arrays:
@@ -501,19 +501,18 @@ def test_flipped_gate_mutant_matches_the_cell_level_route():
                 t.addr
                 for t, word in zip(word_traces(arr, query), FIVE_BIT_STORE)
                 if (t.ml_en is Level.HIGH) != gated
-                and (word.value ^ query.value) & compared == 0
+                and (word ^ query.value) & compared == 0
             )
 
 
 def test_fault_injection_breaks_oracle_agreement():
     cfg = CamConfig(4, 8, 3)
-    words = [
-        BitWord(8, int(text, 2))
-        for text in ("10110011", "00110011", "11111111", "00000000")
-    ]
-    query = words[0]
-    got = _flipped_gate_matches(new_array(cfg, Variant.SELECTIVE, words), query.value)
-    assert got != oracle_search([w.value for w in words], query.value)
+    words = Store(
+        [int(text, 2) for text in ("10110011", "00110011", "11111111", "00000000")], 8
+    )
+    key = words[0]
+    got = _flipped_gate_matches(new_array(cfg, Variant.SELECTIVE, words), key)
+    assert got != oracle_search(words, key)
     # the flipped gate energizes addresses 1, 2 and 3, and only address 1's
     # suffix matches on its NOR chain
     assert got == (1,)

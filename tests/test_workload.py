@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from camsim import (
     BadDigit,
+    BitWord,
     CamConfig,
     EmptyStore,
     EnergyModel,
     InvalidConfig,
     SearchRun,
+    Store,
     Variant,
     WidthMismatch,
     WorkloadKind,
@@ -47,14 +49,15 @@ def test_gen_words_deterministic():
 
 def test_gen_words_reference_geometry():
     words = gen_words(256, 144, 0)
-    assert len(words) == 256
-    assert all(w.width == 144 for w in words)
+    assert type(words) is Store and len(words) == 256 and words.width == 144
+    assert {type(v) for v in words} == {int}
+    assert all(0 <= v < 1 << 144 for v in words)
 
 
 def test_gen_words_per_bit_mean():
     # 700 x 144 = 100800 bits; the [0.49, 0.51] band is a >5 sigma bound
     words = gen_words(700, 144, 7)
-    ones = sum(w.value.bit_count() for w in words)
+    ones = sum(v.bit_count() for v in words)
     mean = ones / (700 * 144)
     assert 0.49 <= mean <= 0.51
 
@@ -92,17 +95,15 @@ def test_queries_are_a_list_of_int_keys_as_wide_as_the_words(spec, width):
 def test_planted_rate_one_always_matches():
     words = gen_words(16, 32, 3)
     spec = WorkloadSpec(WorkloadKind.PLANTED, 50, 11, match_rate=1.0)
-    values = [w.value for w in words]
     for key in gen_queries(spec, words):
-        assert oracle_search(values, key)
+        assert oracle_search(words, key)
 
 
 def test_planted_rate_zero_effectively_never_matches():
     words = gen_words(16, 144, 3)
     spec = WorkloadSpec(WorkloadKind.PLANTED, 50, 11, match_rate=0.0)
-    values = [w.value for w in words]
     for key in gen_queries(spec, words):
-        assert not oracle_search(values, key)
+        assert not oracle_search(words, key)
 
 
 def test_planted_match_fraction_tracks_rate():
@@ -110,8 +111,7 @@ def test_planted_match_fraction_tracks_rate():
     num = 2000
     words = gen_words(8, 32, 5)
     spec = WorkloadSpec(WorkloadKind.PLANTED, num, 17, match_rate=rate)
-    values = [w.value for w in words]
-    hits = sum(1 for key in gen_queries(spec, words) if oracle_search(values, key))
+    hits = sum(1 for key in gen_queries(spec, words) if oracle_search(words, key))
     sigma = math.sqrt(rate * (1 - rate) / num)
     assert abs(hits / num - rate) <= 3 * sigma + 1e-9
 
@@ -119,7 +119,7 @@ def test_planted_match_fraction_tracks_rate():
 def test_planted_needs_words():
     spec = WorkloadSpec(WorkloadKind.PLANTED, 5, 0, match_rate=0.5)
     with pytest.raises(EmptyStore):
-        gen_queries(spec, [])
+        gen_queries(spec, Store([], 8))
 
 
 @pytest.mark.parametrize("spec", [
@@ -128,7 +128,7 @@ def test_planted_needs_words():
 ])
 def test_unplanted_needs_words(spec):
     with pytest.raises(EmptyStore):
-        gen_queries(spec, [])
+        gen_queries(spec, Store([], 8))
 
 
 def test_prefix_skewed_exceeds_uniform_fraction():
@@ -145,10 +145,10 @@ def test_prefix_skewed_exceeds_uniform_fraction():
     # analytic expectation: each word is energized with prob
     # bias^(k-d) * (1-bias)^d, d = prefix Hamming distance to words[0]
     k = cfg.mle_bits
-    anchor = words[0]
+    shift = cfg.word_bits - k
     expect = 0.0
-    for w in words:
-        d = sum(w.bit(i) != anchor.bit(i) for i in range(k))
+    for value in words:
+        d = ((value ^ words[0]) >> shift).bit_count()
         expect += bias ** (k - d) * (1 - bias) ** d
     expect /= cfg.num_words
     assert measured > 0.125
@@ -172,7 +172,7 @@ def test_workload_spec_validation():
 def test_load_words_skips_comments_and_blanks():
     stream = io.StringIO("# header\n0000\n\n1111\n")
     words = load_words(stream, 4, "bin")
-    assert [w.to_text() for w in words] == ["0000", "1111"]
+    assert type(words) is Store and words == (0b0000, 0b1111) and words.width == 4
 
 
 def test_load_words_error_cites_line_number():
@@ -220,8 +220,9 @@ def test_load_words_passes_other_errors_through_unchanged():
 @pytest.mark.parametrize("fmt", ["bin", "hex"])
 def test_dump_then_load_round_trip(fmt):
     words = gen_words(20, 16, 77)
-    text = "".join(w.to_text(fmt) + "\n" for w in words)
-    assert load_words(io.StringIO(text), 16, fmt) == words
+    text = "".join(BitWord(16, v).to_text(fmt) + "\n" for v in words)
+    loaded = load_words(io.StringIO(text), 16, fmt)
+    assert loaded == words and loaded.width == words.width
 
 
 # ------------------------------------------------------------------ reports
@@ -318,13 +319,13 @@ def _planted_run(num_queries: int = 30, hits_at=(), misses_at=()):
     queries at ``hits_at`` are set to that value and those at ``misses_at``
     to one that no word stores."""
     cfg = CamConfig(16, 12, 3, seed=4)
-    words = gen_words(16, 12, 4)
-    words[5] = words[9] = words[2]  # one query can then match three lines
+    values = list(gen_words(16, 12, 4))
+    values[5] = values[9] = values[2]  # one query can then match three lines
+    words = Store(values, 12)
     spec = WorkloadSpec(WorkloadKind.PLANTED, num_queries, 4, match_rate=0.6)
     queries = gen_queries(spec, words)
-    stored = {w.value for w in words}
-    miss = next(v for v in range(1 << 12) if v not in stored)
-    for at, key in ((hits_at, words[2].value), (misses_at, miss)):
+    miss = next(v for v in range(1 << 12) if v not in words)
+    for at, key in ((hits_at, words[2]), (misses_at, miss)):
         for i in at:
             if i < num_queries:
                 queries[i] = key
