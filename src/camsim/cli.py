@@ -17,8 +17,6 @@ import sys
 from array import array
 from dataclasses import asdict, replace
 from functools import partial
-from itertools import chain
-from operator import add
 from typing import Callable, Optional, Sequence
 
 from .array import (
@@ -40,6 +38,7 @@ from .energy import (
     energy_metric,
     event_energy,
     search_delay,
+    stream_totals,
     sweep_argmin,
     sweep_mle_bits,
     totals_energy,
@@ -393,35 +392,14 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config, model, words, chunks, workload_meta = _materialize(args)
-    variants = (Variant.SELECTIVE, Variant.BASELINE_NOR)
-    # The all-NOR array shares the gated one's store, so the dict of
-    # addresses, built on the first stream, serves every chunk of both.
+    # The all-NOR array shares the gated one's store, and stream_totals
+    # folds each chunk of both into running counts, one run at a time.
     gated = new_array(config, Variant.SELECTIVE, words)
     arrays = [gated, replace(gated, variant=Variant.BASELINE_NOR)]
-    totals = [EventTotals()] * len(variants)
-    with_match = [0] * len(variants)
-    identical = True
-    searches = 0
-    # Both variants search each chunk in turn, and only the running counts
-    # and the selective chunk's match column outlive a chunk's run: one run
-    # is alive at a time. Each stream names a bad key by its place in the
-    # whole stream.
-    for start, prev_key, keys in chunks:
-        columns = []
-        for side, arr in enumerate(arrays):
-            run = run_search_stream(arr, keys, prev_key, start)
-            totals[side] = EventTotals._make(
-                map(add, totals[side], sum_event_totals(run))
-            )
-            with_match[side] += len(run) - run.matches.count(())
-            columns.append(run.matches)
-            del run
-        identical = identical and columns[0] == columns[1]
-        searches += len(keys)
-        del keys, columns  # before the next chunk is drawn
+    totals, with_match, identical, searches = stream_totals(arrays, chunks)
     sel, base = (
-        _aggregate_dict(config, model, variant, side_totals, searches, matched)
-        for variant, side_totals, matched in zip(variants, totals, with_match)
+        _aggregate_dict(config, model, arr.variant, side_totals, searches, matched)
+        for arr, side_totals, matched in zip(arrays, totals, with_match)
     )
     event_ratio = (
         sel["event_totals"]["ml_precharges"] / base["event_totals"]["ml_precharges"]
@@ -466,13 +444,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # is accepted and unread, as --workers is: the shared config takes the
     # smallest k, which fits every width a config allows.
     args.mle_bits = MIN_MLE_BITS
-    config, model, words, chunks, _ = _materialize(args)
-    # every k searches them
-    queries = list(chain.from_iterable(keys for _, _, keys in chunks))
+    config, model, words, chunks, workload_meta = _materialize(args)
+    # every k searches each chunk in turn
     rows = sweep_mle_bits(
         config, model, None,
         range(args.k_min, args.k_max + 1),
-        words=words, queries=queries,
+        words=words, chunks=chunks,
     )
     _emit(rows, args.out, "csv")
     # the pinned CSV schema has no room for metadata, so echo the effective
@@ -483,7 +460,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(
         f"config: num_words={config.num_words} word_bits={config.word_bits} "
         f"seed={config.seed} k={args.k_min}..{args.k_max} "
-        f"workload={workload_desc} queries={len(queries)}"
+        f"workload={workload_desc} queries={workload_meta['num_queries']}"
     )
     print("model: " + " ".join(f"{k}={v:g}" for k, v in asdict(model).items()))
     print(f"argmin k = {sweep_argmin(rows)}")

@@ -18,10 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from itertools import chain
+from operator import add
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from .array import (
+    CamArray,
     EventTotals,
     SearchRun,
     Store,
@@ -253,6 +256,40 @@ def energy_metric(total_energy: float, config: CamConfig, num_searches: int) -> 
     return total_energy / (config.word_bits * num_searches)
 
 
+def stream_totals(arrays: Sequence[CamArray], chunks: Iterable) -> tuple:
+    """Sum one chunked key stream over several arrays of one ``Store``.
+
+    ``chunks`` are the ``(start, prev_key, keys)`` triples that
+    ``cli._key_chunks`` yields. Every array searches each chunk in turn,
+    after the chunk before, and only the running counts and the first
+    array's match column outlive a chunk's run: one run is alive at a time,
+    and the keys go before the next chunk is drawn. The arrays share one
+    store, so the dict of addresses, built on the first stream, serves
+    every chunk of all of them. Each stream names a bad key by its place
+    in the whole stream.
+
+    Returns each array's ``EventTotals``, each array's count of queries
+    with a match, whether every later array's match column equalled the
+    first array's, and the search count.
+    """
+    totals = [EventTotals()] * len(arrays)
+    with_match = [0] * len(arrays)
+    identical = True
+    searches = 0
+    for start, prev_key, keys in chunks:
+        for side, arr in enumerate(arrays):
+            run = run_search_stream(arr, keys, prev_key, start)
+            totals[side] = EventTotals(*map(add, totals[side], sum_event_totals(run)))
+            with_match[side] += len(run) - run.matches.count(())
+            if not side:
+                first = run.matches
+            identical = identical and run.matches == first
+            del run
+        searches += len(keys)
+        del keys, first  # before the next chunk is drawn
+    return totals, with_match, identical, searches
+
+
 @dataclass(frozen=True)
 class SweepRow:
     k: int
@@ -267,16 +304,20 @@ def sweep_mle_bits(
     workload: Optional[WorkloadSpec],
     k_values: Iterable[int],
     words: Optional[Store] = None,
-    queries: Optional[Sequence[int]] = None,
+    chunks: Optional[Iterable] = None,
 ) -> list[SweepRow]:
     """Replay one stored dataset and query stream at each prefix width.
 
-    The words (a ``Store``) and the queries (int keys) are generated once
-    (or passed in) and shared, so rows differ only in where the
-    first/second stage boundary sits; every k's array is the first one
-    with its config replaced, so all share one store, and the dict of
-    addresses built on the first stream serves every k's. The energized
-    fraction is measured from the run, never assumed.
+    The words (a ``Store``) are generated once (or passed in) and shared,
+    so rows differ only in where the first/second stage boundary sits.
+    The queries come as ``chunks``, the ``(start, prev_key, keys)`` triples
+    of int keys that ``cli._key_chunks`` yields, or are drawn as one chunk
+    from ``workload``. Every k's gated array is built once over the one
+    store, and ``stream_totals`` folds each chunk through all of them, so
+    no more than a chunk of keys is held. Every k is checked against the
+    width before any draw, and an empty stream is refused before any array
+    is built. The energized fraction is measured from the run, never
+    assumed.
     """
     ks = sorted(set(int(k) for k in k_values))
     if not ks:
@@ -287,30 +328,28 @@ def sweep_mle_bits(
         )
     if ks[-1] > MAX_MLE_BITS:
         raise InvalidConfig(f"mle_bits beyond {MAX_MLE_BITS} is unsupported")
-    # every k meets word_bits here, before the first array is searched
+    # every k meets word_bits here, before any draw
     configs = [replace(config, mle_bits=k) for k in ks]
     if words is None:
         words = gen_words(config.num_words, config.word_bits, config.seed)
-    if queries is None:
+    if chunks is None:
         if workload is None:
             raise InvalidConfig("sweep needs a workload spec or explicit queries")
-        queries = gen_queries(workload, words)
-    if not queries:
+        chunks = [(0, None, gen_queries(workload, words))]
+    chunks = iter(chunks)
+    head = next(chunks, (0, None, ()))
+    if not head[2]:
         raise ZeroSearches("sweep needs at least one query")
-
-    first = new_array(configs[0], Variant.SELECTIVE, words)
-    rows = []
-    for cfg in configs:
-        arr = replace(first, config=cfg)
-        totals = sum_event_totals(run_search_stream(arr, queries))
-        fraction = totals.ml_precharges / (cfg.num_words * len(queries))
-        metric = energy_metric(
-            totals_energy(totals, model, cfg), cfg, len(queries)
-        )
-        rows.append(
-            SweepRow(cfg.mle_bits, fraction, metric, search_delay(model, cfg))
-        )
-    return rows
+    arrays = [new_array(cfg, Variant.SELECTIVE, words) for cfg in configs]
+    # the fold alone holds the first chunk, so it goes once searched
+    chunks, head = chain(iter([head]), chunks), None
+    totals, _, _, searches = stream_totals(arrays, chunks)
+    return [
+        SweepRow(cfg.mle_bits, side.ml_precharges / (cfg.num_words * searches),
+                 energy_metric(totals_energy(side, model, cfg), cfg, searches),
+                 search_delay(model, cfg))
+        for cfg, side in zip(configs, totals)
+    ]
 
 
 def sweep_argmin(rows: Sequence[SweepRow]) -> int:

@@ -191,14 +191,14 @@ def test_store_addresses_equal_the_grouped_walk_on_random_stores(values):
     (["compare"], 1),
     (["search"], 1),
     (["search", "--variant", "baseline-nor"], 0),
-    (["sweep"], 6),
+    (["sweep"], 5),
 ])
 def test_only_a_gated_array_builds_a_prefix_histogram(
     histogram_builds, tmp_path, argv, built
 ):
     # the all-NOR array has no gate, so neither new_array nor the replace
-    # that compare makes it with builds a histogram; sweep builds one for
-    # its first gated array and one for each k = 2..6 it replaces
+    # that compare makes it with builds a histogram; sweep builds one
+    # gated array, and so one histogram, for each k = 2..6
     assert main([*argv, "--queries", "10", "--out", str(tmp_path / "r")]) == 0
     assert len(histogram_builds) == built
 

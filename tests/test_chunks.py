@@ -1,10 +1,11 @@
-"""``camsim search`` and ``camsim compare`` as chunked pipelines: the CLI
-cuts the keys into ``cli.KEYS_PER_CHUNK`` chunks, draws each as it is read,
-and searches it with one ``run_search_stream`` call threaded after the
-chunk before; ``search`` prices each chunk's run and extends one run by it,
-``compare`` folds each chunk of both variants into running counts. Rows are
-written ``QUERY_ROWS_PER_CHUNK`` at a time, with the same bytes as runs
-over whole columns."""
+"""``camsim search``, ``compare`` and ``sweep`` as chunked pipelines: the
+CLI cuts the keys into ``cli.KEYS_PER_CHUNK`` chunks, draws each as it is
+read, and searches it with one ``run_search_stream`` call threaded after
+the chunk before; ``search`` prices each chunk's run and extends one run by
+it, ``compare`` (both variants) and ``sweep`` (every k) fold each chunk
+into running counts with ``energy.stream_totals``. Rows are written
+``QUERY_ROWS_PER_CHUNK`` at a time, with the same bytes as runs over whole
+columns."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from itertools import chain
 import pytest
 
 import camsim.cli
+import camsim.energy
 from camsim import (
     CamConfig,
     EnergyModel,
@@ -129,26 +131,32 @@ def test_queries_file_goes_through_the_same_chunks(tmp_path, variant):
     _assert_chunk_heads_are_threaded(text, keys, Variant(variant))
 
 
-def _compare_text(tmp_path, argv: list[str]) -> str:
-    out = tmp_path / "cmp.json"
+def _verb_text(tmp_path, capsys, argv: list[str]) -> tuple[str, str]:
+    """The report file and stdout of one verb run."""
+    out = tmp_path / "report"
     assert main([*argv, "--out", str(out)]) == 0
-    return out.read_text(encoding="utf-8")
+    return out.read_text(encoding="utf-8"), capsys.readouterr().out
 
 
-def _whole_list_compare_text(tmp_path, monkeypatch, argv: list[str], count: int):
-    """The compare report with all ``count`` keys in one chunk: one
-    whole-list ``run_search_stream`` per variant, as before the fold."""
-    real, calls = camsim.cli.run_search_stream, []
+def _whole_list_text(tmp_path, monkeypatch, capsys, argv: list[str], count: int):
+    """The report and stdout with all ``count`` keys in one chunk: one
+    whole-list ``run_search_stream`` per array (compare's two variants,
+    sweep's k = 2..6), as before the fold."""
+    real, calls = camsim.energy.run_search_stream, []
 
     def whole_list(arr, keys, prev_key, start):
-        calls.append((arr.variant, len(keys), prev_key, start))
+        calls.append((arr.variant, arr.config.mle_bits, len(keys), prev_key, start))
         return real(arr, keys, prev_key, start)
 
     with monkeypatch.context() as m:
         m.setattr(camsim.cli, "KEYS_PER_CHUNK", count)
-        m.setattr(camsim.cli, "run_search_stream", whole_list)
-        text = _compare_text(tmp_path, argv)
-    assert calls == [(v, count, None, 0) for v in Variant]
+        m.setattr(camsim.energy, "run_search_stream", whole_list)
+        text = _verb_text(tmp_path, capsys, argv)
+    arrays = (
+        [(v, 3) for v in Variant] if argv[0] == "compare"
+        else [(Variant.SELECTIVE, k) for k in range(2, 7)]
+    )
+    assert calls == [(*arr, count, None, 0) for arr in arrays]
     return text
 
 
@@ -163,18 +171,21 @@ def _assert_match_counts(text: str, keys: list[int]):
     assert doc["match_sets_identical"] is True
 
 
+@pytest.mark.parametrize("verb", ["compare", "sweep"])
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("count", _edge_counts(KEYS_PER_CHUNK))
 def test_compare_report_equals_the_whole_list_runs_at_chunk_edges(
-    tmp_path, monkeypatch, workload, count
+    tmp_path, monkeypatch, capsys, workload, count, verb
 ):
-    argv = ["compare", *GEOMETRY, *WORKLOADS[workload], "--queries", str(count)]
-    text = _compare_text(tmp_path, argv)
-    assert text == _whole_list_compare_text(tmp_path, monkeypatch, argv, count)
+    argv = [verb, *GEOMETRY, *WORKLOADS[workload], "--queries", str(count)]
+    texts = _verb_text(tmp_path, capsys, argv)
+    assert texts == _whole_list_text(tmp_path, monkeypatch, capsys, argv, count)
+    if verb == "sweep":
+        return
     spec = camsim.cli._make_workload(build_parser().parse_args(argv))
     words = gen_words(16, 24, 7)
     keys = gen_queries(spec, words)
-    _assert_match_counts(text, keys)
+    _assert_match_counts(texts[0], keys)
     if workload == "planted" and count == 2 * KEYS_PER_CHUNK + 1:
         # hits on both sides of a chunk boundary, so the folded match
         # counts span chunks
@@ -183,15 +194,19 @@ def test_compare_report_equals_the_whole_list_runs_at_chunk_edges(
         assert hits[0] < KEYS_PER_CHUNK <= hits[-1]
 
 
-def test_compare_queries_file_goes_through_the_same_chunks(tmp_path, monkeypatch):
+@pytest.mark.parametrize("verb", ["compare", "sweep"])
+def test_compare_queries_file_goes_through_the_same_chunks(
+    tmp_path, monkeypatch, capsys, verb
+):
     spec = WorkloadSpec(WorkloadKind.PLANTED, 2 * KEYS_PER_CHUNK + 1, 3, match_rate=0.5)
     keys = gen_queries(spec, gen_words(16, 24, 7))
     path = tmp_path / "queries.txt"
     path.write_text("".join(format(k, "024b") + "\n" for k in keys))
-    argv = ["compare", *GEOMETRY, "--queries-file", str(path)]
-    text = _compare_text(tmp_path, argv)
-    assert text == _whole_list_compare_text(tmp_path, monkeypatch, argv, len(keys))
-    _assert_match_counts(text, keys)
+    argv = [verb, *GEOMETRY, "--queries-file", str(path)]
+    texts = _verb_text(tmp_path, capsys, argv)
+    assert texts == _whole_list_text(tmp_path, monkeypatch, capsys, argv, len(keys))
+    if verb == "compare":
+        _assert_match_counts(texts[0], keys)
 
 
 # ------------------------------------------------------------ draw ranges
@@ -283,12 +298,12 @@ def test_a_bad_key_in_a_later_chunk_names_its_stream_position(
 
 
 @pytest.mark.parametrize("out", ["file", "-"])
-@pytest.mark.parametrize("verb", ["search", "compare"])
+@pytest.mark.parametrize("verb", ["search", "compare", "sweep"])
 def test_cli_refuses_a_bad_key_in_a_later_chunk_before_writing(
     tmp_path, monkeypatch, capsys, verb, out
 ):
-    # Both verbs stream each chunk on their own, name a bad key by its
-    # place in the whole stream, and stop drawing at the bad key's chunk.
+    # Every verb streams each chunk on its own, names a bad key by its
+    # place in the whole stream, and stops drawing at the bad key's chunk.
     real, drawn = camsim.cli.gen_queries, []
     bad_at = C + 3
 
@@ -357,7 +372,7 @@ class _Keys(list):
     """A chunk of keys that can be weakly referenced."""
 
 
-@pytest.mark.parametrize("verb", ["search", "compare"])
+@pytest.mark.parametrize("verb", ["search", "compare", "sweep"])
 def test_a_key_chunk_is_freed_before_the_next_is_drawn(tmp_path, monkeypatch, verb):
     # The generator and the verb's loop both let go of a chunk's keys at
     # the end of its step, so two chunks are never alive at once.
@@ -456,9 +471,11 @@ def test_search_memory_grows_less_than_40_bytes_a_query(tmp_path, workload):
     assert _growth_per_query(tmp_path, "search", workload) < 40
 
 
+@pytest.mark.parametrize("verb", ["compare", "sweep"])
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_compare_memory_does_not_grow_with_the_query_count(tmp_path, workload):
-    # compare keeps running counts only: no key, column or run outlives its
-    # chunk, so its traced peak grows by less than 4 bytes a query (the
-    # whole-list compare grew by 74 to 100).
-    assert _growth_per_query(tmp_path, "compare", workload) < 4
+def test_compare_memory_does_not_grow_with_the_query_count(tmp_path, workload, verb):
+    # compare and sweep fold each chunk into running counts only: no key,
+    # column or run outlives its chunk, so the traced peak grows by less
+    # than 4 bytes a query (the whole-list compare grew by 74 to 100, and
+    # the sweep that joined its keys into one list by 87 to 91).
+    assert _growth_per_query(tmp_path, verb, workload) < 4

@@ -587,7 +587,7 @@ def test_no_bitword_is_alive_when_the_first_stream_runs(
     # as int keys: when a verb's first stream runs its array's Store is
     # alive, and no BitWord is, whether the words and queries were drawn or
     # read from word files
-    module = camsim.energy if verb == "sweep" else camsim.cli
+    module = camsim.cli if verb == "search" else camsim.energy
     real, first = module.run_search_stream, []
 
     def stream(arr, *args):
@@ -673,7 +673,7 @@ def test_compare_frees_the_selective_run_before_the_baseline_stream(
         runs.append(weakref.ref(run))
         return run
 
-    monkeypatch.setattr(camsim.cli, "run_search_stream", watched)
+    monkeypatch.setattr(camsim.energy, "run_search_stream", watched)
     rc = main([
         "compare", "--num-words", "64", "--width", "32", "--queries", "50",
         "--out", str(tmp_path / "cmp.json"),

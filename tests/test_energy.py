@@ -354,7 +354,17 @@ def test_sweep_rejects_an_empty_query_stream(monkeypatch):
 
     monkeypatch.setattr(energy_module, "new_array", no_array)
     with pytest.raises(ZeroSearches):
-        sweep_mle_bits(CFG, EnergyModel(), None, [3], queries=[])
+        sweep_mle_bits(CFG, EnergyModel(), None, [3], chunks=[])
+
+
+def test_sweep_rejects_a_first_chunk_with_no_keys(monkeypatch):
+    # the first chunk is read, and found empty, before any array is built
+    def no_array(*args):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(energy_module, "new_array", no_array)
+    with pytest.raises(ZeroSearches):
+        sweep_mle_bits(CFG, EnergyModel(), None, [3], chunks=[(0, None, [])])
 
 
 def test_sweep_checks_every_k_against_the_width_before_any_array(monkeypatch):
