@@ -53,9 +53,11 @@ from one with ``dataclasses.replace(array, variant=...)`` or
 ``replace(array, config=...)`` keep its ``Store``, so every gate over the
 same words reads one dict. It is built lazily, so building an array that
 is never searched costs no dict.
-Cutting a long stream into chunks is the caller's: ``camsim.cli`` draws,
-searches and prices its keys ``KEYS_PER_CHUNK`` at a time, each chunk
-threaded after the last key of the one before.
+Cutting a long stream into chunks is the caller's: every CLI verb draws
+and searches its keys ``workload.KEYS_PER_CHUNK`` at a time, each chunk
+threaded after the last key of the one before, and folds each chunk's run
+into running counts (``camsim search`` also renders its rows) before the
+next, so no run's columns outlive their chunk.
 """
 
 from __future__ import annotations
@@ -218,16 +220,13 @@ class SearchRun:
     evaluations: N on a gated array, 0 on the all-NOR one. ``len(run)`` is
     the number of queries.
 
-    The columns are the only per-query state that lives for a whole run
-    (about 33 bytes a query in ``run_search_stream``'s lists); the keys
-    are not kept. ``camsim search`` extends one run's columns by each
-    chunk's run, holding the count columns in unsigned ``array``s (about
-    21 bytes a query with the ``matches`` list). Every count column reads
-    as plain ``int``s, and ``matches`` holds tuples of ``int`` addresses:
-    a search report writes each entry as its ``str``, which is a JSON
-    integer only for an ``int``. Each column is a sequence that slices, and
-    ``workload.query_summary`` keeps the run, so the run must not change
-    before its report is written.
+    The columns are the only per-query state of a run (about 33 bytes a
+    query in ``run_search_stream``'s lists); the keys are not kept. The CLI
+    verbs hold one chunk's run at a time. Every count column reads as
+    plain ``int``s, and ``matches`` holds tuples of ``int`` addresses: a
+    search report writes each entry as its ``str``, which is a JSON
+    integer only for an ``int``. ``workload.query_summary`` renders a run's
+    rows when it is called and keeps nothing of the run.
     """
 
     energizers: int

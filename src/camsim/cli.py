@@ -14,14 +14,14 @@ import gc
 import math
 import shutil
 import sys
-from array import array
+import tempfile
 from dataclasses import asdict, replace
 from functools import partial
+from operator import add
 from typing import Callable, Optional, Sequence
 
 from .array import (
     EventTotals,
-    SearchRun,
     Store,
     Variant,
     new_array,
@@ -47,8 +47,10 @@ from .errors import BadDigit, CamError, InvalidConfig, WidthMismatch
 from .mle import expected_energized_fraction
 from .verify import verify_exhaustive, verify_randomized
 from .workload import (
+    QueryRows,
     WorkloadKind,
     WorkloadSpec,
+    _key_chunks,
     gen_queries,
     gen_words,
     load_words,
@@ -58,10 +60,6 @@ from .workload import (
 )
 
 DELAY_UNITS_NOTE = "delay is in abstract series-device units"
-
-# Keys a verb draws (or slices from a --queries-file), searches and prices
-# at a time: the most of its keys it holds.
-KEYS_PER_CHUNK = 512
 
 # Exit code per error class, first match wins: I/O failures and malformed
 # word files are 1, any other simulator error is a bad flag or config, 2.
@@ -233,21 +231,6 @@ def _load_word_file(path: str, kind: str, width: int, fmt: str) -> Store:
     return words
 
 
-def _key_chunks(count: int, draw: Callable[[int, int], Sequence[int]]):
-    """``(start, prev_key, keys)`` for each ``KEYS_PER_CHUNK`` keys of a
-    stream of ``count`` keys (the last chunk may be shorter): ``keys`` is
-    ``draw(start, stop)``, called as the chunk is read, and ``prev_key`` is
-    the key before ``start``, None for the first chunk. The generator lets
-    go of a chunk's keys before it draws the next chunk, so a reader that
-    also drops them at the end of each step holds one chunk at a time."""
-    prev_key = None
-    for start in range(0, count, KEYS_PER_CHUNK):
-        keys = draw(start, min(start + KEYS_PER_CHUNK, count))
-        yield start, prev_key, keys
-        prev_key = keys[-1]
-        del keys
-
-
 def _materialize(args: argparse.Namespace):
     """Validate flags, then build (config, model, words, key chunks,
     workload_meta); the words are a ``Store`` of ints. The key chunks are
@@ -342,51 +325,44 @@ def _check_fraction(args, measured: float) -> int:
     return 1
 
 
-def _search_chunks(config, model, variant, words, chunks):
-    """The run of every key chunk on one array of ``words``, and each
-    search's energy in an ``array('d')``. Each chunk is searched after the
+def _spool_search(config, model, variant, words, chunks, rows: QueryRows):
+    """Search every key chunk on one array of ``words`` and spool each
+    chunk's rows into ``rows``; return the run's summed ``EventTotals`` and
+    its count of queries with a match. Each chunk is searched after the
     chunk before, reading its matches from the store's one dict of
-    addresses, and priced at once, so no float object outlives its chunk;
-    the array and the last chunk's keys go when the call returns, and the
-    store, which keeps the dict, once the caller lets go of ``words``,
-    before the report is written. The run's count columns are
-    unsigned machine-int arrays, whose type holds 2N (the most ML_EN
-    transitions of a search) and n (the most toggles). A stream has at
-    least one chunk, and every chunk's run holds the array's
-    ``energizers``."""
+    addresses, priced by ``aggregate`` and rendered by ``query_summary`` at
+    once, and goes with its keys before the next chunk is drawn, so only
+    running counts outlive it. The array goes when the call returns."""
     arr = new_array(config, variant, words)
-    most = max(2 * config.num_words, config.word_bits)
-    code = "I" if most < 1 << 8 * array("I").itemsize else "Q"
-    columns = {name: array(code) for name in SearchRun.COLUMNS}
-    columns["matches"] = []
-    energies = array("d")
+    totals, with_match = EventTotals(), 0
     for start, prev_key, keys in chunks:
         part = run_search_stream(arr, keys, prev_key, start)
-        for name, column in columns.items():
-            column.extend(getattr(part, name))
-        energies.fromlist(aggregate(part, model, config))
-        energizers = part.energizers
+        totals = EventTotals(*map(add, totals, sum_event_totals(part)))
+        with_match += len(part) - part.matches.count(())
+        query_summary(part, aggregate(part, model, config), rows)
         del keys, part  # before the next chunk is drawn
-    return SearchRun(energizers, **columns), energies
+    return totals, with_match
 
 
 def cmd_search(args: argparse.Namespace) -> int:
     config, model, words, chunks, workload_meta = _materialize(args)
     variant = Variant(args.variant)
-    run, energies = _search_chunks(config, model, variant, words, chunks)
-    del words  # and its dict of addresses, before the report is written
-    agg = _aggregate_dict(
-        config, model, variant, sum_event_totals(run), len(run),
-        len(run) - run.matches.count(()),
-    )
-    document = {
-        "report": "search",
-        "variant": variant.value,
-        **_report_header(args, config, model, workload_meta),
-        "aggregate": agg,
-        "queries": query_summary(run, energies),
-    }
-    _emit(document, args.out)
+    # The aggregate comes before the rows in the report but needs every
+    # chunk's counts, so each chunk's rows wait in an unnamed file, which
+    # no directory lists and which goes when it is closed.
+    with tempfile.TemporaryFile() as spool:
+        rows = QueryRows(spool)
+        totals, with_match = _spool_search(config, model, variant, words, chunks, rows)
+        del words  # and its dict of addresses, before the report is written
+        agg = _aggregate_dict(config, model, variant, totals, rows.count, with_match)
+        document = {
+            "report": "search",
+            "variant": variant.value,
+            **_report_header(args, config, model, workload_meta),
+            "aggregate": agg,
+            "queries": rows,
+        }
+        _emit(document, args.out)
     return _check_fraction(args, agg["mean_energized_fraction"])
 
 

@@ -33,11 +33,16 @@ _WORD_FORMATS = {
 }
 
 
-def _word_format(fmt: str) -> tuple[int, str, frozenset, str]:
+def _word_format(fmt: str, width: int) -> tuple[int, str, frozenset, str]:
+    """``fmt``'s entry in ``_WORD_FORMATS``, once ``width`` bits are checked
+    to be a whole number of its digits, for reading and writing alike."""
     try:
-        return _WORD_FORMATS[fmt]
+        entry = _WORD_FORMATS[fmt]
     except KeyError:
         raise ValueError(f"unknown word format {fmt!r}") from None
+    if width % entry[0]:
+        raise WidthMismatch(f"width {width} is not a whole number of {entry[3]} digits")
+    return entry
 
 
 class Level(Enum):
@@ -124,11 +129,7 @@ class BitWord:
         return tuple(self.bit(i) for i in range(k))
 
     def to_text(self, fmt: str = "bin") -> str:
-        bits, code, _, name = _word_format(fmt)
-        if self.width % bits:
-            raise WidthMismatch(
-                f"width {self.width} is not a whole number of {name} digits"
-            )
+        bits, code, _, _ = _word_format(fmt, self.width)
         return format(self.value, f"0{self.width // bits}{code}")
 
 
@@ -136,14 +137,15 @@ def parse_word(text: str, width: int, fmt: str = "bin") -> BitWord:
     """Decode a word from text. ``fmt`` is ``bin`` or ``hex``; the leftmost
     character carries bit 0 in its most significant position.
 
-    Raises WidthMismatch when the decoded length differs from ``width`` and
-    BadDigit for characters outside the alphabet.
+    Raises WidthMismatch when ``width`` is not a whole number of digits or
+    the decoded length differs from it, and BadDigit for characters outside
+    the alphabet.
     """
-    bits, _, alphabet, name = _word_format(fmt)
+    bits, _, alphabet, name = _word_format(fmt, width)
     text = text.strip()
     if bits * len(text) != width:
         raise WidthMismatch(
-            f"expected {width} bits ({width / bits:g} {name} digits), "
+            f"expected {width} bits ({width // bits} {name} digits), "
             f"got {len(text)} digits in {text!r}"
         )
     for ch in text:

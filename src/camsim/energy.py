@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import partial
 from itertools import chain
 from operator import add
 from pathlib import Path
@@ -41,6 +42,7 @@ from .errors import (
 )
 from .workload import (
     WorkloadSpec,
+    _key_chunks,
     content_lines,
     gen_queries,
     gen_words,
@@ -232,9 +234,8 @@ def aggregate(run: SearchRun, model: EnergyModel, config: CamConfig) -> list[flo
     A search's energy depends on its own counts only, so the run of a chunk
     of keys, searched after the key before it, prices to that slice of the
     whole run's energies. ``camsim search`` prices each chunk's run of
-    ``cli.KEYS_PER_CHUNK`` searches into an ``array('d')``, so no more than
-    a chunk of float objects (32 bytes each, against 8 in the array) is
-    alive at once."""
+    ``workload.KEYS_PER_CHUNK`` searches and renders its rows at once, so no
+    more than a chunk of energies is alive at a time."""
     pre, dis, sl, mle = _unit_energies(model, config)
     discharges = run.ml_discharges
     columns = (run.energized, discharges, run.sl_toggles, [run.energizers])
@@ -260,7 +261,7 @@ def stream_totals(arrays: Sequence[CamArray], chunks: Iterable) -> tuple:
     """Sum one chunked key stream over several arrays of one ``Store``.
 
     ``chunks`` are the ``(start, prev_key, keys)`` triples that
-    ``cli._key_chunks`` yields. Every array searches each chunk in turn,
+    ``workload._key_chunks`` yields. Every array searches each chunk in turn,
     after the chunk before, and only the running counts and the first
     array's match column outlive a chunk's run: one run is alive at a time,
     and the keys go before the next chunk is drawn. The arrays share one
@@ -311,13 +312,13 @@ def sweep_mle_bits(
     The words (a ``Store``) are generated once (or passed in) and shared,
     so rows differ only in where the first/second stage boundary sits.
     The queries come as ``chunks``, the ``(start, prev_key, keys)`` triples
-    of int keys that ``cli._key_chunks`` yields, or are drawn as one chunk
-    from ``workload``. Every k's gated array is built once over the one
-    store, and ``stream_totals`` folds each chunk through all of them, so
-    no more than a chunk of keys is held. Every k is checked against the
-    width before any draw, and an empty stream is refused before any array
-    is built. The energized fraction is measured from the run, never
-    assumed.
+    of int keys that ``workload._key_chunks`` yields, or are drawn from
+    ``workload`` by that chunker as they are read. Every k's gated array is
+    built once over the one store, and ``stream_totals`` folds each chunk
+    through all of them, so no more than a chunk of keys is held. Every k
+    is checked against the width before any draw, and an empty stream is
+    refused before any array is built. The energized fraction is measured
+    from the run, never assumed.
     """
     ks = sorted(set(int(k) for k in k_values))
     if not ks:
@@ -335,7 +336,8 @@ def sweep_mle_bits(
     if chunks is None:
         if workload is None:
             raise InvalidConfig("sweep needs a workload spec or explicit queries")
-        chunks = [(0, None, gen_queries(workload, words))]
+        draw = partial(gen_queries, workload, words)
+        chunks = _key_chunks(workload.num_queries, draw)
     chunks = iter(chunks)
     head = next(chunks, (0, None, ()))
     if not head[2]:

@@ -16,12 +16,12 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, compress, filterfalse, repeat
+from itertools import chain, compress, filterfalse, islice, repeat
 from operator import not_, sub
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .array import EventTotals, SearchRun, Store
 from .core import _check_seed, parse_word
@@ -153,6 +153,26 @@ def gen_queries(
     return out
 
 
+# Keys a verb draws (or slices from a --queries-file), searches and prices
+# at a time: the most of its keys it holds.
+KEYS_PER_CHUNK = 512
+
+
+def _key_chunks(count: int, draw: Callable[[int, int], Sequence[int]]):
+    """``(start, prev_key, keys)`` for each ``KEYS_PER_CHUNK`` keys of a
+    stream of ``count`` keys (the last chunk may be shorter): ``keys`` is
+    ``draw(start, stop)``, called as the chunk is read, and ``prev_key`` is
+    the key before ``start``, None for the first chunk. The generator lets
+    go of a chunk's keys before it draws the next chunk, so a reader that
+    also drops them at the end of each step holds one chunk at a time."""
+    prev_key = None
+    for start in range(0, count, KEYS_PER_CHUNK):
+        keys = draw(start, min(start + KEYS_PER_CHUNK, count))
+        yield start, prev_key, keys
+        prev_key = keys[-1]
+        del keys
+
+
 def read_text_lines(path: Union[str, Path]) -> list[str]:
     """The lines of a UTF-8 text file, whatever the locale, without a leading
     byte-order mark. A file that does not decode is an OSError naming it,
@@ -228,15 +248,14 @@ def _json_pieces(document: dict) -> Iterable[str]:
     """The pieces that join to ``report_json_text(document)``, with every
     check already run, so writing them one by one writes nothing for a
     refused document. A ``QueryRows`` under the top-level ``"queries"`` key
-    is spliced in and renders its rows as the pieces are read; any other
+    is spliced in, its spooled rows read as the pieces are; any other
     document is one piece, ``json.dumps`` of the whole."""
     rows = document.get("queries")
     if not isinstance(rows, QueryRows):
         return (_json_text(document) + "\n",)
     header = _json_text({**document, "queries": []})
-    non_finite = next(filterfalse(math.isfinite, rows.energies), None)
-    if non_finite is not None:
-        _json_text(non_finite)  # raises, after any error in the header
+    if rows.non_finite is not None:
+        _json_text(rows.non_finite)  # raises, after any error in the header
     # A top-level key is the only place this text can occur: deeper keys are
     # indented further, and string values escape their quotes and newlines.
     head, _, tail = header.partition(_EMPTY_QUERIES)
@@ -257,8 +276,9 @@ def write_report(
 ) -> None:
     """Serialize a report document (json) or sweep rows (csv) to a path or
     stream. Identical inputs produce byte-identical output. A refused report
-    writes nothing and creates no file. A search report's rows are written a
-    chunk at a time, so its whole text is never held in memory."""
+    writes nothing and creates no file. A search report's rows are copied
+    from their spool ``SPOOL_BLOCK_BYTES`` at a time, so its whole text is
+    never held in memory."""
     if fmt == "json":
         if not isinstance(report, dict):
             raise ValueError("json reports expect a document dict")
@@ -280,53 +300,47 @@ _EVENT_KEYS = EventTotals._fields
 _EMPTY_QUERIES = '\n  "queries": []'
 
 
-# Rows rendered per piece of a search report: a chunk's text, about 280
-# bytes a row at 256 x 144, is held up to three times while it is written
-# (the row strings, their join and its encoding), so this is the report's
-# largest share of the memory a search holds beyond its run's columns.
-QUERY_ROWS_PER_CHUNK = 128
+# Rows rendered per write into a search report's spool. A piece's text,
+# about 280 bytes a row at 256 x 144, is held three times while it is
+# written (the row strings, their join and its encoding), about 28 KB at 32
+# rows. 128-row pieces raised the traced peak of a 2,500-query search at
+# 256 x 144 by 87 KB (Python 3.11).
+QUERY_ROWS_PER_CHUNK = 32
+
+# Bytes of spooled rows read per piece of a written report: each block is
+# held as bytes, as text and as the destination's encoding of it. 64 KB
+# blocks raised the same peak by 91 KB.
+SPOOL_BLOCK_BYTES = 16 * 1024
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class QueryRows:
-    """A search report's "queries" list, rendered on iteration: the pieces
-    join to the text that ``json.dumps(indent=2)`` writes for the list under
-    a top-level key, from its leading newline to its closing bracket. Each
-    piece after the first holds at most ``QUERY_ROWS_PER_CHUNK`` rows, and a
-    chunk of rows after the first starts with the separator that follows
-    the row before it, so each chunk is one write. The rows are read from
-    ``run`` and ``energies`` at iteration time; ``energies`` is any sequence
-    of floats that slices, such as the ``array('d')`` (8 bytes an energy)
-    that ``camsim search`` fills."""
+    """A search report's "queries" list, spooled: ``query_summary`` renders
+    the rows of each run it is given at once and appends them to ``spool``,
+    a binary file (an in-memory one by default; ``camsim search`` passes an
+    unnamed temporary file), so no run outlives its call. ``count`` is the
+    number of rows spooled, and ``non_finite`` the first non-finite energy
+    among them, which ``write_report`` refuses.
 
-    run: SearchRun
-    energies: Sequence[float]
+    Iteration yields the text that ``json.dumps(indent=2)`` writes for the
+    list under a top-level key, from its leading newline to its closing
+    bracket: the spool is read from its start in blocks of at most
+    ``SPOOL_BLOCK_BYTES``, so the rows' text is never held whole. The rows
+    are ASCII, as ``%s`` writes an int or a float."""
+
+    spool: IO[bytes] = field(default_factory=io.BytesIO)
+    count: int = 0
+    non_finite: Optional[float] = None
 
     def __iter__(self) -> Iterator[str]:
-        run = self.run
-        n = len(run)
-        if not n:
+        if not self.count:
             yield _EMPTY_QUERIES
             return
         yield '\n  "queries": [\n'
-        for start in range(0, n, QUERY_ROWS_PER_CHUNK):
-            stop = start + QUERY_ROWS_PER_CHUNK
-            matches = run.matches[start:stop]
-            matches_text = ["[]"] * len(matches)
-            for i in compress(range(len(matches)), matches):
-                matches_text[i] = (
-                    "[\n        " + ",\n        ".join(map(str, matches[i]))
-                    + "\n      ]"
-                )
-            energized = run.energized[start:stop]
-            columns = zip(
-                range(start, stop), matches_text, energized,
-                run.ml_en_transitions[start:stop], energized,
-                map(sub, energized, map(len, matches)), run.sl_toggles[start:stop],
-                repeat(run.energizers), self.energies[start:stop],
-            )
-            lead = ("",) if start else ()  # the separator after the last chunk
-            yield ",\n".join([*lead, *map(_ROW_TEMPLATE.__mod__, columns)])
+        spool = self.spool
+        spool.seek(0)
+        while block := spool.read(SPOOL_BLOCK_BYTES):
+            yield block.decode("ascii")
         yield "\n  ]"
 
 
@@ -350,16 +364,45 @@ _ROW_TEMPLATE = ("    " + _json_object_format(
 )).format(*["%s"] * 9)
 
 
-def query_summary(run: SearchRun, energies: Sequence[float]) -> QueryRows:
-    """The per-query rows of a search report, keyed in ``QUERY_ROW_KEYS``
-    order: each search's index, matches, energized count, event counts and
-    energy (``energies[i]``, as ``energy.aggregate`` gives it for the
-    search; ``camsim search`` prices the run a chunk at a time into an
-    ``array('d')``). Nothing is rendered here: the rows are rendered column
-    by column, a chunk at a time, when the report is written, and
-    ``write_report`` refuses a non-finite energy before it writes any
-    byte."""
+def query_summary(
+    run: SearchRun, energies: Sequence[float], rows: Optional[QueryRows] = None
+) -> QueryRows:
+    """Render the per-query rows of a search report, keyed in
+    ``QUERY_ROW_KEYS`` order, and append them to ``rows`` (a new in-memory
+    ``QueryRows`` by default), which is returned. Each row holds a search's
+    index, matches, energized count, event counts and energy
+    (``energies[i]``, as ``energy.aggregate`` gives it for the search). The
+    run is the next part of the stream after the rows already spooled: its
+    first search is row ``rows.count``, so ``camsim search`` calls this
+    once per chunk, with the chunk's run. The rows are rendered
+    ``QUERY_ROWS_PER_CHUNK`` at a time from one pass over the run's
+    columns, and the first non-finite energy is kept for ``write_report``
+    to refuse before it writes any byte."""
     n = len(run)
     if len(energies) != n:
         raise ValueError(f"{len(energies)} energies for a run of {n} searches")
-    return QueryRows(run, energies)
+    if rows is None:
+        rows = QueryRows()
+    if rows.non_finite is None:
+        rows.non_finite = next(filterfalse(math.isfinite, energies), None)
+    matches = run.matches
+    matches_text = ["[]"] * n
+    for i in compress(range(n), matches):
+        matches_text[i] = (
+            "[\n        " + ",\n        ".join(map(str, matches[i])) + "\n      ]"
+        )
+    energized = run.energized
+    first = rows.count
+    texts = map(_ROW_TEMPLATE.__mod__, zip(
+        range(first, first + n), matches_text, energized, run.ml_en_transitions,
+        energized, map(sub, energized, map(len, matches)), run.sl_toggles,
+        repeat(run.energizers), energies,
+    ))
+    spool = rows.spool
+    spool.seek(0, io.SEEK_END)
+    for start in range(first, first + n, QUERY_ROWS_PER_CHUNK):
+        lead = ("",) if start else ()  # the separator after the row before
+        piece = ",\n".join([*lead, *islice(texts, QUERY_ROWS_PER_CHUNK)])
+        spool.write(piece.encode("ascii"))
+    rows.count += n
+    return rows

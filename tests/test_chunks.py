@@ -1,16 +1,18 @@
 """``camsim search``, ``compare`` and ``sweep`` as chunked pipelines: the
-CLI cuts the keys into ``cli.KEYS_PER_CHUNK`` chunks, draws each as it is
-read, and searches it with one ``run_search_stream`` call threaded after
-the chunk before; ``search`` prices each chunk's run and extends one run by
-it, ``compare`` (both variants) and ``sweep`` (every k) fold each chunk
-into running counts with ``energy.stream_totals``. Rows are written
-``QUERY_ROWS_PER_CHUNK`` at a time, with the same bytes as runs over whole
-columns."""
+CLI cuts the keys into ``workload.KEYS_PER_CHUNK`` chunks, draws each as it
+is read, and searches it with one ``run_search_stream`` call threaded after
+the chunk before; ``search`` prices each chunk's run, spools its rows
+``QUERY_ROWS_PER_CHUNK`` at a time and keeps running counts, and
+``compare`` (both variants) and ``sweep`` (every k) fold each chunk into
+running counts with ``energy.stream_totals``. Every report has the same
+bytes as runs over whole columns."""
 
 from __future__ import annotations
 
 import gc
 import json
+import math
+import tempfile
 import tracemalloc
 import weakref
 from itertools import chain
@@ -34,17 +36,21 @@ from camsim import (
     sum_event_totals,
 )
 from camsim.cli import (
-    KEYS_PER_CHUNK,
     _aggregate_dict,
-    _key_chunks,
     _make_config,
     _make_model,
     _report_header,
-    _search_chunks,
+    _spool_search,
     build_parser,
     main,
 )
-from camsim.workload import QUERY_ROWS_PER_CHUNK, query_summary, report_json_text
+from camsim.energy import sweep_mle_bits
+from camsim.workload import (
+    KEYS_PER_CHUNK,
+    QUERY_ROWS_PER_CHUNK,
+    QueryRows,
+    _key_chunks,
+)
 from cell_route import oracle_run
 
 WORKLOADS = {
@@ -60,15 +66,39 @@ def _edge_counts(*chunks: int) -> list[int]:
     return sorted({n for c in chunks for n in (1, c - 1, c, c + 1, 2 * c + 1)})
 
 
+# Search report sizes around the key chunks and the row pieces.
+SEARCH_COUNTS = [1, 31, 32, 33, 511, 512, 513, 1025, 2500]
+
+
 def _reference_text(argv: list[str], keys: list[int], meta: dict) -> str:
     """The report over whole columns: the keys as one list, one stream, one
-    ``aggregate`` and ``report_json_text`` of the document."""
+    ``aggregate``, and ``json.dumps(indent=2)`` of the document with its
+    rows as plain dicts."""
     args = build_parser().parse_args(argv)
     config, model = _make_config(args), _make_model(args)
     variant = Variant(args.variant)
     words = gen_words(config.num_words, config.word_bits, config.seed)
     run = run_search_stream(new_array(config, variant, words), keys)
     energies = aggregate(run, model, config)
+    rows = [
+        {
+            "index": i,
+            "matches": list(matches),
+            "energized_count": energized,
+            "events": {
+                "ml_en_transitions": ml_en,
+                "ml_precharges": energized,
+                "ml_discharges": energized - len(matches),
+                "sl_toggles": sl,
+                "mle_evaluations": run.energizers,
+            },
+            "energy": energy,
+        }
+        for i, (matches, energized, ml_en, sl, energy) in enumerate(zip(
+            run.matches, run.energized, run.ml_en_transitions, run.sl_toggles,
+            energies,
+        ))
+    ]
     document = {
         "report": "search",
         "variant": variant.value,
@@ -77,9 +107,22 @@ def _reference_text(argv: list[str], keys: list[int], meta: dict) -> str:
             config, model, variant, sum_event_totals(run), len(run),
             len(run) - run.matches.count(()),
         ),
-        "queries": query_summary(run, energies),
+        "queries": rows,
     }
-    return report_json_text(document)
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+
+
+def _search_text(tmp_path, capsys, argv: list[str], out: str) -> str:
+    """The report of one search run, written to a file or (``-``) to
+    stdout."""
+    path = tmp_path / "r.json"
+    assert main([*argv, "--out", str(path) if out == "file" else "-"]) == 0
+    stdout = capsys.readouterr().out
+    if out == "file":
+        assert stdout == ""
+        return path.read_text(encoding="utf-8")
+    assert not path.exists()
+    return stdout
 
 
 def _assert_chunk_heads_are_threaded(text: str, keys: list[int], variant: Variant):
@@ -96,36 +139,32 @@ def _assert_chunk_heads_are_threaded(text: str, keys: list[int], variant: Varian
             assert [events["ml_en_transitions"]] == want.ml_en_transitions
 
 
+@pytest.mark.parametrize("out", ["file", "-"])
 @pytest.mark.parametrize("variant", [v.value for v in Variant])
 @pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("count", _edge_counts(KEYS_PER_CHUNK, QUERY_ROWS_PER_CHUNK))
+@pytest.mark.parametrize("count", SEARCH_COUNTS)
 def test_search_report_equals_the_whole_run_at_chunk_edges(
-    tmp_path, workload, variant, count
+    tmp_path, capsys, workload, variant, count, out
 ):
-    out = tmp_path / "r.json"
     argv = ["search", *GEOMETRY, *WORKLOADS[workload], "--variant", variant,
-            "--queries", str(count), "--out", str(out)]
-    assert main(argv) == 0
-    text = out.read_text(encoding="utf-8")
-    args = build_parser().parse_args(argv)
-    spec = camsim.cli._make_workload(args)
+            "--queries", str(count)]
+    text = _search_text(tmp_path, capsys, argv, out)
+    spec = camsim.cli._make_workload(build_parser().parse_args(argv))
     keys = gen_queries(spec, gen_words(16, 24, 7))
     assert text == _reference_text(argv, keys, spec.to_dict())
     _assert_chunk_heads_are_threaded(text, keys, Variant(variant))
 
 
+@pytest.mark.parametrize("out", ["file", "-"])
 @pytest.mark.parametrize("variant", [v.value for v in Variant])
-def test_queries_file_goes_through_the_same_chunks(tmp_path, variant):
+def test_queries_file_goes_through_the_same_chunks(tmp_path, capsys, variant, out):
     words = gen_words(16, 24, 7)
     spec = WorkloadSpec(WorkloadKind.PLANTED, 2 * KEYS_PER_CHUNK + 1, 3, match_rate=0.5)
     keys = gen_queries(spec, words)
     path = tmp_path / "queries.txt"
     path.write_text("".join(format(k, "024b") + "\n" for k in keys))
-    out = tmp_path / "r.json"
-    argv = ["search", *GEOMETRY, "--queries-file", str(path),
-            "--variant", variant, "--out", str(out)]
-    assert main(argv) == 0
-    text = out.read_text(encoding="utf-8")
+    argv = ["search", *GEOMETRY, "--queries-file", str(path), "--variant", variant]
+    text = _search_text(tmp_path, capsys, argv, out)
     meta = {"kind": "file", "path": str(path), "num_queries": len(keys)}
     assert text == _reference_text(argv, keys, meta)
     _assert_chunk_heads_are_threaded(text, keys, Variant(variant))
@@ -149,7 +188,7 @@ def _whole_list_text(tmp_path, monkeypatch, capsys, argv: list[str], count: int)
         return real(arr, keys, prev_key, start)
 
     with monkeypatch.context() as m:
-        m.setattr(camsim.cli, "KEYS_PER_CHUNK", count)
+        m.setattr(camsim.workload, "KEYS_PER_CHUNK", count)
         m.setattr(camsim.energy, "run_search_stream", whole_list)
         text = _verb_text(tmp_path, capsys, argv)
     arrays = (
@@ -291,16 +330,35 @@ def test_a_bad_key_in_a_later_chunk_names_its_stream_position(
         return
     drawn = []
     with pytest.raises(WidthMismatch, match=match):
-        _search_chunks(config, EnergyModel(), variant, words,
-                       _lazy_chunks(keys, prev_key, drawn))
+        _spool_search(config, EnergyModel(), variant, words,
+                      _lazy_chunks(keys, prev_key, drawn), QueryRows())
     bad = 0 if message.startswith("previous") else int(message.split()[1][:-1])
     assert drawn == [(s, min(s + C, len(keys))) for s in range(0, bad // C * C + 1, C)]
+
+
+@pytest.fixture
+def spools(tmp_path, monkeypatch):
+    """The temporary files a verb opens, in a directory of their own: each
+    must be closed, and the directory empty, when the test ends."""
+    spool_dir = tmp_path / "spool"
+    spool_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+    real, opened = tempfile.TemporaryFile, []
+
+    def recording(*args, **kwargs):
+        opened.append(real(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+    yield opened
+    assert all(spool.closed for spool in opened)
+    assert list(spool_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("out", ["file", "-"])
 @pytest.mark.parametrize("verb", ["search", "compare", "sweep"])
 def test_cli_refuses_a_bad_key_in_a_later_chunk_before_writing(
-    tmp_path, monkeypatch, capsys, verb, out
+    tmp_path, monkeypatch, capsys, spools, verb, out
 ):
     # Every verb streams each chunk on its own, names a bad key by its
     # place in the whole stream, and stops drawing at the bad key's chunk.
@@ -326,6 +384,63 @@ def test_cli_refuses_a_bad_key_in_a_later_chunk_before_writing(
     )
     assert not path.exists()
     assert drawn == [(0, C), (C, 2 * C)]
+    assert len(spools) == (verb == "search")  # and closed, by the fixture
+
+
+@pytest.mark.parametrize("out", ["file", "-"])
+@pytest.mark.parametrize("header", [False, True])
+def test_search_refuses_a_non_finite_energy_in_a_later_chunk(
+    tmp_path, monkeypatch, capsys, spools, header, out
+):
+    # The rows are spooled before the header is built, yet the refusal
+    # names the number json.dumps of the whole document would name: the
+    # header's inf before the rows' nan. Nothing is written and the spool
+    # is closed.
+    real, chunks = camsim.cli.aggregate, []
+
+    def priced(run, model, config):
+        energies = real(run, model, config)
+        chunks.append(len(run))
+        if len(chunks) == 2:
+            energies[3] = math.nan
+        return energies
+
+    monkeypatch.setattr(camsim.cli, "aggregate", priced)
+    if header:
+        monkeypatch.setattr(camsim.cli, "totals_energy", lambda *args: math.inf)
+    path = tmp_path / "r.json"
+    rc = main(["search", *GEOMETRY, "--queries", str(2 * C + 1),
+               "--out", str(path) if out == "file" else "-"])
+    assert rc == 2
+    assert chunks == [C, C, 1]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: report holds a non-finite number: Out of range float values "
+        f"are not JSON compliant: {'inf' if header else 'nan'}\n"
+    )
+    assert not path.exists()
+    assert len(spools) == 1
+
+
+@pytest.mark.parametrize("out", ["file", "-"])
+def test_search_without_a_usable_temporary_directory_exits_1(
+    tmp_path, monkeypatch, capsys, out
+):
+    # Python skips a TMPDIR it cannot write to and falls back to the next
+    # usable directory; with none, or a tempdir set to a path that is no
+    # directory, as here, opening the spool fails before any report byte.
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setattr(tempfile, "tempdir", str(blocker / "spool"))
+    path = tmp_path / "r.json"
+    rc = main(["search", *GEOMETRY, "--queries", "5",
+               "--out", str(path) if out == "file" else "-"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not path.exists()
 
 
 def test_the_stream_reads_its_keys_a_chunk_at_a_time():
@@ -339,8 +454,8 @@ def test_the_stream_reads_its_keys_a_chunk_at_a_time():
         return [64 if i == 2 * C + 7 else 1 for i in range(start, stop)]
 
     with pytest.raises(WidthMismatch, match=f"^query {2 * C + 7}: "):
-        _search_chunks(config, EnergyModel(), Variant.SELECTIVE, words,
-                       _key_chunks(10 * C, draw))
+        _spool_search(config, EnergyModel(), Variant.SELECTIVE, words,
+                      _key_chunks(10 * C, draw), QueryRows())
     assert read == list(range(3 * C))
 
 
@@ -429,9 +544,8 @@ def test_a_verb_builds_one_value_index_per_run(index_builds, tmp_path, verb):
 
 # ----------------------------------------------------------- memory growth
 
-def _traced_peak(argv: list[str]) -> int:
-    """The traced peak of one in-process verb run, above what was traced
-    before it."""
+def _traced_peak(call) -> int:
+    """The traced peak of ``call()``, above what was traced before it."""
     gc.collect()
     started = not tracemalloc.is_tracing()
     if started:
@@ -439,7 +553,7 @@ def _traced_peak(argv: list[str]) -> int:
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        assert main(argv) == 0
+        call()
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
@@ -450,32 +564,46 @@ def _growth_per_query(tmp_path, verb: str, workload: str) -> float:
     """Bytes a query by which a verb's traced peak grows from 2,000 to
     8,000 queries at the reference geometry."""
     def peak(queries: int) -> int:
-        return _traced_peak([
+        argv = [
             verb, "--num-words", "256", "--width", "144", "--mle-bits", "3",
             "--seed", "1", *WORKLOADS[workload], "--queries", str(queries),
             "--out", str(tmp_path / "r.json"),
-        ])
+        ]
+        return _traced_peak(lambda: main(argv))
 
     peak(2_000)  # warm every cache the verb fills once
     small, large = peak(2_000), peak(8_000)
     return (large - small) / 6_000
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_search_memory_grows_less_than_40_bytes_a_query(tmp_path, workload):
-    # At the reference geometry, the traced peak of a whole search verb
-    # grows by the run's columns and the 8-byte energies only: the keys,
-    # the float objects and the report text are held a chunk at a time, and
-    # the count columns are 4-byte machine ints (about 29 bytes a query in
-    # all; 40 when they were lists of int objects).
-    assert _growth_per_query(tmp_path, "search", workload) < 40
-
-
-@pytest.mark.parametrize("verb", ["compare", "sweep"])
+@pytest.mark.parametrize("verb", ["compare", "sweep", "search"])
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_compare_memory_does_not_grow_with_the_query_count(tmp_path, workload, verb):
-    # compare and sweep fold each chunk into running counts only: no key,
-    # column or run outlives its chunk, so the traced peak grows by less
-    # than 4 bytes a query (the whole-list compare grew by 74 to 100, and
-    # the sweep that joined its keys into one list by 87 to 91).
+    # compare and sweep fold each chunk into running counts only, and
+    # search also spools the chunk's rows to a temporary file: no key,
+    # column, energy or run outlives its chunk, so the traced peak grows by
+    # less than 4 bytes a query (the whole-list compare grew by 74 to 100,
+    # the sweep that joined its keys into one list by 87 to 91, and the
+    # search that kept the run's columns and energies by about 29).
     assert _growth_per_query(tmp_path, verb, workload) < 4
+
+
+def test_sweep_spec_mode_draws_a_chunk_at_a_time():
+    # sweep_mle_bits given only a WorkloadSpec draws its queries through
+    # the CLI's chunker, with the rows of one whole-list chunk, and its
+    # traced peak grows by less than 4 bytes a query (107.5 when the whole
+    # stream was drawn as one chunk).
+    config = CamConfig(256, 144, 3, seed=1)
+    words = gen_words(256, 144, 1)
+
+    def rows(spec: WorkloadSpec, chunks=None) -> list:
+        return sweep_mle_bits(config, EnergyModel(), spec, range(2, 7), words, chunks)
+
+    def peak(queries: int) -> int:
+        return _traced_peak(lambda: rows(WorkloadSpec(WorkloadKind.UNIFORM, queries, 1)))
+
+    peak(2_000)  # warm every cache the sweep fills once
+    assert (peak(8_000) - peak(2_000)) / 6_000 < 4
+    for kind, params in _SPECS.items():
+        spec = WorkloadSpec(WorkloadKind(kind), 2 * C + 1, 1, **params)
+        assert rows(spec) == rows(None, [(0, None, gen_queries(spec, words))])

@@ -13,7 +13,7 @@ import camsim.core
 import camsim.energy
 import camsim.verify
 from camsim import Variant, run_search_stream
-from camsim.cli import KEYS_PER_CHUNK
+from camsim.workload import KEYS_PER_CHUNK
 from camsim.cli import _VERBS, _parse_args, build_parser, main
 
 
@@ -167,6 +167,22 @@ def test_search_malformed_words_file_exits_1(tmp_path, capsys):
     ])
     assert rc == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("words", ["F", "FFF"])
+def test_hex_words_at_a_width_of_no_whole_digits_exit_1(tmp_path, capsys, words):
+    # 10 bits are no whole number of hex digits, whatever a line holds:
+    # the first word line is refused for its width, not its length.
+    path = tmp_path / "words.txt"
+    path.write_text(f"# ten-bit words\n{words}\n")
+    out = tmp_path / "r.json"
+    rc = main(["search", "--format", "hex", "--width", "10", "--words", str(path),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 2: width 10 is not a whole number of hex digits\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -43,6 +43,9 @@ def test_parse_hex_case_insensitive():
 def test_parse_hex_width_mismatch():
     with pytest.raises(WidthMismatch):
         parse_word("F", 8, "hex")
+    # the digit count is a whole number, never in exponent notation
+    with pytest.raises(WidthMismatch, match=r"^expected 4000000 bits \(1000000 hex "):
+        parse_word("F", 4_000_000, "hex")
 
 
 def test_parse_strips_whitespace():
@@ -88,10 +91,12 @@ def test_hex_render_needs_nibble_width():
 
 @pytest.mark.parametrize("width", [1, 6, 7, 10])
 def test_hex_needs_whole_digits_both_ways(width):
-    with pytest.raises(WidthMismatch):
+    # reading and writing refuse the width with one message
+    message = f"^width {width} is not a whole number of hex digits$"
+    with pytest.raises(WidthMismatch, match=message):
         BitWord(width, 0).to_text("hex")
     for digits in (width // 4, width // 4 + 1):
-        with pytest.raises(WidthMismatch):
+        with pytest.raises(WidthMismatch, match=message):
             parse_word("F" * digits, width, "hex")
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tempfile
 import tracemalloc
 
 import pytest
@@ -33,7 +34,9 @@ from camsim import (
 from camsim.workload import (
     QUERY_ROW_KEYS,
     QUERY_ROWS_PER_CHUNK,
+    SPOOL_BLOCK_BYTES,
     SWEEP_CSV_HEADER,
+    QueryRows,
     content_lines,
     query_summary,
     read_text_lines,
@@ -314,10 +317,10 @@ _EVENT_NAMES = ("ml_en_transitions", "ml_precharges", "ml_discharges",
                 "sl_toggles", "mle_evaluations")
 
 
-def _planted_run(num_queries: int = 30, hits_at=(), misses_at=()):
-    """A planted run on 16 words, three of which store one value; the
-    queries at ``hits_at`` are set to that value and those at ``misses_at``
-    to one that no word stores."""
+def _planted_stream(num_queries: int, hits_at=(), misses_at=()):
+    """A gated array of 16 words, three of which store one value, and
+    planted queries; the queries at ``hits_at`` are set to that value and
+    those at ``misses_at`` to one that no word stores."""
     cfg = CamConfig(16, 12, 3, seed=4)
     values = list(gen_words(16, 12, 4))
     values[5] = values[9] = values[2]  # one query can then match three lines
@@ -329,8 +332,14 @@ def _planted_run(num_queries: int = 30, hits_at=(), misses_at=()):
         for i in at:
             if i < num_queries:
                 queries[i] = key
-    run = run_search_stream(new_array(cfg, Variant.SELECTIVE, words), queries)
-    return run, aggregate(run, EnergyModel(), cfg)
+    return new_array(cfg, Variant.SELECTIVE, words), queries
+
+
+def _planted_run(num_queries: int = 30, hits_at=(), misses_at=()):
+    """The run of ``_planted_stream`` and its energies."""
+    arr, queries = _planted_stream(num_queries, hits_at, misses_at)
+    run = run_search_stream(arr, queries)
+    return run, aggregate(run, EnergyModel(), arr.config)
 
 
 def _document(rows) -> dict:
@@ -381,35 +390,74 @@ def test_rows_render_as_json_dumps_across_chunk_boundaries(extra):
     if extra > chunk:
         assert not (run.matches[2 * chunk - 1] or run.matches[2 * chunk])
     _assert_rows_render_as_json_dumps(run, energies)
-    pieces = list(query_summary(run, energies))
-    rows = pieces[1:-1]
-    assert len(rows) == -(-len(run) // chunk)
-    assert all(r.count('"index"') <= chunk for r in rows)
-    # each chunk is one piece; one after the first opens with the separator
-    assert rows[0].startswith("    {")
-    assert all(r.startswith(",\n    {") for r in rows[1:])
+    writes = query_summary(run, energies, QueryRows(_RecordingSpool())).spool.writes
+    assert len(writes) == -(-len(run) // chunk)
+    assert all(w.count(b'"index"') <= chunk for w in writes)
+    # each piece is one write; one after the first opens with the separator
+    assert writes[0].startswith(b"    {")
+    assert all(w.startswith(b",\n    {") for w in writes[1:])
+
+
+class _RecordingSpool(io.BytesIO):
+    """An in-memory spool that keeps a copy of every write."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: list[bytes] = []
+
+    def write(self, data) -> int:
+        self.writes.append(bytes(data))
+        return super().write(data)
+
+
+@pytest.mark.parametrize("sizes", [
+    [1, 1], [1, 40], [31, 1, 32], [QUERY_ROWS_PER_CHUNK + 1] * 3, [5, 0, 70],
+])
+def test_rows_of_a_run_in_parts_join_to_the_whole_run(sizes):
+    # camsim search spools each chunk's run after the rows before it: the
+    # indices go on and every part after the first opens with the
+    # separator, so the parts render as the whole run does.
+    arr, keys = _planted_stream(sum(sizes), hits_at=(0, 1, 32, 33))
+    run = run_search_stream(arr, keys)
+    energies = aggregate(run, EnergyModel(), arr.config)
+    whole = "".join(query_summary(run, energies))
+    rows, start = QueryRows(), 0
+    for size in sizes:
+        part = run_search_stream(
+            arr, keys[start:start + size], keys[start - 1] if start else None, start
+        )
+        query_summary(part, energies[start:start + size], rows)
+        start += size
+    assert rows.count == len(run)
+    assert "".join(rows) == whole
 
 
 def test_written_report_is_never_held_whole(tmp_path):
-    # The rows are rendered and written a chunk at a time: from the rows'
-    # summary to the closed file, the traced peak stays far below the
-    # file's size (the whole text alone would be 1x, its bytes 2x).
+    # The rows are rendered into a spool file a piece at a time, and copied
+    # from it in blocks: from the first row to the closed report, the
+    # traced peak stays far below the report's size (the whole text alone
+    # would be 1x, its bytes 2x).
     run, energies = _planted_run(20_000)
     path = tmp_path / "report.json"
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        write_report(_document(query_summary(run, energies)), path, "json")
-        peak = tracemalloc.get_traced_memory()[1] - base
+        with tempfile.TemporaryFile() as spool:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rows = query_summary(run, energies, QueryRows(spool))
+            write_report(_document(rows), path, "json")
+            peak = tracemalloc.get_traced_memory()[1] - base
+            pieces = list(rows)
     finally:
         if started:
             tracemalloc.stop()
     size = path.stat().st_size
     assert size > 5_000_000
     assert peak < size / 4, (peak, size)
+    assert max(map(len, pieces)) == SPOOL_BLOCK_BYTES
+    assert "".join(pieces) in path.read_text()
 
 
 _UINT64 = st.integers(0, 2**64)
