@@ -332,7 +332,12 @@ def _spool_search(config, model, variant, words, chunks, rows: QueryRows):
     chunk before, reading its matches from the store's one dict of
     addresses, priced by ``aggregate`` and rendered by ``query_summary`` at
     once, and goes with its keys before the next chunk is drawn, so only
-    running counts outlive it. The array goes when the call returns."""
+    running counts outlive it. The array goes when the call returns.
+
+    This is ``energy.stream_totals``' fold on one array, with each run's
+    rows spooled; it stays here, calling ``run_search_stream`` and
+    ``sum_event_totals`` through this module, because ``bench/spans.py``
+    traces search's streams through those bindings."""
     arr = new_array(config, variant, words)
     totals, with_match = EventTotals(), 0
     for start, prev_key, keys in chunks:

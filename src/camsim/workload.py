@@ -16,7 +16,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+import tempfile
+import weakref
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress, filterfalse, islice, repeat
 from operator import not_, sub
@@ -317,10 +319,13 @@ SPOOL_BLOCK_BYTES = 16 * 1024
 class QueryRows:
     """A search report's "queries" list, spooled: ``query_summary`` renders
     the rows of each run it is given at once and appends them to ``spool``,
-    a binary file (an in-memory one by default; ``camsim search`` passes an
-    unnamed temporary file), so no run outlives its call. ``count`` is the
-    number of rows spooled, and ``non_finite`` the first non-finite energy
-    among them, which ``write_report`` refuses.
+    a binary file, so no run outlives its call. ``count`` is the number of
+    rows spooled, and ``non_finite`` the first non-finite energy among them,
+    which ``write_report`` refuses. The default spool holds up to
+    ``SPOOL_BLOCK_BYTES`` in memory and rolls over to an unnamed file in
+    ``TMPDIR`` past that, and is closed when the ``QueryRows`` goes; a spool
+    passed in (``camsim search`` passes an unnamed temporary file) is the
+    caller's to close.
 
     Iteration yields the text that ``json.dumps(indent=2)`` writes for the
     list under a top-level key, from its leading newline to its closing
@@ -328,9 +333,14 @@ class QueryRows:
     ``SPOOL_BLOCK_BYTES``, so the rows' text is never held whole. The rows
     are ASCII, as ``%s`` writes an int or a float."""
 
-    spool: IO[bytes] = field(default_factory=io.BytesIO)
+    spool: Optional[IO[bytes]] = None
     count: int = 0
     non_finite: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.spool is None:
+            self.spool = tempfile.SpooledTemporaryFile(SPOOL_BLOCK_BYTES)
+            weakref.finalize(self, self.spool.close)
 
     def __iter__(self) -> Iterator[str]:
         if not self.count:
@@ -364,20 +374,34 @@ _ROW_TEMPLATE = ("    " + _json_object_format(
 )).format(*["%s"] * 9)
 
 
+class _MatchesText(dict):
+    """A row's ``"matches"`` text, as ``json.dumps(indent=2)`` lays out the
+    list in a row: an empty list is looked up, and any other is rendered
+    as it is read and not kept, so a run's match texts are never held
+    together."""
+
+    def __missing__(self, matches: tuple[int, ...]) -> str:
+        return "[\n        " + ",\n        ".join(map(str, matches)) + "\n      ]"
+
+
+_MATCHES_TEXT = _MatchesText({(): "[]"})
+
+
 def query_summary(
     run: SearchRun, energies: Sequence[float], rows: Optional[QueryRows] = None
 ) -> QueryRows:
     """Render the per-query rows of a search report, keyed in
-    ``QUERY_ROW_KEYS`` order, and append them to ``rows`` (a new in-memory
-    ``QueryRows`` by default), which is returned. Each row holds a search's
-    index, matches, energized count, event counts and energy
-    (``energies[i]``, as ``energy.aggregate`` gives it for the search). The
-    run is the next part of the stream after the rows already spooled: its
-    first search is row ``rows.count``, so ``camsim search`` calls this
-    once per chunk, with the chunk's run. The rows are rendered
+    ``QUERY_ROW_KEYS`` order, and append them to ``rows`` (if None, a new
+    ``QueryRows`` with its default spool), which is returned. Each row
+    holds a search's index, matches, energized count, event counts and
+    energy (``energies[i]``, as ``energy.aggregate`` gives it for the
+    search). The run is the next part of the stream after the rows already
+    spooled: its first search is row ``rows.count``, so ``camsim search``
+    calls this once per chunk, with the chunk's run. The rows are rendered
     ``QUERY_ROWS_PER_CHUNK`` at a time from one pass over the run's
-    columns, and the first non-finite energy is kept for ``write_report``
-    to refuse before it writes any byte."""
+    columns, so the call holds no more than a piece of their text however
+    long the run, and the first non-finite energy is kept for
+    ``write_report`` to refuse before it writes any byte."""
     n = len(run)
     if len(energies) != n:
         raise ValueError(f"{len(energies)} energies for a run of {n} searches")
@@ -386,15 +410,11 @@ def query_summary(
     if rows.non_finite is None:
         rows.non_finite = next(filterfalse(math.isfinite, energies), None)
     matches = run.matches
-    matches_text = ["[]"] * n
-    for i in compress(range(n), matches):
-        matches_text[i] = (
-            "[\n        " + ",\n        ".join(map(str, matches[i])) + "\n      ]"
-        )
     energized = run.energized
     first = rows.count
     texts = map(_ROW_TEMPLATE.__mod__, zip(
-        range(first, first + n), matches_text, energized, run.ml_en_transitions,
+        range(first, first + n), map(_MATCHES_TEXT.__getitem__, matches),
+        energized, run.ml_en_transitions,
         energized, map(sub, energized, map(len, matches)), run.sl_toggles,
         repeat(run.energizers), energies,
     ))

@@ -433,31 +433,48 @@ def test_rows_of_a_run_in_parts_join_to_the_whole_run(sizes):
 
 
 def test_written_report_is_never_held_whole(tmp_path):
-    # The rows are rendered into a spool file a piece at a time, and copied
-    # from it in blocks: from the first row to the closed report, the
-    # traced peak stays far below the report's size (the whole text alone
-    # would be 1x, its bytes 2x).
+    # The rows are rendered into their default spool a piece at a time,
+    # which rolls over to a file past one block, and are copied from it in
+    # blocks: from the rows' summary to the closed file, the traced peak
+    # stays far below the file's size (the whole text alone would be 1x,
+    # its bytes 2x).
     run, energies = _planted_run(20_000)
     path = tmp_path / "report.json"
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
-        with tempfile.TemporaryFile() as spool:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            rows = query_summary(run, energies, QueryRows(spool))
-            write_report(_document(rows), path, "json")
-            peak = tracemalloc.get_traced_memory()[1] - base
-            pieces = list(rows)
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_report(_document(query_summary(run, energies)), path, "json")
+        peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
             tracemalloc.stop()
     size = path.stat().st_size
     assert size > 5_000_000
     assert peak < size / 4, (peak, size)
-    assert max(map(len, pieces)) == SPOOL_BLOCK_BYTES
-    assert "".join(pieces) in path.read_text()
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_spooled_rows_are_read_in_blocks(given):
+    # The rows are read back from the spool SPOOL_BLOCK_BYTES at a time, and
+    # the default spool, in memory or rolled over to a file, is closed once
+    # its QueryRows goes; a spool passed in stays open.
+    run, energies = _planted_run(2_000, hits_at=range(0, 2_000, 7))
+    with tempfile.TemporaryFile() as passed:
+        rows = query_summary(run, energies, QueryRows(passed) if given else None)
+        spool = rows.spool
+        pieces = list(rows)
+        assert max(map(len, pieces[1:-1])) == SPOOL_BLOCK_BYTES
+        assert "".join(pieces) == "".join(query_summary(run, energies))
+        del rows
+        assert spool.closed is not given
+    small = query_summary(*_planted_run(3))
+    spool = small.spool
+    assert "".join(small).count('"index"') == 3
+    del small
+    assert spool.closed
 
 
 _UINT64 = st.integers(0, 2**64)
