@@ -13,12 +13,13 @@ duplicates): one stream per store and variant over the whole query
 universe. The randomized tier hammers the full 256 x 144 geometry with a
 mix of uniform queries, planted copies, and near-miss single-bit
 corruptions, which is where a wrong prefix gate or suffix scan actually
-shows up. It draws its
-trials as int keys, ``TRIALS_PER_CHUNK`` at a time, and streams each chunk
-on both variants after the last key of the chunk before. A chunk's draws
-are columns (``_trial_keys``): its styles in one ``Stream.bits_column``,
-then, through ``Stream.bits_at``, query bits only for its uniform trials,
-picks only for its copies and flips only for its flipped copies. Each key
+shows up. It draws its trials as int keys, ``TRIALS_PER_CHUNK`` at a
+time through the verbs' chunker (``workload._key_chunks``), and streams
+each chunk on both variants after the last key of the chunk before. A
+chunk's draws are columns (``_trial_keys``): its styles in one
+``Stream.bits_column``, then, through ``Stream.bits_at``, query bits only
+for its uniform trials, picks only for its copies and flips only for its
+flipped copies. Each key
 is the one that per-trial ``unit``, ``bits`` and ``pick`` calls draw. A
 store's all-NOR array is its gated array with the variant replaced
 (``_store``), so both hold one ``array.Store``, and every stream and
@@ -69,6 +70,7 @@ sound stream's, so a failure can only come from its matches.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, compress, count, islice
 from operator import add, mul, ne, not_, xor
 from typing import Callable, Optional, Sequence, Union
@@ -389,27 +391,25 @@ def verify_randomized(
     draws its query key from (seed, trial index): 60% uniform, 30% an exact
     copy of a stored word, 10% a stored word with one flipped bit
     (``_trial_keys``). The trials are drawn, as columns, and checked
-    ``TRIALS_PER_CHUNK`` at a time, each chunk
-    streamed after the last key of the one before. Every stream and single
-    ``search`` reads its matches from the store's one dict of addresses,
-    built once per call. Once
-    a chunk's streams pass, its first trial is searched again with
+    ``TRIALS_PER_CHUNK`` at a time, cut by the verbs' chunker
+    ``workload._key_chunks``, each chunk streamed after the last key of the
+    one before. Every stream and single ``search`` reads its matches from
+    the store's one dict of addresses, built once per call. Once a chunk's
+    streams pass, its first trial is searched again with
     ``search`` on both variants, after the same previous key, and checked
     against the same oracles; a failure there is that trial's case, in the
     context ``randomized <variant> search``. So the verdict does not depend
     on the chunk size, except where only ``search`` fails."""
-    from .workload import gen_words
+    from .workload import _key_chunks, gen_words
 
     if trials < 0:
         raise InvalidConfig(f"trials must be >= 0, got {trials}")
     n, k = config.word_bits, config.mle_bits
     store = _store(config, gen_words(config.num_words, n, config.seed))
-    draws = _trial_draws(seed)
+    draw = partial(_trial_keys, _trial_draws(seed), store[1], n)
     engine = _fault_run if fault else run_search_stream
-    total, prev_key = 0, None
-    for start in range(0, trials, TRIALS_PER_CHUNK):
-        stop = min(start + TRIALS_PER_CHUNK, trials)
-        keys = _trial_keys(draws, store[1], n, start, stop)
+    total = 0
+    for _, prev_key, keys in _key_chunks(trials, draw, TRIALS_PER_CHUNK):
         key_columns = _key_columns(keys, n, k, prev_key)
         out = _check_columns(
             store, keys, key_columns, engine, "randomized {}", prev_key
@@ -425,5 +425,4 @@ def verify_randomized(
         total += out.cases
         if not out.ok:
             return VerifyOutcome(total, out.counterexample)
-        prev_key = keys[-1]
     return VerifyOutcome(total, None)

@@ -16,8 +16,6 @@ import csv
 import io
 import json
 import math
-import tempfile
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress, filterfalse, islice, repeat
@@ -160,16 +158,20 @@ def gen_queries(
 KEYS_PER_CHUNK = 512
 
 
-def _key_chunks(count: int, draw: Callable[[int, int], Sequence[int]]):
-    """``(start, prev_key, keys)`` for each ``KEYS_PER_CHUNK`` keys of a
-    stream of ``count`` keys (the last chunk may be shorter): ``keys`` is
+def _key_chunks(
+    count: int, draw: Callable[[int, int], Sequence[int]], size: int = KEYS_PER_CHUNK
+):
+    """``(start, prev_key, keys)`` for each ``size`` keys of a stream of
+    ``count`` keys (the last chunk may be shorter): ``keys`` is
     ``draw(start, stop)``, called as the chunk is read, and ``prev_key`` is
     the key before ``start``, None for the first chunk. The generator lets
     go of a chunk's keys before it draws the next chunk, so a reader that
-    also drops them at the end of each step holds one chunk at a time."""
+    also drops them at the end of each step holds one chunk at a time. The
+    verbs cut ``KEYS_PER_CHUNK`` keys a chunk, and ``camsim verify``'s
+    randomized tier ``verify.TRIALS_PER_CHUNK`` trials."""
     prev_key = None
-    for start in range(0, count, KEYS_PER_CHUNK):
-        keys = draw(start, min(start + KEYS_PER_CHUNK, count))
+    for start in range(0, count, size):
+        keys = draw(start, min(start + size, count))
         yield start, prev_key, keys
         prev_key = keys[-1]
         del keys
@@ -321,11 +323,9 @@ class QueryRows:
     the rows of each run it is given at once and appends them to ``spool``,
     a binary file, so no run outlives its call. ``count`` is the number of
     rows spooled, and ``non_finite`` the first non-finite energy among them,
-    which ``write_report`` refuses. The default spool holds up to
-    ``SPOOL_BLOCK_BYTES`` in memory and rolls over to an unnamed file in
-    ``TMPDIR`` past that, and is closed when the ``QueryRows`` goes; a spool
-    passed in (``camsim search`` passes an unnamed temporary file) is the
-    caller's to close.
+    which ``write_report`` refuses. The spool is the caller's to open and
+    to close, after the report is written: ``camsim search`` passes an
+    unnamed temporary file.
 
     Iteration yields the text that ``json.dumps(indent=2)`` writes for the
     list under a top-level key, from its leading newline to its closing
@@ -333,14 +333,9 @@ class QueryRows:
     ``SPOOL_BLOCK_BYTES``, so the rows' text is never held whole. The rows
     are ASCII, as ``%s`` writes an int or a float."""
 
-    spool: Optional[IO[bytes]] = None
+    spool: IO[bytes]
     count: int = 0
     non_finite: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.spool is None:
-            self.spool = tempfile.SpooledTemporaryFile(SPOOL_BLOCK_BYTES)
-            weakref.finalize(self, self.spool.close)
 
     def __iter__(self) -> Iterator[str]:
         if not self.count:
@@ -388,25 +383,22 @@ _MATCHES_TEXT = _MatchesText({(): "[]"})
 
 
 def query_summary(
-    run: SearchRun, energies: Sequence[float], rows: Optional[QueryRows] = None
+    run: SearchRun, energies: Sequence[float], rows: QueryRows
 ) -> QueryRows:
     """Render the per-query rows of a search report, keyed in
-    ``QUERY_ROW_KEYS`` order, and append them to ``rows`` (if None, a new
-    ``QueryRows`` with its default spool), which is returned. Each row
-    holds a search's index, matches, energized count, event counts and
-    energy (``energies[i]``, as ``energy.aggregate`` gives it for the
-    search). The run is the next part of the stream after the rows already
-    spooled: its first search is row ``rows.count``, so ``camsim search``
-    calls this once per chunk, with the chunk's run. The rows are rendered
-    ``QUERY_ROWS_PER_CHUNK`` at a time from one pass over the run's
-    columns, so the call holds no more than a piece of their text however
-    long the run, and the first non-finite energy is kept for
+    ``QUERY_ROW_KEYS`` order, and append them to ``rows``, which is
+    returned. Each row holds a search's index, matches, energized count,
+    event counts and energy (``energies[i]``, as ``energy.aggregate`` gives
+    it for the search). The run is the next part of the stream after the
+    rows already spooled: its first search is row ``rows.count``, so
+    ``camsim search`` calls this once per chunk, with the chunk's run. The
+    rows are rendered ``QUERY_ROWS_PER_CHUNK`` at a time from one pass over
+    the run's columns, so the call holds no more than a piece of their text
+    however long the run, and the first non-finite energy is kept for
     ``write_report`` to refuse before it writes any byte."""
     n = len(run)
     if len(energies) != n:
         raise ValueError(f"{len(energies)} energies for a run of {n} searches")
-    if rows is None:
-        rows = QueryRows()
     if rows.non_finite is None:
         rows.non_finite = next(filterfalse(math.isfinite, energies), None)
     matches = run.matches

@@ -5,7 +5,8 @@ the chunk before; ``search`` prices each chunk's run, spools its rows
 ``QUERY_ROWS_PER_CHUNK`` at a time and keeps running counts, and
 ``compare`` (both variants) and ``sweep`` (every k) fold each chunk into
 running counts with ``energy.stream_totals``. Every report has the same
-bytes as runs over whole columns."""
+bytes as runs over whole columns. ``camsim verify``'s randomized tier cuts
+its trials with the same chunker, ``verify.TRIALS_PER_CHUNK`` at a time."""
 
 from __future__ import annotations
 
@@ -15,12 +16,14 @@ import math
 import tempfile
 import tracemalloc
 import weakref
+from functools import partial
 from itertools import chain
 
 import pytest
 
 import camsim.cli
 import camsim.energy
+import camsim.verify
 from camsim import (
     CamConfig,
     EnergyModel,
@@ -34,6 +37,7 @@ from camsim import (
     new_array,
     run_search_stream,
     sum_event_totals,
+    verify_randomized,
 )
 from camsim.cli import (
     _aggregate_dict,
@@ -45,10 +49,10 @@ from camsim.cli import (
     main,
 )
 from camsim.energy import sweep_mle_bits
+from camsim.verify import TRIALS_PER_CHUNK
 from camsim.workload import (
     KEYS_PER_CHUNK,
     QUERY_ROWS_PER_CHUNK,
-    QueryRows,
     _key_chunks,
 )
 from cell_route import oracle_run
@@ -188,7 +192,7 @@ def _whole_list_text(tmp_path, monkeypatch, capsys, argv: list[str], count: int)
         return real(arr, keys, prev_key, start)
 
     with monkeypatch.context() as m:
-        m.setattr(camsim.workload, "KEYS_PER_CHUNK", count)
+        m.setattr(camsim.cli, "_key_chunks", partial(_key_chunks, size=count))
         m.setattr(camsim.energy, "run_search_stream", whole_list)
         text = _verb_text(tmp_path, capsys, argv)
     arrays = (
@@ -316,7 +320,7 @@ def _lazy_chunks(keys, prev_key, drawn):
 @pytest.mark.parametrize("variant", Variant)
 @pytest.mark.parametrize("case, message", LATER_CHUNK_CASES)
 def test_a_bad_key_in_a_later_chunk_names_its_stream_position(
-    variant, case, message, lazy
+    variant, case, message, lazy, spooled_rows
 ):
     # One stream over all the keys, or (lazy) the CLI's pipeline, which
     # draws and searches the keys a chunk at a time and draws no chunk
@@ -331,7 +335,7 @@ def test_a_bad_key_in_a_later_chunk_names_its_stream_position(
     drawn = []
     with pytest.raises(WidthMismatch, match=match):
         _spool_search(config, EnergyModel(), variant, words,
-                      _lazy_chunks(keys, prev_key, drawn), QueryRows())
+                      _lazy_chunks(keys, prev_key, drawn), spooled_rows())
     bad = 0 if message.startswith("previous") else int(message.split()[1][:-1])
     assert drawn == [(s, min(s + C, len(keys))) for s in range(0, bad // C * C + 1, C)]
 
@@ -443,7 +447,7 @@ def test_search_without_a_usable_temporary_directory_exits_1(
     assert not path.exists()
 
 
-def test_the_stream_reads_its_keys_a_chunk_at_a_time():
+def test_the_stream_reads_its_keys_a_chunk_at_a_time(spooled_rows):
     # A lazy key source is read chunk by chunk: a bad key in chunk 2 stops
     # the pipeline once that chunk is read, long before the source ends.
     config, words = CamConfig(4, 6, 2), gen_words(4, 6, 1)
@@ -455,8 +459,74 @@ def test_the_stream_reads_its_keys_a_chunk_at_a_time():
 
     with pytest.raises(WidthMismatch, match=f"^query {2 * C + 7}: "):
         _spool_search(config, EnergyModel(), Variant.SELECTIVE, words,
-                      _key_chunks(10 * C, draw), QueryRows())
+                      _key_chunks(10 * C, draw), spooled_rows())
     assert read == list(range(3 * C))
+
+
+@pytest.mark.parametrize("size", [KEYS_PER_CHUNK, TRIALS_PER_CHUNK])
+def test_key_chunks_cut_the_stream_at_their_size(size):
+    # The verbs' chunks (the default size) and the randomized verify tier's:
+    # each chunk is drawn only as it is read, and carries its start and the
+    # key before it, as the tier's own loop of range and min cut them.
+    for count in [0, *_edge_counts(size), 2 * size]:
+        drawn, triples = [], []
+
+        def draw(start, stop):
+            drawn.append((start, stop))
+            return list(range(start, stop))
+
+        chunks = (_key_chunks(count, draw) if size == KEYS_PER_CHUNK
+                  else _key_chunks(count, draw, size))
+        for triple in chunks:
+            assert len(drawn) == len(triples) + 1
+            triples.append(triple)
+        starts = range(0, count, size)
+        assert drawn == [(s, min(s + size, count)) for s in starts]
+        assert triples == [
+            (s, s - 1 if s else None, list(range(s, min(s + size, count))))
+            for s in starts
+        ]
+
+
+# The counterexample of the inverted-gate mutant on the store and trials
+# below: trial 12, the first that copies a stored word, as the randomized
+# tier reported it when it cut its trials with a loop of its own.
+VERIFY_COUNTEREXAMPLE = (
+    "randomized selective: query 101001000101 against [000001101000, "
+    "101001000101, 110110110111, 010101011010, 001001011100, 111000100000, "
+    "101000000110, 100110001011, 100000011011, 110100101100, 011000110000, "
+    "110010010101, 011100011011, 001100111011, 001000001001, 000010010011] "
+    "expected [1], got []"
+)
+
+
+@pytest.mark.parametrize("fault", [False, True])
+@pytest.mark.parametrize("trials", [1, 31, 32, 33, 64, 65])
+def test_verify_trials_at_chunk_edges(monkeypatch, trials, fault):
+    # Around the tier's chunk edges, every chunk is streamed on both
+    # variants after the last trial of the chunk before, and the verdict
+    # is the one the tier gave with its own loop.
+    chunks = []
+
+    def recorded(arr, keys, prev_key=None, *rest):
+        chunks.append((arr.variant, len(keys), prev_key, keys[-1]))
+        return run_search_stream(arr, keys, prev_key, *rest)
+
+    monkeypatch.setattr(camsim.verify, "run_search_stream", recorded)
+    out = verify_randomized(CamConfig(16, 12, 3, seed=38), trials, 38, fault)
+    ce = out.counterexample
+    if fault and trials > 12:
+        assert (out.cases, ce.describe()) == (25, VERIFY_COUNTEREXAMPLE)
+        return
+    assert (out.cases, ce) == (2 * trials, None)
+    step = TRIALS_PER_CHUNK
+    sizes = [min(step, trials - s) for s in range(0, trials, step)]
+    assert [(v, size) for v, size, _, _ in chunks] == [
+        (v, size) for size in sizes for v in Variant
+    ]
+    lasts = [None] + [last for _, _, _, last in chunks[::2]]
+    assert [prev for _, _, prev, _ in chunks[::2]] == lasts[:-1]
+    assert [prev for _, _, prev, _ in chunks[1::2]] == lasts[:-1]
 
 
 def test_search_draws_no_key_while_a_stream_runs(tmp_path, monkeypatch):

@@ -1,7 +1,6 @@
 import io
 import json
 import math
-import tempfile
 import tracemalloc
 
 import pytest
@@ -270,13 +269,13 @@ def test_write_report_rejects_non_finite_numbers(tmp_path):
     assert not path.exists()
 
 
-def test_write_report_json_round_trip(tmp_path):
+def test_write_report_json_round_trip(tmp_path, spooled_rows):
     cfg = CamConfig(8, 12, 3, seed=3)
     words = gen_words(8, 12, 3)
     queries = gen_queries(WorkloadSpec(WorkloadKind.UNIFORM, 5, 3), words)
     run = run_search_stream(new_array(cfg, Variant.SELECTIVE, words), queries)
     energies = aggregate(run, EnergyModel(), cfg)
-    doc = {"queries": query_summary(run, energies)}
+    doc = {"queries": query_summary(run, energies, spooled_rows())}
     path = tmp_path / "report.json"
     write_report(doc, path, "json")
     loaded = json.loads(path.read_text())
@@ -347,8 +346,8 @@ def _document(rows) -> dict:
             "queries": rows, "notes": ["after the rows"]}
 
 
-def _assert_rows_render_as_json_dumps(run, energies):
-    rows = query_summary(run, energies)
+def _assert_rows_render_as_json_dumps(run, energies, rows):
+    rows = query_summary(run, energies, rows)
     reference = _reference_rows(run, energies)
     for doc, want in (
         (_document(rows), _document(reference)),
@@ -357,28 +356,28 @@ def _assert_rows_render_as_json_dumps(run, energies):
         assert report_json_text(doc) == _dumps_reference(want)
 
 
-def test_row_template_equals_json_dumps_on_planted_rows():
+def test_row_template_equals_json_dumps_on_planted_rows(spooled_rows):
     run, energies = _planted_run()
     assert {len(m) for m in run.matches} >= {0, 1, 3}
-    _assert_rows_render_as_json_dumps(run, energies)
+    _assert_rows_render_as_json_dumps(run, energies, spooled_rows())
 
 
-def test_row_template_energies():
+def test_row_template_energies(spooled_rows):
     n = len(ROW_ENERGIES)
     run = SearchRun(
         16, [(i,) * (i % 3) for i in range(n)], [3] * n, [3] * n, [3] * n
     )
-    _assert_rows_render_as_json_dumps(run, ROW_ENERGIES)
+    _assert_rows_render_as_json_dumps(run, ROW_ENERGIES, spooled_rows())
 
 
-def test_row_template_renders_an_empty_run():
+def test_row_template_renders_an_empty_run(spooled_rows):
     run = SearchRun(16, [], [], [], [])
-    assert list(query_summary(run, [])) == ['\n  "queries": []']
-    _assert_rows_render_as_json_dumps(run, [])
+    assert list(query_summary(run, [], spooled_rows())) == ['\n  "queries": []']
+    _assert_rows_render_as_json_dumps(run, [], spooled_rows())
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, QUERY_ROWS_PER_CHUNK + 1])
-def test_rows_render_as_json_dumps_across_chunk_boundaries(extra):
+def test_rows_render_as_json_dumps_across_chunk_boundaries(extra, spooled_rows):
     # The Hypothesis rows below never fill a chunk. At 2 * chunk + 1 rows
     # the first boundary has hits on both sides and the second none.
     chunk = QUERY_ROWS_PER_CHUNK
@@ -389,7 +388,7 @@ def test_rows_render_as_json_dumps_across_chunk_boundaries(extra):
         assert run.matches[chunk - 1] and run.matches[chunk]
     if extra > chunk:
         assert not (run.matches[2 * chunk - 1] or run.matches[2 * chunk])
-    _assert_rows_render_as_json_dumps(run, energies)
+    _assert_rows_render_as_json_dumps(run, energies, spooled_rows())
     writes = query_summary(run, energies, QueryRows(_RecordingSpool())).spool.writes
     assert len(writes) == -(-len(run) // chunk)
     assert all(w.count(b'"index"') <= chunk for w in writes)
@@ -413,15 +412,15 @@ class _RecordingSpool(io.BytesIO):
 @pytest.mark.parametrize("sizes", [
     [1, 1], [1, 40], [31, 1, 32], [QUERY_ROWS_PER_CHUNK + 1] * 3, [5, 0, 70],
 ])
-def test_rows_of_a_run_in_parts_join_to_the_whole_run(sizes):
+def test_rows_of_a_run_in_parts_join_to_the_whole_run(sizes, spooled_rows):
     # camsim search spools each chunk's run after the rows before it: the
     # indices go on and every part after the first opens with the
     # separator, so the parts render as the whole run does.
     arr, keys = _planted_stream(sum(sizes), hits_at=(0, 1, 32, 33))
     run = run_search_stream(arr, keys)
     energies = aggregate(run, EnergyModel(), arr.config)
-    whole = "".join(query_summary(run, energies))
-    rows, start = QueryRows(), 0
+    whole = "".join(query_summary(run, energies, spooled_rows()))
+    rows, start = spooled_rows(), 0
     for size in sizes:
         part = run_search_stream(
             arr, keys[start:start + size], keys[start - 1] if start else None, start
@@ -432,13 +431,13 @@ def test_rows_of_a_run_in_parts_join_to_the_whole_run(sizes):
     assert "".join(rows) == whole
 
 
-def test_written_report_is_never_held_whole(tmp_path):
-    # The rows are rendered into their default spool a piece at a time,
-    # which rolls over to a file past one block, and are copied from it in
-    # blocks: from the rows' summary to the closed file, the traced peak
-    # stays far below the file's size (the whole text alone would be 1x,
-    # its bytes 2x).
+def test_written_report_is_never_held_whole(tmp_path, spooled_rows):
+    # The rows are rendered into an unnamed temporary file a piece at a
+    # time and are copied from it in blocks: from the rows' summary to the
+    # closed file, the traced peak stays far below the file's size (the
+    # whole text alone would be 1x, its bytes 2x).
     run, energies = _planted_run(20_000)
+    rows = spooled_rows()
     path = tmp_path / "report.json"
     started = not tracemalloc.is_tracing()
     if started:
@@ -446,7 +445,7 @@ def test_written_report_is_never_held_whole(tmp_path):
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        write_report(_document(query_summary(run, energies)), path, "json")
+        write_report(_document(query_summary(run, energies, rows)), path, "json")
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
@@ -456,25 +455,17 @@ def test_written_report_is_never_held_whole(tmp_path):
     assert peak < size / 4, (peak, size)
 
 
-@pytest.mark.parametrize("given", [False, True])
-def test_spooled_rows_are_read_in_blocks(given):
-    # The rows are read back from the spool SPOOL_BLOCK_BYTES at a time, and
-    # the default spool, in memory or rolled over to a file, is closed once
-    # its QueryRows goes; a spool passed in stays open.
+def test_spooled_rows_are_read_in_blocks(spooled_rows):
+    # The rows are read back from the spool SPOOL_BLOCK_BYTES at a time,
+    # and the spool, the caller's, stays open once its QueryRows goes.
     run, energies = _planted_run(2_000, hits_at=range(0, 2_000, 7))
-    with tempfile.TemporaryFile() as passed:
-        rows = query_summary(run, energies, QueryRows(passed) if given else None)
-        spool = rows.spool
-        pieces = list(rows)
-        assert max(map(len, pieces[1:-1])) == SPOOL_BLOCK_BYTES
-        assert "".join(pieces) == "".join(query_summary(run, energies))
-        del rows
-        assert spool.closed is not given
-    small = query_summary(*_planted_run(3))
-    spool = small.spool
-    assert "".join(small).count('"index"') == 3
-    del small
-    assert spool.closed
+    rows = query_summary(run, energies, spooled_rows())
+    spool = rows.spool
+    pieces = list(rows)
+    assert max(map(len, pieces[1:-1])) == SPOOL_BLOCK_BYTES
+    assert "".join(pieces) == "".join(query_summary(run, energies, spooled_rows()))
+    del rows
+    assert not spool.closed
 
 
 _UINT64 = st.integers(0, 2**64)
@@ -499,7 +490,9 @@ _COLUMNS = st.lists(
 def test_row_template_equals_json_dumps_on_random_rows(rows, energizers):
     matches, energized, ml_en, sl, energies = map(list, zip(*rows))
     run = SearchRun(energizers, matches, energized, ml_en, sl)
-    _assert_rows_render_as_json_dumps(run, energies)
+    # an in-memory spool, the caller's like any other, so that no file
+    # outlives its example
+    _assert_rows_render_as_json_dumps(run, energies, QueryRows(io.BytesIO()))
 
 
 def _foreign_rows(good: list[dict]) -> list:
@@ -547,14 +540,14 @@ def test_one_foreign_row_among_many_keeps_json_dumps_bytes():
                 assert report_json_text(doc) == _dumps_reference(doc)
 
 
-def test_rows_need_one_energy_per_search():
+def test_rows_need_one_energy_per_search(spooled_rows):
     run, energies = _planted_run()
     for wrong in (energies[:-1], [*energies, 1.0]):
         with pytest.raises(ValueError, match="energies for a run of 30"):
-            query_summary(run, wrong)
+            query_summary(run, wrong, spooled_rows())
 
 
-def test_non_finite_row_energy_is_rejected(tmp_path):
+def test_non_finite_row_energy_is_rejected(tmp_path, spooled_rows):
     # The error names the number json.dumps of the whole document would
     # name: the first non-finite one, here an aggregate before the rows.
     # Every check runs before the first byte: no file, an empty stream.
@@ -564,7 +557,7 @@ def test_non_finite_row_energy_is_rejected(tmp_path):
     for total in (2.5, math.inf):
         for bad in (math.nan, math.inf, -math.inf):
             row_energies = [*energies[:-1], bad]
-            doc = _document(query_summary(run, row_energies))
+            doc = _document(query_summary(run, row_energies, spooled_rows()))
             reference = _document(_reference_rows(run, row_energies))
             doc["aggregate"]["energy_total"] = total
             reference["aggregate"]["energy_total"] = total
