@@ -225,8 +225,8 @@ class SearchRun:
     verbs hold one chunk's run at a time. Every count column reads as
     plain ``int``s, and ``matches`` holds tuples of ``int`` addresses: a
     search report writes each entry as its ``str``, which is a JSON
-    integer only for an ``int``. ``workload.query_summary`` renders a run's
-    rows when it is called and keeps nothing of the run.
+    integer only for an ``int``. ``workload.query_summary`` writes a run's
+    rows into the report when it is called and keeps nothing of the run.
     """
 
     energizers: int

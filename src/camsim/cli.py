@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 for I/O or check failures, 2 for bad flags or
 configuration. Reports go to the file named by --out ('-' for stdout);
 diagnostics go to stderr. Identical flags and seed produce byte-identical
-report files. Evaluation is single-threaded; --workers is still accepted so
-existing command lines keep working, and its value has no effect.
+report files. search writes its rows as it searches them, and its
+aggregate last. Evaluation is single-threaded; --workers is still accepted
+so existing command lines keep working, and its value has no effect.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import gc
 import math
 import shutil
 import sys
-import tempfile
 from dataclasses import asdict, replace
 from functools import partial
 from operator import add
@@ -50,6 +50,7 @@ from .workload import (
     QueryRows,
     WorkloadKind,
     WorkloadSpec,
+    _json_text,
     _key_chunks,
     gen_queries,
     gen_words,
@@ -231,12 +232,14 @@ def _load_word_file(path: str, kind: str, width: int, fmt: str) -> Store:
     return words
 
 
-def _materialize(args: argparse.Namespace):
+def _materialize(args: argparse.Namespace, check: Optional[Callable] = None):
     """Validate flags, then build (config, model, words, key chunks,
     workload_meta); the words are a ``Store`` of ints. The key chunks are
     ``_key_chunks``, read once: drawn by ``gen_queries`` as they are read,
     or slices of a ``--queries-file``'s keys, which are read whole, as
-    ints, and let go once the chunks are spent."""
+    ints, and let go once the chunks are spent. ``check``, if given, is
+    called with the config, the model and the query count once the word
+    and query files are read, before any word or key is drawn."""
     tolerance = getattr(args, "tolerance", 0.0)
     if not tolerance >= 0:  # NaN fails every comparison
         raise InvalidConfig(f"--tolerance must be >= 0, got {tolerance:g}")
@@ -250,21 +253,21 @@ def _materialize(args: argparse.Namespace):
     if args.words:
         words = _load_word_file(args.words, "word", config.word_bits, args.format)
         config = replace(config, num_words=len(words))
-    else:
-        words = gen_words(config.num_words, config.word_bits, config.seed)
-
     if args.queries_file:
         keys = _load_word_file(args.queries_file, "query", config.word_bits, args.format)
-        workload_meta = {
-            "kind": "file",
-            "path": args.queries_file,
-            "num_queries": len(keys),
-        }
+        workload_meta = {"kind": "file", "path": args.queries_file,
+                         "num_queries": len(keys)}
+    else:
+        workload_meta = spec.to_dict()
+    if check is not None:
+        check(config, model, workload_meta["num_queries"])
+
+    if not args.words:
+        words = gen_words(config.num_words, config.word_bits, config.seed)
+    if args.queries_file:
         chunks = _key_chunks(len(keys), lambda start, stop: keys[start:stop])
     else:
         chunks = _key_chunks(spec.num_queries, partial(gen_queries, spec, words))
-        workload_meta = spec.to_dict()
-
     return config, model, words, chunks, workload_meta
 
 
@@ -308,8 +311,8 @@ def _aggregate_dict(
     }
 
 
-def _emit(report, out: str, fmt: str = "json") -> None:
-    write_report(report, sys.stdout if out == "-" else out, fmt)
+def _emit(report, out: str, fmt: str = "json") -> Optional[dict]:
+    return write_report(report, sys.stdout if out == "-" else out, fmt)
 
 
 def _check_fraction(args, measured: float) -> int:
@@ -325,17 +328,30 @@ def _check_fraction(args, measured: float) -> int:
     return 1
 
 
-def _spool_search(config, model, variant, words, chunks, rows: QueryRows):
-    """Search every key chunk on one array of ``words`` and spool each
-    chunk's rows into ``rows``; return the run's summed ``EventTotals`` and
-    its count of queries with a match. Each chunk is searched after the
-    chunk before, reading its matches from the store's one dict of
-    addresses, priced by ``aggregate`` and rendered by ``query_summary`` at
-    once, and goes with its keys before the next chunk is drawn, so only
-    running counts outlive it. The array goes when the call returns.
+def _refuse_overflow(variant, config, model, searches: int) -> None:
+    """Refuse a search whose report could hold a non-finite number, before
+    any of it is written. No run of ``searches`` searches counts more than
+    N precharges, N discharges, n toggles and (gated) N energizer
+    evaluations a search. Under a finite, positive model every priced
+    number only grows with a count, so when the aggregate of that worst
+    case is finite, so is every row and the run's own aggregate."""
+    most = config.num_words * searches
+    gated = most if variant is Variant.SELECTIVE else 0
+    worst = EventTotals(most, most, most, config.word_bits * searches, gated)
+    _json_text(_aggregate_dict(config, model, variant, worst, searches, searches))
+
+
+def _search_rows(config, model, variant, words, chunks, rows: QueryRows) -> dict:
+    """Search every key chunk on one array of ``words`` and write each
+    chunk's rows into ``rows``; return the report's members that follow
+    them, its aggregate, from the run's running counts. Each chunk is
+    searched after the chunk before, reading its matches from the store's
+    one dict of addresses, priced by ``aggregate`` and written by
+    ``query_summary`` at once, and goes with its keys before the next chunk
+    is drawn, so only running counts outlive it.
 
     This is ``energy.stream_totals``' fold on one array, with each run's
-    rows spooled; it stays here, calling ``run_search_stream`` and
+    rows written; it stays here, calling ``run_search_stream`` and
     ``sum_event_totals`` through this module, because ``bench/spans.py``
     traces search's streams through those bindings."""
     arr = new_array(config, variant, words)
@@ -346,28 +362,24 @@ def _spool_search(config, model, variant, words, chunks, rows: QueryRows):
         with_match += len(part) - part.matches.count(())
         query_summary(part, aggregate(part, model, config), rows)
         del keys, part  # before the next chunk is drawn
-    return totals, with_match
+    agg = _aggregate_dict(config, model, variant, totals, rows.count, with_match)
+    return {"aggregate": agg}
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    config, model, words, chunks, workload_meta = _materialize(args)
     variant = Variant(args.variant)
-    # The aggregate comes before the rows in the report but needs every
-    # chunk's counts, so each chunk's rows wait in an unnamed file, which
-    # no directory lists and which goes when it is closed.
-    with tempfile.TemporaryFile() as spool:
-        rows = QueryRows(spool)
-        totals, with_match = _spool_search(config, model, variant, words, chunks, rows)
-        del words  # and its dict of addresses, before the report is written
-        agg = _aggregate_dict(config, model, variant, totals, rows.count, with_match)
-        document = {
-            "report": "search",
-            "variant": variant.value,
-            **_report_header(args, config, model, workload_meta),
-            "aggregate": agg,
-            "queries": rows,
-        }
-        _emit(document, args.out)
+    config, model, words, chunks, workload_meta = _materialize(
+        args, partial(_refuse_overflow, variant)
+    )
+    # The aggregate needs every chunk's counts, so it follows the rows,
+    # which write_report writes as they are searched.
+    document = {
+        "report": "search",
+        "variant": variant.value,
+        **_report_header(args, config, model, workload_meta),
+        "queries": partial(_search_rows, config, model, variant, words, chunks),
+    }
+    agg = _emit(document, args.out)["aggregate"]
     return _check_fraction(args, agg["mean_energized_fraction"])
 
 

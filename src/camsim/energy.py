@@ -234,8 +234,8 @@ def aggregate(run: SearchRun, model: EnergyModel, config: CamConfig) -> list[flo
     A search's energy depends on its own counts only, so the run of a chunk
     of keys, searched after the key before it, prices to that slice of the
     whole run's energies. ``camsim search`` prices each chunk's run of
-    ``workload.KEYS_PER_CHUNK`` searches and renders its rows at once, so no
-    more than a chunk of energies is alive at a time."""
+    ``workload.KEYS_PER_CHUNK`` searches and writes its rows into the report
+    at once, so no more than a chunk of energies is alive at a time."""
     pre, dis, sl, mle = _unit_energies(model, config)
     discharges = run.ml_discharges
     columns = (run.energized, discharges, run.sl_toggles, [run.energizers])

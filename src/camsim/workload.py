@@ -16,9 +16,10 @@ import csv
 import io
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress, filterfalse, islice, repeat
+from itertools import compress, filterfalse, islice, repeat
 from operator import not_, sub
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -248,105 +249,87 @@ def _json_text(document: object) -> str:
         raise InvalidConfig(f"report holds a non-finite number: {exc}") from exc
 
 
-def _json_pieces(document: dict) -> Iterable[str]:
-    """The pieces that join to ``report_json_text(document)``, with every
-    check already run, so writing them one by one writes nothing for a
-    refused document. A ``QueryRows`` under the top-level ``"queries"`` key
-    is spliced in, its spooled rows read as the pieces are; any other
-    document is one piece, ``json.dumps`` of the whole."""
-    rows = document.get("queries")
-    if not isinstance(rows, QueryRows):
-        return (_json_text(document) + "\n",)
-    header = _json_text({**document, "queries": []})
-    if rows.non_finite is not None:
-        _json_text(rows.non_finite)  # raises, after any error in the header
-    # A top-level key is the only place this text can occur: deeper keys are
-    # indented further, and string values escape their quotes and newlines.
-    head, _, tail = header.partition(_EMPTY_QUERIES)
-    return chain((head,), rows, (tail + "\n",))
+# json.dumps(indent=2) text ends with this when the document's last member
+# is an empty "queries" list, and with it nowhere else: deeper keys are
+# indented further, and string values escape their quotes and newlines.
+_LAST_EMPTY_QUERIES = '\n  "queries": []\n}'
 
 
 def report_json_text(document: dict) -> str:
-    """Pretty-printed JSON (``json.dumps`` with indent 2); NaN and infinities
-    are rejected because they are not valid JSON. A ``QueryRows`` under the
-    top-level ``"queries"`` key renders as the list of its rows."""
-    return "".join(_json_pieces(document))
+    """The text that ``write_report`` writes for a document, calling its
+    rows callable if it has one."""
+    out = io.StringIO()
+    write_report(document, out)
+    return out.getvalue()
 
 
 def write_report(
     report: Union[dict, Sequence],
     destination: Union[str, Path, IO[str]],
     fmt: str = "json",
-) -> None:
+) -> Optional[dict]:
     """Serialize a report document (json) or sweep rows (csv) to a path or
-    stream. Identical inputs produce byte-identical output. A refused report
-    writes nothing and creates no file. A search report's rows are copied
-    from their spool ``SPOOL_BLOCK_BYTES`` at a time, so its whole text is
-    never held in memory."""
+    stream, opened once. Identical inputs produce byte-identical output.
+    The text is ``json.dumps`` with indent 2, or ``sweep_csv_text``; NaN and
+    infinities are refused before the first byte, so a refused report
+    writes nothing and creates no file.
+
+    A search report's rows are searched as they are written: its last
+    member, ``"queries"``, is a callable. The members before it are written,
+    then it is called with a ``QueryRows`` on the destination, writes the
+    rows through ``query_summary``, and returns a dict of the members that
+    follow the rows (the aggregate), which are written last and returned.
+    The text is ``json.dumps`` of the document with those members, and a
+    failure once the rows have begun leaves the bytes already written."""
+    rows = None
     if fmt == "json":
         if not isinstance(report, dict):
             raise ValueError("json reports expect a document dict")
-        pieces = _json_pieces(report)
+        rows = report.get("queries")
+        if callable(rows):
+            text = _json_text({**report, "queries": []})
+            if not text.endswith(_LAST_EMPTY_QUERIES):
+                raise ValueError('a "queries" callable must be the last member')
+            text = text[:-3]  # up to the list's opening bracket
+        else:
+            rows, text = None, _json_text(report) + "\n"
     elif fmt == "csv":
-        pieces = (sweep_csv_text(report),)
+        text = sweep_csv_text(report)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    if hasattr(destination, "write"):
-        for piece in pieces:
-            destination.write(piece)  # type: ignore[union-attr]
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as out:
-            out.writelines(pieces)
+    with (nullcontext(destination) if hasattr(destination, "write")
+          else open(destination, "w", encoding="utf-8", newline="")) as out:
+        out.write(text)
+        if rows is None:
+            return None
+        written = QueryRows(out)
+        after = rows(written)
+        out.write("\n  ]" if written.count else "]")
+        out.write("," + _json_text(after)[1:] + "\n" if after else "\n}\n")
+        return after
 
 
 QUERY_ROW_KEYS = ("index", "matches", "energized_count", "events", "energy")
 _EVENT_KEYS = EventTotals._fields
-_EMPTY_QUERIES = '\n  "queries": []'
 
 
-# Rows rendered per write into a search report's spool. A piece's text,
-# about 280 bytes a row at 256 x 144, is held three times while it is
-# written (the row strings, their join and its encoding), about 28 KB at 32
+# Rows rendered per write into a search report. A piece's text, about 280
+# bytes a row at 256 x 144, is held while it is written, about 9 KB at 32
 # rows. 128-row pieces raised the traced peak of a 2,500-query search at
-# 256 x 144 by 87 KB (Python 3.11).
+# 256 x 144 by 87 KB (Python 3.11, measured when the rows were spooled).
 QUERY_ROWS_PER_CHUNK = 32
-
-# Bytes of spooled rows read per piece of a written report: each block is
-# held as bytes, as text and as the destination's encoding of it. 64 KB
-# blocks raised the same peak by 91 KB.
-SPOOL_BLOCK_BYTES = 16 * 1024
 
 
 @dataclass(eq=False)
 class QueryRows:
-    """A search report's "queries" list, spooled: ``query_summary`` renders
-    the rows of each run it is given at once and appends them to ``spool``,
-    a binary file, so no run outlives its call. ``count`` is the number of
-    rows spooled, and ``non_finite`` the first non-finite energy among them,
-    which ``write_report`` refuses. The spool is the caller's to open and
-    to close, after the report is written: ``camsim search`` passes an
-    unnamed temporary file.
+    """Where a search report's "queries" rows go: ``query_summary`` renders
+    the rows of each run it is given straight into ``out``, a text stream,
+    after the ``count`` rows already written, so no run outlives its call.
+    ``write_report`` makes one on its destination, and opens and closes
+    the list around the rows."""
 
-    Iteration yields the text that ``json.dumps(indent=2)`` writes for the
-    list under a top-level key, from its leading newline to its closing
-    bracket: the spool is read from its start in blocks of at most
-    ``SPOOL_BLOCK_BYTES``, so the rows' text is never held whole. The rows
-    are ASCII, as ``%s`` writes an int or a float."""
-
-    spool: IO[bytes]
+    out: IO[str]
     count: int = 0
-    non_finite: Optional[float] = None
-
-    def __iter__(self) -> Iterator[str]:
-        if not self.count:
-            yield _EMPTY_QUERIES
-            return
-        yield '\n  "queries": [\n'
-        spool = self.spool
-        spool.seek(0)
-        while block := spool.read(SPOOL_BLOCK_BYTES):
-            yield block.decode("ascii")
-        yield "\n  ]"
 
 
 def _json_object_format(keys: Sequence[str], values: dict, indent: int) -> str:
@@ -386,21 +369,22 @@ def query_summary(
     run: SearchRun, energies: Sequence[float], rows: QueryRows
 ) -> QueryRows:
     """Render the per-query rows of a search report, keyed in
-    ``QUERY_ROW_KEYS`` order, and append them to ``rows``, which is
-    returned. Each row holds a search's index, matches, energized count,
-    event counts and energy (``energies[i]``, as ``energy.aggregate`` gives
-    it for the search). The run is the next part of the stream after the
-    rows already spooled: its first search is row ``rows.count``, so
-    ``camsim search`` calls this once per chunk, with the chunk's run. The
-    rows are rendered ``QUERY_ROWS_PER_CHUNK`` at a time from one pass over
-    the run's columns, so the call holds no more than a piece of their text
-    however long the run, and the first non-finite energy is kept for
-    ``write_report`` to refuse before it writes any byte."""
+    ``QUERY_ROW_KEYS`` order, into ``rows``, which is returned. Each row
+    holds a search's index, matches, energized count, event counts and
+    energy (``energies[i]``, as ``energy.aggregate`` gives it for the
+    search). The run is the next part of the stream after the rows already
+    written: its first search is row ``rows.count``, so ``camsim search``
+    calls this once per chunk, with the chunk's run. The rows are rendered
+    and written ``QUERY_ROWS_PER_CHUNK`` at a time from one pass over the
+    run's columns, so the call holds no more than a piece of their text
+    however long the run. A non-finite energy is refused, as
+    ``write_report`` refuses one, before any row of the run is written."""
     n = len(run)
     if len(energies) != n:
         raise ValueError(f"{len(energies)} energies for a run of {n} searches")
-    if rows.non_finite is None:
-        rows.non_finite = next(filterfalse(math.isfinite, energies), None)
+    bad = next(filterfalse(math.isfinite, energies), None)
+    if bad is not None:
+        _json_text(bad)  # raises
     matches = run.matches
     energized = run.energized
     first = rows.count
@@ -410,11 +394,9 @@ def query_summary(
         energized, map(sub, energized, map(len, matches)), run.sl_toggles,
         repeat(run.energizers), energies,
     ))
-    spool = rows.spool
-    spool.seek(0, io.SEEK_END)
+    out = rows.out
     for start in range(first, first + n, QUERY_ROWS_PER_CHUNK):
-        lead = ("",) if start else ()  # the separator after the row before
-        piece = ",\n".join([*lead, *islice(texts, QUERY_ROWS_PER_CHUNK)])
-        spool.write(piece.encode("ascii"))
+        out.write(",\n" if start else "\n")  # after the row before, or "["
+        out.write(",\n".join(islice(texts, QUERY_ROWS_PER_CHUNK)))
     rows.count += n
     return rows

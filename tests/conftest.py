@@ -1,7 +1,5 @@
 """Fixtures shared by the test modules."""
 
-import tempfile
-from contextlib import ExitStack
 from typing import NamedTuple
 
 import pytest
@@ -10,7 +8,6 @@ import camsim.array
 import camsim.verify
 from camsim import VerifyOutcome, verify_exhaustive
 from camsim.array import Store
-from camsim.workload import QueryRows
 
 
 class ExhaustiveTier(NamedTuple):
@@ -88,11 +85,3 @@ def histogram_builds(monkeypatch):
     monkeypatch.setattr(camsim.array, "_gate_index", counted)
     return built
 
-
-@pytest.fixture
-def spooled_rows():
-    """A factory of empty ``QueryRows``, each on an unnamed temporary file
-    of its own, as ``camsim search`` spools its rows: the spool is the
-    caller's, and every one opened is closed when the test ends."""
-    with ExitStack() as spools:
-        yield lambda: QueryRows(spools.enter_context(tempfile.TemporaryFile()))

@@ -1,7 +1,7 @@
 """``camsim search``, ``compare`` and ``sweep`` as chunked pipelines: the
 CLI cuts the keys into ``workload.KEYS_PER_CHUNK`` chunks, draws each as it
 is read, and searches it with one ``run_search_stream`` call threaded after
-the chunk before; ``search`` prices each chunk's run, spools its rows
+the chunk before; ``search`` prices each chunk's run, writes its rows
 ``QUERY_ROWS_PER_CHUNK`` at a time and keeps running counts, and
 ``compare`` (both variants) and ``sweep`` (every k) fold each chunk into
 running counts with ``energy.stream_totals``. Every report has the same
@@ -10,9 +10,12 @@ its trials with the same chunker, ``verify.TRIALS_PER_CHUNK`` at a time."""
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
 import math
+import sys
 import tempfile
 import tracemalloc
 import weakref
@@ -20,6 +23,8 @@ from functools import partial
 from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import camsim.cli
 import camsim.energy
@@ -44,7 +49,7 @@ from camsim.cli import (
     _make_config,
     _make_model,
     _report_header,
-    _spool_search,
+    _search_rows,
     build_parser,
     main,
 )
@@ -53,6 +58,7 @@ from camsim.verify import TRIALS_PER_CHUNK
 from camsim.workload import (
     KEYS_PER_CHUNK,
     QUERY_ROWS_PER_CHUNK,
+    QueryRows,
     _key_chunks,
 )
 from cell_route import oracle_run
@@ -77,7 +83,7 @@ SEARCH_COUNTS = [1, 31, 32, 33, 511, 512, 513, 1025, 2500]
 def _reference_text(argv: list[str], keys: list[int], meta: dict) -> str:
     """The report over whole columns: the keys as one list, one stream, one
     ``aggregate``, and ``json.dumps(indent=2)`` of the document with its
-    rows as plain dicts."""
+    rows as plain dicts, before its aggregate."""
     args = build_parser().parse_args(argv)
     config, model = _make_config(args), _make_model(args)
     variant = Variant(args.variant)
@@ -107,11 +113,11 @@ def _reference_text(argv: list[str], keys: list[int], meta: dict) -> str:
         "report": "search",
         "variant": variant.value,
         **_report_header(args, config, model, meta),
+        "queries": rows,
         "aggregate": _aggregate_dict(
             config, model, variant, sum_event_totals(run), len(run),
             len(run) - run.matches.count(()),
         ),
-        "queries": rows,
     }
     return json.dumps(document, indent=2, allow_nan=False) + "\n"
 
@@ -320,7 +326,7 @@ def _lazy_chunks(keys, prev_key, drawn):
 @pytest.mark.parametrize("variant", Variant)
 @pytest.mark.parametrize("case, message", LATER_CHUNK_CASES)
 def test_a_bad_key_in_a_later_chunk_names_its_stream_position(
-    variant, case, message, lazy, spooled_rows
+    variant, case, message, lazy
 ):
     # One stream over all the keys, or (lazy) the CLI's pipeline, which
     # draws and searches the keys a chunk at a time and draws no chunk
@@ -334,38 +340,22 @@ def test_a_bad_key_in_a_later_chunk_names_its_stream_position(
         return
     drawn = []
     with pytest.raises(WidthMismatch, match=match):
-        _spool_search(config, EnergyModel(), variant, words,
-                      _lazy_chunks(keys, prev_key, drawn), spooled_rows())
+        _search_rows(config, EnergyModel(), variant, words,
+                     _lazy_chunks(keys, prev_key, drawn), QueryRows(io.StringIO()))
     bad = 0 if message.startswith("previous") else int(message.split()[1][:-1])
     assert drawn == [(s, min(s + C, len(keys))) for s in range(0, bad // C * C + 1, C)]
-
-
-@pytest.fixture
-def spools(tmp_path, monkeypatch):
-    """The temporary files a verb opens, in a directory of their own: each
-    must be closed, and the directory empty, when the test ends."""
-    spool_dir = tmp_path / "spool"
-    spool_dir.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
-    real, opened = tempfile.TemporaryFile, []
-
-    def recording(*args, **kwargs):
-        opened.append(real(*args, **kwargs))
-        return opened[-1]
-
-    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
-    yield opened
-    assert all(spool.closed for spool in opened)
-    assert list(spool_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("out", ["file", "-"])
 @pytest.mark.parametrize("verb", ["search", "compare", "sweep"])
 def test_cli_refuses_a_bad_key_in_a_later_chunk_before_writing(
-    tmp_path, monkeypatch, capsys, spools, verb, out
+    tmp_path, monkeypatch, capsys, verb, out
 ):
     # Every verb streams each chunk on its own, names a bad key by its
     # place in the whole stream, and stops drawing at the bad key's chunk.
+    # compare and sweep write nothing; search has written the rows of the
+    # chunks before the bad key's, which no CLI input reaches: generated
+    # keys are in range, and a --queries-file's are checked when it is read.
     real, drawn = camsim.cli.gen_queries, []
     bad_at = C + 3
 
@@ -382,72 +372,128 @@ def test_cli_refuses_a_bad_key_in_a_later_chunk_before_writing(
                "--out", str(path) if out == "file" else "-"])
     assert rc == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
     assert captured.err == (
         f"error: query {bad_at}: key -0x5 does not fit in word_bits 24\n"
     )
-    assert not path.exists()
     assert drawn == [(0, C), (C, 2 * C)]
-    assert len(spools) == (verb == "search")  # and closed, by the fixture
+    if verb != "search":
+        assert captured.out == ""
+        assert not path.exists()
+
+
+# Models whose worst case overflows. At 16 x 24, k = 3 and 40 uniform
+# queries, the first prices a gated run at a finite energy, since a search
+# precharges about 2^-k of the lines, and only the worst case, all of them,
+# overflows; the all-NOR run precharges every line and overflows itself.
+# The others overflow a unit energy: an energizer grown past any float
+# (priced inf, and inf * 0 = nan on the all-NOR array), and a searchline
+# toggle that no finite total can hold.
+OVERFLOWING_MODELS = {
+    "worst-case-only": ["--param", "c_ml_per_cell=1e304"],
+    "energizer": ["--mle-bits", "6", "--param", "upsize_base=1e200"],
+    "searchlines": ["--param", "c_sl_per_cell=1e307"],
+}
+OVERFLOW_ARGV = ["search", "--num-words", "16", "--width", "24", "--seed", "7",
+                 "--queries", "40"]
 
 
 @pytest.mark.parametrize("out", ["file", "-"])
-@pytest.mark.parametrize("header", [False, True])
-def test_search_refuses_a_non_finite_energy_in_a_later_chunk(
-    tmp_path, monkeypatch, capsys, spools, header, out
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+@pytest.mark.parametrize("model", OVERFLOWING_MODELS)
+def test_search_refuses_an_overflowing_worst_case_up_front(
+    tmp_path, monkeypatch, capsys, model, variant, out
 ):
-    # The rows are spooled before the header is built, yet the refusal
-    # names the number json.dumps of the whole document would name: the
-    # header's inf before the rows' nan. Nothing is written and the spool
-    # is closed.
-    real, chunks = camsim.cli.aggregate, []
-
-    def priced(run, model, config):
-        energies = real(run, model, config)
-        chunks.append(len(run))
-        if len(chunks) == 2:
-            energies[3] = math.nan
-        return energies
-
-    monkeypatch.setattr(camsim.cli, "aggregate", priced)
-    if header:
-        monkeypatch.setattr(camsim.cli, "totals_energy", lambda *args: math.inf)
+    # The worst case is priced before anything is drawn or searched: one
+    # error line, nothing on stdout and no file.
+    calls = []
+    for name in ("gen_words", "gen_queries", "new_array", "run_search_stream"):
+        monkeypatch.setattr(camsim.cli, name, partial(calls.append, name))
     path = tmp_path / "r.json"
-    rc = main(["search", *GEOMETRY, "--queries", str(2 * C + 1),
+    rc = main([*OVERFLOW_ARGV, *OVERFLOWING_MODELS[model], "--variant", variant,
                "--out", str(path) if out == "file" else "-"])
     assert rc == 2
-    assert chunks == [C, C, 1]
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: report holds a non-finite number: Out of range float values "
-        f"are not JSON compliant: {'inf' if header else 'nan'}\n"
-    )
+    assert captured.err.startswith("error: report holds a non-finite number: ")
+    assert captured.err.count("\n") == 1
     assert not path.exists()
-    assert len(spools) == 1
+    assert calls == []
+
+
+def test_a_refused_worst_case_can_leave_the_run_finite(tmp_path, monkeypatch, capsys):
+    # Without the up-front check, as before it, the gated run of the first
+    # model writes a finite report within 2^k of overflow.
+    monkeypatch.setattr(camsim.cli, "_refuse_overflow", lambda *args: None)
+    argv = [*OVERFLOW_ARGV, *OVERFLOWING_MODELS["worst-case-only"]]
+    agg = json.loads(_search_text(tmp_path, capsys, argv, "-"))["aggregate"]
+    assert 2.0**1023 / 2**3 < agg["energy_total"] < math.inf
+
+
+@st.composite
+def _near_overflow_searches(draw):
+    """The flags of a small planted search whose model puts each priced
+    class's worst-case energy at a drawn share of the largest float, so
+    the worst case lands on either side of overflow."""
+    width = draw(st.integers(4, 16))
+    k = draw(st.integers(2, min(6, width - 1)))
+    words, queries = draw(st.integers(1, 16)), draw(st.integers(1, 40))
+    share = st.floats(1e-3, 1.0)
+    most = sys.float_info.max / (words * queries)
+    params = {
+        "c_ml_per_cell": draw(share) * most / (2 * (width - k)),
+        "c_sl_per_cell": draw(share) * most / width,
+        "c_mle_node": draw(share) * most / (k * 2.0 ** (k - 3)),
+    }
+    return [
+        "search", "--num-words", str(words), "--width", str(width),
+        "--mle-bits", str(k), "--seed", str(draw(st.integers(0, 2**16))),
+        "--queries", str(queries), "--workload", "planted",
+        "--match-rate", str(draw(st.floats(0, 1))),
+        "--variant", draw(st.sampled_from([v.value for v in Variant])),
+        *(f"--param={key}={value!r}" for key, value in params.items()),
+    ]
+
+
+def _finite_numbers(value) -> bool:
+    if isinstance(value, dict):
+        return all(map(_finite_numbers, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite_numbers, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_near_overflow_searches())
+def test_a_search_that_passes_the_worst_case_writes_only_finite_numbers(argv):
+    # Either the worst case is refused before the first byte, or the whole
+    # report is written and every number in it is finite.
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main([*argv, "--out", "-"])
+    if rc == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: report holds a non-finite number: ")
+        return
+    assert (rc, err.getvalue()) == (0, "")
+    assert _finite_numbers(json.loads(out.getvalue(), parse_constant=float))
 
 
 @pytest.mark.parametrize("out", ["file", "-"])
-def test_search_without_a_usable_temporary_directory_exits_1(
+def test_search_without_a_usable_temporary_directory_exits_0(
     tmp_path, monkeypatch, capsys, out
 ):
-    # Python skips a TMPDIR it cannot write to and falls back to the next
-    # usable directory; with none, or a tempdir set to a path that is no
-    # directory, as here, opening the spool fails before any report byte.
+    # search writes its rows straight into the report, so a tempdir set to
+    # a path that is no directory, as here, changes nothing.
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("")
     monkeypatch.setattr(tempfile, "tempdir", str(blocker / "spool"))
-    path = tmp_path / "r.json"
-    rc = main(["search", *GEOMETRY, "--queries", "5",
-               "--out", str(path) if out == "file" else "-"])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert not path.exists()
+    argv = ["search", *GEOMETRY, "--queries", "5"]
+    text = _search_text(tmp_path, capsys, argv, out)
+    assert list(json.loads(text))[-2:] == ["queries", "aggregate"]
+    assert capsys.readouterr().err == ""
 
 
-def test_the_stream_reads_its_keys_a_chunk_at_a_time(spooled_rows):
+def test_the_stream_reads_its_keys_a_chunk_at_a_time():
     # A lazy key source is read chunk by chunk: a bad key in chunk 2 stops
     # the pipeline once that chunk is read, long before the source ends.
     config, words = CamConfig(4, 6, 2), gen_words(4, 6, 1)
@@ -458,8 +504,8 @@ def test_the_stream_reads_its_keys_a_chunk_at_a_time(spooled_rows):
         return [64 if i == 2 * C + 7 else 1 for i in range(start, stop)]
 
     with pytest.raises(WidthMismatch, match=f"^query {2 * C + 7}: "):
-        _spool_search(config, EnergyModel(), Variant.SELECTIVE, words,
-                      _key_chunks(10 * C, draw), spooled_rows())
+        _search_rows(config, EnergyModel(), Variant.SELECTIVE, words,
+                     _key_chunks(10 * C, draw), QueryRows(io.StringIO()))
     assert read == list(range(3 * C))
 
 
@@ -650,7 +696,7 @@ def _growth_per_query(tmp_path, verb: str, workload: str) -> float:
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_compare_memory_does_not_grow_with_the_query_count(tmp_path, workload, verb):
     # compare and sweep fold each chunk into running counts only, and
-    # search also spools the chunk's rows to a temporary file: no key,
+    # search also writes the chunk's rows to its report: no key,
     # column, energy or run outlives its chunk, so the traced peak grows by
     # less than 4 bytes a query (the whole-list compare grew by 74 to 100,
     # the sweep that joined its keys into one list by 87 to 91, and the

@@ -543,8 +543,10 @@ def test_search_prices_each_chunk_once(tmp_path, monkeypatch):
                    "--queries", str(queries), "--out", str(tmp_path / "r.json")])
         assert rc == 0
         assert [len(args[0]) for args in aggregate_calls] == sizes
-        # each chunk's prices, then the run's total energy
-        assert len(unit_calls) == len(sizes) + 1
+        # the worst case's total energy, priced once before the run to
+        # refuse an overflow up front, each chunk's prices, then the run's
+        # total energy
+        assert len(unit_calls) == 1 + len(sizes) + 1
 
 
 @pytest.mark.parametrize("verb, workload", [
@@ -621,20 +623,30 @@ def test_no_bitword_is_alive_when_the_first_stream_runs(
 
 
 @pytest.mark.parametrize("files", [False, True], ids=["generated", "files"])
-def test_no_store_is_alive_when_search_writes_its_report(tmp_path, monkeypatch, files):
-    # the Store keeps its dict of addresses, and cmd_search lets go of it
-    # (and of every word) before the report is written
+def test_the_store_is_alive_when_search_writes_its_report(tmp_path, monkeypatch, files):
+    # search writes its rows as it searches them, so the words' Store, with
+    # its dict of addresses, is alive while the report is written, by
+    # design; no BitWord is
     real, alive = camsim.cli.write_report, []
 
-    def write(*args):
+    def write(document, *args):
         alive.append(new_objects())
-        return real(*args)
+        return real(document, *args)
 
     monkeypatch.setattr(camsim.cli, "write_report", write)
+    real_array, stores = camsim.cli.new_array, []
+
+    def array(config, variant, words):
+        stores.append(words)
+        return real_array(config, variant, words)
+
+    monkeypatch.setattr(camsim.cli, "new_array", array)
     argv = _word_run_argv(tmp_path, "search", files)
     new_objects = _new_word_objects()
     assert main(argv) == 0
-    assert alive == [[]]
+    (store,), (objects,) = stores, alive
+    assert any(o is store for o in objects)
+    assert [o for o in objects if type(o) is camsim.core.BitWord] == []
 
 
 def test_sweep_non_finite_metric_exits_2_without_csv(tmp_path, capsys):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -148,23 +149,58 @@ def test_fault_counterexamples_match_golden_file():
 
 
 # The search report at the reference geometry (2500 rows, 0.7 MB) is pinned
-# by its sha256 instead of a file. The hash was recorded from the json.dumps
-# writer, before the query rows were rendered by a template.
+# by its sha256 instead of a file. It was re-pinned when "aggregate" moved
+# after "queries", so that the rows are written as they are searched.
 REFERENCE_SEARCH_ARGV = [
     "search", "--num-words", "256", "--width", "144", "--mle-bits", "3",
     "--queries", "2500", "--seed", "1", "--workload", "uniform",
 ]
 REFERENCE_SEARCH_SHA256 = (
-    "e00d4ad4b7130d3ae54c2ebe6cb895d6c2949079656da2fe7dfb0cda306859b2"
+    "6f4e17dd7b7085d17085a7d5db2240f83b21da1ade81e611fdb565becb09f159"
 )
 
+# The sha256 of each search report as it was pinned with "aggregate" before
+# "queries", from the json.dumps writer, before the query rows were rendered
+# by a template.
+AGGREGATE_FIRST_SHA256 = {
+    "search-baseline.json":
+        "f9cd77579ab3b55c043ca84ba9c14a347761a4cd0c711567dce1a660405f0b51",
+    "search-planted.json":
+        "bff944301fb5297a9b9ed6101519fd85ba097ad8eecc27cf5eee3ee9118712e1",
+    "reference": "e00d4ad4b7130d3ae54c2ebe6cb895d6c2949079656da2fe7dfb0cda306859b2",
+}
 
-def test_reference_search_report_hash(tmp_path):
-    out = tmp_path / "search.json"
+
+@pytest.fixture(scope="module")
+def reference_search_report(tmp_path_factory) -> bytes:
+    """The reference search report's bytes, written once for this module."""
+    out = tmp_path_factory.mktemp("reference") / "search.json"
     assert main([*REFERENCE_SEARCH_ARGV, "--out", str(out)]) == 0
-    data = out.read_bytes()
+    return out.read_bytes()
+
+
+def test_reference_search_report_hash(reference_search_report):
+    data = reference_search_report
     assert len(data) == 707522
     assert hashlib.sha256(data).hexdigest() == REFERENCE_SEARCH_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(AGGREGATE_FIRST_SHA256))
+def test_search_reports_parse_to_their_aggregate_first_documents(
+    name, reference_search_report
+):
+    # The re-pinned reports differ from the aggregate-first ones only in
+    # where "aggregate" sits: each parses to the same document, which
+    # json.dumps, with "aggregate" back before "queries", writes as the
+    # bytes that were pinned.
+    data = (reference_search_report if name == "reference"
+            else (GOLDEN / name).read_bytes())
+    document = json.loads(data)
+    assert list(document)[-2:] == ["queries", "aggregate"]
+    queries = document.pop("queries")
+    text = json.dumps({**document, "queries": queries}, indent=2) + "\n"
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == AGGREGATE_FIRST_SHA256[name]
 
 
 # The prefix-skewed query streams and the compare report at the reference

@@ -33,7 +33,6 @@ from camsim import (
 from camsim.workload import (
     QUERY_ROW_KEYS,
     QUERY_ROWS_PER_CHUNK,
-    SPOOL_BLOCK_BYTES,
     SWEEP_CSV_HEADER,
     QueryRows,
     content_lines,
@@ -269,16 +268,17 @@ def test_write_report_rejects_non_finite_numbers(tmp_path):
     assert not path.exists()
 
 
-def test_write_report_json_round_trip(tmp_path, spooled_rows):
+def test_write_report_json_round_trip(tmp_path):
     cfg = CamConfig(8, 12, 3, seed=3)
     words = gen_words(8, 12, 3)
     queries = gen_queries(WorkloadSpec(WorkloadKind.UNIFORM, 5, 3), words)
     run = run_search_stream(new_array(cfg, Variant.SELECTIVE, words), queries)
     energies = aggregate(run, EnergyModel(), cfg)
-    doc = {"queries": query_summary(run, energies, spooled_rows())}
+    doc = {"report": "search", "queries": _rows_then(run, energies, _AFTER_ROWS)}
     path = tmp_path / "report.json"
-    write_report(doc, path, "json")
+    assert write_report(doc, path, "json") == _AFTER_ROWS
     loaded = json.loads(path.read_text())
+    assert list(loaded) == ["report", "queries", *_AFTER_ROWS]
     assert [e["energized_count"] for e in loaded["queries"]] == run.energized
     assert [e["matches"] for e in loaded["queries"]] == list(map(list, run.matches))
     assert [e["energy"] for e in loaded["queries"]] == energies
@@ -287,6 +287,17 @@ def test_write_report_json_round_trip(tmp_path, spooled_rows):
 def test_write_report_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         write_report({}, tmp_path / "x", "yaml")
+
+
+def test_a_rows_callable_must_be_the_last_member(tmp_path):
+    # The rows are written where the document ends, so a member after them
+    # would move; the document is refused before any byte.
+    called = []
+    doc = {"queries": called.append, "notes": []}
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="must be the last member"):
+        write_report(doc, path, "json")
+    assert not path.exists() and called == []
 
 
 # The row template must write what json.dumps writes; this is the reference.
@@ -346,38 +357,57 @@ def _document(rows) -> dict:
             "queries": rows, "notes": ["after the rows"]}
 
 
-def _assert_rows_render_as_json_dumps(run, energies, rows):
-    rows = query_summary(run, energies, rows)
+# The members a search-shaped document's rows callable returns, to be
+# written after the rows.
+_AFTER_ROWS = {"aggregate": {"energy_total": 2.5}, "notes": ["after the rows"]}
+
+
+def _rows_then(run, energies, after: dict):
+    """A rows callable: it writes the run's rows through ``query_summary``
+    and returns ``after``."""
+    def rows(written: QueryRows) -> dict:
+        query_summary(run, energies, written)
+        return after
+
+    return rows
+
+
+def _assert_rows_render_as_json_dumps(run, energies):
+    # A search-shaped document, with members before and after its rows, and
+    # one of rows alone.
     reference = _reference_rows(run, energies)
     for doc, want in (
-        (_document(rows), _document(reference)),
-        ({"queries": rows}, {"queries": reference}),
+        ({"report": "search", "queries": _rows_then(run, energies, _AFTER_ROWS)},
+         {"report": "search", "queries": reference, **_AFTER_ROWS}),
+        ({"queries": _rows_then(run, energies, {})}, {"queries": reference}),
     ):
         assert report_json_text(doc) == _dumps_reference(want)
 
 
-def test_row_template_equals_json_dumps_on_planted_rows(spooled_rows):
+def test_row_template_equals_json_dumps_on_planted_rows():
     run, energies = _planted_run()
     assert {len(m) for m in run.matches} >= {0, 1, 3}
-    _assert_rows_render_as_json_dumps(run, energies, spooled_rows())
+    _assert_rows_render_as_json_dumps(run, energies)
 
 
-def test_row_template_energies(spooled_rows):
+def test_row_template_energies():
     n = len(ROW_ENERGIES)
     run = SearchRun(
         16, [(i,) * (i % 3) for i in range(n)], [3] * n, [3] * n, [3] * n
     )
-    _assert_rows_render_as_json_dumps(run, ROW_ENERGIES, spooled_rows())
+    _assert_rows_render_as_json_dumps(run, ROW_ENERGIES)
 
 
-def test_row_template_renders_an_empty_run(spooled_rows):
+def test_row_template_renders_an_empty_run():
     run = SearchRun(16, [], [], [], [])
-    assert list(query_summary(run, [], spooled_rows())) == ['\n  "queries": []']
-    _assert_rows_render_as_json_dumps(run, [], spooled_rows())
+    out = io.StringIO()
+    assert query_summary(run, [], QueryRows(out)).count == 0
+    assert out.getvalue() == ""
+    _assert_rows_render_as_json_dumps(run, [])
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, QUERY_ROWS_PER_CHUNK + 1])
-def test_rows_render_as_json_dumps_across_chunk_boundaries(extra, spooled_rows):
+def test_rows_render_as_json_dumps_across_chunk_boundaries(extra):
     # The Hypothesis rows below never fill a chunk. At 2 * chunk + 1 rows
     # the first boundary has hits on both sides and the second none.
     chunk = QUERY_ROWS_PER_CHUNK
@@ -388,39 +418,41 @@ def test_rows_render_as_json_dumps_across_chunk_boundaries(extra, spooled_rows):
         assert run.matches[chunk - 1] and run.matches[chunk]
     if extra > chunk:
         assert not (run.matches[2 * chunk - 1] or run.matches[2 * chunk])
-    _assert_rows_render_as_json_dumps(run, energies, spooled_rows())
-    writes = query_summary(run, energies, QueryRows(_RecordingSpool())).spool.writes
-    assert len(writes) == -(-len(run) // chunk)
-    assert all(w.count(b'"index"') <= chunk for w in writes)
-    # each piece is one write; one after the first opens with the separator
-    assert writes[0].startswith(b"    {")
-    assert all(w.startswith(b",\n    {") for w in writes[1:])
+    _assert_rows_render_as_json_dumps(run, energies)
+    writes = query_summary(run, energies, QueryRows(_RecordingStream())).out.writes
+    # each piece is one write, after the separator from what comes before
+    # it: the list's opening bracket, or the row before
+    pieces = writes[1::2]
+    assert writes[::2] == ["\n"] + [",\n"] * (len(pieces) - 1)
+    assert len(pieces) == -(-len(run) // chunk)
+    assert all(p.count('"index"') <= chunk for p in pieces)
+    assert all(p.startswith("    {") for p in pieces)
 
 
-class _RecordingSpool(io.BytesIO):
-    """An in-memory spool that keeps a copy of every write."""
+class _RecordingStream(io.StringIO):
+    """An in-memory text stream that keeps a copy of every write."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.writes: list[bytes] = []
+        self.writes: list[str] = []
 
-    def write(self, data) -> int:
-        self.writes.append(bytes(data))
-        return super().write(data)
+    def write(self, text) -> int:
+        self.writes.append(text)
+        return super().write(text)
 
 
 @pytest.mark.parametrize("sizes", [
     [1, 1], [1, 40], [31, 1, 32], [QUERY_ROWS_PER_CHUNK + 1] * 3, [5, 0, 70],
 ])
-def test_rows_of_a_run_in_parts_join_to_the_whole_run(sizes, spooled_rows):
-    # camsim search spools each chunk's run after the rows before it: the
+def test_rows_of_a_run_in_parts_join_to_the_whole_run(sizes):
+    # camsim search writes each chunk's run after the rows before it: the
     # indices go on and every part after the first opens with the
     # separator, so the parts render as the whole run does.
     arr, keys = _planted_stream(sum(sizes), hits_at=(0, 1, 32, 33))
     run = run_search_stream(arr, keys)
     energies = aggregate(run, EnergyModel(), arr.config)
-    whole = "".join(query_summary(run, energies, spooled_rows()))
-    rows, start = spooled_rows(), 0
+    whole = query_summary(run, energies, QueryRows(io.StringIO())).out.getvalue()
+    rows, start = QueryRows(io.StringIO()), 0
     for size in sizes:
         part = run_search_stream(
             arr, keys[start:start + size], keys[start - 1] if start else None, start
@@ -428,16 +460,16 @@ def test_rows_of_a_run_in_parts_join_to_the_whole_run(sizes, spooled_rows):
         query_summary(part, energies[start:start + size], rows)
         start += size
     assert rows.count == len(run)
-    assert "".join(rows) == whole
+    assert rows.out.getvalue() == whole
 
 
-def test_written_report_is_never_held_whole(tmp_path, spooled_rows):
-    # The rows are rendered into an unnamed temporary file a piece at a
-    # time and are copied from it in blocks: from the rows' summary to the
-    # closed file, the traced peak stays far below the file's size (the
-    # whole text alone would be 1x, its bytes 2x).
+def test_written_report_is_never_held_whole(tmp_path):
+    # The rows are rendered into the report a piece at a time as they are
+    # written: from the rows' summary to the closed file, the traced peak
+    # stays far below the file's size (the whole text alone would be 1x,
+    # its bytes 2x).
     run, energies = _planted_run(20_000)
-    rows = spooled_rows()
+    doc = {"report": "search", "queries": _rows_then(run, energies, _AFTER_ROWS)}
     path = tmp_path / "report.json"
     started = not tracemalloc.is_tracing()
     if started:
@@ -445,7 +477,7 @@ def test_written_report_is_never_held_whole(tmp_path, spooled_rows):
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        write_report(_document(query_summary(run, energies, rows)), path, "json")
+        write_report(doc, path, "json")
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
@@ -453,19 +485,6 @@ def test_written_report_is_never_held_whole(tmp_path, spooled_rows):
     size = path.stat().st_size
     assert size > 5_000_000
     assert peak < size / 4, (peak, size)
-
-
-def test_spooled_rows_are_read_in_blocks(spooled_rows):
-    # The rows are read back from the spool SPOOL_BLOCK_BYTES at a time,
-    # and the spool, the caller's, stays open once its QueryRows goes.
-    run, energies = _planted_run(2_000, hits_at=range(0, 2_000, 7))
-    rows = query_summary(run, energies, spooled_rows())
-    spool = rows.spool
-    pieces = list(rows)
-    assert max(map(len, pieces[1:-1])) == SPOOL_BLOCK_BYTES
-    assert "".join(pieces) == "".join(query_summary(run, energies, spooled_rows()))
-    del rows
-    assert not spool.closed
 
 
 _UINT64 = st.integers(0, 2**64)
@@ -490,9 +509,7 @@ _COLUMNS = st.lists(
 def test_row_template_equals_json_dumps_on_random_rows(rows, energizers):
     matches, energized, ml_en, sl, energies = map(list, zip(*rows))
     run = SearchRun(energizers, matches, energized, ml_en, sl)
-    # an in-memory spool, the caller's like any other, so that no file
-    # outlives its example
-    _assert_rows_render_as_json_dumps(run, energies, QueryRows(io.BytesIO()))
+    _assert_rows_render_as_json_dumps(run, energies)
 
 
 def _foreign_rows(good: list[dict]) -> list:
@@ -520,7 +537,7 @@ def _foreign_rows(good: list[dict]) -> list:
 
 
 def test_foreign_queries_lists_keep_json_dumps_bytes():
-    # Only query_summary's rows are spliced; any other "queries" value,
+    # Only a rows callable is written row by row; any other "queries" value,
     # including plain dicts of the same shape, goes through json.dumps.
     good = _reference_rows(*_planted_run())[:3]
     bad = _foreign_rows(good)
@@ -540,35 +557,54 @@ def test_one_foreign_row_among_many_keeps_json_dumps_bytes():
                 assert report_json_text(doc) == _dumps_reference(doc)
 
 
-def test_rows_need_one_energy_per_search(spooled_rows):
+def test_rows_need_one_energy_per_search():
     run, energies = _planted_run()
     for wrong in (energies[:-1], [*energies, 1.0]):
         with pytest.raises(ValueError, match="energies for a run of 30"):
-            query_summary(run, wrong, spooled_rows())
+            query_summary(run, wrong, QueryRows(io.StringIO()))
 
 
-def test_non_finite_row_energy_is_rejected(tmp_path, spooled_rows):
-    # The error names the number json.dumps of the whole document would
-    # name: the first non-finite one, here an aggregate before the rows.
-    # Every check runs before the first byte: no file, an empty stream.
+def test_non_finite_row_energy_is_rejected():
+    # A run's energies are checked before any of its rows is written: the
+    # rows of the runs before it stay, and the error names the number as
+    # json.dumps would.
     run, energies = _planted_run()
+    for bad in (math.nan, math.inf, -math.inf):
+        rows = query_summary(run, energies, QueryRows(io.StringIO()))
+        before = rows.out.getvalue()
+        with pytest.raises(ValueError) as want:
+            _dumps_reference({"energy": bad})
+        with pytest.raises(InvalidConfig) as err:
+            query_summary(run, [*energies[:-1], bad], rows)
+        assert isinstance(err.value.__cause__, ValueError)
+        assert str(err.value) == f"report holds a non-finite number: {want.value}"
+        assert (rows.count, rows.out.getvalue()) == (len(run), before)
+
+
+def test_non_finite_header_is_rejected_before_the_rows(tmp_path):
+    # A non-finite member before the rows is refused before the first byte:
+    # no file, an empty stream, and the rows are never searched.
+    called = []
+    doc = {"report": "search", "energy_total": math.inf, "queries": called.append}
     path = tmp_path / "report.json"
     stream = io.StringIO()
-    for total in (2.5, math.inf):
-        for bad in (math.nan, math.inf, -math.inf):
-            row_energies = [*energies[:-1], bad]
-            doc = _document(query_summary(run, row_energies, spooled_rows()))
-            reference = _document(_reference_rows(run, row_energies))
-            doc["aggregate"]["energy_total"] = total
-            reference["aggregate"]["energy_total"] = total
-            with pytest.raises(ValueError) as want:
-                _dumps_reference(reference)
-            for destination in (path, stream):
-                with pytest.raises(InvalidConfig) as err:
-                    write_report(doc, destination, "json")
-                assert isinstance(err.value.__cause__, ValueError)
-                assert str(err.value) == (
-                    f"report holds a non-finite number: {want.value}"
-                )
+    for destination in (path, stream):
+        with pytest.raises(InvalidConfig, match="non-finite number"):
+            write_report(doc, destination, "json")
     assert not path.exists()
-    assert stream.getvalue() == ""
+    assert stream.getvalue() == "" and called == []
+
+
+def test_non_finite_member_after_the_rows_leaves_what_was_written():
+    # The members after the rows exist only once the rows are written, so a
+    # non-finite one is refused after them: the written text stays.
+    # camsim search checks its worst case first and so never gets here.
+    run, energies = _planted_run()
+    stream = io.StringIO()
+    doc = {"report": "search",
+           "queries": _rows_then(run, energies, {"aggregate": math.nan})}
+    with pytest.raises(InvalidConfig, match="non-finite number"):
+        write_report(doc, stream, "json")
+    reference = _dumps_reference({"report": "search",
+                                  "queries": _reference_rows(run, energies)})
+    assert stream.getvalue() == reference[:-len("\n}\n")]
