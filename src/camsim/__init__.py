@@ -30,11 +30,11 @@ from .cells import (
 from .core import (
     MAX_MLE_BITS,
     MIN_MLE_BITS,
-    BitWord,
     CamConfig,
     DriverMode,
     Level,
     parse_word,
+    word_text,
 )
 from .energy import (
     ENERGY_UNITS_NOTE,

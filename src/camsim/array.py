@@ -31,18 +31,16 @@ Stored words are ints from the generator to the engine: ``gen_words`` and
 width and range-checks its values once, when it is built. Arrays are
 immutable values, built whole: ``new_array`` checks that the store's
 width is the config's and keeps the ``Store`` itself. There is no
-array-level write, and a changed store is a new array. A ``BitWord`` is
-only met at the text edge: single ``search`` takes its query as one.
-``run_search_stream`` is the one search engine. It applies the rules above
-to a sequence of int query keys, in one set of C-level passes over the
-keys, and returns one column per count (``SearchRun``) instead of a record
-per query. It is a pure function of (array, keys, previous key),
-the previous key being the explicit context for searchline-toggle and
-ML_EN-transition counting, so concurrent searches are deterministic under
-any scheduling. ``search`` is the stream of one ``BitWord`` query, after
-an optional previous one: a one-key ``SearchRun``, the one record of a
-search, which holds only what the search computes, never the array or
-the queries.
+array-level write, and a changed store is a new array. Query keys are
+n-bit ints too. ``run_search_stream`` is the one search engine. It
+applies the rules above to a sequence of int query keys, in one set of
+C-level passes over the keys, and returns one column per count
+(``SearchRun``) instead of a record per query. It is a pure function of
+(array, keys, previous key), the previous key being the explicit context
+for searchline-toggle and ML_EN-transition counting, so concurrent
+searches are deterministic under any scheduling. ``search`` is the stream of one key, after an optional
+previous one: a one-key ``SearchRun``, the one record of a search, which
+holds only what the search computes, never the array or the queries.
 
 A stream reads every key's matches from a dict from stored value to
 ascending addresses in one C-level ``map``, O(1) per query. The dict is a
@@ -69,7 +67,7 @@ from itertools import chain, compress, count, repeat
 from operator import add, mul, ne, sub, xor
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import BitWord, CamConfig
+from .core import CamConfig
 from .errors import InvalidConfig, WidthMismatch
 
 
@@ -308,10 +306,9 @@ def run_search_stream(
     ``keys`` may be a later part searched after ``prev_key``, its last key
     before. ``_check_keys`` raises for a key that is not an n-bit value
     before any search, naming its position in the whole stream, so no run
-    is returned. A ``BitWord`` in place of a key is a ``TypeError``. A
-    one-shot iterator in place of the sequence is a ``ValueError`` that
-    says to pass a list. An empty sequence gives an empty run, whatever
-    ``prev_key`` is."""
+    is returned. A one-shot iterator in place of the sequence is a
+    ``ValueError`` that says to pass a list. An empty sequence gives an
+    empty run, whatever ``prev_key`` is."""
     cfg = array.config
     n = cfg.word_bits
     gated = array.variant is Variant.SELECTIVE
@@ -346,25 +343,20 @@ def run_search_stream(
 
 
 def search(
-    array: CamArray, query: BitWord, prev_query: Optional[BitWord] = None
+    array: CamArray, key: int, prev_key: Optional[int] = None
 ) -> SearchRun:
-    """Run the two-phase protocol for one query against every word: the
-    stream of ``query``'s key after ``prev_query``'s, a run of length 1.
+    """Run the two-phase protocol for one query key against every word: the
+    stream of ``key`` after ``prev_key``, a run of length 1.
 
-    ``prev_query`` is the previously driven search word; columns that changed
+    ``prev_key`` is the previously driven search key; columns that changed
     count one searchline toggle each, and ML_EN charge/discharge transitions
-    are taken against the levels that query produced. The first search after
-    construction (prev_query None) toggles all n columns and charges ML_EN
-    from low. The query's width is checked first, then the previous one's.
+    are taken against the levels that key produced. The first search after
+    construction (``prev_key`` None) toggles all n columns and charges ML_EN
+    from low. The stream's range check raises ``WidthMismatch`` for a key
+    that is not an n-bit value, the key first (``query 0: ...``), then the
+    previous one (``previous query: ...``).
 
     Each call is one stream, so search many queries with one
     ``run_search_stream``.
     """
-    n = array.config.word_bits
-    if query.width != n:
-        raise WidthMismatch(f"query width {query.width} != word_bits {n}")
-    if prev_query is None:
-        return run_search_stream(array, (query.value,))
-    if prev_query.width != n:
-        raise WidthMismatch(f"previous query width {prev_query.width} != word_bits {n}")
-    return run_search_stream(array, (query.value,), prev_query.value)
+    return run_search_stream(array, (key,), prev_key)

@@ -1,8 +1,9 @@
-"""Shared vocabulary types: array geometry, fixed-width bit vectors, node levels.
+"""Shared vocabulary: array geometry, word text, node levels.
 
-Bit index 0 is the first bit of a word, the one compared by the energizer
+A word is an n-bit int everywhere, from its text to a search's trace. Bit
+index 0 is the first bit of a word, the one compared by the energizer
 stage; it is rendered leftmost in text form and packed as the most
-significant bit of the integer representation.
+significant bit of the int.
 """
 
 from __future__ import annotations
@@ -43,6 +44,15 @@ def _word_format(fmt: str, width: int) -> tuple[int, str, frozenset, str]:
     if width % entry[0]:
         raise WidthMismatch(f"width {width} is not a whole number of {entry[3]} digits")
     return entry
+
+
+def word_text(value: int, width: int, fmt: str = "bin") -> str:
+    """The text of the ``width``-bit word ``value`` in ``fmt``, ``bin`` or
+    ``hex``, which ``parse_word`` reads back. Raises WidthMismatch when
+    ``width`` is not a whole number of digits; that ``value`` fits in
+    ``width`` bits is the caller's to check."""
+    bits, code, _, _ = _word_format(fmt, width)
+    return format(value, f"0{width // bits}{code}")
 
 
 class Level(Enum):
@@ -94,48 +104,10 @@ class CamConfig:
         _check_seed(self.seed)
 
 
-@dataclass(frozen=True)
-class BitWord:
-    """Fixed-width bit vector, the unit of storage and query.
-
-    Packed into an int with bit 0 as the most significant bit, which keeps
-    whole-word and prefix comparisons cheap.
-    """
-
-    width: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise WidthMismatch(f"width must be >= 1, got {self.width}")
-        if not 0 <= self.value < (1 << self.width):
-            raise WidthMismatch(
-                f"value {self.value:#x} does not fit in {self.width} bits"
-            )
-
-    def bit(self, index: int) -> int:
-        if not 0 <= index < self.width:
-            raise IndexError(index)
-        return (self.value >> (self.width - 1 - index)) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple(self.bit(i) for i in range(self.width))
-
-    def prefix_int(self, k: int) -> int:
-        """The first k bits as an integer (bit 0 still most significant)."""
-        return self.value >> (self.width - k)
-
-    def prefix_bits(self, k: int) -> tuple[int, ...]:
-        return tuple(self.bit(i) for i in range(k))
-
-    def to_text(self, fmt: str = "bin") -> str:
-        bits, code, _, _ = _word_format(fmt, self.width)
-        return format(self.value, f"0{self.width // bits}{code}")
-
-
-def parse_word(text: str, width: int, fmt: str = "bin") -> BitWord:
-    """Decode a word from text. ``fmt`` is ``bin`` or ``hex``; the leftmost
-    character carries bit 0 in its most significant position.
+def parse_word(text: str, width: int, fmt: str = "bin") -> int:
+    """Decode a ``width``-bit word from text, as an int. ``fmt`` is ``bin``
+    or ``hex``; the leftmost character carries bit 0 in its most
+    significant position. ``word_text`` writes the text back.
 
     Raises WidthMismatch when ``width`` is not a whole number of digits or
     the decoded length differs from it, and BadDigit for characters outside
@@ -151,4 +123,4 @@ def parse_word(text: str, width: int, fmt: str = "bin") -> BitWord:
     for ch in text:
         if ch not in alphabet:
             raise BadDigit(f"character {ch!r} is not a {name} digit")
-    return BitWord(width, int(text, 1 << bits))
+    return int(text, 1 << bits)

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from operator import ne
 from typing import Optional
 
-from .array import CamArray, Variant
+from .array import CamArray, Variant, _check_keys
 from .cells import CellKind, CellState, nor_cell_pulls_down
-from .core import BitWord, Level
+from .core import Level
 from .mle import mle_eval
 
 
@@ -57,26 +57,35 @@ class WordTrace:
     transitions: WordTransitions
 
 
+def _bits(value: int, n: int) -> tuple[int, ...]:
+    """The n bits of the n-bit int ``value``, bit 0 (its most significant)
+    first."""
+    return tuple(map(int, format(value, f"0{n}b")))
+
+
 def word_traces(
-    array: CamArray, query: BitWord, prev_query: Optional[BitWord] = None
+    array: CamArray, key: int, prev_key: Optional[int] = None
 ) -> tuple[WordTrace, ...]:
-    """Trace each word stored in ``array`` through a search of ``query``
-    after ``prev_query`` (None before the first search: a gated ML_EN starts
-    low and all n searchlines toggle). On the selective variant the
-    energizer evaluates the first k = ``mle_bits`` bits against the query's
-    prefix and the previous query's, and the NOR cells cover the rest; on
+    """Trace each word stored in ``array`` through a search of the query
+    ``key`` after ``prev_key`` (None before the first search: a gated ML_EN
+    starts low and all n searchlines toggle). On the selective variant the
+    energizer evaluates the first k = ``mle_bits`` bits against the key's
+    prefix and the previous key's, and the NOR cells cover the rest; on
     the all-NOR baseline every match line precharges and the NOR cells
     cover the whole word. The NOR scan stops at the first cell that pulls
-    the line low. Words and queries share one width, as ``search`` checks."""
+    the line low. Before it traces anything it raises the streams'
+    ``WidthMismatch`` for a key that is not an n-bit value, the key first,
+    then the previous one."""
     n, k = array.config.word_bits, array.config.mle_bits
+    _check_keys((key,), n, prev_key)
     gated = array.variant is Variant.SELECTIVE
-    bits = query.bits()
-    prev = None if prev_query is None else prev_query.bits()
-    sl = len(bits) if prev is None else sum(map(ne, bits, prev))
+    bits = _bits(key, n)
+    prev = None if prev_key is None else _bits(prev_key, n)
+    sl = n if prev is None else sum(map(ne, bits, prev))
     qp, pp = bits[:k], None if prev is None else prev[:k]
     out = []
     for addr, value in enumerate(array.values):
-        stored = BitWord(n, value).bits()
+        stored = _bits(value, n)
         m_nodes, ml_en, en_prev = (), Level.HIGH, True
         if gated:
             prefix = stored[:k]
@@ -86,7 +95,7 @@ def word_traces(
         en = ml_en is Level.HIGH
         pulls = (
             i
-            for i in range(k if gated else 0, len(bits))
+            for i in range(k if gated else 0, n)
             if nor_cell_pulls_down(CellState(stored[i], CellKind.NOR), bits[i])
         )
         pulled = next(pulls, None) if en else None

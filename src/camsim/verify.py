@@ -31,16 +31,19 @@ scan, so a ``VerifyOutcome.cases`` counts two searches per query, and
 either tier reports its first failure in the same order: query by query,
 gated before all-NOR. The randomized tier also checks ``search``, the
 public one-key entry point, on the first trial of each chunk once the
-chunk's streams pass: its width checks and its previous query are code
-of its own that no stream runs. Both tiers build their key universes and
-their stores as ints, each store an ``array.Store``, which range-checks
-its values once, when it is built. The oracle scans that ``Store`` as a
-plain tuple of ints, with the tuple's own ``count`` and ``index``, never
-its dict of addresses; widths are checked before a scan or a stream,
-not inside it: a store's by ``new_array``, the keys by ``_key_columns``,
-once for every store that shares them. Neither tier holds a ``BitWord``:
-it builds one for a query only for single ``search`` or a
-counterexample, and the store's only for a counterexample.
+chunk's streams pass. ``search`` has no code of its own left, it is the
+stream of one key, but the benchmark times it as its ``array.search``
+layer (``bench/spans.py`` wraps this module's ``search``), so that check
+and ``search`` itself go when the benchmark reads camsim's phases
+(ROADMAP items 2 and 25). Both tiers hold every word as an int: their
+key universes, their stores, each an ``array.Store``, which
+range-checks its values once, when it is built, and their
+counterexamples, which render the words as text only in ``describe``.
+The oracle scans that ``Store`` as a plain tuple of ints, with the
+tuple's own ``count`` and ``index``, never its dict of addresses; widths
+are checked before a scan or a stream, not inside it: a store's by
+``new_array``, the keys by ``_key_columns``, once for every store that
+shares them.
 
 The engine reads matches by stored value, so a wrong gate would still give
 the right matches; the count oracle checks the gate. It takes occ(p), the
@@ -86,7 +89,7 @@ from .array import (
     run_search_stream,
     search,
 )
-from .core import BitWord, CamConfig
+from .core import CamConfig, word_text
 from .draws import Stream
 from .errors import InvalidConfig
 
@@ -98,28 +101,31 @@ _TAG_FLIP = b"verify-flip"
 
 @dataclass(frozen=True)
 class Counterexample:
-    """A failing search. ``field`` names what failed: ``"matches"``, with
-    address tuples in ``expected`` and ``got``, or a count, with two ints.
-    A count also depends on ``prev_query``, the search before this one
-    (None for the first search)."""
+    """A failing search of ``width``-bit words, each an int: the stored
+    ``words`` in address order and the ``query`` key. ``field`` names what
+    failed: ``"matches"``, with address tuples in ``expected`` and ``got``,
+    or a count, with two ints. A count also depends on ``prev_query``, the
+    key searched before this one (None for the first search)."""
 
-    words: tuple[BitWord, ...]
-    query: BitWord
+    width: int
+    words: tuple[int, ...]
+    query: int
     expected: Union[tuple[int, ...], int]
     got: Union[tuple[int, ...], int]
     context: str
     field: str = "matches"
-    prev_query: Optional[BitWord] = None
+    prev_query: Optional[int] = None
 
     def describe(self) -> str:
-        stored = ", ".join(w.to_text() for w in self.words)
-        query = self.query.to_text()
+        n = self.width
+        stored = ", ".join([word_text(w, n) for w in self.words])
+        query = word_text(self.query, n)
         if self.field == "matches":
             expected, got = list(self.expected), list(self.got)
         else:
             expected, got = f"{self.field} {self.expected}", self.got
             if self.prev_query is not None:
-                query += f" after {self.prev_query.to_text()}"
+                query += f" after {word_text(self.prev_query, n)}"
         return (
             f"{self.context}: query {query} against [{stored}] "
             f"expected {expected}, got {got}"
@@ -210,9 +216,7 @@ def _search_run(
 ) -> SearchRun:
     """Single ``search`` of the one key in ``keys``."""
     (key,) = keys
-    n = arr.config.word_bits
-    prev = None if prev_key is None else BitWord(n, prev_key)
-    return search(arr, BitWord(n, key), prev)
+    return search(arr, key, prev_key)
 
 
 def _fault_run(
@@ -266,10 +270,8 @@ def _check_columns(
     (not at all for a failure at query 0), and only one engine's run is
     alive at a time.
     ``context`` is a format string whose one field takes the variant of a
-    failing search; the store's words are rebuilt only for a
-    counterexample."""
+    failing search."""
     arrays, values, occ = store
-    n = arrays[0].config.word_bits
     matches = [oracle_search(values, key) for key in keys]
     failure, end = None, len(keys)
     for j, arr in enumerate(arrays):
@@ -285,9 +287,9 @@ def _check_columns(
     j, arr, i, field, want, got = failure
     ctx = context.format(arr.variant.value)
     before = keys[i - 1] if i else prev_key
-    prev = None if field == "matches" or before is None else BitWord(n, before)
-    words = tuple([BitWord(n, v) for v in values])
-    ce = Counterexample(words, BitWord(n, keys[i]), want, got, ctx, field, prev)
+    prev = None if field == "matches" else before
+    n = arr.config.word_bits
+    ce = Counterexample(n, tuple(values), keys[i], want, got, ctx, field, prev)
     return VerifyOutcome(2 * i + j + 1, ce)
 
 

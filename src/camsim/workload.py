@@ -206,13 +206,13 @@ def load_words(
     name: Optional[str] = None,
 ) -> Store:
     """Parse one word per content line into a ``Store`` of ``width``-bit
-    ints, keeping no ``BitWord``; parse errors cite the 1-based line
-    number, after ``name`` (the source file's path) when it is given."""
+    ints; parse errors cite the 1-based line number, after ``name`` (the
+    source file's path) when it is given."""
     where = "" if name is None else f"{name}: "
     out = []
     for lineno, line in content_lines(source):
         try:
-            out.append(parse_word(line, width, fmt).value)
+            out.append(parse_word(line, width, fmt))
         except (WidthMismatch, BadDigit) as exc:
             raise type(exc)(f"{where}line {lineno}: {exc}") from exc
     return Store(out, width)

@@ -3,8 +3,9 @@ of a one-key run against its per-word traces, and the run of int query
 keys that the oracles expect: ``oracle_search`` for the matches and the
 verifier's count oracle for the counts."""
 
+from itertools import chain
+
 from camsim import (
-    BitWord,
     EventTotals,
     Level,
     SearchRun,
@@ -16,10 +17,6 @@ from camsim import (
     word_traces,
 )
 from camsim.verify import _expected_run, _key_columns
-
-
-def all_words(n):
-    return [BitWord(n, v) for v in range(1 << n)]
 
 
 # 13 five-bit words: every bucket occupied at k = 2 and 3, and 7 stored twice
@@ -51,15 +48,10 @@ def assert_traces_explain(arr, query, prev=None, run=None):
     return run, traces
 
 
-def threaded(n, keys, prev_key=None):
-    """Each query key as ``BitWord(n, key)``, paired with the query before
-    it (``prev_key``'s for the first, or None), as ``run_search_stream``
-    threads the stream."""
-    prev = None if prev_key is None else BitWord(n, prev_key)
-    for key in keys:
-        query = BitWord(n, key)
-        yield query, prev
-        prev = query
+def threaded(keys, prev_key=None):
+    """Each query key paired with the key before it (``prev_key`` for the
+    first, or None), as ``run_search_stream`` threads the stream."""
+    return zip(keys, chain((prev_key,), keys))
 
 
 def oracle_run(arr, keys, prev_key=None):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import camsim.verify
 from camsim import (
-    BitWord,
     CamArray,
     CamConfig,
     EventTotals,
@@ -41,11 +40,16 @@ from camsim.verify import (
     _store,
     verify_exhaustive,
 )
-from cell_route import FIVE_BIT_STORE, all_words, assert_traces_explain
+from cell_route import FIVE_BIT_STORE, assert_traces_explain, one_key_runs
 
 
 def w(text):
-    return BitWord(len(text), int(text, 2))
+    return int(text, 2)
+
+
+def bits(key, n):
+    """The n bits of the n-bit ``key``, bit 0 (its most significant) first."""
+    return tuple(int(b) for b in format(key, f"0{n}b"))
 
 
 # ---------------------------------------------------------------- creation
@@ -137,9 +141,8 @@ def test_single_searches_of_one_array_build_its_index_once(index_builds):
     assert index_builds == []
     prev = None
     for value in words[:10]:
-        word = BitWord(24, value)
-        assert search(arr, word, prev).matches == [oracle_search(arr.values, value)]
-        prev = word
+        assert search(arr, value, prev).matches == [oracle_search(arr.values, value)]
+        prev = value
     assert len(index_builds) == 1 and index_builds[0] is arr.values
 
 
@@ -231,18 +234,22 @@ def test_duplicate_words_both_match():
 
 def test_search_width_guards():
     arr = new_array(CamConfig(2, 8, 3), Variant.SELECTIVE, Store([0] * 2, 8))
-    with pytest.raises(WidthMismatch):
-        search(arr, BitWord(7, 0))
-    with pytest.raises(WidthMismatch):
-        search(arr, BitWord(8, 0), prev_query=BitWord(7, 0))
+    message = "^query 0: key 0x100 does not fit in word_bits 8$"
+    with pytest.raises(WidthMismatch, match=message):
+        search(arr, 256)
+    with pytest.raises(WidthMismatch, match="^previous query: key -0x1 does not fit"):
+        search(arr, 0, prev_key=-1)
+    # the query is checked before the previous key
+    with pytest.raises(WidthMismatch, match="^query 0: key -0x1 does not fit"):
+        search(arr, -1, prev_key=256)
 
 
 def test_single_match_energizes_one_line():
     # stored equals the query at addr 5; everyone else differs in bit 0
     cfg = CamConfig(8, 8, 3)
     query = w("10110011")
-    values = [query.value ^ 0x80] * 8
-    values[5] = query.value
+    values = [query ^ 0x80] * 8
+    values[5] = query
     run = search(new_array(cfg, Variant.SELECTIVE, Store(values, 8)), query)
     assert run.matches == [(5,)]
     assert run.energized == [1]
@@ -253,11 +260,11 @@ def test_shared_prefix_energizes_all_and_discharges_all():
     # every word carries the query's first 3 bits but differs later
     cfg = CamConfig(8, 8, 3)
     query = w("10110011")
-    words = Store([(query.prefix_int(3) << 5) | i for i in range(8)], 8)
+    words = Store([(query >> 5 << 5) | i for i in range(8)], 8)
     run = search(new_array(cfg, Variant.SELECTIVE, words), query)
     assert run.energized == [8]
     (matches,) = run.matches
-    assert matches == tuple(a for a, word in enumerate(words) if word == query.value)
+    assert matches == tuple(a for a, word in enumerate(words) if word == query)
     assert run.ml_discharges == [8 - len(matches)]
 
 
@@ -349,9 +356,8 @@ def test_search_equals_oracle_on_random_arrays(case):
         arr = new_array(cfg, variant, Store(stored, n))
         prev = None
         for qv in queries:
-            q = BitWord(n, qv)
-            assert search(arr, q, prev).matches == [oracle_search(stored, qv)]
-            prev = q
+            assert search(arr, qv, prev).matches == [oracle_search(stored, qv)]
+            prev = qv
 
 
 @settings(max_examples=40, deadline=None)
@@ -362,15 +368,13 @@ def test_search_equals_oracle_on_random_arrays(case):
 def test_word_outcomes_match_cell_level_route(stored, qv):
     n, k = 6, 3
     cfg = CamConfig(len(stored), n, k)
-    words = [BitWord(n, v) for v in stored]
-    query = BitWord(n, qv)
     for variant in (Variant.SELECTIVE, Variant.BASELINE_NOR):
         arr = new_array(cfg, variant, Store(stored, n))
-        (matches,) = search(arr, query).matches
+        (matches,) = search(arr, qv).matches
         gated = variant is Variant.SELECTIVE
-        for trace, word in zip(word_traces(arr, query), words):
-            en = not gated or word.prefix_int(k) == query.prefix_int(k)
-            diff = word.value ^ query.value
+        for trace, word in zip(word_traces(arr, qv), stored):
+            en = not gated or word >> (n - k) == qv >> (n - k)
+            diff = word ^ qv
             lowest = n - diff.bit_length() if en and diff else None
             assert trace.ml_precharged == en
             assert (trace.ml_final is Level.HIGH) == (trace.addr in matches)
@@ -384,7 +388,7 @@ def test_trace_invariants_selective():
     cfg = CamConfig(16, 6, 3)
     values = list(range(16, 32))
     arr = new_array(cfg, Variant.SELECTIVE, Store(values, 6))
-    query = BitWord(6, 0b010110)
+    query = 0b010110
     run = search(arr, query)
     traces = word_traces(arr, query)
     assert len(traces) == 16
@@ -398,7 +402,7 @@ def test_trace_invariants_selective():
         if not t.ml_precharged:
             assert t.transitions.ml_discharges == 0
         # selective energization depends on the prefix only
-        assert t.ml_precharged == (values[t.addr] >> 3 == query.prefix_int(3))
+        assert t.ml_precharged == (values[t.addr] >> 3 == query >> 3)
     assert run.energized == [sum(t.ml_precharged for t in traces)]
     assert set(run.matches[0]) == {
         t.addr for t in traces if t.ml_final is Level.HIGH
@@ -409,18 +413,18 @@ def test_trace_m_nodes_match_energizer():
     cfg = CamConfig(4, 6, 3)
     words = [w("101010"), w("001010"), w("111010"), w("100010")]
     query = w("101110")
-    arr = new_array(cfg, Variant.SELECTIVE, Store([w.value for w in words], 6))
+    arr = new_array(cfg, Variant.SELECTIVE, Store(words, 6))
     for t, word in zip(word_traces(arr, query), words):
-        assert t.m_nodes == mle_eval(word.prefix_bits(3), query.prefix_bits(3)).m_nodes
+        assert t.m_nodes == mle_eval(bits(word, 6)[:3], bits(query, 6)[:3]).m_nodes
     # every stored/search prefix pair at every supported width
     for k in range(2, 7):
-        words = [BitWord(k + 2, p << 2 | 1) for p in range(1 << k)]
-        store = Store([w.value for w in words], k + 2)
+        words = [p << 2 | 1 for p in range(1 << k)]
+        store = Store(words, k + 2)
         arr = new_array(CamConfig(len(words), k + 2, k), Variant.SELECTIVE, store)
         for qp in range(1 << k):
-            query = BitWord(k + 2, qp << 2)
+            query = qp << 2
             for t, word in zip(word_traces(arr, query), words):
-                want = mle_eval(word.prefix_bits(k), query.prefix_bits(k))
+                want = mle_eval(bits(word, k + 2)[:k], bits(query, k + 2)[:k])
                 assert t.m_nodes == want.m_nodes
                 assert t.ml_en is want.ml_en
 
@@ -428,7 +432,7 @@ def test_trace_m_nodes_match_energizer():
 def test_baseline_traces_have_no_energizer_nodes():
     cfg = CamConfig(4, 6, 3)
     arr = new_array(cfg, Variant.BASELINE_NOR, Store([0, 1, 2, 3], 6))
-    for t in word_traces(arr, BitWord(6, 2)):
+    for t in word_traces(arr, 2):
         assert t.m_nodes == ()
         assert t.ml_en is Level.HIGH
         assert t.ml_precharged
@@ -441,16 +445,16 @@ def test_trace_totals_are_consistent():
     for k, variant in product((2, 3), Variant):
         cfg = CamConfig(len(FIVE_BIT_STORE), n, k)
         arr = new_array(cfg, variant, FIVE_BIT_STORE)
-        for query in all_words(n):
-            same_prefix = BitWord(n, query.value ^ 1)
-            other_prefix = BitWord(n, query.value ^ (1 << (n - 1)))
+        for query in range(1 << n):
+            same_prefix = query ^ 1
+            other_prefix = query ^ (1 << (n - 1))
             for prev in (None, same_prefix, other_prefix):
                 r, traces = assert_traces_explain(arr, query, prev)
                 gated = variant is Variant.SELECTIVE
                 assert r.energizers == (cfg.num_words if gated else 0)
                 for x, word in zip(traces, FIVE_BIT_STORE):
-                    en = not gated or word >> (n - k) == query.prefix_int(k)
-                    diff = word ^ query.value
+                    en = not gated or word >> (n - k) == query >> (n - k)
+                    diff = word ^ query
                     assert x.ml_precharged == en
                     lowest = n - diff.bit_length() if en and diff else None
                     assert (x.ml_final is Level.HIGH) == (en and not diff)
@@ -458,7 +462,7 @@ def test_trace_totals_are_consistent():
                     if prev is None:  # ML_EN starts low behind an energizer
                         en_prev = not gated
                     else:
-                        en_prev = not gated or word >> (n - k) == prev.prefix_int(k)
+                        en_prev = not gated or word >> (n - k) == prev >> (n - k)
                     assert x.transitions.ml_en_charges == int(en and not en_prev)
                     assert x.transitions.ml_en_discharges == int(en_prev and not en)
 
@@ -535,23 +539,23 @@ def test_searchline_toggle_counting():
     q1, q2 = w("10110011"), w("10010111")
     first = search(arr, q1)
     assert first.sl_toggles == [8]  # first search drives every column
-    second = search(arr, q2, prev_query=q1)
-    delta = sum(q1.bit(i) != q2.bit(i) for i in range(8))
+    second = search(arr, q2, prev_key=q1)
+    delta = sum(a != b for a, b in zip(bits(q1, 8), bits(q2, 8)))
     assert second.sl_toggles == [delta] == [2]
-    same = search(arr, q2, prev_query=q2)
+    same = search(arr, q2, prev_key=q2)
     assert same.sl_toggles == [0]
 
 
 def test_ml_en_transitions_against_cell_route():
     cfg = CamConfig(8, 6, 2)
-    words = all_words(6)[8:16]
-    arr = new_array(cfg, Variant.SELECTIVE, Store([w.value for w in words], 6))
-    q1, q2 = BitWord(6, 0b001100), BitWord(6, 0b011100)
-    run = search(arr, q2, prev_query=q1)
+    words = list(range(8, 16))
+    arr = new_array(cfg, Variant.SELECTIVE, Store(words, 6))
+    q1, q2 = 0b001100, 0b011100
+    run = search(arr, q2, prev_key=q1)
     charges = discharges = 0
     for word in words:
-        before = mle_eval(word.prefix_bits(2), q1.prefix_bits(2)).ml_en
-        after = mle_eval(word.prefix_bits(2), q2.prefix_bits(2)).ml_en
+        before = mle_eval(bits(word, 6)[:2], bits(q1, 6)[:2]).ml_en
+        after = mle_eval(bits(word, 6)[:2], bits(q2, 6)[:2]).ml_en
         charges += before is Level.LOW and after is Level.HIGH
         discharges += before is Level.HIGH and after is Level.LOW
     assert run.ml_en_transitions == [charges + discharges]
@@ -564,10 +568,10 @@ def test_suffix_change_never_affects_energization():
     cfg = CamConfig(1, 8, 3)
     query = w("10110011")
     for suffix in range(32):
-        word = Store([(query.prefix_int(3) << 5) | suffix], 8)
+        word = Store([(query >> 5 << 5) | suffix], 8)
         run = search(new_array(cfg, Variant.SELECTIVE, word), query)
         assert run.energized == [1]
-    flipped = Store([query.value ^ 0x80], 8)
+    flipped = Store([query ^ 0x80], 8)
     run = search(new_array(cfg, Variant.SELECTIVE, flipped), query)
     assert run.energized == [0]
 
@@ -582,7 +586,7 @@ def test_baseline_dominance():
     assert base.energized == [8]
     assert sel.matches == base.matches
     # equality only when every stored prefix matches the query prefix
-    shared = Store([(query.prefix_int(3) << 5) | i for i in range(8)], 8)
+    shared = Store([(query >> 5 << 5) | i for i in range(8)], 8)
     sel2 = search(new_array(cfg, Variant.SELECTIVE, shared), query)
     assert sel2.energized == [8]
 
@@ -610,9 +614,8 @@ def test_write_search_interleaving_matches_oracle(ops):
             arr = new_array(cfg, Variant.SELECTIVE, Store(stored, 8))
         else:
             _, qv, _ = op
-            q = BitWord(8, qv)
-            assert search(arr, q, prev).matches == [oracle_search(stored, qv)]
-            prev = q
+            assert search(arr, qv, prev).matches == [oracle_search(stored, qv)]
+            prev = qv
 
 
 @st.composite
@@ -657,16 +660,15 @@ def _repeat_scans(draw):
 
 def _assert_scan(arr, values, query, prev):
     assert arr.values == tuple(values)
-    want = oracle_search(values, query.value)
+    want = oracle_search(values, query)
     assert list(want) == sorted(set(want))
     r = search(arr, query, prev)
-    prev_key = None if prev is None else prev.value
-    run = run_search_stream(arr, [query.value], prev_key)
+    run = run_search_stream(arr, [query], prev)
     assert r.matches == run.matches == [want]
     n, k = arr.config.word_bits, arr.config.mle_bits
     gated = arr.variant is Variant.SELECTIVE
     assert r.energized[0] == run.energized[0] == sum(
-        1 for v in values if not gated or v >> (n - k) == query.prefix_int(k)
+        1 for v in values if not gated or v >> (n - k) == query >> (n - k)
     )
 
 
@@ -675,9 +677,7 @@ def _assert_scan(arr, values, query, prev):
 def test_repeated_values_come_back_ascending(case):
     # one value at scattered addresses: search and the stream both list
     # every address that stores it, ascending, on both variants
-    n, k, values, qv, pv, (addr, wv) = case
-    query = BitWord(n, qv)
-    prev = None if pv is None else BitWord(n, pv)
+    n, k, values, query, prev, (addr, wv) = case
     for variant in (Variant.SELECTIVE, Variant.BASELINE_NOR):
         cfg = CamConfig(len(values), n, k)
         _assert_scan(new_array(cfg, variant, Store(values, n)), values, query, prev)
@@ -689,18 +689,39 @@ def test_repeated_values_come_back_ascending(case):
 # ---------------------------------------------------------------- records
 
 
+# (config, store, keys, prev_key): a 4 x 6 store searched from power-up,
+# and a planted 16 x 12 stream searched after a previous key.
+_ONE_KEY_STREAMS = {
+    "4x6": (
+        CamConfig(4, 6, 2), Store([0b000011, 0b010101, 0b000011, 0b111000], 6),
+        [3, 21, 56], None,
+    ),
+    "16x12": (
+        CamConfig(16, 12, 3), gen_words(16, 12, 5),
+        gen_queries(
+            WorkloadSpec(WorkloadKind.PLANTED, 40, 5, match_rate=0.5),
+            gen_words(16, 12, 5),
+        ),
+        0b101_010101010,
+    ),
+}
+
+
 @pytest.mark.parametrize("variant", Variant)
-def test_search_is_the_one_key_stream(variant):
-    # a search's record is the run of its one key, with or without the
-    # previous query: the same columns and energizers as the stream's
-    cfg = CamConfig(4, 6, 2)
-    words = Store([0b000011, 0b010101, 0b000011, 0b111000], 6)
+@pytest.mark.parametrize("stream", _ONE_KEY_STREAMS)
+def test_search_is_the_one_key_stream(variant, stream):
+    # a search's record is the run of its one key after the key before it
+    # (the stream's previous key for the first): entry i of the stream, the
+    # same columns and energizers
+    cfg, words, keys, prev_key = _ONE_KEY_STREAMS[stream]
     arr = new_array(cfg, variant, words)
-    for query, prev in ((3, None), (21, 3), (56, 21)):
-        prev_query = None if prev is None else BitWord(6, prev)
-        run = search(arr, BitWord(6, query), prev_query)
+    entries = one_key_runs(run_search_stream(arr, keys, prev_key))
+    assert len(entries) == len(keys)
+    for i, key in enumerate(keys):
+        prev = keys[i - 1] if i else prev_key
+        run = search(arr, key, prev)
         assert type(run) is SearchRun and len(run) == 1
-        assert run == run_search_stream(arr, [query], prev)
+        assert run == entries[i] == run_search_stream(arr, [key], prev)
         assert type(sum_event_totals(run)) is EventTotals
 
 
@@ -712,8 +733,8 @@ def test_record_reprs_are_pinned():
     # when a search came to return its one-key run.
     cfg = CamConfig(4, 6, 2)
     words = Store([0b000011, 0b010101, 0b000011, 0b111000], 6)
-    sel = search(new_array(cfg, Variant.SELECTIVE, words), BitWord(6, 3), BitWord(6, 56))
-    base = search(new_array(cfg, Variant.BASELINE_NOR, words), BitWord(6, 21))
+    sel = search(new_array(cfg, Variant.SELECTIVE, words), 3, 56)
+    base = search(new_array(cfg, Variant.BASELINE_NOR, words), 21)
     assert repr(sel) == (
         "SearchRun(energizers=4, matches=[(0, 2)], energized=[2],"
         " ml_en_transitions=[3], sl_toggles=[5])"

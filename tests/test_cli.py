@@ -9,7 +9,6 @@ import pytest
 
 import camsim.array
 import camsim.cli
-import camsim.core
 import camsim.energy
 import camsim.verify
 from camsim import Variant, run_search_stream
@@ -549,28 +548,6 @@ def test_search_prices_each_chunk_once(tmp_path, monkeypatch):
         assert len(unit_calls) == 1 + len(sizes) + 1
 
 
-@pytest.mark.parametrize("verb, workload", [
-    ("search", ["--workload", "uniform"]),
-    ("compare", ["--workload", "prefix-skewed", "--bias", "0.9"]),
-    ("sweep", ["--workload", "planted"]),
-])
-def test_generated_runs_build_no_bitword(tmp_path, monkeypatch, verb, workload):
-    # The stored words and the queries go from the generator to the stream
-    # as ints, so a run builds no BitWord at all.
-    built = []
-    real_post_init = camsim.core.BitWord.__post_init__
-
-    def counting_post_init(word):
-        built.append(word)
-        real_post_init(word)
-
-    monkeypatch.setattr(camsim.core.BitWord, "__post_init__", counting_post_init)
-    rc = main([verb, "--num-words", "256", "--width", "144", "--queries", "500",
-               *workload, "--out", str(tmp_path / "r.json")])
-    assert rc == 0
-    assert built == []
-
-
 def _word_run_argv(tmp_path, verb, files):
     """A small run of ``verb``, its stored words and queries generated or,
     with ``files``, read from a ``--words`` and a ``--queries-file``."""
@@ -584,27 +561,26 @@ def _word_run_argv(tmp_path, verb, files):
     return argv
 
 
-def _new_word_objects():
-    """A function giving each ``BitWord`` and ``Store`` that the collector
-    tracks now and did not track when this was called."""
-    word_types = (camsim.core.BitWord, camsim.array.Store)
+def _new_stores():
+    """A function giving each ``Store`` that the collector tracks now and
+    did not track when this was called."""
     gc.collect()
-    before = [o for o in gc.get_objects() if isinstance(o, word_types)]
+    before = [o for o in gc.get_objects() if isinstance(o, camsim.array.Store)]
     seen = {id(o) for o in before}
     return lambda: [
-        o for o in gc.get_objects() if isinstance(o, word_types) and id(o) not in seen
+        o for o in gc.get_objects()
+        if isinstance(o, camsim.array.Store) and id(o) not in seen
     ]
 
 
 @pytest.mark.parametrize("files", [False, True], ids=["generated", "files"])
 @pytest.mark.parametrize("verb", ["search", "compare", "sweep"])
-def test_no_bitword_is_alive_when_the_first_stream_runs(
+def test_the_store_is_alive_when_the_first_stream_runs(
     tmp_path, monkeypatch, verb, files
 ):
-    # the stored words reach the engine as a Store of ints, and the queries
-    # as int keys: when a verb's first stream runs its array's Store is
-    # alive, and no BitWord is, whether the words and queries were drawn or
-    # read from word files
+    # the stored words reach the engine as a Store of ints made for this
+    # run: when a verb's first stream runs its array's Store is alive,
+    # whether the words and queries were drawn or read from word files
     module = camsim.cli if verb == "search" else camsim.energy
     real, first = module.run_search_stream, []
 
@@ -615,18 +591,16 @@ def test_no_bitword_is_alive_when_the_first_stream_runs(
 
     monkeypatch.setattr(module, "run_search_stream", stream)
     argv = _word_run_argv(tmp_path, verb, files)
-    new_objects = _new_word_objects()
+    new_objects = _new_stores()
     assert main(argv) == 0
     ((store, alive),) = first
     assert any(o is store for o in alive)
-    assert [o for o in alive if type(o) is camsim.core.BitWord] == []
 
 
 @pytest.mark.parametrize("files", [False, True], ids=["generated", "files"])
 def test_the_store_is_alive_when_search_writes_its_report(tmp_path, monkeypatch, files):
     # search writes its rows as it searches them, so the words' Store, with
-    # its dict of addresses, is alive while the report is written, by
-    # design; no BitWord is
+    # its dict of addresses, is alive while the report is written, by design
     real, alive = camsim.cli.write_report, []
 
     def write(document, *args):
@@ -642,11 +616,10 @@ def test_the_store_is_alive_when_search_writes_its_report(tmp_path, monkeypatch,
 
     monkeypatch.setattr(camsim.cli, "new_array", array)
     argv = _word_run_argv(tmp_path, "search", files)
-    new_objects = _new_word_objects()
+    new_objects = _new_stores()
     assert main(argv) == 0
     (store,), (objects,) = stores, alive
     assert any(o is store for o in objects)
-    assert [o for o in objects if type(o) is camsim.core.BitWord] == []
 
 
 def test_sweep_non_finite_metric_exits_2_without_csv(tmp_path, capsys):

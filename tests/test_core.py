@@ -4,24 +4,23 @@ from hypothesis import strategies as st
 
 from camsim import (
     BadDigit,
-    BitWord,
     CamConfig,
     DriverMode,
     InvalidConfig,
     Level,
+    Store,
     WidthMismatch,
     parse_word,
+    word_text,
 )
 
 
 def test_parse_all_zero():
-    w = parse_word("0000", 4, "bin")
-    assert w.bits() == (0, 0, 0, 0)
+    assert parse_word("0000", 4, "bin") == 0
 
 
 def test_parse_hex_all_ones():
-    w = parse_word("F", 4, "hex")
-    assert w.bits() == (1, 1, 1, 1)
+    assert parse_word("F", 4, "hex") == 0b1111
 
 
 def test_parse_length_contract():
@@ -49,44 +48,44 @@ def test_parse_hex_width_mismatch():
 
 
 def test_parse_strips_whitespace():
-    assert parse_word(" 1010\n", 4, "bin").to_text() == "1010"
+    assert word_text(parse_word(" 1010\n", 4, "bin"), 4) == "1010"
 
 
 def test_parse_unknown_format():
     with pytest.raises(ValueError):
         parse_word("12", 2, "oct")
     with pytest.raises(ValueError, match="unknown word format 'oct'"):
-        BitWord(4, 0).to_text("oct")
+        word_text(0, 4, "oct")
 
 
 def test_bit_zero_is_leftmost_and_most_significant():
-    w = parse_word("1000", 4, "bin")
-    assert w.bit(0) == 1
-    assert w.bit(3) == 0
-    assert w.value == 0b1000
+    assert parse_word("1000", 4, "bin") == 0b1000
+    assert word_text(0b1000, 4) == "1000"
     # hex: bit 0 sits in the first digit's most significant position
-    assert parse_word("8", 4, "hex").bit(0) == 1
+    assert parse_word("8", 4, "hex") == 0b1000
 
 
 def _word(bits):
-    return BitWord(len(bits), int("".join(map(str, bits)), 2))
+    """The width and the int of a word given as its bits, bit 0 first."""
+    return len(bits), int("".join(map(str, bits)), 2)
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=80))
 def test_bin_round_trip(bits):
-    w = _word(bits)
-    assert parse_word(w.to_text("bin"), w.width, "bin") == w
+    width, value = _word(bits)
+    assert parse_word(word_text(value, width, "bin"), width, "bin") == value
 
 
 @given(st.lists(st.integers(0, 1), min_size=4, max_size=80).filter(lambda b: len(b) % 4 == 0))
 def test_hex_round_trip(bits):
-    w = _word(bits)
-    assert parse_word(w.to_text("hex"), w.width, "hex") == w
+    width, value = _word(bits)
+    assert parse_word(word_text(value, width, "hex"), width, "hex") == value
 
 
 def test_hex_render_needs_nibble_width():
-    with pytest.raises(WidthMismatch):
-        BitWord(7, 0).to_text("hex")
+    message = "^width 7 is not a whole number of hex digits$"
+    with pytest.raises(WidthMismatch, match=message):
+        word_text(0, 7, "hex")
 
 
 @pytest.mark.parametrize("width", [1, 6, 7, 10])
@@ -94,15 +93,15 @@ def test_hex_needs_whole_digits_both_ways(width):
     # reading and writing refuse the width with one message
     message = f"^width {width} is not a whole number of hex digits$"
     with pytest.raises(WidthMismatch, match=message):
-        BitWord(width, 0).to_text("hex")
+        word_text(0, width, "hex")
     for digits in (width // 4, width // 4 + 1):
         with pytest.raises(WidthMismatch, match=message):
             parse_word("F" * digits, width, "hex")
 
 
-def test_bitword_rejects_out_of_range_value():
+def test_store_rejects_out_of_range_value():
     with pytest.raises(WidthMismatch):
-        BitWord(4, 16)
+        Store([16], 4)
 
 
 def test_config_accepts_reference_geometry():

@@ -86,13 +86,13 @@ def _digest(lines) -> str:
 
 
 def _texts(words):
-    """The stored words as binary text, as ``BitWord.to_text`` writes one."""
+    """The stored words as binary text, as ``word_text`` writes one."""
     return [format(value, f"0{words.width}b") for value in words]
 
 
 def _query_texts(kind, width, seed, **params):
-    """The query keys as binary text, width digits each, as
-    ``BitWord.to_text`` writes a word."""
+    """The query keys as binary text, width digits each, as ``word_text``
+    writes a word."""
     words = gen_words(NUM_WORDS, width, seed)
     keys = gen_queries(WorkloadSpec(kind, NUM_QUERIES, seed, **params), words)
     return [format(key, f"0{width}b") for key in keys]

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camsim import (
-    BitWord,
     CamConfig,
     EnergyModel,
     EventClass,
@@ -64,8 +63,8 @@ def test_a_match_line_event_is_priced_at_n_minus_k_cells_on_both_variants(varian
     n, k = 24, 3
     cfg = CamConfig(2, n, k)
     arr = new_array(cfg, variant, Store([0, 1 << (n - 1)], n))
-    query = BitWord(n, 0)
-    totals = sum_event_totals(run_search_stream(arr, [query.value]))
+    query = 0
+    totals = sum_event_totals(run_search_stream(arr, [query]))
     ml_events = totals.ml_precharges + totals.ml_discharges
     assert ml_events == (1 if variant is Variant.SELECTIVE else 3)
     ml_only = totals._replace(sl_toggles=0, mle_evaluations=0)
@@ -475,7 +474,7 @@ _TOTALS = st.builds(EventTotals, _COUNT, _COUNT, _COUNT, _COUNT, _COUNT)
 _BASE_CONFIG = CamConfig(16, 12, 3, seed=5)
 _BASE_WORDS = gen_words(16, 12, 5)
 _BASE_ARRAY = new_array(_BASE_CONFIG, Variant.SELECTIVE, _BASE_WORDS)
-_BASE_RUN = search(_BASE_ARRAY, BitWord(12, 5))
+_BASE_RUN = search(_BASE_ARRAY, 5)
 
 
 def _priced_columns(totals):

@@ -3,7 +3,6 @@ from itertools import product
 import pytest
 
 from camsim import (
-    BitWord,
     Level,
     PrefixTooShort,
     WidthMismatch,
@@ -48,10 +47,10 @@ def test_three_bit_table_has_exactly_eight_high_outcomes():
 def test_ml_en_equals_prefix_match_exhaustively(k):
     # cell-level route against the integer prefix-compare route
     for stored in product((0, 1), repeat=k):
-        a = BitWord(k + 2, int("".join(map(str, stored)), 2) << 2)
+        a = int("".join(map(str, stored)), 2) << 2
         for search in product((0, 1), repeat=k):
-            b = BitWord(k + 2, int("".join(map(str, search)), 2) << 2)
-            want = a.prefix_int(k) == b.prefix_int(k)
+            b = int("".join(map(str, search)), 2) << 2
+            want = a >> 2 == b >> 2
             assert (mle_eval(stored, search).ml_en is Level.HIGH) == want
 
 

@@ -4,12 +4,12 @@ verifier's count oracle for the counts), and its prices against
 ``totals_energy`` of the oracles' event totals, bit for bit."""
 
 import gc
+import re
 import weakref
 
 import pytest
 
 from camsim import (
-    BitWord,
     CamConfig,
     EnergyModel,
     EventTotals,
@@ -156,34 +156,9 @@ def test_a_run_does_not_keep_its_array_alive(variant):
     assert run.energizers == (16 if variant is Variant.SELECTIVE else 0)
 
 
-# (query widths, previous query width or None) -> the message of the first
-# width error that searching query by query raises, in the order q0,
-# prev_query, q1, ...
-WIDTH_CASES = [
-    (([7, 6, 6], None), "query width 7 != word_bits 6"),
-    (([7, 6, 6], 8), "query width 7 != word_bits 6"),
-    (([6, 6, 6], 8), "previous query width 8 != word_bits 6"),
-    (([6, 9, 6], 8), "previous query width 8 != word_bits 6"),
-    (([6, 9, 5], None), "query width 9 != word_bits 6"),
-    (([6, 6, 5], 6), "query width 5 != word_bits 6"),
-]
-
-
-@pytest.mark.parametrize("variant", Variant)
-@pytest.mark.parametrize("case, message", WIDTH_CASES)
-def test_width_errors_come_in_search_order(variant, case, message):
-    widths, prev_width = case
-    arr = new_array(CamConfig(4, 6, 2), variant, gen_words(4, 6, 1))
-    prev = None if prev_width is None else BitWord(prev_width, 1)
-    with pytest.raises(WidthMismatch, match=f"^{message}$"):
-        for query in [BitWord(w, 1) for w in widths]:
-            search(arr, query, prev)
-            prev = query
-
-
-# The same six positions for the stream's int keys: (keys, prev_key) -> the
-# message of the first key that is not a 6-bit value (negative, or 64 or
-# more), in the order q0, prev_key, q1, ...
+# (keys, prev_key) -> the message of the first key that is not a 6-bit
+# value (negative, or 64 or more), in the order q0, prev_key, q1, ... in
+# which a query-by-query search meets them.
 KEY_RANGE_CASES = [
     (([64, 1, 1], None), "query 0: key 0x40 does not fit in word_bits 6"),
     (([-1, 1, 1], 256), "query 0: key -0x1 does not fit in word_bits 6"),
@@ -196,6 +171,20 @@ KEY_RANGE_CASES = [
 
 @pytest.mark.parametrize("variant", Variant)
 @pytest.mark.parametrize("case, message", KEY_RANGE_CASES)
+def test_width_errors_come_in_search_order(variant, case, message):
+    # searched query by query, each key is the query 0 of its own one-key
+    # stream, after the key before it: the same key fails first
+    keys, prev_key = case
+    arr = new_array(CamConfig(4, 6, 2), variant, gen_words(4, 6, 1))
+    one_key = re.sub(r"^query \d+", "query 0", message)
+    with pytest.raises(WidthMismatch, match=f"^{one_key}$"):
+        for key in keys:
+            search(arr, key, prev_key)
+            prev_key = key
+
+
+@pytest.mark.parametrize("variant", Variant)
+@pytest.mark.parametrize("case, message", KEY_RANGE_CASES)
 def test_key_range_errors_come_in_search_order(variant, case, message):
     keys, prev_key = case
     arr = new_array(CamConfig(4, 6, 2), variant, gen_words(4, 6, 1))
@@ -204,11 +193,11 @@ def test_key_range_errors_come_in_search_order(variant, case, message):
 
 
 @pytest.mark.parametrize("variant", Variant)
-def test_stream_refuses_bitword_queries(variant):
-    # A BitWord in place of an int key, in the stream or as the previous
-    # key, is a TypeError, not a silently wrong run.
+def test_stream_refuses_text_queries(variant):
+    # A word's text in place of an int key, in the stream or as the
+    # previous key, is a TypeError, not a silently wrong run.
     arr = new_array(CamConfig(4, 6, 2), variant, gen_words(4, 6, 1))
-    word = BitWord(6, 1)
+    word = "000001"
     for keys, prev in (([word], None), ([word, word], None), ([1, 2], word)):
         with pytest.raises(TypeError):
             run_search_stream(arr, keys, prev)
@@ -234,7 +223,7 @@ def test_a_hit_on_every_line_lists_every_address(variant):
     for values, query_value in stores:
         want = oracle_search(values, query_value)
         arr = new_array(config, variant, Store(values, 12))
-        assert search(arr, BitWord(12, query_value)).matches == [want]
+        assert search(arr, query_value).matches == [want]
         keys = [query_value, query_value]
         assert run_search_stream(arr, keys).matches == [want, want]
 

@@ -6,12 +6,14 @@ import pytest
 from camsim import (
     CamConfig,
     Variant,
+    WidthMismatch,
     WorkloadKind,
     WorkloadSpec,
     gen_queries,
     gen_words,
     new_array,
     run_search_stream,
+    word_traces,
 )
 from cell_route import (
     assert_run_is_oracle_run,
@@ -36,7 +38,7 @@ def test_traces_explain_every_exhaustive_search(exhaustive_tier):
         for variant in Variant:
             arr = new_array(config, variant, store)
             rows = one_key_runs(run_search_stream(arr, queries))
-            for (query, prev), row in zip(threaded(config.word_bits, queries), rows):
+            for (query, prev), row in zip(threaded(queries), rows):
                 assert_traces_explain(arr, query, prev, row)
                 traced += 1
     assert out.ok
@@ -63,8 +65,29 @@ def test_traces_explain_randomized_searches_at_reference_geometry(variant, spec)
     run = run_search_stream(arr, queries)
     assert_run_is_oracle_run(run, arr, queries)
     rows = one_key_runs(oracle_run(arr, queries))
-    for (query, prev), row in zip(threaded(cfg.word_bits, queries), rows):
+    for (query, prev), row in zip(threaded(queries), rows):
         assert_traces_explain(arr, query, prev, row)
     assert len(rows) == TRIALS
     if spec.kind is WorkloadKind.PLANTED:
         assert any(run.matches)
+
+
+@pytest.mark.parametrize("variant", Variant)
+@pytest.mark.parametrize(
+    "key, prev_key, message",
+    [
+        (64, None, "query 0: key 0x40 does not fit in word_bits 6"),
+        (-1, None, "query 0: key -0x1 does not fit in word_bits 6"),
+        (1, 64, "previous query: key 0x40 does not fit in word_bits 6"),
+        (64, -1, "query 0: key 0x40 does not fit in word_bits 6"),
+    ],
+)
+def test_traces_refuse_a_key_that_is_not_an_n_bit_value(
+    variant, key, prev_key, message
+):
+    # a key of 2^n or more, or a negative one, would be traced from text
+    # longer than n digits, every bit misaligned; the streams' range check
+    # refuses it first, the key before the previous key, as ``search`` does
+    arr = new_array(CamConfig(4, 6, 2), variant, gen_words(4, 6, 1))
+    with pytest.raises(WidthMismatch, match=f"^{message}$"):
+        word_traces(arr, key, prev_key)

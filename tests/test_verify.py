@@ -6,7 +6,6 @@ import pytest
 import camsim.array
 import camsim.verify
 from camsim import (
-    BitWord,
     CamConfig,
     InvalidConfig,
     Level,
@@ -24,7 +23,7 @@ from camsim import (
 from camsim.cli import main
 from camsim.draws import Stream
 from camsim.verify import _fault_run, _flipped_gate_matches
-from cell_route import FIVE_BIT_STORE, all_words
+from cell_route import FIVE_BIT_STORE
 
 
 def test_verify_randomized_rejects_negative_trials():
@@ -125,7 +124,7 @@ def test_randomized_tier_catches_a_baseline_only_fault(monkeypatch):
     out = verify_randomized(REFERENCE, 200, 1)
     ce = out.counterexample
     assert ce is not None and ce.context == "randomized baseline-nor"
-    assert ce.expected == oracle_search([w.value for w in ce.words], ce.query.value) != ()
+    assert ce.expected == oracle_search(ce.words, ce.query) != ()
     assert ce.got == ce.expected[:-1]
     assert out.cases % 2 == 0  # the selective search of that query passed
 
@@ -142,8 +141,8 @@ def test_oracle_mutant_is_caught_on_the_duplicates_store(monkeypatch):
     out = verify_exhaustive(1)
     ce = out.counterexample
     assert ce is not None and ce.context == "n=4 k=2 selective store"
-    assert [w.value for w in ce.words] == [3, 5, 3, 0]
-    assert ce.query.value == 3
+    assert ce.words == (3, 5, 3, 0) and ce.width == 4
+    assert ce.query == 3
     assert ce.got == (0, 2) and ce.expected == (0,)
 
 
@@ -159,8 +158,8 @@ def test_stream_mutant_is_caught_on_the_duplicates_store(monkeypatch):
     out = verify_exhaustive(1)
     ce = out.counterexample
     assert ce is not None and ce.context == "n=4 k=2 selective store"
-    assert [w.value for w in ce.words] == [3, 5, 3, 0]
-    assert ce.query.value == 3
+    assert ce.words == (3, 5, 3, 0) and ce.width == 4
+    assert ce.query == 3
     assert ce.expected == (0, 2) and ce.got == (0,)
     # 16 single-word stores and two 16-word stores pass (576 cases), then
     # the gated stream fails at query 3: case 2 * 3 + 1
@@ -199,8 +198,7 @@ def _per_query_reference(stores, matches_of):
                 cases += 1
                 got = matches_of(arr, key)
                 if got != expected:
-                    query = BitWord(config.word_bits, key)
-                    return cases, context.format(arr.variant.value), query, expected, got
+                    return cases, context.format(arr.variant.value), key, expected, got
 
 
 # variant -> the query values whose stream matches a mutant corrupts, on the
@@ -397,7 +395,7 @@ def test_randomized_verdict_does_not_depend_on_the_chunk_size(build, monkeypatch
         assert (cases, failure) == (400, None)
     elif build == "later-chunk":
         assert cases == 2 * LATER_TRIAL + 1
-        assert failure[1:] == ("sl_toggles", BitWord(144, pair[0]))
+        assert failure[1:] == ("sl_toggles", pair[0])
         assert failure[0].startswith("randomized selective: query ")
     else:
         assert failure is not None
@@ -419,10 +417,9 @@ def test_randomized_tier_builds_one_value_index_per_call(
         streams.append((arr.variant, keys[0], prev_key))
         return run_search_stream(arr, keys, prev_key, *rest)
 
-    def counted_search(arr, query, prev_query=None):
-        prev_key = None if prev_query is None else prev_query.value
-        searched.append((arr.variant, query.value, prev_key))
-        return search(arr, query, prev_query)
+    def counted_search(arr, key, prev_key=None):
+        searched.append((arr.variant, key, prev_key))
+        return search(arr, key, prev_key)
 
     monkeypatch.setattr(camsim.verify, "run_search_stream", counted_stream)
     monkeypatch.setattr(camsim.verify, "search", counted_search)
@@ -438,8 +435,8 @@ def test_randomized_tier_catches_a_search_only_fault(monkeypatch, capsys):
     # every stream passes, but single search forgets its previous query:
     # the check of each chunk's first trial catches it at the second
     # chunk's, the first one searched after another
-    def forgetful(arr, query, prev_query=None):
-        return search(arr, query)
+    def forgetful(arr, key, prev_key=None):
+        return search(arr, key)
 
     monkeypatch.setattr(camsim.verify, "search", forgetful)
     assert verify_exhaustive(1).ok
@@ -492,16 +489,15 @@ def test_flipped_gate_mutant_matches_the_cell_level_route():
         arr = new_array(CamConfig(len(FIVE_BIT_STORE), n, k), variant, FIVE_BIT_STORE)
         gated = variant is Variant.SELECTIVE
         compared = (1 << (n - k if gated else n)) - 1
-        queries = all_words(n)
-        keys = [q.value for q in queries]
+        keys = list(range(1 << n))
         got = _fault_run(arr, keys, None)
         assert got == replace(run_search_stream(arr, keys), matches=got.matches)
-        for query, matches in zip(queries, got.matches):
+        for query, matches in zip(keys, got.matches):
             assert matches == tuple(
                 t.addr
                 for t, word in zip(word_traces(arr, query), FIVE_BIT_STORE)
                 if (t.ml_en is Level.HIGH) != gated
-                and (word ^ query.value) & compared == 0
+                and (word ^ query) & compared == 0
             )
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from camsim import (
     BadDigit,
-    BitWord,
     CamConfig,
     EmptyStore,
     EnergyModel,
@@ -28,6 +27,7 @@ from camsim import (
     oracle_search,
     run_search_stream,
     sweep_mle_bits,
+    word_text,
     write_report,
 )
 from camsim.workload import (
@@ -221,7 +221,7 @@ def test_load_words_passes_other_errors_through_unchanged():
 @pytest.mark.parametrize("fmt", ["bin", "hex"])
 def test_dump_then_load_round_trip(fmt):
     words = gen_words(20, 16, 77)
-    text = "".join(BitWord(16, v).to_text(fmt) + "\n" for v in words)
+    text = "".join(word_text(v, 16, fmt) + "\n" for v in words)
     loaded = load_words(io.StringIO(text), 16, fmt)
     assert loaded == words and loaded.width == words.width
 
