@@ -311,8 +311,8 @@ def _aggregate_dict(
     }
 
 
-def _emit(report, out: str, fmt: str = "json") -> Optional[dict]:
-    return write_report(report, sys.stdout if out == "-" else out, fmt)
+def _emit(report, out: str) -> Optional[dict]:
+    return write_report(report, sys.stdout if out == "-" else out)
 
 
 def _check_fraction(args, measured: float) -> int:
@@ -444,7 +444,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         range(args.k_min, args.k_max + 1),
         words=words, chunks=chunks,
     )
-    _emit(rows, args.out, "csv")
+    _emit(rows, args.out)
     # the pinned CSV schema has no room for metadata, so echo the effective
     # configuration here
     workload_desc = (

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import partial
-from itertools import chain
 from operator import add
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -190,7 +189,9 @@ def _unit_energies(model: EnergyModel, config: CamConfig) -> tuple[float, ...]:
 
 def totals_energy(totals: EventTotals, model: EnergyModel, config: CamConfig) -> float:
     """The sum of ``event_energy`` over the priced classes, bit for bit, from
-    the unit energies of one event of each class."""
+    the unit energies of one event of each class. No energizer term is
+    priced when there are no evaluations, as on the all-NOR array, so an
+    energizer whose unit price overflows to infinity adds no NaN there."""
     counts = (
         totals.ml_precharges,
         totals.ml_discharges,
@@ -200,7 +201,8 @@ def totals_energy(totals: EventTotals, model: EnergyModel, config: CamConfig) ->
     if min(counts) < 0:
         raise ValueError(f"event counts must be >= 0, got {counts}")
     pre, dis, sl, mle = _unit_energies(model, config)
-    return pre * counts[0] + dis * counts[1] + sl * counts[2] + mle * counts[3]
+    energy = pre * counts[0] + dis * counts[1] + sl * counts[2]
+    return energy + mle * counts[3] if counts[3] else energy
 
 
 def series_depth(config: CamConfig, variant: Variant = Variant.SELECTIVE) -> int:
@@ -242,8 +244,9 @@ def aggregate(run: SearchRun, model: EnergyModel, config: CamConfig) -> list[flo
     for column in columns:
         if min(column, default=0) < 0:
             raise ValueError(f"event counts must be >= 0, got {min(column)}")
-    # mle * m is the same product for every search, so it is taken once.
-    last = mle * run.energizers
+    # mle * m is the same product for every search, so it is taken once,
+    # and left out as in totals_energy when there is no energizer.
+    last = mle * run.energizers if run.energizers else 0.0
     return [
         pre * p + dis * d + sl * s + last
         for p, d, s in zip(run.energized, discharges, run.sl_toggles)
@@ -316,9 +319,9 @@ def sweep_mle_bits(
     ``workload`` by that chunker as they are read. Every k's gated array is
     built once over the one store, and ``stream_totals`` folds each chunk
     through all of them, so no more than a chunk of keys is held. Every k
-    is checked against the width before any draw, and an empty stream is
-    refused before any array is built. The energized fraction is measured
-    from the run, never assumed.
+    is checked against the width before any draw, and a stream that the
+    fold counts no search in is refused with ``ZeroSearches``. The
+    energized fraction is measured from the run, never assumed.
     """
     ks = sorted(set(int(k) for k in k_values))
     if not ks:
@@ -338,14 +341,10 @@ def sweep_mle_bits(
             raise InvalidConfig("sweep needs a workload spec or explicit queries")
         draw = partial(gen_queries, workload, words)
         chunks = _key_chunks(workload.num_queries, draw)
-    chunks = iter(chunks)
-    head = next(chunks, (0, None, ()))
-    if not head[2]:
-        raise ZeroSearches("sweep needs at least one query")
     arrays = [new_array(cfg, Variant.SELECTIVE, words) for cfg in configs]
-    # the fold alone holds the first chunk, so it goes once searched
-    chunks, head = chain(iter([head]), chunks), None
     totals, _, _, searches = stream_totals(arrays, chunks)
+    if not searches:
+        raise ZeroSearches("sweep needs at least one query")
     return [
         SweepRow(cfg.mle_bits, side.ml_precharges / (cfg.num_words * searches),
                  energy_metric(totals_energy(side, model, cfg), cfg, searches),

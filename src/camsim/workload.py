@@ -264,15 +264,14 @@ def report_json_text(document: dict) -> str:
 
 
 def write_report(
-    report: Union[dict, Sequence],
-    destination: Union[str, Path, IO[str]],
-    fmt: str = "json",
+    report: Union[dict, Sequence], destination: Union[str, Path, IO[str]]
 ) -> Optional[dict]:
-    """Serialize a report document (json) or sweep rows (csv) to a path or
-    stream, opened once. Identical inputs produce byte-identical output.
-    The text is ``json.dumps`` with indent 2, or ``sweep_csv_text``; NaN and
-    infinities are refused before the first byte, so a refused report
-    writes nothing and creates no file.
+    """Serialize a report to a path or stream, opened once: a dict is a
+    JSON document, and anything else is sweep rows, written as CSV.
+    Identical inputs produce byte-identical output. The text is
+    ``json.dumps`` with indent 2, or ``sweep_csv_text``; NaN and infinities
+    are refused before the first byte, so a refused report writes nothing
+    and creates no file.
 
     A search report's rows are searched as they are written: its last
     member, ``"queries"``, is a callable. The members before it are written,
@@ -282,21 +281,15 @@ def write_report(
     The text is ``json.dumps`` of the document with those members, and a
     failure once the rows have begun leaves the bytes already written."""
     rows = None
-    if fmt == "json":
-        if not isinstance(report, dict):
-            raise ValueError("json reports expect a document dict")
-        rows = report.get("queries")
-        if callable(rows):
-            text = _json_text({**report, "queries": []})
-            if not text.endswith(_LAST_EMPTY_QUERIES):
-                raise ValueError('a "queries" callable must be the last member')
-            text = text[:-3]  # up to the list's opening bracket
-        else:
-            rows, text = None, _json_text(report) + "\n"
-    elif fmt == "csv":
+    if not isinstance(report, dict):
         text = sweep_csv_text(report)
+    elif callable(report.get("queries")):
+        rows, text = report["queries"], _json_text({**report, "queries": []})
+        if not text.endswith(_LAST_EMPTY_QUERIES):
+            raise ValueError('a "queries" callable must be the last member')
+        text = text[:-3]  # up to the list's opening bracket
     else:
-        raise ValueError(f"unknown report format {fmt!r}")
+        text = _json_text(report) + "\n"
     with (nullcontext(destination) if hasattr(destination, "write")
           else open(destination, "w", encoding="utf-8", newline="")) as out:
         out.write(text)

@@ -386,8 +386,8 @@ def test_cli_refuses_a_bad_key_in_a_later_chunk_before_writing(
 # precharges about 2^-k of the lines, and only the worst case, all of them,
 # overflows; the all-NOR run precharges every line and overflows itself.
 # The others overflow a unit energy: an energizer grown past any float
-# (priced inf, and inf * 0 = nan on the all-NOR array), and a searchline
-# toggle that no finite total can hold.
+# (priced inf, which the all-NOR array, with no energizer, never prices),
+# and a searchline toggle that no finite total can hold.
 OVERFLOWING_MODELS = {
     "worst-case-only": ["--param", "c_ml_per_cell=1e304"],
     "energizer": ["--mle-bits", "6", "--param", "upsize_base=1e200"],
@@ -398,8 +398,10 @@ OVERFLOW_ARGV = ["search", "--num-words", "16", "--width", "24", "--seed", "7",
 
 
 @pytest.mark.parametrize("out", ["file", "-"])
-@pytest.mark.parametrize("variant", [v.value for v in Variant])
-@pytest.mark.parametrize("model", OVERFLOWING_MODELS)
+@pytest.mark.parametrize("model,variant", [
+    (model, v.value) for model in OVERFLOWING_MODELS for v in Variant
+    if (model, v) != ("energizer", Variant.BASELINE_NOR)
+])
 def test_search_refuses_an_overflowing_worst_case_up_front(
     tmp_path, monkeypatch, capsys, model, variant, out
 ):
@@ -418,6 +420,19 @@ def test_search_refuses_an_overflowing_worst_case_up_front(
     assert captured.err.count("\n") == 1
     assert not path.exists()
     assert calls == []
+
+
+@pytest.mark.parametrize("out", ["file", "-"])
+def test_an_all_nor_search_prices_no_overflowing_energizer(tmp_path, capsys, out):
+    # The all-NOR array evaluates no energizer, so an energizer priced at
+    # inf adds nothing to it: the report is the default model's, byte for
+    # byte, but for the echoed upsize_base.
+    argv = [*OVERFLOW_ARGV, "--variant", "baseline-nor", "--mle-bits", "6"]
+    overflowing = [*argv, *OVERFLOWING_MODELS["energizer"]]
+    text = _search_text(tmp_path, capsys, overflowing, out)
+    default = _search_text(tmp_path, capsys, argv, out)
+    assert '"upsize_base": 2.0,' in default
+    assert text == default.replace('"upsize_base": 2.0,', '"upsize_base": 1e+200,')
 
 
 def test_a_refused_worst_case_can_leave_the_run_finite(tmp_path, monkeypatch, capsys):

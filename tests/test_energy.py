@@ -345,23 +345,14 @@ def test_energy_metric_zero_searches():
 # ------------------------------------------------------------------ sweep
 
 
-def test_sweep_rejects_an_empty_query_stream(monkeypatch):
-    # a CamError, raised before any array is built; it used to be a bare
+def test_sweep_rejects_an_empty_query_stream():
+    # a CamError once the fold counts no search; it used to be a bare
     # ZeroDivisionError from the energized fraction
-    def no_array(*args):
-        raise AssertionError("an array was built")
-
-    monkeypatch.setattr(energy_module, "new_array", no_array)
     with pytest.raises(ZeroSearches):
         sweep_mle_bits(CFG, EnergyModel(), None, [3], chunks=[])
 
 
-def test_sweep_rejects_a_first_chunk_with_no_keys(monkeypatch):
-    # the first chunk is read, and found empty, before any array is built
-    def no_array(*args):
-        raise AssertionError("an array was built")
-
-    monkeypatch.setattr(energy_module, "new_array", no_array)
+def test_sweep_rejects_a_first_chunk_with_no_keys():
     with pytest.raises(ZeroSearches):
         sweep_mle_bits(CFG, EnergyModel(), None, [3], chunks=[(0, None, [])])
 

@@ -111,6 +111,19 @@ def test_outputs_match_golden_files(name, tmp_path):
         assert data == (GOLDEN / pinned).read_bytes(), f"{name}: {pinned} differs"
 
 
+def test_sweep_to_stdout_writes_its_csv_then_its_summary(capsys):
+    # With --out -, the sweep case's stdout is its pinned CSV followed by
+    # its pinned summary lines, byte for byte.
+    argv = ["-" if a == "{tmp}/sweep.csv" else a for a in CASES["sweep"][0]]
+    assert "-" in argv
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == (
+        (GOLDEN / "sweep.csv").read_bytes() + (GOLDEN / "sweep.stdout").read_bytes()
+    )
+
+
 # The CLI stops at the first exhaustive counterexample, so the verifier's
 # fault outcomes are pinned through the library too: one line per run with
 # its case count, the counterexample's expected and got addresses, and the

@@ -254,8 +254,8 @@ def test_csv_numbers_use_six_significant_digits():
 def test_write_report_byte_identical(tmp_path):
     rows = _sweep_rows()
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_report(rows, a, "csv")
-    write_report(rows, b, "csv")
+    write_report(rows, a)
+    write_report(rows, b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -263,7 +263,7 @@ def test_write_report_rejects_non_finite_numbers(tmp_path):
     path = tmp_path / "report.json"
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidConfig) as err:
-            write_report({"energy_total": bad}, path, "json")
+            write_report({"energy_total": bad}, path)
         assert isinstance(err.value.__cause__, ValueError)
     assert not path.exists()
 
@@ -276,17 +276,12 @@ def test_write_report_json_round_trip(tmp_path):
     energies = aggregate(run, EnergyModel(), cfg)
     doc = {"report": "search", "queries": _rows_then(run, energies, _AFTER_ROWS)}
     path = tmp_path / "report.json"
-    assert write_report(doc, path, "json") == _AFTER_ROWS
+    assert write_report(doc, path) == _AFTER_ROWS
     loaded = json.loads(path.read_text())
     assert list(loaded) == ["report", "queries", *_AFTER_ROWS]
     assert [e["energized_count"] for e in loaded["queries"]] == run.energized
     assert [e["matches"] for e in loaded["queries"]] == list(map(list, run.matches))
     assert [e["energy"] for e in loaded["queries"]] == energies
-
-
-def test_write_report_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        write_report({}, tmp_path / "x", "yaml")
 
 
 def test_a_rows_callable_must_be_the_last_member(tmp_path):
@@ -296,7 +291,7 @@ def test_a_rows_callable_must_be_the_last_member(tmp_path):
     doc = {"queries": called.append, "notes": []}
     path = tmp_path / "report.json"
     with pytest.raises(ValueError, match="must be the last member"):
-        write_report(doc, path, "json")
+        write_report(doc, path)
     assert not path.exists() and called == []
 
 
@@ -477,7 +472,7 @@ def test_written_report_is_never_held_whole(tmp_path):
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        write_report(doc, path, "json")
+        write_report(doc, path)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
@@ -590,7 +585,7 @@ def test_non_finite_header_is_rejected_before_the_rows(tmp_path):
     stream = io.StringIO()
     for destination in (path, stream):
         with pytest.raises(InvalidConfig, match="non-finite number"):
-            write_report(doc, destination, "json")
+            write_report(doc, destination)
     assert not path.exists()
     assert stream.getvalue() == "" and called == []
 
@@ -604,7 +599,7 @@ def test_non_finite_member_after_the_rows_leaves_what_was_written():
     doc = {"report": "search",
            "queries": _rows_then(run, energies, {"aggregate": math.nan})}
     with pytest.raises(InvalidConfig, match="non-finite number"):
-        write_report(doc, stream, "json")
+        write_report(doc, stream)
     reference = _dumps_reference({"report": "search",
                                   "queries": _reference_rows(run, energies)})
     assert stream.getvalue() == reference[:-len("\n}\n")]
