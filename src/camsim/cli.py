@@ -394,20 +394,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
         _aggregate_dict(config, model, arr.variant, side_totals, searches, matched)
         for arr, side_totals, matched in zip(arrays, totals, with_match)
     )
-    event_ratio = (
-        sel["event_totals"]["ml_precharges"] / base["event_totals"]["ml_precharges"]
+    event_ratio = totals[0].ml_precharges / totals[1].ml_precharges
+    sel_ml, base_ml = (
+        event_energy(model, EventClass.ML_PRECHARGE, side.ml_precharges, config)
+        + event_energy(model, EventClass.ML_DISCHARGE, side.ml_discharges, config)
+        for side in totals
     )
-
-    def ml_energy(side: dict) -> float:
-        ev = side["event_totals"]
-        return event_energy(
-            model, EventClass.ML_PRECHARGE, ev["ml_precharges"], config
-        ) + event_energy(model, EventClass.ML_DISCHARGE, ev["ml_discharges"], config)
-
     # A valid model's positive energies can still round to 0. The ratios
     # divide by the baseline's energies, and its total is at least its ML
     # energy, which every search precharges.
-    base_ml = ml_energy(base)
     if base_ml == 0:
         raise InvalidConfig(
             "the all-NOR baseline's ML energy underflows to 0 under this "
@@ -419,12 +414,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "selective": sel,
         "baseline_nor": base,
         "ml_precharge_event_ratio": event_ratio,
-        "ml_energy_ratio": ml_energy(sel) / base_ml,
+        "ml_energy_ratio": sel_ml / base_ml,
         "total_energy_ratio": sel["energy_total"] / base["energy_total"],
         "match_sets_identical": identical,
     }
     _emit(document, args.out)
-    if not document["match_sets_identical"]:
+    if not identical:
         print("check failed: variants disagree on some match set", file=sys.stderr)
         return 1
     return _check_fraction(args, event_ratio)
@@ -468,18 +463,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     fault = args.inject_fault
     out = verify_exhaustive(seed=args.seed, fault=fault)
     print(f"exhaustive: {out.cases} cases checked")
+    if out.ok and args.trials > 0:
+        out = verify_randomized(config, args.trials, seed=args.seed, fault=fault)
+        if out.ok:
+            print(
+                f"randomized: {args.trials} trials at N={config.num_words} "
+                f"n={config.word_bits} k={config.mle_bits}"
+            )
     if not out.ok:
         print(f"counterexample: {out.counterexample.describe()}", file=sys.stderr)
         return 1
-    if args.trials > 0:
-        out = verify_randomized(config, args.trials, seed=args.seed, fault=fault)
-        if not out.ok:
-            print(f"counterexample: {out.counterexample.describe()}", file=sys.stderr)
-            return 1
-        print(
-            f"randomized: {args.trials} trials at N={config.num_words} "
-            f"n={config.word_bits} k={config.mle_bits}"
-        )
     print("verify: all searches matched the oracle")
     return 0
 

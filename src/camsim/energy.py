@@ -1,10 +1,12 @@
 """Switching-activity energy accounting and the abstract delay model.
 
 Per-event energy follows E = C * V_DD * V_s with C the switched capacitance
-of the event's node class. The activity factor is not a parameter: it is
-whatever the simulated event counts say. Absolute outputs are in arbitrary
-model-calibrated units; no attempt is made to reproduce technology-level
-fJ or picosecond figures.
+of the event's node class. Every energy is a unit energy from one table,
+``_unit_energies``, times a count: one event of each priced class, with a
+match-line event priced at n - k NOR cells on both variants. The activity
+factor is not a parameter: it is whatever the simulated event counts say.
+Absolute outputs are in arbitrary model-calibrated units; no attempt is
+made to reproduce technology-level fJ or picosecond figures.
 
 Delay is counted in series-device units. The gated precharge path runs
 through k + 2 stacked devices (2 in the first-stage cell, k - 1 in the
@@ -132,46 +134,7 @@ class EnergyModel:
         return cls().with_assignments((f"{path}: line {n}", t) for n, t in lines)
 
 
-def event_energy(
-    model: EnergyModel,
-    event_class: EventClass,
-    multiplicity: int,
-    config: CamConfig,
-) -> float:
-    """Energy for ``multiplicity`` events of one class.
-
-    Switched capacitance per event: a match-line swing moves the drain
-    capacitance of n - k NOR cells, c_ml_per_cell * (n - k), on both
-    variants. That is the gated line's NOR chain; the all-NOR line spans n
-    NOR cells, as ``trace.word_traces`` models it, but is priced at the
-    same n - k. A toggled searchline column drives one gate in every word,
-    c_sl_per_cell * N; one energizer evaluation switches k internal nodes
-    whose devices grow by upsize_base for every series device beyond the
-    k=3 reference. Any ``event_class`` that is not an ``EventClass`` is a
-    ValueError.
-    """
-    if multiplicity < 0:
-        raise ValueError(f"multiplicity must be >= 0, got {multiplicity}")
-    n, k = config.word_bits, config.mle_bits
-    if event_class in (EventClass.ML_PRECHARGE, EventClass.ML_DISCHARGE):
-        cap = model.c_ml_per_cell * (n - k)
-        swing = model.v_swing_ml
-    elif event_class is EventClass.SL_TOGGLE:
-        cap = model.c_sl_per_cell * config.num_words
-        swing = model.v_swing_sl
-    elif event_class is EventClass.MLE_EVAL:
-        try:
-            growth = model.upsize_base ** (k - 3)
-        except OverflowError:  # float ** raises where float * gives inf
-            growth = math.inf
-        cap = model.c_mle_node * k * growth
-        swing = model.v_dd
-    else:
-        raise ValueError(f"event_class must be an EventClass, got {event_class!r}")
-    return cap * model.v_dd * swing * multiplicity
-
-
-# The classes totals_energy prices, in its summation order.
+# The classes an energy prices, in the order their terms are summed.
 _PRICED_CLASSES = (
     EventClass.ML_PRECHARGE,
     EventClass.ML_DISCHARGE,
@@ -181,28 +144,74 @@ _PRICED_CLASSES = (
 
 
 def _unit_energies(model: EnergyModel, config: CamConfig) -> tuple[float, ...]:
-    """``event_energy`` of one event of each priced class. Multiplying by an
-    exact 1 rounds nothing, so unit * m is the float ``event_energy`` gives
-    for m events."""
-    return tuple([event_energy(model, cls, 1, config) for cls in _PRICED_CLASSES])
+    """The energy of one event of each priced class, in ``_PRICED_CLASSES``
+    order: switched capacitance * V_DD * swing, the one price list.
+
+    A match-line swing moves the drain capacitance of n - k NOR cells,
+    c_ml_per_cell * (n - k), on both variants. That is the gated line's NOR
+    chain; the all-NOR line spans n NOR cells, as ``trace.word_traces``
+    models it, but is priced at the same n - k. A toggled searchline column
+    drives one gate in every word, c_sl_per_cell * N; one energizer
+    evaluation switches k internal nodes, at full V_DD, whose devices grow
+    by upsize_base for every series device beyond the k=3 reference."""
+    n, k = config.word_bits, config.mle_bits
+    try:
+        growth = model.upsize_base ** (k - 3)
+    except OverflowError:  # float ** raises where float * gives inf
+        growth = math.inf
+    ml = model.c_ml_per_cell * (n - k) * model.v_dd * model.v_swing_ml
+    sl = model.c_sl_per_cell * config.num_words * model.v_dd * model.v_swing_sl
+    mle = model.c_mle_node * k * growth * model.v_dd * model.v_dd
+    return ml, ml, sl, mle
+
+
+def event_energy(
+    model: EnergyModel,
+    event_class: EventClass,
+    multiplicity: int,
+    config: CamConfig,
+) -> float:
+    """Energy for ``multiplicity`` events of one class: that class's unit
+    energy times ``multiplicity``. Any ``event_class`` that is not an
+    ``EventClass`` is a ValueError."""
+    if multiplicity < 0:
+        raise ValueError(f"multiplicity must be >= 0, got {multiplicity}")
+    if not isinstance(event_class, EventClass):
+        raise ValueError(f"event_class must be an EventClass, got {event_class!r}")
+    unit = _unit_energies(model, config)[_PRICED_CLASSES.index(event_class)]
+    return unit * multiplicity
+
+
+def _priced(
+    model: EnergyModel, config: CamConfig, precharges: Sequence[int],
+    discharges: Sequence[int], toggles: Sequence[int], evaluations: int,
+) -> list[float]:
+    """The energy of each entry of the count columns, the one formula: the
+    sum, in ``_PRICED_CLASSES`` order, of each unit energy times its count.
+    ``evaluations`` is every entry's energizer count. Its term is left out
+    when it is 0, as on the all-NOR array, so an energizer whose unit energy
+    overflows to inf adds no NaN there. A negative count is a ValueError,
+    checked once per column."""
+    for column in (precharges, discharges, toggles, [evaluations]):
+        if min(column, default=0) < 0:
+            raise ValueError(f"event counts must be >= 0, got {min(column)}")
+    pre, dis, sl, mle = _unit_energies(model, config)
+    # mle * m is the same product for every entry, so it is taken once.
+    # Adding 0.0 changes no non-negative float, nor a NaN.
+    last = mle * evaluations if evaluations else 0.0
+    return [
+        pre * p + dis * d + sl * s + last
+        for p, d, s in zip(precharges, discharges, toggles)
+    ]
 
 
 def totals_energy(totals: EventTotals, model: EnergyModel, config: CamConfig) -> float:
-    """The sum of ``event_energy`` over the priced classes, bit for bit, from
-    the unit energies of one event of each class. No energizer term is
-    priced when there are no evaluations, as on the all-NOR array, so an
-    energizer whose unit price overflows to infinity adds no NaN there."""
-    counts = (
-        totals.ml_precharges,
-        totals.ml_discharges,
-        totals.sl_toggles,
-        totals.mle_evaluations,
+    """The energy of a run's summed event counts."""
+    (energy,) = _priced(
+        model, config, [totals.ml_precharges], [totals.ml_discharges],
+        [totals.sl_toggles], totals.mle_evaluations,
     )
-    if min(counts) < 0:
-        raise ValueError(f"event counts must be >= 0, got {counts}")
-    pre, dis, sl, mle = _unit_energies(model, config)
-    energy = pre * counts[0] + dis * counts[1] + sl * counts[2]
-    return energy + mle * counts[3] if counts[3] else energy
+    return energy
 
 
 def series_depth(config: CamConfig, variant: Variant = Variant.SELECTIVE) -> int:
@@ -225,32 +234,21 @@ def search_delay(
 
 
 def aggregate(run: SearchRun, model: EnergyModel, config: CamConfig) -> list[float]:
-    """The energy of each search of the run, in order, as a list of floats.
-    The unit energies are fetched once per call, and each energy equals
-    ``totals_energy`` of that search's event totals bit for bit: the same
-    products, summed in the same order. A negative priced count is a
-    ValueError, as there, checked once per column. The delay is the same for
-    every search of a variant: ``search_delay(model, config, variant)`` for
-    the searched array's.
+    """The energy of each search of the run, in order, as a list of floats,
+    each equal bit for bit to ``totals_energy`` of that search's event
+    totals: both price through one formula. The delay is the same for every
+    search of a variant: ``search_delay(model, config, variant)`` for the
+    searched array's.
 
     A search's energy depends on its own counts only, so the run of a chunk
     of keys, searched after the key before it, prices to that slice of the
     whole run's energies. ``camsim search`` prices each chunk's run of
     ``workload.KEYS_PER_CHUNK`` searches and writes its rows into the report
     at once, so no more than a chunk of energies is alive at a time."""
-    pre, dis, sl, mle = _unit_energies(model, config)
-    discharges = run.ml_discharges
-    columns = (run.energized, discharges, run.sl_toggles, [run.energizers])
-    for column in columns:
-        if min(column, default=0) < 0:
-            raise ValueError(f"event counts must be >= 0, got {min(column)}")
-    # mle * m is the same product for every search, so it is taken once,
-    # and left out as in totals_energy when there is no energizer.
-    last = mle * run.energizers if run.energizers else 0.0
-    return [
-        pre * p + dis * d + sl * s + last
-        for p, d, s in zip(run.energized, discharges, run.sl_toggles)
-    ]
+    return _priced(
+        model, config, run.energized, run.ml_discharges, run.sl_toggles,
+        run.energizers,
+    )
 
 
 def energy_metric(total_energy: float, config: CamConfig, num_searches: int) -> float:

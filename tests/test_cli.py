@@ -682,6 +682,29 @@ def test_compare_frees_the_selective_run_before_the_baseline_stream(
     assert rc == 0 and len(runs) == 2
 
 
+def test_compare_exits_1_when_the_variants_disagree(tmp_path, monkeypatch, capsys):
+    # the all-NOR run's first match set is made to differ from the gated
+    # one's: the report is still written, and the check fails
+    def altered(arr, keys, *args):
+        run = run_search_stream(arr, keys, *args)
+        if arr.variant is Variant.SELECTIVE:
+            return run
+        first = () if run.matches[0] else (0,)
+        return replace(run, matches=[first, *run.matches[1:]])
+
+    monkeypatch.setattr(camsim.energy, "run_search_stream", altered)
+    out = tmp_path / "cmp.json"
+    rc = main([
+        "compare", "--num-words", "16", "--width", "12", "--queries", "5",
+        "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "check failed: variants disagree on some match set\n"
+    )
+    assert json.loads(out.read_text())["match_sets_identical"] is False
+
+
 def test_compare_adversarial_shared_prefix_ratio_one(tmp_path):
     words = tmp_path / "words.txt"
     # every word carries the same 3-bit prefix; queries copy stored words

@@ -488,6 +488,72 @@ def test_unit_energies_are_bit_equal_to_four_event_energy_calls(totals, model, c
     assert energy.hex() == want
 
 
+# Models at the edges of the float range: a capacitance from subnormal to
+# near the largest float, swings up to V_DD, and an upsize_base whose growth
+# overflows to inf at k >= 4. A unit energy may then be 0 or inf, and an inf
+# unit times a count of 0 is NaN.
+_CAPACITANCE = st.floats(1e-320, 1e308)
+_EDGE_MODELS = st.builds(
+    lambda c_ml, c_sl, c_mle, v_dd, s_ml, s_sl, up: EnergyModel(
+        c_ml, c_sl, c_mle, v_dd, v_dd * s_ml, v_dd * s_sl, upsize_base=up
+    ),
+    _CAPACITANCE, _CAPACITANCE, _CAPACITANCE, st.floats(1e-3, 1e3),
+    st.floats(1e-6, 1.0), st.floats(1e-6, 1.0), st.floats(1.0, 1e300),
+)
+
+
+def _one_search(k_gated, num_words, word_bits, pre, dis, toggles):
+    """A config and the counts of one search on it: gated (N energizer
+    evaluations) or all-NOR (none)."""
+    k, gated = k_gated
+    pre = min(pre, num_words)
+    totals = EventTotals(
+        0, pre, min(dis, pre), min(toggles, word_bits), num_words if gated else 0
+    )
+    return CamConfig(num_words, max(word_bits, k + 1), k), totals
+
+
+_COUNT_4096 = st.integers(0, 4096)
+_K_GATED = st.sampled_from([(k, g) for k in range(2, 7) for g in (True, False)])
+_ONE_SEARCH = st.builds(
+    _one_search, _K_GATED, st.integers(1, 4096), st.integers(3, 512),
+    _COUNT_4096, _COUNT_4096, _COUNT_4096,
+)
+
+
+def _same_float(a, b):
+    return a.hex() == b.hex() or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ONE_SEARCH, _EDGE_MODELS)
+def test_the_three_pricing_entries_agree_bit_for_bit(search_totals, model):
+    cfg, totals = search_totals
+    counts = (
+        totals.ml_precharges, totals.ml_discharges,
+        totals.sl_toggles, totals.mle_evaluations,
+    )
+    # event_energy over the priced classes, summed left to right, with no
+    # energizer term when nothing is evaluated (the all-NOR array)
+    terms = [
+        event_energy(model, cls, m, cfg)
+        for cls, m in zip(energy_module._PRICED_CLASSES, counts)
+        if m or cls is not EventClass.MLE_EVAL
+    ]
+    want = terms[0]
+    for term in terms[1:]:
+        want += term
+    energy = totals_energy(totals, model, cfg)
+    assert _same_float(energy, want)
+    matched = totals.ml_precharges - totals.ml_discharges
+    run = SearchRun(
+        totals.mle_evaluations, [(0,) * matched], [totals.ml_precharges],
+        [totals.ml_en_transitions], [totals.sl_toggles],
+    )
+    (priced,) = aggregate(run, model, cfg)
+    assert _same_float(priced, energy)
+
+
 def test_totals_energy_rejects_negative_counts():
     with pytest.raises(ValueError):
         totals_energy(EventTotals(0, 0, 0, -1, 0), EnergyModel(), CFG)

@@ -439,7 +439,8 @@ def test_randomized_tier_catches_a_search_only_fault(monkeypatch, capsys):
         return search(arr, key)
 
     monkeypatch.setattr(camsim.verify, "search", forgetful)
-    assert verify_exhaustive(1).ok
+    exhaustive = verify_exhaustive(1)
+    assert exhaustive.ok
     out = verify_randomized(REFERENCE, 200, 1)
     ce = out.counterexample
     assert out.cases == 2 * CHUNK + 1
@@ -447,7 +448,10 @@ def test_randomized_tier_catches_a_search_only_fault(monkeypatch, capsys):
     assert ce.field == "ml_en_transitions" and ce.prev_query is not None
     assert ce.expected != ce.got
     assert main(["verify", "--trials", "200"]) == 1
-    assert capsys.readouterr().err == f"counterexample: {ce.describe()}\n"
+    # the exhaustive tier's line, and no randomized or verdict line after it
+    captured = capsys.readouterr()
+    assert captured.out == f"exhaustive: {exhaustive.cases} cases checked\n"
+    assert captured.err == f"counterexample: {ce.describe()}\n"
 
 
 def test_a_failure_at_query_0_leaves_the_all_nor_array_unsearched(monkeypatch):
