@@ -17,12 +17,12 @@ import shutil
 import sys
 from dataclasses import asdict, replace
 from functools import partial
+from itertools import islice
 from operator import add
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .array import (
     EventTotals,
-    Store,
     Variant,
     new_array,
     run_search_stream,
@@ -55,6 +55,7 @@ from .workload import (
     gen_queries,
     gen_words,
     load_words,
+    parse_words,
     query_summary,
     read_text_lines,
     write_report,
@@ -222,24 +223,35 @@ def _make_workload(args: argparse.Namespace) -> WorkloadSpec:
     )
 
 
-def _load_word_file(path: str, kind: str, width: int, fmt: str) -> Store:
-    """The words of a ``--words`` or ``--queries-file`` file as a ``Store``
-    of ints, which must hold at least one; ``kind`` names the file in that
-    error."""
-    words = load_words(read_text_lines(path), width, fmt, path)
-    if not words:
+def _refuse_empty(kind: str, path: str, count: int) -> None:
+    if not count:
         raise InvalidConfig(f"{kind} file {path} holds no words")
-    return words
+
+
+def _file_keys(
+    keys: Iterator[int], path: str, count: int, start: int, stop: int
+) -> list[int]:
+    """Keys ``start`` .. ``stop`` - 1 of a ``--queries-file`` of ``count``
+    keys: the next ``stop - start`` of ``keys``, its words parsed as they
+    are read. A file that no longer holds ``count`` words is an OSError
+    naming it."""
+    chunk = list(islice(keys, stop - start))
+    if len(chunk) < stop - start or (stop == count and next(keys, None) is not None):
+        raise OSError(f"{path}: changed while it was read: it no longer "
+                      f"holds {count} words")
+    return chunk
 
 
 def _materialize(args: argparse.Namespace, check: Optional[Callable] = None):
     """Validate flags, then build (config, model, words, key chunks,
     workload_meta); the words are a ``Store`` of ints. The key chunks are
     ``_key_chunks``, read once: drawn by ``gen_queries`` as they are read,
-    or slices of a ``--queries-file``'s keys, which are read whole, as
-    ints, and let go once the chunks are spent. ``check``, if given, is
-    called with the config, the model and the query count once the word
-    and query files are read, before any word or key is drawn."""
+    or parsed from a ``--queries-file`` a chunk at a time. That file is
+    read twice, a block of lines at a time: here, its every word parsed
+    and counted but not kept, so a bad word is an error before any report
+    byte, then by the chunks. ``check``, if given, is called with the
+    config, the model and the query count once the word and query files
+    are read, before any word or key is drawn."""
     tolerance = getattr(args, "tolerance", 0.0)
     if not tolerance >= 0:  # NaN fails every comparison
         raise InvalidConfig(f"--tolerance must be >= 0, got {tolerance:g}")
@@ -251,12 +263,16 @@ def _materialize(args: argparse.Namespace, check: Optional[Callable] = None):
     spec = None if args.queries_file else _make_workload(args)
 
     if args.words:
-        words = _load_word_file(args.words, "word", config.word_bits, args.format)
+        words = load_words(read_text_lines(args.words), config.word_bits,
+                           args.format, args.words)
+        _refuse_empty("word", args.words, len(words))
         config = replace(config, num_words=len(words))
-    if args.queries_file:
-        keys = _load_word_file(args.queries_file, "query", config.word_bits, args.format)
-        workload_meta = {"kind": "file", "path": args.queries_file,
-                         "num_queries": len(keys)}
+    path = args.queries_file
+    if path:
+        count = sum(1 for _ in parse_words(
+            read_text_lines(path), config.word_bits, args.format, path))
+        _refuse_empty("query", path, count)
+        workload_meta = {"kind": "file", "path": path, "num_queries": count}
     else:
         workload_meta = spec.to_dict()
     if check is not None:
@@ -264,8 +280,9 @@ def _materialize(args: argparse.Namespace, check: Optional[Callable] = None):
 
     if not args.words:
         words = gen_words(config.num_words, config.word_bits, config.seed)
-    if args.queries_file:
-        chunks = _key_chunks(len(keys), lambda start, stop: keys[start:stop])
+    if path:
+        keys = parse_words(read_text_lines(path), config.word_bits, args.format, path)
+        chunks = _key_chunks(count, partial(_file_keys, keys, path, count))
     else:
         chunks = _key_chunks(spec.num_queries, partial(gen_queries, spec, words))
     return config, model, words, chunks, workload_meta
@@ -346,9 +363,10 @@ def _search_rows(config, model, variant, words, chunks, rows: QueryRows) -> dict
     chunk's rows into ``rows``; return the report's members that follow
     them, its aggregate, from the run's running counts. Each chunk is
     searched after the chunk before, reading its matches from the store's
-    one dict of addresses, priced by ``aggregate`` and written by
-    ``query_summary`` at once, and goes with its keys before the next chunk
-    is drawn, so only running counts outlive it.
+    one dict of addresses. Its keys go as soon as it is searched, and
+    ``_key_chunks`` keeps none of them, so no key is alive while its run
+    is priced by ``aggregate`` and written by ``query_summary``; the run
+    goes before the next chunk is drawn, so only running counts outlive it.
 
     This is ``energy.stream_totals``' fold on one array, with each run's
     rows written; it stays here, calling ``run_search_stream`` and
@@ -358,10 +376,11 @@ def _search_rows(config, model, variant, words, chunks, rows: QueryRows) -> dict
     totals, with_match = EventTotals(), 0
     for start, prev_key, keys in chunks:
         part = run_search_stream(arr, keys, prev_key, start)
+        del keys  # searched: its run is priced and written without it
         totals = EventTotals(*map(add, totals, sum_event_totals(part)))
         with_match += len(part) - part.matches.count(())
         query_summary(part, aggregate(part, model, config), rows)
-        del keys, part  # before the next chunk is drawn
+        del part  # before the next chunk is drawn
     agg = _aggregate_dict(config, model, variant, totals, rows.count, with_match)
     return {"aggregate": agg}
 

@@ -120,7 +120,7 @@ def parse_word(text: str, width: int, fmt: str = "bin") -> int:
             f"expected {width} bits ({width // bits} {name} digits), "
             f"got {len(text)} digits in {text!r}"
         )
-    for ch in text:
-        if ch not in alphabet:
-            raise BadDigit(f"character {ch!r} is not a {name} digit")
+    if not alphabet.issuperset(text):
+        ch = next(ch for ch in text if ch not in alphabet)
+        raise BadDigit(f"character {ch!r} is not a {name} digit")
     return int(text, 1 << bits)

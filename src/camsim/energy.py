@@ -172,12 +172,16 @@ def event_energy(
     config: CamConfig,
 ) -> float:
     """Energy for ``multiplicity`` events of one class: that class's unit
-    energy times ``multiplicity``. Any ``event_class`` that is not an
-    ``EventClass`` is a ValueError."""
+    energy times ``multiplicity``. No energizer evaluation is 0.0, as
+    ``_priced`` prices it, even when the energizer's unit energy overflows
+    to inf. Any ``event_class`` that is not an ``EventClass`` is a
+    ValueError."""
     if multiplicity < 0:
         raise ValueError(f"multiplicity must be >= 0, got {multiplicity}")
     if not isinstance(event_class, EventClass):
         raise ValueError(f"event_class must be an EventClass, got {event_class!r}")
+    if event_class is EventClass.MLE_EVAL and not multiplicity:
+        return 0.0
     unit = _unit_energies(model, config)[_PRICED_CLASSES.index(event_class)]
     return unit * multiplicity
 

@@ -180,6 +180,68 @@ def test_queries_file_goes_through_the_same_chunks(tmp_path, capsys, variant, ou
     _assert_chunk_heads_are_threaded(text, keys, Variant(variant))
 
 
+def _write_queries(path, count: int) -> list[int]:
+    """``count`` planted 24-bit keys, one a line, with a comment line
+    between the first and second chunks."""
+    spec = WorkloadSpec(WorkloadKind.PLANTED, count, 3, match_rate=0.5)
+    keys = gen_queries(spec, gen_words(16, 24, 7))
+    lines = [format(k, "024b") for k in keys]
+    lines.insert(KEYS_PER_CHUNK, "# the second chunk")
+    path.write_text("\n".join(lines) + "\n")
+    return keys
+
+
+@pytest.mark.parametrize("out", ["file", "-"])
+@pytest.mark.parametrize("verb", ["search", "compare", "sweep"])
+def test_a_bad_line_in_the_last_chunk_of_a_queries_file_is_refused_up_front(
+    tmp_path, capsys, verb, out
+):
+    # The file is parsed whole before anything is drawn: a bad word in its
+    # last chunk is named by its line, and no report byte or file is written.
+    path = tmp_path / "queries.txt"
+    _write_queries(path, 2 * C + 1)
+    lines = path.read_text().split("\n")
+    lines[2 * C] = lines[2 * C][:-1] + "2"  # line 2C + 1, key 2C - 1
+    path.write_text("\n".join(lines))
+    report = tmp_path / "r.json"
+    rc = main([verb, *GEOMETRY, "--queries-file", str(path),
+               "--out", str(report) if out == "file" else "-"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {path}: line {2 * C + 1}: character '2' is not a binary digit\n"
+    )
+    assert captured.out == ""
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("change", ["fewer", "more"])
+@pytest.mark.parametrize("verb", ["search", "compare", "sweep"])
+def test_a_queries_file_that_changes_between_its_reads_is_refused(
+    tmp_path, monkeypatch, capsys, verb, change
+):
+    # The file is counted, then read again a chunk at a time; the words
+    # are generated in between, when it is cut short or grown here.
+    path = tmp_path / "queries.txt"
+    _write_queries(path, C + 1)
+    real = camsim.cli.gen_words
+
+    def edit_then_generate(*args):
+        lines = path.read_text().splitlines(keepends=True)
+        lines[-1:] = [] if change == "fewer" else [lines[-1], "0" * 24 + "\n"]
+        path.write_text("".join(lines))
+        return real(*args)
+
+    monkeypatch.setattr(camsim.cli, "gen_words", edit_then_generate)
+    rc = main([verb, *GEOMETRY, "--queries-file", str(path),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: changed while it was read: it no longer holds "
+        f"{C + 1} words\n"
+    )
+
+
 def _verb_text(tmp_path, capsys, argv: list[str]) -> tuple[str, str]:
     """The report file and stdout of one verb run."""
     out = tmp_path / "report"
@@ -638,6 +700,45 @@ def test_a_key_chunk_is_freed_before_the_next_is_drawn(tmp_path, monkeypatch, ve
     assert len(chunks) == 3
 
 
+def test_the_chunker_keeps_no_chunk_it_has_yielded():
+    # Once it has yielded a chunk, the suspended generator keeps only its
+    # last key, so the reader's reference is the chunk's last.
+    refs = []
+
+    def draw(start, stop):
+        refs.append(weakref.ref(keys := _Keys(range(start, stop))))
+        return keys
+
+    for start, prev, keys in _key_chunks(2 * C + 1, draw):
+        assert prev == (start - 1 if start else None)
+        assert refs[-1]() is keys
+        del keys
+        assert refs[-1]() is None
+    assert len(refs) == 3
+
+
+def test_search_drops_a_chunk_s_keys_before_it_prices_the_chunk(tmp_path, monkeypatch):
+    # search lets go of a chunk's keys once they are searched: no key is
+    # alive while the chunk's run is priced and its rows are written.
+    real_draw, real_aggregate = camsim.cli.gen_queries, camsim.cli.aggregate
+    chunks, alive = [], []
+
+    def draw(spec, words, start=0, stop=None):
+        chunks.append(weakref.ref(keys := _Keys(real_draw(spec, words, start, stop))))
+        return keys
+
+    def aggregate(run, model, config):
+        alive.append([i for i, ref in enumerate(chunks) if ref() is not None])
+        return real_aggregate(run, model, config)
+
+    monkeypatch.setattr(camsim.cli, "gen_queries", draw)
+    monkeypatch.setattr(camsim.cli, "aggregate", aggregate)
+    argv = ["search", *GEOMETRY, "--queries", str(2 * C + 1),
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    assert alive == [[], [], []]
+
+
 @pytest.mark.parametrize("variant", Variant)
 def test_streams_of_the_parts_with_one_index_join_to_the_whole_run(variant):
     # Parts streamed with their start and the previous part's last key, on
@@ -693,12 +794,21 @@ def _traced_peak(call) -> int:
 
 def _growth_per_query(tmp_path, verb: str, workload: str) -> float:
     """Bytes a query by which a verb's traced peak grows from 2,000 to
-    8,000 queries at the reference geometry."""
+    8,000 queries at the reference geometry. The ``"file"`` workload reads
+    uniform keys from a ``--queries-file``, written before the run."""
     def peak(queries: int) -> int:
+        if workload == "file":
+            path = tmp_path / f"{queries}.txt"
+            spec = WorkloadSpec(WorkloadKind.UNIFORM, queries, 1)
+            path.write_text("".join(
+                f"{key:0144b}\n" for key in gen_queries(spec, gen_words(256, 144, 1))
+            ))
+            flags = ["--queries-file", str(path)]
+        else:
+            flags = [*WORKLOADS[workload], "--queries", str(queries)]
         argv = [
             verb, "--num-words", "256", "--width", "144", "--mle-bits", "3",
-            "--seed", "1", *WORKLOADS[workload], "--queries", str(queries),
-            "--out", str(tmp_path / "r.json"),
+            "--seed", "1", *flags, "--out", str(tmp_path / "r.json"),
         ]
         return _traced_peak(lambda: main(argv))
 
@@ -717,6 +827,14 @@ def test_compare_memory_does_not_grow_with_the_query_count(tmp_path, workload, v
     # the sweep that joined its keys into one list by 87 to 91, and the
     # search that kept the run's columns and energies by about 29).
     assert _growth_per_query(tmp_path, verb, workload) < 4
+
+
+@pytest.mark.parametrize("verb", ["compare", "search"])
+def test_a_queries_file_is_read_in_constant_memory(tmp_path, verb):
+    # A --queries-file is counted, then parsed a chunk at a time, a block of
+    # lines read at a time: its traced peak grows by less than 4 bytes a
+    # query (several hundred when the whole file was read at once).
+    assert _growth_per_query(tmp_path, verb, "file") < 4
 
 
 def test_sweep_spec_mode_draws_a_chunk_at_a_time():

@@ -99,6 +99,19 @@ def test_mle_event_energy_overflows_to_infinity():
     assert energy == {4: 4.0 * 4 * 1e200, 5: math.inf}
 
 
+def test_no_energizer_evaluation_is_zero_energy_even_when_the_unit_overflows():
+    # inf * 0 is NaN; no evaluation is 0.0, as totals_energy and aggregate
+    # price an all-NOR run's energizer term. Only the energizer has the rule:
+    # the other classes still give inf * 0 for an overflowing unit.
+    cfg = replace(CFG, mle_bits=5)
+    model = EnergyModel(upsize_base=1e300)
+    assert event_energy(model, EventClass.MLE_EVAL, 1, cfg) == math.inf
+    assert event_energy(model, EventClass.MLE_EVAL, 0, cfg) == 0.0
+    huge = EnergyModel(c_sl_per_cell=1e308)
+    assert event_energy(huge, EventClass.SL_TOGGLE, 1, CFG) == math.inf
+    assert math.isnan(event_energy(huge, EventClass.SL_TOGGLE, 0, CFG))
+
+
 def test_ml_energy_is_linear_in_swing():
     half = EnergyModel(v_swing_ml=0.5)
     full = EnergyModel(v_swing_ml=1.0)
@@ -533,12 +546,10 @@ def test_the_three_pricing_entries_agree_bit_for_bit(search_totals, model):
         totals.ml_precharges, totals.ml_discharges,
         totals.sl_toggles, totals.mle_evaluations,
     )
-    # event_energy over the priced classes, summed left to right, with no
-    # energizer term when nothing is evaluated (the all-NOR array)
+    # event_energy over every priced class, summed left to right
     terms = [
         event_energy(model, cls, m, cfg)
         for cls, m in zip(energy_module._PRICED_CLASSES, counts)
-        if m or cls is not EventClass.MLE_EVAL
     ]
     want = terms[0]
     for term in terms[1:]:

@@ -1,3 +1,4 @@
+import codecs
 import io
 import json
 import math
@@ -6,6 +7,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import camsim.workload
 
 from camsim import (
     BadDigit,
@@ -200,15 +203,87 @@ def test_content_lines_numbers_every_line():
 def test_read_text_lines_is_utf8_and_names_undecodable_file(tmp_path):
     good = tmp_path / "good.txt"
     good.write_bytes("# caf\u00e9\r\n0101\n".encode("utf-8"))
-    assert read_text_lines(good) == ["# caf\u00e9", "0101", ""]
+    assert list(read_text_lines(good)) == ["# caf\u00e9", "0101", ""]
     marked = tmp_path / "marked.txt"
     marked.write_bytes("\ufeff0101\n".encode("utf-8"))
-    assert read_text_lines(marked) == ["0101", ""]
+    assert list(read_text_lines(marked)) == ["0101", ""]
     bad = tmp_path / "bad.txt"
     bad.write_bytes("# caf\u00e9\n".encode("latin-1"))
     with pytest.raises(OSError, match="bad.txt: not UTF-8 text") as err:
-        read_text_lines(bad)
+        list(read_text_lines(bad))
     assert isinstance(err.value.__cause__, UnicodeDecodeError)
+
+
+def _whole_file_lines(path) -> list[str]:
+    """``read_text_lines`` as it read a whole file at once, or its error."""
+    try:
+        return path.read_text(encoding="utf-8-sig").split("\n")
+    except UnicodeDecodeError as exc:
+        return f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+
+
+def _lazy_lines(path) -> list[str]:
+    try:
+        return list(read_text_lines(path))
+    except OSError as exc:
+        return str(exc)
+
+
+# Bytes that end lines, mark the file, break UTF-8 at its edges, or are
+# plain text, joined at random.
+_TEXT_PIECES = [
+    b"\n", b"\r", b"\r\n", b"0", b"1", b"#", b" ", codecs.BOM_UTF8, b"\xef",
+    b"\xef\xbb", "\u20ac".encode(), b"\xe2\x82", b"\xc3", b"\xff",
+    "\U0001f600".encode(), b"\xf0\x9f",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=12),
+       st.sampled_from([1, 2, 5, camsim.workload.TEXT_BLOCK_BYTES]))
+def test_lines_read_a_block_at_a_time_are_the_whole_file_s(
+    tmp_path_factory, pieces, block
+):
+    # Every line and every error of the file read whole, at any block size,
+    # whatever the line ends, marks or broken sequences.
+    path = tmp_path_factory.getbasetemp() / "lines.txt"
+    path.write_bytes(b"".join(pieces))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(camsim.workload, "TEXT_BLOCK_BYTES", block)
+        assert _lazy_lines(path) == _whole_file_lines(path)
+
+
+@pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8])
+def test_a_bad_byte_past_the_first_block_is_named_at_its_offset(tmp_path, mark):
+    # Over 64 KB of words, then a Latin-1 byte: the error names the offset
+    # that the whole file's decoder gave, counted after the mark.
+    good = b"".join(b"%0144d\n" % i for i in range(500))
+    assert len(good) > camsim.workload.TEXT_BLOCK_BYTES == 1 << 16
+    path = tmp_path / "q.txt"
+    path.write_bytes(mark + good + b"# caf\xe9\n" + b"0" * 144 + b"\n")
+    message = f"{path}: not UTF-8 text (invalid continuation byte at byte {len(good) + 5})"
+    assert _whole_file_lines(path) == message
+    with pytest.raises(OSError) as err:
+        list(read_text_lines(path))
+    assert str(err.value) == message
+    assert isinstance(err.value.__cause__, UnicodeDecodeError)
+
+
+def test_no_file_is_open_while_a_line_is_given_out(tmp_path, monkeypatch):
+    # The reader closes the file before it gives out a block's lines, so a
+    # reader dropped part way, or stopped by a bad line, leaves none open.
+    path = tmp_path / "q.txt"
+    path.write_bytes(b"0101\n" * 40_000)
+    opened = []
+
+    def recorded_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(camsim.workload, "open", recorded_open, raising=False)
+    for line in read_text_lines(path):
+        assert all(f.closed for f in opened)
+    assert len(opened) > 3  # 200 KB, read 64 KB at a time
 
 
 def test_load_words_passes_other_errors_through_unchanged():
