@@ -195,9 +195,7 @@ def read_text_lines(path: Union[str, Path]) -> Iterator[str]:
     closed before any of them is given out, so no file is left open however
     the iteration ends. A file that does not decode is an OSError naming
     it, like any other unreadable input, at the offset of its first bad
-    byte as a decoder of the whole file gives it: counted after the mark. A
-    file that is no more than a part of the mark reads as one empty line,
-    as that decoder reads it."""
+    byte as a decoder of the whole file gives it: counted after the mark."""
     at, offset, tail = 0, 0, ""
     while True:
         with open(path, "rb") as f:
@@ -207,7 +205,7 @@ def read_text_lines(path: Union[str, Path]) -> Iterator[str]:
         if not data:
             yield tail
             return
-        if first and (data.startswith(BOM_UTF8) or BOM_UTF8.startswith(data)):
+        if first and data.startswith(BOM_UTF8):
             data = data[len(BOM_UTF8):]
         try:
             text = data.decode("utf-8")

@@ -338,6 +338,25 @@ def test_model_file_with_byte_order_mark(tmp_path):
     assert json.loads(out.read_text())["model"]["v_dd"] == 2.0
 
 
+@pytest.mark.parametrize("fragment", [b"\xef", b"\xef\xbb"], ids=["1-byte", "2-byte"])
+@pytest.mark.parametrize("flag", ["--words", "--queries-file", "--model-file"])
+def test_a_file_that_is_part_of_a_byte_order_mark_is_not_utf8(
+    tmp_path, capsys, flag, fragment
+):
+    # Part of a mark, and nothing after it, does not decode: an I/O failure
+    # on every flag that reads a file, not an empty file or the default model.
+    path = tmp_path / "part.txt"
+    path.write_bytes(fragment)
+    out = tmp_path / "r.json"
+    rc = main(["search", "--num-words", "4", "--width", "8", "--queries", "3",
+               flag, str(path), "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: {path}: not UTF-8 text (unexpected end of data at byte 0)\n"
+    )
+
+
 # (line 2 of the bad file, the rest of its error message after the line
 # number); the ids of the bad-digit cases are the flag alone
 _BAD_LINES = {

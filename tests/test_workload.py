@@ -215,9 +215,13 @@ def test_read_text_lines_is_utf8_and_names_undecodable_file(tmp_path):
 
 
 def _whole_file_lines(path) -> list[str]:
-    """``read_text_lines`` as it read a whole file at once, or its error."""
+    """The lines of the whole file decoded at once, with universal newlines,
+    or its error. The bytes are decoded in one call: a text-mode reader
+    waits for the rest of a byte-order mark that the file cuts short, and
+    reads a file of one or two bytes of the mark as empty."""
     try:
-        return path.read_text(encoding="utf-8-sig").split("\n")
+        text = path.read_bytes().decode("utf-8-sig")
+        return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     except UnicodeDecodeError as exc:
         return f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
 
