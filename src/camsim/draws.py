@@ -51,15 +51,8 @@ class Stream:
 
     def blocks(self, index: int, nbytes: int) -> bytes:
         """The first ``nbytes`` of the concatenated digest blocks of draw
-        ``index``."""
-        head = self._head.copy()
-        head.update(index.to_bytes(8, "big"))
-        parts = []
-        for suffix in _block_suffixes((nbytes + 31) // 32):
-            h = head.copy()
-            h.update(suffix)
-            parts.append(h.digest())
-        return b"".join(parts)[:nbytes]
+        ``index``: the column of that one draw."""
+        return bytes(self.blocks_column(1, nbytes, index))
 
     def blocks_column(self, count: int, nbytes: int, start: int = 0) -> bytearray:
         """``blocks(i, nbytes)`` for i = start .. start + count - 1, joined

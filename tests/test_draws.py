@@ -194,7 +194,8 @@ def test_blocks_column_joins_one_draw_per_index(start):
     for nbytes in (1, 12, 31, 32, 33, 52, 64, 100, 576):
         for count in (0, 1, 5):
             assert stream.blocks_column(count, nbytes, start) == b"".join(
-                stream.blocks(i, nbytes) for i in range(start, start + count)
+                _reference_blocks(b"skew", 97, i, nbytes)
+                for i in range(start, start + count)
             ), (nbytes, count)
 
 
