@@ -146,28 +146,28 @@ class CamArray:
     ``values[a]`` is the n-bit value stored at address a: the store is kept
     once, as ints, in a ``Store`` that ``dataclasses.replace`` passes on to
     the array it makes, so a second gate over the same words shares it and
-    its dict of addresses. A ``Store`` must be n bits wide; other values
-    are counted, then wrapped in a ``Store`` of width n, which checks
-    them. ``_runs[b]`` is the number of words stored with
-    k-bit prefix b on a gated array, whose lines ML_EN enables for a key of
-    bucket b; before the first search no bucket is enabled, as ML_EN powers
-    up low. The all-NOR array has no gate, and its ``_runs`` is empty.
+    its dict of addresses. ``values`` must be a ``Store`` n bits wide; any
+    other sequence is a TypeError. ``_runs[b]`` is the number of words
+    stored with k-bit prefix b on a gated array, whose lines ML_EN enables
+    for a key of bucket b; before the first search no bucket is enabled, as
+    ML_EN powers up low. The all-NOR array has no gate, and its ``_runs``
+    is empty.
     """
 
     config: CamConfig
-    values: tuple[int, ...]
+    values: Store
     variant: Variant = Variant.SELECTIVE
     _runs: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         cfg, values = self.config, self.values
         n, size = cfg.word_bits, cfg.num_words
-        if type(values) is Store and values.width != n:
+        if not isinstance(values, Store):
+            raise TypeError(f"values must be a Store, got {type(values).__name__}")
+        if values.width != n:
             raise WidthMismatch(f"stored word width {values.width} != word_bits {n}")
         if len(values) != size:
             raise InvalidConfig(f"expected {size} words, got {len(values)}")
-        values = values if type(values) is Store else Store(values, n)
-        object.__setattr__(self, "values", values)
         if self.variant is Variant.SELECTIVE:
             object.__setattr__(self, "_runs", _gate_index(values, n - cfg.mle_bits, n))
 

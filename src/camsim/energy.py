@@ -35,12 +35,8 @@ from .array import (
     run_search_stream,
     sum_event_totals,
 )
-from .core import MAX_MLE_BITS, MIN_MLE_BITS, CamConfig
-from .errors import (
-    InvalidConfig,
-    PrefixTooShort,
-    ZeroSearches,
-)
+from .core import CamConfig
+from .errors import InvalidConfig, ZeroSearches
 from .workload import (
     WorkloadSpec,
     _key_chunks,
@@ -134,13 +130,9 @@ class EnergyModel:
         return cls().with_assignments((f"{path}: line {n}", t) for n, t in lines)
 
 
-# The classes an energy prices, in the order their terms are summed.
-_PRICED_CLASSES = (
-    EventClass.ML_PRECHARGE,
-    EventClass.ML_DISCHARGE,
-    EventClass.SL_TOGGLE,
-    EventClass.MLE_EVAL,
-)
+# The classes an energy prices, in the order their terms are summed: the
+# order ``EventClass`` declares them in.
+_PRICED_CLASSES = tuple(EventClass)
 
 
 def _unit_energies(model: EnergyModel, config: CamConfig) -> tuple[float, ...]:
@@ -321,20 +313,15 @@ def sweep_mle_bits(
     ``workload`` by that chunker as they are read. Every k's gated array is
     built once over the one store, and ``stream_totals`` folds each chunk
     through all of them, so no more than a chunk of keys is held. Every k
-    is checked against the width before any draw, and a stream that the
-    fold counts no search in is refused with ``ZeroSearches``. The
+    is checked by its ``CamConfig`` before any draw (a k outside 2..6 or
+    not below the width is ``InvalidConfig``), and a stream that the fold
+    counts no search in is refused with ``ZeroSearches``. The
     energized fraction is measured from the run, never assumed.
     """
     ks = sorted(set(int(k) for k in k_values))
     if not ks:
         raise InvalidConfig("k_values must not be empty")
-    if ks[0] < MIN_MLE_BITS:
-        raise PrefixTooShort(
-            f"the energizer needs at least {MIN_MLE_BITS} bits, got {ks[0]}"
-        )
-    if ks[-1] > MAX_MLE_BITS:
-        raise InvalidConfig(f"mle_bits beyond {MAX_MLE_BITS} is unsupported")
-    # every k meets word_bits here, before any draw
+    # every k meets CamConfig's checks here, before any draw
     configs = [replace(config, mle_bits=k) for k in ks]
     if words is None:
         words = gen_words(config.num_words, config.word_bits, config.seed)

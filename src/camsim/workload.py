@@ -18,7 +18,7 @@ import json
 import math
 from codecs import BOM_UTF8
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import compress, filterfalse, islice, repeat
 from operator import not_, sub
@@ -72,13 +72,7 @@ class WorkloadSpec:
                 raise InvalidConfig("prefix-skewed workload needs bias in (0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "num_queries": self.num_queries,
-            "seed": self.seed,
-            "match_rate": self.match_rate,
-            "bias": self.bias,
-        }
+        return {**asdict(self), "kind": self.kind.value}
 
 
 def gen_words(count: int, width: int, seed: int) -> Store:

@@ -74,6 +74,13 @@ def test_cell_write_rejected_in_search_mode():
         cell_write(CellState(0, CellKind.XNOR), 1, DriverMode.SEARCH)
 
 
+def test_cell_write_rejects_a_bit_outside_0_and_1():
+    # refused by cell_write itself, before the new CellState checks it
+    for bit in (2, -1, None):
+        with pytest.raises(ValueError, match=f"^write bit must be 0 or 1, got {bit!r}$"):
+            cell_write(CellState(0, CellKind.NOR), bit, DriverMode.WRITE)
+
+
 def test_write_then_match():
     for kind in CellKind:
         for bit in (0, 1):

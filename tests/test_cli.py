@@ -494,8 +494,8 @@ def test_sweep_checks_only_the_k_values_it_sweeps(tmp_path, capsys):
     assert main([*base, "--width", "3", "--k-min", "2", "--k-max", "2"]) == 0
     capsys.readouterr()
     for flags, message in (
-        (["--k-min", "1"], "the energizer needs at least 2 bits, got 1"),
-        (["--k-max", "7"], "mle_bits beyond 6 is unsupported"),
+        (["--k-min", "1"], "mle_bits must be between 2 and 6, got 1"),
+        (["--k-max", "7"], "mle_bits must be between 2 and 6, got 7"),
         (["--width", "4"], "mle_bits (4) must be smaller than word_bits (4)"),
         (["--width", "3", "--k-min", "3", "--k-max", "3", "--mle-bits", "2"],
          "mle_bits (3) must be smaller than word_bits (3)"),

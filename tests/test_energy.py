@@ -12,7 +12,6 @@ from camsim import (
     EventClass,
     EventTotals,
     InvalidConfig,
-    PrefixTooShort,
     SearchRun,
     Store,
     Variant,
@@ -137,6 +136,8 @@ def test_model_validation():
         EnergyModel(c_ml_per_cell=0)
     with pytest.raises(InvalidConfig):
         EnergyModel(v_swing_ml=1.5, v_dd=1.0)
+    with pytest.raises(InvalidConfig, match="^v_swing_sl cannot exceed v_dd$"):
+        EnergyModel(v_swing_sl=1.5, v_dd=1.0)
     with pytest.raises(InvalidConfig):
         EnergyModel(upsize_base=0.5)
     for name in EnergyModel.field_names():
@@ -365,6 +366,13 @@ def test_sweep_rejects_an_empty_query_stream():
         sweep_mle_bits(CFG, EnergyModel(), None, [3], chunks=[])
 
 
+def test_sweep_needs_a_workload_or_chunks():
+    with pytest.raises(
+        InvalidConfig, match="^sweep needs a workload spec or explicit queries$"
+    ):
+        sweep_mle_bits(CFG, EnergyModel(), None, [3])
+
+
 def test_sweep_rejects_a_first_chunk_with_no_keys():
     with pytest.raises(ZeroSearches):
         sweep_mle_bits(CFG, EnergyModel(), None, [3], chunks=[(0, None, [])])
@@ -430,10 +438,11 @@ def test_sweep_replays_identical_inputs_per_k():
 
 
 def test_sweep_validates_k_range():
+    # each k is CamConfig's to check, so a k out of range is its InvalidConfig
     spec = WorkloadSpec(WorkloadKind.UNIFORM, 10, 0)
-    with pytest.raises(PrefixTooShort):
+    with pytest.raises(InvalidConfig, match="^mle_bits must be between 2 and 6, got 1$"):
         sweep_mle_bits(CFG, EnergyModel(), spec, [1, 2])
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig, match="^mle_bits must be between 2 and 6, got 7$"):
         sweep_mle_bits(CFG, EnergyModel(), spec, [3, 7])
     with pytest.raises(InvalidConfig):
         sweep_mle_bits(CFG, EnergyModel(), spec, [])
