@@ -33,14 +33,16 @@ immutable values, built whole: ``new_array`` checks that the store's
 width is the config's and keeps the ``Store`` itself. There is no
 array-level write, and a changed store is a new array. Query keys are
 n-bit ints too. ``run_search_stream`` is the one search engine. It
-applies the rules above to a sequence of int query keys, in one set of
-C-level passes over the keys, and returns one column per count
-(``SearchRun``) instead of a record per query. It is a pure function of
-(array, keys, previous key), the previous key being the explicit context
-for searchline-toggle and ML_EN-transition counting, so concurrent
-searches are deterministic under any scheduling. ``search`` is the stream of one key, after an optional
-previous one: a one-key ``SearchRun``, the one record of a search, which
-holds only what the search computes, never the array or the queries.
+applies the rules above to a sequence of int query keys, in a few passes
+over the keys (C-level maps, and comprehensions for the gate's buckets and
+its ML_EN column), and returns one column per count (``SearchRun``)
+instead of a record per query. It is a pure function of (array, keys,
+previous key), the previous key being the explicit context for
+searchline-toggle and ML_EN-transition counting, so concurrent searches
+are deterministic under any scheduling.
+``search`` is the stream of one key, after an optional previous one: a
+one-key ``SearchRun``, the one record of a search, which holds only what
+the search computes, never the array or the queries.
 
 A stream reads every key's matches from a dict from stored value to
 ascending addresses in one C-level ``map``, O(1) per query. The dict is a
@@ -64,7 +66,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, count, repeat
-from operator import add, mul, ne, sub, xor
+from operator import sub, xor
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import CamConfig
@@ -293,8 +295,9 @@ def run_search_stream(
     start: int = 0,
 ) -> SearchRun:
     """Search a sequence of int query keys in order, threading each key as
-    the next one's toggle baseline, and count the run in one set of C-level
-    passes over the keys, with no per-query record.
+    the next one's toggle baseline, and count the run in a few passes over
+    the keys, with no per-query record: C-level maps, and comprehensions for
+    the gate's buckets and its ML_EN column.
 
     The stream reads each key's matches in O(1) from the store's
     ``addresses``, built (O(N)) on the first stream of any array that
@@ -324,15 +327,13 @@ def run_search_stream(
         else:
             prev_bucket = prev_key >> shift
             prev_lines = runs[prev_bucket]
-        buckets = [*map(shift.__rrshift__, keys)]
+        buckets = [key >> shift for key in keys]
         energized = [*map(runs.__getitem__, buckets)]
         # The gate's rule: no transition when the bucket stays, else every
-        # line of both buckets changes its ML_EN. A bool times an int is an
-        # int.
-        ml_en = [*map(
-            mul,
-            map(ne, buckets, chain((prev_bucket,), buckets)),
-            map(add, energized, chain((prev_lines,), energized)),
+        # line of both buckets changes its ML_EN.
+        ml_en = [e + pe if b != pb else 0 for b, pb, e, pe in zip(
+            buckets, chain((prev_bucket,), buckets),
+            energized, chain((prev_lines,), energized),
         )]
     else:
         energized = [cfg.num_words] * len(keys)

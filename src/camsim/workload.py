@@ -339,10 +339,13 @@ QUERY_ROW_KEYS = ("index", "matches", "energized_count", "events", "energy")
 _EVENT_KEYS = EventTotals._fields
 
 
-# Rows rendered per write into a search report. A piece's text, about 280
-# bytes a row at 256 x 144, is held while it is written, about 9 KB at 32
-# rows. 128-row pieces raised the traced peak of a 2,500-query search at
-# 256 x 144 by 87 KB (Python 3.11, measured when the rows were spooled).
+# Rows rendered per write into a search report. A piece, about 280 bytes a
+# row at 256 x 144, is held as its rows, their bytes join and its ASCII text
+# while it is written, about 9 KB each at 32 rows; bytes.join of more than
+# 10 rows also allocates an 80-byte buffer record a row (1.3, 2.5 and 5.1 KB
+# at 16, 32 and 64 rows). The traced peak of a 2,500-query search at
+# 256 x 144 (seeds 1 and 97, Python 3.11) read 0.1150 MB at 16 rows a
+# piece, 0.1146 at 32 and 0.1366 at 64, whose wall time was within noise.
 QUERY_ROWS_PER_CHUNK = 32
 
 
@@ -369,26 +372,29 @@ def _json_object_format(keys: Sequence[str], values: dict, indent: int) -> str:
     return f"{{{{\n{members}\n{pad}}}}}"
 
 
-# One query row inside the top-level "queries" list, with a %s slot for each
-# of: the index, the rendered match list, energized_count, the event counts
-# in ``EventTotals`` field order and the energy. %s writes an int or a float
-# as its repr, which is json.dumps's text for it.
+# One query row inside the top-level "queries" list, as ASCII bytes: a %d
+# slot for the index, %b for the rendered match list, %d for energized_count
+# and each event count in ``EventTotals`` field order, and %r for the
+# energy. %d writes an int and %r a float as json.dumps writes it. bytes %
+# finds each slot with memchr, where str % reads the literal a character at
+# a time.
 _ROW_TEMPLATE = ("    " + _json_object_format(
     QUERY_ROW_KEYS, {"events": _json_object_format(_EVENT_KEYS, {}, 6)}, 4
-)).format(*["%s"] * 9)
+)).format("%d", "%b", *["%d"] * 6, "%r").encode("ascii")
 
 
 class _MatchesText(dict):
-    """A row's ``"matches"`` text, as ``json.dumps(indent=2)`` lays out the
-    list in a row: an empty list is looked up, and any other is rendered
-    as it is read and not kept, so a run's match texts are never held
-    together."""
+    """A row's ``"matches"`` text, as ASCII bytes laid out as
+    ``json.dumps(indent=2)`` lays out the list in a row: an empty list is
+    looked up, and any other is rendered as it is read and not kept, so a
+    run's match texts are never held together."""
 
-    def __missing__(self, matches: tuple[int, ...]) -> str:
-        return "[\n        " + ",\n        ".join(map(str, matches)) + "\n      ]"
+    def __missing__(self, matches: tuple[int, ...]) -> bytes:
+        items = b",\n        ".join(map(b"%d".__mod__, matches))
+        return b"[\n        %b\n      ]" % items
 
 
-_MATCHES_TEXT = _MatchesText({(): "[]"})
+_MATCHES_TEXT = _MatchesText({(): b"[]"})
 
 
 def query_summary(
@@ -423,6 +429,6 @@ def query_summary(
     out = rows.out
     for start in range(first, first + n, QUERY_ROWS_PER_CHUNK):
         out.write(",\n" if start else "\n")  # after the row before, or "["
-        out.write(",\n".join(islice(texts, QUERY_ROWS_PER_CHUNK)))
+        out.write(b",\n".join(islice(texts, QUERY_ROWS_PER_CHUNK)).decode("ascii"))
     rows.count += n
     return rows

@@ -161,16 +161,31 @@ def test_fault_counterexamples_match_golden_file():
     assert fault_outcomes() == (GOLDEN / FAULT_PINS).read_bytes()
 
 
-# The search report at the reference geometry (2500 rows, 0.7 MB) is pinned
-# by its sha256 instead of a file. It was re-pinned when "aggregate" moved
-# after "queries", so that the rows are written as they are searched.
+# The search reports at the reference geometry (2500 rows, 0.7 MB) are
+# pinned by their size and sha256 instead of a file. The uniform one, with
+# the default model, has no hits and whole-number energies. It was re-pinned
+# when "aggregate" moved after "queries", so that the rows are written as
+# they are searched. The planted one, with a model whose energies are not
+# whole numbers (19672.199999999997, for one), has 1189 rows with a hit,
+# spread over every key chunk; it was pinned from the str-template renderer.
 REFERENCE_SEARCH_ARGV = [
     "search", "--num-words", "256", "--width", "144", "--mle-bits", "3",
     "--queries", "2500", "--seed", "1", "--workload", "uniform",
 ]
-REFERENCE_SEARCH_SHA256 = (
-    "6f4e17dd7b7085d17085a7d5db2240f83b21da1ade81e611fdb565becb09f159"
-)
+REFERENCE_PLANTED_ARGV = [
+    "search", "--num-words", "256", "--width", "144", "--mle-bits", "3",
+    "--queries", "2500", "--seed", "97", "--workload", "planted",
+    "--match-rate", "0.5", "--param", "c_ml_per_cell=0.3",
+    "--param", "c_sl_per_cell=0.7",
+]
+REFERENCE_SEARCH_SHA256 = {
+    "uniform": (
+        707522, "6f4e17dd7b7085d17085a7d5db2240f83b21da1ade81e611fdb565becb09f159"
+    ),
+    "planted": (
+        736710, "b450e40ebfc5186d25375b3f3fa537861406d7af14d0440a98894b3a16cd30ca"
+    ),
+}
 
 # The sha256 of each search report as it was pinned with "aggregate" before
 # "queries", from the json.dumps writer, before the query rows were rendered
@@ -185,28 +200,36 @@ AGGREGATE_FIRST_SHA256 = {
 
 
 @pytest.fixture(scope="module")
-def reference_search_report(tmp_path_factory) -> bytes:
-    """The reference search report's bytes, written once for this module."""
-    out = tmp_path_factory.mktemp("reference") / "search.json"
-    assert main([*REFERENCE_SEARCH_ARGV, "--out", str(out)]) == 0
-    return out.read_bytes()
+def reference_search_reports(tmp_path_factory) -> dict[str, bytes]:
+    """Each reference search report's bytes, by case, written once for this
+    module."""
+    scratch = tmp_path_factory.mktemp("reference")
+    reports = {}
+    for case, argv in (("uniform", REFERENCE_SEARCH_ARGV),
+                       ("planted", REFERENCE_PLANTED_ARGV)):
+        out = scratch / f"{case}.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        reports[case] = out.read_bytes()
+    return reports
 
 
-def test_reference_search_report_hash(reference_search_report):
-    data = reference_search_report
-    assert len(data) == 707522
-    assert hashlib.sha256(data).hexdigest() == REFERENCE_SEARCH_SHA256
+@pytest.mark.parametrize("case", sorted(REFERENCE_SEARCH_SHA256))
+def test_reference_search_report_hash(case, reference_search_reports):
+    data = reference_search_reports[case]
+    size, digest = REFERENCE_SEARCH_SHA256[case]
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(AGGREGATE_FIRST_SHA256))
 def test_search_reports_parse_to_their_aggregate_first_documents(
-    name, reference_search_report
+    name, reference_search_reports
 ):
     # The re-pinned reports differ from the aggregate-first ones only in
     # where "aggregate" sits: each parses to the same document, which
     # json.dumps, with "aggregate" back before "queries", writes as the
     # bytes that were pinned.
-    data = (reference_search_report if name == "reference"
+    data = (reference_search_reports["uniform"] if name == "reference"
             else (GOLDEN / name).read_bytes())
     document = json.loads(data)
     assert list(document)[-2:] == ["queries", "aggregate"]

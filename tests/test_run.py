@@ -64,8 +64,9 @@ def test_columns_equal_the_oracles_on_every_exhaustive_store(exhaustive_tier):
                 ):
                     types |= {*map(type, column)}
     assert searches == 2 * 24192
-    # The row template writes each count as its str, which is a JSON
-    # integer only for an int, so a float or bool in any column fails here.
+    # The row template writes each count with %d, which truncates a float
+    # and writes a bool as 0 or 1, so only an int is written as the value
+    # it holds: a float or bool in any column fails here.
     assert types == {int}
 
 
