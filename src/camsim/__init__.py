@@ -19,10 +19,6 @@ from .array import (
     sum_event_totals,
 )
 from .cells import (
-    CellKind,
-    CellState,
-    cell_write,
-    driver_select,
     nor_cell_pulls_down,
     xnor_cell_eval,
     xor_cell_eval,
@@ -31,7 +27,6 @@ from .core import (
     MAX_MLE_BITS,
     MIN_MLE_BITS,
     CamConfig,
-    DriverMode,
     Level,
     parse_word,
     word_text,
@@ -57,7 +52,6 @@ from .errors import (
     InvalidConfig,
     PrefixTooShort,
     WidthMismatch,
-    WriteInSearchMode,
     ZeroSearches,
 )
 from .mle import MleTrace, expected_energized_fraction, mle_eval

@@ -1,68 +1,41 @@
-"""Truth-level models of the three CAM cells and the shared write/search driver.
+"""Truth-level models of the three CAM cells.
 
-All evaluations are pure functions over immutable state; wire-level effects
-(charge sharing, contention on the shared write/search path) are not modeled.
+Each cell compares one stored bit with one search bit, so each model is a
+pure function of the two ints, ``(stored, search_bit)``, and both must be 0
+or 1. Wire-level effects (charge sharing) are not modeled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
-
-from .core import DriverMode, Level
-from .errors import WriteInSearchMode
+from .core import Level
 
 
-class CellKind(Enum):
-    XNOR = "xnor"
-    XOR = "xor"
-    NOR = "nor"
+def _check_bits(stored: int, search_bit: int) -> None:
+    if stored not in (0, 1):
+        raise ValueError(f"stored bit must be 0 or 1, got {stored!r}")
+    if search_bit not in (0, 1):
+        raise ValueError(f"search bit must be 0 or 1, got {search_bit!r}")
 
 
-@dataclass(frozen=True)
-class CellState:
-    """One cell: the latch content and which comparison circuit surrounds it."""
-
-    stored: int
-    kind: CellKind
-
-    def __post_init__(self) -> None:
-        if self.stored not in (0, 1):
-            raise ValueError(f"stored bit must be 0 or 1, got {self.stored!r}")
-
-
-def driver_select(write_sl_en: Level) -> DriverMode:
-    """Decode the shared write/search control: high opens the write path,
-    low preserves the latch and enables the search path."""
-    return DriverMode.WRITE if write_sl_en is Level.HIGH else DriverMode.SEARCH
-
-
-def xnor_cell_eval(state: CellState, search_bit: int) -> Level:
+def xnor_cell_eval(stored: int, search_bit: int) -> Level:
     """First-stage cell: output goes high on bit match.
 
     This node is M0, the charge source for the whole energizer chain; on a
     mismatch no charge is available and the match line stays low.
     """
-    return Level.from_bit(search_bit == state.stored)
+    _check_bits(stored, search_bit)
+    return Level.from_bit(search_bit == stored)
 
 
-def xor_cell_eval(state: CellState, search_bit: int) -> Level:
+def xor_cell_eval(stored: int, search_bit: int) -> Level:
     """First-stage cell for positions 1..k-1: output goes high on mismatch,
     exactly the complement of the XNOR cell."""
-    return Level.from_bit(search_bit != state.stored)
+    _check_bits(stored, search_bit)
+    return Level.from_bit(search_bit != stored)
 
 
-def nor_cell_pulls_down(state: CellState, search_bit: int) -> bool:
+def nor_cell_pulls_down(stored: int, search_bit: int) -> bool:
     """Second-stage cell: True when a pull-down path to ground exists
     (bit mismatch); a matching cell leaves the match line untouched."""
-    return search_bit != state.stored
-
-
-def cell_write(state: CellState, bit: int, mode: DriverMode) -> CellState:
-    """Store ``bit`` into the latch. Only legal while the write driver is
-    enabled; in search mode the pass devices are off to preserve the latch."""
-    if mode is not DriverMode.WRITE:
-        raise WriteInSearchMode("cell write requires the write driver enabled")
-    if bit not in (0, 1):
-        raise ValueError(f"write bit must be 0 or 1, got {bit!r}")
-    return replace(state, stored=bit)
+    _check_bits(stored, search_bit)
+    return search_bit != stored

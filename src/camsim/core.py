@@ -66,13 +66,6 @@ class Level(Enum):
         return cls.HIGH if bit else cls.LOW
 
 
-class DriverMode(Enum):
-    """Global write/search control shared by every cell driver in the array."""
-
-    WRITE = "write"
-    SEARCH = "search"
-
-
 @dataclass(frozen=True)
 class CamConfig:
     """Array geometry: ``num_words`` words of ``word_bits`` bits each, with the

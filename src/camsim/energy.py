@@ -88,12 +88,8 @@ class EnergyModel:
         for name in self.field_names():
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be finite")
-        for name in (
-            "c_ml_per_cell", "c_sl_per_cell", "c_mle_node",
-            "v_dd", "v_swing_ml", "v_swing_sl", "f",
-            "delay_per_series_device", "delay_nor_discharge",
-        ):
-            if getattr(self, name) <= 0:
+        for name in self.field_names():
+            if name != "upsize_base" and getattr(self, name) <= 0:
                 raise InvalidConfig(f"{name} must be strictly positive")
         if self.v_swing_ml > self.v_dd:
             raise InvalidConfig("v_swing_ml cannot exceed v_dd")

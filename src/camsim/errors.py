@@ -21,10 +21,6 @@ class PrefixTooShort(CamError):
     """The energizer stage needs at least two prefix bits."""
 
 
-class WriteInSearchMode(CamError):
-    """Cell write attempted while the driver is in search mode."""
-
-
 class ZeroSearches(CamError):
     """The energy metric needs at least one search in the denominator."""
 

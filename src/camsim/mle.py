@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cells import CellKind, CellState, xnor_cell_eval, xor_cell_eval
+from .cells import xnor_cell_eval, xor_cell_eval
 from .core import MIN_MLE_BITS, Level
 from .errors import PrefixTooShort, WidthMismatch
 
@@ -44,12 +44,8 @@ def mle_eval(stored_prefix: Sequence[int], search_prefix: Sequence[int]) -> MleT
         raise PrefixTooShort(
             f"the energizer needs at least {MIN_MLE_BITS} bits, got {k}"
         )
-    m0 = xnor_cell_eval(CellState(stored_prefix[0], CellKind.XNOR), search_prefix[0])
-    nodes = [m0]
-    for i in range(1, k):
-        nodes.append(
-            xor_cell_eval(CellState(stored_prefix[i], CellKind.XOR), search_prefix[i])
-        )
+    nodes = [xnor_cell_eval(stored_prefix[0], search_prefix[0])]
+    nodes += map(xor_cell_eval, stored_prefix[1:], search_prefix[1:])
     ml_en = Level.from_bit(
         nodes[0] is Level.HIGH and all(n is Level.LOW for n in nodes[1:])
     )

@@ -12,7 +12,7 @@ from operator import ne
 from typing import Optional
 
 from .array import CamArray, Variant, _check_keys
-from .cells import CellKind, CellState, nor_cell_pulls_down
+from .cells import nor_cell_pulls_down
 from .core import Level
 from .mle import mle_eval
 
@@ -96,7 +96,7 @@ def word_traces(
         pulls = (
             i
             for i in range(k if gated else 0, n)
-            if nor_cell_pulls_down(CellState(stored[i], CellKind.NOR), bits[i])
+            if nor_cell_pulls_down(stored[i], bits[i])
         )
         pulled = next(pulls, None) if en else None
         fell = pulled is not None

@@ -29,13 +29,7 @@ from camsim import (
     verify_exhaustive,
     verify_randomized,
 )
-from camsim.cells import (
-    CellKind,
-    CellState,
-    nor_cell_pulls_down,
-    xnor_cell_eval,
-    xor_cell_eval,
-)
+from camsim.cells import nor_cell_pulls_down, xnor_cell_eval, xor_cell_eval
 from camsim.cli import main
 
 GEOMETRY = CamConfig(num_words=256, word_bits=144, mle_bits=3, seed=1)
@@ -119,9 +113,9 @@ def test_criterion_4_sweep_shape(tmp_path, capsys):
 
 def test_criterion_5_cell_truth_tables():
     for stored, bit in product((0, 1), repeat=2):
-        xnor = xnor_cell_eval(CellState(stored, CellKind.XNOR), bit)
-        xor = xor_cell_eval(CellState(stored, CellKind.XOR), bit)
-        pulls = nor_cell_pulls_down(CellState(stored, CellKind.NOR), bit)
+        xnor = xnor_cell_eval(stored, bit)
+        xor = xor_cell_eval(stored, bit)
+        pulls = nor_cell_pulls_down(stored, bit)
         assert (xnor is Level.HIGH) == (stored == bit)
         assert (xor is Level.HIGH) == (stored != bit)
         assert pulls == (stored != bit)

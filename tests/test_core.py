@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from camsim import (
     BadDigit,
     CamConfig,
-    DriverMode,
     InvalidConfig,
     Level,
     Store,
@@ -130,7 +129,3 @@ def test_level_is_strictly_binary():
     assert len(Level) == 2
     assert Level.from_bit(1) is Level.HIGH
     assert Level.from_bit(0) is Level.LOW
-
-
-def test_driver_mode_values():
-    assert {m.value for m in DriverMode} == {"write", "search"}

@@ -144,6 +144,11 @@ def test_model_validation():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(InvalidConfig, match=f"{name} must be finite"):
                 EnergyModel(**{name: bad})
+        if name == "upsize_base":
+            continue
+        for bad in (0, -1):
+            with pytest.raises(InvalidConfig, match=f"^{name} must be strictly positive$"):
+                EnergyModel(**{name: bad})
 
 
 def test_model_from_file(tmp_path):
